@@ -37,7 +37,11 @@ int main() {
   const goes::WindModel wind = goes::uniform_shear(1.0, 0.0, 0.0);
   const imaging::ImageF f1 = goes::advect_frame(f0, wind);
 
+  // Both legs run the naive normal-equation arithmetic (the Sec. 11
+  // precompute off), isolating the mapping: the cost-layer table versus
+  // re-minimising Eq. (9) for every template pixel of every hypothesis.
   core::SmaConfig pre = core::frederic_scaled_config();
+  pre.precompute = core::PrecomputeMode::kOff;
   pre.use_precomputed_mapping = true;
   core::SmaConfig naive = pre;
   naive.use_precomputed_mapping = false;

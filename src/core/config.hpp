@@ -20,6 +20,11 @@
 
 namespace sma::core {
 
+/// Largest N_ss the semi-fluid model accepts: the correspondence table
+/// (semifluid.hpp) stores the winner's index in the (2N_ss+1)^2 window
+/// as one byte.
+inline constexpr int kMaxSemiFluidSearchRadius = 7;
+
 enum class MotionModel {
   kContinuous,  ///< F_cont: locally affine continuous deformation (Eq. 2)
   kSemiFluid,   ///< F_semi: per-pixel fragmented correspondences (Eq. 9)
@@ -29,7 +34,7 @@ enum class MotionModel {
 /// per-pixel weighted design rows and A^T A tiles of the 6x6 normal
 /// equations are built once per before frame instead of once per
 /// (pixel, hypothesis).  Bit-identical to the naive path where eligible
-/// (no masks, no semi-fluid remapping, stride 1); ineligible configs
+/// (no masks, stride 1; F_semi included); ineligible configs
 /// fall back to naive regardless of the mode.
 enum class PrecomputeMode {
   kAuto,  ///< engage whenever eligible (currently identical to kOn)
@@ -74,7 +79,11 @@ struct SmaConfig {
 
   /// Sec. 4.1 optimization: precompute the semi-fluid matching cost for
   /// the whole (2N_zs + 2N_ss + 1)^2 extended window and share it across
-  /// hypotheses, instead of recomputing per hypothesis.
+  /// hypotheses, instead of recomputing per hypothesis.  The precompute
+  /// fast path always reads the per-pair correspondence table
+  /// (semifluid.hpp); false matters only with the precompute off, where
+  /// it skips the table and remaps every template pixel on the fly (the
+  /// naive oracle).  Both are exact.
   bool use_precomputed_mapping = true;
 
   /// Subsample the z-template (evaluate every k-th template pixel).  1 =
@@ -188,6 +197,10 @@ struct SmaConfig {
       throw std::invalid_argument("SmaConfig: z_template_radius >= 0 required");
     if (semifluid_search_radius < 0 || semifluid_template_radius < 0)
       throw std::invalid_argument("SmaConfig: semi-fluid radii >= 0 required");
+    if (model == MotionModel::kSemiFluid &&
+        semifluid_search_radius > kMaxSemiFluidSearchRadius)
+      throw std::invalid_argument("SmaConfig: semifluid_search_radius <= 7 "
+                                  "required");
     if (z_search_radius_y < -1 || z_template_radius_y < -1)
       throw std::invalid_argument("SmaConfig: rectangular radii >= -1 required");
     if (segment_rows < 0 || segment_rows > z_search_size_y())

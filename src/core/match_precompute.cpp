@@ -270,6 +270,51 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
   return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
 }
 
+double evaluate_hypothesis_remapped(const MatchPrecompute& pre,
+                                    const surface::GeometricField& after,
+                                    const WindowInvariants& win,
+                                    const SemiFluidTable& table, int x, int y,
+                                    int hx, int hy, int rx, int ry,
+                                    MotionParams& params_out, bool& ok_out) {
+  const int w = pre.width();
+  const int h = pre.height();
+  const double* SMA_RESTRICT const ni_p = pre.plane(MatchPrecompute::kNi);
+  const double* SMA_RESTRICT const nj_p = pre.plane(MatchPrecompute::kNj);
+  const double* SMA_RESTRICT const nk_p = pre.plane(MatchPrecompute::kNk);
+  const double* SMA_RESTRICT const wi_p = pre.plane(MatchPrecompute::kWi);
+  const double* SMA_RESTRICT const wj_p = pre.plane(MatchPrecompute::kWj);
+  const double* rows_p[18];
+  for (int t = 0; t < 18; ++t)
+    rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
+  const float* SMA_RESTRICT const a_ni = after.ni.data();
+  const float* SMA_RESTRICT const a_nj = after.nj.data();
+  const float* SMA_RESTRICT const a_nk = after.nk.data();
+  const int col = hx + table.hx_radius();
+
+  linalg::Vec6 atb;
+  double btb = 0.0;
+  for (int v = -ry; v <= ry; ++v) {
+    const int py = std::clamp(y + v, 0, h - 1);
+    const std::size_t off = static_cast<std::size_t>(py) * w;
+    for (int u = -rx; u <= rx; ++u) {
+      const int px = std::clamp(x + u, 0, w - 1);
+      const std::uint8_t c = table.codes(px, py, hy)[col];
+      const int qx = std::clamp(px + hx + table.code_dx(c), 0, w - 1);
+      const int qy = std::clamp(py + hy + table.code_dy(c), 0, h - 1);
+      const std::size_t q = static_cast<std::size_t>(qy) * w + qx;
+      const std::size_t i = off + px;
+      const double bi = static_cast<double>(a_ni[q]) - ni_p[i];
+      const double bj = static_cast<double>(a_nj[q]) - nj_p[i];
+      const double bk = static_cast<double>(a_nk[q]) - nk_p[i];
+      for (int r = 0; r < 6; ++r)
+        atb[r] += rows_p[r][i] * bi + rows_p[6 + r][i] * bj +
+                  rows_p[12 + r][i] * bk;
+      btb += wi_p[i] * (bi * bi) + wj_p[i] * (bj * bj) + bk * bk;
+    }
+  }
+  return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
+}
+
 double evaluate_hypothesis_hoisted(const MatchPrecompute& pre,
                                    const surface::GeometricField& after,
                                    const WindowInvariants& win, int x, int y,
@@ -344,13 +389,8 @@ PrecomputeDecision resolve_precompute(const SmaConfig& config,
                                       const MatchInput& in) {
   if (config.precompute == PrecomputeMode::kOff)
     return PrecomputeDecision::kDisabled;
-  // Mirrors the `semifluid` flag inside evaluate_pixel_hypothesis: when
-  // the model remaps each template pixel within its own N_ss window, the
-  // correspondents are no longer a rigidly shifted box and the shared
-  // window sums are wrong.
-  if (config.model == MotionModel::kSemiFluid &&
-      config.semifluid_search_radius > 0)
-    return PrecomputeDecision::kSemiFluid;
+  // The semi-fluid remap needs no rule of its own: it moves only the
+  // after-frame correspondents, which the remapped evaluator gathers.
   // Masks change the per-pixel window MULTISET (skipped rows), which the
   // precomputed tiles cannot express.
   if (in.mask_before != nullptr || in.mask_after != nullptr)

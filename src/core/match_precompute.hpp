@@ -37,11 +37,14 @@
 // (default off) and tolerance-tested.
 //
 // Fallback contract (resolve_precompute): the fast path engages only
-// when no validity masks are present, the semi-fluid per-pixel
-// remapping is inactive, and template_stride == 1 — otherwise the
-// template window is no longer a fixed box over the before frame and
-// the shared window sums are invalid.  The naive path remains the
-// equivalence oracle.
+// when no validity masks are present and template_stride == 1 —
+// otherwise the template window is no longer a fixed box over the
+// before frame and the shared window sums are invalid.  The semi-fluid
+// model is eligible: its per-pixel remap moves only the AFTER-frame
+// correspondent q = p + M_h(p), so A^T A (before frame only) is still
+// the shared window sum and just the A^T b / b^T b sweep gathers through
+// the correspondence table (evaluate_hypothesis_remapped).  The naive
+// path remains the equivalence oracle.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +53,7 @@
 
 #include "core/config.hpp"
 #include "core/continuous_model.hpp"
+#include "core/semifluid.hpp"
 #include "core/tracker.hpp"
 #include "surface/geometry.hpp"
 
@@ -155,11 +159,6 @@ class MatchPrecompute {
   std::vector<double> data_;  // plane-major: [plane][y][x]
 };
 
-/// Evaluates hypothesis (hx, hy) at pixel (x, y) on the precomputed fast
-/// path: A^T A comes from `win`, A^T b / b^T b from the 18-MAC sweep of
-/// the weighted-row planes against the after-frame normals.  Bit-
-/// identical to the naive evaluate_pixel_hypothesis (no masks, no
-/// semi-fluid remap, stride 1).  Returns the Eq. (3) residual.
 /// The shared solve + residual tail of the precomputed evaluators: adds
 /// the moments into a zero-initialized NormalEquations6 exactly as the
 /// naive path would and returns the Eq. (3) residual (theta = 0 for
@@ -169,11 +168,28 @@ double solve_from_moments(const double* ata21, const linalg::Vec6& atb,
                           double btb, std::uint64_t rows,
                           MotionParams& params_out, bool& ok_out);
 
+/// Evaluates hypothesis (hx, hy) at pixel (x, y) on the precomputed fast
+/// path: A^T A comes from `win`, A^T b / b^T b from the 18-MAC sweep of
+/// the weighted-row planes against the after-frame normals.  Bit-
+/// identical to the naive evaluate_pixel_hypothesis (no masks, F_cont
+/// correspondents, stride 1).  Returns the Eq. (3) residual.
 double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        const surface::GeometricField& after,
                                        const WindowInvariants& win, int x,
                                        int y, int hx, int hy, int rx, int ry,
                                        MotionParams& params_out, bool& ok_out);
+
+/// F_semi variant: template pixel p's correspondent is the table's
+/// p + M_h(p) instead of p + h, read with the naive path's clamp.  Same
+/// per-pixel arithmetic and order, so bit-identical to the naive
+/// evaluator driven by the same table.  `hy` must lie in the table's
+/// segment and |hx| within its hx_radius.
+double evaluate_hypothesis_remapped(const MatchPrecompute& pre,
+                                    const surface::GeometricField& after,
+                                    const WindowInvariants& win,
+                                    const SemiFluidTable& table, int x, int y,
+                                    int hx, int hy, int rx, int ry,
+                                    MotionParams& params_out, bool& ok_out);
 
 /// Sliding-tier evaluation: uses the hoisted `row·n` / `w·n·n` window
 /// sums (win.cn, win.snn) so only the after-dependent sums are computed
@@ -189,7 +205,6 @@ enum class PrecomputeDecision {
   kFast,       ///< precompute engages
   kDisabled,   ///< PrecomputeMode::kOff
   kMasked,     ///< validity masks present: window multiset varies per pixel
-  kSemiFluid,  ///< per-pixel remapping: correspondents are not a shifted box
   kStride,     ///< template_stride > 1: sliding window sums invalid
 };
 

@@ -47,6 +47,8 @@ const char* prune_fallback_name(PruneFallback f) {
       return "no-raw-frames";
     case PruneFallback::kTinySearch:
       return "tiny-search";
+    case PruneFallback::kSemiFluid:
+      return "semi-fluid";
   }
   return "unknown";
 }
@@ -56,11 +58,16 @@ PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in) {
     return PruneFallback::kNotRequested;
   // The pruned sweep rides the precomputed SoA planes (window sums for
   // the bound's prefix system, the 18-MAC A^T b sweep): no fast path, no
-  // pruned path.  This also transitively excludes masks, active
-  // semi-fluid remapping and strided templates.
+  // pruned path.  This also transitively excludes masks and strided
+  // templates.
   if (in.precompute == nullptr ||
       resolve_precompute(config, in) != PrecomputeDecision::kFast)
     return PruneFallback::kNoPrecompute;
+  // F_semi rides the planes too, but the coarse seeding pass and the
+  // half-template bound model F_cont correspondents only.
+  if (config.model == MotionModel::kSemiFluid &&
+      config.semifluid_search_radius > 0)
+    return PruneFallback::kSemiFluid;
   if (config.precompute_sliding) return PruneFallback::kSliding;
   // Segmented searches chunk the hy range across semi-fluid mapping
   // segments; a per-pixel shrunken window straddles chunks and the

@@ -75,14 +75,16 @@ inline bool prune_bound_exceeds(double bound, double incumbent) {
 enum class PruneFallback {
   kNone = 0,        ///< pruned search engaged
   kNotRequested,    ///< search_mode == kFull
-  kNoPrecompute,    ///< precompute ineligible/absent (masks, semi-fluid,
-                    ///< stride, off) — the pruned sweep rides its planes
+  kNoPrecompute,    ///< precompute ineligible/absent (masks, stride,
+                    ///< off) — the pruned sweep rides its planes
   kSliding,         ///< precompute_sliding: row-hoisted sums have no
                     ///< per-pixel window or checkpoint structure
   kSegmented,       ///< segment_rows splits the hy range; the shrunken
                     ///< window crosses segments
   kNoRawFrames,     ///< MatchInput::raw_* not attached (no pyramid)
   kTinySearch,      ///< search radius < 1: nothing to prune
+  kSemiFluid,       ///< active semi-fluid remap: the coarse seeds and the
+                    ///< prefix bound are F_cont-only
 };
 
 const char* prune_fallback_name(PruneFallback f);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -29,8 +30,6 @@ const char* decision_fallback_name(PrecomputeDecision d) {
       return "precompute-off";
     case PrecomputeDecision::kMasked:
       return "masked";
-    case PrecomputeDecision::kSemiFluid:
-      return "semi-fluid";
     case PrecomputeDecision::kStride:
       return "stride";
   }
@@ -185,12 +184,13 @@ class VectorBackend final : public TrackerBackend {
         decision == PrecomputeDecision::kFast && !config.precompute_sliding) {
       extras->report.vector_path = true;
       best = run_vector_search(
-          in, config, level, result.timings, extras->report,
+          in, config, level, result.timings, result.peak_mapping_bytes,
+          extras->report,
           prune_fb == PruneFallback::kNone ? &extras->prune : nullptr);
     } else {
       // Fall back to the shared staged path (bit-identical to the host
-      // backends by construction): masked / semi-fluid / stride /
-      // precompute-off configs, and the sliding tier, which trades
+      // backends by construction): masked / stride / precompute-off
+      // configs, and the sliding tier, which trades
       // bit-exactness for box-filter reuse the lane kernel does not
       // implement.  The staged path applies its own pruned-mode gate and
       // records into the same report.
@@ -216,6 +216,7 @@ class VectorBackend final : public TrackerBackend {
                                                   const SmaConfig& config,
                                                   simd::SimdLevel level,
                                                   TrackTimings& timings,
+                                                  std::size_t& peak_mapping_bytes,
                                                   VectorRunReport& report,
                                                   PruneReport* prune) {
     const int w = in.width();
@@ -232,8 +233,6 @@ class VectorBackend final : public TrackerBackend {
         prune != nullptr && config.prune_bound && nzt_y >= 1;
 
     std::vector<PixelBest> best(static_cast<std::size_t>(w) * h);
-    obs::TraceSpan span("match", "hypothesis_search");
-    const auto t0 = Clock::now();
 
     // An injected seed slice (shard runner) replaces the coarse pass —
     // same contract as run_pruned_search.
@@ -273,58 +272,86 @@ class VectorBackend final : public TrackerBackend {
     std::vector<VectorLaneTally> tallies(tiles.size());
     std::vector<PruneTileTally> prune_tallies(
         prune != nullptr ? tiles.size() : 0);
-    pool.run(
-        tiles,
-        [&](const sched::Tile& tile, std::size_t index) {
-          VectorLaneTally& tally = tallies[index];
-          for (int y = tile.y0; y < tile.y1; ++y) {
-            for (int x = tile.x0; x < tile.x1; ++x) {
-              WindowInvariants win;
-              pre->accumulate_window(x, y, nzt_x, nzt_y, win);
-              VectorKernelArgs args;
-              args.pre = pre;
-              args.after = in.after;
-              args.win = &win;
-              args.x = x;
-              args.y = y;
-              args.rx = nzt_x;
-              args.ry = nzt_y;
-              args.hx_min = -nzs_x;
-              args.hx_max = nzs_x;
-              args.hy_min = -nzs_y;
-              args.hy_max = nzs_y;
-              PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
-              if (prune != nullptr) {
-                const PruneWindow pw =
-                    prune_window(seeds, x, y, nzs_x, nzs_y, refine_radius);
-                args.hx_min = pw.hx_min;
-                args.hx_max = pw.hx_max;
-                args.hy_min = pw.hy_min;
-                args.hy_max = pw.hy_max;
-                PruneTileTally& pt = prune_tallies[index];
-                pt.scheduled +=
-                    static_cast<std::uint64_t>(pw.hx_max - pw.hx_min + 1) *
-                    (pw.hy_max - pw.hy_min + 1);
-                if (pw.shrunk)
-                  ++pt.window_pixels;
-                else
-                  ++pt.fallback_pixels;
-                WindowInvariants winp;
-                if (bound_on) {
-                  pre->accumulate_window_span(x, y, nzt_x, -nzt_y, -1, winp);
-                  args.win_prefix = &winp;
+
+    // One pool sweep over hypothesis rows [hy_min, hy_max].
+    const auto sweep = [&](int hy_min, int hy_max,
+                           const SemiFluidTable* table) {
+      obs::TraceSpan span("match", "hypothesis_search");
+      const auto t0 = Clock::now();
+      pool.run(
+          tiles,
+          [&](const sched::Tile& tile, std::size_t index) {
+            VectorLaneTally& tally = tallies[index];
+            for (int y = tile.y0; y < tile.y1; ++y) {
+              for (int x = tile.x0; x < tile.x1; ++x) {
+                WindowInvariants win;
+                pre->accumulate_window(x, y, nzt_x, nzt_y, win);
+                VectorKernelArgs args;
+                args.pre = pre;
+                args.after = in.after;
+                args.win = &win;
+                args.x = x;
+                args.y = y;
+                args.rx = nzt_x;
+                args.ry = nzt_y;
+                args.hx_min = -nzs_x;
+                args.hx_max = nzs_x;
+                args.hy_min = hy_min;
+                args.hy_max = hy_max;
+                args.table = table;
+                PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
+                if (prune != nullptr) {
+                  const PruneWindow pw =
+                      prune_window(seeds, x, y, nzs_x, nzs_y, refine_radius);
+                  args.hx_min = pw.hx_min;
+                  args.hx_max = pw.hx_max;
+                  args.hy_min = pw.hy_min;
+                  args.hy_max = pw.hy_max;
+                  PruneTileTally& pt = prune_tallies[index];
+                  pt.scheduled +=
+                      static_cast<std::uint64_t>(pw.hx_max - pw.hx_min + 1) *
+                      (pw.hy_max - pw.hy_min + 1);
+                  if (pw.shrunk)
+                    ++pt.window_pixels;
+                  else
+                    ++pt.fallback_pixels;
+                  WindowInvariants winp;
+                  if (bound_on) {
+                    pre->accumulate_window_span(x, y, nzt_x, -nzt_y, -1,
+                                                winp);
+                    args.win_prefix = &winp;
+                  }
+                  kernel(args, b, tally);
+                  if (pw.shrunk && b.any_ok &&
+                      prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
+                    ++pt.seed_interior;
+                } else {
+                  kernel(args, b, tally);
                 }
-                kernel(args, b, tally);
-                if (pw.shrunk && b.any_ok &&
-                    prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
-                  ++pt.seed_interior;
-              } else {
-                kernel(args, b, tally);
               }
             }
-          }
-        },
-        config.threads);
+          },
+          config.threads);
+      timings.hypothesis_matching += seconds_since(t0);
+    };
+
+    // F_semi sweeps one hypothesis-row segment (Sec. 4.3) at a time, each
+    // behind its own correspondence table; F_cont sweeps the whole search
+    // in one pass.  The table build is the "semi-fluid mapping" phase and
+    // stays outside the matching timer.
+    if (config.model == MotionModel::kSemiFluid &&
+        config.semifluid_search_radius > 0) {
+      const int zseg = config.effective_segment_rows();
+      for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
+        const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
+        const std::optional<SemiFluidTable> table = build_semifluid_table(
+            in, config, /*fast_path=*/true, hy_min, hy_max, timings,
+            peak_mapping_bytes);
+        sweep(hy_min, hy_max, table ? &*table : nullptr);
+      }
+    } else {
+      sweep(-nzs_y, nzs_y, nullptr);
+    }
 
     std::uint64_t batched = 0, tail = 0, batches = 0;
     for (const VectorLaneTally& tally : tallies) {
@@ -332,7 +359,6 @@ class VectorBackend final : public TrackerBackend {
       tail += tally.tail_hypotheses;
       batches += tally.batches;
     }
-    timings.hypothesis_matching += seconds_since(t0);
     report.batched_hypotheses = batched;
     report.tail_hypotheses = tail;
     report.batches = batches;

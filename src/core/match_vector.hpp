@@ -18,10 +18,13 @@
 // Because each lane's floating-point instruction sequence equals the
 // scalar path's, the backend is BIT-IDENTICAL to `sequential` on every
 // lane implementation — AVX-512, AVX2, SSE2, NEON and the forced-scalar
-// fallback — extending the Sec. 5.1 contract to the vector substrate.  Configs
-// the precompute cannot serve (masks, active semi-fluid remap, stride,
-// precompute off, or the non-bit-exact sliding tier) fall back to the
-// shared staged path, again bit-identical by construction.
+// fallback — extending the Sec. 5.1 contract to the vector substrate.
+// F_semi runs the lane kernel too: its remap moves only the after-frame
+// correspondents, so lanes broadcast the shared A^T A as for F_cont and
+// gather their normals through the per-segment correspondence table.
+// Configs the precompute cannot serve (masks, stride, precompute off, or
+// the non-bit-exact sliding tier) fall back to the shared staged path,
+// again bit-identical by construction.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units
 // compiled with the matching target flags (only the AVX2 and AVX-512
@@ -62,6 +65,11 @@ struct VectorKernelArgs {
   /// checkpoint.  Null keeps the kernel's floating-point sequence
   /// EXACTLY as before — full mode stays bit-identical.
   const WindowInvariants* win_prefix = nullptr;
+  /// F_semi: the segment's correspondence table (semifluid.hpp).  Set,
+  /// the kernel gathers every lane's after-frame normals through it and
+  /// batches the segment's hypotheses across rows; the hy bounds must
+  /// lie inside the table's segment.  Never combined with win_prefix.
+  const SemiFluidTable* table = nullptr;
 };
 
 /// Lane-occupancy accounting, summed across pixels into the

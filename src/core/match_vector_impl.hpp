@@ -28,6 +28,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 
 #include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
@@ -39,6 +42,303 @@
 
 namespace sma::core::detail {
 
+// ---- Pieces shared by the F_cont and F_semi kernels.  Force-inlined, so
+// each kernel compiles to the same instruction sequence as if they were
+// written out in place.
+
+// a*b + c under the active profile.
+template <class Tag, bool Fma>
+[[gnu::always_inline]] inline typename simd::LaneTraits<Tag>::Vec lane_fmadd(
+    typename simd::LaneTraits<Tag>::Vec a,
+    typename simd::LaneTraits<Tag>::Vec b,
+    typename simd::LaneTraits<Tag>::Vec c) {
+  using T = simd::LaneTraits<Tag>;
+  if constexpr (Fma)
+    return T::mul_add(a, b, c);
+  else
+    return T::add(c, T::mul(a, b));
+}
+
+// The before-frame planes a template pixel's A^T b / b^T b MACs read.
+struct TemplatePlanes {
+  const double* ni;
+  const double* nj;
+  const double* nk;
+  const double* wi;
+  const double* wj;
+  const double* rows[18];
+
+  explicit TemplatePlanes(const MatchPrecompute& pre)
+      : ni(pre.plane(MatchPrecompute::kNi)),
+        nj(pre.plane(MatchPrecompute::kNj)),
+        nk(pre.plane(MatchPrecompute::kNk)),
+        wi(pre.plane(MatchPrecompute::kWi)),
+        wj(pre.plane(MatchPrecompute::kWj)) {
+    for (int t = 0; t < 18; ++t)
+      rows[t] = pre.plane(MatchPrecompute::kWri0 + t);
+  }
+};
+
+// Template pixel i's MACs into every lane's A^T b / b^T b, lane l's
+// after-frame normal being lane l of (oi, oj, ok).  Same association
+// order per MAC as the scalar evaluate_hypothesis_precomputed.
+template <class Tag, bool Fma>
+[[gnu::always_inline]] inline void accumulate_template_pixel(
+    const TemplatePlanes& p, std::size_t i,
+    typename simd::LaneTraits<Tag>::Vec oi,
+    typename simd::LaneTraits<Tag>::Vec oj,
+    typename simd::LaneTraits<Tag>::Vec ok,
+    typename simd::LaneTraits<Tag>::Vec (&atb)[6],
+    typename simd::LaneTraits<Tag>::Vec& btb) {
+  using T = simd::LaneTraits<Tag>;
+  using V = typename T::Vec;
+  const V bi = T::sub(oi, T::broadcast(p.ni[i]));
+  const V bj = T::sub(oj, T::broadcast(p.nj[i]));
+  const V bk = T::sub(ok, T::broadcast(p.nk[i]));
+  for (int r = 0; r < 6; ++r) {
+    V t = T::mul(T::broadcast(p.rows[r][i]), bi);
+    t = lane_fmadd<Tag, Fma>(T::broadcast(p.rows[6 + r][i]), bj, t);
+    t = lane_fmadd<Tag, Fma>(T::broadcast(p.rows[12 + r][i]), bk, t);
+    atb[r] = T::add(atb[r], t);
+  }
+  V s = T::mul(T::broadcast(p.wi[i]), T::mul(bi, bi));
+  s = lane_fmadd<Tag, Fma>(T::broadcast(p.wj[i]), T::mul(bj, bj), s);
+  s = lane_fmadd<Tag, Fma>(bk, bk, s);
+  btb = T::add(btb, s);
+}
+
+// The pixel's A^T A window sum, normalized exactly as
+// NormalEquations6::add_precomputed leaves it (0.0 + v) and broadcast:
+// every lane shares the same before-frame matrix.
+template <class Tag>
+[[gnu::always_inline]] inline void broadcast_ata(
+    const double* ata21, typename simd::LaneTraits<Tag>::Vec (&ata)[21]) {
+  using T = simd::LaneTraits<Tag>;
+  for (int k = 0; k < 21; ++k)
+    ata[k] = T::add(T::zero(), T::broadcast(ata21[k]));
+}
+
+// A solved batch: every lane's parameters, residual and singular flag.
+template <class Tag>
+struct ScoredBatch {
+  typename simd::LaneTraits<Tag>::Vec theta[6];
+  double errs[simd::LaneTraits<Tag>::kLanes];
+  double min_err;
+  unsigned singular_bits;
+};
+
+// Normalize the moments (add_precomputed's 0.0 + v), eliminate, score,
+// and count the solves.
+template <class Tag>
+[[gnu::always_inline]] inline void score_batch(
+    const typename simd::LaneTraits<Tag>::Vec (&ata)[21],
+    const typename simd::LaneTraits<Tag>::Vec (&atb)[6],
+    typename simd::LaneTraits<Tag>::Vec btb, ScoredBatch<Tag>& out,
+    VectorLaneTally& tally) {
+  using T = simd::LaneTraits<Tag>;
+  using V = typename T::Vec;
+  constexpr int N = T::kLanes;
+  const V vzero = T::zero();
+  V atbn[6];
+  for (int r = 0; r < 6; ++r) atbn[r] = T::add(vzero, atb[r]);
+  const V btbn = T::add(vzero, btb);
+  V a_full[36];
+  for (int r = 0; r < 6; ++r)
+    for (int c = 0; c < 6; ++c)
+      a_full[r * 6 + c] =
+          c >= r ? ata[simd::tri21(r, c)] : ata[simd::tri21(c, r)];
+  V b_work[6];
+  for (int r = 0; r < 6; ++r) b_work[r] = atbn[r];
+  const auto singular =
+      simd::batch_solve6<Tag>(a_full, b_work, out.theta, 1e-12);
+  const V err = simd::batch_residual6<Tag>(ata, out.theta, atbn, btbn);
+
+  out.singular_bits = T::mask_bits(singular);
+  auto& counters = linalg::solve_counters();
+  counters.solves6 += N;
+  counters.singular += std::popcount(out.singular_bits);
+  tally.batched_hypotheses += N;
+  ++tally.batches;
+
+  T::store(out.errs, err);
+  out.min_err = out.errs[0];
+  for (int l = 1; l < N; ++l) out.min_err = std::min(out.min_err, out.errs[l]);
+}
+
+// Makes hypothesis (hx, hy), with center-pixel flow vector (ux, uy), the
+// pixel's incumbent.
+inline void take_hypothesis(PixelBest& best, int hx, int hy, int ux, int uy,
+                            double error, const MotionParams& params,
+                            bool ok) {
+  best.solved = ok;
+  best.coverage = 1.0;
+  best.hx = hx;
+  best.hy = hy;
+  best.ux = ux;
+  best.uy = uy;
+  best.error = error;
+  best.params = params;
+  best.any_ok = true;
+}
+
+// Winner fold: the horizontal min prefilter rejects a batch that cannot
+// beat the incumbent; otherwise the lanes fold in lane order through the
+// scalar tie-break.  Lane l is hypothesis (lane_hx[l], lane_hy[l]), and
+// flow(hx, hy) gives its center-pixel flow vector.
+template <class Tag, class Flow>
+[[gnu::always_inline]] inline void fold_batch(const ScoredBatch<Tag>& s,
+                                              const int* lane_hx,
+                                              const int* lane_hy, Flow flow,
+                                              PixelBest& best) {
+  using T = simd::LaneTraits<Tag>;
+  constexpr int N = T::kLanes;
+  if (best.any_ok && !(s.min_err <= best.error)) return;
+  double th[6][N];
+  bool extracted = false;
+  for (int l = 0; l < N; ++l) {
+    const int hx = lane_hx[l], hy = lane_hy[l];
+    if (!hypothesis_improves(best, s.errs[l], hx, hy)) continue;
+    const bool ok = (s.singular_bits >> l & 1u) == 0;
+    if (ok && !extracted) {
+      for (int r = 0; r < 6; ++r) T::store(th[r], s.theta[r]);
+      extracted = true;
+    }
+    const auto [ux, uy] = flow(hx, hy);
+    take_hypothesis(best, hx, hy, ux, uy, s.errs[l],
+                    ok ? MotionParams::from_vec({th[0][l], th[1][l], th[2][l],
+                                                 th[3][l], th[4][l], th[5][l]})
+                       : MotionParams{},
+                    ok);
+  }
+}
+
+// F_semi kernel (VectorKernelArgs::table set).  The semi-fluid remap
+// makes every lane's correspondent an independent gather, so lanes need
+// not be consecutive hx: the segment's hypotheses are flattened in raster
+// order and batched kLanes at a time across hypothesis rows, which keeps
+// the lanes full even when the search is narrower than a vector.  Each
+// lane fills its after-frame normals through the table — the border
+// batch's per-lane clamped gather with M_h(p) added — and from there on
+// runs the F_cont batch's arithmetic: the same MACs in the same template
+// order, the same normalize / eliminate / score, the same winner fold.
+// Hypotheses left over after the last full batch go through the scalar
+// evaluate_hypothesis_remapped.  Kept out of line so that scan_pixel_t,
+// which dispatches here, compiles its F_cont path exactly as before.
+template <class Tag, bool Fma>
+[[gnu::noinline]] void scan_pixel_remapped_t(const VectorKernelArgs& g,
+                                             PixelBest& best,
+                                             VectorLaneTally& tally) {
+  using T = simd::LaneTraits<Tag>;
+  using V = typename T::Vec;
+  constexpr int N = T::kLanes;
+
+  const MatchPrecompute& pre = *g.pre;
+  const SemiFluidTable& table = *g.table;
+  const int w = pre.width();
+  const int h = pre.height();
+  const int x = g.x, y = g.y, rx = g.rx, ry = g.ry;
+
+  const TemplatePlanes planes(pre);
+  const float* const a_ni = g.after->ni.data();
+  const float* const a_nj = g.after->nj.data();
+  const float* const a_nk = g.after->nk.data();
+  // Table entries are addressed as pixel offset + lane offset from the
+  // segment's first entry.
+  const std::uint8_t* const codes0 = table.codes(0, 0, table.hy_min());
+  const auto flow = [&](int hx, int hy) { return table.offset(x, y, hx, hy); };
+
+  const V vzero = T::zero();
+  V ata[21];
+  broadcast_ata<Tag>(g.win->ata, ata);
+
+  // Deep-interior pixels: no template pixel and no correspondent
+  // p + h + M_h(p) can leave the frame, so the gather needs no clamps and
+  // a correspondent's flat index is pixel + hypothesis + window offsets.
+  const int nss = table.nss();
+  const bool interior =
+      x - rx + std::min(g.hx_min - nss, 0) >= 0 &&
+      x + rx + std::max(g.hx_max + nss, 0) < w &&
+      y - ry + std::min(g.hy_min - nss, 0) >= 0 &&
+      y + ry + std::max(g.hy_max + nss, 0) < h;
+  std::ptrdiff_t code_step[256];
+  for (int c = 0; c < (2 * nss + 1) * (2 * nss + 1); ++c)
+    code_step[c] = static_cast<std::ptrdiff_t>(table.code_dy(
+                       static_cast<std::uint8_t>(c))) * w +
+                   table.code_dx(static_cast<std::uint8_t>(c));
+
+  const int nhx = g.hx_max - g.hx_min + 1;
+  const int count = nhx * (g.hy_max - g.hy_min + 1);
+  int k0 = 0;
+  for (; k0 + N <= count; k0 += N) {
+    int lane_hx[N], lane_hy[N];
+    std::ptrdiff_t lane_code[N], lane_step[N];
+    for (int l = 0; l < N; ++l) {
+      lane_hx[l] = g.hx_min + (k0 + l) % nhx;
+      lane_hy[l] = g.hy_min + (k0 + l) / nhx;
+      lane_code[l] = (table.codes(0, 0, lane_hy[l]) - codes0) + lane_hx[l] +
+                     table.hx_radius();
+      lane_step[l] = static_cast<std::ptrdiff_t>(lane_hy[l]) * w + lane_hx[l];
+    }
+    V atb[6] = {vzero, vzero, vzero, vzero, vzero, vzero};
+    V btb = vzero;
+    for (int v = -ry; v <= ry; ++v) {
+      const int py = std::clamp(y + v, 0, h - 1);
+      const std::size_t off = static_cast<std::size_t>(py) * w;
+      for (int u = -rx; u <= rx; ++u) {
+        const int px = std::clamp(x + u, 0, w - 1);
+        const std::uint8_t* const pix_codes =
+            table.codes(px, py, table.hy_min());
+        float gi[N], gj[N], gk[N];
+        if (interior) {
+          const float* const ci = a_ni + off + px;
+          const float* const cj = a_nj + off + px;
+          const float* const ck = a_nk + off + px;
+          for (int l = 0; l < N; ++l) {
+            const std::ptrdiff_t q =
+                lane_step[l] + code_step[pix_codes[lane_code[l]]];
+            gi[l] = ci[q];
+            gj[l] = cj[q];
+            gk[l] = ck[q];
+          }
+        } else {
+          for (int l = 0; l < N; ++l) {
+            const std::uint8_t c = pix_codes[lane_code[l]];
+            const int qx =
+                std::clamp(px + lane_hx[l] + table.code_dx(c), 0, w - 1);
+            const int qy =
+                std::clamp(py + lane_hy[l] + table.code_dy(c), 0, h - 1);
+            const std::size_t q = static_cast<std::size_t>(qy) * w + qx;
+            gi[l] = a_ni[q];
+            gj[l] = a_nj[q];
+            gk[l] = a_nk[q];
+          }
+        }
+        accumulate_template_pixel<Tag, Fma>(planes, off + px, T::load_f32(gi),
+                                            T::load_f32(gj), T::load_f32(gk),
+                                            atb, btb);
+      }
+    }
+
+    ScoredBatch<Tag> scored;
+    score_batch<Tag>(ata, atb, btb, scored, tally);
+    fold_batch<Tag>(scored, lane_hx, lane_hy, flow, best);
+  }
+
+  for (; k0 < count; ++k0) {
+    const int hx = g.hx_min + k0 % nhx;
+    const int hy = g.hy_min + k0 / nhx;
+    MotionParams params;
+    bool ok = false;
+    ++tally.tail_hypotheses;
+    const double error = evaluate_hypothesis_remapped(
+        pre, *g.after, *g.win, table, x, y, hx, hy, rx, ry, params, ok);
+    if (hypothesis_improves(best, error, hx, hy)) {
+      const auto [ux, uy] = flow(hx, hy);
+      take_hypothesis(best, hx, hy, ux, uy, error, params, ok);
+    }
+  }
+}
+
 // Fma=false is the default bit-exact kernel (mul-then-add everywhere,
 // matching the scalar path under -ffp-contract=off).  Fma=true is the
 // tolerance-gated fast profile (SmaConfig::fast_math): the template
@@ -49,17 +349,13 @@ namespace sma::core::detail {
 template <class Tag, bool Fma = false>
 void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
                   VectorLaneTally& tally) {
+  if (g.table != nullptr) {
+    scan_pixel_remapped_t<Tag, Fma>(g, best, tally);
+    return;
+  }
   using T = simd::LaneTraits<Tag>;
   using V = typename T::Vec;
-  using M = typename T::Mask;
   constexpr int N = T::kLanes;
-  // a*b + c under the active profile.
-  const auto fmadd = [](V a, V b, V c) {
-    if constexpr (Fma)
-      return T::mul_add(a, b, c);
-    else
-      return T::add(c, T::mul(a, b));
-  };
 
   const MatchPrecompute& pre = *g.pre;
   const surface::GeometricField& after = *g.after;
@@ -67,22 +363,13 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
   const int h = pre.height();
   const int x = g.x, y = g.y, rx = g.rx, ry = g.ry;
 
-  const double* const ni_p = pre.plane(MatchPrecompute::kNi);
-  const double* const nj_p = pre.plane(MatchPrecompute::kNj);
-  const double* const nk_p = pre.plane(MatchPrecompute::kNk);
-  const double* const wi_p = pre.plane(MatchPrecompute::kWi);
-  const double* const wj_p = pre.plane(MatchPrecompute::kWj);
-  const double* rows_p[18];
-  for (int t = 0; t < 18; ++t)
-    rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
+  const TemplatePlanes planes(pre);
+  // F_cont's flow vector is the hypothesis itself.
+  const auto flow = [](int hx, int hy) { return std::pair<int, int>{hx, hy}; };
 
   const V vzero = T::zero();
-  // The pixel's A^T A window sum, normalized exactly as
-  // NormalEquations6::add_precomputed leaves it (0.0 + v) and broadcast:
-  // every lane shares the same before-frame matrix.
   V ata[21];
-  for (int k = 0; k < 21; ++k)
-    ata[k] = T::add(vzero, T::broadcast(g.win->ata[k]));
+  broadcast_ata<Tag>(g.win->ata, ata);
 
   const bool x_interior = x - rx >= 0 && x + rx < w;
 
@@ -90,9 +377,8 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
   // per pixel like the full window's), normalized the same way.
   const bool bound_on = g.win_prefix != nullptr;
   V pre_ata[21];
-  for (int k = 0; k < 21; ++k)
-    pre_ata[k] =
-        bound_on ? T::add(vzero, T::broadcast(g.win_prefix->ata[k])) : vzero;
+  for (int k = 0; k < 21; ++k) pre_ata[k] = vzero;
+  if (bound_on) broadcast_ata<Tag>(g.win_prefix->ata, pre_ata);
 
   for (int hy = g.hy_min; hy <= g.hy_max; ++hy) {
     int hx0 = g.hx_min;
@@ -165,86 +451,27 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
             oj = T::load_f32(gj);
             ok = T::load_f32(gk);
           }
-          const std::size_t i = off + px;
-          const V bi = T::sub(oi, T::broadcast(ni_p[i]));
-          const V bj = T::sub(oj, T::broadcast(nj_p[i]));
-          const V bk = T::sub(ok, T::broadcast(nk_p[i]));
-          for (int r = 0; r < 6; ++r) {
-            V t = T::mul(T::broadcast(rows_p[r][i]), bi);
-            t = fmadd(T::broadcast(rows_p[6 + r][i]), bj, t);
-            t = fmadd(T::broadcast(rows_p[12 + r][i]), bk, t);
-            atb[r] = T::add(atb[r], t);
-          }
-          V s = T::mul(T::broadcast(wi_p[i]), T::mul(bi, bi));
-          s = fmadd(T::broadcast(wj_p[i]), T::mul(bj, bj), s);
-          s = fmadd(bk, bk, s);
-          btb = T::add(btb, s);
+          accumulate_template_pixel<Tag, Fma>(planes, off + px, oi, oj, ok,
+                                              atb, btb);
         }
       }
 
       if (abandoned) continue;
 
-      // ---- Normalize moments (add_precomputed's 0.0 + v), eliminate,
-      // score.
-      V atbn[6];
-      for (int r = 0; r < 6; ++r) atbn[r] = T::add(vzero, atb[r]);
-      const V btbn = T::add(vzero, btb);
-      V a_full[36];
-      for (int r = 0; r < 6; ++r)
-        for (int c = 0; c < 6; ++c)
-          a_full[r * 6 + c] =
-              c >= r ? ata[simd::tri21(r, c)] : ata[simd::tri21(c, r)];
-      V b_work[6];
-      for (int r = 0; r < 6; ++r) b_work[r] = atbn[r];
-      V theta[6];
-      const M singular =
-          simd::batch_solve6<Tag>(a_full, b_work, theta, 1e-12);
-      const V err = simd::batch_residual6<Tag>(ata, theta, atbn, btbn);
-
-      const unsigned sing_bits = T::mask_bits(singular);
-      auto& counters = linalg::solve_counters();
-      counters.solves6 += N;
-      counters.singular += std::popcount(sing_bits);
-      tally.batched_hypotheses += N;
-      ++tally.batches;
-
-      // ---- Winner fold: horizontal min prefilter, then the scalar
-      // tie-break per lane in ascending-hx order.
-      double errs[N];
-      T::store(errs, err);
-      double min_err = errs[0];
-      for (int l = 1; l < N; ++l) min_err = std::min(min_err, errs[l]);
+      ScoredBatch<Tag> scored;
+      score_batch<Tag>(ata, atb, btb, scored, tally);
       // Bound tightness over the completed batch, in hypothesis units:
       // ratio of the batch's best bound to its best realized error.
-      if (checked && std::isfinite(min_err) && min_err > 0.0)
+      if (checked && std::isfinite(scored.min_err) && scored.min_err > 0.0)
         tally.bound_tightness_sum +=
             static_cast<double>(N) *
-            std::min(1.0, std::max(0.0, batch_bound) / min_err);
-      if (best.any_ok && !(min_err <= best.error)) continue;
-
-      double th[6][N];
-      bool extracted = false;
+            std::min(1.0, std::max(0.0, batch_bound) / scored.min_err);
+      int lane_hx[N], lane_hy[N];
       for (int l = 0; l < N; ++l) {
-        const int hx = hx0 + l;
-        if (!hypothesis_improves(best, errs[l], hx, hy)) continue;
-        const bool ok = (sing_bits >> l & 1u) == 0;
-        if (ok && !extracted) {
-          for (int r = 0; r < 6; ++r) T::store(th[r], theta[r]);
-          extracted = true;
-        }
-        best.solved = ok;
-        best.coverage = 1.0;
-        best.hx = hx;
-        best.hy = hy;
-        best.ux = hx;
-        best.uy = hy;
-        best.error = errs[l];
-        best.params =
-            ok ? MotionParams::from_vec({th[0][l], th[1][l], th[2][l],
-                                         th[3][l], th[4][l], th[5][l]})
-               : MotionParams{};
-        best.any_ok = true;
+        lane_hx[l] = hx0 + l;
+        lane_hy[l] = hy;
       }
+      fold_batch<Tag>(scored, lane_hx, lane_hy, flow, best);
     }
 
     // ---- Scalar tail: search widths that are not a lane multiple.  In
@@ -276,17 +503,8 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
         error = evaluate_hypothesis_precomputed(
             pre, after, *g.win, x, y, hx0, hy, rx, ry, params, ok);
       }
-      if (hypothesis_improves(best, error, hx0, hy)) {
-        best.solved = ok;
-        best.coverage = 1.0;
-        best.hx = hx0;
-        best.hy = hy;
-        best.ux = hx0;
-        best.uy = hy;
-        best.error = error;
-        best.params = params;
-        best.any_ok = true;
-      }
+      if (hypothesis_improves(best, error, hx0, hy))
+        take_hypothesis(best, hx0, hy, hx0, hy, error, params, ok);
     }
   }
 }

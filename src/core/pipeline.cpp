@@ -217,7 +217,8 @@ SmaPipeline::GeomLookup SmaPipeline::frame_geometry(
 
 SmaPipeline::PreLookup SmaPipeline::frame_precompute(
     const imaging::ImageF& img,
-    const std::shared_ptr<const surface::GeometricField>& geom) {
+    const std::shared_ptr<const surface::GeometricField>& geom,
+    bool semifluid) {
   const GeometryCache::Key key =
       GeometryCache::make_key(img, config_.surface_fit_radius);
   {
@@ -225,7 +226,7 @@ SmaPipeline::PreLookup SmaPipeline::frame_precompute(
     // a documented invariant (one miss per distinct frame) and
     // precompute attachment must not perturb them.
     std::scoped_lock lock(*state_mutex_);
-    GeometryCache::Entry* entry = cache_->find(key);
+    GeometryCache::Entry* entry = semifluid ? nullptr : cache_->find(key);
     if (entry != nullptr && entry->precompute != nullptr) {
       ++stats_.precompute_reuses;
       return {entry->precompute, 0.0};
@@ -240,6 +241,7 @@ SmaPipeline::PreLookup SmaPipeline::frame_precompute(
   const double seconds = seconds_since(t0);
   std::scoped_lock lock(*state_mutex_);
   stats_.match_precompute_seconds += seconds;
+  if (semifluid) return {pre, seconds};
   // The frame can be absent if the after-frame lookups evicted it from
   // a minimal-capacity cache; the planes are still valid for this pair,
   // they just can't be memoised.  Under a concurrent duplicate build the
@@ -364,7 +366,7 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
   std::shared_ptr<const MatchPrecompute> pre;
   double pre_seconds = 0.0;
   if (resolve_precompute(config_, mi) == PrecomputeDecision::kFast) {
-    PreLookup pl = frame_precompute(*effective.surface_before, g0);
+    PreLookup pl = frame_precompute(*effective.surface_before, g0, semifluid);
     pre = std::move(pl.pre);
     pre_seconds = pl.seconds;
     mi.precompute = pre.get();

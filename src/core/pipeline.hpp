@@ -183,14 +183,18 @@ class SmaPipeline {
   /// lazily and attached to the frame's cache entry so later pairs
   /// (multispectral, coupled-stereo) reuse them.  `geom` must be the
   /// field frame_geometry() returned for `img`.  Returns the planes and
-  /// the build seconds this call paid (zero on a reuse).
+  /// the build seconds this call paid (zero on a reuse).  `semifluid`
+  /// planes are built for this pair only, leaving the cache alone: a
+  /// semi-fluid stream sees each frame as BEFORE once, so memoising them
+  /// would only raise the cache's resident footprint.
   struct PreLookup {
     std::shared_ptr<const MatchPrecompute> pre;
     double seconds = 0.0;
   };
   PreLookup frame_precompute(
       const imaging::ImageF& img,
-      const std::shared_ptr<const surface::GeometricField>& geom);
+      const std::shared_ptr<const surface::GeometricField>& geom,
+      bool semifluid = false);
 
   /// Cache peek without touching the hit/miss counters: the geometry of
   /// `img` if currently cached, else null.  SequenceStream pins the

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
+#include <deque>
 #include <limits>
+#include <numeric>
+#include <stdexcept>
 
 namespace sma::core {
 
@@ -87,44 +91,68 @@ std::pair<int, int> semifluid_match(const imaging::ImageF& disc_before,
 SemiFluidCostField::SemiFluidCostField(const imaging::ImageF& disc_before,
                                        const imaging::ImageF& disc_after,
                                        int ox_radius, int oy_min, int oy_max,
-                                       int nst)
-    : ox_radius_(ox_radius), oy_min_(oy_min), oy_max_(oy_max) {
-  assert(oy_min <= oy_max);
+                                       int nst, int row_min, int row_max)
+    : ox_radius_(ox_radius),
+      oy_min_(oy_min),
+      oy_max_(oy_max),
+      row_min_(row_min) {
   const int w = disc_before.width();
   const int h = disc_before.height();
+  if (row_max < 0) row_max = h - 1;
+  assert(oy_min <= oy_max);
+  assert(row_min >= 0 && row_min <= row_max && row_max < h);
   const int n = (2 * nst + 1) * (2 * nst + 1);
   const std::size_t layer_count =
       static_cast<std::size_t>(2 * ox_radius + 1) *
       static_cast<std::size_t>(oy_max - oy_min + 1);
   layers_.reserve(layer_count);
 
-  imaging::ImageD sq(w, h);
-  imaging::ImageD rowsum(w, h);
+  // Separable box sum with clamped template coordinates: the horizontal
+  // pass accumulates sq at clamped x+sx, the vertical pass at clamped
+  // y+sy — the same composition and double-precision grouping as the
+  // direct sum in semifluid_cost.  The horizontal pass covers only the
+  // rows [r0, r1] the vertical pass reads for [row_min, row_max].
+  const int r0 = std::max(0, row_min - nst);
+  const int r1 = std::min(h - 1, row_max + nst);
+  // One row of squared discriminant changes, padded by its clamped edge
+  // values so that padded[x + sx] is sq at clamp(x + sx).
+  std::vector<double> sq(static_cast<std::size_t>(w + 2 * nst));
+  double* const padded = sq.data() + nst;
+  imaging::ImageD rowsum(w, r1 - r0 + 1);
+  // Both passes run tap-outer / x-inner: every output still sums its taps
+  // in ascending order from 0.0, while the x loops vectorize.
   for (int oy = oy_min; oy <= oy_max; ++oy) {
     for (int ox = -ox_radius; ox <= ox_radius; ++ox) {
-      // Squared discriminant change for this offset.
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x)
-          sq.at(x, y) = sq_diff(disc_before, disc_after, x, y, ox, oy);
-      // Separable box sum with clamped template coordinates: horizontal
-      // pass accumulates sq at clamped x+sx, vertical pass at clamped
-      // y+sy — the same composition and double-precision grouping as the
-      // direct sum in semifluid_cost.
-      for (int y = 0; y < h; ++y)
+      for (int y = r0; y <= r1; ++y) {
+        // sq_diff with the row lookups hoisted out of the x loop.
+        const float* const before_row = disc_before.row(y);
+        const float* const after_row =
+            disc_after.row(std::clamp(y + oy, 0, h - 1));
         for (int x = 0; x < w; ++x) {
-          double s = 0.0;
-          for (int sx = -nst; sx <= nst; ++sx)
-            s += sq.at_clamped(x + sx, y);
-          rowsum.at(x, y) = s;
+          const double d =
+              after_row[std::clamp(x + ox, 0, w - 1)] - before_row[x];
+          padded[x] = d * d;
         }
-      imaging::ImageD layer(w, h);
-      for (int y = 0; y < h; ++y)
-        for (int x = 0; x < w; ++x) {
-          double s = 0.0;
-          for (int sy = -nst; sy <= nst; ++sy)
-            s += rowsum.at_clamped(x, y + sy);
-          layer.at(x, y) = s / n;
+        for (int e = 1; e <= nst; ++e) {
+          padded[-e] = padded[0];
+          padded[w - 1 + e] = padded[w - 1];
         }
+        double* const out = rowsum.row(y - r0);
+        std::fill(out, out + w, 0.0);
+        for (int sx = -nst; sx <= nst; ++sx)
+          for (int x = 0; x < w; ++x) out[x] += padded[x + sx];
+      }
+      imaging::ImageD layer(w, row_max - row_min + 1);
+      for (int y = row_min; y <= row_max; ++y) {
+        double* const out = layer.row(y - row_min);
+        std::fill(out, out + w, 0.0);
+        for (int sy = -nst; sy <= nst; ++sy) {
+          const double* const tap =
+              rowsum.row(std::clamp(y + sy, 0, h - 1) - r0);
+          for (int x = 0; x < w; ++x) out[x] += tap[x];
+        }
+        for (int x = 0; x < w; ++x) out[x] /= n;
+      }
       layers_.push_back(std::move(layer));
     }
   }
@@ -159,6 +187,96 @@ std::size_t SemiFluidCostField::bytes() const {
   std::size_t b = 0;
   for (const auto& l : layers_) b += l.size() * sizeof(double);
   return b;
+}
+
+SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
+                               const imaging::ImageF& disc_after,
+                               int hx_radius, int hy_min, int hy_max, int nss,
+                               int nst)
+    : width_(disc_before.width()),
+      height_(disc_before.height()),
+      hx_radius_(hx_radius),
+      hy_min_(hy_min),
+      hy_max_(hy_max),
+      nss_(nss) {
+  if (nss < 0 || nss > kMaxNss)
+    throw std::invalid_argument("SemiFluidTable: N_ss out of range");
+  assert(hx_radius >= 0 && hy_min <= hy_max);
+  const int k = 2 * nss + 1;
+  for (int c = 0; c < k * k; ++c) {
+    dx_[c] = static_cast<std::int8_t>(c % k - nss);
+    dy_[c] = static_cast<std::int8_t>(c / k - nss);
+  }
+  const auto window_code = [&](int dx, int dy) {
+    return static_cast<std::uint8_t>((dy + nss) * k + dx + nss);
+  };
+  // Window codes, the one preferred on an exact cost tie first.
+  std::vector<std::uint8_t> preference(static_cast<std::size_t>(k * k));
+  std::iota(preference.begin(), preference.end(), std::uint8_t{0});
+  std::sort(preference.begin(), preference.end(),
+            [&](std::uint8_t a, std::uint8_t b) {
+              return tie_prefers(dx_[b], dy_[b], dx_[a], dy_[a]);
+            });
+  const std::size_t nhx = static_cast<std::size_t>(2 * hx_radius + 1);
+  const std::size_t npix = static_cast<std::size_t>(width_) * height_;
+  codes_.resize(static_cast<std::size_t>(hy_max - hy_min + 1) * npix * nhx);
+
+  // The entries of pixel rows [y0, y1] through a rolling band of
+  // single-offset-row cost fields over those rows: offset rows
+  // [hy - nss, hy + nss] are resident while hypothesis row hy is
+  // resolved, each is built once, and the full field never exists.
+  // Returns the band's high-water bytes.
+  const auto layer_strip = [&](int y0, int y1) {
+    const std::size_t spix = static_cast<std::size_t>(y1 - y0 + 1) * width_;
+    std::vector<double> best(spix);
+    std::vector<std::uint8_t> winner(spix);
+    std::size_t high_water = 0;
+    std::deque<SemiFluidCostField> band;
+    for (int hy = hy_min; hy <= hy_max; ++hy) {
+      while (!band.empty() && band.front().oy_min() < hy - nss)
+        band.pop_front();
+      for (int oy = band.empty() ? hy - nss : band.back().oy_max() + 1;
+           oy <= hy + nss; ++oy)
+        band.emplace_back(disc_before, disc_after, hx_radius + nss, oy, oy,
+                          nst, y0, y1);
+      std::size_t held = 0;
+      for (const SemiFluidCostField& row : band) held += row.bytes();
+      high_water = std::max(high_water, held);
+
+      for (int hx = -hx_radius; hx <= hx_radius; ++hx) {
+        // best_offset's argmin for every pixel of the strip at once.  Its
+        // result is the least (cost, tie preference) pair, so visiting
+        // the window in preference order and taking only strictly lower
+        // costs selects the same winner with a branch-free update.
+        std::fill(best.begin(), best.end(),
+                  std::numeric_limits<double>::infinity());
+        std::fill(winner.begin(), winner.end(), window_code(0, 0));
+        for (const std::uint8_t code : preference) {
+          const double* const c =
+              band[static_cast<std::size_t>(dy_[code] + nss)]
+                  .layer(hx + dx_[code], hy + dy_[code])
+                  .data();
+          for (std::size_t i = 0; i < spix; ++i) {
+            const bool take = c[i] < best[i];
+            best[i] = take ? c[i] : best[i];
+            winner[i] = take ? code : winner[i];
+          }
+        }
+        std::uint8_t* const out =
+            codes_.data() +
+            (static_cast<std::size_t>(hy - hy_min) * npix +
+             static_cast<std::size_t>(y0) * width_) * nhx +
+            static_cast<std::size_t>(hx + hx_radius);
+        for (std::size_t i = 0; i < spix; ++i) out[i * nhx] = winner[i];
+      }
+    }
+    return high_water;
+  };
+
+  for (int y0 = 0; y0 < height_; y0 += kStripRows) {
+    const int y1 = std::min(y0 + kStripRows, height_) - 1;
+    band_bytes_ = std::max(band_bytes_, layer_strip(y0, y1));
+  }
 }
 
 }  // namespace sma::core

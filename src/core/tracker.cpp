@@ -102,9 +102,8 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
                                  const surface::GeometricField& after,
                                  const imaging::ImageF* disc_before,
                                  const imaging::ImageF* disc_after,
-                                 const SemiFluidCostField* cost_field, int x,
-                                 int y, int hx, int hy,
-                                 const SmaConfig& config,
+                                 const SemiFluidTable* table, int x, int y,
+                                 int hx, int hy, const SmaConfig& config,
                                  MotionParams& params_out, bool& ok_out,
                                  const imaging::ImageU8* mask_before,
                                  const imaging::ImageU8* mask_after,
@@ -133,8 +132,8 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
       int qx = px + hx;
       int qy = py + hy;
       if (semifluid) {
-        if (cost_field != nullptr) {
-          const auto [ox, oy] = cost_field->best_offset(px, py, hx, hy, nss);
+        if (table != nullptr) {
+          const auto [ox, oy] = table->offset(px, py, hx, hy);
           qx = px + ox;
           qy = py + oy;
         } else {
@@ -175,7 +174,7 @@ void scan_hypotheses(const surface::GeometricField& before,
                      const surface::GeometricField& after,
                      const imaging::ImageF* disc_before,
                      const imaging::ImageF* disc_after,
-                     const SemiFluidCostField* cost_field, int x, int y,
+                     const SemiFluidTable* table, int x, int y,
                      int hy_min, int hy_max, const SmaConfig& config,
                      PixelBest& best, const imaging::ImageU8* mask_before,
                      const imaging::ImageU8* mask_after,
@@ -185,10 +184,12 @@ void scan_hypotheses(const surface::GeometricField& before,
   const int nst = config.semifluid_template_radius;
   const bool semifluid = config.model == MotionModel::kSemiFluid && nss > 0;
 
-  if (pre != nullptr) {
+  if (pre != nullptr && (table != nullptr || !semifluid)) {
     // Precomputed fast path (callers gate on resolve_precompute, so no
-    // masks, no semi-fluid remap, stride 1): the template's A^T A window
-    // sum is shared by every hypothesis of this pixel and this segment.
+    // masks, stride 1): the template's A^T A window sum is shared by
+    // every hypothesis of this pixel and this segment.  F_semi gathers
+    // its remapped correspondents — and the center pixel's flow vector —
+    // from the correspondence table.
     const int nzt_x = config.z_template_radius;
     const int nzt_y = config.z_template_ry();
     WindowInvariants win;
@@ -197,8 +198,14 @@ void scan_hypotheses(const surface::GeometricField& before,
       for (int hx = -nzs_x; hx <= nzs_x; ++hx) {
         MotionParams params;
         bool ok = false;
-        const double error = evaluate_hypothesis_precomputed(
-            *pre, after, win, x, y, hx, hy, nzt_x, nzt_y, params, ok);
+        const double error =
+            semifluid
+                ? evaluate_hypothesis_remapped(*pre, after, win, *table, x, y,
+                                               hx, hy, nzt_x, nzt_y, params,
+                                               ok)
+                : evaluate_hypothesis_precomputed(*pre, after, win, x, y, hx,
+                                                  hy, nzt_x, nzt_y, params,
+                                                  ok);
         if (hypothesis_improves(best, error, hx, hy)) {
           best.solved = ok;
           best.coverage = 1.0;
@@ -206,6 +213,11 @@ void scan_hypotheses(const surface::GeometricField& before,
           best.hy = hy;
           best.ux = hx;
           best.uy = hy;
+          if (semifluid) {
+            const auto [ox, oy] = table->offset(x, y, hx, hy);
+            best.ux = ox;
+            best.uy = oy;
+          }
           best.error = error;
           best.params = params;
           best.any_ok = true;
@@ -222,8 +234,8 @@ void scan_hypotheses(const surface::GeometricField& before,
       double coverage = 1.0;
       const double error =
           evaluate_pixel_hypothesis(before, after, disc_before, disc_after,
-                                    cost_field, x, y, hx, hy, config, params,
-                                    ok, mask_before, mask_after, &coverage);
+                                    table, x, y, hx, hy, config, params, ok,
+                                    mask_before, mask_after, &coverage);
       if (hypothesis_improves(best, error, hx, hy)) {
         best.solved = ok;
         best.coverage = coverage;
@@ -233,8 +245,8 @@ void scan_hypotheses(const surface::GeometricField& before,
         best.ux = hx;
         best.uy = hy;
         if (semifluid) {
-          if (cost_field != nullptr) {
-            const auto [ox, oy] = cost_field->best_offset(x, y, hx, hy, nss);
+          if (table != nullptr) {
+            const auto [ox, oy] = table->offset(x, y, hx, hy);
             best.ux = ox;
             best.uy = oy;
           } else {
@@ -314,6 +326,24 @@ FrameGeometry compute_frame_geometry(const imaging::ImageF& surface,
   return fg;
 }
 
+std::optional<SemiFluidTable> build_semifluid_table(
+    const MatchInput& in, const SmaConfig& config, bool fast_path, int hy_min,
+    int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes) {
+  if (!semifluid_active(in, config) ||
+      !(fast_path || config.use_precomputed_mapping))
+    return std::nullopt;
+  const auto t0 = Clock::now();
+  obs::TraceSpan span("match", "semifluid_mapping");
+  std::optional<SemiFluidTable> table;
+  table.emplace(*in.disc_before, *in.disc_after, config.z_search_radius,
+                hy_min, hy_max, config.effective_nss(),
+                config.semifluid_template_radius);
+  timings.semifluid_mapping += seconds_since(t0);
+  peak_mapping_bytes =
+      std::max(peak_mapping_bytes, table->band_bytes() + table->bytes());
+  return table;
+}
+
 std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
                                              const SmaConfig& config,
                                              bool parallel,
@@ -324,7 +354,6 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
   const int h = in.height();
   const int nzs_x = config.z_search_radius;
   const int nzs_y = config.z_search_ry();
-  const int nss = config.effective_nss();
   const int zseg = config.effective_segment_rows();
   const bool semifluid = semifluid_active(in, config);
 
@@ -343,7 +372,7 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
   // Hypothesis-invariant precompute: only consumed when the attaching
   // layer (backend / pipeline / MasPar executor) built it AND the
   // eligibility rule holds for this config — re-checked here so a stale
-  // attachment can never corrupt a masked or semi-fluid run.
+  // attachment can never corrupt a masked or strided run.
   const MatchPrecompute* pre =
       (in.precompute != nullptr &&
        resolve_precompute(config, in) == PrecomputeDecision::kFast)
@@ -357,23 +386,16 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
   for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
     const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
 
-    std::optional<SemiFluidCostField> field;
-    if (semifluid && config.use_precomputed_mapping) {
-      auto t0 = Clock::now();
-      obs::TraceSpan span("match", "semifluid_mapping");
-      field.emplace(*in.disc_before, *in.disc_after, nzs_x + nss,
-                    hy_min - nss, hy_max + nss,
-                    config.semifluid_template_radius);
-      timings.semifluid_mapping += seconds_since(t0);
-      peak_mapping_bytes = std::max(peak_mapping_bytes, field->bytes());
-    }
+    const std::optional<SemiFluidTable> table = build_semifluid_table(
+        in, config, pre != nullptr, hy_min, hy_max, timings,
+        peak_mapping_bytes);
 
     // Nested under the pipeline's "matching" span: one span per
     // hypothesis-row segment, so segmented searches (Sec. 4.3) show
     // their per-segment structure on the trace timeline.
     obs::TraceSpan segment_span("match", "hypothesis_search");
     auto t0 = Clock::now();
-    if (pre != nullptr && config.precompute_sliding) {
+    if (pre != nullptr && config.precompute_sliding && !semifluid) {
       // Sliding tier: one separable box-filter pass of the invariant
       // planes per image row, shared by all pixels and hypotheses of the
       // row (not bit-exact — see SmaConfig::precompute_sliding).
@@ -413,7 +435,7 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
             }
           });
     } else {
-      const SemiFluidCostField* field_ptr = field ? &*field : nullptr;
+      const SemiFluidTable* table_ptr = table ? &*table : nullptr;
       const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
       const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
       for_each_pixel_tile(
@@ -421,7 +443,7 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
           [&](const sched::Tile& tile) {
             for (int y = tile.y0; y < tile.y1; ++y)
               for (int x = tile.x0; x < tile.x1; ++x)
-                scan_hypotheses(*in.before, *in.after, db, da, field_ptr, x,
+                scan_hypotheses(*in.before, *in.after, db, da, table_ptr, x,
                                 y, hy_min, hy_max, config,
                                 best[static_cast<std::size_t>(y) * w + x],
                                 in.mask_before, in.mask_after, pre);
@@ -439,18 +461,19 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
   const int h = in.height();
   const bool semifluid = semifluid_active(in, config);
   // Probe the Eq. (3) residual at the four axis neighbors of each winner
-  // and interpolate the parabola minimum.  The semi-fluid path uses the
-  // direct (naive) matcher here — bit-identical to the precomputed cost
-  // field by construction.
+  // and interpolate the parabola minimum.  The semi-fluid probes remap on
+  // the fly through the direct (naive) matcher — they can fall outside
+  // the search's correspondence tables, and the direct matcher equals
+  // them by construction.
   obs::TraceSpan span("match", "subpixel_refine");
   const auto t0 = Clock::now();
   const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
   const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
-  // The four neighbor probes reuse the precomputed planes when eligible
-  // (always through the bit-exact direct evaluator, even when the search
-  // itself ran the sliding tier).
+  // The four F_cont neighbor probes reuse the precomputed planes when
+  // eligible (always through the bit-exact direct evaluator, even when
+  // the search itself ran the sliding tier).
   const MatchPrecompute* pre =
-      (in.precompute != nullptr &&
+      (in.precompute != nullptr && !semifluid &&
        resolve_precompute(config, in) == PrecomputeDecision::kFast)
           ? in.precompute
           : nullptr;

@@ -12,9 +12,12 @@
 //  * "sequential" — the paper's "sequential (un-optimized) version ...
 //    used to form a baseline for comparing the correctness of the
 //    parallel algorithm results" (Sec. 4).
-//  * "openmp"     — OpenMP over image rows; bit-identical output.
-//  * "vector"     — SIMD lanes over search hypotheses inside OpenMP rows
-//    (core/match_vector.hpp); bit-identical output on every lane ISA.
+//  * "tiled"      — the same staged kernels over cache-blocked pixel
+//    tiles on the shared work-stealing pool (sched/scheduler.hpp);
+//    bit-identical output.  "openmp" is a retired alias of it.
+//  * "vector"     — SIMD lanes over search hypotheses inside the pool's
+//    tiles (core/match_vector.hpp); bit-identical output on every lane
+//    ISA.
 //  * "maspar-sim" — the MasPar SIMD executor (maspar/backend.hpp) driving
 //    the same per-pixel kernels layer by layer.
 // ExecutionPolicy survives as the legacy selector for the first two.
@@ -31,6 +34,7 @@
 
 #include "core/config.hpp"
 #include "core/continuous_model.hpp"
+#include "core/semifluid.hpp"
 #include "imaging/flow.hpp"
 #include "imaging/image.hpp"
 #include "surface/geometry.hpp"
@@ -88,7 +92,8 @@ struct TrackResult {
   imaging::FlowField flow;
   TrackTimings timings;
   std::optional<ParamsField> params;
-  /// Peak bytes held by precomputed semi-fluid cost layers (whole image);
+  /// Peak bytes held by the semi-fluid mapping (whole image): the
+  /// rolling cost-layer band plus the segment's correspondence table;
   /// feeds the Sec. 4.3 PE-memory accounting in the benches.
   std::size_t peak_mapping_bytes = 0;
   /// Backend-specific attachments (null for the host backends).  See
@@ -167,7 +172,6 @@ struct PixelBest {
   double coverage = 1.0;
 };
 
-class SemiFluidCostField;  // fwd (semifluid.hpp)
 class MatchPrecompute;     // fwd (match_precompute.hpp)
 struct WindowInvariants;   // fwd (match_precompute.hpp)
 
@@ -215,8 +219,8 @@ struct MatchInput {
   /// (match_precompute.hpp), attached by TrackerBackend::track and by
   /// SmaPipeline (which caches it alongside the geometry).  Consumers
   /// re-check resolve_precompute before using it; when null — or when
-  /// masks / semi-fluid remapping / stride make it ineligible — the
-  /// matching stages run the naive oracle path.
+  /// masks / stride make it ineligible — the matching stages run the
+  /// naive oracle path.
   const MatchPrecompute* precompute = nullptr;
   /// The raw z-surface frames the geometry was derived from, attached by
   /// TrackerBackend::track and SmaPipeline so the pruned search mode
@@ -235,9 +239,21 @@ struct MatchInput {
 
 struct PruneReport;  // fwd (match_prune.hpp)
 
+/// The "Semi-fluid mapping" phase of one hypothesis-row segment: builds
+/// the correspondence table for hy in [hy_min, hy_max] when the
+/// semi-fluid remap is active and a consumer reads it — the precompute
+/// fast path (`fast_path`, always) or the naive path under
+/// use_precomputed_mapping — and returns nullopt otherwise (the naive
+/// path then remaps on the fly through semifluid_match, the oracle).  The build time goes to
+/// timings.semifluid_mapping only; band + table bytes raise
+/// `peak_mapping_bytes`.
+std::optional<SemiFluidTable> build_semifluid_table(
+    const MatchInput& in, const SmaConfig& config, bool fast_path, int hy_min,
+    int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes);
+
 /// "Semi-fluid mapping" + "Hypothesis matching" phases: the segmented
 /// search over every pixel and hypothesis.  Accumulates phase times into
-/// `timings` and the Sec. 4.3 cost-layer peak into `peak_mapping_bytes`.
+/// `timings` and the Sec. 4.3 mapping peak into `peak_mapping_bytes`.
 /// When config.search_mode == SearchMode::kPruned and the config is
 /// eligible (resolve_prune, match_prune.hpp) the coarse-to-fine pruned
 /// sweep runs instead of the exhaustive one; `prune`, when non-null,
@@ -268,8 +284,9 @@ void collect_track_result(const MatchInput& in, const SmaConfig& config,
 void validate_tracker_input(const TrackerInput& input, const char* context);
 
 /// Evaluates ONE hypothesis (hx, hy) at pixel (x, y): builds the template
-/// mapping (continuous or semi-fluid), solves the 6x6 system and returns
-/// the Eq. (3) residual.  Shared by the search loop and the sub-pixel
+/// mapping (continuous or semi-fluid — from `table` when non-null, else
+/// by direct minimization), solves the 6x6 system and returns the Eq. (3)
+/// residual.  Shared by the search loop and the sub-pixel
 /// refinement pass, and the oracle the precomputed fast path is tested
 /// bit-identical against.  Template pixels that a validity mask marks
 /// untrustworthy are skipped (exactly like F_semi drops discontinuous
@@ -279,8 +296,8 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
                                  const surface::GeometricField& after,
                                  const imaging::ImageF* disc_before,
                                  const imaging::ImageF* disc_after,
-                                 const SemiFluidCostField* cost_field, int x,
-                                 int y, int hx, int hy,
+                                 const SemiFluidTable* table, int x, int y,
+                                 int hx, int hy,
                                  const SmaConfig& config,
                                  MotionParams& params_out, bool& ok_out,
                                  const imaging::ImageU8* mask_before = nullptr,
@@ -296,17 +313,18 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
 bool hypothesis_improves(const PixelBest& best, double error, int hx, int hy);
 
 /// Scans hypothesis rows [hy_min, hy_max] for pixel (x, y), refining
-/// `best` in place.  `cost_field` may be null for the continuous model or
-/// the naive (non-precomputed) semi-fluid path.  `mask_before` /
-/// `mask_after` are optional validity masks (see TrackerInput); null
-/// masks reproduce the unmasked pipeline bit for bit.  A non-null `pre`
-/// switches the per-hypothesis evaluation onto the precomputed fast path
-/// (bit-identical; callers must gate it with resolve_precompute).
+/// `best` in place.  `table` is the segment's semi-fluid correspondence
+/// table, or null for the continuous model and the on-the-fly semi-fluid
+/// oracle.  `mask_before` / `mask_after` are optional validity masks
+/// (see TrackerInput); null masks reproduce the unmasked pipeline bit for
+/// bit.  A non-null `pre` switches the per-hypothesis evaluation onto the
+/// precomputed fast path (bit-identical; callers must gate it with
+/// resolve_precompute, and F_semi takes it only with a table).
 void scan_hypotheses(const surface::GeometricField& before,
                      const surface::GeometricField& after,
                      const imaging::ImageF* disc_before,
                      const imaging::ImageF* disc_after,
-                     const SemiFluidCostField* cost_field, int x, int y,
+                     const SemiFluidTable* table, int x, int y,
                      int hy_min, int hy_max, const SmaConfig& config,
                      PixelBest& best,
                      const imaging::ImageU8* mask_before = nullptr,

@@ -70,9 +70,9 @@ SimdRunReport MasParExecutor::run_matching(const core::MatchInput& in,
   report.fits_pe_memory = report.pe_bytes <= spec_.pe_memory_bytes;
   report.layers = map.layers();
 
-  // --- SIMD schedule: hypothesis-row segments outermost (so the cost
-  // layers are built once per segment), then memory layers, then the PE
-  // array in lock step.
+  // --- SIMD schedule: hypothesis-row segments outermost (so the
+  // semi-fluid correspondence table is built once per segment), then
+  // memory layers, then the PE array in lock step.
   const bool semifluid = run_config.model == core::MotionModel::kSemiFluid &&
                          run_config.semifluid_search_radius > 0 &&
                          in.disc_before != nullptr &&
@@ -95,20 +95,13 @@ SimdRunReport MasParExecutor::run_matching(const core::MatchInput& in,
 
   for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
     const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
-    std::optional<core::SemiFluidCostField> field;
-    if (semifluid && run_config.use_precomputed_mapping) {
-      const auto t0 = std::chrono::steady_clock::now();
-      obs::TraceSpan mapping_span("match", "semifluid_mapping");
-      field.emplace(*in.disc_before, *in.disc_after, nzs_x + nss,
-                    hy_min - nss, hy_max + nss,
-                    run_config.semifluid_template_radius);
-      track.timings.semifluid_mapping +=
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      track.peak_mapping_bytes =
-          std::max(track.peak_mapping_bytes, field->bytes());
-    }
-    const core::SemiFluidCostField* fp = field ? &*field : nullptr;
+    // The segment's correspondence table is the PE-resident mapping
+    // layer: built once, read by every memory layer's lock-step sweep.
+    const std::optional<core::SemiFluidTable> table =
+        core::build_semifluid_table(in, run_config, pre != nullptr, hy_min,
+                                    hy_max, track.timings,
+                                    track.peak_mapping_bytes);
+    const core::SemiFluidTable* fp = table ? &*table : nullptr;
     const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
     const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
 

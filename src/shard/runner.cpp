@@ -25,11 +25,11 @@ bool pruned_sweep_engages(const core::SmaConfig& c) {
   if (c.search_mode != core::SearchMode::kPruned) return false;
   // resolve_precompute, masks excluded (a TileSource has no mask channel).
   if (c.precompute == core::PrecomputeMode::kOff) return false;
+  if (c.template_stride > 1) return false;
+  // The remaining resolve_prune gates.
   if (c.model == core::MotionModel::kSemiFluid &&
       c.semifluid_search_radius > 0)
     return false;
-  if (c.template_stride > 1) return false;
-  // The remaining resolve_prune gates.
   if (c.precompute_sliding) return false;
   if (c.effective_segment_rows() < c.z_search_size_y()) return false;
   if (c.z_search_radius < 1 || c.z_search_ry() < 1) return false;

@@ -54,6 +54,17 @@ TEST(Config, EffectiveNssZeroForContinuous) {
   EXPECT_EQ(c.effective_nss(), 3);
 }
 
+TEST(Config, SemiFluidSearchRadiusCapOnlyBindsSemiFluid) {
+  SmaConfig c = goes9_scaled_config();
+  c.model = MotionModel::kContinuous;
+  c.semifluid_search_radius = kMaxSemiFluidSearchRadius + 1;  // ignored
+  EXPECT_NO_THROW(c.validate());
+  c.model = MotionModel::kSemiFluid;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  c.semifluid_search_radius = kMaxSemiFluidSearchRadius;
+  EXPECT_NO_THROW(c.validate());
+}
+
 TEST(Config, ValidateAcceptsPresets) {
   EXPECT_NO_THROW(frederic_config().validate());
   EXPECT_NO_THROW(goes9_config().validate());

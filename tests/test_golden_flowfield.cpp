@@ -127,10 +127,9 @@ TEST(GoldenFlowfield, MatchesCommittedArtifact) {
 // paths produce the IDENTICAL flow field, so the golden file covers
 // them all.
 TEST(GoldenFlowfield, AllBackendsAndPrecomputeModesBitIdentical) {
-  // Two configs: the semi-fluid golden config (precompute ineligible by
-  // rule, so on/off exercises the graceful-degradation path) and a
-  // continuous-model one where PrecomputeMode::kOn takes the invariant
-  // fast path for real.
+  // Two configs, both taking the invariant fast path under
+  // PrecomputeMode::kOn: the semi-fluid golden config (through the
+  // correspondence table) and a continuous-model one.
   core::SmaConfig continuous = golden_config();
   continuous.model = core::MotionModel::kContinuous;
   for (const core::SmaConfig& cfg : {golden_config(), continuous}) {

@@ -66,13 +66,20 @@ TEST(ResolvePrecompute, DecisionTable) {
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
   cfg.precompute = PrecomputeMode::kAuto;
 
-  // Semi-fluid remapping invalidates the shared window sums — but only
-  // when it is actually active (Nss > 0), matching the evaluator's own
-  // degeneration of F_semi to F_cont.
+  // Semi-fluid remapping moves only the after-frame correspondents, so
+  // F_semi is eligible whether or not the remap is active (Nss > 0); the
+  // correspondence table carries the remap.
   cfg.model = MotionModel::kSemiFluid;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kSemiFluid);
+  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
   cfg.semifluid_search_radius = 0;
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
+  cfg.semifluid_search_radius = 1;
+
+  // ... but masked F_semi still falls back, under kMasked.
+  imaging::ImageU8 semi_mask(4, 4, 1);
+  in.mask_after = &semi_mask;
+  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kMasked);
+  in.mask_after = nullptr;
   cfg = base_config();
 
   // Masks change the per-pixel window multiset.

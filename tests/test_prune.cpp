@@ -123,6 +123,15 @@ TEST(ResolvePrune, DecisionTable) {
   EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kSliding);
   cfg.precompute_sliding = false;
 
+  // F_semi rides the precompute now, but the pruned sweep does not model
+  // its remap: an active one reports its own reason instead of hiding
+  // under kNoPrecompute (or silently pruning).  Nss = 0 is F_cont.
+  cfg.model = MotionModel::kSemiFluid;
+  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kSemiFluid);
+  cfg.semifluid_search_radius = 0;
+  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNone);
+  cfg = pruned_config();
+
   // A segment height below the full hy range splits the shrunken
   // window across segments.
   cfg.segment_rows = 1;
@@ -150,6 +159,7 @@ TEST(ResolvePrune, FallbackNamesAreStable) {
   EXPECT_STREQ(prune_fallback_name(PruneFallback::kNone), "none");
   EXPECT_STREQ(prune_fallback_name(PruneFallback::kNotRequested),
                "not-requested");
+  EXPECT_STREQ(prune_fallback_name(PruneFallback::kSemiFluid), "semi-fluid");
   // Every enumerator has a distinct, non-empty name (metrics readers
   // key on them).
   std::vector<std::string> names;
@@ -157,7 +167,7 @@ TEST(ResolvePrune, FallbackNamesAreStable) {
        {PruneFallback::kNone, PruneFallback::kNotRequested,
         PruneFallback::kNoPrecompute, PruneFallback::kSliding,
         PruneFallback::kSegmented, PruneFallback::kNoRawFrames,
-        PruneFallback::kTinySearch}) {
+        PruneFallback::kTinySearch, PruneFallback::kSemiFluid}) {
     const std::string name = prune_fallback_name(f);
     EXPECT_FALSE(name.empty());
     for (const std::string& seen : names) EXPECT_NE(name, seen);
@@ -499,6 +509,10 @@ TEST(PrunedSearch, IneligibleConfigsFallBackBitIdenticalToFull) {
       {"tiny-search", PruneFallback::kTinySearch,
        [](SmaConfig& cfg, TrackerInput&, imaging::ImageU8&) {
          cfg.z_search_radius_y = 0;
+       }},
+      {"semi-fluid", PruneFallback::kSemiFluid,
+       [](SmaConfig& cfg, TrackerInput&, imaging::ImageU8&) {
+         cfg.model = MotionModel::kSemiFluid;
        }},
       {"masked", PruneFallback::kNoPrecompute,
        [](SmaConfig&, TrackerInput& in, imaging::ImageU8& mask) {

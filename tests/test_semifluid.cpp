@@ -1,8 +1,13 @@
-// Unit and property tests for core/semifluid.hpp — F_semi (Sec. 2.3) and
-// the Sec. 4.1 precomputed cost field.
+// Unit and property tests for core/semifluid.hpp — F_semi (Sec. 2.3),
+// the Sec. 4.1 precomputed cost field and the correspondence table.
 #include "core/semifluid.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "helpers.hpp"
 
@@ -139,6 +144,117 @@ TEST(CostField, AccessorsReportBand) {
   EXPECT_EQ(field.ox_radius(), 3);
   EXPECT_EQ(field.oy_min(), -1);
   EXPECT_EQ(field.oy_max(), 2);
+}
+
+TEST(CostField, RowLimitedEqualsFullOnItsRows) {
+  const imaging::ImageF d0 = testing::textured_pattern(13, 17);
+  const imaging::ImageF d1 = testing::textured_pattern(13, 17, 0.6);
+  const SemiFluidCostField full(d0, d1, 2, -1, 1, 2);
+  // Strips touching the top edge, the interior and the bottom edge.
+  for (const auto [r0, r1] : {std::pair<int, int>{0, 3}, {5, 9}, {14, 16}}) {
+    const SemiFluidCostField strip(d0, d1, 2, -1, 1, 2, r0, r1);
+    EXPECT_EQ(strip.bytes(), 15u * 13u * (r1 - r0 + 1) * sizeof(double));
+    for (int py = r0; py <= r1; ++py)
+      for (int px = 0; px < 13; ++px)
+        for (int oy = -1; oy <= 1; ++oy)
+          for (int ox = -2; ox <= 2; ++ox)
+            EXPECT_EQ(strip.cost(px, py, ox, oy), full.cost(px, py, ox, oy))
+                << "rows " << r0 << ".." << r1 << " p=(" << px << "," << py
+                << ") o=(" << ox << "," << oy << ")";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SemiFluidTable: every entry M_h(p) must equal both the full cost
+// field's best_offset and the direct semifluid_match — on every pixel
+// (clamped borders included), every hypothesis of the segment, under
+// exact-tie plateaus, for N_ss in {0, 1, 2}, rectangular searches and
+// segments smaller than the full search.
+// ---------------------------------------------------------------------------
+
+struct TableCase {
+  const char* name;
+  int w, h;
+  int nss, nst;
+  int hx_radius;
+  int hy_min, hy_max;  // the segment
+  bool plateau;        // constant discriminant patch: exact-tie plateaus
+};
+
+class TableEquivalence : public ::testing::TestWithParam<TableCase> {};
+
+TEST_P(TableEquivalence, EntriesMatchCostFieldAndDirectMatch) {
+  const TableCase c = GetParam();
+  imaging::ImageF d0 = testing::textured_pattern(c.w, c.h);
+  imaging::ImageF d1 = testing::shift_image(d0, 1, -1);
+  if (c.plateau) {
+    // Same constant in both frames over a block: every candidate whose
+    // semi-fluid template stays inside it costs exactly zero.
+    for (int y = 2; y < std::min(c.h, 11); ++y)
+      for (int x = 1; x < std::min(c.w, 12); ++x) {
+        d0.at(x, y) = 5.0f;
+        d1.at(x, y) = 5.0f;
+      }
+  }
+  const SemiFluidTable layers(d0, d1, c.hx_radius, c.hy_min, c.hy_max, c.nss,
+                              c.nst);
+  const SemiFluidCostField field(d0, d1, c.hx_radius + c.nss,
+                                 c.hy_min - c.nss, c.hy_max + c.nss, c.nst);
+  const std::size_t nhx = 2u * c.hx_radius + 1u;
+  const std::size_t nhy = static_cast<std::size_t>(c.hy_max - c.hy_min + 1);
+  EXPECT_EQ(layers.bytes(), nhx * nhy * c.w * c.h);
+  EXPECT_GT(layers.band_bytes(), 0u);
+  EXPECT_LT(layers.band_bytes(), field.bytes());
+
+  int ties = 0;
+  for (int py = 0; py < c.h; ++py)
+    for (int px = 0; px < c.w; ++px)
+      for (int hy = c.hy_min; hy <= c.hy_max; ++hy)
+        for (int hx = -c.hx_radius; hx <= c.hx_radius; ++hx) {
+          const auto want = field.best_offset(px, py, hx, hy, c.nss);
+          const auto [sx, sy] = semifluid_match(d0, d1, px, py, px + hx,
+                                                py + hy, c.nss, c.nst);
+          ASSERT_EQ(px + want.first, sx);
+          ASSERT_EQ(py + want.second, sy);
+          ASSERT_EQ(layers.offset(px, py, hx, hy), want)
+              << c.name << " p=(" << px << "," << py << ") h=(" << hx << ","
+              << hy << ")";
+          if (c.plateau && field.cost(px, py, hx, hy) == 0.0) ++ties;
+        }
+  if (c.plateau && c.nss > 0) {
+    EXPECT_GT(ties, 0) << "plateau never tied";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Segments, TableEquivalence,
+    ::testing::Values(
+        // Full square search, paper-style windows.
+        TableCase{"nss1_square", 19, 21, 1, 2, 2, -2, 2, false},
+        // N_ss = 0: the table is the F_cont identity.
+        TableCase{"nss0", 15, 13, 0, 2, 2, -2, 2, false},
+        // Wider semi-fluid window.
+        TableCase{"nss2", 17, 14, 2, 1, 1, -1, 1, false},
+        // Rectangular search: vertical radius differs from horizontal.
+        TableCase{"rect_search", 16, 18, 1, 2, 3, -1, 1, false},
+        // Segments of a 5-row search: first, interior, single-row.
+        TableCase{"segment_top", 18, 17, 1, 2, 2, -2, -1, false},
+        TableCase{"segment_mid", 18, 17, 1, 2, 2, 0, 1, false},
+        TableCase{"segment_row", 18, 17, 2, 1, 2, 2, 2, false},
+        // Exact-tie plateaus.
+        TableCase{"plateau_nss1", 16, 16, 1, 1, 2, -2, 2, true},
+        TableCase{"plateau_nss2", 16, 16, 2, 0, 1, -1, 1, true},
+        // Frames shorter than one strip, and smaller than the halo.
+        TableCase{"short_frame", 11, 5, 1, 2, 2, -2, 2, false},
+        TableCase{"tiny_frame", 3, 4, 2, 2, 3, -3, 3, false}),
+    [](const ::testing::TestParamInfo<TableCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(SemiFluidTable, RejectsOversizedWindow) {
+  const imaging::ImageF d(8, 8, 1.0f);
+  EXPECT_THROW(SemiFluidTable(d, d, 1, 0, 0, SemiFluidTable::kMaxNss + 1, 1),
+               std::invalid_argument);
 }
 
 }  // namespace
