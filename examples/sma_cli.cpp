@@ -28,8 +28,6 @@
 //                          shared pool; pool width = SMA_THREADS or the
 //                          hardware count)
 //   --tile WxH             scheduler tile shape (default: autotuned)
-//   --fast-math            tolerance-gated fast profile: FMA in the
-//                          vector kernel (NOT bit-exact)
 //   --search-mode MODE     hypothesis search: full (default, the
 //                          bit-exact exhaustive oracle) | pruned
 //                          (coarse-to-fine seeding + branch-and-bound;
@@ -98,7 +96,7 @@ int usage() {
                "                 [--template N] [--subpixel] [--sequential]\n"
                "                 [--backend NAME] [--robust] [--ppm FILE]\n"
                "                 [--precompute auto|on|off]\n"
-               "                 [--threads N] [--tile WxH] [--fast-math]\n"
+               "                 [--threads N] [--tile WxH]\n"
                "                 [--search-mode full|pruned]\n"
                "                 [--prune-levels N] [--prune-radius N]\n"
                "                 [--prune-bound on|off]\n"
@@ -228,8 +226,6 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
         throw std::runtime_error("--tile expects WxH, e.g. 32x32");
       o.cfg.tile_width = std::atoi(t.substr(0, xpos).c_str());
       o.cfg.tile_height = std::atoi(t.substr(xpos + 1).c_str());
-    } else if (a == "--fast-math") {
-      o.cfg.fast_math = true;
     } else if (a == "--search-mode") {
       if (i + 1 >= argc) throw std::runtime_error("missing value for option");
       const std::string m = argv[++i];

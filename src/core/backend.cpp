@@ -137,7 +137,7 @@ BackendRegistry::BackendRegistry() {
       std::make_unique<HostBackend>("tiled", /*parallel=*/true);
   backends_["openmp"] =
       std::make_unique<HostBackend>("openmp", /*parallel=*/true);
-  // SIMD lanes over hypotheses x work-stealing threads over tiles;
+  // SIMD lanes over pixels x work-stealing threads over tiles;
   // bit-identical to the host backends on every lane implementation
   // (match_vector.hpp).
   backends_["vector"] = make_vector_backend();

@@ -11,9 +11,10 @@
 // Registered backends:
 //   "sequential" — single-threaded reference (ExecutionPolicy::kSequential)
 //   "openmp"     — host-parallel over rows  (ExecutionPolicy::kParallel)
-//   "vector"     — SIMD lanes over hypotheses inside OpenMP threads over
-//                  rows, runtime-dispatched AVX2/SSE2/NEON/scalar lane
-//                  kernels (core/match_vector.hpp, simd/dispatch.hpp)
+//   "vector"     — SIMD lanes over pixels inside work-stealing threads
+//                  over tiles, runtime-dispatched AVX-512/AVX2/SSE2/NEON/
+//                  scalar lane kernels (core/match_vector.hpp,
+//                  simd/dispatch.hpp)
 //   "maspar-sim" — MP-2 SIMD-ordered executor with modeled machine costs
 //                  (registered by sma::maspar::register_maspar_backend(),
 //                  maspar/backend.hpp — the core library cannot depend on
@@ -37,7 +38,7 @@ namespace sma::core {
 
 /// Static facts about a backend the pipeline and tools can query.
 struct BackendCapabilities {
-  bool host_parallel = false;  ///< uses OpenMP threads on the host
+  bool host_parallel = false;  ///< runs on the host's sched pool
   bool modeled_cost = false;   ///< attaches modeled-machine extras
 };
 

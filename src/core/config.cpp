@@ -29,13 +29,12 @@ std::string SmaConfig::describe() const {
     os << ", search-mode=pruned(levels=" << prune_coarse_levels
        << ", refine=" << prune_refine_radius
        << ", bound=" << (prune_bound ? "on" : "off") << ")";
-  // Scheduler knobs only when explicitly set: they never change results
-  // (fast_math excepted), so defaults stay out of config signatures.
+  // Scheduler knobs only when explicitly set: they never change results,
+  // so defaults stay out of config signatures.
   if (threads > 0) os << ", threads=" << threads;
   if (tile_width > 0 || tile_height > 0)
     os << ", tile=" << tile_width << "x" << tile_height;
   if (max_resident_mb > 0) os << ", resident<=" << max_resident_mb << "MiB";
-  if (fast_math) os << ", fast-math";
   return os.str();
 }
 

@@ -117,14 +117,6 @@ struct SmaConfig {
   int tile_width = 0;
   int tile_height = 0;
 
-  /// Tolerance-gated fast profile: allow fused multiply-add in the
-  /// vector matching kernel.  OFF (default) keeps the Sec. 5.1
-  /// bit-identity contract across every backend and thread count; ON
-  /// trades that for FMA throughput/accuracy — results are
-  /// tolerance-equal, not bit-equal, and the golden/bit-identity sweeps
-  /// exclude this profile.
-  bool fast_math = false;
-
   /// Hypothesis-search strategy (see SearchMode).  kPruned only engages
   /// on precompute-eligible configs (resolve_prune in match_prune.hpp);
   /// everything else silently runs the kFull oracle and reports why

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "linalg/least_squares.hpp"
+#include "sched/scheduler.hpp"
 
 // Hot loops read disjoint const planes and write local accumulators;
 // restrict-qualifying the plane pointers lets the compiler keep the
@@ -65,8 +66,7 @@ MatchPrecompute::MatchPrecompute(const surface::GeometricField& before,
       data_(static_cast<std::size_t>(kPlanes) * npix_) {
   double* const d = data_.data();
   const std::size_t n = npix_;
-#pragma omp parallel for schedule(static) if (parallel)
-  for (int y = 0; y < height_; ++y) {
+  sched::for_each_row(height_, width_, parallel, [&](int y) {
     PixelInvariants p;
     for (int x = 0; x < width_; ++x) {
       compute_pixel_invariants(before, x, y, p);
@@ -90,7 +90,7 @@ MatchPrecompute::MatchPrecompute(const surface::GeometricField& before,
       d[static_cast<std::size_t>(kSnn) * n + i] =
           p.wi * (p.ni * p.ni) + p.wj * (p.nj * p.nj) + p.nk * p.nk;
     }
-  }
+  });
 }
 
 void MatchPrecompute::accumulate_window(int x, int y, int rx, int ry,

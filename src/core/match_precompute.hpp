@@ -114,7 +114,7 @@ class MatchPrecompute {
   static constexpr int kPlanes = 53;
 
   /// Builds the planes from the before-frame geometry.  `parallel`
-  /// OpenMP-splits the (independent, deterministic) per-row work.
+  /// runs the (independent, deterministic) rows on the sched pool.
   explicit MatchPrecompute(const surface::GeometricField& before,
                            bool parallel = false);
 

@@ -22,18 +22,24 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-const char* decision_fallback_name(PrecomputeDecision d) {
+// Why the lane kernels cannot serve this pair, or null when they can.
+const char* vector_fallback_name(PrecomputeDecision d, const SmaConfig& config,
+                                 const MatchInput& in) {
   switch (d) {
-    case PrecomputeDecision::kFast:
-      return "sliding";  // only reachable when precompute_sliding is on
     case PrecomputeDecision::kDisabled:
       return "precompute-off";
     case PrecomputeDecision::kMasked:
       return "masked";
     case PrecomputeDecision::kStride:
       return "stride";
+    case PrecomputeDecision::kFast:
+      break;
   }
-  return "unknown";
+  if (config.precompute_sliding) return "sliding";
+  // Eligible, but the caller attached no planes.
+  if (in.precompute == nullptr)
+    return prune_fallback_name(PruneFallback::kNoPrecompute);
+  return nullptr;
 }
 
 }  // namespace
@@ -70,65 +76,27 @@ simd::SimdLevel resolve_kernel_level(simd::SimdLevel request) {
   return simd::SimdLevel::kScalar;
 }
 
-PixelKernelFn pixel_kernel_hook(simd::SimdLevel level, bool fast_math) {
+LaneKernels lane_kernels(simd::SimdLevel level) {
   switch (resolve_kernel_level(level)) {
 #if defined(SMA_KERNEL_AVX512)
     case simd::SimdLevel::kAvx512:
-      return fast_math ? &scan_pixel_avx512_fma : &scan_pixel_avx512;
+      return {8, &scan_tile_avx512, &scan_pixel_avx512, &batch_solve6_avx512};
 #endif
 #if defined(SMA_KERNEL_AVX2)
     case simd::SimdLevel::kAvx2:
-      return fast_math ? &scan_pixel_avx2_fma : &scan_pixel_avx2;
+      return {4, &scan_tile_avx2, &scan_pixel_avx2, &batch_solve6_avx2};
 #endif
 #if defined(SMA_KERNEL_SSE2)
     case simd::SimdLevel::kSse2:
-      return fast_math ? &scan_pixel_sse2_fma : &scan_pixel_sse2;
+      return {2, &scan_tile_sse2, &scan_pixel_sse2, &batch_solve6_sse2};
 #endif
 #if defined(SMA_KERNEL_NEON)
     case simd::SimdLevel::kNeon:
-      return fast_math ? &scan_pixel_neon_fma : &scan_pixel_neon;
+      return {2, &scan_tile_neon, &scan_pixel_neon, &batch_solve6_neon};
 #endif
-    default:
-      return fast_math ? &scan_pixel_scalar_fma : &scan_pixel_scalar;
+    default:  // simd::LaneTraits<ScalarTag>::kLanes == 2
+      return {2, &scan_tile_scalar, &scan_pixel_scalar, &batch_solve6_scalar};
   }
-}
-
-BatchSolveHook batch_solve_hook(simd::SimdLevel level) {
-  BatchSolveHook hook;
-  switch (resolve_kernel_level(level)) {
-#if defined(SMA_KERNEL_AVX512)
-    case simd::SimdLevel::kAvx512:
-      hook.lanes = 8;
-      hook.solve = &batch_solve6_avx512;
-      return hook;
-#endif
-#if defined(SMA_KERNEL_AVX2)
-    case simd::SimdLevel::kAvx2:
-      hook.lanes = 4;
-      hook.solve = &batch_solve6_avx2;
-      return hook;
-#endif
-#if defined(SMA_KERNEL_SSE2)
-    case simd::SimdLevel::kSse2:
-      hook.lanes = 2;
-      hook.solve = &batch_solve6_sse2;
-      return hook;
-#endif
-#if defined(SMA_KERNEL_NEON)
-    case simd::SimdLevel::kNeon:
-      hook.lanes = 2;
-      hook.solve = &batch_solve6_neon;
-      return hook;
-#endif
-    default:
-      hook.lanes = 2;  // simd::LaneTraits<ScalarTag>::kLanes
-      hook.solve = &batch_solve6_scalar;
-      return hook;
-  }
-}
-
-int kernel_lanes(simd::SimdLevel level) {
-  return batch_solve_hook(level).lanes;
 }
 
 void publish_metrics(const VectorRunReport& report,
@@ -146,13 +114,14 @@ void publish_metrics(const VectorRunReport& report,
 
 namespace {
 
-// The `vector` backend: SIMD lanes over hypotheses inside work-stealing
-// threads over cache-blocked pixel tiles — the "threads x lanes"
-// composition of the tentpole.  Each tile runs the lane-batched sweep
-// for its pixels and folds its occupancy tally into a per-tile slot;
-// the slots are summed in tile-index order after the batch, so the
-// report (and the FlowField, whose per-pixel slots are disjoint by
-// construction) is identical at every thread count and steal order.
+// The `vector` backend: SIMD lanes over pixels (full search) or over one
+// pixel's hypotheses (pruned search) inside work-stealing threads over
+// cache-blocked pixel tiles — "threads x lanes".  Each tile runs the
+// lane-batched sweep for its pixels and folds its occupancy tally into a
+// per-tile slot; the slots are summed in tile-index order after the
+// batch, so the report (and the FlowField, whose per-pixel slots are
+// disjoint by construction) is identical at every thread count and steal
+// order.
 class VectorBackend final : public TrackerBackend {
  public:
   std::string name() const override { return "vector"; }
@@ -171,17 +140,17 @@ class VectorBackend final : public TrackerBackend {
         resolve_kernel_level(simd::active_level());
     extras->report.level = simd::level_name(level);
     extras->report.level_id = static_cast<int>(level);
-    extras->report.lanes = kernel_lanes(level);
+    extras->report.lanes = lane_kernels(level).lanes;
 
-    const PrecomputeDecision decision = resolve_precompute(config, in);
+    const char* const fallback =
+        vector_fallback_name(resolve_precompute(config, in), config, in);
     // Pruned-mode eligibility is resolved once here: the vector sweep
     // prunes in-kernel when eligible; otherwise the reason is recorded
     // and the search runs exactly as in full mode.
     const PruneFallback prune_fb = resolve_prune(config, in);
     extras->prune.fallback_reason = static_cast<std::uint64_t>(prune_fb);
     std::vector<PixelBest> best;
-    if (in.precompute != nullptr &&
-        decision == PrecomputeDecision::kFast && !config.precompute_sliding) {
+    if (fallback == nullptr) {
       extras->report.vector_path = true;
       best = run_vector_search(
           in, config, level, result.timings, result.peak_mapping_bytes,
@@ -190,11 +159,11 @@ class VectorBackend final : public TrackerBackend {
     } else {
       // Fall back to the shared staged path (bit-identical to the host
       // backends by construction): masked / stride / precompute-off
-      // configs, and the sliding tier, which trades
-      // bit-exactness for box-filter reuse the lane kernel does not
-      // implement.  The staged path applies its own pruned-mode gate and
-      // records into the same report.
-      extras->report.fallback = decision_fallback_name(decision);
+      // configs, pairs without precompute planes, and the sliding tier,
+      // which trades bit-exactness for box-filter reuse the lane kernels
+      // do not implement.  The staged path applies its own pruned-mode
+      // gate and records into the same report.
+      extras->report.fallback = fallback;
       best = run_hypothesis_search(
           in, config, /*parallel=*/true, result.timings,
           result.peak_mapping_bytes,
@@ -227,7 +196,7 @@ class VectorBackend final : public TrackerBackend {
     const int nzs_y = config.z_search_ry();
     const int refine_radius = config.prune_refine_radius;
     const MatchPrecompute* const pre = in.precompute;
-    const PixelKernelFn kernel = pixel_kernel_hook(level, config.fast_math);
+    const LaneKernels kernels = lane_kernels(level);
     // Branch-and-bound checkpoint only with a prefix to checkpoint at.
     const bool bound_on =
         prune != nullptr && config.prune_bound && nzt_y >= 1;
@@ -258,6 +227,12 @@ class VectorBackend final : public TrackerBackend {
       shape.height = config.tile_height > 0 ? config.tile_height : 32;
     } else {
       shape = sched::choose_tile_shape(w, h, executors);
+      // The tile kernel puts one center per lane: round autotuned tiles
+      // up to whole batches so only a frame's right-edge tiles idle lanes.
+      if (prune == nullptr) {
+        const int n = kernels.lanes;
+        shape.width = std::min(w, (shape.width + n - 1) / n * n);
+      }
     }
     const std::vector<sched::Tile> tiles = sched::make_tiles(w, h, shape);
 
@@ -282,10 +257,31 @@ class VectorBackend final : public TrackerBackend {
           tiles,
           [&](const sched::Tile& tile, std::size_t index) {
             VectorLaneTally& tally = tallies[index];
+            if (prune == nullptr) {
+              VectorTileArgs args;
+              args.pre = pre;
+              args.after = in.after;
+              args.table = table;
+              args.x0 = tile.x0;
+              args.y0 = tile.y0;
+              args.x1 = tile.x1;
+              args.y1 = tile.y1;
+              args.rx = nzt_x;
+              args.ry = nzt_y;
+              args.hx_min = -nzs_x;
+              args.hx_max = nzs_x;
+              args.hy_min = hy_min;
+              args.hy_max = hy_max;
+              kernels.tile(args, best.data(), tally);
+              return;
+            }
+            PruneTileTally& pt = prune_tallies[index];
             for (int y = tile.y0; y < tile.y1; ++y) {
               for (int x = tile.x0; x < tile.x1; ++x) {
                 WindowInvariants win;
                 pre->accumulate_window(x, y, nzt_x, nzt_y, win);
+                const PruneWindow pw =
+                    prune_window(seeds, x, y, nzs_x, nzs_y, refine_radius);
                 VectorKernelArgs args;
                 args.pre = pre;
                 args.after = in.after;
@@ -294,40 +290,27 @@ class VectorBackend final : public TrackerBackend {
                 args.y = y;
                 args.rx = nzt_x;
                 args.ry = nzt_y;
-                args.hx_min = -nzs_x;
-                args.hx_max = nzs_x;
-                args.hy_min = hy_min;
-                args.hy_max = hy_max;
-                args.table = table;
-                PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
-                if (prune != nullptr) {
-                  const PruneWindow pw =
-                      prune_window(seeds, x, y, nzs_x, nzs_y, refine_radius);
-                  args.hx_min = pw.hx_min;
-                  args.hx_max = pw.hx_max;
-                  args.hy_min = pw.hy_min;
-                  args.hy_max = pw.hy_max;
-                  PruneTileTally& pt = prune_tallies[index];
-                  pt.scheduled +=
-                      static_cast<std::uint64_t>(pw.hx_max - pw.hx_min + 1) *
-                      (pw.hy_max - pw.hy_min + 1);
-                  if (pw.shrunk)
-                    ++pt.window_pixels;
-                  else
-                    ++pt.fallback_pixels;
-                  WindowInvariants winp;
-                  if (bound_on) {
-                    pre->accumulate_window_span(x, y, nzt_x, -nzt_y, -1,
-                                                winp);
-                    args.win_prefix = &winp;
-                  }
-                  kernel(args, b, tally);
-                  if (pw.shrunk && b.any_ok &&
-                      prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
-                    ++pt.seed_interior;
-                } else {
-                  kernel(args, b, tally);
+                args.hx_min = pw.hx_min;
+                args.hx_max = pw.hx_max;
+                args.hy_min = pw.hy_min;
+                args.hy_max = pw.hy_max;
+                pt.scheduled +=
+                    static_cast<std::uint64_t>(pw.hx_max - pw.hx_min + 1) *
+                    (pw.hy_max - pw.hy_min + 1);
+                if (pw.shrunk)
+                  ++pt.window_pixels;
+                else
+                  ++pt.fallback_pixels;
+                WindowInvariants winp;
+                if (bound_on) {
+                  pre->accumulate_window_span(x, y, nzt_x, -nzt_y, -1, winp);
+                  args.win_prefix = &winp;
                 }
+                PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
+                kernels.pixel(args, b, tally);
+                if (pw.shrunk && b.any_ok &&
+                    prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
+                  ++pt.seed_interior;
               }
             }
           },

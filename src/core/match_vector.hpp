@@ -1,30 +1,41 @@
-// match_vector.hpp — the hypothesis-batched SIMD matching kernel and the
-// `vector` TrackerBackend built on it.
+// match_vector.hpp — the SIMD matching kernels and the `vector`
+// TrackerBackend built on them.
 //
-// The paper amortizes the per-hypothesis cost across 16K PEs; the
-// `vector` backend amortizes it across SIMD lanes: for one pixel, a
-// batch of kLanes CONSECUTIVE hx hypotheses (same hy) marches through
-// the precomputed SoA planes together — each lane accumulating its own
-// A^T b / b^T b in the exact template order of the scalar
-// evaluate_hypothesis_precomputed — then a lane-batched 6x6 elimination
-// (simd/batch_solve.hpp) and a batched Eq. (3) residual score all lanes
-// at once.  A horizontal reduce-min prefilters hopeless batches before
-// the winner is refined lane by lane through the shared
-// hypothesis_improves tie-break, so the selected winner is identical to
-// the scalar scan's.  Hypotheses left over when the search width is not
-// a lane multiple go through the scalar evaluator (the tie-break is
-// visit-order independent, so mixing paths is safe).
+// The paper steps its 16K PEs through one hypothesis at a time, one
+// pixel per PE; the `vector` backend does the same on SIMD lanes.  In
+// full search a lane is one CENTER pixel of a sched tile (scan_tile_*).
+// For each hypothesis h the tile kernel first builds, over the tile plus
+// its template halo, the seven planes of per-template-pixel terms that
+// Eq. (3) adds into A^T b and b^T b:
 //
-// Because each lane's floating-point instruction sequence equals the
-// scalar path's, the backend is BIT-IDENTICAL to `sequential` on every
-// lane implementation — AVX-512, AVX2, SSE2, NEON and the forced-scalar
-// fallback — extending the Sec. 5.1 contract to the vector substrate.
-// F_semi runs the lane kernel too: its remap moves only the after-frame
-// correspondents, so lanes broadcast the shared A^T A as for F_cont and
-// gather their normals through the per-segment correspondence table.
-// Configs the precompute cannot serve (masks, stride, precompute off, or
-// the non-bit-exact sliding tier) fall back to the shared staged path,
-// again bit-identical by construction.
+//   t_r(p, h) = (wri·bi + wrj·bj) + wrk·bk   (r = 0..5)
+//   t_b(p, h) = (wi·(bi·bi) + wj·(bj·bj)) + bk·bk,   b = n'(q) - n(p),
+//
+// with q = clamp(p + h) for F_cont and q = clamp(p + h + M_h(p)) through
+// the per-segment SemiFluidTable for F_semi.  Neither depends on the
+// center, so each term is computed once per (p, h) instead of once per
+// template covering p — the Sec. 4.1 "share the overlap" argument carried
+// from the semi-fluid mapping to the matching sums.  Each lane then sums
+// its center's template window out of the planes, loads its own A^T A
+// from the tile's window sums, and the lanes go through one batched 6x6
+// elimination (simd/batch_solve.hpp) and Eq. (3) residual; each lane
+// folds into its own pixel's incumbent through hypothesis_improves.
+//
+// Bit-exactness: every t is the exact expression the scalar
+// evaluate_hypothesis_precomputed / _remapped adds, and each lane adds
+// its template's t values in the scalar v-outer / u-inner order from
+// 0.0, so it reaches the same A^T b / b^T b bits; the window sums, the
+// 0.0 + v normalization, the elimination and the residual replay the
+// scalar sequence too.  The backend is therefore BIT-IDENTICAL to
+// `sequential` on every lane implementation — AVX-512, AVX2, SSE2, NEON
+// and the forced-scalar fallback — for any tile shape.
+//
+// Pruned search keeps hypothesis lanes (scan_pixel_*): each pixel there
+// has its own shrunken window and checkpoints a half-template bound
+// against its own incumbent, so its hypotheses cannot march in step
+// with its neighbours'.  Configs the precompute cannot serve (masks,
+// stride, precompute off, or the non-bit-exact sliding tier) fall back
+// to the shared staged path, again bit-identical by construction.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units
 // compiled with the matching target flags (only the AVX2 and AVX-512
@@ -47,11 +58,24 @@ namespace sma::core {
 class MatchPrecompute;
 struct WindowInvariants;
 
-/// Per-pixel inputs to one kernel invocation: the precompute planes,
-/// the after-frame geometry, the pixel's shared A^T A window sum and
-/// the search/template extents.  Full mode sets hx/hy bounds to the
-/// whole [-N_zs, N_zs] box; the pruned mode passes each pixel's
-/// shrunken window (match_prune.hpp).
+/// One sched tile's full search (scan_tile_*): the precompute planes,
+/// the after-frame geometry, the tile [x0, x1) x [y0, y1), the template
+/// half-widths and the hypothesis box.  F_semi passes the segment's
+/// correspondence table, and the hy bounds must lie inside its segment.
+struct VectorTileArgs {
+  const MatchPrecompute* pre = nullptr;
+  const surface::GeometricField* after = nullptr;
+  const SemiFluidTable* table = nullptr;  ///< F_semi; null for F_cont
+  int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
+  int rx = 0, ry = 0;  ///< template half-widths
+  int hx_min = 0, hx_max = 0;
+  int hy_min = 0, hy_max = 0;
+};
+
+/// One pixel's pruned search (scan_pixel_*): the precompute planes, the
+/// after-frame geometry, the pixel's shared A^T A window sum, the
+/// template extents and the pixel's shrunken search window
+/// (match_prune.hpp).  F_cont correspondents only.
 struct VectorKernelArgs {
   const MatchPrecompute* pre = nullptr;
   const surface::GeometricField* after = nullptr;
@@ -62,57 +86,53 @@ struct VectorKernelArgs {
   int hy_min = 0, hy_max = 0;
   /// Branch-and-bound prefix system (accumulate_window_span over the
   /// template rows v < 0), or null to disable the half-template
-  /// checkpoint.  Null keeps the kernel's floating-point sequence
-  /// EXACTLY as before — full mode stays bit-identical.
+  /// checkpoint.
   const WindowInvariants* win_prefix = nullptr;
-  /// F_semi: the segment's correspondence table (semifluid.hpp).  Set,
-  /// the kernel gathers every lane's after-frame normals through it and
-  /// batches the segment's hypotheses across rows; the hy bounds must
-  /// lie inside the table's segment.  Never combined with win_prefix.
-  const SemiFluidTable* table = nullptr;
 };
 
-/// Lane-occupancy accounting, summed across pixels into the
+/// Lane-occupancy accounting, summed across tiles into the
 /// VectorRunReport (and from there into the obs MetricsRegistry and
-/// BENCH_matching.json).  The bound_* fields only move when
-/// VectorKernelArgs::win_prefix is set (pruned mode); they count in
-/// hypothesis units, kLanes per batch checkpoint.
+/// BENCH_matching.json).  Every (pixel, hypothesis) evaluation lands in
+/// exactly one of batched_hypotheses and tail_hypotheses.  The bound_*
+/// fields only move when VectorKernelArgs::win_prefix is set (pruned
+/// mode); they count in hypothesis units, kLanes per batch checkpoint.
 struct VectorLaneTally {
   std::uint64_t batched_hypotheses = 0;  ///< evaluated inside full batches
-  std::uint64_t tail_hypotheses = 0;     ///< scalar remainder evaluations
+  /// Evaluated outside full batches: the pixel kernel's scalar remainder,
+  /// or the centers of a tile row's last, partly idle batch.
+  std::uint64_t tail_hypotheses = 0;
   std::uint64_t batches = 0;             ///< batch-solve invocations
   std::uint64_t bound_checks = 0;        ///< checkpointed hypotheses
   std::uint64_t bound_skipped = 0;       ///< abandoned at the checkpoint
   double bound_tightness_sum = 0.0;      ///< sum of min(1, bound/error)
 };
 
+/// `best` is the frame's row-major PixelBest array; the kernel updates
+/// the tile's pixels only.
+using TileKernelFn = void (*)(const VectorTileArgs&, PixelBest* best,
+                              VectorLaneTally&);
 using PixelKernelFn = void (*)(const VectorKernelArgs&, PixelBest&,
                                VectorLaneTally&);
-
-/// Batched-solve entry exposed for the property tests: `a` is the SoA
-/// batch (element k of system l at a[k * lanes + l], row-major 6x6),
-/// `b`/`x` likewise 6 x lanes; `singular[l]` reports per-lane solve6
-/// kSingular (those lanes get x = 0).
-struct BatchSolveHook {
-  int lanes = 0;
-  void (*solve)(const double* a, const double* b, double* x,
-                unsigned char* singular, double eps) = nullptr;
-};
 
 /// Downgrades `request` to the most capable lane implementation that was
 /// actually compiled into this binary (AVX-512 degrades to AVX2 degrades
 /// to SSE2 degrades to scalar; NEON to scalar).
 simd::SimdLevel resolve_kernel_level(simd::SimdLevel request);
 
-/// The per-pixel scan kernel / batched-solve hook for a compiled level
-/// (callers should resolve_kernel_level first; unresolved levels return
-/// the scalar kernel).  `fast_math` selects the FMA variant of the scan
-/// kernel (SmaConfig::fast_math — tolerance-equal, not bit-exact).
-PixelKernelFn pixel_kernel_hook(simd::SimdLevel level, bool fast_math = false);
-BatchSolveHook batch_solve_hook(simd::SimdLevel level);
-
-/// Lane count of the (resolved) level's kernel.
-int kernel_lanes(simd::SimdLevel level);
+/// The lane kernels compiled for one level: its lane count, the tile
+/// and per-pixel kernels, and the batched solve the property tests call
+/// (`a` is the SoA batch — element k of system l at a[k * lanes + l],
+/// row-major 6x6 — `b`/`x` likewise 6 x lanes; `singular[l]` reports
+/// per-lane solve6 kSingular, and those lanes get x = 0).  Unresolved
+/// levels get the scalar kernels.
+struct LaneKernels {
+  int lanes = 0;
+  TileKernelFn tile = nullptr;
+  PixelKernelFn pixel = nullptr;
+  void (*solve)(const double* a, const double* b, double* x,
+                unsigned char* singular, double eps) = nullptr;
+};
+LaneKernels lane_kernels(simd::SimdLevel level);
 
 /// What the vector backend did for one tracked pair.
 struct VectorRunReport {
@@ -125,7 +145,8 @@ struct VectorRunReport {
   std::uint64_t tail_hypotheses = 0;
   std::uint64_t batches = 0;
   /// batched / (batched + tail): fraction of hypothesis evaluations that
-  /// ran inside full lanes-wide batches.
+  /// ran inside full lanes-wide batches.  batched + tail is the whole
+  /// search: pixels x hypotheses in full mode.
   double lane_utilization = 0.0;
 };
 
@@ -146,38 +167,33 @@ std::unique_ptr<TrackerBackend> make_vector_backend();
 
 // Per-ISA kernel entry points, each defined in its own translation unit
 // so only that object file carries wide instructions.  Which exist is a
-// build-time fact (SMA_KERNEL_* from src/core/CMakeLists.txt); use the
-// hooks above instead of calling these directly.
+// build-time fact (SMA_KERNEL_* from src/core/CMakeLists.txt); use
+// lane_kernels() instead of calling these directly.
+void scan_tile_scalar(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
 void scan_pixel_scalar(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
-void scan_pixel_scalar_fma(const VectorKernelArgs&, PixelBest&,
-                           VectorLaneTally&);
 void batch_solve6_scalar(const double*, const double*, double*,
                          unsigned char*, double);
 #if defined(SMA_KERNEL_SSE2)
+void scan_tile_sse2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
 void scan_pixel_sse2(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
-void scan_pixel_sse2_fma(const VectorKernelArgs&, PixelBest&,
-                         VectorLaneTally&);
 void batch_solve6_sse2(const double*, const double*, double*, unsigned char*,
                        double);
 #endif
 #if defined(SMA_KERNEL_AVX2)
+void scan_tile_avx2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
 void scan_pixel_avx2(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
-void scan_pixel_avx2_fma(const VectorKernelArgs&, PixelBest&,
-                         VectorLaneTally&);
 void batch_solve6_avx2(const double*, const double*, double*, unsigned char*,
                        double);
 #endif
 #if defined(SMA_KERNEL_AVX512)
+void scan_tile_avx512(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
 void scan_pixel_avx512(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
-void scan_pixel_avx512_fma(const VectorKernelArgs&, PixelBest&,
-                           VectorLaneTally&);
 void batch_solve6_avx512(const double*, const double*, double*, unsigned char*,
                          double);
 #endif
 #if defined(SMA_KERNEL_NEON)
+void scan_tile_neon(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
 void scan_pixel_neon(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
-void scan_pixel_neon_fma(const VectorKernelArgs&, PixelBest&,
-                         VectorLaneTally&);
 void batch_solve6_neon(const double*, const double*, double*, unsigned char*,
                        double);
 #endif

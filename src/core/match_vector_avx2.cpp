@@ -1,5 +1,5 @@
-// AVX2 instantiation of the hypothesis-batched kernel: four hypotheses
-// per batch.  This is the ONLY translation unit built with -mavx2 (see
+// AVX2 instantiation of the lane-batched kernels: four lanes per
+// batch.  This is the ONLY translation unit built with -mavx2 (see
 // src/core/CMakeLists.txt); its exported symbols are the uniquely-named
 // entry points below, reached solely through runtime dispatch after
 // __builtin_cpu_supports("avx2") — the standard per-file-ISA pattern.
@@ -13,14 +13,14 @@
 
 namespace sma::core {
 
+void scan_tile_avx2(const VectorTileArgs& g, PixelBest* best,
+                    VectorLaneTally& tally) {
+  detail::scan_tile_t<simd::Avx2Tag>(g, best, tally);
+}
+
 void scan_pixel_avx2(const VectorKernelArgs& g, PixelBest& best,
                      VectorLaneTally& tally) {
   detail::scan_pixel_t<simd::Avx2Tag>(g, best, tally);
-}
-
-void scan_pixel_avx2_fma(const VectorKernelArgs& g, PixelBest& best,
-                         VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::Avx2Tag, /*Fma=*/true>(g, best, tally);
 }
 
 void batch_solve6_avx2(const double* a, const double* b, double* x,

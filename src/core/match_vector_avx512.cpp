@@ -1,5 +1,5 @@
-// AVX-512 instantiation of the hypothesis-batched kernel: eight
-// hypotheses per batch.  This is the ONLY translation unit built with
+// AVX-512 instantiation of the lane-batched kernels: eight lanes per
+// batch.  This is the ONLY translation unit built with
 // -mavx512f -mavx512dq (see src/core/CMakeLists.txt); its exported
 // symbols are the uniquely-named entry points below, reached solely
 // through runtime dispatch after __builtin_cpu_supports("avx512f") &&
@@ -14,14 +14,14 @@
 
 namespace sma::core {
 
+void scan_tile_avx512(const VectorTileArgs& g, PixelBest* best,
+                      VectorLaneTally& tally) {
+  detail::scan_tile_t<simd::Avx512Tag>(g, best, tally);
+}
+
 void scan_pixel_avx512(const VectorKernelArgs& g, PixelBest& best,
                        VectorLaneTally& tally) {
   detail::scan_pixel_t<simd::Avx512Tag>(g, best, tally);
-}
-
-void scan_pixel_avx512_fma(const VectorKernelArgs& g, PixelBest& best,
-                           VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::Avx512Tag, /*Fma=*/true>(g, best, tally);
 }
 
 void batch_solve6_avx512(const double* a, const double* b, double* x,

@@ -1,15 +1,15 @@
-// match_vector_impl.hpp — the lane-generic body of the hypothesis-batched
-// scan kernel.  Included ONLY by the per-ISA translation units
-// (match_vector_<isa>.cpp), each of which instantiates scan_pixel_t /
-// batch_solve_soa for its lane tag under the matching target flags.
+// match_vector_impl.hpp — the lane-generic bodies of the vector matching
+// kernels.  Included ONLY by the per-ISA translation units
+// (match_vector_<isa>.cpp), each of which instantiates scan_tile_t /
+// scan_pixel_t / batch_solve_soa for its lane tag under the matching
+// target flags.
 //
-// Bit-exactness contract (DESIGN.md §13): a lane is one hypothesis, and
-// every floating-point operation a lane performs — accumulation order
-// over the template window, moment normalization, elimination,
-// residual — is the same operation, on the same values, in the same
-// order as the scalar evaluate_hypothesis_precomputed +
-// NormalEquations6 path.  Three details make that exact rather than
-// approximate:
+// scan_tile_t (full search) puts one center pixel in each lane;
+// scan_pixel_t (pruned search) puts one hypothesis of one pixel in each
+// lane.  Both follow the bit-exactness contract of match_vector.hpp and
+// DESIGN.md §13: every lane performs the scalar path's floating-point
+// operations on the same values in the same order.  Three details make
+// that exact rather than approximate:
 //
 //  * moments are "normalized" through add(0, v) before the solve,
 //    because the scalar path accumulates them into a zero-initialized
@@ -17,12 +17,6 @@
 //  * the batched elimination replicates solve6's `if (f == 0.0)
 //    continue` and first-strict-max pivot per lane (simd/batch_solve.hpp);
 //  * no FMA anywhere: mul-then-add only, matching -ffp-contract=off.
-//
-// Winner selection keeps the scalar tie-break semantics: a horizontal
-// reduce-min rejects batches that cannot beat the incumbent, and any
-// surviving batch is folded lane by lane (ascending hx) through the
-// shared hypothesis_improves predicate — the identical comparisons the
-// scalar scan would have made.
 #pragma once
 
 #include <algorithm>
@@ -31,6 +25,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
@@ -42,24 +37,11 @@
 
 namespace sma::core::detail {
 
-// ---- Pieces shared by the F_cont and F_semi kernels.  Force-inlined, so
+// ---- Pieces shared by the tile and pixel kernels.  Force-inlined, so
 // each kernel compiles to the same instruction sequence as if they were
 // written out in place.
 
-// a*b + c under the active profile.
-template <class Tag, bool Fma>
-[[gnu::always_inline]] inline typename simd::LaneTraits<Tag>::Vec lane_fmadd(
-    typename simd::LaneTraits<Tag>::Vec a,
-    typename simd::LaneTraits<Tag>::Vec b,
-    typename simd::LaneTraits<Tag>::Vec c) {
-  using T = simd::LaneTraits<Tag>;
-  if constexpr (Fma)
-    return T::mul_add(a, b, c);
-  else
-    return T::add(c, T::mul(a, b));
-}
-
-// The before-frame planes a template pixel's A^T b / b^T b MACs read.
+// The before-frame planes a template pixel's A^T b / b^T b terms read.
 struct TemplatePlanes {
   const double* ni;
   const double* nj;
@@ -79,85 +61,95 @@ struct TemplatePlanes {
   }
 };
 
-// Template pixel i's MACs into every lane's A^T b / b^T b, lane l's
-// after-frame normal being lane l of (oi, oj, ok).  Same association
-// order per MAC as the scalar evaluate_hypothesis_precomputed.
-template <class Tag, bool Fma>
-[[gnu::always_inline]] inline void accumulate_template_pixel(
-    const TemplatePlanes& p, std::size_t i,
-    typename simd::LaneTraits<Tag>::Vec oi,
+// A template pixel's seven Eq. (3) terms against the lanes' after-frame
+// normals (oi, oj, ok), with b = o - n(p):
+//   t[r] = (wri·bi + wrj·bj) + wrk·bk   (r < 6, added into A^T b[r])
+//   t[6] = (wi·(bi·bi) + wj·(bj·bj)) + bk·bk   (added into b^T b)
+// — the exact expressions the scalar evaluators add.  `load(plane)`
+// yields the lanes' before-frame values of a precompute plane.
+template <class Tag, class Load>
+[[gnu::always_inline]] inline void template_terms(
+    const TemplatePlanes& p, Load load, typename simd::LaneTraits<Tag>::Vec oi,
     typename simd::LaneTraits<Tag>::Vec oj,
     typename simd::LaneTraits<Tag>::Vec ok,
-    typename simd::LaneTraits<Tag>::Vec (&atb)[6],
-    typename simd::LaneTraits<Tag>::Vec& btb) {
+    typename simd::LaneTraits<Tag>::Vec (&t)[7]) {
   using T = simd::LaneTraits<Tag>;
   using V = typename T::Vec;
-  const V bi = T::sub(oi, T::broadcast(p.ni[i]));
-  const V bj = T::sub(oj, T::broadcast(p.nj[i]));
-  const V bk = T::sub(ok, T::broadcast(p.nk[i]));
-  for (int r = 0; r < 6; ++r) {
-    V t = T::mul(T::broadcast(p.rows[r][i]), bi);
-    t = lane_fmadd<Tag, Fma>(T::broadcast(p.rows[6 + r][i]), bj, t);
-    t = lane_fmadd<Tag, Fma>(T::broadcast(p.rows[12 + r][i]), bk, t);
-    atb[r] = T::add(atb[r], t);
-  }
-  V s = T::mul(T::broadcast(p.wi[i]), T::mul(bi, bi));
-  s = lane_fmadd<Tag, Fma>(T::broadcast(p.wj[i]), T::mul(bj, bj), s);
-  s = lane_fmadd<Tag, Fma>(bk, bk, s);
-  btb = T::add(btb, s);
+  const V bi = T::sub(oi, load(p.ni));
+  const V bj = T::sub(oj, load(p.nj));
+  const V bk = T::sub(ok, load(p.nk));
+  for (int r = 0; r < 6; ++r)
+    t[r] = T::add(T::add(T::mul(load(p.rows[r]), bi),
+                         T::mul(load(p.rows[6 + r]), bj)),
+                  T::mul(load(p.rows[12 + r]), bk));
+  t[6] = T::add(T::add(T::mul(load(p.wi), T::mul(bi, bi)),
+                       T::mul(load(p.wj), T::mul(bj, bj))),
+                T::mul(bk, bk));
 }
 
-// The pixel's A^T A window sum, normalized exactly as
-// NormalEquations6::add_precomputed leaves it (0.0 + v) and broadcast:
-// every lane shares the same before-frame matrix.
+// kLanes doubles row[clamp(x + l, 0, w - 1)]: a border lane group's
+// clamped gather.
 template <class Tag>
-[[gnu::always_inline]] inline void broadcast_ata(
-    const double* ata21, typename simd::LaneTraits<Tag>::Vec (&ata)[21]) {
+[[gnu::always_inline]] inline typename simd::LaneTraits<Tag>::Vec
+load_clamped(const double* row, int x, int w) {
   using T = simd::LaneTraits<Tag>;
-  for (int k = 0; k < 21; ++k)
-    ata[k] = T::add(T::zero(), T::broadcast(ata21[k]));
+  double g[T::kLanes];
+  for (int l = 0; l < T::kLanes; ++l) g[l] = row[std::clamp(x + l, 0, w - 1)];
+  return T::load(g);
 }
 
 // A solved batch: every lane's parameters, residual and singular flag.
 template <class Tag>
 struct ScoredBatch {
-  typename simd::LaneTraits<Tag>::Vec theta[6];
+  double theta[6][simd::LaneTraits<Tag>::kLanes];
   double errs[simd::LaneTraits<Tag>::kLanes];
   double min_err;
   unsigned singular_bits;
+
+  // Lane l's motion parameters (zero for a singular lane).
+  MotionParams params(int l) const {
+    if ((singular_bits >> l & 1u) != 0) return MotionParams{};
+    return MotionParams::from_vec({theta[0][l], theta[1][l], theta[2][l],
+                                   theta[3][l], theta[4][l], theta[5][l]});
+  }
 };
 
-// Normalize the moments (add_precomputed's 0.0 + v), eliminate, score,
-// and count the solves.
+// Normalize the moments m (A^T b in m[0..5], b^T b in m[6]) the way
+// add_precomputed does (0.0 + v), eliminate, score, and count the solves.
+// `ata` arrives normalized.  Only the first `active` lanes hold real
+// systems: the solve counters count those, and a batch with idle lanes
+// tallies as tail rather than batched work.
 template <class Tag>
 [[gnu::always_inline]] inline void score_batch(
     const typename simd::LaneTraits<Tag>::Vec (&ata)[21],
-    const typename simd::LaneTraits<Tag>::Vec (&atb)[6],
-    typename simd::LaneTraits<Tag>::Vec btb, ScoredBatch<Tag>& out,
-    VectorLaneTally& tally) {
+    const typename simd::LaneTraits<Tag>::Vec (&m)[7], ScoredBatch<Tag>& out,
+    VectorLaneTally& tally, int active = simd::LaneTraits<Tag>::kLanes) {
   using T = simd::LaneTraits<Tag>;
   using V = typename T::Vec;
   constexpr int N = T::kLanes;
-  const V vzero = T::zero();
-  V atbn[6];
-  for (int r = 0; r < 6; ++r) atbn[r] = T::add(vzero, atb[r]);
-  const V btbn = T::add(vzero, btb);
+  V mn[7];
+  for (int k = 0; k < 7; ++k) mn[k] = T::add(T::zero(), m[k]);
   V a_full[36];
   for (int r = 0; r < 6; ++r)
     for (int c = 0; c < 6; ++c)
       a_full[r * 6 + c] =
           c >= r ? ata[simd::tri21(r, c)] : ata[simd::tri21(c, r)];
   V b_work[6];
-  for (int r = 0; r < 6; ++r) b_work[r] = atbn[r];
-  const auto singular =
-      simd::batch_solve6<Tag>(a_full, b_work, out.theta, 1e-12);
-  const V err = simd::batch_residual6<Tag>(ata, out.theta, atbn, btbn);
+  for (int r = 0; r < 6; ++r) b_work[r] = mn[r];
+  V theta[6];
+  const auto singular = simd::batch_solve6<Tag>(a_full, b_work, theta, 1e-12);
+  const V err = simd::batch_residual6<Tag>(ata, theta, mn, mn[6]);
+  for (int r = 0; r < 6; ++r) T::store(out.theta[r], theta[r]);
 
   out.singular_bits = T::mask_bits(singular);
+  const unsigned live = (1u << active) - 1u;
   auto& counters = linalg::solve_counters();
-  counters.solves6 += N;
-  counters.singular += std::popcount(out.singular_bits);
-  tally.batched_hypotheses += N;
+  counters.solves6 += static_cast<std::uint64_t>(active);
+  counters.singular += std::popcount(out.singular_bits & live);
+  if (active == N)
+    tally.batched_hypotheses += N;
+  else
+    tally.tail_hypotheses += static_cast<std::uint64_t>(active);
   ++tally.batches;
 
   T::store(out.errs, err);
@@ -181,178 +173,226 @@ inline void take_hypothesis(PixelBest& best, int hx, int hy, int ux, int uy,
   best.any_ok = true;
 }
 
-// Winner fold: the horizontal min prefilter rejects a batch that cannot
-// beat the incumbent; otherwise the lanes fold in lane order through the
-// scalar tie-break.  Lane l is hypothesis (lane_hx[l], lane_hy[l]), and
-// flow(hx, hy) gives its center-pixel flow vector.
-template <class Tag, class Flow>
-[[gnu::always_inline]] inline void fold_batch(const ScoredBatch<Tag>& s,
-                                              const int* lane_hx,
-                                              const int* lane_hy, Flow flow,
-                                              PixelBest& best) {
-  using T = simd::LaneTraits<Tag>;
-  constexpr int N = T::kLanes;
-  if (best.any_ok && !(s.min_err <= best.error)) return;
-  double th[6][N];
-  bool extracted = false;
-  for (int l = 0; l < N; ++l) {
-    const int hx = lane_hx[l], hy = lane_hy[l];
-    if (!hypothesis_improves(best, s.errs[l], hx, hy)) continue;
-    const bool ok = (s.singular_bits >> l & 1u) == 0;
-    if (ok && !extracted) {
-      for (int r = 0; r < 6; ++r) T::store(th[r], s.theta[r]);
-      extracted = true;
-    }
-    const auto [ux, uy] = flow(hx, hy);
-    take_hypothesis(best, hx, hy, ux, uy, s.errs[l],
-                    ok ? MotionParams::from_vec({th[0][l], th[1][l], th[2][l],
-                                                 th[3][l], th[4][l], th[5][l]})
-                       : MotionParams{},
-                    ok);
-  }
-}
+// ---- Full search: lanes over center pixels.
 
-// F_semi kernel (VectorKernelArgs::table set).  The semi-fluid remap
-// makes every lane's correspondent an independent gather, so lanes need
-// not be consecutive hx: the segment's hypotheses are flattened in raster
-// order and batched kLanes at a time across hypothesis rows, which keeps
-// the lanes full even when the search is narrower than a vector.  Each
-// lane fills its after-frame normals through the table — the border
-// batch's per-lane clamped gather with M_h(p) added — and from there on
-// runs the F_cont batch's arithmetic: the same MACs in the same template
-// order, the same normalize / eliminate / score, the same winner fold.
-// Hypotheses left over after the last full batch go through the scalar
-// evaluate_hypothesis_remapped.  Kept out of line so that scan_pixel_t,
-// which dispatches here, compiles its F_cont path exactly as before.
-template <class Tag, bool Fma>
-[[gnu::noinline]] void scan_pixel_remapped_t(const VectorKernelArgs& g,
-                                             PixelBest& best,
-                                             VectorLaneTally& tally) {
+// One sched tile's full search (VectorTileArgs).  For each hypothesis, in
+// the scalar hy-outer / hx-inner order:
+//  1. build the seven term planes over the tile plus its template halo —
+//     each template pixel's terms once, not once per covering template —
+//     in lane groups of contiguous pixels, gathering only where p or its
+//     correspondent q needs a clamp (F_cont: q = clamp(p + h); F_semi:
+//     q = clamp(p + h + M_h(p)) through the correspondence table);
+//  2. put one center in each lane and sum its template window out of the
+//     planes in the scalar v-outer / u-inner order, from 0.0;
+//  3. load each lane's own A^T A from the tile's window sums;
+//  4. eliminate and score (score_batch);
+//  5. fold each lane into its center's incumbent.
+// A tile row's last batch may hold fewer than kLanes centers; its idle
+// lanes carry the next (clamped) columns and are discarded.
+template <class Tag>
+void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
+                 VectorLaneTally& tally) {
   using T = simd::LaneTraits<Tag>;
   using V = typename T::Vec;
   constexpr int N = T::kLanes;
 
   const MatchPrecompute& pre = *g.pre;
-  const SemiFluidTable& table = *g.table;
+  const SemiFluidTable* const table = g.table;
   const int w = pre.width();
   const int h = pre.height();
-  const int x = g.x, y = g.y, rx = g.rx, ry = g.ry;
+  const int rx = g.rx, ry = g.ry;
+  const int tw = g.x1 - g.x0;
+  const int th = g.y1 - g.y0;
+  // Center columns rounded up to whole batches; the term planes span
+  // their template halo, rounded up to whole lane groups for the build.
+  const int cw = (tw + N - 1) / N * N;
+  const int hw = (cw + 2 * rx + N - 1) / N * N;
+  const int hh = th + 2 * ry;
+  const std::size_t term_plane = static_cast<std::size_t>(hw) * hh;
+  const std::size_t ata_plane = static_cast<std::size_t>(cw) * th;
+  std::vector<double> scratch(7 * term_plane + 21 * ata_plane);
+  double* const terms = scratch.data();
+  double* const ata_sums = terms + 7 * term_plane;
+
+  // Every center's A^T A window sum, hypothesis-invariant: the 21 tile
+  // planes summed over its template in accumulate_window's order, stored
+  // by center so a batch loads its lanes' sums contiguously.
+  for (int cy = 0; cy < th; ++cy) {
+    const int y = g.y0 + cy;
+    for (int c0 = 0; c0 < cw; c0 += N) {
+      const int xa = g.x0 + c0;  // lane 0's center column
+      const bool contiguous = xa - rx >= 0 && xa + N - 1 + rx < w;
+      for (int k = 0; k < 21; ++k) {
+        const double* const t = pre.plane(MatchPrecompute::kTile0 + k);
+        V acc = T::zero();
+        for (int v = -ry; v <= ry; ++v) {
+          const double* const row =
+              t + static_cast<std::size_t>(std::clamp(y + v, 0, h - 1)) * w;
+          if (contiguous) {
+            for (int u = -rx; u <= rx; ++u)
+              acc = T::add(acc, T::load(row + xa + u));
+          } else {
+            for (int u = -rx; u <= rx; ++u)
+              acc = T::add(acc, load_clamped<Tag>(row, xa + u, w));
+          }
+        }
+        T::store(ata_sums + k * ata_plane + static_cast<std::size_t>(cy) * cw +
+                     c0,
+                 acc);
+      }
+    }
+  }
 
   const TemplatePlanes planes(pre);
   const float* const a_ni = g.after->ni.data();
   const float* const a_nj = g.after->nj.data();
   const float* const a_nk = g.after->nk.data();
-  // Table entries are addressed as pixel offset + lane offset from the
-  // segment's first entry.
-  const std::uint8_t* const codes0 = table.codes(0, 0, table.hy_min());
-  const auto flow = [&](int hx, int hy) { return table.offset(x, y, hx, hy); };
+  const int code_stride = table != nullptr ? 2 * table->hx_radius() + 1 : 0;
 
-  const V vzero = T::zero();
-  V ata[21];
-  broadcast_ata<Tag>(g.win->ata, ata);
-
-  // Deep-interior pixels: no template pixel and no correspondent
-  // p + h + M_h(p) can leave the frame, so the gather needs no clamps and
-  // a correspondent's flat index is pixel + hypothesis + window offsets.
-  const int nss = table.nss();
-  const bool interior =
-      x - rx + std::min(g.hx_min - nss, 0) >= 0 &&
-      x + rx + std::max(g.hx_max + nss, 0) < w &&
-      y - ry + std::min(g.hy_min - nss, 0) >= 0 &&
-      y + ry + std::max(g.hy_max + nss, 0) < h;
-  std::ptrdiff_t code_step[256];
-  for (int c = 0; c < (2 * nss + 1) * (2 * nss + 1); ++c)
-    code_step[c] = static_cast<std::ptrdiff_t>(table.code_dy(
-                       static_cast<std::uint8_t>(c))) * w +
-                   table.code_dx(static_cast<std::uint8_t>(c));
-
-  const int nhx = g.hx_max - g.hx_min + 1;
-  const int count = nhx * (g.hy_max - g.hy_min + 1);
-  int k0 = 0;
-  for (; k0 + N <= count; k0 += N) {
-    int lane_hx[N], lane_hy[N];
-    std::ptrdiff_t lane_code[N], lane_step[N];
-    for (int l = 0; l < N; ++l) {
-      lane_hx[l] = g.hx_min + (k0 + l) % nhx;
-      lane_hy[l] = g.hy_min + (k0 + l) / nhx;
-      lane_code[l] = (table.codes(0, 0, lane_hy[l]) - codes0) + lane_hx[l] +
-                     table.hx_radius();
-      lane_step[l] = static_cast<std::ptrdiff_t>(lane_hy[l]) * w + lane_hx[l];
-    }
-    V atb[6] = {vzero, vzero, vzero, vzero, vzero, vzero};
-    V btb = vzero;
-    for (int v = -ry; v <= ry; ++v) {
-      const int py = std::clamp(y + v, 0, h - 1);
-      const std::size_t off = static_cast<std::size_t>(py) * w;
-      for (int u = -rx; u <= rx; ++u) {
-        const int px = std::clamp(x + u, 0, w - 1);
-        const std::uint8_t* const pix_codes =
-            table.codes(px, py, table.hy_min());
-        float gi[N], gj[N], gk[N];
-        if (interior) {
-          const float* const ci = a_ni + off + px;
-          const float* const cj = a_nj + off + px;
-          const float* const ck = a_nk + off + px;
-          for (int l = 0; l < N; ++l) {
-            const std::ptrdiff_t q =
-                lane_step[l] + code_step[pix_codes[lane_code[l]]];
-            gi[l] = ci[q];
-            gj[l] = cj[q];
-            gk[l] = ck[q];
+  for (int hy = g.hy_min; hy <= g.hy_max; ++hy) {
+    for (int hx = g.hx_min; hx <= g.hx_max; ++hx) {
+      // 1. Term planes.  Term row r, column j is template pixel
+      // p = clamp(x0 - rx + j, y0 - ry + r).
+      for (int r = 0; r < hh; ++r) {
+        const int py = std::clamp(g.y0 - ry + r, 0, h - 1);
+        const std::size_t off = static_cast<std::size_t>(py) * w;
+        const std::size_t q_row =
+            static_cast<std::size_t>(std::clamp(py + hy, 0, h - 1)) * w;
+        const std::uint8_t* const codes =
+            table != nullptr
+                ? table->codes(0, py, hy) + hx + table->hx_radius()
+                : nullptr;
+        double* const out = terms + static_cast<std::size_t>(r) * hw;
+        for (int c0 = 0; c0 < hw; c0 += N) {
+          const int xa = g.x0 - rx + c0;  // lane 0's template pixel column
+          const bool p_in = xa >= 0 && xa + N - 1 < w;
+          V oi, oj, ok;
+          if (table == nullptr && p_in && xa + hx >= 0 && xa + hx + N - 1 < w) {
+            oi = T::load_f32(a_ni + q_row + xa + hx);
+            oj = T::load_f32(a_nj + q_row + xa + hx);
+            ok = T::load_f32(a_nk + q_row + xa + hx);
+          } else {
+            float gi[N], gj[N], gk[N];
+            for (int l = 0; l < N; ++l) {
+              const int px = std::clamp(xa + l, 0, w - 1);
+              std::size_t q;
+              if (table == nullptr) {
+                q = q_row + std::clamp(px + hx, 0, w - 1);
+              } else {
+                const std::uint8_t c = codes[px * code_stride];
+                q = static_cast<std::size_t>(
+                        std::clamp(py + hy + table->code_dy(c), 0, h - 1)) *
+                        w +
+                    std::clamp(px + hx + table->code_dx(c), 0, w - 1);
+              }
+              gi[l] = a_ni[q];
+              gj[l] = a_nj[q];
+              gk[l] = a_nk[q];
+            }
+            oi = T::load_f32(gi);
+            oj = T::load_f32(gj);
+            ok = T::load_f32(gk);
           }
-        } else {
-          for (int l = 0; l < N; ++l) {
-            const std::uint8_t c = pix_codes[lane_code[l]];
-            const int qx =
-                std::clamp(px + lane_hx[l] + table.code_dx(c), 0, w - 1);
-            const int qy =
-                std::clamp(py + lane_hy[l] + table.code_dy(c), 0, h - 1);
-            const std::size_t q = static_cast<std::size_t>(qy) * w + qx;
-            gi[l] = a_ni[q];
-            gj[l] = a_nj[q];
-            gk[l] = a_nk[q];
+          V t[7];
+          if (p_in) {
+            template_terms<Tag>(
+                planes,
+                [&](const double* plane) { return T::load(plane + off + xa); },
+                oi, oj, ok, t);
+          } else {
+            template_terms<Tag>(
+                planes,
+                [&](const double* plane) {
+                  return load_clamped<Tag>(plane + off, xa, w);
+                },
+                oi, oj, ok, t);
+          }
+          for (int k = 0; k < 7; ++k) T::store(out + k * term_plane + c0, t[k]);
+        }
+      }
+
+      // 2-5. One batch per kLanes centers of a tile row.
+      for (int cy = 0; cy < th; ++cy) {
+        const int y = g.y0 + cy;
+        PixelBest* const row_best = best + static_cast<std::size_t>(y) * w;
+        for (int c0 = 0; c0 < tw; c0 += N) {
+          V m[7];
+          for (int k = 0; k < 7; ++k) m[k] = T::zero();
+          for (int v = 0; v <= 2 * ry; ++v) {
+            const double* const src =
+                terms + static_cast<std::size_t>(cy + v) * hw + c0;
+            for (int u = 0; u <= 2 * rx; ++u)
+              for (int k = 0; k < 7; ++k)
+                m[k] = T::add(m[k], T::load(src + k * term_plane + u));
+          }
+          V ata[21];
+          const double* const sums =
+              ata_sums + static_cast<std::size_t>(cy) * cw + c0;
+          for (int k = 0; k < 21; ++k)
+            ata[k] = T::add(T::zero(), T::load(sums + k * ata_plane));
+
+          const int active = std::min(N, tw - c0);
+          ScoredBatch<Tag> scored;
+          score_batch<Tag>(ata, m, scored, tally, active);
+
+          for (int l = 0; l < active; ++l) {
+            const int x = g.x0 + c0 + l;
+            PixelBest& b = row_best[x];
+            const double err = scored.errs[l];
+            // hypothesis_improves' first rejection, inline.
+            if (b.any_ok && err > b.error) continue;
+            if (!hypothesis_improves(b, err, hx, hy)) continue;
+            const auto [ux, uy] = table != nullptr
+                                      ? table->offset(x, y, hx, hy)
+                                      : std::pair<int, int>{hx, hy};
+            take_hypothesis(b, hx, hy, ux, uy, err, scored.params(l),
+                            (scored.singular_bits >> l & 1u) == 0);
           }
         }
-        accumulate_template_pixel<Tag, Fma>(planes, off + px, T::load_f32(gi),
-                                            T::load_f32(gj), T::load_f32(gk),
-                                            atb, btb);
       }
-    }
-
-    ScoredBatch<Tag> scored;
-    score_batch<Tag>(ata, atb, btb, scored, tally);
-    fold_batch<Tag>(scored, lane_hx, lane_hy, flow, best);
-  }
-
-  for (; k0 < count; ++k0) {
-    const int hx = g.hx_min + k0 % nhx;
-    const int hy = g.hy_min + k0 / nhx;
-    MotionParams params;
-    bool ok = false;
-    ++tally.tail_hypotheses;
-    const double error = evaluate_hypothesis_remapped(
-        pre, *g.after, *g.win, table, x, y, hx, hy, rx, ry, params, ok);
-    if (hypothesis_improves(best, error, hx, hy)) {
-      const auto [ux, uy] = flow(hx, hy);
-      take_hypothesis(best, hx, hy, ux, uy, error, params, ok);
     }
   }
 }
 
-// Fma=false is the default bit-exact kernel (mul-then-add everywhere,
-// matching the scalar path under -ffp-contract=off).  Fma=true is the
-// tolerance-gated fast profile (SmaConfig::fast_math): the template
-// window's A^T b / b^T b MACs go through LaneTraits::mul_add, which
-// fuses where the ISA can.  Everything else — elimination, residual,
-// winner fold — is shared, so the fast profile differs from the exact
-// one only by the rounding of the fused accumulations.
-template <class Tag, bool Fma = false>
+// ---- Pruned search: lanes over one pixel's hypotheses.
+
+// The pixel's A^T A window sum, normalized exactly as
+// NormalEquations6::add_precomputed leaves it (0.0 + v) and broadcast:
+// every lane shares the same before-frame matrix.
+template <class Tag>
+[[gnu::always_inline]] inline void broadcast_ata(
+    const double* ata21, typename simd::LaneTraits<Tag>::Vec (&ata)[21]) {
+  using T = simd::LaneTraits<Tag>;
+  for (int k = 0; k < 21; ++k)
+    ata[k] = T::add(T::zero(), T::broadcast(ata21[k]));
+}
+
+// Winner fold of a batch of consecutive hypotheses hx0 + l of row hy:
+// the horizontal min prefilter rejects a batch that cannot beat the
+// incumbent; otherwise the lanes fold in lane order through the scalar
+// tie-break.
+template <class Tag>
+[[gnu::always_inline]] inline void fold_batch(const ScoredBatch<Tag>& s,
+                                              int hx0, int hy,
+                                              PixelBest& best) {
+  if (best.any_ok && !(s.min_err <= best.error)) return;
+  for (int l = 0; l < simd::LaneTraits<Tag>::kLanes; ++l) {
+    const int hx = hx0 + l;
+    if (!hypothesis_improves(best, s.errs[l], hx, hy)) continue;
+    take_hypothesis(best, hx, hy, hx, hy, s.errs[l], s.params(l),
+                    (s.singular_bits >> l & 1u) == 0);
+  }
+}
+
+// One pixel's (pruned) search window, F_cont correspondents: batches of
+// kLanes consecutive hx hypotheses (same hy), each lane accumulating its
+// own A^T b / b^T b in the scalar template order; widths that are not a
+// lane multiple finish on the scalar evaluators.  With
+// VectorKernelArgs::win_prefix set, each batch checkpoints the
+// half-template lower bound (match_prune.hpp).
+template <class Tag>
 void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
                   VectorLaneTally& tally) {
-  if (g.table != nullptr) {
-    scan_pixel_remapped_t<Tag, Fma>(g, best, tally);
-    return;
-  }
   using T = simd::LaneTraits<Tag>;
   using V = typename T::Vec;
   constexpr int N = T::kLanes;
@@ -364,8 +404,6 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
   const int x = g.x, y = g.y, rx = g.rx, ry = g.ry;
 
   const TemplatePlanes planes(pre);
-  // F_cont's flow vector is the hypothesis itself.
-  const auto flow = [](int hx, int hy) { return std::pair<int, int>{hx, hy}; };
 
   const V vzero = T::zero();
   V ata[21];
@@ -386,8 +424,7 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
       // ---- Batched A^T b / b^T b over the template window: lane l is
       // hypothesis hx0 + l.  Same v-outer / u-inner order and the same
       // association order per MAC as the scalar evaluator.
-      V atb[6] = {vzero, vzero, vzero, vzero, vzero, vzero};
-      V btb = vzero;
+      V m[7] = {vzero, vzero, vzero, vzero, vzero, vzero, vzero};
       bool abandoned = false;
       bool checked = false;
       double batch_bound = 0.0;
@@ -403,12 +440,10 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
           // abandon the WHOLE batch when even the best lane provably
           // cannot beat the incumbent.  The prefix moments go through
           // the same 0.0 + v normalization as the scalar bound path;
-          // the running atb/btb accumulators are left untouched.
-          V patb[6];
-          for (int r = 0; r < 6; ++r) patb[r] = T::add(vzero, atb[r]);
-          const V pbtb = T::add(vzero, btb);
-          const V bound =
-              simd::batch_bound6<Tag>(pre_ata, patb, pbtb, 1e-12);
+          // the running moments are left untouched.
+          V pm[7];
+          for (int k = 0; k < 7; ++k) pm[k] = T::add(vzero, m[k]);
+          const V bound = simd::batch_bound6<Tag>(pre_ata, pm, pm[6], 1e-12);
           double bounds[N];
           T::store(bounds, bound);
           double min_bound = bounds[0];
@@ -451,27 +486,26 @@ void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
             oj = T::load_f32(gj);
             ok = T::load_f32(gk);
           }
-          accumulate_template_pixel<Tag, Fma>(planes, off + px, oi, oj, ok,
-                                              atb, btb);
+          V t[7];
+          template_terms<Tag>(
+              planes,
+              [&](const double* plane) { return T::broadcast(plane[off + px]); },
+              oi, oj, ok, t);
+          for (int k = 0; k < 7; ++k) m[k] = T::add(m[k], t[k]);
         }
       }
 
       if (abandoned) continue;
 
       ScoredBatch<Tag> scored;
-      score_batch<Tag>(ata, atb, btb, scored, tally);
+      score_batch<Tag>(ata, m, scored, tally);
       // Bound tightness over the completed batch, in hypothesis units:
       // ratio of the batch's best bound to its best realized error.
       if (checked && std::isfinite(scored.min_err) && scored.min_err > 0.0)
         tally.bound_tightness_sum +=
             static_cast<double>(N) *
             std::min(1.0, std::max(0.0, batch_bound) / scored.min_err);
-      int lane_hx[N], lane_hy[N];
-      for (int l = 0; l < N; ++l) {
-        lane_hx[l] = hx0 + l;
-        lane_hy[l] = hy;
-      }
-      fold_batch<Tag>(scored, lane_hx, lane_hy, flow, best);
+      fold_batch<Tag>(scored, hx0, hy, best);
     }
 
     // ---- Scalar tail: search widths that are not a lane multiple.  In

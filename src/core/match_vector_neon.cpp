@@ -1,4 +1,4 @@
-// NEON (AArch64) instantiation of the hypothesis-batched kernel.
+// NEON (AArch64) instantiation of the lane-batched kernels.
 // Advanced SIMD is architectural on AArch64, so no extra target flags.
 #include "core/match_vector_impl.hpp"
 
@@ -8,14 +8,14 @@
 
 namespace sma::core {
 
+void scan_tile_neon(const VectorTileArgs& g, PixelBest* best,
+                    VectorLaneTally& tally) {
+  detail::scan_tile_t<simd::NeonTag>(g, best, tally);
+}
+
 void scan_pixel_neon(const VectorKernelArgs& g, PixelBest& best,
                      VectorLaneTally& tally) {
   detail::scan_pixel_t<simd::NeonTag>(g, best, tally);
-}
-
-void scan_pixel_neon_fma(const VectorKernelArgs& g, PixelBest& best,
-                         VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::NeonTag, /*Fma=*/true>(g, best, tally);
 }
 
 void batch_solve6_neon(const double* a, const double* b, double* x,

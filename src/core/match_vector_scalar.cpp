@@ -1,18 +1,18 @@
-// Scalar-lane instantiation of the hypothesis-batched kernel: the
+// Scalar-lane instantiation of the lane-batched kernels: the
 // portable fallback (and the -DSMA_SIMD=OFF build's only kernel).
 // Compiled with the default target flags.
 #include "core/match_vector_impl.hpp"
 
 namespace sma::core {
 
+void scan_tile_scalar(const VectorTileArgs& g, PixelBest* best,
+                      VectorLaneTally& tally) {
+  detail::scan_tile_t<simd::ScalarTag>(g, best, tally);
+}
+
 void scan_pixel_scalar(const VectorKernelArgs& g, PixelBest& best,
                        VectorLaneTally& tally) {
   detail::scan_pixel_t<simd::ScalarTag>(g, best, tally);
-}
-
-void scan_pixel_scalar_fma(const VectorKernelArgs& g, PixelBest& best,
-                           VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::ScalarTag, /*Fma=*/true>(g, best, tally);
 }
 
 void batch_solve6_scalar(const double* a, const double* b, double* x,

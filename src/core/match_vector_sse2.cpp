@@ -1,4 +1,4 @@
-// SSE2 instantiation of the hypothesis-batched kernel.  SSE2 is the
+// SSE2 instantiation of the lane-batched kernels.  SSE2 is the
 // x86-64 architectural baseline, so this TU needs no extra target
 // flags; it exists as the two-lane fallback for pre-AVX2 hosts.
 #include "core/match_vector_impl.hpp"
@@ -9,14 +9,14 @@
 
 namespace sma::core {
 
+void scan_tile_sse2(const VectorTileArgs& g, PixelBest* best,
+                    VectorLaneTally& tally) {
+  detail::scan_tile_t<simd::Sse2Tag>(g, best, tally);
+}
+
 void scan_pixel_sse2(const VectorKernelArgs& g, PixelBest& best,
                      VectorLaneTally& tally) {
   detail::scan_pixel_t<simd::Sse2Tag>(g, best, tally);
-}
-
-void scan_pixel_sse2_fma(const VectorKernelArgs& g, PixelBest& best,
-                         VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::Sse2Tag, /*Fma=*/true>(g, best, tally);
 }
 
 void batch_solve6_sse2(const double* a, const double* b, double* x,

@@ -15,9 +15,8 @@
 //  * "tiled"      — the same staged kernels over cache-blocked pixel
 //    tiles on the shared work-stealing pool (sched/scheduler.hpp);
 //    bit-identical output.  "openmp" is a retired alias of it.
-//  * "vector"     — SIMD lanes over search hypotheses inside the pool's
-//    tiles (core/match_vector.hpp); bit-identical output on every lane
-//    ISA.
+//  * "vector"     — SIMD lanes over each pool tile's pixels
+//    (core/match_vector.hpp); bit-identical output on every lane ISA.
 //  * "maspar-sim" — the MasPar SIMD executor (maspar/backend.hpp) driving
 //    the same per-pixel kernels layer by layer.
 // ExecutionPolicy survives as the legacy selector for the first two.

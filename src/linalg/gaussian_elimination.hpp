@@ -35,8 +35,8 @@ struct SolveCounters {
   std::uint64_t singular = 0;      ///< systems reported singular
 };
 
-/// Returns a mutable reference to this thread's counters.  Each OpenMP
-/// worker accumulates privately; harnesses sum via `collect_solve_counters`.
+/// Returns a mutable reference to this thread's counters.  Each worker
+/// thread accumulates privately; harnesses sum via `collect_solve_counters`.
 SolveCounters& solve_counters();
 
 /// Reset this thread's counters to zero.

@@ -267,6 +267,27 @@ SchedStats ThreadPool::stats() const {
   return s;
 }
 
+void for_each_row(int rows, int cols, bool parallel,
+                  const std::function<void(int y)>& row) {
+  // About four bands per worker for stealing slack, but none smaller
+  // than kMinBandPixels.  Frames under two bands, such as 64x64, run
+  // inline; a few bands are rounded down to equal shares per worker.
+  long long bands = 1LL * rows * cols / kMinBandPixels;
+  if (!parallel || bands < 2) {
+    for (int y = 0; y < rows; ++y) row(y);
+    return;
+  }
+  ThreadPool& pool = ThreadPool::shared();
+  const long long workers = std::max(pool.threads(), 1);
+  bands = std::min(bands, 4 * workers);
+  if (bands > workers) bands -= bands % workers;
+  const int band = static_cast<int>((rows + bands - 1) / bands);
+  pool.run(make_tiles(1, rows, TileShape{1, band}),
+           [&](const Tile& tile, std::size_t) {
+             for (int y = tile.y0; y < tile.y1; ++y) row(y);
+           });
+}
+
 void ThreadPool::reset_stats() {
   batches_.store(0, std::memory_order_relaxed);
   tiles_.store(0, std::memory_order_relaxed);

@@ -133,4 +133,22 @@ class ThreadPool {
   std::atomic<int> max_busy_{0};
 };
 
+/// Smallest row band, in pixels, that for_each_row hands to the pool: a
+/// band must outweigh the pool round trip (about 25 us for an empty
+/// two-worker batch on a 4-core AVX-512 host, where the cheapest pass,
+/// geometric variables, takes about 10 ns a pixel).
+inline constexpr long long kMinBandPixels = 4096;
+
+/// Calls row(y) once for every y in [0, rows) of a rows x cols frame.
+/// With `parallel` and at least two kMinBandPixels bands of pixels, the
+/// rows run as one batch of row bands on the shared pool (inline when
+/// called from inside a tile), so row(y) must write only row y's
+/// outputs; otherwise they run on the caller in order.  The per-frame
+/// passes (surface fit, geometric variables, match precompute) use this
+/// instead of OpenMP teams: they stay inside the pool's thread budget,
+/// no team thread is left spin-waiting after a pass returns, and small
+/// frames pay no cross-thread hand-off at all.
+void for_each_row(int rows, int cols, bool parallel,
+                  const std::function<void(int y)>& row);
+
 }  // namespace sma::sched

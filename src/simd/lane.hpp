@@ -11,17 +11,12 @@
 // counterparts), so a kernel written against the traits produces
 // bit-identical per-lane results on every implementation.  That is the
 // foundation of the `vector` TrackerBackend's equivalence contract: a
-// lane is one search hypothesis, and each lane's accumulation order is
-// the same as the scalar reference's.
+// lane is one pixel (or, in pruned search, one hypothesis), and each
+// lane's accumulation order is the same as the scalar reference's.
 //
 // Rules a traits implementation must obey:
-//  * No fused multiply-add in the exact ops: callers spell mul-then-add
-//    so the compiled code matches the scalar path built with
-//    -ffp-contract=off.  The ONE exception is mul_add(), the explicit
-//    opt-in for the tolerance-gated fast profile (SmaConfig::fast_math):
-//    it fuses where the ISA can (scalar std::fma, AVX2 vfmadd, NEON
-//    vfma) and falls back to mul-then-add where it cannot (plain SSE2).
-//    Kernels must never call it on the default bit-exact path.
+//  * No fused multiply-add: callers spell mul-then-add so the compiled
+//    code matches the scalar path built with -ffp-contract=off.
 //  * Masks are full-width per-lane bit patterns; select() is bitwise
 //    (NaN/±0 payloads survive exactly).
 //  * Comparisons are ordered and non-signaling (NaN compares false).
@@ -118,11 +113,6 @@ struct LaneTraits<ScalarTag> {
     for (int l = 0; l < kLanes; ++l) a.v[l] = std::fabs(a.v[l]);
     return a;
   }
-  /// a*b + c, fused (fast profile only — see the header rules).
-  static Vec mul_add(Vec a, Vec b, Vec c) {
-    for (int l = 0; l < kLanes; ++l) c.v[l] = std::fma(a.v[l], b.v[l], c.v[l]);
-    return c;
-  }
 
   static Mask cmp_gt(Vec a, Vec b) {
     Mask m;
@@ -186,15 +176,6 @@ struct LaneTraits<Sse2Tag> {
   static Vec abs(Vec a) {
     return _mm_andnot_pd(_mm_set1_pd(-0.0), a);
   }
-  /// Plain SSE2 has no FMA instruction; the "fast" profile degrades to
-  /// the exact mul-then-add here (still within the tolerance contract).
-  static Vec mul_add(Vec a, Vec b, Vec c) {
-#if defined(__FMA__)
-    return _mm_fmadd_pd(a, b, c);
-#else
-    return _mm_add_pd(c, _mm_mul_pd(a, b));
-#endif
-  }
 
   static Mask cmp_gt(Vec a, Vec b) { return _mm_cmpgt_pd(a, b); }
   static Mask cmp_lt(Vec a, Vec b) { return _mm_cmplt_pd(a, b); }
@@ -235,15 +216,6 @@ struct LaneTraits<Avx2Tag> {
   static Vec div(Vec a, Vec b) { return _mm256_div_pd(a, b); }
   static Vec abs(Vec a) {
     return _mm256_andnot_pd(_mm256_set1_pd(-0.0), a);
-  }
-  /// a*b + c, fused (fast profile only).  The AVX2 kernel TU is built
-  /// with -mfma precisely for this intrinsic.
-  static Vec mul_add(Vec a, Vec b, Vec c) {
-#if defined(__FMA__)
-    return _mm256_fmadd_pd(a, b, c);
-#else
-    return _mm256_add_pd(c, _mm256_mul_pd(a, b));
-#endif
   }
 
   static Mask cmp_gt(Vec a, Vec b) {
@@ -294,10 +266,6 @@ struct LaneTraits<Avx512Tag> {
   static Vec mul(Vec a, Vec b) { return _mm512_mul_pd(a, b); }
   static Vec div(Vec a, Vec b) { return _mm512_div_pd(a, b); }
   static Vec abs(Vec a) { return _mm512_abs_pd(a); }
-  /// a*b + c, fused (fast profile only).  Every AVX-512F part has FMA.
-  static Vec mul_add(Vec a, Vec b, Vec c) {
-    return _mm512_fmadd_pd(a, b, c);
-  }
 
   static Mask cmp_gt(Vec a, Vec b) {
     return _mm512_cmp_pd_mask(a, b, _CMP_GT_OQ);
@@ -343,8 +311,6 @@ struct LaneTraits<NeonTag> {
   static Vec mul(Vec a, Vec b) { return vmulq_f64(a, b); }
   static Vec div(Vec a, Vec b) { return vdivq_f64(a, b); }
   static Vec abs(Vec a) { return vabsq_f64(a); }
-  /// a*b + c, fused (fast profile only).
-  static Vec mul_add(Vec a, Vec b, Vec c) { return vfmaq_f64(c, a, b); }
 
   static Mask cmp_gt(Vec a, Vec b) { return vcgtq_f64(a, b); }
   static Mask cmp_lt(Vec a, Vec b) { return vcltq_f64(a, b); }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "sched/scheduler.hpp"
+
 namespace sma::surface {
 
 PointGeometry point_geometry(const QuadraticPatch& p) {
@@ -49,10 +51,10 @@ DerivativeField fit_derivatives(const imaging::ImageF& img,
                        store_derivatives(f, x, y, p);
                      });
   } else {
-#pragma omp parallel for schedule(static) if (opts.parallel)
-    for (int y = 0; y < h; ++y)
+    sched::for_each_row(h, w, opts.parallel, [&](int y) {
       for (int x = 0; x < w; ++x)
         store_derivatives(f, x, y, fit_patch(img, x, y, opts.patch_radius));
+    });
   }
   return f;
 }
@@ -70,8 +72,7 @@ GeometricField derive_geometry(const DerivativeField& d, bool parallel) {
   g.gg = imaging::ImageF(w, h);
   g.disc = imaging::ImageF(w, h);
 
-#pragma omp parallel for schedule(static) if (parallel)
-  for (int y = 0; y < h; ++y)
+  sched::for_each_row(h, w, parallel, [&](int y) {
     for (int x = 0; x < w; ++x) {
       const double zx = d.zx.at(x, y);
       const double zy = d.zy.at(x, y);
@@ -85,6 +86,7 @@ GeometricField derive_geometry(const DerivativeField& d, bool parallel) {
           static_cast<double>(d.zxx.at(x, y)) * d.zyy.at(x, y) -
           static_cast<double>(d.zxy.at(x, y)) * d.zxy.at(x, y));
     }
+  });
   return g;
 }
 

@@ -16,6 +16,7 @@
 
 #include "imaging/image.hpp"
 #include "linalg/matrix.hpp"
+#include "sched/scheduler.hpp"
 
 namespace sma::surface {
 
@@ -82,8 +83,7 @@ class PatchFitter {
     const std::size_t npix =
         static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
     std::vector<double> h0(npix), h1(npix), h2(npix);
-#pragma omp parallel for schedule(static) if (parallel)
-    for (int y = 0; y < h; ++y) {
+    sched::for_each_row(h, w, parallel, [&](int y) {
       const std::size_t row = static_cast<std::size_t>(y) * w;
       for (int x = 0; x < w; ++x) {
         double m0 = 0.0, m1 = 0.0, m2 = 0.0;
@@ -97,9 +97,8 @@ class PatchFitter {
         h1[row + x] = m1;
         h2[row + x] = m2;
       }
-    }
-#pragma omp parallel for schedule(static) if (parallel)
-    for (int y = 0; y < h; ++y)
+    });
+    sched::for_each_row(h, w, parallel, [&](int y) {
       for (int x = 0; x < w; ++x) {
         double s00 = 0.0, s10 = 0.0, s01 = 0.0;
         double s20 = 0.0, s11 = 0.0, s02 = 0.0;
@@ -126,6 +125,7 @@ class PatchFitter {
         p.ok = true;
         emit(x, y, p);
       }
+    });
   }
 
  private:

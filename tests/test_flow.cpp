@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <sstream>
+#include <string>
 
 #include "helpers.hpp"
 
@@ -114,6 +119,37 @@ TEST(FlowText, StrideSubsamples) {
   int rows = 0;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, 1 + 4);  // header + 2x2 samples
+}
+
+// The text format is printf's "%g" for every number (CLI files and
+// served payloads are compared byte for byte), including the values
+// where %g switches notation, trims zeros or spells a special value.
+TEST(FlowText, NumbersArePrintfG) {
+  const float values[] = {0.0f,     -0.0f,    1.0f,       -1.5f,
+                          0.125f,   1e-4f,    9.99999e-5f, 123456.0f,
+                          1234567.0f, 1.0f / 3.0f, 1e-38f, 1e-45f,
+                          3.4e38f,  std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()};
+  const int n = static_cast<int>(std::size(values));
+  FlowField f(n, 1);
+  for (int x = 0; x < n; ++x)
+    f.set(x, 0,
+          FlowVector{values[x], -values[x], values[(x + 1) % n],
+                     static_cast<std::uint8_t>(x % 2)});
+  std::ostringstream out;
+  write_flow_text(f, out);
+  std::string expected = "# width " + std::to_string(n) +
+                         " height 1 stride 1\n";
+  char line[128];
+  for (int x = 0; x < n; ++x) {
+    const FlowVector v = f.at(x, 0);
+    std::snprintf(line, sizeof(line), "%d %d %g %g %g %d\n", x, 0,
+                  static_cast<double>(v.u), static_cast<double>(v.v),
+                  static_cast<double>(v.error), static_cast<int>(v.valid));
+    expected += line;
+  }
+  EXPECT_EQ(out.str(), expected);
 }
 
 TEST(FlowText, MissingFileThrows) {

@@ -9,7 +9,8 @@
 //     stress test the TSan CI job runs); ThreadPool::run() executes
 //     every tile exactly once, honors the max_executors budget, runs
 //     nested submissions inline instead of deadlocking, and propagates
-//     exceptions.
+//     exceptions; for_each_row() visits every row once and leaves
+//     small frames off the pool.
 //  3. Determinism: the tiled backend's FlowField is BIT-IDENTICAL to
 //     the sequential reference at every thread count and tile shape —
 //     including degenerate skewed shapes that force heavy stealing —
@@ -21,6 +22,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -247,6 +249,28 @@ TEST(ThreadPool, ResizeChangesWidth) {
   });
   EXPECT_EQ(count.load(), static_cast<int>(tiles.size()));
   EXPECT_EQ(pool.stats().threads, 3);
+}
+
+TEST(ThreadPool, ForEachRowVisitsEachRowOnceAndPoolsOnlyLargeFrames) {
+  ThreadPool& pool = ThreadPool::shared();
+  // 48x48 is under two kMinBandPixels bands and runs inline; 300x64 is
+  // four bands and is one pool batch.
+  for (const auto& [rows, cols] : {std::pair{48, 48}, std::pair{300, 64}}) {
+    for (const bool parallel : {false, true}) {
+      std::vector<std::atomic<int>> hits(static_cast<std::size_t>(rows));
+      for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+      const std::uint64_t before = pool.stats().batches;
+      for_each_row(rows, cols, parallel, [&](int y) {
+        hits[static_cast<std::size_t>(y)].fetch_add(1,
+                                                     std::memory_order_relaxed);
+      });
+      for (int y = 0; y < rows; ++y)
+        ASSERT_EQ(hits[static_cast<std::size_t>(y)].load(), 1) << "row " << y;
+      const bool pooled = parallel && 1LL * rows * cols >= 2 * kMinBandPixels;
+      EXPECT_EQ(pool.stats().batches - before, pooled ? 1u : 0u)
+          << rows << "x" << cols << " parallel=" << parallel;
+    }
+  }
 }
 
 TEST(ThreadPool, DefaultThreadsHonorsEnvOverride) {

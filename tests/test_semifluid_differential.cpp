@@ -1,16 +1,19 @@
-// test_semifluid_differential.cpp — F_semi bit-identity over generated
-// configurations.
+// test_semifluid_differential.cpp — F_semi and F_cont bit-identity over
+// generated configurations.
 //
-// A seeded generator draws template/search radii (square and
-// rectangular), N_ss / N_sT, odd frame sizes including frames smaller
-// than the template + search halo, segment heights and sub-pixel
-// refinement.  Every case runs the naive oracle — sequential, precompute
-// off, use_precomputed_mapping off, so every template pixel is remapped
-// on the fly by semifluid_match — and asserts that every execution path
-// reproduces its flow bit for bit: sequential and tiled with the
-// correspondence table, vector at every
-// compiled SIMD level (selected through SMA_SIMD_LEVEL), maspar-sim, and
-// the thread caps {1, 4} with generated tile shapes.
+// A seeded generator draws the motion model, template/search radii
+// (square and rectangular), N_ss / N_sT, odd frame sizes including
+// frames smaller than the template + search halo, segment heights,
+// sub-pixel refinement and tile shapes — tile widths 1..20, so tiles
+// narrower than, equal to and wider than every lane count occur.  Every
+// case runs the naive oracle — sequential, precompute off,
+// use_precomputed_mapping off, so every F_semi template pixel is
+// remapped on the fly by semifluid_match — and asserts that every
+// execution path reproduces its flow bit for bit: sequential and tiled
+// (with the correspondence table for F_semi), vector at every compiled
+// SIMD level (selected through SMA_SIMD_LEVEL), maspar-sim, and the
+// thread caps {1, 4}.  Every vector run must also account for the whole
+// search: batched + tail hypotheses = pixels x search hypotheses.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -39,7 +42,8 @@ struct GeneratedCase {
 
   std::string describe() const {
     std::ostringstream os;
-    os << w << "x" << h << " search " << config.z_search_radius << "/"
+    os << (config.model == MotionModel::kSemiFluid ? "semi " : "cont ") << w
+       << "x" << h << " search " << config.z_search_radius << "/"
        << config.z_search_radius_y << " template " << config.z_template_radius
        << "/" << config.z_template_radius_y << " nss "
        << config.semifluid_search_radius << " nst "
@@ -56,7 +60,8 @@ GeneratedCase generate(std::mt19937& rng) {
   };
   GeneratedCase c;
   SmaConfig& cfg = c.config;
-  cfg.model = MotionModel::kSemiFluid;
+  cfg.model = pick(0, 1) == 0 ? MotionModel::kContinuous
+                              : MotionModel::kSemiFluid;
   cfg.surface_fit_radius = pick(1, 2);
   cfg.z_search_radius = pick(0, 2);
   cfg.z_search_radius_y = pick(-1, 2);
@@ -65,7 +70,7 @@ GeneratedCase generate(std::mt19937& rng) {
   cfg.semifluid_search_radius = pick(1, 2);
   cfg.semifluid_template_radius = pick(0, 2);
   cfg.segment_rows = pick(0, cfg.z_search_size_y());
-  cfg.tile_width = pick(0, 1) == 0 ? 0 : pick(1, 9);
+  cfg.tile_width = pick(1, 20);
   cfg.tile_height = pick(0, 1) == 0 ? 0 : pick(1, 9);
   c.options.subpixel = pick(0, 1) == 1;
   // Odd sizes; roughly one case in four is smaller than the halo.
@@ -157,6 +162,9 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
         ASSERT_NE(vx, nullptr);
         EXPECT_TRUE(vx->report.vector_path);
         EXPECT_EQ(vx->report.fallback, "");
+        EXPECT_EQ(vx->report.batched_hypotheses + vx->report.tail_hypotheses,
+                  static_cast<std::uint64_t>(c.w) * c.h *
+                      cfg.z_search_size() * cfg.z_search_size_y());
       }
       unsetenv("SMA_SIMD_LEVEL");
     }

@@ -127,7 +127,7 @@ TEST(Solve6Property, DetectsSingularSystems) {
 void check_batch_against_solve6(simd::SimdLevel level,
                                 const std::vector<Mat6>& mats,
                                 const std::vector<Vec6>& rhs) {
-  const core::BatchSolveHook hook = core::batch_solve_hook(level);
+  const core::LaneKernels hook = core::lane_kernels(level);
   ASSERT_NE(hook.solve, nullptr);
   const int lanes = hook.lanes;
   ASSERT_EQ(static_cast<int>(mats.size()), lanes);
@@ -181,7 +181,7 @@ std::vector<simd::SimdLevel> runnable_levels() {
 TEST(BatchSolve, BitIdenticalToScalarSolve6AcrossLevels) {
   std::mt19937 rng(42);
   for (const simd::SimdLevel level : runnable_levels()) {
-    const int lanes = core::kernel_lanes(level);
+    const int lanes = core::lane_kernels(level).lanes;
     SCOPED_TRACE(std::string("level=") + simd::level_name(level));
     for (int trial = 0; trial < 50; ++trial) {
       std::vector<Mat6> mats;
@@ -198,7 +198,7 @@ TEST(BatchSolve, BitIdenticalToScalarSolve6AcrossLevels) {
 TEST(BatchSolve, MixedSingularAndSolvableLanes) {
   std::mt19937 rng(1996);
   for (const simd::SimdLevel level : runnable_levels()) {
-    const int lanes = core::kernel_lanes(level);
+    const int lanes = core::lane_kernels(level).lanes;
     SCOPED_TRACE(std::string("level=") + simd::level_name(level));
     // Every singular/non-singular lane pattern, including all-singular.
     for (unsigned pattern = 0; pattern < (1u << lanes); ++pattern) {
@@ -307,8 +307,11 @@ TEST(Dispatch, ResolveDegradesToCompiledKernels) {
         simd::SimdLevel::kNeon}) {
     const simd::SimdLevel got = core::resolve_kernel_level(req);
     EXPECT_EQ(core::resolve_kernel_level(got), got);
-    EXPECT_NE(core::pixel_kernel_hook(got), nullptr);
-    EXPECT_GE(core::batch_solve_hook(got).lanes, 2);
+    const core::LaneKernels k = core::lane_kernels(got);
+    EXPECT_NE(k.tile, nullptr);
+    EXPECT_NE(k.pixel, nullptr);
+    EXPECT_NE(k.solve, nullptr);
+    EXPECT_GE(k.lanes, 2);
   }
   EXPECT_EQ(core::resolve_kernel_level(simd::SimdLevel::kScalar),
             simd::SimdLevel::kScalar);
@@ -339,8 +342,9 @@ SmaConfig vector_config() {
   SmaConfig cfg;
   cfg.model = core::MotionModel::kContinuous;
   cfg.surface_fit_radius = 2;
-  // Width 2*4+1 = 9: at least one full batch even at the widest level
-  // (AVX-512's 8 lanes), so the occupancy assertions below stay live.
+  // The 32-pixel-wide frame fills whole batches even at the widest level
+  // (AVX-512's 8 lanes; autotuned tiles are rounded up to whole
+  // batches), so the occupancy assertions below stay live.
   cfg.z_search_radius = 4;
   cfg.z_template_radius = 3;
   cfg.precompute = core::PrecomputeMode::kOn;
@@ -368,7 +372,7 @@ TEST(VectorBackend, BitIdenticalToSequentialAtEveryDispatchLevel) {
     EXPECT_TRUE(vx->report.vector_path);
     EXPECT_EQ(vx->report.fallback, "");
     EXPECT_EQ(vx->report.level, simd::level_name(level));
-    EXPECT_EQ(vx->report.lanes, core::kernel_lanes(level));
+    EXPECT_EQ(vx->report.lanes, core::lane_kernels(level).lanes);
     EXPECT_GT(vx->report.batched_hypotheses, 0u);
     EXPECT_GT(vx->report.lane_utilization, 0.0);
     EXPECT_LE(vx->report.lane_utilization, 1.0);
@@ -413,6 +417,25 @@ TEST(VectorBackend, FallsBackWhenPrecomputeCannotServe) {
   EXPECT_EQ(vx_sl->report.fallback, "sliding");
   EXPECT_TRUE(r_sl.flow ==
               registry.get("sequential").track(in, sliding, {}).flow);
+
+  // An eligible config whose caller attached no precompute planes.
+  const SmaConfig cfg = vector_config();
+  const core::FrameGeometry g0 =
+      core::compute_frame_geometry(frame0(), &frame0(), cfg, false, false);
+  const core::FrameGeometry g1 =
+      core::compute_frame_geometry(frame1(), &frame1(), cfg, false, false);
+  core::MatchInput mi;
+  mi.before = &g0.geom;
+  mi.after = &g1.geom;
+  mi.precompute = nullptr;
+  ASSERT_EQ(core::resolve_precompute(cfg, mi),
+            core::PrecomputeDecision::kFast);
+  const TrackResult r_np = registry.get("vector").match(mi, cfg, {});
+  const auto* vx_np = vector_extras(r_np);
+  ASSERT_NE(vx_np, nullptr);
+  EXPECT_FALSE(vx_np->report.vector_path);
+  EXPECT_EQ(vx_np->report.fallback, "no-precompute");
+  EXPECT_TRUE(r_np.flow == registry.get("sequential").track(in, cfg, {}).flow);
 }
 
 TEST(VectorBackend, PublishesLaneMetrics) {
