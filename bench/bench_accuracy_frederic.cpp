@@ -11,7 +11,7 @@
 #include "core/sma.hpp"
 #include "goes/datasets.hpp"
 #include "imaging/convolve.hpp"
-#include "maspar/sma_simd.hpp"
+#include "maspar/backend.hpp"
 #include "stereo/asa.hpp"
 
 using namespace sma;
@@ -42,15 +42,15 @@ int main() {
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 3;
 
-  const core::TrackResult seq =
-      core::track_pair(in, cfg, {.policy = core::ExecutionPolicy::kSequential});
+  const core::TrackResult seq = core::SmaPipeline(cfg).track_pair(in);
   const core::TrackResult par =
-      core::track_pair(in, cfg, {.policy = core::ExecutionPolicy::kParallel});
+      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(in);
   maspar::MachineSpec spec;
   spec.nxproc = 8;
   spec.nyproc = 8;
-  const maspar::SimdRunReport simd =
-      maspar::MasParExecutor(spec).run(in, cfg, 4);
+  maspar::register_maspar_backend(spec, 4);
+  const core::TrackResult simd =
+      core::SmaPipeline(cfg, {.backend = "maspar-sim"}).track_pair(in);
 
   const double rms_seq = imaging::rms_endpoint_error(seq.flow, data.tracks);
   const double rms_par = imaging::rms_endpoint_error(par.flow, data.tracks);

@@ -48,7 +48,7 @@ int main() {
   opts.stereo.levels = 3;
   opts.motion = core::frederic_scaled_config();
   opts.motion.z_search_radius = 3;
-  opts.track.policy = core::ExecutionPolicy::kParallel;
+  opts.backend = "tiled";
   opts.iterations = 2;
 
   bench::header("Coupled stereo-motion vs independent ASA (" +

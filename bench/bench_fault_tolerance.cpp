@@ -58,10 +58,12 @@ int main() {
 
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 3;
-  const core::TrackOptions opts{.policy = core::ExecutionPolicy::kParallel};
+  // A fresh pipeline per pair: the corrupted frames are rebuilt in place
+  // every iteration, so no geometry may be cached across them.
+  const core::PipelineOptions tiled{.backend = "tiled"};
 
   const core::TrackResult clean =
-      core::track_pair_monocular(data.left0, data.left1, cfg, opts);
+      core::SmaPipeline(cfg, tiled).track_pair(data.left0, data.left1);
   const RunStats clean_stats = measure(clean.flow, data.truth, margin);
 
   bench::header("Fault tolerance — scan-line dropout sweep (Frederic " +
@@ -87,7 +89,8 @@ int main() {
     injector.corrupt_frame(f0, 0, &log);
     injector.corrupt_frame(f1, 1, &log);
 
-    const core::TrackResult raw = core::track_pair_monocular(f0, f1, cfg, opts);
+    const core::TrackResult raw =
+        core::SmaPipeline(cfg, tiled).track_pair(f0, f1);
     const RunStats raw_stats = measure(raw.flow, data.truth, margin);
 
     const imaging::RepairReport rep0 = imaging::repair_frame(f0);
@@ -97,7 +100,8 @@ int main() {
     in.intensity_after = in.surface_after = &rep1.image;
     in.validity_before = &rep0.validity;
     in.validity_after = &rep1.validity;
-    const core::TrackResult fixed = core::track_pair(in, cfg, opts);
+    const core::TrackResult fixed =
+        core::SmaPipeline(cfg, tiled).track_pair(in);
     const RunStats fixed_stats = measure(fixed.flow, data.truth, margin);
 
     std::printf("  %-8s %11.3f px %11.3f px %9.0f%% %10.3f\n",

@@ -59,7 +59,7 @@ int main() {
   // fitted as the "after" image of pair t-1, is a cache hit when it
   // returns as the "before" image of pair t.
   core::PipelineOptions popts;
-  popts.backend = "openmp";
+  popts.backend = "tiled";
   core::SmaPipeline pipeline(core::luis_scaled_config(), popts);
 
   const imaging::ImageF* prev = &stream.next();
@@ -112,12 +112,13 @@ int main() {
   // (goes/storm_track.hpp) — the translating Luis vortex should march
   // steadily across the frame.
   {
-    core::SequenceOptions sopts;
-    sopts.config = core::luis_scaled_config();
-    sopts.track.policy = core::ExecutionPolicy::kParallel;
+    core::PipelineOptions sopts;
+    sopts.backend = "tiled";
     sopts.track.subpixel = true;
     sopts.robust = true;
-    core::SequenceResult seq = core::track_sequence(data.frames, sopts);
+    core::SequenceResult seq =
+        core::SmaPipeline(core::luis_scaled_config(), sopts)
+            .track_sequence(data.frames);
     // Vorticity centroids need a smooth field: regularize first.
     for (auto& flow : seq.flows) flow = core::gaussian_smooth(flow, 1.5);
     const auto fixes = goes::storm_track(seq.flows, /*fraction=*/0.6,

@@ -55,10 +55,10 @@ int main() {
   std::printf("  %-6s %12s %16s %12s\n", "-----", "--------",
               "--------------", "----------");
   cfg.segment_rows = 0;  // unsegmented reference
-  const core::TrackResult ref = core::track_pair_monocular(f0, f1, cfg);
+  const core::TrackResult ref = core::SmaPipeline(cfg).track_pair(f0, f1);
   for (int z : {1, 2, 3, 5, 7}) {
     cfg.segment_rows = z == 7 ? 0 : z;
-    const core::TrackResult r = core::track_pair_monocular(f0, f1, cfg);
+    const core::TrackResult r = core::SmaPipeline(cfg).track_pair(f0, f1);
     std::printf("  %-6d %12.3f %16llu %12s\n", z, r.timings.total,
                 static_cast<unsigned long long>(r.peak_mapping_bytes),
                 r.flow == ref.flow ? "yes" : "NO — BUG");

@@ -93,11 +93,10 @@ int main() {
   core::SmaConfig cont = semi;
   cont.model = core::MotionModel::kContinuous;
 
-  const core::TrackOptions topts{.policy = core::ExecutionPolicy::kParallel};
-  const core::TrackResult r_semi =
-      core::track_pair_monocular(f0, f1, semi, topts);
-  const core::TrackResult r_cont =
-      core::track_pair_monocular(f0, f1, cont, topts);
+  core::SmaPipeline semi_pipeline(semi, {.backend = "tiled"});
+  core::SmaPipeline cont_pipeline(cont, {.backend = "tiled"});
+  const core::TrackResult r_semi = semi_pipeline.track_pair(f0, f1);
+  const core::TrackResult r_cont = cont_pipeline.track_pair(f0, f1);
   const Eval e_semi = evaluate(r_semi.flow, truth, band, margin);
   const Eval e_cont = evaluate(r_cont.flow, truth, band, margin);
 
@@ -118,12 +117,10 @@ int main() {
       goes::rankine_vortex(size / 2.0, size / 2.0, size / 5.0, 2.0);
   const imaging::ImageF s1 = goes::advect_frame(f0, smooth);
   const imaging::FlowField struth = goes::wind_to_flow(size, size, smooth);
-  const Eval c_semi = evaluate(
-      core::track_pair_monocular(f0, s1, semi, topts).flow, struth, band,
-      margin);
-  const Eval c_cont = evaluate(
-      core::track_pair_monocular(f0, s1, cont, topts).flow, struth, band,
-      margin);
+  const Eval c_semi =
+      evaluate(semi_pipeline.track_pair(f0, s1).flow, struth, band, margin);
+  const Eval c_cont =
+      evaluate(cont_pipeline.track_pair(f0, s1).flow, struth, band, margin);
   std::printf("\n  smooth-flow control: F_cont RMS %.3f vs F_semi RMS %.3f\n",
               c_cont.rms_all, c_semi.rms_all);
   std::printf(

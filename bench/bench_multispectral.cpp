@@ -37,8 +37,8 @@ int main() {
   core::SmaConfig cfg = core::goes9_scaled_config();
   cfg.z_search_radius = 3;
 
-  const core::MultispectralResult r = core::track_pair_multispectral(
-      in, cfg, {.policy = core::ExecutionPolicy::kParallel});
+  const core::MultispectralResult r =
+      core::track_pair_multispectral(in, cfg, {}, "tiled");
 
   const int margin = size / 6;
   bench::header("Multispectral fusion (VIS west / IR east, " +

@@ -22,8 +22,8 @@ void print_ablation() {
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 3;
   cfg.z_template_radius = 2;  // 5x5 template: deliberately noisy
-  const core::TrackResult raw = core::track_pair_monocular(
-      d.left0, d.left1, cfg, {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult raw =
+      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(d.left0, d.left1);
 
   const int margin = 12;
   const double rms_raw = imaging::rms_endpoint_error(raw.flow, d.truth, margin);

@@ -46,8 +46,8 @@ int main() {
   core::SmaConfig naive = pre;
   naive.use_precomputed_mapping = false;
 
-  const core::TrackResult a = core::track_pair_monocular(f0, f1, pre);
-  const core::TrackResult b = core::track_pair_monocular(f0, f1, naive);
+  const core::TrackResult a = core::SmaPipeline(pre).track_pair(f0, f1);
+  const core::TrackResult b = core::SmaPipeline(naive).track_pair(f0, f1);
 
   bench::header("Measured (scaled " + std::to_string(size) + "x" +
                 std::to_string(size) + ", " + pre.describe() + ")");

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/backend.hpp"
+#include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "imaging/io.hpp"
 #include "shard/costmodel.hpp"
@@ -101,13 +101,8 @@ int main(int argc, char** argv) {
   if (check_identity) {
     const imaging::ImageF whole_before = imaging::read_pgm(before_path);
     const imaging::ImageF whole_after = imaging::read_pgm(after_path);
-    core::TrackerInput in;
-    in.intensity_before = in.surface_before = &whole_before;
-    in.intensity_after = in.surface_after = &whole_after;
-    reference = core::BackendRegistry::instance()
-                    .get("sequential")
-                    .track(in, cfg)
-                    .flow;
+    reference =
+        core::SmaPipeline(cfg).track_pair(whole_before, whole_after).flow;
   }
 
   const shard::ShardSpec grids[] = {{1, 1}, {2, 2}, {4, 4}};

@@ -100,14 +100,17 @@ int main(int argc, char** argv) {
   in.intensity_after = &data.left1;
   in.surface_before = &data.left0;
   in.surface_after = &data.left1;
-  auto& registry = core::BackendRegistry::instance();
+  // One pair on a fresh pipeline, so every run pays both fits.
+  const auto track = [&](const std::string& name, const core::SmaConfig& c) {
+    return core::SmaPipeline(c, {.backend = name}).track_pair(in);
+  };
   // The fastest of three runs: the measured problem is small enough that
   // a single run is at the mercy of host noise.
   const auto best_of_3 = [&](const std::string& name,
                              const core::SmaConfig& c) {
-    core::TrackResult best = registry.get(name).track(in, c, {});
+    core::TrackResult best = track(name, c);
     for (int rep = 1; rep < 3; ++rep) {
-      core::TrackResult r = registry.get(name).track(in, c, {});
+      core::TrackResult r = track(name, c);
       if (r.timings.total < best.timings.total) best = std::move(r);
     }
     return best;
@@ -149,8 +152,7 @@ int main(int argc, char** argv) {
   // SIMD backend on the same input, with modeled MP-2 projection for
   // THIS problem size (skipped when it was the comparator above).
   const core::TrackResult simd =
-      backend == "maspar-sim" ? par
-                              : registry.get("maspar-sim").track(in, cfg, {});
+      backend == "maspar-sim" ? par : track("maspar-sim", cfg);
   std::printf("  maspar-sim backend identical to sequential: %s\n",
               simd.flow == seq.flow ? "yes" : "NO — BUG");
   identical = identical && simd.flow == seq.flow;

@@ -5,7 +5,7 @@
 // non-rigid motion model", Sec. 5.2).
 // Usage: bench_table4_goes9 [--backend NAME]
 //   NAME selects the registry backend compared against the sequential
-//   reference in the measured section (default: openmp).
+//   reference in the measured section (default: tiled).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -19,7 +19,7 @@
 using namespace sma;
 
 int main(int argc, char** argv) {
-  std::string backend = "openmp";
+  std::string backend = "tiled";
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc)
       backend = argv[++i];
@@ -61,10 +61,9 @@ int main(int argc, char** argv) {
   core::TrackerInput in;
   in.intensity_before = in.surface_before = &data.frames[0];
   in.intensity_after = in.surface_after = &data.frames[1];
-  auto& registry = core::BackendRegistry::instance();
-  const core::TrackResult seq =
-      registry.get("sequential").track(in, cfg, {});
-  const core::TrackResult par = registry.get(backend).track(in, cfg, {});
+  const core::TrackResult seq = core::SmaPipeline(cfg).track_pair(in);
+  const core::TrackResult par =
+      core::SmaPipeline(cfg, {.backend = backend}).track_pair(in);
 
   bench::header("Scaled measured run (" + std::to_string(size) + "x" +
                 std::to_string(size) + ", " + cfg.describe() + ")");

@@ -13,12 +13,9 @@
 #include <utility>
 #include <vector>
 
-#if defined(_OPENMP)
-#include <omp.h>
-#endif
-
 #include "imaging/image.hpp"
 #include "obs/report.hpp"
+#include "sched/scheduler.hpp"
 #include "simd/dispatch.hpp"
 
 namespace sma::bench {
@@ -127,20 +124,16 @@ class JsonReport {
 /// Stamps an `environment` record into the report so BENCH_*.json
 /// trajectories are comparable across machines and toolchains: compiler
 /// version and build flags (in the record's config string), the active
-/// SIMD dispatch level, the OpenMP thread count, and the scheduler
-/// thread pinning in effect (scripts/run_benches.sh pins
-/// OMP_NUM_THREADS / SMA_THREADS only on bit-identity-sensitive legs,
-/// so both env values are recorded when present).  The record carries
-/// no wall_ms/pixels_per_s — it measures nothing.
+/// SIMD dispatch level, the width of the shared sched pool, and the
+/// scheduler thread pinning in effect (scripts/run_benches.sh pins
+/// SMA_THREADS only on bit-identity-sensitive legs, so the env value is
+/// recorded when present).  The record carries no wall_ms/pixels_per_s
+/// — it measures nothing.
 inline void add_environment_record(JsonReport& report) {
 #if !defined(SMA_BENCH_BUILD_FLAGS)
 #define SMA_BENCH_BUILD_FLAGS "unknown"
 #endif
   const simd::SimdLevel level = simd::active_level();
-  int omp_threads = 1;
-#if defined(_OPENMP)
-  omp_threads = omp_get_max_threads();
-#endif
   JsonRecord& rec = report.add("environment");
   // Explicit "none" (rather than an empty string) so trajectory tooling
   // can distinguish "this record involves no backend by design" from a
@@ -150,9 +143,8 @@ inline void add_environment_record(JsonReport& report) {
                "; flags=" SMA_BENCH_BUILD_FLAGS "; simd=" +
                simd::level_name(level);
   rec.extra("simd_level_id", static_cast<double>(level));
-  rec.extra("omp_threads", static_cast<double>(omp_threads));
-  if (const char* pinned = std::getenv("OMP_NUM_THREADS"))
-    rec.extra("omp_num_threads_env", std::atof(pinned));
+  rec.extra("sched_threads",
+            static_cast<double>(sched::ThreadPool::shared().threads()));
   if (const char* pinned = std::getenv("SMA_THREADS"))
     rec.extra("sma_threads_env", std::atof(pinned));
 }

@@ -61,8 +61,8 @@ int main(int argc, char** argv) {
   input.intensity_after = &data.left1;
   input.surface_before = &z0;
   input.surface_after = &z1;
-  const sma::core::TrackResult result = sma::core::track_pair(
-      input, config, {.policy = sma::core::ExecutionPolicy::kParallel});
+  const sma::core::TrackResult result =
+      sma::core::SmaPipeline(config, {.backend = "tiled"}).track_pair(input);
 
   std::printf("tracked all %d pixels in %.2f s (host)\n",
               result.flow.width() * result.flow.height(),

@@ -10,8 +10,8 @@
 
 #include "core/sma.hpp"
 #include "goes/synth.hpp"
+#include "maspar/backend.hpp"
 #include "maspar/data_mapping.hpp"
-#include "maspar/sma_simd.hpp"
 
 int main(int argc, char** argv) {
   const int size = argc > 1 ? std::atoi(argv[1]) : 48;
@@ -42,9 +42,15 @@ int main(int argc, char** argv) {
   const sma::core::SmaConfig config = sma::core::frederic_scaled_config();
   std::printf("SMA config: %s\n", config.describe().c_str());
 
-  const sma::maspar::MasParExecutor executor(spec);
-  const sma::maspar::SimdRunReport report =
-      executor.run(input, config, /*image_count=*/2);
+  // The MP-2 runs as the "maspar-sim" backend behind the same pipeline
+  // as every host backend; its machine report rides on the extras.
+  sma::maspar::register_maspar_backend(spec, /*image_count=*/2);
+  const sma::core::TrackResult simd =
+      sma::core::SmaPipeline(config, {.backend = "maspar-sim"})
+          .track_pair(input);
+  const sma::maspar::SimdRunReport& report =
+      dynamic_cast<const sma::maspar::MasParBackendExtras&>(*simd.extras)
+          .report;
 
   std::printf("\n-- functional run --\n");
   std::printf("executed %d memory layers, segment height Z = %d rows\n",
@@ -56,7 +62,8 @@ int main(int argc, char** argv) {
   std::printf("host simulation time: %.2f s\n", report.host_seconds);
 
   // The paper's Sec. 5.1 check: parallel result equals sequential.
-  const sma::core::TrackResult seq = sma::core::track_pair(input, config);
+  const sma::core::TrackResult seq =
+      sma::core::SmaPipeline(config).track_pair(input);
   std::printf("SIMD flow identical to sequential tracker: %s\n",
               seq.flow == report.flow ? "yes" : "NO (bug!)");
 

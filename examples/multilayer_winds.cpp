@@ -59,8 +59,8 @@ int main(int argc, char** argv) {
   cfg.z_search_radius = 3;
   std::printf("== multilayer clouds (%dx%d), %s ==\n", size, size,
               cfg.describe().c_str());
-  const core::TrackResult r = core::track_pair_monocular(
-      frame0, frame1, cfg, {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult r =
+      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(frame0, frame1);
   imaging::FlowField flow = core::robust_postprocess(r.flow);
 
   // --- Classification and per-deck winds.

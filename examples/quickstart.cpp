@@ -30,10 +30,10 @@ int main(int argc, char** argv) {
   sma::core::SmaConfig config = sma::core::frederic_scaled_config();
   std::printf("config: %s\n", config.describe().c_str());
 
-  // 3. Track every pixel (monocular mode: intensity as a digital surface).
-  const sma::core::TrackResult result = sma::core::track_pair_monocular(
-      frame0, frame1, config,
-      {.policy = sma::core::ExecutionPolicy::kParallel});
+  // 3. Track every pixel (monocular mode: intensity as a digital surface)
+  //    on the thread-parallel host backend.
+  sma::core::SmaPipeline pipeline(config, {.backend = "tiled"});
+  const sma::core::TrackResult result = pipeline.track_pair(frame0, frame1);
 
   // 4. Report.
   std::printf("tracked %d x %d pixels in %.2f s\n", result.flow.width(),

@@ -28,11 +28,12 @@ int main(int argc, char** argv) {
   const sma::core::SmaConfig config = sma::core::goes9_scaled_config();
   std::printf("SMA config: %s\n", config.describe().c_str());
 
+  // One pipeline for the whole sequence: each frame is fitted once.
+  sma::core::SmaPipeline pipeline(config, {.backend = "tiled"});
   for (int t = 0; t + 1 < frames; ++t) {
-    const sma::core::TrackResult r = sma::core::track_pair_monocular(
-        data.frames[static_cast<std::size_t>(t)],
-        data.frames[static_cast<std::size_t>(t + 1)], config,
-        {.policy = sma::core::ExecutionPolicy::kParallel});
+    const sma::core::TrackResult r =
+        pipeline.track_pair(data.frames[static_cast<std::size_t>(t)],
+                            data.frames[static_cast<std::size_t>(t + 1)]);
 
     // Wind statistics over cloudy (textured) pixels.
     double mean_speed = 0.0, max_speed = 0.0;

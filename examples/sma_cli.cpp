@@ -19,8 +19,8 @@
 //   --template N           z-template radius       (default 4)
 //   --subpixel             parabolic refinement
 //   --backend NAME         execution backend from the registry:
-//                          sequential | tiled | vector | maspar-sim
-//                          (openmp = retired alias of tiled)
+//                          sequential | tiled (default) | vector |
+//                          maspar-sim
 //   --sequential           shorthand for --backend sequential
 //   --precompute MODE      hypothesis-invariant matching precompute:
 //                          auto (default) | on | off
@@ -94,7 +94,9 @@ int usage() {
                "  sma_cli track  <before.pgm> <after.pgm> <out_flow.txt>\n"
                "                 [--model cont|semi] [--search N]\n"
                "                 [--template N] [--subpixel] [--sequential]\n"
-               "                 [--backend NAME] [--robust] [--ppm FILE]\n"
+               "                 [--backend sequential|tiled|vector|\n"
+               "                            maspar-sim] (default tiled)\n"
+               "                 [--robust] [--ppm FILE]\n"
                "                 [--precompute auto|on|off]\n"
                "                 [--threads N] [--tile WxH]\n"
                "                 [--search-mode full|pruned]\n"
@@ -108,14 +110,20 @@ int usage() {
   return 2;
 }
 
+/// The value of the flag at argv[i], advancing i past it.  A flag with
+/// no value is a bad flag (exit 2), like every other config error.
+const char* next_arg(int argc, char** argv, int& i) {
+  if (i + 1 >= argc)
+    throw std::invalid_argument(std::string("missing value for ") + argv[i]);
+  return argv[++i];
+}
+
 int int_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-  return std::atoi(argv[++i]);
+  return std::atoi(next_arg(argc, argv, i));
 }
 
 double double_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-  return std::atof(argv[++i]);
+  return std::atof(next_arg(argc, argv, i));
 }
 
 int cmd_synth(int argc, char** argv) {
@@ -165,7 +173,7 @@ int cmd_synth(int argc, char** argv) {
 struct TrackCliOptions {
   core::SmaConfig cfg;
   core::TrackOptions opts;
-  std::string backend;
+  std::string backend = "tiled";
   bool robust = false;
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
@@ -181,7 +189,6 @@ struct TrackCliOptions {
     cfg.z_template_radius = 4;
     cfg.semifluid_search_radius = 1;
     cfg.semifluid_template_radius = 2;
-    opts.policy = core::ExecutionPolicy::kParallel;
   }
 };
 
@@ -191,7 +198,7 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--model") {
-      const std::string m = argv[++i];
+      const std::string m = next_arg(argc, argv, i);
       o.cfg.model = (m == "cont") ? core::MotionModel::kContinuous
                                   : core::MotionModel::kSemiFluid;
     } else if (a == "--search") {
@@ -201,13 +208,11 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
     } else if (a == "--subpixel") {
       o.opts.subpixel = true;
     } else if (a == "--sequential") {
-      o.opts.policy = core::ExecutionPolicy::kSequential;
+      o.backend = "sequential";
     } else if (a == "--backend") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      o.backend = argv[++i];
+      o.backend = next_arg(argc, argv, i);
     } else if (a == "--precompute") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      const std::string m = argv[++i];
+      const std::string m = next_arg(argc, argv, i);
       if (m == "auto")
         o.cfg.precompute = core::PrecomputeMode::kAuto;
       else if (m == "on")
@@ -215,42 +220,38 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       else if (m == "off")
         o.cfg.precompute = core::PrecomputeMode::kOff;
       else
-        throw std::runtime_error("--precompute expects auto|on|off");
+        throw std::invalid_argument("--precompute expects auto|on|off");
     } else if (a == "--threads") {
       o.cfg.threads = int_arg(argc, argv, i);
     } else if (a == "--tile") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      const std::string t = argv[++i];
+      const std::string t = next_arg(argc, argv, i);
       const auto xpos = t.find('x');
       if (xpos == std::string::npos)
-        throw std::runtime_error("--tile expects WxH, e.g. 32x32");
+        throw std::invalid_argument("--tile expects WxH, e.g. 32x32");
       o.cfg.tile_width = std::atoi(t.substr(0, xpos).c_str());
       o.cfg.tile_height = std::atoi(t.substr(xpos + 1).c_str());
     } else if (a == "--search-mode") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      const std::string m = argv[++i];
+      const std::string m = next_arg(argc, argv, i);
       if (m == "full")
         o.cfg.search_mode = core::SearchMode::kFull;
       else if (m == "pruned")
         o.cfg.search_mode = core::SearchMode::kPruned;
       else
-        throw std::runtime_error("--search-mode expects full|pruned");
+        throw std::invalid_argument("--search-mode expects full|pruned");
     } else if (a == "--prune-levels") {
       o.cfg.prune_coarse_levels = int_arg(argc, argv, i);
     } else if (a == "--prune-radius") {
       o.cfg.prune_refine_radius = int_arg(argc, argv, i);
     } else if (a == "--prune-bound") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      const std::string m = argv[++i];
+      const std::string m = next_arg(argc, argv, i);
       if (m == "on")
         o.cfg.prune_bound = true;
       else if (m == "off")
         o.cfg.prune_bound = false;
       else
-        throw std::runtime_error("--prune-bound expects on|off");
+        throw std::invalid_argument("--prune-bound expects on|off");
     } else if (a == "--shard") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      const std::string t = argv[++i];
+      const std::string t = next_arg(argc, argv, i);
       const auto xpos = t.find('x');
       if (xpos == std::string::npos)
         throw std::invalid_argument("--shard expects RxC, e.g. 2x2");
@@ -263,17 +264,15 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
     } else if (a == "--robust") {
       o.robust = true;
     } else if (a == "--ppm") {
-      o.ppm_path = argv[++i];
+      o.ppm_path = next_arg(argc, argv, i);
     } else if (a == "--inject-faults") {
       o.fault_rate = double_arg(argc, argv, i);
     } else if (a == "--fault-seed") {
       o.fault_seed = static_cast<std::uint64_t>(int_arg(argc, argv, i));
     } else if (a == "--trace") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      o.trace_path = argv[++i];
+      o.trace_path = next_arg(argc, argv, i);
     } else if (a == "--metrics") {
-      if (i + 1 >= argc) throw std::runtime_error("missing value for option");
-      o.metrics_path = argv[++i];
+      o.metrics_path = next_arg(argc, argv, i);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return false;
@@ -293,9 +292,7 @@ int run_shard_track(const std::string& before_path,
   maspar::register_maspar_backend();
   shard::ShardOptions sopts;
   sopts.spec = shard::ShardSpec{cli.shard_rows, cli.shard_cols};
-  sopts.backend = cli.backend.empty()
-                      ? core::backend_name_for(cli.opts.policy)
-                      : cli.backend;
+  sopts.backend = cli.backend;
   sopts.track = cli.opts;
   sopts.robust = cli.robust;
 
@@ -320,9 +317,6 @@ int run_shard_track(const std::string& before_path,
   std::printf("tracked in %.2f s; %zu/%d valid vectors -> %s\n",
               rep.compute_seconds + rep.read_seconds, r.flow.count_valid(),
               r.flow.width() * r.flow.height(), out_path.c_str());
-  if (!rep.fallback.empty())
-    std::printf("shard fell back to the whole frame (%s)\n",
-                rep.fallback.c_str());
   std::printf("shard: %d tiles, halo bytes %llu of %llu (%.1f%%), "
               "%llu block reads, %llu cache hits, resident high-water "
               "%.2f MiB, modeled io %.3f s\n",
@@ -371,8 +365,6 @@ int cmd_track(int argc, char** argv) {
     return run_shard_track(before_path, after_path, out_path, cli);
   }
   core::SmaConfig& cfg = cli.cfg;
-  core::TrackOptions& opts = cli.opts;
-  const std::string& backend = cli.backend;
   const bool robust = cli.robust;
   const double fault_rate = cli.fault_rate;
   const std::uint64_t fault_seed = cli.fault_seed;
@@ -385,9 +377,8 @@ int cmd_track(int argc, char** argv) {
 
   maspar::register_maspar_backend();
   core::PipelineOptions popts;
-  popts.backend =
-      backend.empty() ? core::backend_name_for(opts.policy) : backend;
-  popts.track = opts;
+  popts.backend = cli.backend;
+  popts.track = cli.opts;
   popts.robust = robust;
   core::SmaPipeline pipeline(cfg, popts);
   std::printf("tracking %dx%d pair [backend %s]: %s\n", before.width(),
@@ -542,9 +533,7 @@ int cmd_sequence(int argc, char** argv) {
 
   maspar::register_maspar_backend();
   core::PipelineOptions popts;
-  popts.backend = cli.backend.empty()
-                      ? core::backend_name_for(cli.opts.policy)
-                      : cli.backend;
+  popts.backend = cli.backend;
   popts.track = cli.opts;
   popts.robust = cli.robust;
   core::SmaPipeline pipeline(cli.cfg, popts);

@@ -6,10 +6,10 @@
 #
 # Measurement hygiene:
 #   * Thread pinning is PER LEG, not global.  The matching-kernel
-#     micro-bench is pinned to one thread (OMP_NUM_THREADS=1,
-#     SMA_THREADS=1): it compares per-variant kernel cycle costs and
-#     asserts bit-identity between variants, so background pool workers
-#     or OMP fan-out would only add timing noise to its min-of-N runs.
+#     micro-bench is pinned to one thread (SMA_THREADS=1): it compares
+#     per-variant kernel cycle costs and asserts bit-identity between
+#     variants, so background pool workers would only add timing noise
+#     to its min-of-N runs.
 #     The table2 leg must NOT be pinned — it owns the 1..N thread-scaling
 #     sweep (resizing the shared scheduler pool itself) and its
 #     FlowField determinism contract holds at every thread count, so a
@@ -17,8 +17,8 @@
 #     curve to one point.  The serve load bench likewise runs unpinned:
 #     it measures the daemon under real worker/scheduler concurrency.
 #     Whatever pinning applies is stamped into each artifact's
-#     `environment` record (omp_num_threads_env / sma_threads_env)
-#     along with compiler, build flags and the active SIMD level.
+#     `environment` record (sched_threads / sma_threads_env) along with
+#     compiler, build flags and the active SIMD level.
 #   * Each bench variant performs one untimed warm-up pass and reports
 #     the min of --repeat timed runs (default 3).
 #
@@ -39,7 +39,7 @@ fi
 echo "benches: repeat=$repeat (matching-kernel leg pinned to 1 thread)"
 
 # Bit-identity/comparability-sensitive leg: single-kernel costs, pinned.
-OMP_NUM_THREADS=1 SMA_THREADS=1 \
+SMA_THREADS=1 \
   "$build_dir/bench/bench_matching_kernel" \
   --repeat "$repeat" \
   --json "$repo_root/BENCH_matching.json"
@@ -51,7 +51,7 @@ OMP_NUM_THREADS=1 SMA_THREADS=1 \
   --json "$repo_root/BENCH_serve.json"
 # Shard leg: per-tile spans feed the modeled cluster replay, and the
 # tile backend is the sequential tracker, so pin for clean span timings.
-OMP_NUM_THREADS=1 SMA_THREADS=1 \
+SMA_THREADS=1 \
   "$build_dir/bench/bench_shard" \
   --repeat "$repeat" \
   --json "$repo_root/BENCH_shard.json"

@@ -1,24 +1,14 @@
 #include "core/backend.hpp"
 
-#include <chrono>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
 #include "core/match_vector.hpp"
-#include "obs/trace.hpp"
 
 namespace sma::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // The host substrates share everything but the parallel toggle: the
 // sequential baseline runs the pixel plane as one inline tile, the
@@ -69,74 +59,13 @@ class HostBackend final : public TrackerBackend {
 
 }  // namespace
 
-TrackResult TrackerBackend::track(const TrackerInput& input,
-                                  const SmaConfig& config,
-                                  const TrackOptions& options) const {
-  config.validate();
-  validate_tracker_input(input, "track_pair");
-
-  const auto t_start = Clock::now();
-  obs::TraceSpan track_span("backend", "track");
-  const bool parallel = capabilities().host_parallel;
-  const bool semifluid = config.model == MotionModel::kSemiFluid &&
-                         config.semifluid_search_radius > 0;
-
-  obs::TraceSpan geometry_span("backend", "frame_geometry");
-  const FrameGeometry fg0 =
-      compute_frame_geometry(*input.surface_before, input.intensity_before,
-                             config, parallel, semifluid);
-  const FrameGeometry fg1 =
-      compute_frame_geometry(*input.surface_after, input.intensity_after,
-                             config, parallel, semifluid);
-  geometry_span.finish();
-
-  MatchInput mi;
-  mi.before = &fg0.geom;
-  mi.after = &fg1.geom;
-  mi.disc_before = fg0.has_disc ? &fg0.disc : nullptr;
-  mi.disc_after = fg1.has_disc ? &fg1.disc : nullptr;
-  mi.mask_before = input.validity_before;
-  mi.mask_after = input.validity_after;
-  // Raw z-surface frames for the pruned mode's coarse seeding pyramid,
-  // plus the optional externally computed seed slice (shard runner).
-  mi.raw_before = input.surface_before;
-  mi.raw_after = input.surface_after;
-  mi.prune_seeds = input.prune_seeds;
-
-  // Hypothesis-invariant matching precompute: built once per pair here
-  // so every backend's match() — host or SIMD — shares the fast path.
-  std::optional<MatchPrecompute> pre;
-  double pre_seconds = 0.0;
-  if (resolve_precompute(config, mi) == PrecomputeDecision::kFast) {
-    const auto t0 = Clock::now();
-    obs::TraceSpan span("backend", "match_precompute");
-    pre.emplace(fg0.geom, parallel);
-    pre_seconds = seconds_since(t0);
-    mi.precompute = &*pre;
-  }
-
-  obs::TraceSpan match_span("backend", "matching");
-  TrackResult result = match(mi, config, options);
-  match_span.finish();
-  result.timings.surface_fit = fg0.fit_seconds + fg1.fit_seconds;
-  result.timings.geometric_vars = fg0.derive_seconds + fg1.derive_seconds;
-  result.timings.match_precompute += pre_seconds;
-  result.timings.total = seconds_since(t_start);
-  return result;
-}
-
 BackendRegistry::BackendRegistry() {
   backends_["sequential"] =
       std::make_unique<HostBackend>("sequential", /*parallel=*/false);
-  // `tiled` is the thread-parallel host backend: staged kernels over
-  // work-stealing pixel tiles.  `openmp` is a RETIRED alias kept so
-  // existing configs/scripts keep resolving — the per-row OpenMP splits
-  // it once named were replaced by the tiled scheduler, and both names
-  // now run the identical implementation (same results bit-for-bit).
+  // The thread-parallel host backend: staged kernels over work-stealing
+  // pixel tiles.
   backends_["tiled"] =
       std::make_unique<HostBackend>("tiled", /*parallel=*/true);
-  backends_["openmp"] =
-      std::make_unique<HostBackend>("openmp", /*parallel=*/true);
   // SIMD lanes over pixels x work-stealing threads over tiles;
   // bit-identical to the host backends on every lane implementation
   // (match_vector.hpp).
@@ -185,10 +114,6 @@ std::vector<std::string> BackendRegistry::names() const {
   out.reserve(backends_.size());
   for (const auto& [name, backend] : backends_) out.push_back(name);
   return out;
-}
-
-const char* backend_name_for(ExecutionPolicy policy) {
-  return policy == ExecutionPolicy::kParallel ? "openmp" : "sequential";
 }
 
 }  // namespace sma::core

@@ -3,14 +3,17 @@
 // The paper's central validation is that ONE algorithm runs on three
 // substrates — the sequential SGI baseline, a host-parallel comparator
 // and the MasPar MP-2 — with bit-identical flow fields (Secs. 4, 5.1).
-// TrackerBackend makes that contract an interface: every backend
-// consumes the same staged kernels (core/tracker.hpp) and must produce
-// the identical FlowField; what differs is the execution schedule and
-// any substrate-specific reporting attached via TrackResult::extras.
+// TrackerBackend makes that contract an interface: a backend is only
+// the matching stage — match() over geometry, discriminants and
+// precompute planes that SmaPipeline (core/pipeline.hpp), the one
+// orchestrator, has already built.  Every backend consumes the same
+// staged kernels (core/tracker.hpp) and must produce the identical
+// FlowField; what differs is the execution schedule and any
+// substrate-specific reporting attached via TrackResult::extras.
 //
 // Registered backends:
-//   "sequential" — single-threaded reference (ExecutionPolicy::kSequential)
-//   "openmp"     — host-parallel over rows  (ExecutionPolicy::kParallel)
+//   "sequential" — single-threaded reference
+//   "tiled"      — the same staged kernels over work-stealing pixel tiles
 //   "vector"     — SIMD lanes over pixels inside work-stealing threads
 //                  over tiles, runtime-dispatched AVX-512/AVX2/SSE2/NEON/
 //                  scalar lane kernels (core/match_vector.hpp,
@@ -39,7 +42,6 @@ namespace sma::core {
 /// Static facts about a backend the pipeline and tools can query.
 struct BackendCapabilities {
   bool host_parallel = false;  ///< runs on the host's sched pool
-  bool modeled_cost = false;   ///< attaches modeled-machine extras
 };
 
 class TrackerBackend {
@@ -50,24 +52,19 @@ class TrackerBackend {
   virtual BackendCapabilities capabilities() const = 0;
 
   /// Matching stages only (semi-fluid mapping, hypothesis search,
-  /// optional sub-pixel, products) on precomputed per-frame geometry.
-  /// This is the entry point SmaPipeline drives so cached geometry is
-  /// never refitted.  Fills the matching-phase timings; the caller owns
-  /// geometry timings and timings.total.
+  /// optional sub-pixel, products) on precomputed per-frame geometry —
+  /// the one stage SmaPipeline delegates, so cached geometry is never
+  /// refitted.  Fills the matching-phase timings; the pipeline owns the
+  /// geometry and precompute timings and timings.total.
   virtual TrackResult match(const MatchInput& in, const SmaConfig& config,
                             const TrackOptions& options) const = 0;
-
-  /// Full pair: validation + per-frame geometry + match().  Shared
-  /// composition so every backend times the paper's phase buckets the
-  /// same way.
-  TrackResult track(const TrackerInput& input, const SmaConfig& config,
-                    const TrackOptions& options = {}) const;
 };
 
-/// Process-wide, thread-safe backend registry.  The two host backends
-/// are registered on first access; further backends may be registered at
-/// startup (re-registering a name replaces the previous entry, so do not
-/// cache TrackerBackend pointers across registrations).
+/// Process-wide, thread-safe backend registry.  The host and vector
+/// backends are registered on first access; further backends may be
+/// registered at startup.  Re-registering a name replaces and destroys
+/// the previous entry, so a SmaPipeline (which keeps a pointer to its
+/// backend) must be built after the registration it uses.
 class BackendRegistry {
  public:
   static BackendRegistry& instance();
@@ -90,8 +87,5 @@ class BackendRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<TrackerBackend>> backends_;
 };
-
-/// Maps the legacy ExecutionPolicy onto its registry name.
-const char* backend_name_for(ExecutionPolicy policy);
 
 }  // namespace sma::core

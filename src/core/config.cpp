@@ -21,7 +21,6 @@ std::string SmaConfig::describe() const {
      << (precompute == PrecomputeMode::kOff
              ? "off"
              : precompute == PrecomputeMode::kOn ? "on" : "auto");
-  if (precompute_sliding) os << "+sliding";
   // The pruned search changes results (tolerance-level subpixel deltas
   // vs. the full oracle), so it MUST be part of the signature — but only
   // when engaged, keeping every existing full-mode signature byte-stable.

@@ -96,13 +96,6 @@ struct SmaConfig {
   /// which is the Sec. 4.1 semi-fluid COST precompute.
   PrecomputeMode precompute = PrecomputeMode::kAuto;
 
-  /// Sliding tier of the precompute: box-filter/incremental window sums
-  /// for the A^T A tiles plus hoisted row·n targets.  Changes the
-  /// floating-point association order, so it is NOT bit-exact with the
-  /// naive oracle (tolerance-equal); off by default to preserve the
-  /// Sec. 5.1 bit-identity contract across backends.
-  bool precompute_sliding = false;
-
   /// Executor cap for the tiled scheduler (sched/scheduler.hpp): how
   /// many pool workers may serve THIS run's tile batches.  0 = the
   /// whole shared pool (whose width is SMA_THREADS or the hardware

@@ -54,9 +54,7 @@ HierarchicalResult track_pair_hierarchical(
   TrackOptions level_track = options.track;
   level_track.subpixel = true;
   PipelineOptions popts;
-  popts.backend = options.backend.empty()
-                      ? backend_name_for(options.track.policy)
-                      : options.backend;
+  popts.backend = options.backend;
   popts.track = level_track;
   SmaPipeline pipeline(options.coarse, std::move(popts));
   TrackResult cur = pipeline.track_pair(pb.level(top), pa.level(top));

@@ -31,11 +31,10 @@ struct HierarchicalOptions {
   SmaConfig coarse;
   /// Search radius for the residual refinement at every finer level.
   int refine_search_radius = 1;
-  /// Execution policy for all levels.
+  /// Matching options for all levels (subpixel is forced on).
   TrackOptions track;
-  /// Registry name of the execution backend; empty derives it from
-  /// track.policy.
-  std::string backend;
+  /// Registry name of the execution backend for all levels.
+  std::string backend = "sequential";
 };
 
 struct HierarchicalResult {
@@ -51,7 +50,7 @@ struct HierarchicalResult {
 };
 
 /// Coarse-to-fine monocular tracking.  With levels == 1 this is exactly
-/// track_pair_monocular with `coarse`.
+/// SmaPipeline::track_pair with `coarse` and forced subpixel.
 HierarchicalResult track_pair_hierarchical(const imaging::ImageF& before,
                                            const imaging::ImageF& after,
                                            const HierarchicalOptions& options);

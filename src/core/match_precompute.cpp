@@ -77,18 +77,12 @@ MatchPrecompute::MatchPrecompute(const surface::GeometricField& before,
         d[static_cast<std::size_t>(kWri0 + r) * n + i] = p.wri[r];
         d[static_cast<std::size_t>(kWrj0 + r) * n + i] = p.wrj[r];
         d[static_cast<std::size_t>(kWrk0 + r) * n + i] = p.wrk[r];
-        d[static_cast<std::size_t>(kCn0 + r) * n + i] =
-            p.wri[r] * p.ni + p.wrj[r] * p.nj + p.wrk[r] * p.nk;
       }
       d[static_cast<std::size_t>(kNi) * n + i] = p.ni;
       d[static_cast<std::size_t>(kNj) * n + i] = p.nj;
       d[static_cast<std::size_t>(kNk) * n + i] = p.nk;
       d[static_cast<std::size_t>(kWi) * n + i] = p.wi;
       d[static_cast<std::size_t>(kWj) * n + i] = p.wj;
-      d[static_cast<std::size_t>(kWni) * n + i] = p.wi * p.ni;
-      d[static_cast<std::size_t>(kWnj) * n + i] = p.wj * p.nj;
-      d[static_cast<std::size_t>(kSnn) * n + i] =
-          p.wi * (p.ni * p.ni) + p.wj * (p.nj * p.nj) + p.nk * p.nk;
     }
   });
 }
@@ -118,10 +112,6 @@ void MatchPrecompute::accumulate_window(int x, int y, int rx, int ry,
     out.ata[k] = acc;
   }
   out.rows = 3ull * (2 * rx + 1) * (2 * ry + 1);
-  // cn/snn belong to the sliding tier; the direct evaluator keeps the
-  // target unsplit and never reads them.
-  for (int r = 0; r < 6; ++r) out.cn[r] = 0.0;
-  out.snn = 0.0;
 }
 
 void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
@@ -150,44 +140,6 @@ void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
                  ? 3ull * (2 * rx + 1) * static_cast<std::uint64_t>(v_hi -
                                                                     v_lo + 1)
                  : 0;
-  for (int r = 0; r < 6; ++r) out.cn[r] = 0.0;
-  out.snn = 0.0;
-}
-
-void MatchPrecompute::accumulate_window_rows(int y, int rx, int ry,
-                                             WindowInvariants* out) const {
-  const int w = width_;
-  const int h = height_;
-  const std::uint64_t rows = 3ull * (2 * rx + 1) * (2 * ry + 1);
-  std::vector<double> col(static_cast<std::size_t>(w));
-  // Separable pass per plane: vertical column sums once for the whole
-  // image row, then a horizontal running window.  The clamped-border
-  // window is the image of a contiguous interval, so the incremental
-  // identity S(x) = S(x-1) - col(clamp(x-1-rx)) + col(clamp(x+rx))
-  // remains valid right up to the edges.
-  const auto sweep = [&](const double* SMA_RESTRICT plane_p, auto&& store) {
-    std::fill(col.begin(), col.end(), 0.0);
-    for (int v = -ry; v <= ry; ++v) {
-      const double* SMA_RESTRICT const src =
-          plane_p + static_cast<std::size_t>(std::clamp(y + v, 0, h - 1)) * w;
-      double* SMA_RESTRICT const c = col.data();
-      for (int x = 0; x < w; ++x) c[x] += src[x];
-    }
-    double s = 0.0;
-    for (int u = -rx; u <= rx; ++u) s += col[std::clamp(u, 0, w - 1)];
-    store(0, s);
-    for (int x = 1; x < w; ++x) {
-      s += col[std::clamp(x + rx, 0, w - 1)] -
-           col[std::clamp(x - 1 - rx, 0, w - 1)];
-      store(x, s);
-    }
-  };
-  for (int k = 0; k < 21; ++k)
-    sweep(plane(kTile0 + k), [&](int x, double s) { out[x].ata[k] = s; });
-  for (int r = 0; r < 6; ++r)
-    sweep(plane(kCn0 + r), [&](int x, double s) { out[x].cn[r] = s; });
-  sweep(plane(kSnn), [&](int x, double s) { out[x].snn = s; });
-  for (int x = 0; x < w; ++x) out[x].rows = rows;
 }
 
 // Solve + residual tail shared by both evaluators (and the pruned
@@ -315,76 +267,6 @@ double evaluate_hypothesis_remapped(const MatchPrecompute& pre,
   return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
 }
 
-double evaluate_hypothesis_hoisted(const MatchPrecompute& pre,
-                                   const surface::GeometricField& after,
-                                   const WindowInvariants& win, int x, int y,
-                                   int hx, int hy, int rx, int ry,
-                                   MotionParams& params_out, bool& ok_out) {
-  const int w = pre.width();
-  const int h = pre.height();
-  const double* SMA_RESTRICT const nk_p = pre.plane(MatchPrecompute::kNk);
-  const double* SMA_RESTRICT const wi_p = pre.plane(MatchPrecompute::kWi);
-  const double* SMA_RESTRICT const wj_p = pre.plane(MatchPrecompute::kWj);
-  const double* SMA_RESTRICT const wni_p = pre.plane(MatchPrecompute::kWni);
-  const double* SMA_RESTRICT const wnj_p = pre.plane(MatchPrecompute::kWnj);
-  const double* rows_p[18];
-  for (int t = 0; t < 18; ++t)
-    rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
-
-  const bool interior = x - rx >= 0 && x + rx < w && y - ry >= 0 &&
-                        y + ry < h && x - rx + hx >= 0 && x + rx + hx < w &&
-                        y - ry + hy >= 0 && y + ry + hy < h;
-  // Only the after-dependent sums are accumulated per hypothesis; the
-  // before-only window terms come hoisted from `win`:
-  //   A^T b  = Σ row·o − win.cn
-  //   b^T b  = Σ w·o·o − 2 Σ (w n)·o + win.snn.
-  linalg::Vec6 ao;
-  double cross = 0.0;
-  double sq = 0.0;
-  for (int v = -ry; v <= ry; ++v) {
-    const int py = std::clamp(y + v, 0, h - 1);
-    const int qy = std::clamp(py + hy, 0, h - 1);
-    const std::size_t off = static_cast<std::size_t>(py) * w;
-    const float* SMA_RESTRICT const a_ni = after.ni.row(qy);
-    const float* SMA_RESTRICT const a_nj = after.nj.row(qy);
-    const float* SMA_RESTRICT const a_nk = after.nk.row(qy);
-    if (interior) {
-      for (int px = x - rx; px <= x + rx; ++px) {
-        const int qx = px + hx;
-        const double oi = a_ni[qx];
-        const double oj = a_nj[qx];
-        const double ok = a_nk[qx];
-        for (int r = 0; r < 6; ++r)
-          ao[r] += rows_p[r][off + px] * oi + rows_p[6 + r][off + px] * oj +
-                   rows_p[12 + r][off + px] * ok;
-        cross += wni_p[off + px] * oi + wnj_p[off + px] * oj +
-                 nk_p[off + px] * ok;
-        sq += wi_p[off + px] * (oi * oi) + wj_p[off + px] * (oj * oj) +
-              ok * ok;
-      }
-    } else {
-      for (int u = -rx; u <= rx; ++u) {
-        const int px = std::clamp(x + u, 0, w - 1);
-        const int qx = std::clamp(px + hx, 0, w - 1);
-        const double oi = a_ni[qx];
-        const double oj = a_nj[qx];
-        const double ok = a_nk[qx];
-        for (int r = 0; r < 6; ++r)
-          ao[r] += rows_p[r][off + px] * oi + rows_p[6 + r][off + px] * oj +
-                   rows_p[12 + r][off + px] * ok;
-        cross += wni_p[off + px] * oi + wnj_p[off + px] * oj +
-                 nk_p[off + px] * ok;
-        sq += wi_p[off + px] * (oi * oi) + wj_p[off + px] * (oj * oj) +
-              ok * ok;
-      }
-    }
-  }
-  linalg::Vec6 atb;
-  for (int r = 0; r < 6; ++r) atb[r] = ao[r] - win.cn[r];
-  const double btb = (sq - 2.0 * cross) + win.snn;
-  return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
-}
-
 PrecomputeDecision resolve_precompute(const SmaConfig& config,
                                       const MatchInput& in) {
   if (config.precompute == PrecomputeMode::kOff)
@@ -395,8 +277,8 @@ PrecomputeDecision resolve_precompute(const SmaConfig& config,
   // precomputed tiles cannot express.
   if (in.mask_before != nullptr || in.mask_after != nullptr)
     return PrecomputeDecision::kMasked;
-  // A strided template is no longer a dense box; the sliding recurrence
-  // and the contiguous interior sweep both assume stride 1.
+  // A strided template is no longer a dense box; the window sums and the
+  // contiguous interior sweep both assume stride 1.
   if (config.template_stride > 1) return PrecomputeDecision::kStride;
   return PrecomputeDecision::kFast;
 }

@@ -28,14 +28,6 @@
 // order (per-pixel tiles, v-outer/u-inner window order, unsplit target
 // in A^T b), so `NormalEquations6::solve` receives the same bits.
 //
-// The optional SLIDING tier additionally hoists the window sums into
-// separable column sums plus an incremental running window (the
-// classic box-filter recurrence, valid under clamped borders because
-// the window multiset satisfies S(x+1) = S(x) - col(x-r) + col(x+1+r)).
-// Incremental summation changes the association order, so this tier is
-// NOT bit-exact; it is gated behind SmaConfig::precompute_sliding
-// (default off) and tolerance-tested.
-//
 // Fallback contract (resolve_precompute): the fast path engages only
 // when no validity masks are present and template_stride == 1 —
 // otherwise the template window is no longer a fixed box over the
@@ -79,25 +71,21 @@ void compute_pixel_invariants(const surface::GeometricField& before, int px,
 
 /// Template-window sums of the invariant planes for one (x, y):
 /// everything a hypothesis evaluation needs besides the after frame.
-/// `cn` (= window sum of row·n per parameter) and `snn` (= window sum of
-/// w·n·n) are only filled by the sliding accumulator — the bit-exact
-/// direct evaluator keeps the target unsplit and never needs them.
+/// The target stays unsplit (A^T b is summed per hypothesis), so the
+/// window only carries the A^T A tiles.
 struct WindowInvariants {
   double ata[21];       ///< window sum of the A^T A tiles
-  double cn[6];         ///< window sum of (weighted rows)·n   [sliding only]
-  double snn = 0.0;     ///< window sum of w_i n_i^2 + w_j n_j^2 + n_k^2
   std::uint64_t rows = 0;  ///< design rows represented (3 per pixel)
 };
 
-/// Precomputed SoA planes for one before frame.  ~53 double planes
-/// (~424 B/pixel); plane-major so each inner loop walks contiguous
+/// Precomputed SoA planes for one before frame: 44 double planes
+/// (352 B/pixel); plane-major so each inner loop walks contiguous
 /// memory.
 class MatchPrecompute {
  public:
   // Plane indices.  kTile0..+20: A^T A upper triangle; kWri0/kWrj0/kWrk0
   // +r: weighted row coefficients for parameter r; kNi/kNj/kNk: before
-  // unit normal; kWi/kWj: 1/E, 1/G; kCn0+r: (weighted rows)·n;
-  // kWni/kWnj: w_i n_i, w_j n_j (the k-term reuses kNk); kSnn: w·n·n.
+  // unit normal; kWi/kWj: 1/E, 1/G.
   static constexpr int kTile0 = 0;
   static constexpr int kWri0 = 21;
   static constexpr int kWrj0 = 27;
@@ -107,11 +95,7 @@ class MatchPrecompute {
   static constexpr int kNk = 41;
   static constexpr int kWi = 42;
   static constexpr int kWj = 43;
-  static constexpr int kCn0 = 44;
-  static constexpr int kWni = 50;
-  static constexpr int kWnj = 51;
-  static constexpr int kSnn = 52;
-  static constexpr int kPlanes = 53;
+  static constexpr int kPlanes = 44;
 
   /// Builds the planes from the before-frame geometry.  `parallel`
   /// runs the (independent, deterministic) rows on the sched pool.
@@ -132,7 +116,7 @@ class MatchPrecompute {
   /// Direct window accumulation of the A^T A tiles for the template box
   /// centered at (x, y) with half-widths (rx, ry), clamped borders —
   /// the same pixel multiset, in the same v-outer/u-inner order, as the
-  /// naive template loop.  Fills `out.ata` and `out.rows` only.
+  /// naive template loop.
   void accumulate_window(int x, int y, int rx, int ry,
                          WindowInvariants& out) const;
 
@@ -144,13 +128,6 @@ class MatchPrecompute {
   /// window sweep per pixel, amortized over every hypothesis.
   void accumulate_window_span(int x, int y, int rx, int v_lo, int v_hi,
                               WindowInvariants& out) const;
-
-  /// Sliding-tier accumulation for a whole image row `y` at once:
-  /// separable column sums plus an incremental running window.  Fills
-  /// ata, cn, snn and rows for every x in [0, width).  NOT bit-exact
-  /// with accumulate_window (different association order).
-  void accumulate_window_rows(int y, int rx, int ry,
-                              WindowInvariants* out) const;
 
  private:
   int width_ = 0;
@@ -191,21 +168,12 @@ double evaluate_hypothesis_remapped(const MatchPrecompute& pre,
                                     int hx, int hy, int rx, int ry,
                                     MotionParams& params_out, bool& ok_out);
 
-/// Sliding-tier evaluation: uses the hoisted `row·n` / `w·n·n` window
-/// sums (win.cn, win.snn) so only the after-dependent sums are computed
-/// per hypothesis.  Tolerance-equal (not bit-equal) to the direct path.
-double evaluate_hypothesis_hoisted(const MatchPrecompute& pre,
-                                   const surface::GeometricField& after,
-                                   const WindowInvariants& win, int x, int y,
-                                   int hx, int hy, int rx, int ry,
-                                   MotionParams& params_out, bool& ok_out);
-
 /// Why the fast path did or did not engage for a given (config, input).
 enum class PrecomputeDecision {
   kFast,       ///< precompute engages
   kDisabled,   ///< PrecomputeMode::kOff
   kMasked,     ///< validity masks present: window multiset varies per pixel
-  kStride,     ///< template_stride > 1: sliding window sums invalid
+  kStride,     ///< template_stride > 1: the window is no longer a box
 };
 
 /// The single eligibility rule, shared by every attachment and consumer

@@ -5,9 +5,10 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
-#include "core/backend.hpp"
 #include "core/hierarchical.hpp"
+#include "core/pipeline.hpp"
 #include "core/postprocess.hpp"
 #include "imaging/pyramid.hpp"
 #include "obs/trace.hpp"
@@ -39,8 +40,6 @@ const char* prune_fallback_name(PruneFallback f) {
       return "not-requested";
     case PruneFallback::kNoPrecompute:
       return "no-precompute";
-    case PruneFallback::kSliding:
-      return "sliding";
     case PruneFallback::kSegmented:
       return "segmented";
     case PruneFallback::kNoRawFrames:
@@ -68,7 +67,6 @@ PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in) {
   if (config.model == MotionModel::kSemiFluid &&
       config.semifluid_search_radius > 0)
     return PruneFallback::kSemiFluid;
-  if (config.precompute_sliding) return PruneFallback::kSliding;
   // Segmented searches chunk the hy range across semi-fluid mapping
   // segments; a per-pixel shrunken window straddles chunks and the
   // incumbent would reset between them.
@@ -130,16 +128,15 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
   // The "tiled" host backend is bit-identical to "sequential" by the
   // Sec. 5.1 contract, so the seeds do not depend on who asked; it runs
   // on the caller's thread (the fine tile fan-out has not started), so
-  // the pool is never entered re-entrantly.
+  // the pool is never entered re-entrantly.  A local pipeline: the
+  // pyramid levels die with this call, so nothing may cache them.
   const imaging::ImageF& cb = pb.level(top);
   const imaging::ImageF& ca = pa.level(top);
-  TrackerInput tin;
-  tin.intensity_before = &cb;
-  tin.intensity_after = &ca;
-  tin.surface_before = &cb;
-  tin.surface_after = &ca;
+  PipelineOptions popts;
+  popts.backend = "tiled";
+  popts.track = topts;
   const TrackResult coarse_res =
-      BackendRegistry::instance().get("tiled").track(tin, coarse, topts);
+      SmaPipeline(coarse, std::move(popts)).track_pair(cb, ca);
 
   // Propagate to full resolution with the hierarchical smoothing recipe:
   // vector median kills isolated coarse errors, the Gaussian gives a

@@ -77,8 +77,6 @@ enum class PruneFallback {
   kNotRequested,    ///< search_mode == kFull
   kNoPrecompute,    ///< precompute ineligible/absent (masks, stride,
                     ///< off) — the pruned sweep rides its planes
-  kSliding,         ///< precompute_sliding: row-hoisted sums have no
-                    ///< per-pixel window or checkpoint structure
   kSegmented,       ///< segment_rows splits the hy range; the shrunken
                     ///< window crosses segments
   kNoRawFrames,     ///< MatchInput::raw_* not attached (no pyramid)
@@ -170,9 +168,9 @@ struct PruneSeeds {
   }
 };
 
-/// Runs the coarse pyramid track (via the "tiled" backend — bit-identical
-/// to "sequential" by the Sec. 5.1 contract, so the seeds are
-/// deterministic no matter which backend asked) and propagates its
+/// Runs the coarse pyramid track (through a "tiled" SmaPipeline —
+/// bit-identical to "sequential" by the Sec. 5.1 contract, so the seeds
+/// are deterministic no matter which backend asked) and propagates its
 /// winners to full resolution with the hierarchical smoothing recipe.
 /// Exposed for the seed-in-window property tests.
 PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,

@@ -23,8 +23,7 @@ double seconds_since(Clock::time_point t0) {
 }
 
 // Why the lane kernels cannot serve this pair, or null when they can.
-const char* vector_fallback_name(PrecomputeDecision d, const SmaConfig& config,
-                                 const MatchInput& in) {
+const char* vector_fallback_name(PrecomputeDecision d, const MatchInput& in) {
   switch (d) {
     case PrecomputeDecision::kDisabled:
       return "precompute-off";
@@ -35,7 +34,6 @@ const char* vector_fallback_name(PrecomputeDecision d, const SmaConfig& config,
     case PrecomputeDecision::kFast:
       break;
   }
-  if (config.precompute_sliding) return "sliding";
   // Eligible, but the caller attached no planes.
   if (in.precompute == nullptr)
     return prune_fallback_name(PruneFallback::kNoPrecompute);
@@ -143,7 +141,7 @@ class VectorBackend final : public TrackerBackend {
     extras->report.lanes = lane_kernels(level).lanes;
 
     const char* const fallback =
-        vector_fallback_name(resolve_precompute(config, in), config, in);
+        vector_fallback_name(resolve_precompute(config, in), in);
     // Pruned-mode eligibility is resolved once here: the vector sweep
     // prunes in-kernel when eligible; otherwise the reason is recorded
     // and the search runs exactly as in full mode.
@@ -159,10 +157,9 @@ class VectorBackend final : public TrackerBackend {
     } else {
       // Fall back to the shared staged path (bit-identical to the host
       // backends by construction): masked / stride / precompute-off
-      // configs, pairs without precompute planes, and the sliding tier,
-      // which trades bit-exactness for box-filter reuse the lane kernels
-      // do not implement.  The staged path applies its own pruned-mode
-      // gate and records into the same report.
+      // configs and pairs without precompute planes.  The staged path
+      // applies its own pruned-mode gate and records into the same
+      // report.
       extras->report.fallback = fallback;
       best = run_hypothesis_search(
           in, config, /*parallel=*/true, result.timings,

@@ -34,8 +34,8 @@
 // has its own shrunken window and checkpoints a half-template bound
 // against its own incumbent, so its hypotheses cannot march in step
 // with its neighbours'.  Configs the precompute cannot serve (masks,
-// stride, precompute off, or the non-bit-exact sliding tier) fall back
-// to the shared staged path, again bit-identical by construction.
+// stride, precompute off) fall back to the shared staged path, again
+// bit-identical by construction.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units
 // compiled with the matching target flags (only the AVX2 and AVX-512

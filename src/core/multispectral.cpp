@@ -52,8 +52,7 @@ MultispectralResult track_pair_multispectral(const MultispectralInput& input,
         "track_pair_multispectral: channel lists empty or mismatched");
 
   PipelineOptions popts;
-  popts.backend =
-      backend.empty() ? backend_name_for(options.policy) : backend;
+  popts.backend = backend;
   popts.track = options;
   // Shared surface maps plus two intensity frames per channel: size the
   // cache so one channel pass never evicts the shared surfaces.

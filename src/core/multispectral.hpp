@@ -49,12 +49,11 @@ imaging::FlowField fuse_flows(
     std::vector<std::size_t>* winner_counts = nullptr);
 
 /// Tracks every channel and fuses the results.  Channels run through one
-/// SmaPipeline, so shared surface maps are fitted once rather than per
-/// channel.  An empty `backend` derives the backend name from
-/// options.policy.
-MultispectralResult track_pair_multispectral(const MultispectralInput& input,
-                                             const SmaConfig& config,
-                                             const TrackOptions& options = {},
-                                             const std::string& backend = {});
+/// SmaPipeline on `backend`, so shared surface maps are fitted once
+/// rather than per channel.
+MultispectralResult track_pair_multispectral(
+    const MultispectralInput& input, const SmaConfig& config,
+    const TrackOptions& options = {},
+    const std::string& backend = "sequential");
 
 }  // namespace sma::core

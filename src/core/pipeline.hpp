@@ -12,15 +12,19 @@
 // SmaPipeline decomposes tracking into explicit stages
 //
 //   ingest/repair -> surface fit -> geometric variables
-//       -> hypothesis matching -> postprocess -> products
+//       -> match precompute -> hypothesis matching -> postprocess
+//       -> products
 //
-// and owns a per-frame GEOMETRY CACHE over the first three: the fitted
+// and owns a per-frame GEOMETRY CACHE over the fit stages: the fitted
 // GeometricField of each frame raster is computed once and reused by
 // every pair (and every spectral channel, and every coupled-stereo
-// iteration) that references the same frame.  The matching stage is
-// delegated to a TrackerBackend selected by name, so the same pipeline
-// drives the sequential baseline, the OpenMP comparator or the MasPar
-// simulation — with bit-identical flow fields (Sec. 5.1 contract).
+// iteration) that references the same frame.  It is the ONE orchestrator:
+// every pair — CLI, daemon, shard tile, pruned seed pass, MasPar
+// simulation — runs fit -> geometry -> precompute here, and only the
+// matching stage is delegated to a TrackerBackend selected by name, so
+// the same pipeline drives the sequential baseline, the tiled and vector
+// host backends or the MasPar simulation — with bit-identical flow
+// fields (Sec. 5.1 contract).
 //
 // Cache invariant: for a T-frame monocular sequence the pipeline
 // performs exactly T surface fits (one per distinct frame) versus
@@ -39,8 +43,8 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/sequence.hpp"
 #include "core/tracker.hpp"
+#include "core/trajectory.hpp"
 #include "imaging/image.hpp"
 #include "obs/report.hpp"
 
@@ -49,12 +53,12 @@ namespace sma::core {
 class CancelToken;  // core/cancel.hpp
 
 struct PipelineOptions {
-  /// Registry name of the matching backend ("sequential", "openmp",
-  /// "maspar-sim", ...).
+  /// Registry name of the matching backend ("sequential", "tiled",
+  /// "vector", "maspar-sim", ...).  Parallelism is a backend capability,
+  /// not a per-call flag.
   std::string backend = "sequential";
-  /// Matching-stage options.  `policy` is ignored — parallelism is a
-  /// backend capability, not a per-call flag.
-  TrackOptions track;
+  /// Matching-stage options.
+  TrackOptions track{};
   /// Postprocess stage: robust_postprocess every per-pair flow field.
   bool robust = false;
   /// Ingest stage: run the scan-line/column repair pass over the input
@@ -64,6 +68,19 @@ struct PipelineOptions {
   /// streaming needs 2; the default leaves headroom for multispectral
   /// and coupled-stereo reuse patterns.
   std::size_t geometry_cache_capacity = 8;
+};
+
+/// Per-pair results of SmaPipeline::track_sequence.
+struct SequenceResult {
+  std::vector<imaging::FlowField> flows;  ///< one per consecutive pair
+  std::vector<TrackTimings> timings;      ///< matching `flows`
+  std::vector<Trajectory> trajectories;   ///< one per seed (may be empty)
+
+  double total_seconds() const {
+    double t = 0.0;
+    for (const auto& tt : timings) t += tt.total;
+    return t;
+  }
 };
 
 /// Counters and per-stage wall-clock of everything a pipeline ran.

@@ -5,8 +5,8 @@
 //   #include "core/sma.hpp"
 //
 //   sma::core::SmaConfig cfg = sma::core::goes9_scaled_config();
-//   auto result = sma::core::track_pair_monocular(frame0, frame1, cfg,
-//       {.policy = sma::core::ExecutionPolicy::kParallel});
+//   sma::core::SmaPipeline pipeline(cfg, {.backend = "tiled"});
+//   auto result = pipeline.track_pair(frame0, frame1);
 //   double rms = sma::imaging::rms_endpoint_error(result.flow, truth);
 //
 // See examples/quickstart.cpp for a complete program.
@@ -23,7 +23,6 @@
 #include "core/pipeline.hpp"
 #include "core/postprocess.hpp"
 #include "core/semifluid.hpp"
-#include "core/sequence.hpp"
 #include "core/tracker.hpp"
 #include "core/trajectory.hpp"
 #include "core/workload.hpp"

@@ -7,7 +7,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/backend.hpp"
 #include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
 #include "core/semifluid.hpp"
@@ -34,21 +33,17 @@ bool semifluid_active(const MatchInput& in, const SmaConfig& config) {
 }
 
 // Runs fn over cache-blocked tiles of the w x h pixel plane on the
-// shared work-stealing pool (sched/scheduler.hpp).  This replaces the
-// old per-row `#pragma omp parallel for` splits: 2-D tiles keep a
+// shared work-stealing pool (sched/scheduler.hpp): 2-D tiles keep a
 // thread's template reads cache-resident AND give the vector kernel
 // whole tiles to lane-batch over, so threads x SIMD compose.
 //
 // parallel=false runs the plane as one inline tile — the sequential
-// backend never touches the pool.  `full_rows` forces full-width row
-// bands (the sliding precompute tier amortizes one accumulate pass per
-// image row; x-splitting a row would recompute it per tile).
+// backend never touches the pool.
 //
 // Every per-pixel computation submitted here is independent of its
 // neighbors and each tile writes only its own pixels' slots, so results
 // are bit-identical for ANY tile shape, thread count, and steal order.
 void for_each_pixel_tile(int w, int h, const SmaConfig& config, bool parallel,
-                         bool full_rows,
                          const std::function<void(const sched::Tile&)>& fn) {
   if (w <= 0 || h <= 0) return;
   if (!parallel) {
@@ -65,12 +60,6 @@ void for_each_pixel_tile(int w, int h, const SmaConfig& config, bool parallel,
     shape.height = config.tile_height > 0 ? config.tile_height : 32;
   } else {
     shape = sched::choose_tile_shape(w, h, std::max(executors, 1));
-  }
-  if (full_rows) {
-    // Row bands: keep ~6 bands per executor for steal slack.
-    shape.width = w;
-    const int band = (h + 6 * executors - 1) / (6 * executors);
-    shape.height = std::max(1, std::min(shape.height, band));
   }
   pool.run(sched::make_tiles(w, h, shape),
            [&](const sched::Tile& tile, std::size_t) { fn(tile); },
@@ -292,40 +281,6 @@ void validate_tracker_input(const TrackerInput& input, const char* context) {
                                 ": validity mask shape mismatch");
 }
 
-FrameGeometry compute_frame_geometry(const imaging::ImageF& surface,
-                                     const imaging::ImageF* intensity,
-                                     const SmaConfig& config, bool parallel,
-                                     bool need_disc) {
-  FrameGeometry fg;
-  surface::GeometryOptions gopts;
-  gopts.patch_radius = config.surface_fit_radius;
-  gopts.parallel = parallel;
-
-  // --- "Surface fit" phase: quadratic patch fits.
-  auto t0 = Clock::now();
-  const surface::DerivativeField d = surface::fit_derivatives(surface, gopts);
-  // The semi-fluid discriminant uses the *intensity* surface (Sec. 2.3);
-  // in monocular mode the intensity aliases the surface, so skip refits.
-  const bool intensity_is_surface =
-      intensity == nullptr || intensity == &surface;
-  surface::DerivativeField di;
-  if (need_disc && !intensity_is_surface)
-    di = surface::fit_derivatives(*intensity, gopts);
-  fg.fit_seconds = seconds_since(t0);
-
-  // --- "Compute geometric variables" phase.
-  t0 = Clock::now();
-  fg.geom = surface::derive_geometry(d, parallel);
-  if (need_disc) {
-    fg.disc = intensity_is_surface
-                  ? fg.geom.disc
-                  : surface::derive_geometry(di, parallel).disc;
-    fg.has_disc = true;
-  }
-  fg.derive_seconds = seconds_since(t0);
-  return fg;
-}
-
 std::optional<SemiFluidTable> build_semifluid_table(
     const MatchInput& in, const SmaConfig& config, bool fast_path, int hy_min,
     int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes) {
@@ -352,7 +307,6 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
                                              PruneReport* prune) {
   const int w = in.width();
   const int h = in.height();
-  const int nzs_x = config.z_search_radius;
   const int nzs_y = config.z_search_ry();
   const int zseg = config.effective_segment_rows();
   const bool semifluid = semifluid_active(in, config);
@@ -369,10 +323,10 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
       return run_pruned_search(in, config, parallel, timings, prune);
   }
 
-  // Hypothesis-invariant precompute: only consumed when the attaching
-  // layer (backend / pipeline / MasPar executor) built it AND the
-  // eligibility rule holds for this config — re-checked here so a stale
-  // attachment can never corrupt a masked or strided run.
+  // Hypothesis-invariant precompute: only consumed when the pipeline
+  // attached it AND the eligibility rule holds for this config —
+  // re-checked here so a stale attachment can never corrupt a masked or
+  // strided run.
   const MatchPrecompute* pre =
       (in.precompute != nullptr &&
        resolve_precompute(config, in) == PrecomputeDecision::kFast)
@@ -394,61 +348,18 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
     // hypothesis-row segment, so segmented searches (Sec. 4.3) show
     // their per-segment structure on the trace timeline.
     obs::TraceSpan segment_span("match", "hypothesis_search");
-    auto t0 = Clock::now();
-    if (pre != nullptr && config.precompute_sliding && !semifluid) {
-      // Sliding tier: one separable box-filter pass of the invariant
-      // planes per image row, shared by all pixels and hypotheses of the
-      // row (not bit-exact — see SmaConfig::precompute_sliding).
-      const int nzt_x = config.z_template_radius;
-      const int nzt_y = config.z_template_ry();
-      // Full-width row bands: one accumulate_window_rows pass per row,
-      // shared by every pixel of the row.
-      for_each_pixel_tile(
-          w, h, config, parallel, /*full_rows=*/true,
-          [&](const sched::Tile& tile) {
-            std::vector<WindowInvariants> row_win(
-                static_cast<std::size_t>(w));
-            for (int y = tile.y0; y < tile.y1; ++y) {
-              pre->accumulate_window_rows(y, nzt_x, nzt_y, row_win.data());
-              for (int x = 0; x < w; ++x) {
-                PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
-                for (int hy = hy_min; hy <= hy_max; ++hy)
-                  for (int hx = -nzs_x; hx <= nzs_x; ++hx) {
-                    MotionParams params;
-                    bool ok = false;
-                    const double error = evaluate_hypothesis_hoisted(
-                        *pre, *in.after, row_win[x], x, y, hx, hy, nzt_x,
-                        nzt_y, params, ok);
-                    if (hypothesis_improves(b, error, hx, hy)) {
-                      b.solved = ok;
-                      b.coverage = 1.0;
-                      b.hx = hx;
-                      b.hy = hy;
-                      b.ux = hx;
-                      b.uy = hy;
-                      b.error = error;
-                      b.params = params;
-                      b.any_ok = true;
-                    }
-                  }
-              }
-            }
-          });
-    } else {
-      const SemiFluidTable* table_ptr = table ? &*table : nullptr;
-      const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
-      const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
-      for_each_pixel_tile(
-          w, h, config, parallel, /*full_rows=*/false,
-          [&](const sched::Tile& tile) {
-            for (int y = tile.y0; y < tile.y1; ++y)
-              for (int x = tile.x0; x < tile.x1; ++x)
-                scan_hypotheses(*in.before, *in.after, db, da, table_ptr, x,
-                                y, hy_min, hy_max, config,
-                                best[static_cast<std::size_t>(y) * w + x],
-                                in.mask_before, in.mask_after, pre);
-          });
-    }
+    const auto t0 = Clock::now();
+    const SemiFluidTable* table_ptr = table ? &*table : nullptr;
+    const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
+    const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
+    for_each_pixel_tile(w, h, config, parallel, [&](const sched::Tile& tile) {
+      for (int y = tile.y0; y < tile.y1; ++y)
+        for (int x = tile.x0; x < tile.x1; ++x)
+          scan_hypotheses(*in.before, *in.after, db, da, table_ptr, x, y,
+                          hy_min, hy_max, config,
+                          best[static_cast<std::size_t>(y) * w + x],
+                          in.mask_before, in.mask_after, pre);
+    });
     timings.hypothesis_matching += seconds_since(t0);
   }
   return best;
@@ -470,8 +381,7 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
   const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
   const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
   // The four F_cont neighbor probes reuse the precomputed planes when
-  // eligible (always through the bit-exact direct evaluator, even when
-  // the search itself ran the sliding tier).
+  // eligible.
   const MatchPrecompute* pre =
       (in.precompute != nullptr && !semifluid &&
        resolve_precompute(config, in) == PrecomputeDecision::kFast)
@@ -480,7 +390,7 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
   const int nzt_x = config.z_template_radius;
   const int nzt_y = config.z_template_ry();
   for_each_pixel_tile(
-      w, h, config, parallel, /*full_rows=*/false,
+      w, h, config, parallel,
       [&](const sched::Tile& tile) {
   for (int y = tile.y0; y < tile.y1; ++y)
     for (int x = tile.x0; x < tile.x1; ++x) {
@@ -580,28 +490,6 @@ void collect_track_result(const MatchInput& in, const SmaConfig& config,
         result.params->bk.at(x, y) = static_cast<float>(b.params.bk);
       }
     }
-}
-
-TrackResult track_pair(const TrackerInput& input, const SmaConfig& config,
-                       const TrackOptions& options) {
-  // Legacy entry point: ExecutionPolicy maps onto the two host backends
-  // of the registry.  Kept so the pre-registry call sites (and the
-  // paper-notation ExecutionPolicy tests) continue to work unchanged.
-  return BackendRegistry::instance()
-      .get(backend_name_for(options.policy))
-      .track(input, config, options);
-}
-
-TrackResult track_pair_monocular(const imaging::ImageF& before,
-                                 const imaging::ImageF& after,
-                                 const SmaConfig& config,
-                                 const TrackOptions& options) {
-  TrackerInput in;
-  in.intensity_before = &before;
-  in.intensity_after = &after;
-  in.surface_before = &before;
-  in.surface_after = &after;
-  return track_pair(in, config, options);
 }
 
 }  // namespace sma::core

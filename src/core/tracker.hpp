@@ -8,18 +8,19 @@
 // system and scoring the Eq. (3) residual; the minimum-error hypothesis
 // wins (Eq. 7).
 //
-// Execution variants (all registered as TrackerBackends, core/backend.hpp):
+// A pair is tracked by SmaPipeline (core/pipeline.hpp), which runs the
+// per-frame stages and hands the matching stages below to a registered
+// TrackerBackend (core/backend.hpp):
 //  * "sequential" — the paper's "sequential (un-optimized) version ...
 //    used to form a baseline for comparing the correctness of the
 //    parallel algorithm results" (Sec. 4).
 //  * "tiled"      — the same staged kernels over cache-blocked pixel
 //    tiles on the shared work-stealing pool (sched/scheduler.hpp);
-//    bit-identical output.  "openmp" is a retired alias of it.
+//    bit-identical output.
 //  * "vector"     — SIMD lanes over each pool tile's pixels
 //    (core/match_vector.hpp); bit-identical output on every lane ISA.
 //  * "maspar-sim" — the MasPar SIMD executor (maspar/backend.hpp) driving
 //    the same per-pixel kernels layer by layer.
-// ExecutionPolicy survives as the legacy selector for the first two.
 //
 // Timing is reported in the paper's Table 2 / Table 4 phase buckets:
 // surface fit, compute geometric variables, semi-fluid mapping and
@@ -42,11 +43,6 @@ namespace sma::core {
 
 struct PruneSeeds;  // fwd (match_prune.hpp)
 
-enum class ExecutionPolicy {
-  kSequential,  ///< single-threaded reference implementation
-  kParallel,    ///< OpenMP host-parallel, identical results
-};
-
 /// Base class for backend-specific result attachments (the "extras"
 /// channel).  A TrackerBackend may hang substrate-specific reports off
 /// TrackResult::extras — e.g. the MasPar adapter attaches its full
@@ -58,7 +54,6 @@ struct BackendExtras {
 };
 
 struct TrackOptions {
-  ExecutionPolicy policy = ExecutionPolicy::kSequential;
   bool keep_params = false;  ///< retain the six motion parameters per pixel
   /// Parabolic sub-pixel refinement of the winning hypothesis: after the
   /// integer search, the Eq. (3) residuals of the four axis neighbors of
@@ -130,21 +125,6 @@ struct TrackerInput {
   const PruneSeeds* prune_seeds = nullptr;
 };
 
-/// Runs the full SMA pipeline on one pair of time steps.
-///
-/// DEPRECATED shim: this now resolves ExecutionPolicy to the matching
-/// registered TrackerBackend ("sequential" / "openmp", see
-/// core/backend.hpp) and delegates.  New code should pick a backend by
-/// name through the BackendRegistry, or use SmaPipeline for sequences.
-TrackResult track_pair(const TrackerInput& input, const SmaConfig& config,
-                       const TrackOptions& options = {});
-
-/// Monocular convenience wrapper: intensity doubles as the surface.
-TrackResult track_pair_monocular(const imaging::ImageF& before,
-                                 const imaging::ImageF& after,
-                                 const SmaConfig& config,
-                                 const TrackOptions& options = {});
-
 /// Evaluates all hypotheses for a single pixel given precomputed geometry
 /// and (for the semi-fluid model) discriminant images.  Exposed so the
 /// MasPar executor can drive the identical kernel per memory layer.
@@ -175,34 +155,14 @@ class MatchPrecompute;     // fwd (match_precompute.hpp)
 struct WindowInvariants;   // fwd (match_precompute.hpp)
 
 // ---------------------------------------------------------------------------
-// Staged kernels.
+// Staged matching kernels.
 //
-// track_pair is a composition of reusable stages so that (a) every
-// TrackerBackend can share the exact per-pixel arithmetic — the paper's
-// bit-identical-across-substrates contract (Sec. 5.1) — and (b) the
-// SmaPipeline (core/pipeline.hpp) can cache the per-frame geometry
-// stages across consecutive pairs of a sequence.
+// SmaPipeline runs the per-frame stages (surface fit, geometric
+// variables, match precompute) once per frame and every backend's
+// match() composes the stages below, so all substrates share the exact
+// per-pixel arithmetic — the paper's bit-identical-across-substrates
+// contract (Sec. 5.1).
 // ---------------------------------------------------------------------------
-
-/// Per-frame products of the "Surface fit" + "Compute geometric
-/// variables" phases: the z-surface geometry and, for the semi-fluid
-/// model, the intensity-surface discriminant.
-struct FrameGeometry {
-  surface::GeometricField geom;  ///< geometry of the z-surface
-  imaging::ImageF disc;          ///< semi-fluid discriminant (intensity)
-  bool has_disc = false;
-  double fit_seconds = 0.0;      ///< "Surface fit" phase time
-  double derive_seconds = 0.0;   ///< "Compute geometric variables" time
-};
-
-/// Computes one frame's geometry.  `intensity` may alias `surface`
-/// (monocular mode): the discriminant then comes from the surface fit
-/// itself and no second fit is performed — exactly the aliasing rule
-/// track_pair has always applied.  `need_disc` is the semi-fluid flag.
-FrameGeometry compute_frame_geometry(const imaging::ImageF& surface,
-                                     const imaging::ImageF* intensity,
-                                     const SmaConfig& config, bool parallel,
-                                     bool need_disc);
 
 /// Precomputed inputs to the matching stages: geometry of both frames,
 /// the semi-fluid discriminants (null for the continuous model) and the
@@ -215,14 +175,14 @@ struct MatchInput {
   const imaging::ImageU8* mask_before = nullptr;
   const imaging::ImageU8* mask_after = nullptr;
   /// Optional hypothesis-invariant precompute of `before`
-  /// (match_precompute.hpp), attached by TrackerBackend::track and by
-  /// SmaPipeline (which caches it alongside the geometry).  Consumers
+  /// (match_precompute.hpp), attached by SmaPipeline, which caches it
+  /// alongside the geometry.  Consumers
   /// re-check resolve_precompute before using it; when null — or when
   /// masks / stride make it ineligible — the matching stages run the
   /// naive oracle path.
   const MatchPrecompute* precompute = nullptr;
   /// The raw z-surface frames the geometry was derived from, attached by
-  /// TrackerBackend::track and SmaPipeline so the pruned search mode
+  /// SmaPipeline so the pruned search mode
   /// (match_prune.hpp) can build its coarse seeding pyramid.  Optional:
   /// when null, SearchMode::kPruned falls back to the full search.
   const imaging::ImageF* raw_before = nullptr;

@@ -4,15 +4,17 @@
 // simulation is selectable wherever a backend name is accepted
 // (`--backend maspar-sim`, SmaPipeline, the equivalence sweep).  The
 // executor's full SimdRunReport — modeled MP-2 phase times, PE memory
-// check, mesh traffic — rides along on TrackResult::extras, so existing
-// SimdRunReport consumers keep working through the generic interface:
+// check, mesh traffic — rides along on TrackResult::extras:
 //
+//   maspar::register_maspar_backend(spec, image_count);
+//   core::SmaPipeline pipeline(config, {.backend = "maspar-sim"});
+//   const core::TrackResult result = pipeline.track_pair(f0, f1);
 //   const auto* mx = dynamic_cast<const maspar::MasParBackendExtras*>(
 //       result.extras.get());
 //   if (mx != nullptr) use(mx->report);
 //
 // Registration is explicit (the core library cannot depend on this
-// layer): call register_maspar_backend() once at startup.
+// layer).
 #pragma once
 
 #include "core/backend.hpp"
@@ -35,11 +37,7 @@ class MasParSimBackend final : public core::TrackerBackend {
 
   std::string name() const override { return "maspar-sim"; }
 
-  core::BackendCapabilities capabilities() const override {
-    core::BackendCapabilities caps;
-    caps.modeled_cost = true;
-    return caps;
-  }
+  core::BackendCapabilities capabilities() const override { return {}; }
 
   core::TrackResult match(const core::MatchInput& in,
                           const core::SmaConfig& config,
@@ -52,8 +50,10 @@ class MasParSimBackend final : public core::TrackerBackend {
   int image_count_;
 };
 
-/// Registers (or re-registers) "maspar-sim" with the given machine.
-/// Idempotent; safe to call from multiple translation units at startup.
+/// Registers "maspar-sim" with the given machine and image count.  Each
+/// call replaces — and destroys — the previously registered maspar-sim
+/// backend, so a pipeline must be built after the registration it uses
+/// and must not outlive a later one.
 void register_maspar_backend(MachineSpec spec = {}, int image_count = 4);
 
 }  // namespace sma::maspar

@@ -169,44 +169,4 @@ SimdRunReport MasParExecutor::run_matching(const core::MatchInput& in,
   return report;
 }
 
-SimdRunReport MasParExecutor::run(const core::TrackerInput& input,
-                                  const core::SmaConfig& config,
-                                  int image_count) const {
-  config.validate();
-  core::validate_tracker_input(input, "MasParExecutor");
-
-  const auto t_start = std::chrono::steady_clock::now();
-
-  // --- Geometry phases (identical arithmetic to the host backends).
-  const bool semifluid = config.model == core::MotionModel::kSemiFluid &&
-                         config.semifluid_search_radius > 0;
-  const core::FrameGeometry fg0 = core::compute_frame_geometry(
-      *input.surface_before, input.intensity_before, config,
-      /*parallel=*/false, semifluid);
-  const core::FrameGeometry fg1 = core::compute_frame_geometry(
-      *input.surface_after, input.intensity_after, config,
-      /*parallel=*/false, semifluid);
-
-  core::MatchInput mi;
-  mi.before = &fg0.geom;
-  mi.after = &fg1.geom;
-  mi.disc_before = fg0.has_disc ? &fg0.disc : nullptr;
-  mi.disc_after = fg1.has_disc ? &fg1.disc : nullptr;
-  mi.mask_before = input.validity_before;
-  mi.mask_after = input.validity_after;
-
-  std::optional<core::MatchPrecompute> pre;
-  if (core::resolve_precompute(config, mi) == core::PrecomputeDecision::kFast) {
-    pre.emplace(fg0.geom, /*parallel=*/false);
-    mi.precompute = &*pre;
-  }
-
-  SimdRunReport report = run_matching(mi, config, image_count);
-  // host_seconds covers geometry + matching, as before the staged split.
-  report.host_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t_start)
-                            .count();
-  return report;
-}
-
 }  // namespace sma::maspar

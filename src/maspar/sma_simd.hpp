@@ -10,10 +10,12 @@
 //
 // Functional contract (the paper's own validation, Sec. 5.1: "The
 // parallel algorithm obtained the same result as the sequential
-// implementation"): the flow field produced here is identical to
-// core::track_pair's.  On top of the functional run the executor
+// implementation"): the flow field produced here is identical to the
+// "sequential" backend's.  On top of the functional run the executor
 // reports the modeled MP-2 wall-clock (cost_model.hpp), the PE memory
-// footprint and the mesh traffic of the neighborhood gathers.
+// footprint and the mesh traffic of the neighborhood gathers.  It runs
+// as the "maspar-sim" backend (maspar/backend.hpp) behind SmaPipeline,
+// which supplies the per-frame geometry.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +38,7 @@ struct SimdRunReport {
   double modeled_sgi_total = 0.0;   ///< modeled sequential comparator
   double modeled_speedup = 0.0;
   CommCounters comm;                ///< template-gather mesh traffic
-  double host_seconds = 0.0;        ///< actual time of the simulation
+  double host_seconds = 0.0;        ///< actual time of the matching simulation
 };
 
 /// Publishes the whole SimdRunReport under "maspar.*": the Sec. 4.3
@@ -51,21 +53,17 @@ class MasParExecutor {
  public:
   explicit MasParExecutor(MachineSpec spec = {}) : spec_(spec) {}
 
-  /// Runs SMA on one pair in SIMD layer order.  If config.segment_rows
-  /// is 0 and the unsegmented footprint exceeds PE memory, the largest
-  /// fitting Z is chosen automatically (the Sec. 4.3 scheme); if even
-  /// Z=1 does not fit, the run proceeds and `fits_pe_memory` is false.
-  SimdRunReport run(const core::TrackerInput& input,
-                    const core::SmaConfig& config,
-                    int image_count = 4) const;
-
-  /// Matching stages only, on precomputed per-frame geometry (the
-  /// staged-kernel seam of core/tracker.hpp): memory planning, the SIMD
-  /// layer-ordered hypothesis search, the shared sub-pixel and products
-  /// stages, and the modeled machine costs.  When `track_out` is
-  /// non-null it receives the full TrackResult (flow, matching-phase
-  /// timings, peak cost-layer bytes, optional ParamsField) — this is
-  /// what the "maspar-sim" TrackerBackend adapter drives.
+  /// Matching stages in SIMD layer order, on precomputed per-frame
+  /// geometry (the staged-kernel seam of core/tracker.hpp): memory
+  /// planning, the layer-ordered hypothesis search, the shared sub-pixel
+  /// and products stages, and the modeled machine costs.  If
+  /// config.segment_rows is 0 and the unsegmented footprint exceeds PE
+  /// memory, the largest fitting Z is chosen automatically (the Sec. 4.3
+  /// scheme); if even Z=1 does not fit, the run proceeds and
+  /// `fits_pe_memory` is false.  When `track_out` is non-null it
+  /// receives the full TrackResult (flow, matching-phase timings, peak
+  /// cost-layer bytes, optional ParamsField) — this is what the
+  /// "maspar-sim" TrackerBackend adapter drives.
   SimdRunReport run_matching(const core::MatchInput& in,
                              const core::SmaConfig& config, int image_count,
                              const core::TrackOptions& options = {},

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/match_prune.hpp"
+#include "core/pipeline.hpp"
 #include "core/postprocess.hpp"
 
 namespace sma::shard {
@@ -30,7 +31,6 @@ bool pruned_sweep_engages(const core::SmaConfig& c) {
   if (c.model == core::MotionModel::kSemiFluid &&
       c.semifluid_search_radius > 0)
     return false;
-  if (c.precompute_sliding) return false;
   if (c.effective_segment_rows() < c.z_search_size_y()) return false;
   if (c.z_search_radius < 1 || c.z_search_ry() < 1) return false;
   return true;
@@ -68,9 +68,13 @@ core::PruneSeeds slice_seeds(const core::PruneSeeds& full, const Tile& t) {
 ShardResult shard_track_pair(TileSource& source,
                              const core::SmaConfig& config,
                              const ShardOptions& options) {
-  config.validate();
-  const core::TrackerBackend& backend =
-      core::BackendRegistry::instance().get(options.backend);
+  // One pipeline per call runs every tile's fit -> geometry ->
+  // precompute -> match.  Robust post-processing stays off here: it runs
+  // once on the stitched field below.
+  core::PipelineOptions popts;
+  popts.backend = options.backend;
+  popts.track = options.track;
+  core::SmaPipeline pipeline(config, std::move(popts));
   const int w = source.width();
   const int h = source.height();
   const ShardPlan plan =
@@ -83,38 +87,6 @@ ShardResult shard_track_pair(TileSource& source,
   report.rows = plan.spec.rows;
   report.cols = plan.spec.cols;
   report.halo = plan.halo;
-
-  // The sliding precompute accumulates its box-filter recurrences in
-  // crop-relative order, so per-tile results are only tolerance-equal to
-  // the whole frame.  Run the frame unsharded rather than break the
-  // bit-identity contract.
-  if (config.precompute_sliding) {
-    report.fallback = "sliding";
-    report.tiles = 1;
-    const auto read0 = std::chrono::steady_clock::now();
-    const imaging::ImageF before = source.window(0, 0, 0, w, h);
-    const imaging::ImageF after = source.window(1, 0, 0, w, h);
-    const double read_s = seconds_since(read0);
-    core::TrackerInput tin;
-    tin.intensity_before = tin.surface_before = &before;
-    tin.intensity_after = tin.surface_after = &after;
-    const auto t0 = std::chrono::steady_clock::now();
-    core::TrackResult tr = backend.track(tin, config, options.track);
-    const double compute_s = seconds_since(t0);
-    result.flow = std::move(tr.flow);
-    if (options.robust) result.flow = core::robust_postprocess(result.flow);
-    const std::uint64_t frame_bytes =
-        2 * static_cast<std::uint64_t>(w) * static_cast<std::uint64_t>(h) * bpp;
-    report.core_bytes = frame_bytes;
-    report.compute_seconds = compute_s;
-    report.read_seconds = read_s;
-    report.spans.push_back(
-        TileSpan{0, 0, 0, compute_s, read_s, frame_bytes, 0});
-    if (auto* stream = dynamic_cast<TiledFrameStream*>(&source))
-      report.stream = stream->stats();
-    return result;
-  }
-
   report.tiles = static_cast<int>(plan.tiles.size());
 
   // Pruned mode: the coarse seeding pyramid is computed ONCE on the full
@@ -153,7 +125,11 @@ ShardResult shard_track_pair(TileSource& source,
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-    core::TrackResult tr = backend.track(tin, config, options.track);
+    core::TrackResult tr = pipeline.track_pair(tin);
+    // The crops die with this iteration, so no tile's geometry may
+    // outlive its stitch — and the next tile's crop may reuse this one's
+    // buffer address, which the geometry cache keys on.
+    pipeline.clear_cache();
     const double compute_s = seconds_since(t0);
 
     // Stitch: core pixels only, all five planes (u, v, error, valid,
@@ -204,7 +180,6 @@ void publish_metrics(const ShardReport& report,
   gauge("shard.halo_bytes", static_cast<double>(report.halo_bytes));
   gauge("shard.compute_seconds", report.compute_seconds);
   gauge("shard.read_seconds", report.read_seconds);
-  gauge("shard.fallback", report.fallback.empty() ? 0.0 : 1.0);
   gauge("shard.stream.block_reads",
         static_cast<double>(report.stream.block_reads));
   gauge("shard.stream.cache_hits",

@@ -4,8 +4,10 @@
 // Contract (the Sec. 5.1 bit-identity contract, lifted from backends to
 // decompositions): for every registered backend B and every tile grid,
 //
-//   stitch(B.track(crop_t))  ==  B.track(whole frame)   for all planes,
+//   stitch(track(crop_t))  ==  track(whole frame)   for all planes,
 //
+// where track() is SmaPipeline::track_pair on backend B — the runner
+// builds one pipeline per call and tracks every tile through it —
 // because (a) every backend is bit-identical to "sequential" per tile,
 // (b) the halo (plan.hpp) covers every pixel the staged kernels read
 // while computing a core pixel, and (c) a crop edge is either >= halo
@@ -19,11 +21,7 @@
 // — per-tile recomputation could not be bit-identical.  Seeds only
 // matter at core pixels; halo results are discarded at stitch time.
 //
-// Fallbacks: configs whose results are only tolerance-stable across
-// decompositions run the WHOLE frame through the backend instead
-// (ShardReport::fallback names the reason) — currently
-// precompute_sliding, whose box-filter recurrences accumulate in
-// crop-relative order.  Validity masks are not supported through a
+// Every config runs tiled.  Validity masks are not supported through a
 // TileSource (no mask channel); robust post-processing runs ONCE on the
 // stitched field, exactly where the pipeline runs it.
 #pragma once
@@ -32,8 +30,8 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/config.hpp"
+#include "core/tracker.hpp"
 #include "imaging/flow.hpp"
 #include "obs/metrics.hpp"
 #include "shard/plan.hpp"
@@ -55,7 +53,7 @@ struct ShardOptions {
 struct TileSpan {
   int tile_index = 0;
   int row = 0, col = 0;
-  double compute_seconds = 0.0;    ///< wall time of the tile's track()
+  double compute_seconds = 0.0;    ///< wall time of the tile's track_pair()
   double read_seconds = 0.0;       ///< wall time of the crop windows
   std::uint64_t core_bytes = 0;    ///< backing-store bytes, both frames
   std::uint64_t halo_bytes = 0;    ///< crop bytes beyond the core
@@ -68,12 +66,9 @@ struct ShardReport {
   HaloRadii halo;
   std::uint64_t core_bytes = 0;
   std::uint64_t halo_bytes = 0;
-  double compute_seconds = 0.0;  ///< summed per-tile track() wall time
+  double compute_seconds = 0.0;  ///< summed per-tile track_pair() wall time
   double read_seconds = 0.0;     ///< summed crop-window wall time
   ShardStreamStats stream;       ///< zero for non-streaming sources
-  /// Empty when the tiled path ran; otherwise the reason the whole
-  /// frame was tracked unsharded ("sliding").
-  std::string fallback;
   std::vector<TileSpan> spans;
 };
 
@@ -83,10 +78,10 @@ struct ShardResult {
 };
 
 /// Tracks the pair served by `source` tile by tile (monocular: the crop
-/// doubles as intensity and surface, exactly like track_pair_monocular)
-/// and stitches the whole-frame field.  Throws std::invalid_argument on
-/// bad grids, unknown backends, or a max_resident_mb budget too small
-/// for one padded tile (make_plan).
+/// doubles as intensity and surface, exactly like the two-image
+/// SmaPipeline::track_pair) and stitches the whole-frame field.  Throws
+/// std::invalid_argument on bad grids, unknown backends, or a
+/// max_resident_mb budget too small for one padded tile (make_plan).
 ShardResult shard_track_pair(TileSource& source,
                              const core::SmaConfig& config,
                              const ShardOptions& options);

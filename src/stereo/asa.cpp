@@ -1,11 +1,14 @@
 #include "stereo/asa.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "imaging/integral.hpp"
 #include "imaging/pyramid.hpp"
 #include "imaging/warp.hpp"
+#include "sched/scheduler.hpp"
 
 namespace sma::stereo {
 
@@ -46,8 +49,9 @@ DisparityMap match_level(const imaging::ImageF& left,
   out.correlation = imaging::ImageF(w, h, 0.0f);
   out.valid = imaging::Image<unsigned char>(w, h, 0);
 
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < h; ++y) {
+  // Rows run as bands on the shared sched pool; each row writes only its
+  // own output pixels, so the maps are identical at any thread count.
+  sched::for_each_row(h, w, /*parallel=*/true, [&](int y) {
     for (int x = 0; x < w; ++x) {
       const double d0 = prior.at(x, y);
       double best_c = -std::numeric_limits<double>::infinity();
@@ -79,7 +83,7 @@ DisparityMap match_level(const imaging::ImageF& left,
       out.correlation.at(x, y) = static_cast<float>(best_c);
       out.valid.at(x, y) = best_c >= opts.min_correlation ? 1 : 0;
     }
-  }
+  });
   return out;
 }
 
@@ -110,8 +114,7 @@ DisparityMap match_range_fast(const imaging::ImageF& left,
     const imaging::IntegralImage ip(
         imaging::shifted_product(left, right, d, 0));
     imaging::ImageF& layer = corr[static_cast<std::size_t>(d - d_min)];
-#pragma omp parallel for schedule(static)
-    for (int y = 0; y < h; ++y)
+    sched::for_each_row(h, w, /*parallel=*/true, [&](int y) {
       for (int x = 0; x < w; ++x) {
         const double n = imaging::IntegralImage::window_area(x, y, r, w, h);
         const double sl = il.window_sum(x, y, r);
@@ -126,10 +129,10 @@ DisparityMap match_range_fast(const imaging::ImageF& left,
         layer.at(x, y) =
             den > 1e-9 ? static_cast<float>(num / den) : 0.0f;
       }
+    });
   }
 
-#pragma omp parallel for schedule(static)
-  for (int y = 0; y < h; ++y)
+  sched::for_each_row(h, w, /*parallel=*/true, [&](int y) {
     for (int x = 0; x < w; ++x) {
       int best_k = 0;
       float best_c = corr[0].at(x, y);
@@ -151,6 +154,7 @@ DisparityMap match_range_fast(const imaging::ImageF& left,
       out.correlation.at(x, y) = best_c;
       out.valid.at(x, y) = best_c >= opts.min_correlation ? 1 : 0;
     }
+  });
   return out;
 }
 

@@ -60,9 +60,7 @@ CoupledResult coupled_stereo_motion(const imaging::ImageF& left0,
   // refit each pass, but the intensity frames never change, so their
   // geometry (semi-fluid discriminants) is fitted exactly once.
   core::PipelineOptions popts;
-  popts.backend = options.backend.empty()
-                      ? core::backend_name_for(options.track.policy)
-                      : options.backend;
+  popts.backend = options.backend;
   popts.track = options.track;
   core::SmaPipeline pipeline(options.motion, std::move(popts));
 

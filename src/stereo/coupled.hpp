@@ -39,9 +39,8 @@ struct CoupledOptions {
   double blend = 0.5;
   /// Gaussian smoothing applied to heights before the motion stage.
   double height_smoothing_sigma = 1.0;
-  /// Registry name of the motion backend; empty derives it from
-  /// track.policy.
-  std::string backend;
+  /// Registry name of the motion backend.
+  std::string backend = "sequential";
 };
 
 struct CoupledResult {

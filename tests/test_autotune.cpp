@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.hpp"
 #include "core/tracker.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
@@ -75,8 +76,8 @@ TEST(SuggestConfig, SuggestedConfigTracksWell) {
   AutotuneOptions opts;
   opts.max_displacement_px = 2.5;
   const SmaConfig cfg = suggest_config(f0, opts);
-  const TrackResult r = track_pair_monocular(
-      f0, f1, cfg, {.policy = ExecutionPolicy::kParallel});
+  const TrackResult r =
+      SmaPipeline(cfg, {.backend = "tiled"}).track_pair(f0, f1);
   const imaging::FlowField truth = goes::wind_to_flow(64, 64, wind);
   EXPECT_LT(imaging::rms_endpoint_error(r.flow, truth, 12), 0.75);
 }

@@ -1,13 +1,14 @@
 // test_backend.cpp — the TrackerBackend registry and the SmaPipeline.
 //
 // The load-bearing property is the paper's Sec. 5.1 contract: every
-// execution path produces the SAME flow field.  The equivalence sweep
-// drives all registered backends over a configuration grid (square and
-// rectangular windows, both motion models, sub-pixel refinement,
-// validity masks) and asserts bit-identical results against the
-// sequential reference.  The pipeline tests pin the geometry-cache
-// invariant: a T-frame monocular sequence performs exactly T surface
-// fits.
+// execution path produces the SAME flow field.  Every pair runs through
+// SmaPipeline, the one orchestrator; only the matching backend varies.
+// The equivalence sweep drives all registered backends over a
+// configuration grid (square and rectangular windows, both motion
+// models, sub-pixel refinement, validity masks) and asserts
+// bit-identical results against the sequential reference.  The pipeline
+// tests pin the geometry-cache invariant: a T-frame monocular sequence
+// performs exactly T surface fits.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,7 +16,6 @@
 
 #include "core/backend.hpp"
 #include "core/pipeline.hpp"
-#include "core/sequence.hpp"
 #include "helpers.hpp"
 #include "maspar/backend.hpp"
 
@@ -37,6 +37,13 @@ TrackerInput monocular_input() {
   in.intensity_before = in.surface_before = &frame0();
   in.intensity_after = in.surface_after = &frame1();
   return in;
+}
+
+// One pair on a fresh pipeline over the named backend.
+TrackResult track_with(const std::string& backend, const TrackerInput& in,
+                       const SmaConfig& cfg, const TrackOptions& options = {}) {
+  return SmaPipeline(cfg, {.backend = backend, .track = options})
+      .track_pair(in);
 }
 
 struct EquivCase {
@@ -102,14 +109,12 @@ TEST_P(BackendEquivalence, AllBackendsBitIdentical) {
   SmaConfig cfg_on = cfg;
   cfg_on.precompute = PrecomputeMode::kOn;
 
-  auto& registry = BackendRegistry::instance();
-  const TrackResult ref =
-      registry.get("sequential").track(in, cfg_off, options);
+  const TrackResult ref = track_with("sequential", in, cfg_off, options);
   ASSERT_GT(ref.flow.count_valid(), 0u);
-  for (const std::string& name : registry.names())
+  for (const std::string& name : BackendRegistry::instance().names())
     for (const SmaConfig* variant : {&cfg_off, &cfg_on}) {
       if (name == "sequential" && variant == &cfg_off) continue;
-      const TrackResult r = registry.get(name).track(in, *variant, options);
+      const TrackResult r = track_with(name, in, *variant, options);
       EXPECT_EQ(ref.flow, r.flow)
           << "backend '" << name << "' (precompute "
           << (variant == &cfg_on ? "on" : "off")
@@ -147,34 +152,26 @@ TEST(BackendEquivalenceDegenerate, SemifluidNssZeroEqualsContinuous) {
   cont.model = MotionModel::kContinuous;
 
   const TrackerInput in = monocular_input();
-  auto& registry = BackendRegistry::instance();
-  const TrackResult ref = registry.get("sequential").track(in, cont, {});
-  for (const std::string& name : registry.names()) {
-    const TrackResult r = registry.get(name).track(in, semi, {});
+  const TrackResult ref = track_with("sequential", in, cont);
+  for (const std::string& name : BackendRegistry::instance().names()) {
+    const TrackResult r = track_with(name, in, semi);
     EXPECT_EQ(ref.flow, r.flow) << "backend '" << name << "'";
   }
 }
 
-TEST(BackendRegistry, NamesAndPolicyMapping) {
+TEST(BackendRegistry, NamesAndCapabilities) {
   maspar::register_maspar_backend();
   auto& registry = BackendRegistry::instance();
   EXPECT_NE(registry.find("sequential"), nullptr);
   EXPECT_NE(registry.find("tiled"), nullptr);
-  // "openmp" is retired but stays registered as an alias of the tiled
-  // work-stealing mode so existing scripts keep working.
-  EXPECT_NE(registry.find("openmp"), nullptr);
   EXPECT_NE(registry.find("maspar-sim"), nullptr);
   EXPECT_NE(registry.find("vector"), nullptr);
   EXPECT_EQ(registry.find("nosuch"), nullptr);
   EXPECT_THROW(registry.get("nosuch"), std::invalid_argument);
 
-  EXPECT_STREQ(backend_name_for(ExecutionPolicy::kSequential), "sequential");
-  EXPECT_STREQ(backend_name_for(ExecutionPolicy::kParallel), "openmp");
-
   EXPECT_FALSE(registry.get("sequential").capabilities().host_parallel);
   EXPECT_TRUE(registry.get("tiled").capabilities().host_parallel);
-  EXPECT_TRUE(registry.get("openmp").capabilities().host_parallel);
-  EXPECT_TRUE(registry.get("maspar-sim").capabilities().modeled_cost);
+  EXPECT_FALSE(registry.get("maspar-sim").capabilities().host_parallel);
   EXPECT_TRUE(registry.get("vector").capabilities().host_parallel);
 }
 
@@ -182,28 +179,13 @@ TEST(BackendRegistry, MasParExtrasExposeModeledReport) {
   maspar::register_maspar_backend();
   SmaConfig cfg = case_config({"", MotionModel::kSemiFluid, -1, -1, false,
                                false});
-  const TrackResult r = BackendRegistry::instance()
-                            .get("maspar-sim")
-                            .track(monocular_input(), cfg, {});
+  const TrackResult r = track_with("maspar-sim", monocular_input(), cfg);
   const auto* extras =
       dynamic_cast<const maspar::MasParBackendExtras*>(r.extras.get());
   ASSERT_NE(extras, nullptr);
   EXPECT_EQ(extras->report.flow, r.flow);
   EXPECT_GT(extras->report.modeled.total(), 0.0);
   EXPECT_GT(extras->report.layers, 0);
-}
-
-// The deprecated track_pair shim must route through the registry and
-// stay bit-identical to a direct backend call.
-TEST(BackendRegistry, LegacyTrackPairShimMatchesRegistry) {
-  SmaConfig cfg = case_config({"", MotionModel::kContinuous, -1, -1, false,
-                               false});
-  const TrackerInput in = monocular_input();
-  const TrackResult shim =
-      track_pair(in, cfg, {.policy = ExecutionPolicy::kSequential});
-  const TrackResult direct =
-      BackendRegistry::instance().get("sequential").track(in, cfg, {});
-  EXPECT_EQ(shim.flow, direct.flow);
 }
 
 std::vector<imaging::ImageF> make_sequence(int frames) {
@@ -258,8 +240,7 @@ TEST(SmaPipeline, CachedSequenceMatchesPairwiseTracking) {
   SmaPipeline pipeline(cfg);
   const SequenceResult seq = pipeline.track_sequence(frames);
   for (std::size_t i = 0; i + 1 < frames.size(); ++i) {
-    const TrackResult r = track_pair_monocular(
-        frames[i], frames[i + 1], cfg, {.policy = ExecutionPolicy::kSequential});
+    const TrackResult r = SmaPipeline(cfg).track_pair(frames[i], frames[i + 1]);
     EXPECT_EQ(seq.flows[i], r.flow) << "pair " << i;
   }
 }

@@ -42,7 +42,7 @@ CoupledOptions default_options() {
   o.stereo.levels = 3;
   o.motion = core::frederic_scaled_config();
   o.motion.z_search_radius = 3;
-  o.track.policy = core::ExecutionPolicy::kParallel;
+  o.backend = "tiled";
   o.iterations = 2;
   return o;
 }

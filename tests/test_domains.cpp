@@ -32,8 +32,8 @@ TEST(OceanEddy, SmaTracksEddies) {
   const OceanEddyDataset d = make_ocean_eddy_analog(64, 5, 2.0);
   core::SmaConfig cfg = core::goes9_scaled_config();
   cfg.z_search_radius = 3;
-  const core::TrackResult r = core::track_pair_monocular(
-      d.sst0, d.sst1, cfg, {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult r =
+      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(d.sst0, d.sst1);
   EXPECT_LT(imaging::rms_endpoint_error(r.flow, d.tracks), 1.0);
 }
 
@@ -54,8 +54,9 @@ TEST(Cells, SemiFluidTracksFission) {
   const CellDataset d = make_cell_analog(72, 4, 11, 2.0);
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 4;
-  const core::TrackResult r = core::track_pair_monocular(
-      d.frame0, d.frame1, cfg, {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult r =
+      core::SmaPipeline(cfg, {.backend = "tiled"})
+          .track_pair(d.frame0, d.frame1);
   // tracks[0]/tracks[1] are the daughters (moving -x and +x relative to
   // the mother velocity).
   const imaging::FlowVector left = r.flow.at(d.tracks[0].x, d.tracks[0].y);
@@ -69,9 +70,9 @@ TEST(Cells, OrdinaryCellsTrackedSubPixel) {
   const CellDataset d = make_cell_analog(72, 4, 11, 2.0);
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 3;
-  const core::TrackResult r = core::track_pair_monocular(
-      d.frame0, d.frame1, cfg,
-      {.policy = core::ExecutionPolicy::kParallel, .subpixel = true});
+  const core::TrackResult r =
+      core::SmaPipeline(cfg, {.backend = "tiled", .track = {.subpixel = true}})
+          .track_pair(d.frame0, d.frame1);
   // Skip the two fission daughters; check the rigid movers.
   double worst = 0.0;
   for (std::size_t i = 2; i < d.tracks.size(); ++i) {

@@ -17,12 +17,11 @@ namespace {
 struct Pipelines {
   goes::FredericDataset data;
   core::SmaConfig cfg;
-  core::TrackOptions opts;
+  core::PipelineOptions opts{.backend = "tiled"};
 
   Pipelines() : data(goes::make_frederic_analog(56, 31, 2.0)) {
     cfg = core::frederic_scaled_config();
     cfg.z_search_radius = 3;
-    opts.policy = core::ExecutionPolicy::kParallel;
   }
 };
 
@@ -31,7 +30,7 @@ TEST(FaultTolerance, RepairedTrackingStaysNearCleanAccuracy) {
   const int margin = 9;
 
   const core::TrackResult clean =
-      core::track_pair_monocular(p.data.left0, p.data.left1, p.cfg, p.opts);
+      core::SmaPipeline(p.cfg, p.opts).track_pair(p.data.left0, p.data.left1);
   const double clean_rms =
       imaging::rms_endpoint_error(clean.flow, p.data.truth, margin);
   ASSERT_GT(clean_rms, 0.0);
@@ -52,7 +51,7 @@ TEST(FaultTolerance, RepairedTrackingStaysNearCleanAccuracy) {
 
   // Unrepaired: corrupted frames straight into the tracker.
   const core::TrackResult raw =
-      core::track_pair_monocular(f0, f1, p.cfg, p.opts);
+      core::SmaPipeline(p.cfg, p.opts).track_pair(f0, f1);
   const double raw_rms =
       imaging::rms_endpoint_error(raw.flow, p.data.truth, margin);
 
@@ -64,7 +63,8 @@ TEST(FaultTolerance, RepairedTrackingStaysNearCleanAccuracy) {
   in.intensity_after = in.surface_after = &rep1.image;
   in.validity_before = &rep0.validity;
   in.validity_after = &rep1.validity;
-  const core::TrackResult fixed = core::track_pair(in, p.cfg, p.opts);
+  const core::TrackResult fixed =
+      core::SmaPipeline(p.cfg, p.opts).track_pair(in);
   const double fixed_rms =
       imaging::rms_endpoint_error(fixed.flow, p.data.truth, margin);
 
@@ -93,7 +93,7 @@ TEST(FaultTolerance, RepairedTrackingStaysNearCleanAccuracy) {
 TEST(FaultTolerance, AllValidMaskIsBitIdenticalToNoMask) {
   const Pipelines p;
   const core::TrackResult bare =
-      core::track_pair_monocular(p.data.left0, p.data.left1, p.cfg, p.opts);
+      core::SmaPipeline(p.cfg, p.opts).track_pair(p.data.left0, p.data.left1);
 
   const imaging::ImageU8 ones(p.data.left0.width(), p.data.left0.height(), 1);
   core::TrackerInput in;
@@ -101,7 +101,8 @@ TEST(FaultTolerance, AllValidMaskIsBitIdenticalToNoMask) {
   in.intensity_after = in.surface_after = &p.data.left1;
   in.validity_before = &ones;
   in.validity_after = &ones;
-  const core::TrackResult masked = core::track_pair(in, p.cfg, p.opts);
+  const core::TrackResult masked =
+      core::SmaPipeline(p.cfg, p.opts).track_pair(in);
 
   EXPECT_TRUE(bare.flow == masked.flow);
   // Including the error channel, which operator== does not cover.
@@ -130,7 +131,7 @@ TEST(FaultTolerance, FullyMaskedRegionYieldsZeroConfidence) {
   in.intensity_after = in.surface_after = &p.data.left1;
   in.validity_before = &mask;
   in.validity_after = &mask;
-  const core::TrackResult r = core::track_pair(in, p.cfg, p.opts);
+  const core::TrackResult r = core::SmaPipeline(p.cfg, p.opts).track_pair(in);
 
   const int c = h / 2;  // deep inside the masked block
   const imaging::FlowVector f = r.flow.at(c, c);

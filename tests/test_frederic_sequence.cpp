@@ -50,14 +50,14 @@ TEST(FredericSequence, AllIntervalsTrackSubPixel) {
 
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 3;
+  core::SmaPipeline pipeline(cfg, {.backend = "tiled"});
   for (int t = 0; t + 1 < 4; ++t) {
     core::TrackerInput in;
     in.intensity_before = &seq.left[static_cast<std::size_t>(t)];
     in.intensity_after = &seq.left[static_cast<std::size_t>(t + 1)];
     in.surface_before = &heights[static_cast<std::size_t>(t)];
     in.surface_after = &heights[static_cast<std::size_t>(t + 1)];
-    const core::TrackResult r = core::track_pair(
-        in, cfg, {.policy = core::ExecutionPolicy::kParallel});
+    const core::TrackResult r = pipeline.track_pair(in);
     // The wind is stationary: the same reference tracks apply per pair.
     const double rms = imaging::rms_endpoint_error(r.flow, seq.tracks);
     EXPECT_LT(rms, 1.0) << "interval " << t << " -> " << t + 1;

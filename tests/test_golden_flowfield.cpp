@@ -6,10 +6,10 @@
 // Tolerances: each pixel may deviate by <= kPixelTol in |du| and |dv|
 // and the valid flags must match; at most kMismatchFrac of pixels may
 // exceed that (subpixel ties can flip across compilers/libm versions).
-// Every registered backend (sequential / tiled / openmp / maspar-sim /
-// vector) and both precompute settings must agree BIT-IDENTICALLY with
-// each other — the Sec. 5.1 "same result as the sequential
-// implementation" contract — so only one golden file is needed.
+// Every registered backend (sequential / tiled / maspar-sim / vector)
+// and both precompute settings must agree BIT-IDENTICALLY with each
+// other — the Sec. 5.1 "same result as the sequential implementation"
+// contract — so only one golden file is needed.
 //
 // Regenerate the artifact after an intentional algorithm change with
 //   SMA_UPDATE_GOLDEN=1 ./test_golden_flowfield
@@ -136,7 +136,7 @@ TEST(GoldenFlowfield, AllBackendsAndPrecomputeModesBitIdentical) {
     const imaging::FlowField reference =
         run_pipeline(cfg, "sequential", core::PrecomputeMode::kOff);
     for (const std::string backend :
-         {"sequential", "tiled", "openmp", "maspar-sim", "vector"}) {
+         {"sequential", "tiled", "maspar-sim", "vector"}) {
       for (const core::PrecomputeMode mode :
            {core::PrecomputeMode::kOff, core::PrecomputeMode::kOn,
             core::PrecomputeMode::kAuto}) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
 
@@ -48,7 +49,8 @@ TEST(Hierarchical, SingleLevelEqualsFlatTracker) {
   const HierarchicalResult h = track_pair_hierarchical(f0, f1, opts);
   // The hierarchy forces sub-pixel refinement at every level.
   const TrackResult flat =
-      track_pair_monocular(f0, f1, opts.coarse, {.subpixel = true});
+      SmaPipeline(opts.coarse, {.track = {.subpixel = true}})
+          .track_pair(f0, f1);
   EXPECT_TRUE(h.flow == flat.flow);
   EXPECT_EQ(h.levels_used, 1);
 }
@@ -61,7 +63,8 @@ TEST(Hierarchical, ReachesDisplacementBeyondFlatSearch) {
   const imaging::ImageF base = goes::fractal_clouds(96, 96, 7);
   const imaging::ImageF moved = sma::testing::shift_image(base, 6, 0);
 
-  const TrackResult flat = track_pair_monocular(base, moved, coarse_config(2));
+  const TrackResult flat =
+      SmaPipeline(coarse_config(2)).track_pair(base, moved);
   EXPECT_LT(sma::testing::flow_match_fraction(flat.flow, 6, 0, 16), 0.1);
 
   HierarchicalOptions opts;

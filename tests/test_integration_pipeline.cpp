@@ -20,9 +20,9 @@ core::SmaConfig scaled_semifluid() {
 
 TEST(Pipeline, FredericMonocularRmsUnderOnePixel) {
   const goes::FredericDataset d = goes::make_frederic_analog(64, 31, 2.5);
-  const core::TrackResult r = core::track_pair_monocular(
-      d.left0, d.left1, scaled_semifluid(),
-      {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult r =
+      core::SmaPipeline(scaled_semifluid(), {.backend = "tiled"})
+          .track_pair(d.left0, d.left1);
   const double rms = imaging::rms_endpoint_error(r.flow, d.tracks);
   EXPECT_LT(rms, 1.0) << "paper criterion: sub-pixel RMS vs manual tracks";
 }
@@ -47,8 +47,9 @@ TEST(Pipeline, FredericStereoSurfacesRmsUnderOnePixel) {
   in.intensity_after = &d.left1;
   in.surface_before = &z0;
   in.surface_after = &z1;
-  const core::TrackResult r = core::track_pair(
-      in, scaled_semifluid(), {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult r =
+      core::SmaPipeline(scaled_semifluid(), {.backend = "tiled"})
+          .track_pair(in);
   const double rms = imaging::rms_endpoint_error(r.flow, d.tracks);
   EXPECT_LT(rms, 1.2);
 }
@@ -56,9 +57,9 @@ TEST(Pipeline, FredericStereoSurfacesRmsUnderOnePixel) {
 TEST(Pipeline, FloridaContinuousTracking) {
   // GOES-9 rapid-scan analog with the continuous model (Sec. 5.2).
   const goes::RapidScanDataset d = goes::make_florida_analog(64, 3, 13, 1.5);
-  const core::TrackResult r = core::track_pair_monocular(
-      d.frames[0], d.frames[1], core::goes9_scaled_config(),
-      {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult r =
+      core::SmaPipeline(core::goes9_scaled_config(), {.backend = "tiled"})
+          .track_pair(d.frames[0], d.frames[1]);
   EXPECT_LT(imaging::rms_endpoint_error(r.flow, d.tracks), 1.0);
 }
 
@@ -66,9 +67,9 @@ TEST(Pipeline, LuisSequenceConsecutivePairs) {
   // Several consecutive pairs of the Luis analog, continuous model.
   const goes::RapidScanDataset d = goes::make_luis_analog(48, 4, 29, 1.5);
   for (std::size_t i = 0; i + 1 < d.frames.size(); ++i) {
-    const core::TrackResult r = core::track_pair_monocular(
-        d.frames[i], d.frames[i + 1], core::luis_scaled_config(),
-        {.policy = core::ExecutionPolicy::kParallel});
+    const core::TrackResult r =
+        core::SmaPipeline(core::luis_scaled_config(), {.backend = "tiled"})
+            .track_pair(d.frames[i], d.frames[i + 1]);
     EXPECT_LT(imaging::rms_endpoint_error(r.flow, d.tracks), 1.2)
         << "pair " << i;
   }
@@ -78,9 +79,9 @@ TEST(Pipeline, DenseErrorAgainstGroundTruthSubPixelMedian) {
   // Dense comparison against the analytic wind field: the integer SMA
   // flow should land within one pixel nearly everywhere in the interior.
   const goes::FredericDataset d = goes::make_frederic_analog(64, 31, 2.0);
-  const core::TrackResult r = core::track_pair_monocular(
-      d.left0, d.left1, scaled_semifluid(),
-      {.policy = core::ExecutionPolicy::kParallel});
+  const core::TrackResult r =
+      core::SmaPipeline(scaled_semifluid(), {.backend = "tiled"})
+          .track_pair(d.left0, d.left1);
   const double rms = imaging::rms_endpoint_error(r.flow, d.truth, 12);
   EXPECT_LT(rms, 1.0);
 }

@@ -135,26 +135,6 @@ TEST(MatchPrecompute, WindowSumsMatchBruteForce) {
   }
 }
 
-TEST(MatchPrecompute, SlidingRowSumsMatchDirectWithinTolerance) {
-  const MatchPrecompute pre(geom0());
-  const int w = pre.width();
-  const int rx = 3, ry = 3;
-  const int y = pre.height() / 2;
-
-  std::vector<WindowInvariants> row(w);
-  pre.accumulate_window_rows(y, rx, ry, row.data());
-  for (int x = 0; x < w; ++x) {
-    WindowInvariants direct;
-    pre.accumulate_window(x, y, rx, ry, direct);
-    EXPECT_EQ(row[x].rows, direct.rows);
-    for (int k = 0; k < 21; ++k) {
-      const double scale = std::max(1.0, std::abs(direct.ata[k]));
-      EXPECT_NEAR(row[x].ata[k], direct.ata[k], 1e-9 * scale)
-          << "slot " << k << " at x=" << x;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Bit-identity grid: precompute ON vs the naive oracle, through the
 // full tracker (search + optional subpixel), across every fallback
@@ -193,14 +173,14 @@ TEST_P(PrecomputeEquivalence, FlowBitIdenticalToNaive) {
     in.validity_before = &mask0;
   }
 
-  const TrackerBackend& backend = BackendRegistry::instance().get("sequential");
   SmaConfig off = cfg;
   off.precompute = PrecomputeMode::kOff;
   SmaConfig on = cfg;
   on.precompute = PrecomputeMode::kOn;
 
-  const TrackResult naive = backend.track(in, off, options);
-  const TrackResult fast = backend.track(in, on, options);
+  const TrackResult naive =
+      SmaPipeline(off, {.track = options}).track_pair(in);
+  const TrackResult fast = SmaPipeline(on, {.track = options}).track_pair(in);
   ASSERT_GT(naive.flow.count_valid(), 0u);
   EXPECT_EQ(naive.flow, fast.flow) << "precompute diverged on " << c.name;
 }
@@ -221,34 +201,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<GridCase>& info) {
       return std::string(info.param.name);
     });
-
-// The sliding tier reassociates floating-point sums, so it is only
-// tolerance-equal: the flows may differ where hypothesis errors tie to
-// within rounding, which must stay rare on textured input.
-TEST(PrecomputeSliding, FlowAgreesWithNaiveWithinMismatchBudget) {
-  SmaConfig off = base_config();
-  off.precompute = PrecomputeMode::kOff;
-  SmaConfig slide = base_config();
-  slide.precompute = PrecomputeMode::kOn;
-  slide.precompute_sliding = true;
-
-  TrackerInput in;
-  in.intensity_before = in.surface_before = &frame0();
-  in.intensity_after = in.surface_after = &frame1();
-  const TrackerBackend& backend = BackendRegistry::instance().get("sequential");
-  const TrackResult naive = backend.track(in, off, {});
-  const TrackResult fast = backend.track(in, slide, {});
-
-  const int w = naive.flow.width(), h = naive.flow.height();
-  int mismatches = 0;
-  for (int y = 0; y < h; ++y)
-    for (int x = 0; x < w; ++x)
-      if (naive.flow.u().at(x, y) != fast.flow.u().at(x, y) ||
-          naive.flow.v().at(x, y) != fast.flow.v().at(x, y))
-        ++mismatches;
-  EXPECT_LE(mismatches, (w * h) / 100)
-      << "sliding tier diverged beyond tie-breaking noise";
-}
 
 // ---------------------------------------------------------------------------
 // Pipeline caching: the planes are built once per before frame and

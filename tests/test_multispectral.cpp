@@ -100,8 +100,8 @@ TEST(Multispectral, FusionBeatsEitherSingleChannel) {
   in.after = {&d.vis[1], &d.ir[1]};
   SmaConfig cfg = goes9_scaled_config();
   cfg.z_search_radius = 3;
-  const MultispectralResult r = track_pair_multispectral(
-      in, cfg, {.policy = ExecutionPolicy::kParallel});
+  const MultispectralResult r =
+      track_pair_multispectral(in, cfg, {}, "tiled");
 
   const double gf_fused = good_fraction(r.flow, d.truth, 12);
   const double gf_vis = good_fraction(r.per_channel[0], d.truth, 12);

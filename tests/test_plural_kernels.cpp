@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "imaging/stats.hpp"
 
@@ -88,7 +89,7 @@ TEST(PluralSearch, MatchesHostTrackerInterior) {
   const HierarchicalMap map(28, 28, small_spec(4));
   const PluralSearchResult plural =
       plural_hypothesis_search(f0, map, f1, cfg);
-  const core::TrackResult host = core::track_pair_monocular(f0, f1, cfg);
+  const core::TrackResult host = core::SmaPipeline(cfg).track_pair(f0, f1);
 
   const int margin = cfg.z_template_radius + cfg.z_search_radius;
   for (int y = margin; y < 28 - margin; ++y)

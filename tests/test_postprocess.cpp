@@ -3,6 +3,7 @@
 // work, implemented here as extensions).
 #include "core/postprocess.hpp"
 
+#include "core/pipeline.hpp"
 #include "core/tracker.hpp"
 
 #include <gtest/gtest.h>
@@ -254,10 +255,9 @@ TEST(ForwardBackward, EndToEndOcclusionDetected) {
   cfg.surface_fit_radius = 2;
   cfg.z_template_radius = 3;
   cfg.z_search_radius = 3;
-  TrackResult fwd = track_pair_monocular(
-      f0, f1, cfg, {.policy = ExecutionPolicy::kParallel});
-  const TrackResult bwd = track_pair_monocular(
-      f1, f0, cfg, {.policy = ExecutionPolicy::kParallel});
+  SmaPipeline pipeline(cfg, {.backend = "tiled"});
+  TrackResult fwd = pipeline.track_pair(f0, f1);
+  const TrackResult bwd = pipeline.track_pair(f1, f0);
   forward_backward_check(fwd.flow, bwd.flow, 1.0);
   // Interior pixels stay valid and correct.
   int valid_interior = 0, total = 0;

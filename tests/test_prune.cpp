@@ -21,11 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
 #include "core/match_vector.hpp"
 #include "core/obs_bridge.hpp"
+#include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
 #include "surface/geometry.hpp"
@@ -119,10 +119,6 @@ TEST(ResolvePrune, DecisionTable) {
   EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNoPrecompute);
   cfg.precompute = PrecomputeMode::kAuto;
 
-  cfg.precompute_sliding = true;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kSliding);
-  cfg.precompute_sliding = false;
-
   // F_semi rides the precompute now, but the pruned sweep does not model
   // its remap: an active one reports its own reason instead of hiding
   // under kNoPrecompute (or silently pruning).  Nss = 0 is F_cont.
@@ -165,9 +161,9 @@ TEST(ResolvePrune, FallbackNamesAreStable) {
   std::vector<std::string> names;
   for (const PruneFallback f :
        {PruneFallback::kNone, PruneFallback::kNotRequested,
-        PruneFallback::kNoPrecompute, PruneFallback::kSliding,
-        PruneFallback::kSegmented, PruneFallback::kNoRawFrames,
-        PruneFallback::kTinySearch, PruneFallback::kSemiFluid}) {
+        PruneFallback::kNoPrecompute, PruneFallback::kSegmented,
+        PruneFallback::kNoRawFrames, PruneFallback::kTinySearch,
+        PruneFallback::kSemiFluid}) {
     const std::string name = prune_fallback_name(f);
     EXPECT_FALSE(name.empty());
     for (const std::string& seen : names) EXPECT_NE(name, seen);
@@ -413,10 +409,9 @@ TEST(PruneSeedsTest, TinyFrameYieldsNoSeeds) {
 
 TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
   const TrackerInput in = monocular_input();
-  auto& registry = BackendRegistry::instance();
   const SmaConfig cfg = pruned_config();
 
-  const TrackResult ref = registry.get("sequential").track(in, cfg, {});
+  const TrackResult ref = SmaPipeline(cfg).track_pair(in);
   ASSERT_GT(ref.flow.count_valid(), 0u);
   const PruneReport* ref_report = host_report(ref);
   ASSERT_NE(ref_report, nullptr);
@@ -429,7 +424,8 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
         variant.threads = threads;
         variant.tile_width = tw;
         variant.tile_height = th;
-        const TrackResult r = registry.get(name).track(in, variant, {});
+        const TrackResult r =
+            SmaPipeline(variant, {.backend = name}).track_pair(in);
         EXPECT_EQ(ref.flow, r.flow)
             << "backend '" << name << "' threads=" << threads << " tile="
             << tw << "x" << th << " diverged from sequential pruned";
@@ -439,7 +435,7 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
   // off changes the work done, never the winner.
   SmaConfig unbounded = cfg;
   unbounded.prune_bound = false;
-  const TrackResult nb = registry.get("sequential").track(in, unbounded, {});
+  const TrackResult nb = SmaPipeline(unbounded).track_pair(in);
   EXPECT_EQ(ref.flow, nb.flow);
   const PruneReport* nb_report = host_report(nb);
   ASSERT_NE(nb_report, nullptr);
@@ -450,7 +446,7 @@ TEST(PrunedSearch, ReportAccountingIsConsistent) {
   const TrackerInput in = monocular_input();
   const SmaConfig cfg = pruned_config();
   const TrackResult r =
-      BackendRegistry::instance().get("sequential").track(in, cfg, {});
+      SmaPipeline(cfg).track_pair(in);
   const PruneReport* report = host_report(r);
   ASSERT_NE(report, nullptr);
   EXPECT_EQ(report->active, 1u);
@@ -478,7 +474,7 @@ TEST(PrunedSearch, ReportAccountingIsConsistent) {
   // report is also active, though its batch-granular counters may
   // differ from the scalar path's.
   const TrackResult rv =
-      BackendRegistry::instance().get("vector").track(in, cfg, {});
+      SmaPipeline(cfg, {.backend = "vector"}).track_pair(in);
   const auto* vx =
       dynamic_cast<const VectorBackendExtras*>(rv.extras.get());
   ASSERT_NE(vx, nullptr);
@@ -490,7 +486,6 @@ TEST(PrunedSearch, ReportAccountingIsConsistent) {
 }
 
 TEST(PrunedSearch, IneligibleConfigsFallBackBitIdenticalToFull) {
-  auto& registry = BackendRegistry::instance();
 
   struct FallbackCase {
     const char* name;
@@ -498,10 +493,6 @@ TEST(PrunedSearch, IneligibleConfigsFallBackBitIdenticalToFull) {
     void (*mutate)(SmaConfig&, TrackerInput&, imaging::ImageU8&);
   };
   const FallbackCase cases[] = {
-      {"sliding", PruneFallback::kSliding,
-       [](SmaConfig& cfg, TrackerInput&, imaging::ImageU8&) {
-         cfg.precompute_sliding = true;
-       }},
       {"segmented", PruneFallback::kSegmented,
        [](SmaConfig& cfg, TrackerInput&, imaging::ImageU8&) {
          cfg.segment_rows = 2;
@@ -531,8 +522,8 @@ TEST(PrunedSearch, IneligibleConfigsFallBackBitIdenticalToFull) {
     SmaConfig full = pruned;
     full.search_mode = SearchMode::kFull;
 
-    const TrackResult want = registry.get("sequential").track(in, full, {});
-    const TrackResult got = registry.get("sequential").track(in, pruned, {});
+    const TrackResult want = SmaPipeline(full).track_pair(in);
+    const TrackResult got = SmaPipeline(pruned).track_pair(in);
     EXPECT_EQ(want.flow, got.flow)
         << "fallback '" << c.name << "' must be bit-identical to full";
     const PruneReport* report = host_report(got);
@@ -545,15 +536,14 @@ TEST(PrunedSearch, IneligibleConfigsFallBackBitIdenticalToFull) {
 
 TEST(PrunedSearch, AgreesWithFullOracleOnTranslation) {
   const TrackerInput in = monocular_input();
-  auto& registry = BackendRegistry::instance();
   SmaConfig pruned = pruned_config();
   SmaConfig full = pruned;
   full.search_mode = SearchMode::kFull;
 
   TrackOptions opts;
   opts.subpixel = true;
-  const TrackResult want = registry.get("sequential").track(in, full, opts);
-  const TrackResult got = registry.get("sequential").track(in, pruned, opts);
+  const TrackResult want = SmaPipeline(full, {.track = opts}).track_pair(in);
+  const TrackResult got = SmaPipeline(pruned, {.track = opts}).track_pair(in);
 
   // Tolerance-equal, not bit-equal: a bad seed can exclude the oracle
   // winner.  The disagreement concentrates in the clamped-border band,
@@ -581,9 +571,7 @@ TEST(PrunedSearch, AgreesWithFullOracleOnTranslation) {
 TEST(PrunedSearch, FullModeCarriesNoPruneExtras) {
   SmaConfig full = pruned_config();
   full.search_mode = SearchMode::kFull;
-  const TrackResult r = BackendRegistry::instance()
-                            .get("sequential")
-                            .track(monocular_input(), full, {});
+  const TrackResult r = SmaPipeline(full).track_pair(monocular_input());
   // The historical host-backend contract: full runs stay extras-free.
   EXPECT_EQ(host_report(r), nullptr);
 }

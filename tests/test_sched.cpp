@@ -25,7 +25,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/backend.hpp"
+#include "core/pipeline.hpp"
 #include "helpers.hpp"
 #include "sched/deque.hpp"
 #include "sched/scheduler.hpp"
@@ -327,20 +327,20 @@ class SchedDeterminism : public ::testing::Test {
 
 TEST_F(SchedDeterminism, TiledBitIdenticalAcrossThreadCounts) {
   const core::TrackerInput in = tracker_input();
-  auto& registry = core::BackendRegistry::instance();
   for (const core::MotionModel model :
        {core::MotionModel::kContinuous, core::MotionModel::kSemiFluid}) {
     const core::SmaConfig cfg = tracker_config(model);
     core::TrackOptions options;
     options.subpixel = true;
     const core::TrackResult ref =
-        registry.get("sequential").track(in, cfg, options);
+        core::SmaPipeline(cfg, {.track = options}).track_pair(in);
     ASSERT_GT(ref.flow.count_valid(), 0u);
     for (const int threads : {1, 2, 4}) {
       core::SmaConfig tcfg = cfg;
       tcfg.threads = threads;
       const core::TrackResult r =
-          registry.get("tiled").track(in, tcfg, options);
+          core::SmaPipeline(tcfg, {.backend = "tiled", .track = options})
+              .track_pair(in);
       EXPECT_EQ(ref.flow, r.flow)
           << "tiled backend diverged at threads=" << threads;
     }
@@ -349,9 +349,8 @@ TEST_F(SchedDeterminism, TiledBitIdenticalAcrossThreadCounts) {
 
 TEST_F(SchedDeterminism, TiledBitIdenticalAcrossSkewedTileShapes) {
   const core::TrackerInput in = tracker_input();
-  auto& registry = core::BackendRegistry::instance();
   const core::SmaConfig cfg = tracker_config(core::MotionModel::kSemiFluid);
-  const core::TrackResult ref = registry.get("sequential").track(in, cfg, {});
+  const core::TrackResult ref = core::SmaPipeline(cfg).track_pair(in);
   // Skewed shapes create wildly unequal per-tile costs (single-row
   // strips hit window setup once per pixel; single-column strips defeat
   // horizontal locality) — maximal steal pressure.
@@ -361,7 +360,8 @@ TEST_F(SchedDeterminism, TiledBitIdenticalAcrossSkewedTileShapes) {
     tcfg.tile_width = tw;
     tcfg.tile_height = th;
     tcfg.threads = 4;
-    const core::TrackResult r = registry.get("tiled").track(in, tcfg, {});
+    const core::TrackResult r =
+        core::SmaPipeline(tcfg, {.backend = "tiled"}).track_pair(in);
     EXPECT_EQ(ref.flow, r.flow)
         << "tiled backend diverged at tile " << tw << "x" << th;
   }
@@ -369,15 +369,15 @@ TEST_F(SchedDeterminism, TiledBitIdenticalAcrossSkewedTileShapes) {
 
 TEST_F(SchedDeterminism, VectorBackendBitIdenticalAcrossThreadCounts) {
   const core::TrackerInput in = tracker_input();
-  auto& registry = core::BackendRegistry::instance();
   // Lane batching (hypothesis axis) and tiling (pixel axis) compose:
   // the vector backend must stay bit-identical at any width too.
   const core::SmaConfig cfg = tracker_config(core::MotionModel::kContinuous);
-  const core::TrackResult ref = registry.get("sequential").track(in, cfg, {});
+  const core::TrackResult ref = core::SmaPipeline(cfg).track_pair(in);
   for (const int threads : {1, 2, 4}) {
     core::SmaConfig tcfg = cfg;
     tcfg.threads = threads;
-    const core::TrackResult r = registry.get("vector").track(in, tcfg, {});
+    const core::TrackResult r =
+        core::SmaPipeline(tcfg, {.backend = "vector"}).track_pair(in);
     EXPECT_EQ(ref.flow, r.flow)
         << "vector backend diverged at threads=" << threads;
   }

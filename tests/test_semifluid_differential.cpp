@@ -13,7 +13,9 @@
 // (with the correspondence table for F_semi), vector at every compiled
 // SIMD level (selected through SMA_SIMD_LEVEL), maspar-sim, and the
 // thread caps {1, 4}.  Every vector run must also account for the whole
-// search: batched + tail hypotheses = pixels x search hypotheses.
+// search: batched + tail hypotheses = pixels x search hypotheses.  The
+// generator also draws a shard grid (1..3 x 1..3): the shard runner over
+// an in-memory tile source must stitch the same bits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,10 +26,11 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/match_vector.hpp"
+#include "core/pipeline.hpp"
 #include "helpers.hpp"
 #include "maspar/backend.hpp"
+#include "shard/runner.hpp"
 #include "simd/dispatch.hpp"
 
 namespace sma::core {
@@ -39,6 +42,7 @@ struct GeneratedCase {
   int w = 0, h = 0;
   double phase = 0.0;
   int shift_x = 0, shift_y = 0;
+  shard::ShardSpec grid;
 
   std::string describe() const {
     std::ostringstream os;
@@ -49,7 +53,8 @@ struct GeneratedCase {
        << config.semifluid_search_radius << " nst "
        << config.semifluid_template_radius << " Z " << config.segment_rows
        << " subpixel " << options.subpixel << " tile " << config.tile_width
-       << "x" << config.tile_height;
+       << "x" << config.tile_height << " shard " << grid.rows << "x"
+       << grid.cols;
     return os.str();
   }
 };
@@ -82,6 +87,7 @@ GeneratedCase generate(std::mt19937& rng) {
   c.phase = 0.1 * pick(0, 20);
   c.shift_x = pick(-2, 2);
   c.shift_y = pick(-2, 2);
+  c.grid = shard::ShardSpec{pick(1, 3), pick(1, 3)};
   return c;
 }
 
@@ -113,7 +119,6 @@ std::vector<simd::SimdLevel> compiled_levels() {
 
 TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
   maspar::register_maspar_backend();
-  const BackendRegistry& registry = BackendRegistry::instance();
   const std::vector<simd::SimdLevel> levels = compiled_levels();
   ASSERT_FALSE(levels.empty());
   std::mt19937 rng(20240613u);
@@ -133,12 +138,14 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
     oracle_cfg.precompute = PrecomputeMode::kOff;
     oracle_cfg.use_precomputed_mapping = false;
     const TrackResult oracle =
-        registry.get("sequential").track(in, oracle_cfg, c.options);
+        SmaPipeline(oracle_cfg, {.track = c.options}).track_pair(in);
 
     const auto expect_same = [&](const std::string& what,
                                  const SmaConfig& cfg) {
-      const TrackResult r = registry.get(what.substr(0, what.find('@')))
-                                .track(in, cfg, c.options);
+      const TrackResult r =
+          SmaPipeline(cfg, {.backend = what.substr(0, what.find('@')),
+                            .track = c.options})
+              .track_pair(in);
       EXPECT_TRUE(flow_bit_equal(r.flow, oracle.flow)) << what;
       return r;
     };
@@ -168,6 +175,14 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
       }
       unsetenv("SMA_SIMD_LEVEL");
     }
+
+    // The generated tile grid: each haloed crop tracked on its own and
+    // stitched must reproduce the whole frame.
+    shard::InMemoryTileSource source(f0, f1);
+    const shard::ShardResult sharded = shard::shard_track_pair(
+        source, c.config,
+        {.spec = c.grid, .backend = "vector", .track = c.options});
+    EXPECT_TRUE(flow_bit_equal(sharded.flow, oracle.flow)) << "shard";
   }
 }
 

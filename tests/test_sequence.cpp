@@ -1,6 +1,7 @@
-// Tests for core/sequence.hpp, goes/storm_track.hpp and imaging/svg.hpp
-// — the sequence-level cloud-tracking products.
-#include "core/sequence.hpp"
+// Tests for SmaPipeline::track_sequence (core/pipeline.hpp),
+// goes/storm_track.hpp and imaging/svg.hpp — the sequence-level
+// cloud-tracking products.
+#include "core/pipeline.hpp"
 
 #include <gtest/gtest.h>
 
@@ -16,10 +17,8 @@ namespace {
 
 TEST(TrackSequence, PairCountAndTimings) {
   const goes::RapidScanDataset d = goes::make_luis_analog(40, 4, 29, 1.5);
-  core::SequenceOptions opts;
-  opts.config = core::luis_scaled_config();
-  opts.track.policy = core::ExecutionPolicy::kParallel;
-  const core::SequenceResult r = core::track_sequence(d.frames, opts);
+  core::SmaPipeline pipeline(core::luis_scaled_config(), {.backend = "tiled"});
+  const core::SequenceResult r = pipeline.track_sequence(d.frames);
   EXPECT_EQ(r.flows.size(), 3u);
   EXPECT_EQ(r.timings.size(), 3u);
   EXPECT_GT(r.total_seconds(), 0.0);
@@ -28,15 +27,14 @@ TEST(TrackSequence, PairCountAndTimings) {
 
 TEST(TrackSequence, TrajectoriesFollowWind) {
   const goes::RapidScanDataset d = goes::make_luis_analog(48, 5, 29, 1.5);
-  core::SequenceOptions opts;
-  opts.config = core::luis_scaled_config();
-  opts.track.policy = core::ExecutionPolicy::kParallel;
-  opts.robust = true;
+  core::SmaPipeline pipeline(core::luis_scaled_config(),
+                             {.backend = "tiled", .robust = true});
   // Seed at the reference-track locations.
+  std::vector<std::pair<double, double>> seeds;
   for (std::size_t i = 0; i < 5 && i < d.tracks.size(); ++i)
-    opts.seeds.emplace_back(d.tracks[i].x, d.tracks[i].y);
-  const core::SequenceResult r = core::track_sequence(d.frames, opts);
-  ASSERT_EQ(r.trajectories.size(), opts.seeds.size());
+    seeds.emplace_back(d.tracks[i].x, d.tracks[i].y);
+  const core::SequenceResult r = pipeline.track_sequence(d.frames, seeds);
+  ASSERT_EQ(r.trajectories.size(), seeds.size());
   for (std::size_t i = 0; i < r.trajectories.size(); ++i) {
     const core::Trajectory& t = r.trajectories[i];
     if (t.lost) continue;  // near-border particles may exit
@@ -49,10 +47,9 @@ TEST(TrackSequence, TrajectoriesFollowWind) {
 }
 
 TEST(TrackSequence, RejectsTooFewFrames) {
-  core::SequenceOptions opts;
-  opts.config = core::luis_scaled_config();
+  core::SmaPipeline pipeline(core::luis_scaled_config());
   std::vector<imaging::ImageF> one(1, imaging::ImageF(8, 8, 0.0f));
-  EXPECT_THROW(core::track_sequence(one, opts), std::invalid_argument);
+  EXPECT_THROW(pipeline.track_sequence(one), std::invalid_argument);
 }
 
 TEST(Vorticity, ConstantFlowIsIrrotational) {

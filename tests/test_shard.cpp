@@ -8,8 +8,7 @@
 //    grids / resident budgets that cannot work;
 //  * the stitched shard result is BIT-IDENTICAL (all five flow planes)
 //    to the whole-frame run for every backend x precompute x search
-//    mode x grid — including non-divisible grids — with the documented
-//    sliding fallback running the whole frame instead;
+//    mode x grid — including non-divisible grids;
 //  * the out-of-core stream serves the same bits as the in-memory
 //    source, stays under its byte budget, survives modeled stripe
 //    faults, and the cost model replays spans deterministically.
@@ -20,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "core/backend.hpp"
 #include "core/fault.hpp"
+#include "core/pipeline.hpp"
 #include "core/postprocess.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
@@ -79,10 +78,8 @@ core::SmaConfig semifluid_config() {
 imaging::FlowField whole_frame(const std::string& backend,
                                const core::SmaConfig& cfg,
                                const core::TrackOptions& topts = {}) {
-  core::TrackerInput in;
-  in.intensity_before = in.surface_before = &frame0();
-  in.intensity_after = in.surface_after = &frame1();
-  return core::BackendRegistry::instance().get(backend).track(in, cfg, topts)
+  return core::SmaPipeline(cfg, {.backend = backend, .track = topts})
+      .track_pair(frame0(), frame1())
       .flow;
 }
 
@@ -259,7 +256,6 @@ TEST(ShardStitch, BitIdenticalAcrossGridsBackendsAndPrecompute) {
           opts.spec = grid;
           opts.backend = backend;
           const ShardResult r = shard_track_pair(src, cfg, opts);
-          EXPECT_TRUE(r.report.fallback.empty());
           EXPECT_EQ(r.report.tiles, grid.rows * grid.cols);
           expect_identical(
               r.flow, whole,
@@ -304,18 +300,6 @@ TEST(ShardStitch, SubpixelAndRobustMatchThePipelineRecipe) {
   opts.robust = true;
   const ShardResult r = shard_track_pair(src, cfg, opts);
   expect_identical(r.flow, whole, "subpixel+robust 2x2");
-}
-
-TEST(ShardStitch, SlidingPrecomputeFallsBackToTheWholeFrame) {
-  core::SmaConfig cfg = continuous_config();
-  cfg.precompute_sliding = true;
-  const imaging::FlowField whole = whole_frame("sequential", cfg);
-  InMemoryTileSource src(frame0(), frame1());
-  ShardOptions opts;
-  opts.spec = {2, 2};
-  const ShardResult r = shard_track_pair(src, cfg, opts);
-  EXPECT_EQ(r.report.fallback, "sliding");
-  expect_identical(r.flow, whole, "sliding fallback");
 }
 
 // --------------------------------------------------------------------------
@@ -473,13 +457,12 @@ TEST(ShardMetrics, PublishesTheShardGauges) {
   for (const char* name :
        {"shard.rows", "shard.cols", "shard.tiles", "shard.halo_x",
         "shard.halo_y", "shard.core_bytes", "shard.halo_bytes",
-        "shard.compute_seconds", "shard.read_seconds", "shard.fallback",
+        "shard.compute_seconds", "shard.read_seconds",
         "shard.stream.block_reads", "shard.stream.cache_hits",
         "shard.stream.resident_high_water", "shard.stream.io_seconds"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
   EXPECT_EQ(registry.gauge("shard.tiles").value(), 4.0);
-  EXPECT_EQ(registry.gauge("shard.fallback").value(), 0.0);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@ namespace sma {
 namespace {
 
 using core::BackendRegistry;
+using core::SmaPipeline;
 using core::SmaConfig;
 using core::TrackerInput;
 using core::TrackResult;
@@ -358,13 +359,13 @@ const core::VectorBackendExtras* vector_extras(const TrackResult& r) {
 TEST(VectorBackend, BitIdenticalToSequentialAtEveryDispatchLevel) {
   const TrackerInput in = vector_input();
   const SmaConfig cfg = vector_config();
-  auto& registry = BackendRegistry::instance();
-  const TrackResult ref = registry.get("sequential").track(in, cfg, {});
+  const TrackResult ref = SmaPipeline(cfg).track_pair(in);
 
   unsetenv("SMA_SIMD_LEVEL");
   for (const simd::SimdLevel level : runnable_levels()) {
     setenv("SMA_SIMD_LEVEL", simd::level_name(level), 1);
-    const TrackResult r = registry.get("vector").track(in, cfg, {});
+    const TrackResult r =
+        SmaPipeline(cfg, {.backend = "vector"}).track_pair(in);
     EXPECT_TRUE(r.flow == ref.flow)
         << "vector@" << simd::level_name(level) << " diverged from sequential";
     const auto* vx = vector_extras(r);
@@ -388,60 +389,52 @@ TEST(VectorBackend, BitIdenticalToSequentialAtEveryDispatchLevel) {
 
 TEST(VectorBackend, FallsBackWhenPrecomputeCannotServe) {
   const TrackerInput in = vector_input();
-  auto& registry = BackendRegistry::instance();
 
   SmaConfig off = vector_config();
   off.precompute = core::PrecomputeMode::kOff;
-  const TrackResult r_off = registry.get("vector").track(in, off, {});
+  const TrackResult r_off =
+      SmaPipeline(off, {.backend = "vector"}).track_pair(in);
   const auto* vx_off = vector_extras(r_off);
   ASSERT_NE(vx_off, nullptr);
   EXPECT_FALSE(vx_off->report.vector_path);
   EXPECT_EQ(vx_off->report.fallback, "precompute-off");
-  EXPECT_TRUE(r_off.flow == registry.get("sequential").track(in, off, {}).flow);
+  EXPECT_TRUE(r_off.flow == SmaPipeline(off).track_pair(in).flow);
 
   SmaConfig strided = vector_config();
   strided.template_stride = 2;
-  const TrackResult r_str = registry.get("vector").track(in, strided, {});
+  const TrackResult r_str =
+      SmaPipeline(strided, {.backend = "vector"}).track_pair(in);
   const auto* vx_str = vector_extras(r_str);
   ASSERT_NE(vx_str, nullptr);
   EXPECT_FALSE(vx_str->report.vector_path);
   EXPECT_TRUE(r_str.flow ==
-              registry.get("sequential").track(in, strided, {}).flow);
-
-  SmaConfig sliding = vector_config();
-  sliding.precompute_sliding = true;
-  const TrackResult r_sl = registry.get("vector").track(in, sliding, {});
-  const auto* vx_sl = vector_extras(r_sl);
-  ASSERT_NE(vx_sl, nullptr);
-  EXPECT_FALSE(vx_sl->report.vector_path);
-  EXPECT_EQ(vx_sl->report.fallback, "sliding");
-  EXPECT_TRUE(r_sl.flow ==
-              registry.get("sequential").track(in, sliding, {}).flow);
+              SmaPipeline(strided).track_pair(in).flow);
 
   // An eligible config whose caller attached no precompute planes.
   const SmaConfig cfg = vector_config();
-  const core::FrameGeometry g0 =
-      core::compute_frame_geometry(frame0(), &frame0(), cfg, false, false);
-  const core::FrameGeometry g1 =
-      core::compute_frame_geometry(frame1(), &frame1(), cfg, false, false);
+  surface::GeometryOptions gopts;
+  gopts.patch_radius = cfg.surface_fit_radius;
+  const surface::GeometricField g0 = surface::compute_geometry(frame0(), gopts);
+  const surface::GeometricField g1 = surface::compute_geometry(frame1(), gopts);
   core::MatchInput mi;
-  mi.before = &g0.geom;
-  mi.after = &g1.geom;
+  mi.before = &g0;
+  mi.after = &g1;
   mi.precompute = nullptr;
   ASSERT_EQ(core::resolve_precompute(cfg, mi),
             core::PrecomputeDecision::kFast);
-  const TrackResult r_np = registry.get("vector").match(mi, cfg, {});
+  const TrackResult r_np =
+      BackendRegistry::instance().get("vector").match(mi, cfg, {});
   const auto* vx_np = vector_extras(r_np);
   ASSERT_NE(vx_np, nullptr);
   EXPECT_FALSE(vx_np->report.vector_path);
   EXPECT_EQ(vx_np->report.fallback, "no-precompute");
-  EXPECT_TRUE(r_np.flow == registry.get("sequential").track(in, cfg, {}).flow);
+  EXPECT_TRUE(r_np.flow == SmaPipeline(cfg).track_pair(in).flow);
 }
 
 TEST(VectorBackend, PublishesLaneMetrics) {
   const TrackResult r =
-      BackendRegistry::instance().get("vector").track(vector_input(),
-                                                      vector_config(), {});
+      SmaPipeline(vector_config(), {.backend = "vector"})
+          .track_pair(vector_input());
   const auto* vx = vector_extras(r);
   ASSERT_NE(vx, nullptr);
   obs::MetricsRegistry reg;

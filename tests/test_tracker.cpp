@@ -7,6 +7,7 @@
 
 #include <limits>
 
+#include "core/pipeline.hpp"
 #include "core/semifluid.hpp"
 #include "helpers.hpp"
 
@@ -36,7 +37,7 @@ SmaConfig tiny_semifluid() {
 TEST(Tracker, RecoversUniformTranslationContinuous) {
   const imaging::ImageF f0 = testing::textured_pattern(32, 32);
   const imaging::ImageF f1 = testing::shift_image(f0, 2, -1);
-  const TrackResult r = track_pair_monocular(f0, f1, tiny_continuous());
+  const TrackResult r = SmaPipeline(tiny_continuous()).track_pair(f0, f1);
   // Away from borders the integer translation must be recovered at
   // (essentially) every pixel.
   EXPECT_GT(testing::flow_match_fraction(r.flow, 2, -1, 8), 0.98);
@@ -45,13 +46,13 @@ TEST(Tracker, RecoversUniformTranslationContinuous) {
 TEST(Tracker, RecoversUniformTranslationSemiFluid) {
   const imaging::ImageF f0 = testing::textured_pattern(32, 32);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 2);
-  const TrackResult r = track_pair_monocular(f0, f1, tiny_semifluid());
+  const TrackResult r = SmaPipeline(tiny_semifluid()).track_pair(f0, f1);
   EXPECT_GT(testing::flow_match_fraction(r.flow, 1, 2, 8), 0.98);
 }
 
 TEST(Tracker, ZeroMotionGivesZeroFlow) {
   const imaging::ImageF f0 = testing::textured_pattern(24, 24);
-  const TrackResult r = track_pair_monocular(f0, f0, tiny_continuous());
+  const TrackResult r = SmaPipeline(tiny_continuous()).track_pair(f0, f0);
   EXPECT_GT(testing::flow_match_fraction(r.flow, 0, 0, 6), 0.99);
 }
 
@@ -60,20 +61,18 @@ TEST(Tracker, ParallelMatchesSequentialContinuous) {
   // the sequential implementation."
   const imaging::ImageF f0 = testing::textured_pattern(28, 28);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 1);
-  const TrackResult seq = track_pair_monocular(
-      f0, f1, tiny_continuous(), {.policy = ExecutionPolicy::kSequential});
-  const TrackResult par = track_pair_monocular(
-      f0, f1, tiny_continuous(), {.policy = ExecutionPolicy::kParallel});
+  const TrackResult seq = SmaPipeline(tiny_continuous()).track_pair(f0, f1);
+  const TrackResult par =
+      SmaPipeline(tiny_continuous(), {.backend = "tiled"}).track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
 TEST(Tracker, ParallelMatchesSequentialSemiFluid) {
   const imaging::ImageF f0 = testing::textured_pattern(28, 28);
   const imaging::ImageF f1 = testing::shift_image(f0, -1, 1);
-  const TrackResult seq = track_pair_monocular(
-      f0, f1, tiny_semifluid(), {.policy = ExecutionPolicy::kSequential});
-  const TrackResult par = track_pair_monocular(
-      f0, f1, tiny_semifluid(), {.policy = ExecutionPolicy::kParallel});
+  const TrackResult seq = SmaPipeline(tiny_semifluid()).track_pair(f0, f1);
+  const TrackResult par =
+      SmaPipeline(tiny_semifluid(), {.backend = "tiled"}).track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -86,10 +85,10 @@ TEST_P(SegmentationInvariance, FlowIdenticalForAnyZ) {
   const imaging::ImageF f0 = testing::textured_pattern(24, 24);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, -1);
   SmaConfig base = tiny_semifluid();
-  const TrackResult unseg = track_pair_monocular(f0, f1, base);
+  const TrackResult unseg = SmaPipeline(base).track_pair(f0, f1);
   SmaConfig seg = base;
   seg.segment_rows = GetParam();
-  const TrackResult chunked = track_pair_monocular(f0, f1, seg);
+  const TrackResult chunked = SmaPipeline(seg).track_pair(f0, f1);
   EXPECT_TRUE(unseg.flow == chunked.flow) << "Z=" << GetParam();
 }
 
@@ -105,8 +104,8 @@ TEST(Tracker, PrecomputedMatchesNaiveSemiFluid) {
   pre.use_precomputed_mapping = true;
   SmaConfig naive = tiny_semifluid();
   naive.use_precomputed_mapping = false;
-  const TrackResult a = track_pair_monocular(f0, f1, pre);
-  const TrackResult b = track_pair_monocular(f0, f1, naive);
+  const TrackResult a = SmaPipeline(pre).track_pair(f0, f1);
+  const TrackResult b = SmaPipeline(naive).track_pair(f0, f1);
   EXPECT_TRUE(a.flow == b.flow);
 }
 
@@ -117,15 +116,15 @@ TEST(Tracker, SemiFluidWithNssZeroEqualsContinuous) {
   SmaConfig semi = tiny_semifluid();
   semi.semifluid_search_radius = 0;
   SmaConfig cont = tiny_continuous();
-  const TrackResult a = track_pair_monocular(f0, f1, semi);
-  const TrackResult b = track_pair_monocular(f0, f1, cont);
+  const TrackResult a = SmaPipeline(semi).track_pair(f0, f1);
+  const TrackResult b = SmaPipeline(cont).track_pair(f0, f1);
   EXPECT_TRUE(a.flow == b.flow);
 }
 
 TEST(Tracker, TimingsPopulated) {
   const imaging::ImageF f0 = testing::textured_pattern(20, 20);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  const TrackResult r = track_pair_monocular(f0, f1, tiny_semifluid());
+  const TrackResult r = SmaPipeline(tiny_semifluid()).track_pair(f0, f1);
   EXPECT_GT(r.timings.surface_fit, 0.0);
   EXPECT_GT(r.timings.geometric_vars, 0.0);
   EXPECT_GT(r.timings.semifluid_mapping, 0.0);
@@ -137,7 +136,7 @@ TEST(Tracker, TimingsPopulated) {
 TEST(Tracker, ContinuousHasNoMappingPhase) {
   const imaging::ImageF f0 = testing::textured_pattern(20, 20);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  const TrackResult r = track_pair_monocular(f0, f1, tiny_continuous());
+  const TrackResult r = SmaPipeline(tiny_continuous()).track_pair(f0, f1);
   EXPECT_EQ(r.timings.semifluid_mapping, 0.0);
   EXPECT_EQ(r.peak_mapping_bytes, 0u);
 }
@@ -145,9 +144,9 @@ TEST(Tracker, ContinuousHasNoMappingPhase) {
 TEST(Tracker, KeepParamsProducesField) {
   const imaging::ImageF f0 = testing::textured_pattern(20, 20);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  const TrackResult r = track_pair_monocular(
-      f0, f1, tiny_continuous(),
-      {.policy = ExecutionPolicy::kSequential, .keep_params = true});
+  const TrackResult r =
+      SmaPipeline(tiny_continuous(), {.track = {.keep_params = true}})
+          .track_pair(f0, f1);
   ASSERT_TRUE(r.params.has_value());
   EXPECT_EQ(r.params->ai.width(), 20);
   // Pure translation: deformation parameters small at interior pixels.
@@ -156,14 +155,14 @@ TEST(Tracker, KeepParamsProducesField) {
 
 TEST(Tracker, NoParamsByDefault) {
   const imaging::ImageF f0 = testing::textured_pattern(16, 16);
-  const TrackResult r = track_pair_monocular(f0, f0, tiny_continuous());
+  const TrackResult r = SmaPipeline(tiny_continuous()).track_pair(f0, f0);
   EXPECT_FALSE(r.params.has_value());
 }
 
 TEST(Tracker, ErrorChannelLowAtCorrectMatch) {
   const imaging::ImageF f0 = testing::textured_pattern(24, 24);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 1);
-  const TrackResult r = track_pair_monocular(f0, f1, tiny_continuous());
+  const TrackResult r = SmaPipeline(tiny_continuous()).track_pair(f0, f1);
   const imaging::FlowVector f = r.flow.at(12, 12);
   EXPECT_EQ(f.valid, 1);
   EXPECT_LT(f.error, 1e-3);
@@ -184,19 +183,20 @@ TEST(Tracker, StereoModeUsesSurfaceAndIntensity) {
   in.intensity_after = &intensity1;
   in.surface_before = &surf0;
   in.surface_after = &surf1;
-  const TrackResult r = track_pair(in, tiny_semifluid());
+  const TrackResult r = SmaPipeline(tiny_semifluid()).track_pair(in);
   EXPECT_GT(testing::flow_match_fraction(r.flow, 1, 0, 8), 0.9);
 }
 
 TEST(Tracker, NullInputThrows) {
   TrackerInput in;  // all null
-  EXPECT_THROW(track_pair(in, tiny_continuous()), std::invalid_argument);
+  EXPECT_THROW(SmaPipeline(tiny_continuous()).track_pair(in),
+               std::invalid_argument);
 }
 
 TEST(Tracker, ShapeMismatchThrows) {
   const imaging::ImageF a = testing::textured_pattern(16, 16);
   const imaging::ImageF b = testing::textured_pattern(20, 16);
-  EXPECT_THROW(track_pair_monocular(a, b, tiny_continuous()),
+  EXPECT_THROW(SmaPipeline(tiny_continuous()).track_pair(a, b),
                std::invalid_argument);
 }
 
@@ -204,7 +204,7 @@ TEST(Tracker, InvalidConfigThrows) {
   const imaging::ImageF a = testing::textured_pattern(16, 16);
   SmaConfig bad = tiny_continuous();
   bad.surface_fit_radius = 0;
-  EXPECT_THROW(track_pair_monocular(a, a, bad), std::invalid_argument);
+  EXPECT_THROW(SmaPipeline(bad).track_pair(a, a), std::invalid_argument);
 }
 
 TEST(Tracker, SearchRadiusZeroPinsFlow) {
@@ -212,7 +212,7 @@ TEST(Tracker, SearchRadiusZeroPinsFlow) {
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
   SmaConfig c = tiny_continuous();
   c.z_search_radius = 0;  // only the zero hypothesis exists
-  const TrackResult r = track_pair_monocular(f0, f1, c);
+  const TrackResult r = SmaPipeline(c).track_pair(f0, f1);
   EXPECT_GT(testing::flow_match_fraction(r.flow, 0, 0, 4), 0.99);
 }
 
@@ -225,7 +225,7 @@ TEST(Tracker, RectangularSearchFindsAnisotropicMotion) {
   SmaConfig c = tiny_continuous();
   c.z_search_radius = 3;
   c.z_search_radius_y = 1;
-  const TrackResult r = track_pair_monocular(f0, f1, c);
+  const TrackResult r = SmaPipeline(c).track_pair(f0, f1);
   EXPECT_GT(testing::flow_match_fraction(r.flow, 3, 0, 8), 0.95);
 }
 
@@ -236,10 +236,9 @@ TEST(Tracker, RectangularTemplateParallelMatchesSequential) {
   c.z_template_radius = 4;
   c.z_template_radius_y = 2;
   c.z_search_radius_y = 1;
-  const TrackResult seq = track_pair_monocular(
-      f0, f1, c, {.policy = ExecutionPolicy::kSequential});
-  const TrackResult par = track_pair_monocular(
-      f0, f1, c, {.policy = ExecutionPolicy::kParallel});
+  const TrackResult seq = SmaPipeline(c).track_pair(f0, f1);
+  const TrackResult par =
+      SmaPipeline(c, {.backend = "tiled"}).track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -248,9 +247,9 @@ TEST(Tracker, RectangularSegmentationInvariant) {
   const imaging::ImageF f1 = testing::shift_image(f0, 1, -1);
   SmaConfig c = tiny_semifluid();
   c.z_search_radius_y = 1;  // 3 hypothesis rows
-  const TrackResult whole = track_pair_monocular(f0, f1, c);
+  const TrackResult whole = SmaPipeline(c).track_pair(f0, f1);
   c.segment_rows = 1;
-  const TrackResult chunked = track_pair_monocular(f0, f1, c);
+  const TrackResult chunked = SmaPipeline(c).track_pair(f0, f1);
   EXPECT_TRUE(whole.flow == chunked.flow);
 }
 
@@ -263,8 +262,9 @@ TEST(Tracker, SubpixelRefinementRecoversFraction) {
   for (int y = 0; y < 40; ++y)
     for (int x = 0; x < 40; ++x)
       f1.at(x, y) = static_cast<float>(imaging::bilinear(f0, x - 1.5, y));
-  const TrackResult r = track_pair_monocular(f0, f1, tiny_continuous(),
-                                             {.subpixel = true});
+  const TrackResult r =
+      SmaPipeline(tiny_continuous(), {.track = {.subpixel = true}})
+          .track_pair(f0, f1);
   double sum = 0.0;
   int n = 0;
   for (int y = 10; y < 30; ++y)
@@ -278,8 +278,9 @@ TEST(Tracker, SubpixelRefinementRecoversFraction) {
 TEST(Tracker, SubpixelZeroOnExactIntegerMotion) {
   const imaging::ImageF f0 = testing::textured_pattern(32, 32);
   const imaging::ImageF f1 = testing::shift_image(f0, 2, 0);
-  const TrackResult r = track_pair_monocular(f0, f1, tiny_continuous(),
-                                             {.subpixel = true});
+  const TrackResult r =
+      SmaPipeline(tiny_continuous(), {.track = {.subpixel = true}})
+          .track_pair(f0, f1);
   double max_frac = 0.0;
   for (int y = 10; y < 22; ++y)
     for (int x = 10; x < 22; ++x) {
@@ -294,12 +295,13 @@ TEST(Tracker, SubpixelZeroOnExactIntegerMotion) {
 TEST(Tracker, SubpixelParallelMatchesSequential) {
   const imaging::ImageF f0 = testing::textured_pattern(28, 28);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 1);
-  const TrackResult seq = track_pair_monocular(
-      f0, f1, tiny_semifluid(),
-      {.policy = ExecutionPolicy::kSequential, .subpixel = true});
-  const TrackResult par = track_pair_monocular(
-      f0, f1, tiny_semifluid(),
-      {.policy = ExecutionPolicy::kParallel, .subpixel = true});
+  const TrackResult seq =
+      SmaPipeline(tiny_semifluid(), {.track = {.subpixel = true}})
+          .track_pair(f0, f1);
+  const TrackResult par =
+      SmaPipeline(tiny_semifluid(),
+                  {.backend = "tiled", .track = {.subpixel = true}})
+          .track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -310,7 +312,7 @@ TEST(Tracker, SingularFlatPatchDegradesGracefully) {
   // an infinite error and zero confidence — never NaN, never a bogus
   // "valid" zero-error vector.
   const imaging::ImageF flat(24, 24, 42.0f);
-  const TrackResult r = track_pair_monocular(flat, flat, tiny_continuous());
+  const TrackResult r = SmaPipeline(tiny_continuous()).track_pair(flat, flat);
   EXPECT_EQ(r.flow.count_valid(), 0u);
   for (int y = 0; y < 24; ++y)
     for (int x = 0; x < 24; ++x) {
@@ -327,12 +329,13 @@ TEST(Tracker, SingularDegradationSurvivesSubpixelAndParallel) {
   // The infinite-error contract must hold through the subpixel parabola
   // (inf - inf would be NaN) and match across execution policies.
   const imaging::ImageF flat(20, 20, 7.0f);
-  const TrackResult seq = track_pair_monocular(
-      flat, flat, tiny_continuous(),
-      {.policy = ExecutionPolicy::kSequential, .subpixel = true});
-  const TrackResult par = track_pair_monocular(
-      flat, flat, tiny_continuous(),
-      {.policy = ExecutionPolicy::kParallel, .subpixel = true});
+  const TrackResult seq =
+      SmaPipeline(tiny_continuous(), {.track = {.subpixel = true}})
+          .track_pair(flat, flat);
+  const TrackResult par =
+      SmaPipeline(tiny_continuous(),
+                  {.backend = "tiled", .track = {.subpixel = true}})
+          .track_pair(flat, flat);
   EXPECT_TRUE(seq.flow == par.flow);
   EXPECT_EQ(seq.flow.count_valid(), 0u);
   for (int y = 0; y < 20; ++y)
@@ -349,7 +352,8 @@ TEST(Tracker, MaskShapeMismatchThrows) {
   in.intensity_before = in.surface_before = &f0;
   in.intensity_after = in.surface_after = &f0;
   in.validity_before = &wrong;
-  EXPECT_THROW(track_pair(in, tiny_continuous()), std::invalid_argument);
+  EXPECT_THROW(SmaPipeline(tiny_continuous()).track_pair(in),
+               std::invalid_argument);
 }
 
 TEST(Tracker, NonFiniteInputRejected) {
@@ -358,10 +362,10 @@ TEST(Tracker, NonFiniteInputRejected) {
   imaging::ImageF f0 = testing::textured_pattern(16, 16);
   imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
   f1.at(8, 8) = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_THROW(track_pair_monocular(f0, f1, tiny_continuous()),
+  EXPECT_THROW(SmaPipeline(tiny_continuous()).track_pair(f0, f1),
                std::invalid_argument);
   f1.at(8, 8) = std::numeric_limits<float>::infinity();
-  EXPECT_THROW(track_pair_monocular(f0, f1, tiny_continuous()),
+  EXPECT_THROW(SmaPipeline(tiny_continuous()).track_pair(f0, f1),
                std::invalid_argument);
 }
 

@@ -3,6 +3,7 @@
 // execution policies — the dense version of the paper's validation.
 #include <gtest/gtest.h>
 
+#include "core/pipeline.hpp"
 #include "core/tracker.hpp"
 #include "helpers.hpp"
 
@@ -35,8 +36,8 @@ TEST_P(TranslationSweep, RecoveredDensely) {
 
   const imaging::ImageF f0 = testing::textured_pattern(32, 32);
   const imaging::ImageF f1 = testing::shift_image(f0, c.dx, c.dy);
-  const TrackResult r = track_pair_monocular(
-      f0, f1, cfg, {.policy = ExecutionPolicy::kParallel});
+  const TrackResult r =
+      SmaPipeline(cfg, {.backend = "tiled"}).track_pair(f0, f1);
   EXPECT_GT(testing::flow_match_fraction(r.flow, c.dx, c.dy, 9), 0.95)
       << "displacement (" << c.dx << "," << c.dy << ")";
 }
@@ -84,9 +85,9 @@ TEST_P(DeformationSweep, DilationRecoveredInParams) {
   cfg.surface_fit_radius = 2;
   cfg.z_template_radius = 4;
   cfg.z_search_radius = 2;
-  const TrackResult r = track_pair_monocular(
-      f0, f1, cfg, {.policy = ExecutionPolicy::kParallel,
-                    .keep_params = true});
+  const TrackResult r =
+      SmaPipeline(cfg, {.backend = "tiled", .track = {.keep_params = true}})
+          .track_pair(f0, f1);
   ASSERT_TRUE(r.params.has_value());
   // Near the center the motion is pure dilation: a_i ~ b_j ~ s > 0.
   double ai = 0.0, bj = 0.0;
