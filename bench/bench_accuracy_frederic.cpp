@@ -44,7 +44,7 @@ int main() {
 
   const core::TrackResult seq = core::SmaPipeline(cfg).track_pair(in);
   const core::TrackResult par =
-      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(in);
+      core::SmaPipeline(cfg, {.backend = "vector"}).track_pair(in);
   maspar::MachineSpec spec;
   spec.nxproc = 8;
   spec.nyproc = 8;

@@ -60,10 +60,10 @@ int main() {
   cfg.z_search_radius = 3;
   // A fresh pipeline per pair: the corrupted frames are rebuilt in place
   // every iteration, so no geometry may be cached across them.
-  const core::PipelineOptions tiled{.backend = "tiled"};
+  const core::PipelineOptions vec{.backend = "vector"};
 
   const core::TrackResult clean =
-      core::SmaPipeline(cfg, tiled).track_pair(data.left0, data.left1);
+      core::SmaPipeline(cfg, vec).track_pair(data.left0, data.left1);
   const RunStats clean_stats = measure(clean.flow, data.truth, margin);
 
   bench::header("Fault tolerance — scan-line dropout sweep (Frederic " +
@@ -90,7 +90,7 @@ int main() {
     injector.corrupt_frame(f1, 1, &log);
 
     const core::TrackResult raw =
-        core::SmaPipeline(cfg, tiled).track_pair(f0, f1);
+        core::SmaPipeline(cfg, vec).track_pair(f0, f1);
     const RunStats raw_stats = measure(raw.flow, data.truth, margin);
 
     const imaging::RepairReport rep0 = imaging::repair_frame(f0);
@@ -101,7 +101,7 @@ int main() {
     in.validity_before = &rep0.validity;
     in.validity_after = &rep1.validity;
     const core::TrackResult fixed =
-        core::SmaPipeline(cfg, tiled).track_pair(in);
+        core::SmaPipeline(cfg, vec).track_pair(in);
     const RunStats fixed_stats = measure(fixed.flow, data.truth, margin);
 
     std::printf("  %-8s %11.3f px %11.3f px %9.0f%% %10.3f\n",

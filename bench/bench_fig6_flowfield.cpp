@@ -50,7 +50,7 @@ int main() {
   const core::SmaConfig cfg = core::goes9_scaled_config();
   std::filesystem::create_directories("out");
   core::PipelineOptions popts;
-  popts.backend = "tiled";
+  popts.backend = "vector";
   core::SmaPipeline pipeline(cfg, popts);
 
   bench::header("Fig. 6 — Florida thunderstorm flow fields (" +

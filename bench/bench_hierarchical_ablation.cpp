@@ -49,7 +49,7 @@ int main() {
     core::SmaConfig wide = base;
     wide.z_search_radius = displacement + 1;
     const core::TrackResult r =
-        core::SmaPipeline(wide, {.backend = "tiled"}).track_pair(f0, f1);
+        core::SmaPipeline(wide, {.backend = "vector"}).track_pair(f0, f1);
     std::printf("  %-28s %10.2f %14.3f %12d\n", "flat (search covers 6px)",
                 r.timings.total, good_fraction(r.flow),
                 wide.z_search_size() * wide.z_search_size());
@@ -59,7 +59,7 @@ int main() {
     core::SmaConfig narrow = base;
     narrow.z_search_radius = 2;
     const core::TrackResult r =
-        core::SmaPipeline(narrow, {.backend = "tiled"}).track_pair(f0, f1);
+        core::SmaPipeline(narrow, {.backend = "vector"}).track_pair(f0, f1);
     std::printf("  %-28s %10.2f %14.3f %12d\n", "flat (search 2px, too small)",
                 r.timings.total, good_fraction(r.flow),
                 narrow.z_search_size() * narrow.z_search_size());
@@ -71,7 +71,7 @@ int main() {
     opts.coarse = base;
     opts.coarse.z_search_radius = 2;
     opts.refine_search_radius = 1;
-    opts.backend = "tiled";
+    opts.backend = "vector";
     const core::HierarchicalResult h =
         core::track_pair_hierarchical(f0, f1, opts);
     // Hypotheses per level 0 pixel: coarse 5x5 at 1/16 the pixels plus

@@ -59,7 +59,7 @@ int main() {
   // fitted as the "after" image of pair t-1, is a cache hit when it
   // returns as the "before" image of pair t.
   core::PipelineOptions popts;
-  popts.backend = "tiled";
+  popts.backend = "vector";
   core::SmaPipeline pipeline(core::luis_scaled_config(), popts);
 
   const imaging::ImageF* prev = &stream.next();
@@ -113,7 +113,7 @@ int main() {
   // steadily across the frame.
   {
     core::PipelineOptions sopts;
-    sopts.backend = "tiled";
+    sopts.backend = "vector";
     sopts.track.subpixel = true;
     sopts.robust = true;
     core::SequenceResult seq =

@@ -93,8 +93,8 @@ int main() {
   core::SmaConfig cont = semi;
   cont.model = core::MotionModel::kContinuous;
 
-  core::SmaPipeline semi_pipeline(semi, {.backend = "tiled"});
-  core::SmaPipeline cont_pipeline(cont, {.backend = "tiled"});
+  core::SmaPipeline semi_pipeline(semi, {.backend = "vector"});
+  core::SmaPipeline cont_pipeline(cont, {.backend = "vector"});
   const core::TrackResult r_semi = semi_pipeline.track_pair(f0, f1);
   const core::TrackResult r_cont = cont_pipeline.track_pair(f0, f1);
   const Eval e_semi = evaluate(r_semi.flow, truth, band, margin);

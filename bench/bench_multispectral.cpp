@@ -38,7 +38,7 @@ int main() {
   cfg.z_search_radius = 3;
 
   const core::MultispectralResult r =
-      core::track_pair_multispectral(in, cfg, {}, "tiled");
+      core::track_pair_multispectral(in, cfg, {}, "vector");
 
   const int margin = size / 6;
   bench::header("Multispectral fusion (VIS west / IR east, " +

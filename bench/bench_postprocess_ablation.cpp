@@ -23,7 +23,7 @@ void print_ablation() {
   cfg.z_search_radius = 3;
   cfg.z_template_radius = 2;  // 5x5 template: deliberately noisy
   const core::TrackResult raw =
-      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(d.left0, d.left1);
+      core::SmaPipeline(cfg, {.backend = "vector"}).track_pair(d.left0, d.left1);
 
   const int margin = 12;
   const double rms_raw = imaging::rms_endpoint_error(raw.flow, d.truth, margin);

@@ -37,7 +37,7 @@ int main() {
     cfg.template_stride = stride;
     const core::Workload w{size, size, cfg};
     const core::TrackResult r =
-        core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(f0, f1);
+        core::SmaPipeline(cfg, {.backend = "vector"}).track_pair(f0, f1);
     std::printf("  %-8d %14llu %12.2f %12.3f\n", stride,
                 static_cast<unsigned long long>(
                     w.error_terms_per_hypothesis()),

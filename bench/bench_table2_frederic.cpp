@@ -6,18 +6,17 @@
 //     calibrated MP-2 / SGI cost model — the Table 2 rows, the 397-day
 //     sequential projection and the 1025x speedup.
 //  2. MEASURED on a scaled problem: the same code paths run for real
-//     (sequential vs the tiled host backend, the `vector` lane kernel
-//     and the SIMD executor), with the result-identity check the paper
-//     performs in Sec. 5.1.  The vector row splits the semi-fluid
+//     (sequential vs the `vector` lane kernel and the SIMD executor),
+//     with the result-identity check the paper performs in Sec. 5.1.  The vector row splits the semi-fluid
 //     mapping (the correspondence-table build) from hypothesis matching
 //     (the lane kernel gathering through that table).
 // Usage: bench_table2_frederic [--backend NAME] [--json PATH]
 //   NAME selects the registry backend compared against the sequential
-//   reference in the measured section (default: tiled).
+//   reference in the measured section (default: vector).
 //   PATH receives the measured per-phase rows as a JSON record array.
 //
-// The measured section ends with a thread-scaling sweep: the tiled and
-// vector backends at 1, 2, 4, ... threads (pool resized to the sweep
+// The measured section ends with a thread-scaling sweep: the vector
+// backend at 1, 2, 4, ... threads (pool resized to the sweep
 // maximum, each run capped via SmaConfig::threads), emitting a
 // speedup/efficiency curve into the JSON and asserting FlowField
 // bit-identity against the sequential reference at every width.  Exits
@@ -40,7 +39,7 @@
 using namespace sma;
 
 int main(int argc, char** argv) {
-  std::string backend = "tiled";
+  std::string backend = "vector";
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc)
@@ -161,7 +160,7 @@ int main(int argc, char** argv) {
     std::printf("  modeled MP-2 total at this size: %.3f s (speedup %.0fx)\n",
                 mp->report.modeled.total(), mp->report.modeled_speedup);
 
-  // ---------- 3. Thread-scaling sweep (tiled and vector backends) ----------
+  // ---------- 3. Thread-scaling sweep (vector backend) ----------
   // Widths 1, 2, 4, ... up to at least 4 (so the curve exists even on a
   // 1-core box, where it honestly records ~1x: the shared pool is
   // resized to the sweep maximum, and each run is capped through
@@ -180,29 +179,28 @@ int main(int argc, char** argv) {
     core::TrackResult result;
   };
   std::vector<SweepPoint> sweep;
-  for (const std::string swept : {"tiled", "vector"}) {
-    bench::header("Thread scaling — " + swept + " backend (" +
-                  std::to_string(std::max(hw, 4)) + "-wide pool, " +
-                  std::to_string(hw) + " hardware thread(s))");
-    bench::row_header("threads", "total (s) / speedup");
-    bool sweep_identical = true;
-    double t1 = 0.0;
-    for (const int t : widths) {
-      core::SmaConfig tcfg = cfg;
-      tcfg.threads = t;
-      core::TrackResult r = best_of_3(swept, tcfg);
-      if (t == widths.front()) t1 = r.timings.total;
-      sweep_identical = sweep_identical && r.flow == seq.flow;
-      const double speedup = t1 / r.timings.total;
-      bench::row(swept + ", " + std::to_string(t) + " thread(s)",
-                 bench::fmt(r.timings.total), bench::fmt(speedup, "x", 2));
-      sweep.push_back({swept, t, speedup, std::move(r)});
-    }
-    std::printf("  bit-identical to sequential at every width: %s\n",
-                sweep_identical ? "yes (paper Sec. 5.1 criterion)"
-                                : "NO — BUG");
-    identical = identical && sweep_identical;
+  const std::string swept = "vector";
+  bench::header("Thread scaling — " + swept + " backend (" +
+                std::to_string(std::max(hw, 4)) + "-wide pool, " +
+                std::to_string(hw) + " hardware thread(s))");
+  bench::row_header("threads", "total (s) / speedup");
+  bool sweep_identical = true;
+  double t1 = 0.0;
+  for (const int t : widths) {
+    core::SmaConfig tcfg = cfg;
+    tcfg.threads = t;
+    core::TrackResult r = best_of_3(swept, tcfg);
+    if (t == widths.front()) t1 = r.timings.total;
+    sweep_identical = sweep_identical && r.flow == seq.flow;
+    const double speedup = t1 / r.timings.total;
+    bench::row(swept + ", " + std::to_string(t) + " thread(s)",
+               bench::fmt(r.timings.total), bench::fmt(speedup, "x", 2));
+    sweep.push_back({swept, t, speedup, std::move(r)});
   }
+  std::printf("  bit-identical to sequential at every width: %s\n",
+              sweep_identical ? "yes (paper Sec. 5.1 criterion)"
+                              : "NO — BUG");
+  identical = identical && sweep_identical;
 
   if (!json_path.empty()) {
     const double npix = static_cast<double>(size) * size;

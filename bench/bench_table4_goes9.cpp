@@ -5,7 +5,7 @@
 // non-rigid motion model", Sec. 5.2).
 // Usage: bench_table4_goes9 [--backend NAME]
 //   NAME selects the registry backend compared against the sequential
-//   reference in the measured section (default: tiled).
+//   reference in the measured section (default: vector).
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -19,7 +19,7 @@
 using namespace sma;
 
 int main(int argc, char** argv) {
-  std::string backend = "tiled";
+  std::string backend = "vector";
   for (int i = 1; i < argc; ++i)
     if (std::strcmp(argv[i], "--backend") == 0 && i + 1 < argc)
       backend = argv[++i];

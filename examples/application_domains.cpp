@@ -18,7 +18,7 @@ using namespace sma;
 
 int main(int argc, char** argv) {
   const std::string out_dir = argc > 1 ? argv[1] : ".";
-  const core::PipelineOptions tiled{.backend = "tiled"};
+  const core::PipelineOptions vec{.backend = "vector"};
 
   // --- 1. Clouds (the paper's own domain).
   {
@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
         goes::rankine_vortex(size / 2.0, size / 2.0, size / 5.0, 2.0);
     const imaging::ImageF f1 = goes::advect_frame(f0, wind);
     const core::TrackResult r =
-        core::SmaPipeline(core::frederic_scaled_config(), tiled)
+        core::SmaPipeline(core::frederic_scaled_config(), vec)
             .track_pair(f0, f1);
     const double rms = imaging::rms_endpoint_error(
         r.flow, goes::wind_to_flow(size, size, wind), 12);
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     core::SmaConfig cfg = core::goes9_scaled_config();
     cfg.z_search_radius = 3;
     const core::TrackResult r =
-        core::SmaPipeline(cfg, tiled).track_pair(d.sst0, d.sst1);
+        core::SmaPipeline(cfg, vec).track_pair(d.sst0, d.sst1);
     const double rms = imaging::rms_endpoint_error(r.flow, d.tracks);
     // Locate both eddies from the estimated field's vorticity.
     const imaging::FlowField smooth = core::gaussian_smooth(r.flow, 1.5);
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
     core::SmaConfig cfg = core::frederic_scaled_config();
     cfg.z_search_radius = 4;
     const core::TrackResult r =
-        core::SmaPipeline(cfg, tiled).track_pair(d.frame0, d.frame1);
+        core::SmaPipeline(cfg, vec).track_pair(d.frame0, d.frame1);
     const imaging::FlowVector left = r.flow.at(d.tracks[0].x, d.tracks[0].y);
     const imaging::FlowVector right = r.flow.at(d.tracks[1].x, d.tracks[1].y);
     std::printf(

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   input.surface_before = &z0;
   input.surface_after = &z1;
   const sma::core::TrackResult result =
-      sma::core::SmaPipeline(config, {.backend = "tiled"}).track_pair(input);
+      sma::core::SmaPipeline(config, {.backend = "vector"}).track_pair(input);
 
   std::printf("tracked all %d pixels in %.2f s (host)\n",
               result.flow.width() * result.flow.height(),

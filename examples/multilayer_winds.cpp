@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
   std::printf("== multilayer clouds (%dx%d), %s ==\n", size, size,
               cfg.describe().c_str());
   const core::TrackResult r =
-      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(frame0, frame1);
+      core::SmaPipeline(cfg, {.backend = "vector"}).track_pair(frame0, frame1);
   imaging::FlowField flow = core::robust_postprocess(r.flow);
 
   // --- Classification and per-deck winds.

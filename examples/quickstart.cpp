@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   // 3. Track every pixel (monocular mode: intensity as a digital surface)
   //    on the thread-parallel host backend.
-  sma::core::SmaPipeline pipeline(config, {.backend = "tiled"});
+  sma::core::SmaPipeline pipeline(config, {.backend = "vector"});
   const sma::core::TrackResult result = pipeline.track_pair(frame0, frame1);
 
   // 4. Report.

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   std::printf("SMA config: %s\n", config.describe().c_str());
 
   // One pipeline for the whole sequence: each frame is fitted once.
-  sma::core::SmaPipeline pipeline(config, {.backend = "tiled"});
+  sma::core::SmaPipeline pipeline(config, {.backend = "vector"});
   for (int t = 0; t + 1 < frames; ++t) {
     const sma::core::TrackResult r =
         pipeline.track_pair(data.frames[static_cast<std::size_t>(t)],

@@ -19,11 +19,10 @@
 //   --template N           z-template radius       (default 4)
 //   --subpixel             parabolic refinement
 //   --backend NAME         execution backend from the registry:
-//                          sequential | tiled (default) | vector |
-//                          maspar-sim
+//                          sequential | vector (default) | maspar-sim
 //   --sequential           shorthand for --backend sequential
 //   --precompute MODE      hypothesis-invariant matching precompute:
-//                          auto (default) | on | off
+//                          on (default) | off
 //   --threads N            cap this run's tile executors (0 = the whole
 //                          shared pool; pool width = SMA_THREADS or the
 //                          hardware count)
@@ -94,10 +93,10 @@ int usage() {
                "  sma_cli track  <before.pgm> <after.pgm> <out_flow.txt>\n"
                "                 [--model cont|semi] [--search N]\n"
                "                 [--template N] [--subpixel] [--sequential]\n"
-               "                 [--backend sequential|tiled|vector|\n"
-               "                            maspar-sim] (default tiled)\n"
+               "                 [--backend sequential|vector|maspar-sim]\n"
+               "                 (default vector)\n"
                "                 [--robust] [--ppm FILE]\n"
-               "                 [--precompute auto|on|off]\n"
+               "                 [--precompute on|off]\n"
                "                 [--threads N] [--tile WxH]\n"
                "                 [--search-mode full|pruned]\n"
                "                 [--prune-levels N] [--prune-radius N]\n"
@@ -173,7 +172,7 @@ int cmd_synth(int argc, char** argv) {
 struct TrackCliOptions {
   core::SmaConfig cfg;
   core::TrackOptions opts;
-  std::string backend = "tiled";
+  std::string backend = "vector";
   bool robust = false;
   double fault_rate = 0.0;
   std::uint64_t fault_seed = 1;
@@ -213,14 +212,12 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       o.backend = next_arg(argc, argv, i);
     } else if (a == "--precompute") {
       const std::string m = next_arg(argc, argv, i);
-      if (m == "auto")
-        o.cfg.precompute = core::PrecomputeMode::kAuto;
-      else if (m == "on")
+      if (m == "on")
         o.cfg.precompute = core::PrecomputeMode::kOn;
       else if (m == "off")
         o.cfg.precompute = core::PrecomputeMode::kOff;
       else
-        throw std::invalid_argument("--precompute expects auto|on|off");
+        throw std::invalid_argument("--precompute expects on|off");
     } else if (a == "--threads") {
       o.cfg.threads = int_arg(argc, argv, i);
     } else if (a == "--tile") {
@@ -447,8 +444,8 @@ int cmd_track(int argc, char** argv) {
       std::printf("vector backend fell back to the staged path (%s)\n",
                   vx->report.fallback.c_str());
   }
-  // Pruned-search accounting rides on either backend family's extras:
-  // PruneBackendExtras (host backends) or VectorBackendExtras.prune.
+  // Pruned-search accounting rides on either backend's extras:
+  // PruneBackendExtras (sequential) or VectorBackendExtras.prune.
   const core::PruneReport* prune = nullptr;
   if (const auto* px =
           dynamic_cast<const core::PruneBackendExtras*>(r.extras.get()))

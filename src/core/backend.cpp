@@ -10,29 +10,19 @@ namespace sma::core {
 
 namespace {
 
-// The host substrates share everything but the parallel toggle: the
-// sequential baseline runs the pixel plane as one inline tile, the
-// parallel flavor submits cache-blocked tiles to the shared
-// work-stealing pool (sched/scheduler.hpp).  Both are bit-identical at
-// every thread count — each tile writes only its own pixels.
+// The sequential baseline: the staged kernels over the pixel plane as
+// one inline tile, never touching the sched pool.
 class HostBackend final : public TrackerBackend {
  public:
-  HostBackend(std::string name, bool parallel)
-      : name_(std::move(name)), parallel_(parallel) {}
+  std::string name() const override { return "sequential"; }
 
-  std::string name() const override { return name_; }
-
-  BackendCapabilities capabilities() const override {
-    BackendCapabilities caps;
-    caps.host_parallel = parallel_;
-    return caps;
-  }
+  BackendCapabilities capabilities() const override { return {}; }
 
   TrackResult match(const MatchInput& in, const SmaConfig& config,
                     const TrackOptions& options) const override {
     TrackResult result;
     // Pruned runs get the accounting report attached as extras; full
-    // runs stay extras-free (the historical contract for host backends).
+    // runs stay extras-free (the baseline's historical contract).
     std::shared_ptr<PruneBackendExtras> prune_extras;
     PruneReport* prune = nullptr;
     if (config.search_mode == SearchMode::kPruned) {
@@ -40,10 +30,10 @@ class HostBackend final : public TrackerBackend {
       prune = &prune_extras->report;
     }
     std::vector<PixelBest> best =
-        run_hypothesis_search(in, config, parallel_, result.timings,
+        run_hypothesis_search(in, config, /*parallel=*/false, result.timings,
                               result.peak_mapping_bytes, prune);
     if (options.subpixel)
-      refine_subpixel(in, config, parallel_, best, result.timings);
+      refine_subpixel(in, config, /*parallel=*/false, best, result.timings);
     collect_track_result(in, config, options, best, result);
     result.timings.total = result.timings.match_precompute +
                            result.timings.semifluid_mapping +
@@ -51,23 +41,14 @@ class HostBackend final : public TrackerBackend {
     if (prune_extras != nullptr) result.extras = std::move(prune_extras);
     return result;
   }
-
- private:
-  std::string name_;
-  bool parallel_;
 };
 
 }  // namespace
 
 BackendRegistry::BackendRegistry() {
-  backends_["sequential"] =
-      std::make_unique<HostBackend>("sequential", /*parallel=*/false);
-  // The thread-parallel host backend: staged kernels over work-stealing
-  // pixel tiles.
-  backends_["tiled"] =
-      std::make_unique<HostBackend>("tiled", /*parallel=*/true);
+  backends_["sequential"] = std::make_unique<HostBackend>();
   // SIMD lanes over pixels x work-stealing threads over tiles;
-  // bit-identical to the host backends on every lane implementation
+  // bit-identical to "sequential" on every lane implementation
   // (match_vector.hpp).
   backends_["vector"] = make_vector_backend();
 }

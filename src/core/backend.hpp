@@ -13,11 +13,12 @@
 //
 // Registered backends:
 //   "sequential" — single-threaded reference
-//   "tiled"      — the same staged kernels over work-stealing pixel tiles
-//   "vector"     — SIMD lanes over pixels inside work-stealing threads
-//                  over tiles, runtime-dispatched AVX-512/AVX2/SSE2/NEON/
-//                  scalar lane kernels (core/match_vector.hpp,
-//                  simd/dispatch.hpp)
+//   "vector"     — work-stealing threads over pixel tiles: SIMD lanes
+//                  over each tile's pixels, runtime-dispatched AVX-512/
+//                  AVX2/SSE2/NEON/scalar lane kernels (core/match_vector.hpp,
+//                  simd/dispatch.hpp), and the same staged kernels as
+//                  "sequential" for pruned search and the configs the
+//                  lanes cannot serve
 //   "maspar-sim" — MP-2 SIMD-ordered executor with modeled machine costs
 //                  (registered by sma::maspar::register_maspar_backend(),
 //                  maspar/backend.hpp — the core library cannot depend on
@@ -60,8 +61,8 @@ class TrackerBackend {
                             const TrackOptions& options) const = 0;
 };
 
-/// Process-wide, thread-safe backend registry.  The host and vector
-/// backends are registered on first access; further backends may be
+/// Process-wide, thread-safe backend registry.  The sequential and
+/// vector backends are registered on first access; further backends may be
 /// registered at startup.  Re-registering a name replaces and destroys
 /// the previous entry, so a SmaPipeline (which keeps a pointer to its
 /// backend) must be built after the registration it uses.

@@ -37,9 +37,8 @@ enum class MotionModel {
 /// (no masks, stride 1; F_semi included); ineligible configs
 /// fall back to naive regardless of the mode.
 enum class PrecomputeMode {
-  kAuto,  ///< engage whenever eligible (currently identical to kOn)
-  kOn,    ///< engage whenever eligible
-  kOff,   ///< always run the naive oracle path
+  kOn,   ///< engage whenever eligible
+  kOff,  ///< always run the naive oracle path
 };
 
 /// Hypothesis-search strategy (match_prune.hpp).  kFull is the paper's
@@ -94,7 +93,7 @@ struct SmaConfig {
   /// Hypothesis-invariant normal-equation precompute (see PrecomputeMode
   /// and match_precompute.hpp).  Distinct from use_precomputed_mapping,
   /// which is the Sec. 4.1 semi-fluid COST precompute.
-  PrecomputeMode precompute = PrecomputeMode::kAuto;
+  PrecomputeMode precompute = PrecomputeMode::kOn;
 
   /// Executor cap for the tiled scheduler (sched/scheduler.hpp): how
   /// many pool workers may serve THIS run's tile batches.  0 = the
@@ -128,11 +127,11 @@ struct SmaConfig {
   /// fall back to the full window.
   int prune_refine_radius = 1;
 
-  /// Branch-and-bound residual lower bound: abandon a hypothesis (or a
-  /// whole SIMD lane batch) at the half-template checkpoint when the
-  /// minimized prefix residual already exceeds the incumbent.  Never
-  /// changes the winner (DESIGN.md §16 derives the bound); off only
-  /// isolates the window-shrink effect in benches.
+  /// Branch-and-bound residual lower bound: abandon a hypothesis at the
+  /// half-template checkpoint when the minimized prefix residual already
+  /// exceeds the incumbent.  Never changes the winner (DESIGN.md §16
+  /// derives the bound); off only isolates the window-shrink effect in
+  /// benches.
   bool prune_bound = true;
 
   /// Resident-memory budget in MiB for the out-of-core shard stream

@@ -178,9 +178,9 @@ enum class PrecomputeDecision {
 
 /// The single eligibility rule, shared by every attachment and consumer
 /// site (backend, pipeline, tracker stages, MasPar executor) and
-/// unit-tested directly.  kAuto currently behaves like kOn: the
-/// precompute amortizes after the second hypothesis and even a 1x1
-/// search with subpixel refinement evaluates five.
+/// unit-tested directly.  kOn engages wherever eligible: the precompute
+/// amortizes after the second hypothesis and even a 1x1 search with
+/// subpixel refinement evaluates five.
 PrecomputeDecision resolve_precompute(const SmaConfig& config,
                                       const MatchInput& in);
 

@@ -12,7 +12,6 @@
 #include "core/postprocess.hpp"
 #include "imaging/pyramid.hpp"
 #include "obs/trace.hpp"
-#include "sched/scheduler.hpp"
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SMA_RESTRICT __restrict__
@@ -125,7 +124,7 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
   TrackOptions topts;
   topts.subpixel = true;
 
-  // The "tiled" host backend is bit-identical to "sequential" by the
+  // The "vector" backend is bit-identical to "sequential" by the
   // Sec. 5.1 contract, so the seeds do not depend on who asked; it runs
   // on the caller's thread (the fine tile fan-out has not started), so
   // the pool is never entered re-entrantly.  A local pipeline: the
@@ -133,7 +132,7 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
   const imaging::ImageF& cb = pb.level(top);
   const imaging::ImageF& ca = pa.level(top);
   PipelineOptions popts;
-  popts.backend = "tiled";
+  popts.backend = "vector";
   popts.track = topts;
   const TrackResult coarse_res =
       SmaPipeline(coarse, std::move(popts)).track_pair(cb, ca);
@@ -329,26 +328,7 @@ std::vector<PixelBest> run_pruned_search(const MatchInput& in,
     double bound_tightness_sum = 0.0;
   };
 
-  // Tile enumeration mirrors tracker.cpp's for_each_pixel_tile (local to
-  // that TU), except tiles are pre-materialized so each gets an indexed
-  // tally slot.
-  std::vector<sched::Tile> tiles;
-  if (parallel) {
-    sched::ThreadPool& pool = sched::ThreadPool::shared();
-    const int executors = config.threads > 0
-                              ? std::min(config.threads, pool.threads())
-                              : pool.threads();
-    sched::TileShape shape;
-    if (config.tile_width > 0 || config.tile_height > 0) {
-      shape.width = config.tile_width > 0 ? config.tile_width : 32;
-      shape.height = config.tile_height > 0 ? config.tile_height : 32;
-    } else {
-      shape = sched::choose_tile_shape(w, h, std::max(executors, 1));
-    }
-    tiles = sched::make_tiles(w, h, shape);
-  } else {
-    tiles.push_back(sched::Tile{0, 0, w, h});
-  }
+  const std::vector<sched::Tile> tiles = pixel_tiles(w, h, config, parallel);
   std::vector<TileTally> tallies(tiles.size());
 
   const auto process_tile = [&](const sched::Tile& tile, std::size_t index) {
@@ -414,11 +394,7 @@ std::vector<PixelBest> run_pruned_search(const MatchInput& in,
       }
   };
 
-  if (parallel) {
-    sched::ThreadPool::shared().run(tiles, process_tile, config.threads);
-  } else {
-    process_tile(tiles[0], 0);
-  }
+  run_pixel_tiles(tiles, config, parallel, process_tile);
 
   if (report != nullptr) {
     report->active = 1;

@@ -2,7 +2,7 @@
 // branch-and-bound pruning (SmaConfig::search_mode == SearchMode::kPruned).
 //
 // The paper brute-forces all (2N_zs+1)^2 hypotheses per pixel; PRs 3/5/7
-// made each of them cheap (precompute -> SIMD lanes -> tiled threads).
+// made each of them cheap (precompute -> SIMD lanes -> pool threads).
 // This layer evaluates FEWER of them, two ways:
 //
 //  1. Coarse seeding: a cheap tracking pass on a downsampled pyramid
@@ -22,11 +22,11 @@
 //     prefix system — its hypothesis-invariant A^T A from
 //     accumulate_window_span, its A^T b / b^T b from the rows already
 //     swept — is solved and scored; if that bound already exceeds the
-//     incumbent by more than kPruneBoundSlack, the hypothesis (or the
-//     whole SIMD lane batch, see match_vector_impl.hpp) is abandoned
-//     before the remaining rows' 18-MAC accumulation.  A SINGULAR prefix
-//     system yields residual(theta = 0) = b^T b, which is an UPPER bound
-//     of the prefix minimum, so singular prefixes never prune (bound 0).
+//     incumbent by more than kPruneBoundSlack, the hypothesis is
+//     abandoned before the remaining rows' 18-MAC accumulation.  A
+//     SINGULAR prefix system yields residual(theta = 0) = b^T b, which is
+//     an UPPER bound of the prefix minimum, so singular prefixes never
+//     prune (bound 0).
 //
 // Determinism (DESIGN.md §16): completed evaluations run the identical
 // floating-point sequence as evaluate_hypothesis_precomputed, and the
@@ -34,9 +34,10 @@
 // incumbent (strict inequality + slack, so exact ties survive); each
 // pixel's incumbent evolves only within its own fixed scan order, so the
 // winner — and therefore the FlowField — is bit-identical across
-// sequential/tiled/vector backends, thread counts, tile shapes, and
-// steal schedules.  The pruning COUNTERS may differ between the scalar
-// and lane-batched paths (batch-granular vs per-hypothesis checks).
+// backends, thread counts, tile shapes, and steal schedules.  Every host
+// backend runs this one pass (run_pruned_search), so the integer
+// counters are identical too; only bound_tightness_sum, a double folded
+// per tile, may differ in its last bits.
 //
 // Pruned results are tolerance-equal, NOT bit-equal, to the kFull
 // oracle: a bad seed can exclude the full-search winner from the
@@ -62,10 +63,10 @@ namespace sma::core {
 /// by rounding noise.
 constexpr double kPruneBoundSlack = 1e-6;
 
-/// The single skip predicate shared by the scalar and lane-batched
-/// paths.  incumbent <= 0 never prunes: a zero-residual incumbent can
-/// still be displaced by an equal-error hypothesis with a smaller
-/// displacement under the deterministic tie-break.
+/// The bounded evaluator's skip predicate.  incumbent <= 0 never
+/// prunes: a zero-residual incumbent can still be displaced by an
+/// equal-error hypothesis with a smaller displacement under the
+/// deterministic tie-break.
 inline bool prune_bound_exceeds(double bound, double incumbent) {
   return incumbent > 0.0 && bound > incumbent * (1.0 + kPruneBoundSlack);
 }
@@ -107,9 +108,7 @@ struct PruneReport {
   std::uint64_t fine_scheduled = 0;
   std::uint64_t fine_evaluated = 0;
   /// Half-template bound checkpoints reached / hypotheses abandoned
-  /// there.  The lane-batched path checks per batch (counted as kLanes
-  /// hypotheses), so these differ between backends; the FlowField does
-  /// not.
+  /// there.
   std::uint64_t bound_checks = 0;
   std::uint64_t bound_skipped = 0;
   /// Pixels searched with a shrunken window vs full-window fallbacks.
@@ -147,8 +146,9 @@ struct PruneReport {
   }
 };
 
-/// TrackResult::extras attachment of the host backends for pruned runs
-/// (the vector backend carries the report inside VectorBackendExtras).
+/// TrackResult::extras attachment of the sequential backend for pruned
+/// runs (the vector backend carries the report inside
+/// VectorBackendExtras).
 struct PruneBackendExtras : BackendExtras {
   PruneReport report;
 };
@@ -168,7 +168,7 @@ struct PruneSeeds {
   }
 };
 
-/// Runs the coarse pyramid track (through a "tiled" SmaPipeline —
+/// Runs the coarse pyramid track (through a "vector" SmaPipeline —
 /// bit-identical to "sequential" by the Sec. 5.1 contract, so the seeds
 /// are deterministic no matter which backend asked) and propagates its
 /// winners to full resolution with the hierarchical smoothing recipe.
@@ -209,10 +209,12 @@ double evaluate_hypothesis_bounded(
     bool has_incumbent, MotionParams& params_out, bool& ok_out,
     bool& skipped_out, double* bound_out = nullptr);
 
-/// The scalar pruned fine pass used by the staged path (sequential /
-/// tiled backends): per-pixel windows + per-hypothesis bound over
-/// cache-blocked tiles with per-tile counters folded in tile-index
-/// order.  Callers gate with resolve_prune(config, in) == kNone.
+/// The pruned pass of every host backend (run_hypothesis_search's
+/// pruned branch): the coarse seed pass, then per-pixel windows +
+/// per-hypothesis bound over pixel_tiles with per-tile counters folded
+/// in tile-index order.  Its span and its timings.hypothesis_matching
+/// time cover the seed pass.  Callers gate with resolve_prune(config,
+/// in) == kNone.
 std::vector<PixelBest> run_pruned_search(const MatchInput& in,
                                          const SmaConfig& config,
                                          bool parallel,

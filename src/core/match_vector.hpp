@@ -2,8 +2,8 @@
 // TrackerBackend built on them.
 //
 // The paper steps its 16K PEs through one hypothesis at a time, one
-// pixel per PE; the `vector` backend does the same on SIMD lanes.  In
-// full search a lane is one CENTER pixel of a sched tile (scan_tile_*).
+// pixel per PE; the `vector` backend does the same on SIMD lanes: a
+// lane is one CENTER pixel of a sched tile (scan_tile_*).
 // For each hypothesis h the tile kernel first builds, over the tile plus
 // its template halo, the seven planes of per-template-pixel terms that
 // Eq. (3) adds into A^T b and b^T b:
@@ -30,12 +30,12 @@
 // `sequential` on every lane implementation — AVX-512, AVX2, SSE2, NEON
 // and the forced-scalar fallback — for any tile shape.
 //
-// Pruned search keeps hypothesis lanes (scan_pixel_*): each pixel there
-// has its own shrunken window and checkpoints a half-template bound
-// against its own incumbent, so its hypotheses cannot march in step
-// with its neighbours'.  Configs the precompute cannot serve (masks,
-// stride, precompute off) fall back to the shared staged path, again
-// bit-identical by construction.
+// Pruned search (each pixel with its own shrunken window and its own
+// half-template bound checkpoint) and configs the precompute cannot
+// serve (masks, stride, precompute off) run the shared staged path on
+// the same pool instead — run_hypothesis_search, whose pruned branch is
+// run_pruned_search (match_prune.hpp) — again bit-identical by
+// construction.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units
 // compiled with the matching target flags (only the AVX2 and AVX-512
@@ -56,7 +56,6 @@
 namespace sma::core {
 
 class MatchPrecompute;
-struct WindowInvariants;
 
 /// One sched tile's full search (scan_tile_*): the precompute planes,
 /// the after-frame geometry, the tile [x0, x1) x [y0, y1), the template
@@ -72,47 +71,22 @@ struct VectorTileArgs {
   int hy_min = 0, hy_max = 0;
 };
 
-/// One pixel's pruned search (scan_pixel_*): the precompute planes, the
-/// after-frame geometry, the pixel's shared A^T A window sum, the
-/// template extents and the pixel's shrunken search window
-/// (match_prune.hpp).  F_cont correspondents only.
-struct VectorKernelArgs {
-  const MatchPrecompute* pre = nullptr;
-  const surface::GeometricField* after = nullptr;
-  const WindowInvariants* win = nullptr;
-  int x = 0, y = 0;
-  int rx = 0, ry = 0;        ///< template half-widths
-  int hx_min = 0, hx_max = 0;
-  int hy_min = 0, hy_max = 0;
-  /// Branch-and-bound prefix system (accumulate_window_span over the
-  /// template rows v < 0), or null to disable the half-template
-  /// checkpoint.
-  const WindowInvariants* win_prefix = nullptr;
-};
-
 /// Lane-occupancy accounting, summed across tiles into the
 /// VectorRunReport (and from there into the obs MetricsRegistry and
 /// BENCH_matching.json).  Every (pixel, hypothesis) evaluation lands in
-/// exactly one of batched_hypotheses and tail_hypotheses.  The bound_*
-/// fields only move when VectorKernelArgs::win_prefix is set (pruned
-/// mode); they count in hypothesis units, kLanes per batch checkpoint.
+/// exactly one of batched_hypotheses and tail_hypotheses.
 struct VectorLaneTally {
   std::uint64_t batched_hypotheses = 0;  ///< evaluated inside full batches
-  /// Evaluated outside full batches: the pixel kernel's scalar remainder,
-  /// or the centers of a tile row's last, partly idle batch.
+  /// Evaluated outside full batches: the centers of a tile row's last,
+  /// partly idle batch.
   std::uint64_t tail_hypotheses = 0;
   std::uint64_t batches = 0;             ///< batch-solve invocations
-  std::uint64_t bound_checks = 0;        ///< checkpointed hypotheses
-  std::uint64_t bound_skipped = 0;       ///< abandoned at the checkpoint
-  double bound_tightness_sum = 0.0;      ///< sum of min(1, bound/error)
 };
 
 /// `best` is the frame's row-major PixelBest array; the kernel updates
 /// the tile's pixels only.
 using TileKernelFn = void (*)(const VectorTileArgs&, PixelBest* best,
                               VectorLaneTally&);
-using PixelKernelFn = void (*)(const VectorKernelArgs&, PixelBest&,
-                               VectorLaneTally&);
 
 /// Downgrades `request` to the most capable lane implementation that was
 /// actually compiled into this binary (AVX-512 degrades to AVX2 degrades
@@ -120,7 +94,7 @@ using PixelKernelFn = void (*)(const VectorKernelArgs&, PixelBest&,
 simd::SimdLevel resolve_kernel_level(simd::SimdLevel request);
 
 /// The lane kernels compiled for one level: its lane count, the tile
-/// and per-pixel kernels, and the batched solve the property tests call
+/// kernel, and the batched solve the property tests call
 /// (`a` is the SoA batch — element k of system l at a[k * lanes + l],
 /// row-major 6x6 — `b`/`x` likewise 6 x lanes; `singular[l]` reports
 /// per-lane solve6 kSingular, and those lanes get x = 0).  Unresolved
@@ -128,7 +102,6 @@ simd::SimdLevel resolve_kernel_level(simd::SimdLevel request);
 struct LaneKernels {
   int lanes = 0;
   TileKernelFn tile = nullptr;
-  PixelKernelFn pixel = nullptr;
   void (*solve)(const double* a, const double* b, double* x,
                 unsigned char* singular, double eps) = nullptr;
 };
@@ -139,20 +112,22 @@ struct VectorRunReport {
   std::string level;          ///< resolved lane implementation name
   int level_id = 0;           ///< numeric SimdLevel (metrics-friendly)
   int lanes = 1;              ///< lanes per batch at that level
-  bool vector_path = false;   ///< batched kernel ran (vs. staged fallback)
-  std::string fallback;       ///< why not, when it didn't ("" otherwise)
+  bool vector_path = false;   ///< tile kernel ran (vs. staged fallback)
+  /// Why not, when it didn't ("" otherwise): "pruned" (an engaged pruned
+  /// search), "precompute-off", "masked", "stride" or "no-precompute".
+  std::string fallback;
   std::uint64_t batched_hypotheses = 0;
   std::uint64_t tail_hypotheses = 0;
   std::uint64_t batches = 0;
   /// batched / (batched + tail): fraction of hypothesis evaluations that
   /// ran inside full lanes-wide batches.  batched + tail is the whole
-  /// search: pixels x hypotheses in full mode.
+  /// search, pixels x hypotheses, on the tile kernel; 0 on fallbacks.
   double lane_utilization = 0.0;
 };
 
 /// TrackResult::extras attachment for the vector backend.  `prune` is
-/// meaningful for SearchMode::kPruned runs (active or fallback-reason
-/// only otherwise).
+/// the pruned pass's accounting when it engaged (fallback "pruned"), and
+/// carries only the pruned-mode fallback reason otherwise.
 struct VectorBackendExtras : BackendExtras {
   VectorRunReport report;
   PruneReport prune;
@@ -162,7 +137,7 @@ struct VectorBackendExtras : BackendExtras {
 void publish_metrics(const VectorRunReport& report, obs::MetricsRegistry& reg);
 
 /// The `vector` backend instance (registered by BackendRegistry's
-/// constructor alongside the host backends).
+/// constructor alongside "sequential").
 std::unique_ptr<TrackerBackend> make_vector_backend();
 
 // Per-ISA kernel entry points, each defined in its own translation unit
@@ -170,30 +145,25 @@ std::unique_ptr<TrackerBackend> make_vector_backend();
 // build-time fact (SMA_KERNEL_* from src/core/CMakeLists.txt); use
 // lane_kernels() instead of calling these directly.
 void scan_tile_scalar(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void scan_pixel_scalar(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
 void batch_solve6_scalar(const double*, const double*, double*,
                          unsigned char*, double);
 #if defined(SMA_KERNEL_SSE2)
 void scan_tile_sse2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void scan_pixel_sse2(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
 void batch_solve6_sse2(const double*, const double*, double*, unsigned char*,
                        double);
 #endif
 #if defined(SMA_KERNEL_AVX2)
 void scan_tile_avx2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void scan_pixel_avx2(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
 void batch_solve6_avx2(const double*, const double*, double*, unsigned char*,
                        double);
 #endif
 #if defined(SMA_KERNEL_AVX512)
 void scan_tile_avx512(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void scan_pixel_avx512(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
 void batch_solve6_avx512(const double*, const double*, double*, unsigned char*,
                          double);
 #endif
 #if defined(SMA_KERNEL_NEON)
 void scan_tile_neon(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void scan_pixel_neon(const VectorKernelArgs&, PixelBest&, VectorLaneTally&);
 void batch_solve6_neon(const double*, const double*, double*, unsigned char*,
                        double);
 #endif

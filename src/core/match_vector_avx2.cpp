@@ -18,11 +18,6 @@ void scan_tile_avx2(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::Avx2Tag>(g, best, tally);
 }
 
-void scan_pixel_avx2(const VectorKernelArgs& g, PixelBest& best,
-                     VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::Avx2Tag>(g, best, tally);
-}
-
 void batch_solve6_avx2(const double* a, const double* b, double* x,
                        unsigned char* singular, double eps) {
   detail::batch_solve_soa<simd::Avx2Tag>(a, b, x, singular, eps);

@@ -19,11 +19,6 @@ void scan_tile_avx512(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::Avx512Tag>(g, best, tally);
 }
 
-void scan_pixel_avx512(const VectorKernelArgs& g, PixelBest& best,
-                       VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::Avx512Tag>(g, best, tally);
-}
-
 void batch_solve6_avx512(const double* a, const double* b, double* x,
                          unsigned char* singular, double eps) {
   detail::batch_solve_soa<simd::Avx512Tag>(a, b, x, singular, eps);

@@ -1,15 +1,13 @@
 // match_vector_impl.hpp — the lane-generic bodies of the vector matching
 // kernels.  Included ONLY by the per-ISA translation units
 // (match_vector_<isa>.cpp), each of which instantiates scan_tile_t /
-// scan_pixel_t / batch_solve_soa for its lane tag under the matching
-// target flags.
+// batch_solve_soa for its lane tag under the matching target flags.
 //
-// scan_tile_t (full search) puts one center pixel in each lane;
-// scan_pixel_t (pruned search) puts one hypothesis of one pixel in each
-// lane.  Both follow the bit-exactness contract of match_vector.hpp and
-// DESIGN.md §13: every lane performs the scalar path's floating-point
-// operations on the same values in the same order.  Three details make
-// that exact rather than approximate:
+// scan_tile_t puts one center pixel in each lane.  It follows the
+// bit-exactness contract of match_vector.hpp and DESIGN.md §13: every
+// lane performs the scalar path's floating-point operations on the same
+// values in the same order.  Three details make that exact rather than
+// approximate:
 //
 //  * moments are "normalized" through add(0, v) before the solve,
 //    because the scalar path accumulates them into a zero-initialized
@@ -21,14 +19,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 #include "core/match_precompute.hpp"
-#include "core/match_prune.hpp"
 #include "core/match_vector.hpp"
 #include "core/tracker.hpp"
 #include "linalg/gaussian_elimination.hpp"
@@ -37,9 +33,8 @@
 
 namespace sma::core::detail {
 
-// ---- Pieces shared by the tile and pixel kernels.  Force-inlined, so
-// each kernel compiles to the same instruction sequence as if they were
-// written out in place.
+// ---- Pieces of the tile kernel.  Force-inlined, so it compiles to the
+// same instruction sequence as if they were written out in place.
 
 // The before-frame planes a template pixel's A^T b / b^T b terms read.
 struct TemplatePlanes {
@@ -103,7 +98,6 @@ template <class Tag>
 struct ScoredBatch {
   double theta[6][simd::LaneTraits<Tag>::kLanes];
   double errs[simd::LaneTraits<Tag>::kLanes];
-  double min_err;
   unsigned singular_bits;
 
   // Lane l's motion parameters (zero for a singular lane).
@@ -123,7 +117,7 @@ template <class Tag>
 [[gnu::always_inline]] inline void score_batch(
     const typename simd::LaneTraits<Tag>::Vec (&ata)[21],
     const typename simd::LaneTraits<Tag>::Vec (&m)[7], ScoredBatch<Tag>& out,
-    VectorLaneTally& tally, int active = simd::LaneTraits<Tag>::kLanes) {
+    VectorLaneTally& tally, int active) {
   using T = simd::LaneTraits<Tag>;
   using V = typename T::Vec;
   constexpr int N = T::kLanes;
@@ -153,8 +147,6 @@ template <class Tag>
   ++tally.batches;
 
   T::store(out.errs, err);
-  out.min_err = out.errs[0];
-  for (int l = 1; l < N; ++l) out.min_err = std::min(out.min_err, out.errs[l]);
 }
 
 // Makes hypothesis (hx, hy), with center-pixel flow vector (ux, uy), the
@@ -172,8 +164,6 @@ inline void take_hypothesis(PixelBest& best, int hx, int hy, int ux, int uy,
   best.params = params;
   best.any_ok = true;
 }
-
-// ---- Full search: lanes over center pixels.
 
 // One sched tile's full search (VectorTileArgs).  For each hypothesis, in
 // the scalar hy-outer / hx-inner order:
@@ -350,195 +340,6 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
           }
         }
       }
-    }
-  }
-}
-
-// ---- Pruned search: lanes over one pixel's hypotheses.
-
-// The pixel's A^T A window sum, normalized exactly as
-// NormalEquations6::add_precomputed leaves it (0.0 + v) and broadcast:
-// every lane shares the same before-frame matrix.
-template <class Tag>
-[[gnu::always_inline]] inline void broadcast_ata(
-    const double* ata21, typename simd::LaneTraits<Tag>::Vec (&ata)[21]) {
-  using T = simd::LaneTraits<Tag>;
-  for (int k = 0; k < 21; ++k)
-    ata[k] = T::add(T::zero(), T::broadcast(ata21[k]));
-}
-
-// Winner fold of a batch of consecutive hypotheses hx0 + l of row hy:
-// the horizontal min prefilter rejects a batch that cannot beat the
-// incumbent; otherwise the lanes fold in lane order through the scalar
-// tie-break.
-template <class Tag>
-[[gnu::always_inline]] inline void fold_batch(const ScoredBatch<Tag>& s,
-                                              int hx0, int hy,
-                                              PixelBest& best) {
-  if (best.any_ok && !(s.min_err <= best.error)) return;
-  for (int l = 0; l < simd::LaneTraits<Tag>::kLanes; ++l) {
-    const int hx = hx0 + l;
-    if (!hypothesis_improves(best, s.errs[l], hx, hy)) continue;
-    take_hypothesis(best, hx, hy, hx, hy, s.errs[l], s.params(l),
-                    (s.singular_bits >> l & 1u) == 0);
-  }
-}
-
-// One pixel's (pruned) search window, F_cont correspondents: batches of
-// kLanes consecutive hx hypotheses (same hy), each lane accumulating its
-// own A^T b / b^T b in the scalar template order; widths that are not a
-// lane multiple finish on the scalar evaluators.  With
-// VectorKernelArgs::win_prefix set, each batch checkpoints the
-// half-template lower bound (match_prune.hpp).
-template <class Tag>
-void scan_pixel_t(const VectorKernelArgs& g, PixelBest& best,
-                  VectorLaneTally& tally) {
-  using T = simd::LaneTraits<Tag>;
-  using V = typename T::Vec;
-  constexpr int N = T::kLanes;
-
-  const MatchPrecompute& pre = *g.pre;
-  const surface::GeometricField& after = *g.after;
-  const int w = pre.width();
-  const int h = pre.height();
-  const int x = g.x, y = g.y, rx = g.rx, ry = g.ry;
-
-  const TemplatePlanes planes(pre);
-
-  const V vzero = T::zero();
-  V ata[21];
-  broadcast_ata<Tag>(g.win->ata, ata);
-
-  const bool x_interior = x - rx >= 0 && x + rx < w;
-
-  // Pruned mode's prefix A^T A (hypothesis-invariant, so broadcast once
-  // per pixel like the full window's), normalized the same way.
-  const bool bound_on = g.win_prefix != nullptr;
-  V pre_ata[21];
-  for (int k = 0; k < 21; ++k) pre_ata[k] = vzero;
-  if (bound_on) broadcast_ata<Tag>(g.win_prefix->ata, pre_ata);
-
-  for (int hy = g.hy_min; hy <= g.hy_max; ++hy) {
-    int hx0 = g.hx_min;
-    for (; hx0 + N - 1 <= g.hx_max; hx0 += N) {
-      // ---- Batched A^T b / b^T b over the template window: lane l is
-      // hypothesis hx0 + l.  Same v-outer / u-inner order and the same
-      // association order per MAC as the scalar evaluator.
-      V m[7] = {vzero, vzero, vzero, vzero, vzero, vzero, vzero};
-      bool abandoned = false;
-      bool checked = false;
-      double batch_bound = 0.0;
-      // Every lane's correspondent column stays unclamped across the
-      // whole window iff the widest lane's does.
-      const bool contiguous =
-          x_interior && x - rx + hx0 >= 0 && x + rx + hx0 + N - 1 < w;
-      for (int v = -ry; v <= ry; ++v) {
-        if (bound_on && v == 0 && best.any_ok &&
-            std::isfinite(best.error) && best.error > 0.0) {
-          // Half-template checkpoint (match_prune.hpp): lower-bound each
-          // lane's full residual by its minimized prefix residual and
-          // abandon the WHOLE batch when even the best lane provably
-          // cannot beat the incumbent.  The prefix moments go through
-          // the same 0.0 + v normalization as the scalar bound path;
-          // the running moments are left untouched.
-          V pm[7];
-          for (int k = 0; k < 7; ++k) pm[k] = T::add(vzero, m[k]);
-          const V bound = simd::batch_bound6<Tag>(pre_ata, pm, pm[6], 1e-12);
-          double bounds[N];
-          T::store(bounds, bound);
-          double min_bound = bounds[0];
-          for (int l = 1; l < N; ++l)
-            min_bound = std::min(min_bound, bounds[l]);
-          tally.bound_checks += N;
-          checked = true;
-          batch_bound = min_bound;
-          if (prune_bound_exceeds(min_bound, best.error)) {
-            tally.bound_skipped += N;
-            abandoned = true;
-            break;
-          }
-        }
-        const int py = std::clamp(y + v, 0, h - 1);
-        const int qy = std::clamp(py + hy, 0, h - 1);
-        const std::size_t off = static_cast<std::size_t>(py) * w;
-        const float* const a_ni = after.ni.row(qy);
-        const float* const a_nj = after.nj.row(qy);
-        const float* const a_nk = after.nk.row(qy);
-        for (int u = -rx; u <= rx; ++u) {
-          const int px = std::clamp(x + u, 0, w - 1);
-          V oi, oj, ok;
-          if (contiguous) {
-            const int qx0 = px + hx0;
-            oi = T::load_f32(a_ni + qx0);
-            oj = T::load_f32(a_nj + qx0);
-            ok = T::load_f32(a_nk + qx0);
-          } else {
-            // Border batch: per-lane clamped gather into stack buffers,
-            // reproducing the scalar path's qx clamp lane by lane.
-            float gi[N], gj[N], gk[N];
-            for (int l = 0; l < N; ++l) {
-              const int qx = std::clamp(px + hx0 + l, 0, w - 1);
-              gi[l] = a_ni[qx];
-              gj[l] = a_nj[qx];
-              gk[l] = a_nk[qx];
-            }
-            oi = T::load_f32(gi);
-            oj = T::load_f32(gj);
-            ok = T::load_f32(gk);
-          }
-          V t[7];
-          template_terms<Tag>(
-              planes,
-              [&](const double* plane) { return T::broadcast(plane[off + px]); },
-              oi, oj, ok, t);
-          for (int k = 0; k < 7; ++k) m[k] = T::add(m[k], t[k]);
-        }
-      }
-
-      if (abandoned) continue;
-
-      ScoredBatch<Tag> scored;
-      score_batch<Tag>(ata, m, scored, tally);
-      // Bound tightness over the completed batch, in hypothesis units:
-      // ratio of the batch's best bound to its best realized error.
-      if (checked && std::isfinite(scored.min_err) && scored.min_err > 0.0)
-        tally.bound_tightness_sum +=
-            static_cast<double>(N) *
-            std::min(1.0, std::max(0.0, batch_bound) / scored.min_err);
-      fold_batch<Tag>(scored, hx0, hy, best);
-    }
-
-    // ---- Scalar tail: search widths that are not a lane multiple.  In
-    // pruned mode it checkpoints through evaluate_hypothesis_bounded —
-    // same gate as the batched path — so narrow windows (common once the
-    // seed shrinks the search box below kLanes) still count bound_checks
-    // / bound_skipped instead of silently bypassing the bound.
-    for (; hx0 <= g.hx_max; ++hx0) {
-      MotionParams params;
-      bool ok = false;
-      double error;
-      ++tally.tail_hypotheses;
-      if (bound_on && best.any_ok && std::isfinite(best.error) &&
-          best.error > 0.0) {
-        bool skipped = false;
-        double bnd = 0.0;
-        error = evaluate_hypothesis_bounded(
-            pre, after, *g.win, *g.win_prefix, x, y, hx0, hy, rx, ry,
-            best.error, /*has_incumbent=*/true, params, ok, skipped, &bnd);
-        ++tally.bound_checks;
-        if (skipped) {
-          ++tally.bound_skipped;
-          continue;
-        }
-        if (std::isfinite(error) && error > 0.0)
-          tally.bound_tightness_sum +=
-              std::min(1.0, std::max(0.0, bnd) / error);
-      } else {
-        error = evaluate_hypothesis_precomputed(
-            pre, after, *g.win, x, y, hx0, hy, rx, ry, params, ok);
-      }
-      if (hypothesis_improves(best, error, hx0, hy))
-        take_hypothesis(best, hx0, hy, hx0, hy, error, params, ok);
     }
   }
 }

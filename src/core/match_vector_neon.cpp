@@ -13,11 +13,6 @@ void scan_tile_neon(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::NeonTag>(g, best, tally);
 }
 
-void scan_pixel_neon(const VectorKernelArgs& g, PixelBest& best,
-                     VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::NeonTag>(g, best, tally);
-}
-
 void batch_solve6_neon(const double* a, const double* b, double* x,
                        unsigned char* singular, double eps) {
   detail::batch_solve_soa<simd::NeonTag>(a, b, x, singular, eps);

@@ -14,11 +14,6 @@ void scan_tile_sse2(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::Sse2Tag>(g, best, tally);
 }
 
-void scan_pixel_sse2(const VectorKernelArgs& g, PixelBest& best,
-                     VectorLaneTally& tally) {
-  detail::scan_pixel_t<simd::Sse2Tag>(g, best, tally);
-}
-
 void batch_solve6_sse2(const double* a, const double* b, double* x,
                        unsigned char* singular, double eps) {
   detail::batch_solve_soa<simd::Sse2Tag>(a, b, x, singular, eps);

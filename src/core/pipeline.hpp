@@ -22,9 +22,9 @@
 // every pair — CLI, daemon, shard tile, pruned seed pass, MasPar
 // simulation — runs fit -> geometry -> precompute here, and only the
 // matching stage is delegated to a TrackerBackend selected by name, so
-// the same pipeline drives the sequential baseline, the tiled and vector
-// host backends or the MasPar simulation — with bit-identical flow
-// fields (Sec. 5.1 contract).
+// the same pipeline drives the sequential baseline, the thread- and
+// lane-parallel vector backend or the MasPar simulation — with
+// bit-identical flow fields (Sec. 5.1 contract).
 //
 // Cache invariant: for a T-frame monocular sequence the pipeline
 // performs exactly T surface fits (one per distinct frame) versus
@@ -53,9 +53,9 @@ namespace sma::core {
 class CancelToken;  // core/cancel.hpp
 
 struct PipelineOptions {
-  /// Registry name of the matching backend ("sequential", "tiled",
-  /// "vector", "maspar-sim", ...).  Parallelism is a backend capability,
-  /// not a per-call flag.
+  /// Registry name of the matching backend ("sequential", "vector",
+  /// "maspar-sim", ...).  Parallelism is a backend capability, not a
+  /// per-call flag.
   std::string backend = "sequential";
   /// Matching-stage options.
   TrackOptions track{};

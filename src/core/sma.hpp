@@ -5,7 +5,7 @@
 //   #include "core/sma.hpp"
 //
 //   sma::core::SmaConfig cfg = sma::core::goes9_scaled_config();
-//   sma::core::SmaPipeline pipeline(cfg, {.backend = "tiled"});
+//   sma::core::SmaPipeline pipeline(cfg, {.backend = "vector"});
 //   auto result = pipeline.track_pair(frame0, frame1);
 //   double rms = sma::imaging::rms_endpoint_error(result.flow, truth);
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <functional>
 #include <limits>
 #include <stdexcept>
 
@@ -32,41 +31,42 @@ bool semifluid_active(const MatchInput& in, const SmaConfig& config) {
          in.disc_after != nullptr;
 }
 
-// Runs fn over cache-blocked tiles of the w x h pixel plane on the
-// shared work-stealing pool (sched/scheduler.hpp): 2-D tiles keep a
-// thread's template reads cache-resident AND give the vector kernel
-// whole tiles to lane-batch over, so threads x SIMD compose.
-//
-// parallel=false runs the plane as one inline tile — the sequential
-// backend never touches the pool.
-//
-// Every per-pixel computation submitted here is independent of its
+}  // namespace
+
+// Cache-blocked 2-D tiles keep a thread's template reads cache-resident
+// and give the vector kernel whole tiles to lane-batch over, so threads
+// x SIMD compose.  Every per-pixel computation is independent of its
 // neighbors and each tile writes only its own pixels' slots, so results
-// are bit-identical for ANY tile shape, thread count, and steal order.
-void for_each_pixel_tile(int w, int h, const SmaConfig& config, bool parallel,
-                         const std::function<void(const sched::Tile&)>& fn) {
-  if (w <= 0 || h <= 0) return;
-  if (!parallel) {
-    fn(sched::Tile{0, 0, w, h});
-    return;
-  }
-  sched::ThreadPool& pool = sched::ThreadPool::shared();
-  const int executors = config.threads > 0
-                            ? std::min(config.threads, pool.threads())
-                            : pool.threads();
+// are bit-identical for ANY tile shape, thread count and steal order.
+std::vector<sched::Tile> pixel_tiles(int w, int h, const SmaConfig& config,
+                                     bool parallel, int lane_batch) {
+  if (w <= 0 || h <= 0) return {};
+  if (!parallel) return {sched::Tile{0, 0, w, h}};
   sched::TileShape shape;
   if (config.tile_width > 0 || config.tile_height > 0) {
     shape.width = config.tile_width > 0 ? config.tile_width : 32;
     shape.height = config.tile_height > 0 ? config.tile_height : 32;
   } else {
+    const int pool = sched::ThreadPool::shared().threads();
+    const int executors =
+        config.threads > 0 ? std::min(config.threads, pool) : pool;
     shape = sched::choose_tile_shape(w, h, std::max(executors, 1));
+    const int n = std::max(lane_batch, 1);
+    shape.width = std::min(w, (shape.width + n - 1) / n * n);
   }
-  pool.run(sched::make_tiles(w, h, shape),
-           [&](const sched::Tile& tile, std::size_t) { fn(tile); },
-           config.threads);
+  return sched::make_tiles(w, h, shape);
 }
 
-}  // namespace
+void run_pixel_tiles(
+    const std::vector<sched::Tile>& tiles, const SmaConfig& config,
+    bool parallel,
+    const std::function<void(const sched::Tile&, std::size_t)>& fn) {
+  if (parallel) {
+    sched::ThreadPool::shared().run(tiles, fn, config.threads);
+    return;
+  }
+  for (std::size_t i = 0; i < tiles.size(); ++i) fn(tiles[i], i);
+}
 
 // Documented at the declaration.  Deliberately out-of-line: the per-ISA
 // vector-kernel translation units call it, and an out-of-line call is
@@ -334,6 +334,7 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
           : nullptr;
 
   std::vector<PixelBest> best(static_cast<std::size_t>(w) * h);
+  const std::vector<sched::Tile> tiles = pixel_tiles(w, h, config, parallel);
 
   // Semi-fluid mapping precompute + hypothesis matching, interleaved per
   // hypothesis-row segment (Sec. 4.3).
@@ -352,14 +353,16 @@ std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
     const SemiFluidTable* table_ptr = table ? &*table : nullptr;
     const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
     const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
-    for_each_pixel_tile(w, h, config, parallel, [&](const sched::Tile& tile) {
-      for (int y = tile.y0; y < tile.y1; ++y)
-        for (int x = tile.x0; x < tile.x1; ++x)
-          scan_hypotheses(*in.before, *in.after, db, da, table_ptr, x, y,
-                          hy_min, hy_max, config,
-                          best[static_cast<std::size_t>(y) * w + x],
-                          in.mask_before, in.mask_after, pre);
-    });
+    run_pixel_tiles(tiles, config, parallel,
+                    [&](const sched::Tile& tile, std::size_t) {
+                      for (int y = tile.y0; y < tile.y1; ++y)
+                        for (int x = tile.x0; x < tile.x1; ++x)
+                          scan_hypotheses(
+                              *in.before, *in.after, db, da, table_ptr, x, y,
+                              hy_min, hy_max, config,
+                              best[static_cast<std::size_t>(y) * w + x],
+                              in.mask_before, in.mask_after, pre);
+                    });
     timings.hypothesis_matching += seconds_since(t0);
   }
   return best;
@@ -389,9 +392,9 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
           : nullptr;
   const int nzt_x = config.z_template_radius;
   const int nzt_y = config.z_template_ry();
-  for_each_pixel_tile(
-      w, h, config, parallel,
-      [&](const sched::Tile& tile) {
+  run_pixel_tiles(
+      pixel_tiles(w, h, config, parallel), config, parallel,
+      [&](const sched::Tile& tile, std::size_t) {
   for (int y = tile.y0; y < tile.y1; ++y)
     for (int x = tile.x0; x < tile.x1; ++x) {
       PixelBest& b = best[static_cast<std::size_t>(y) * w + x];

@@ -14,11 +14,11 @@
 //  * "sequential" — the paper's "sequential (un-optimized) version ...
 //    used to form a baseline for comparing the correctness of the
 //    parallel algorithm results" (Sec. 4).
-//  * "tiled"      — the same staged kernels over cache-blocked pixel
-//    tiles on the shared work-stealing pool (sched/scheduler.hpp);
-//    bit-identical output.
-//  * "vector"     — SIMD lanes over each pool tile's pixels
-//    (core/match_vector.hpp); bit-identical output on every lane ISA.
+//  * "vector"     — cache-blocked pixel tiles on the shared
+//    work-stealing pool (sched/scheduler.hpp), SIMD lanes over each
+//    tile's pixels (core/match_vector.hpp) where the lane kernel serves
+//    the config and the staged kernels below elsewhere; bit-identical
+//    output on every lane ISA.
 //  * "maspar-sim" — the MasPar SIMD executor (maspar/backend.hpp) driving
 //    the same per-pixel kernels layer by layer.
 //
@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -37,6 +38,7 @@
 #include "core/semifluid.hpp"
 #include "imaging/flow.hpp"
 #include "imaging/image.hpp"
+#include "sched/tile.hpp"
 #include "surface/geometry.hpp"
 
 namespace sma::core {
@@ -90,8 +92,9 @@ struct TrackResult {
   /// rolling cost-layer band plus the segment's correspondence table;
   /// feeds the Sec. 4.3 PE-memory accounting in the benches.
   std::size_t peak_mapping_bytes = 0;
-  /// Backend-specific attachments (null for the host backends).  See
-  /// BackendExtras; shared so TrackResult stays cheaply copyable.
+  /// Backend-specific attachments (null for full-search "sequential"
+  /// runs).  See BackendExtras; shared so TrackResult stays cheaply
+  /// copyable.
   std::shared_ptr<const BackendExtras> extras;
 };
 
@@ -209,6 +212,24 @@ struct PruneReport;  // fwd (match_prune.hpp)
 std::optional<SemiFluidTable> build_semifluid_table(
     const MatchInput& in, const SmaConfig& config, bool fast_path, int hy_min,
     int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes);
+
+/// The pixel-tile policy of every host matching pass (staged search,
+/// pruned search, sub-pixel refinement, the vector tile kernel).  Not
+/// `parallel`: one tile spanning the frame.  Otherwise
+/// SmaConfig::tile_width x tile_height when either is set (32 for the
+/// unset side), else sched::choose_tile_shape for the run's executors
+/// (SmaConfig::threads capped at the shared pool's width) with the
+/// width rounded up to whole `lane_batch`-wide batches.  Tiles write
+/// only their own pixels, so results are bit-identical for any shape.
+std::vector<sched::Tile> pixel_tiles(int w, int h, const SmaConfig& config,
+                                     bool parallel, int lane_batch = 1);
+
+/// Runs fn(tile, index) over `tiles`: on the shared pool, capped at
+/// SmaConfig::threads executors, when `parallel`; else inline in order.
+void run_pixel_tiles(
+    const std::vector<sched::Tile>& tiles, const SmaConfig& config,
+    bool parallel,
+    const std::function<void(const sched::Tile&, std::size_t)>& fn);
 
 /// "Semi-fluid mapping" + "Hypothesis matching" phases: the segmented
 /// search over every pixel and hypothesis.  Accumulates phase times into

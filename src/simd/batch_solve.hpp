@@ -136,32 +136,4 @@ typename LaneTraits<Tag>::Vec batch_residual6(
   return T::select(T::cmp_gt(res, T::zero()), res, T::zero());
 }
 
-/// Branch-and-bound prefix lower bound (core/match_prune.hpp), batched:
-/// solves the lanes' prefix systems — `ata21` upper triangle, right-hand
-/// sides `atb`, target norm `btb` — and returns each lane's minimized
-/// prefix residual, which lower-bounds that lane's full-template
-/// residual.  SINGULAR lanes return 0: their theta = 0 "residual" is
-/// b^T b, an UPPER bound of the prefix minimum, so they must never
-/// prune.  Inputs are preserved (internal copies feed the destructive
-/// solve).
-template <class Tag>
-typename LaneTraits<Tag>::Vec batch_bound6(
-    const typename LaneTraits<Tag>::Vec ata21[21],
-    const typename LaneTraits<Tag>::Vec atb[6],
-    typename LaneTraits<Tag>::Vec btb, double eps) {
-  using T = LaneTraits<Tag>;
-  using V = typename T::Vec;
-  using M = typename T::Mask;
-  V a_full[36];
-  for (int r = 0; r < 6; ++r)
-    for (int c = 0; c < 6; ++c)
-      a_full[r * 6 + c] = c >= r ? ata21[tri21(r, c)] : ata21[tri21(c, r)];
-  V b_work[6];
-  for (int r = 0; r < 6; ++r) b_work[r] = atb[r];
-  V theta[6];
-  const M singular = batch_solve6<Tag>(a_full, b_work, theta, eps);
-  const V res = batch_residual6<Tag>(ata21, theta, atb, btb);
-  return T::select(singular, T::zero(), res);
-}
-
 }  // namespace sma::simd

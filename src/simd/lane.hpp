@@ -11,8 +11,8 @@
 // counterparts), so a kernel written against the traits produces
 // bit-identical per-lane results on every implementation.  That is the
 // foundation of the `vector` TrackerBackend's equivalence contract: a
-// lane is one pixel (or, in pruned search, one hypothesis), and each
-// lane's accumulation order is the same as the scalar reference's.
+// lane is one pixel, and each lane's accumulation order is the same as
+// the scalar reference's.
 //
 // Rules a traits implementation must obey:
 //  * No fused multiply-add: callers spell mul-then-add so the compiled

@@ -77,7 +77,7 @@ TEST(SuggestConfig, SuggestedConfigTracksWell) {
   opts.max_displacement_px = 2.5;
   const SmaConfig cfg = suggest_config(f0, opts);
   const TrackResult r =
-      SmaPipeline(cfg, {.backend = "tiled"}).track_pair(f0, f1);
+      SmaPipeline(cfg, {.backend = "vector"}).track_pair(f0, f1);
   const imaging::FlowField truth = goes::wind_to_flow(64, 64, wind);
   EXPECT_LT(imaging::rms_endpoint_error(r.flow, truth, 12), 0.75);
 }

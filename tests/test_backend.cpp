@@ -163,14 +163,12 @@ TEST(BackendRegistry, NamesAndCapabilities) {
   maspar::register_maspar_backend();
   auto& registry = BackendRegistry::instance();
   EXPECT_NE(registry.find("sequential"), nullptr);
-  EXPECT_NE(registry.find("tiled"), nullptr);
   EXPECT_NE(registry.find("maspar-sim"), nullptr);
   EXPECT_NE(registry.find("vector"), nullptr);
   EXPECT_EQ(registry.find("nosuch"), nullptr);
   EXPECT_THROW(registry.get("nosuch"), std::invalid_argument);
 
   EXPECT_FALSE(registry.get("sequential").capabilities().host_parallel);
-  EXPECT_TRUE(registry.get("tiled").capabilities().host_parallel);
   EXPECT_FALSE(registry.get("maspar-sim").capabilities().host_parallel);
   EXPECT_TRUE(registry.get("vector").capabilities().host_parallel);
 }

@@ -33,7 +33,7 @@ TEST(OceanEddy, SmaTracksEddies) {
   core::SmaConfig cfg = core::goes9_scaled_config();
   cfg.z_search_radius = 3;
   const core::TrackResult r =
-      core::SmaPipeline(cfg, {.backend = "tiled"}).track_pair(d.sst0, d.sst1);
+      core::SmaPipeline(cfg, {.backend = "vector"}).track_pair(d.sst0, d.sst1);
   EXPECT_LT(imaging::rms_endpoint_error(r.flow, d.tracks), 1.0);
 }
 
@@ -55,7 +55,7 @@ TEST(Cells, SemiFluidTracksFission) {
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 4;
   const core::TrackResult r =
-      core::SmaPipeline(cfg, {.backend = "tiled"})
+      core::SmaPipeline(cfg, {.backend = "vector"})
           .track_pair(d.frame0, d.frame1);
   // tracks[0]/tracks[1] are the daughters (moving -x and +x relative to
   // the mother velocity).
@@ -71,7 +71,7 @@ TEST(Cells, OrdinaryCellsTrackedSubPixel) {
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 3;
   const core::TrackResult r =
-      core::SmaPipeline(cfg, {.backend = "tiled", .track = {.subpixel = true}})
+      core::SmaPipeline(cfg, {.backend = "vector", .track = {.subpixel = true}})
           .track_pair(d.frame0, d.frame1);
   // Skip the two fission daughters; check the rigid movers.
   double worst = 0.0;

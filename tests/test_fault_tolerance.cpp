@@ -17,7 +17,7 @@ namespace {
 struct Pipelines {
   goes::FredericDataset data;
   core::SmaConfig cfg;
-  core::PipelineOptions opts{.backend = "tiled"};
+  core::PipelineOptions opts{.backend = "vector"};
 
   Pipelines() : data(goes::make_frederic_analog(56, 31, 2.0)) {
     cfg = core::frederic_scaled_config();

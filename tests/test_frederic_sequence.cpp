@@ -50,7 +50,7 @@ TEST(FredericSequence, AllIntervalsTrackSubPixel) {
 
   core::SmaConfig cfg = core::frederic_scaled_config();
   cfg.z_search_radius = 3;
-  core::SmaPipeline pipeline(cfg, {.backend = "tiled"});
+  core::SmaPipeline pipeline(cfg, {.backend = "vector"});
   for (int t = 0; t + 1 < 4; ++t) {
     core::TrackerInput in;
     in.intensity_before = &seq.left[static_cast<std::size_t>(t)];

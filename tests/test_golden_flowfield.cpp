@@ -6,7 +6,7 @@
 // Tolerances: each pixel may deviate by <= kPixelTol in |du| and |dv|
 // and the valid flags must match; at most kMismatchFrac of pixels may
 // exceed that (subpixel ties can flip across compilers/libm versions).
-// Every registered backend (sequential / tiled / maspar-sim / vector)
+// Every registered backend (sequential / maspar-sim / vector)
 // and both precompute settings must agree BIT-IDENTICALLY with each
 // other — the Sec. 5.1 "same result as the sequential implementation"
 // contract — so only one golden file is needed.
@@ -97,7 +97,7 @@ std::size_t count_mismatches(const imaging::FlowField& a,
 
 TEST(GoldenFlowfield, MatchesCommittedArtifact) {
   const imaging::FlowField flow =
-      run_pipeline(golden_config(), "sequential", core::PrecomputeMode::kAuto);
+      run_pipeline(golden_config(), "sequential", core::PrecomputeMode::kOn);
 
   if (std::getenv("SMA_UPDATE_GOLDEN") != nullptr) {
     imaging::write_flow_text(flow, golden_path());
@@ -135,11 +135,9 @@ TEST(GoldenFlowfield, AllBackendsAndPrecomputeModesBitIdentical) {
   for (const core::SmaConfig& cfg : {golden_config(), continuous}) {
     const imaging::FlowField reference =
         run_pipeline(cfg, "sequential", core::PrecomputeMode::kOff);
-    for (const std::string backend :
-         {"sequential", "tiled", "maspar-sim", "vector"}) {
+    for (const std::string backend : {"sequential", "maspar-sim", "vector"}) {
       for (const core::PrecomputeMode mode :
-           {core::PrecomputeMode::kOff, core::PrecomputeMode::kOn,
-            core::PrecomputeMode::kAuto}) {
+           {core::PrecomputeMode::kOff, core::PrecomputeMode::kOn}) {
         const imaging::FlowField flow = run_pipeline(cfg, backend, mode);
         EXPECT_EQ(count_mismatches(flow, reference, 0.0), 0u)
             << "backend " << backend << ", precompute mode "

@@ -64,7 +64,6 @@ TEST(ResolvePrecompute, DecisionTable) {
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kDisabled);
   cfg.precompute = PrecomputeMode::kOn;
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
-  cfg.precompute = PrecomputeMode::kAuto;
 
   // Semi-fluid remapping moves only the after-frame correspondents, so
   // F_semi is eligible whether or not the remap is active (Nss > 0); the

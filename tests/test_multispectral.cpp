@@ -101,7 +101,7 @@ TEST(Multispectral, FusionBeatsEitherSingleChannel) {
   SmaConfig cfg = goes9_scaled_config();
   cfg.z_search_radius = 3;
   const MultispectralResult r =
-      track_pair_multispectral(in, cfg, {}, "tiled");
+      track_pair_multispectral(in, cfg, {}, "vector");
 
   const double gf_fused = good_fraction(r.flow, d.truth, 12);
   const double gf_vis = good_fraction(r.per_channel[0], d.truth, 12);

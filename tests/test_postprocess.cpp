@@ -255,7 +255,7 @@ TEST(ForwardBackward, EndToEndOcclusionDetected) {
   cfg.surface_fit_radius = 2;
   cfg.z_template_radius = 3;
   cfg.z_search_radius = 3;
-  SmaPipeline pipeline(cfg, {.backend = "tiled"});
+  SmaPipeline pipeline(cfg, {.backend = "vector"});
   TrackResult fwd = pipeline.track_pair(f0, f1);
   const TrackResult bwd = pipeline.track_pair(f1, f0);
   forward_backward_check(fwd.flow, bwd.flow, 1.0);

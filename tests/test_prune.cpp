@@ -9,10 +9,13 @@
 //    identical floating-point sequence as the unbounded evaluator;
 //  * the upsampled coarse winner seeds a shrunken window that contains
 //    it, with a full-window per-pixel fallback when it cannot;
-//  * the pruned FlowField is bit-identical across backends, thread
-//    caps, tile shapes and bound on/off — only the full-vs-pruned
-//    comparison is tolerance-based (a bad seed may exclude the oracle
-//    winner; quantified, not assumed).
+//  * the pruned FlowField — and every integer counter of its report —
+//    is bit-identical across backends, thread caps and tile shapes, and
+//    the flow across bound on/off; only the full-vs-pruned comparison
+//    is tolerance-based (a bad seed may exclude the oracle winner;
+//    quantified, not assumed);
+//  * the coarse seed pass runs inside the pruned search's span, so its
+//    time is attributed.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,6 +31,7 @@
 #include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
+#include "obs/trace.hpp"
 #include "surface/geometry.hpp"
 
 namespace sma::core {
@@ -86,11 +90,35 @@ const MatchPrecompute& precompute0() {
   return pre;
 }
 
-/// The pruning accounting of a host-backend result (null if absent).
+/// The pruning accounting of a sequential result (null if absent).
 const PruneReport* host_report(const TrackResult& r) {
   const auto* extras =
       dynamic_cast<const PruneBackendExtras*>(r.extras.get());
   return extras != nullptr ? &extras->report : nullptr;
+}
+
+/// Every backend runs the one pruned pass, so every integer counter
+/// matches; bound_tightness_sum is a double folded per tile in tile
+/// order, so it only agrees to rounding.
+void expect_same_report(const PruneReport& want, const PruneReport& got,
+                        const std::string& what) {
+  static_assert(sizeof(PruneReport) ==
+                    11 * sizeof(std::uint64_t) + sizeof(double),
+                "PruneReport changed: compare the new field here");
+  EXPECT_EQ(got.active, want.active) << what;
+  EXPECT_EQ(got.fallback_reason, want.fallback_reason) << what;
+  EXPECT_EQ(got.full_grid_hypotheses, want.full_grid_hypotheses) << what;
+  EXPECT_EQ(got.coarse_hypotheses, want.coarse_hypotheses) << what;
+  EXPECT_EQ(got.fine_scheduled, want.fine_scheduled) << what;
+  EXPECT_EQ(got.fine_evaluated, want.fine_evaluated) << what;
+  EXPECT_EQ(got.bound_checks, want.bound_checks) << what;
+  EXPECT_EQ(got.bound_skipped, want.bound_skipped) << what;
+  EXPECT_EQ(got.window_pixels, want.window_pixels) << what;
+  EXPECT_EQ(got.fallback_pixels, want.fallback_pixels) << what;
+  EXPECT_EQ(got.seed_interior, want.seed_interior) << what;
+  EXPECT_NEAR(got.bound_tightness_sum, want.bound_tightness_sum,
+              1e-9 * std::abs(want.bound_tightness_sum))
+      << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -117,7 +145,7 @@ TEST(ResolvePrune, DecisionTable) {
   in.precompute = &precompute0();
   cfg.precompute = PrecomputeMode::kOff;
   EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNoPrecompute);
-  cfg.precompute = PrecomputeMode::kAuto;
+  cfg.precompute = PrecomputeMode::kOn;
 
   // F_semi rides the precompute now, but the pruned sweep does not model
   // its remap: an active one reports its own reason instead of hiding
@@ -417,19 +445,24 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
   ASSERT_NE(ref_report, nullptr);
   EXPECT_EQ(ref_report->active, 1u);
 
-  for (const std::string& name : {std::string("tiled"), std::string("vector")})
-    for (const int threads : {0, 1, 2})
-      for (const auto [tw, th] : {std::pair{0, 0}, {8, 8}, {16, 4}}) {
-        SmaConfig variant = cfg;
-        variant.threads = threads;
-        variant.tile_width = tw;
-        variant.tile_height = th;
-        const TrackResult r =
-            SmaPipeline(variant, {.backend = name}).track_pair(in);
-        EXPECT_EQ(ref.flow, r.flow)
-            << "backend '" << name << "' threads=" << threads << " tile="
-            << tw << "x" << th << " diverged from sequential pruned";
-      }
+  for (const int threads : {0, 1, 2})
+    for (const auto& [tw, th] : {std::pair{0, 0}, {8, 8}, {16, 4}}) {
+      SmaConfig variant = cfg;
+      variant.threads = threads;
+      variant.tile_width = tw;
+      variant.tile_height = th;
+      const TrackResult r =
+          SmaPipeline(variant, {.backend = "vector"}).track_pair(in);
+      const std::string what = "vector threads=" + std::to_string(threads) +
+                               " tile=" + std::to_string(tw) + "x" +
+                               std::to_string(th);
+      EXPECT_EQ(ref.flow, r.flow) << what << " diverged from sequential";
+      const auto* vx = dynamic_cast<const VectorBackendExtras*>(r.extras.get());
+      ASSERT_NE(vx, nullptr) << what;
+      EXPECT_FALSE(vx->report.vector_path) << what;
+      EXPECT_EQ(vx->report.fallback, "pruned") << what;
+      expect_same_report(*ref_report, vx->prune, what);
+    }
 
   // The bound only discards provably-worse hypotheses, so switching it
   // off changes the work done, never the winner.
@@ -469,20 +502,41 @@ TEST(PrunedSearch, ReportAccountingIsConsistent) {
   EXPECT_GT(report->reduction(), 1.0);
   EXPECT_GE(report->mean_bound_tightness(), 0.0);
   EXPECT_LE(report->mean_bound_tightness(), 1.0);
+}
 
-  // The vector backend's winner is identical (checked above); its
-  // report is also active, though its batch-granular counters may
-  // differ from the scalar path's.
-  const TrackResult rv =
-      SmaPipeline(cfg, {.backend = "vector"}).track_pair(in);
-  const auto* vx =
-      dynamic_cast<const VectorBackendExtras*>(rv.extras.get());
-  ASSERT_NE(vx, nullptr);
-  EXPECT_EQ(vx->prune.active, 1u);
-  EXPECT_EQ(vx->prune.full_grid_hypotheses, npix * grid);
-  EXPECT_EQ(vx->prune.window_pixels + vx->prune.fallback_pixels, npix);
-  EXPECT_EQ(vx->prune.fine_scheduled - vx->prune.fine_evaluated,
-            vx->prune.bound_skipped);
+TEST(PrunedSearch, CoarsePassRunsInsideThePrunedSpan) {
+  // The seed pass is part of the pruned search: its span nests inside
+  // match/pruned_search, whose timer feeds timings.hypothesis_matching,
+  // so the coarse pass lands in a TrackTimings bucket on every backend.
+  const TrackerInput in = monocular_input();
+  for (const std::string backend : {"sequential", "vector"}) {
+    obs::TraceRecorder recorder;
+    obs::set_trace_recorder(&recorder);
+    SmaPipeline(pruned_config(), {.backend = backend}).track_pair(in);
+    obs::set_trace_recorder(nullptr);
+
+    const std::vector<obs::TraceEvent> events = recorder.events();
+    const auto only = [&](const char* name) {
+      const obs::TraceEvent* found = nullptr;
+      int count = 0;
+      for (const obs::TraceEvent& e : events)
+        if (std::strcmp(e.category, "match") == 0 &&
+            std::strcmp(e.name, name) == 0) {
+          found = &e;
+          ++count;
+        }
+      EXPECT_EQ(count, 1) << backend << " match/" << name << " spans";
+      return found;
+    };
+    const obs::TraceEvent* seed = only("prune_coarse_seed");
+    const obs::TraceEvent* pruned = only("pruned_search");
+    ASSERT_NE(seed, nullptr) << backend;
+    ASSERT_NE(pruned, nullptr) << backend;
+    EXPECT_GE(seed->start_us, pruned->start_us) << backend;
+    EXPECT_LE(seed->start_us + seed->dur_us,
+              pruned->start_us + pruned->dur_us + 1e-3)
+        << backend;
+  }
 }
 
 TEST(PrunedSearch, IneligibleConfigsFallBackBitIdenticalToFull) {

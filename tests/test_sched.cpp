@@ -11,8 +11,9 @@
 //     nested submissions inline instead of deadlocking, and propagates
 //     exceptions; for_each_row() visits every row once and leaves
 //     small frames off the pool.
-//  3. Determinism: the tiled backend's FlowField is BIT-IDENTICAL to
+//  3. Determinism: the vector backend's FlowField is BIT-IDENTICAL to
 //     the sequential reference at every thread count and tile shape —
+//     on the staged path (precompute off) and on the lane kernel,
 //     including degenerate skewed shapes that force heavy stealing —
 //     the paper's Sec. 5.1 contract extended to the host scheduler.
 #include <gtest/gtest.h>
@@ -284,7 +285,7 @@ TEST(ThreadPool, DefaultThreadsHonorsEnvOverride) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Determinism: tiled tracking is bit-identical at every thread
+// 3. Determinism: pooled tracking is bit-identical at every thread
 //    count and tile shape (Sec. 5.1 contract on the host scheduler).
 // ---------------------------------------------------------------------------
 
@@ -325,11 +326,14 @@ class SchedDeterminism : public ::testing::Test {
   }
 };
 
-TEST_F(SchedDeterminism, TiledBitIdenticalAcrossThreadCounts) {
+// The staged kernels on the pool: precompute off keeps the vector
+// backend off its lane kernel.
+TEST_F(SchedDeterminism, StagedBitIdenticalAcrossThreadCounts) {
   const core::TrackerInput in = tracker_input();
   for (const core::MotionModel model :
        {core::MotionModel::kContinuous, core::MotionModel::kSemiFluid}) {
-    const core::SmaConfig cfg = tracker_config(model);
+    core::SmaConfig cfg = tracker_config(model);
+    cfg.precompute = core::PrecomputeMode::kOff;
     core::TrackOptions options;
     options.subpixel = true;
     const core::TrackResult ref =
@@ -339,17 +343,18 @@ TEST_F(SchedDeterminism, TiledBitIdenticalAcrossThreadCounts) {
       core::SmaConfig tcfg = cfg;
       tcfg.threads = threads;
       const core::TrackResult r =
-          core::SmaPipeline(tcfg, {.backend = "tiled", .track = options})
+          core::SmaPipeline(tcfg, {.backend = "vector", .track = options})
               .track_pair(in);
       EXPECT_EQ(ref.flow, r.flow)
-          << "tiled backend diverged at threads=" << threads;
+          << "staged path diverged at threads=" << threads;
     }
   }
 }
 
-TEST_F(SchedDeterminism, TiledBitIdenticalAcrossSkewedTileShapes) {
+TEST_F(SchedDeterminism, StagedBitIdenticalAcrossSkewedTileShapes) {
   const core::TrackerInput in = tracker_input();
-  const core::SmaConfig cfg = tracker_config(core::MotionModel::kSemiFluid);
+  core::SmaConfig cfg = tracker_config(core::MotionModel::kSemiFluid);
+  cfg.precompute = core::PrecomputeMode::kOff;
   const core::TrackResult ref = core::SmaPipeline(cfg).track_pair(in);
   // Skewed shapes create wildly unequal per-tile costs (single-row
   // strips hit window setup once per pixel; single-column strips defeat
@@ -361,15 +366,15 @@ TEST_F(SchedDeterminism, TiledBitIdenticalAcrossSkewedTileShapes) {
     tcfg.tile_height = th;
     tcfg.threads = 4;
     const core::TrackResult r =
-        core::SmaPipeline(tcfg, {.backend = "tiled"}).track_pair(in);
+        core::SmaPipeline(tcfg, {.backend = "vector"}).track_pair(in);
     EXPECT_EQ(ref.flow, r.flow)
-        << "tiled backend diverged at tile " << tw << "x" << th;
+        << "staged path diverged at tile " << tw << "x" << th;
   }
 }
 
 TEST_F(SchedDeterminism, VectorBackendBitIdenticalAcrossThreadCounts) {
   const core::TrackerInput in = tracker_input();
-  // Lane batching (hypothesis axis) and tiling (pixel axis) compose:
+  // Lane batching (center pixels) and tiling (pixel tiles) compose:
   // the vector backend must stay bit-identical at any width too.
   const core::SmaConfig cfg = tracker_config(core::MotionModel::kContinuous);
   const core::TrackResult ref = core::SmaPipeline(cfg).track_pair(in);

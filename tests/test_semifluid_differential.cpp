@@ -9,10 +9,10 @@
 // case runs the naive oracle — sequential, precompute off,
 // use_precomputed_mapping off, so every F_semi template pixel is
 // remapped on the fly by semifluid_match — and asserts that every
-// execution path reproduces its flow bit for bit: sequential and tiled
-// (with the correspondence table for F_semi), vector at every compiled
-// SIMD level (selected through SMA_SIMD_LEVEL), maspar-sim, and the
-// thread caps {1, 4}.  Every vector run must also account for the whole
+// execution path reproduces its flow bit for bit: sequential (with the
+// correspondence table for F_semi), vector at every compiled SIMD level
+// (selected through SMA_SIMD_LEVEL) and the thread caps {1, 4}, and
+// maspar-sim.  Every vector run must also account for the whole
 // search: batched + tail hypotheses = pixels x search hypotheses.  The
 // generator also draws a shard grid (1..3 x 1..3): the shard runner over
 // an in-memory tile source must stitch the same bits.
@@ -159,7 +159,6 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
     for (const int threads : {1, 4}) {
       SmaConfig cfg = c.config;
       cfg.threads = threads;
-      expect_same("tiled", cfg);
       for (const simd::SimdLevel level : levels) {
         setenv("SMA_SIMD_LEVEL", simd::level_name(level), 1);
         const TrackResult r = expect_same(

@@ -17,7 +17,7 @@ namespace {
 
 TEST(TrackSequence, PairCountAndTimings) {
   const goes::RapidScanDataset d = goes::make_luis_analog(40, 4, 29, 1.5);
-  core::SmaPipeline pipeline(core::luis_scaled_config(), {.backend = "tiled"});
+  core::SmaPipeline pipeline(core::luis_scaled_config(), {.backend = "vector"});
   const core::SequenceResult r = pipeline.track_sequence(d.frames);
   EXPECT_EQ(r.flows.size(), 3u);
   EXPECT_EQ(r.timings.size(), 3u);
@@ -28,7 +28,7 @@ TEST(TrackSequence, PairCountAndTimings) {
 TEST(TrackSequence, TrajectoriesFollowWind) {
   const goes::RapidScanDataset d = goes::make_luis_analog(48, 5, 29, 1.5);
   core::SmaPipeline pipeline(core::luis_scaled_config(),
-                             {.backend = "tiled", .robust = true});
+                             {.backend = "vector", .robust = true});
   // Seed at the reference-track locations.
   std::vector<std::pair<double, double>> seeds;
   for (std::size_t i = 0; i < 5 && i < d.tracks.size(); ++i)

@@ -753,12 +753,12 @@ TEST(ChaosSmoke, NoCrashNoHangNoWrongAnswer) {
 // ---------------------------------------------------------------------------
 // Serve x scheduler: one shared tile-execution budget
 
-// Three request workers running tiled tracking concurrently must share
+// Three request workers running vector tracking concurrently must share
 // the sched_threads=2 pool instead of multiplying it: workers submit
 // tiles and BLOCK, so the number of threads busy in tile work can never
 // exceed the budget.  Verified through the sched.* metrics the server
 // flushes at drain (max_busy is the pool's concurrency high-water).
-TEST(Server, TiledTrackingSharesSchedulerBudget) {
+TEST(Server, VectorTrackingSharesSchedulerBudget) {
   serve::ServeOptions options = test_options();
   options.workers = 3;
   options.sched_threads = 2;  // process-wide tile budget < workers
@@ -779,7 +779,7 @@ TEST(Server, TiledTrackingSharesSchedulerBudget) {
       client.connect("127.0.0.1", server.port());
       serve::TrackRequest req =
           small_request(static_cast<std::uint64_t>(i + 1), "budget");
-      req.backend = "tiled";
+      req.backend = "vector";
       responses[static_cast<std::size_t>(i)] = client.track(req);
       client.quit();
     });
@@ -790,7 +790,7 @@ TEST(Server, TiledTrackingSharesSchedulerBudget) {
 
   for (const serve::TrackResponse& resp : responses) {
     EXPECT_EQ(resp.outcome, Outcome::kOk);
-    // Budgeted tiled tracking still answers bit-identically (Sec. 5.1).
+    // Budgeted vector tracking still answers bit-identically (Sec. 5.1).
     EXPECT_EQ(resp.payload, reference);
   }
   EXPECT_EQ(server.metrics().gauge("sched.threads").value(), 2.0);
@@ -799,10 +799,10 @@ TEST(Server, TiledTrackingSharesSchedulerBudget) {
       << "tile concurrency exceeded the sched_threads budget";
 }
 
-// The chaos contract holds with the tiled backend in the mix: every
+// The chaos contract holds with the vector backend in the mix: every
 // request gets exactly one outcome, and every `ok` payload is
 // bit-identical to the one-shot sequential pipeline.
-TEST(ChaosSmoke, TiledBackendKeepsExactlyOneOutcomeInvariant) {
+TEST(ChaosSmoke, VectorBackendKeepsExactlyOneOutcomeInvariant) {
   serve::ServeOptions options = test_options();
   options.workers = 2;
   options.sched_threads = 2;
@@ -817,7 +817,7 @@ TEST(ChaosSmoke, TiledBackendKeepsExactlyOneOutcomeInvariant) {
   server.start();
   server.run_in_thread();
 
-  const serve::TrackRequest base = small_request(0, "chaos-tiled");
+  const serve::TrackRequest base = small_request(0, "chaos-vector");
   const std::string reference = reference_flow_text(base);
 
   const int kRequests = 10;
@@ -825,8 +825,8 @@ TEST(ChaosSmoke, TiledBackendKeepsExactlyOneOutcomeInvariant) {
     serve::Client client;
     client.connect("127.0.0.1", server.port());
     serve::TrackRequest req =
-        small_request(static_cast<std::uint64_t>(i + 1), "chaos-tiled");
-    req.backend = "tiled";
+        small_request(static_cast<std::uint64_t>(i + 1), "chaos-vector");
+    req.backend = "vector";
     const serve::TrackResponse resp = client.track(req);
     if (resp.outcome == Outcome::kOk) {
       EXPECT_EQ(resp.payload, reference) << "request " << i;

@@ -598,9 +598,8 @@ TEST(GoldenSession, BitIdenticalAcrossBackendsAndBatchingModes) {
   const auto reference = reference_sequence_flows(config, frames);
   ASSERT_EQ(reference.size(), static_cast<std::size_t>(kFrames - 1));
 
-  for (const std::string& backend : {std::string("sequential"),
-                                     std::string("tiled"),
-                                     std::string("vector")}) {
+  for (const std::string& backend :
+       {std::string("sequential"), std::string("vector")}) {
     for (const bool batching : {true, false}) {
       serve::ServeOptions options = test_options();
       options.backend = backend;

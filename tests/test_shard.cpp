@@ -242,11 +242,11 @@ TEST(RasterWindow, BitIdenticalToWholeFileReaders) {
 
 TEST(ShardStitch, BitIdenticalAcrossGridsBackendsAndPrecompute) {
   const ShardSpec grids[] = {{1, 1}, {2, 2}, {3, 2}};
-  const char* backends[] = {"sequential", "tiled", "vector"};
+  const char* backends[] = {"sequential", "vector"};
   for (core::SmaConfig cfg :
        {continuous_config(), semifluid_config()}) {
     for (const bool precompute : {true, false}) {
-      cfg.precompute = precompute ? core::PrecomputeMode::kAuto
+      cfg.precompute = precompute ? core::PrecomputeMode::kOn
                                   : core::PrecomputeMode::kOff;
       for (const char* backend : backends) {
         const imaging::FlowField whole = whole_frame(backend, cfg);

@@ -310,7 +310,6 @@ TEST(Dispatch, ResolveDegradesToCompiledKernels) {
     EXPECT_EQ(core::resolve_kernel_level(got), got);
     const core::LaneKernels k = core::lane_kernels(got);
     EXPECT_NE(k.tile, nullptr);
-    EXPECT_NE(k.pixel, nullptr);
     EXPECT_NE(k.solve, nullptr);
     EXPECT_GE(k.lanes, 2);
   }

@@ -63,7 +63,7 @@ TEST(Tracker, ParallelMatchesSequentialContinuous) {
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 1);
   const TrackResult seq = SmaPipeline(tiny_continuous()).track_pair(f0, f1);
   const TrackResult par =
-      SmaPipeline(tiny_continuous(), {.backend = "tiled"}).track_pair(f0, f1);
+      SmaPipeline(tiny_continuous(), {.backend = "vector"}).track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -72,7 +72,7 @@ TEST(Tracker, ParallelMatchesSequentialSemiFluid) {
   const imaging::ImageF f1 = testing::shift_image(f0, -1, 1);
   const TrackResult seq = SmaPipeline(tiny_semifluid()).track_pair(f0, f1);
   const TrackResult par =
-      SmaPipeline(tiny_semifluid(), {.backend = "tiled"}).track_pair(f0, f1);
+      SmaPipeline(tiny_semifluid(), {.backend = "vector"}).track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -238,7 +238,7 @@ TEST(Tracker, RectangularTemplateParallelMatchesSequential) {
   c.z_search_radius_y = 1;
   const TrackResult seq = SmaPipeline(c).track_pair(f0, f1);
   const TrackResult par =
-      SmaPipeline(c, {.backend = "tiled"}).track_pair(f0, f1);
+      SmaPipeline(c, {.backend = "vector"}).track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -300,7 +300,7 @@ TEST(Tracker, SubpixelParallelMatchesSequential) {
           .track_pair(f0, f1);
   const TrackResult par =
       SmaPipeline(tiny_semifluid(),
-                  {.backend = "tiled", .track = {.subpixel = true}})
+                  {.backend = "vector", .track = {.subpixel = true}})
           .track_pair(f0, f1);
   EXPECT_TRUE(seq.flow == par.flow);
 }
@@ -334,7 +334,7 @@ TEST(Tracker, SingularDegradationSurvivesSubpixelAndParallel) {
           .track_pair(flat, flat);
   const TrackResult par =
       SmaPipeline(tiny_continuous(),
-                  {.backend = "tiled", .track = {.subpixel = true}})
+                  {.backend = "vector", .track = {.subpixel = true}})
           .track_pair(flat, flat);
   EXPECT_TRUE(seq.flow == par.flow);
   EXPECT_EQ(seq.flow.count_valid(), 0u);

@@ -37,7 +37,7 @@ TEST_P(TranslationSweep, RecoveredDensely) {
   const imaging::ImageF f0 = testing::textured_pattern(32, 32);
   const imaging::ImageF f1 = testing::shift_image(f0, c.dx, c.dy);
   const TrackResult r =
-      SmaPipeline(cfg, {.backend = "tiled"}).track_pair(f0, f1);
+      SmaPipeline(cfg, {.backend = "vector"}).track_pair(f0, f1);
   EXPECT_GT(testing::flow_match_fraction(r.flow, c.dx, c.dy, 9), 0.95)
       << "displacement (" << c.dx << "," << c.dy << ")";
 }
@@ -86,7 +86,7 @@ TEST_P(DeformationSweep, DilationRecoveredInParams) {
   cfg.z_template_radius = 4;
   cfg.z_search_radius = 2;
   const TrackResult r =
-      SmaPipeline(cfg, {.backend = "tiled", .track = {.keep_params = true}})
+      SmaPipeline(cfg, {.backend = "vector", .track = {.keep_params = true}})
           .track_pair(f0, f1);
   ASSERT_TRUE(r.params.has_value());
   // Near the center the motion is pure dilation: a_i ~ b_j ~ s > 0.
