@@ -50,8 +50,9 @@ void print_fig4_model() {
       projected_days, direct_days);
 }
 
-// Measured: evaluate one hypothesis at the image center for growing
-// template radii — the Fig. 4 sweep at laptop scale.
+// Measured: evaluate one hypothesis at the image center with the naive
+// oracle (evaluate_pixel_hypothesis) for growing template radii — the
+// Fig. 4 sweep at laptop scale.
 void BM_PerCorrespondence(benchmark::State& state) {
   const int radius = static_cast<int>(state.range(0));
   const int size = 2 * radius + 32;
@@ -64,9 +65,13 @@ void BM_PerCorrespondence(benchmark::State& state) {
   cfg.model = core::MotionModel::kContinuous;
   cfg.z_template_radius = radius;
   for (auto _ : state) {
-    const core::HypothesisResult r = core::evaluate_hypothesis(
-        g0, g1, size / 2, size / 2, cfg, core::continuous_mapping(1, 0));
-    benchmark::DoNotOptimize(r);
+    core::MotionParams params;
+    bool ok = false;
+    double error = core::evaluate_pixel_hypothesis(
+        g0, g1, nullptr, nullptr, nullptr, size / 2, size / 2, 1, 0, cfg,
+        params, ok);
+    benchmark::DoNotOptimize(error);
+    benchmark::DoNotOptimize(params);
   }
   state.counters["template_edge"] = 2 * radius + 1;
 }

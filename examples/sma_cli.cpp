@@ -444,15 +444,20 @@ int cmd_track(int argc, char** argv) {
       std::printf("vector backend fell back to the staged path (%s)\n",
                   vx->report.fallback.c_str());
   }
-  // Pruned-search accounting rides on either backend's extras:
-  // PruneBackendExtras (sequential) or VectorBackendExtras.prune.
+  // Pruned-search accounting rides on every backend's extras:
+  // PruneBackendExtras (sequential), VectorBackendExtras.prune or
+  // MasParBackendExtras.prune.
   const core::PruneReport* prune = nullptr;
   if (const auto* px =
           dynamic_cast<const core::PruneBackendExtras*>(r.extras.get()))
     prune = &px->report;
-  else if (const auto* vx =
-               dynamic_cast<const core::VectorBackendExtras*>(r.extras.get())) {
-    if (cfg.search_mode == core::SearchMode::kPruned) prune = &vx->prune;
+  else if (cfg.search_mode == core::SearchMode::kPruned) {
+    if (const auto* vx =
+            dynamic_cast<const core::VectorBackendExtras*>(r.extras.get()))
+      prune = &vx->prune;
+    else if (const auto* mp = dynamic_cast<const maspar::MasParBackendExtras*>(
+                 r.extras.get()))
+      prune = &mp->prune;
   }
   if (prune != nullptr) {
     if (prune->active != 0)

@@ -10,8 +10,8 @@ namespace sma::core {
 
 namespace {
 
-// The sequential baseline: the staged kernels over the pixel plane as
-// one inline tile, never touching the sched pool.
+// The sequential baseline: the matching stage with the staged kernels
+// over the pixel plane as one inline tile, never touching the sched pool.
 class HostBackend final : public TrackerBackend {
  public:
   std::string name() const override { return "sequential"; }
@@ -20,25 +20,18 @@ class HostBackend final : public TrackerBackend {
 
   TrackResult match(const MatchInput& in, const SmaConfig& config,
                     const TrackOptions& options) const override {
-    TrackResult result;
     // Pruned runs get the accounting report attached as extras; full
     // runs stay extras-free (the baseline's historical contract).
     std::shared_ptr<PruneBackendExtras> prune_extras;
-    PruneReport* prune = nullptr;
-    if (config.search_mode == SearchMode::kPruned) {
+    if (config.search_mode == SearchMode::kPruned)
       prune_extras = std::make_shared<PruneBackendExtras>();
-      prune = &prune_extras->report;
-    }
-    std::vector<PixelBest> best =
-        run_hypothesis_search(in, config, /*parallel=*/false, result.timings,
-                              result.peak_mapping_bytes, prune);
-    if (options.subpixel)
-      refine_subpixel(in, config, /*parallel=*/false, best, result.timings);
-    collect_track_result(in, config, options, best, result);
-    result.timings.total = result.timings.match_precompute +
-                           result.timings.semifluid_mapping +
-                           result.timings.hypothesis_matching;
-    if (prune_extras != nullptr) result.extras = std::move(prune_extras);
+    TrackResult result = run_matching_stage(
+        in, config, options, /*parallel=*/false,
+        [&](const MatchSegment& seg) {
+          scan_segment(in, config, /*parallel=*/false, seg);
+        },
+        prune_extras != nullptr ? &prune_extras->report : nullptr);
+    result.extras = std::move(prune_extras);
     return result;
   }
 };

@@ -6,21 +6,24 @@
 // TrackerBackend makes that contract an interface: a backend is only
 // the matching stage — match() over geometry, discriminants and
 // precompute planes that SmaPipeline (core/pipeline.hpp), the one
-// orchestrator, has already built.  Every backend consumes the same
-// staged kernels (core/tracker.hpp) and must produce the identical
-// FlowField; what differs is the execution schedule and any
-// substrate-specific reporting attached via TrackResult::extras.
+// orchestrator, has already built.  Every backend's match() calls the
+// one matching stage, run_matching_stage (core/tracker.hpp), which owns
+// the pruned branch, the Sec. 4.3 segment loop, the correspondence
+// tables, sub-pixel refinement and products; a backend supplies only
+// how one segment's pixels are visited, plus any substrate-specific
+// reporting attached via TrackResult::extras.  Every backend must
+// produce the identical FlowField, pruned search included.
 //
 // Registered backends:
-//   "sequential" — single-threaded reference
+//   "sequential" — single-threaded reference: inline staged tiles
 //   "vector"     — work-stealing threads over pixel tiles: SIMD lanes
 //                  over each tile's pixels, runtime-dispatched AVX-512/
 //                  AVX2/SSE2/NEON/scalar lane kernels (core/match_vector.hpp,
-//                  simd/dispatch.hpp), and the same staged kernels as
-//                  "sequential" for pruned search and the configs the
-//                  lanes cannot serve
-//   "maspar-sim" — MP-2 SIMD-ordered executor with modeled machine costs
-//                  (registered by sma::maspar::register_maspar_backend(),
+//                  simd/dispatch.hpp), and the staged tiles on the pool
+//                  for the configs the lanes cannot serve
+//   "maspar-sim" — MP-2 memory-layer visit order with modeled machine
+//                  costs (registered by
+//                  sma::maspar::register_maspar_backend(),
 //                  maspar/backend.hpp — the core library cannot depend on
 //                  the maspar layer, so that registration is explicit)
 //
@@ -52,11 +55,12 @@ class TrackerBackend {
   virtual std::string name() const = 0;
   virtual BackendCapabilities capabilities() const = 0;
 
-  /// Matching stages only (semi-fluid mapping, hypothesis search,
-  /// optional sub-pixel, products) on precomputed per-frame geometry —
-  /// the one stage SmaPipeline delegates, so cached geometry is never
-  /// refitted.  Fills the matching-phase timings; the pipeline owns the
-  /// geometry and precompute timings and timings.total.
+  /// Matching only (semi-fluid mapping, hypothesis search, optional
+  /// sub-pixel, products — run_matching_stage) on precomputed per-frame
+  /// geometry, the one stage SmaPipeline delegates, so cached geometry
+  /// is never refitted.  Fills the matching-phase timings; the pipeline
+  /// owns the geometry and precompute timings and the pair's
+  /// timings.total.
   virtual TrackResult match(const MatchInput& in, const SmaConfig& config,
                             const TrackOptions& options) const = 0;
 };

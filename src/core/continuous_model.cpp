@@ -1,7 +1,5 @@
 #include "core/continuous_model.hpp"
 
-#include <cmath>
-
 #include "core/match_precompute.hpp"
 
 namespace sma::core {
@@ -29,41 +27,6 @@ void add_normal_rows(const surface::GeometricField& before,
     atb[r] = p.wri[r] * bi + p.wrj[r] * bj + p.wrk[r] * bk;
   const double btb = p.wi * (bi * bi) + p.wj * (bj * bj) + bk * bk;
   ne.add_precomputed(p.tile, atb, btb, 3);
-}
-
-TemplateMapping continuous_mapping(int hx, int hy) {
-  return [hx, hy](int px, int py) { return std::pair<int, int>{px + hx, py + hy}; };
-}
-
-HypothesisResult evaluate_hypothesis(const surface::GeometricField& before,
-                                     const surface::GeometricField& after,
-                                     int x, int y, const SmaConfig& config,
-                                     const TemplateMapping& mapping) {
-  linalg::NormalEquations6 ne;
-  const int r = config.z_template_radius;
-  const int stride = config.template_stride;
-  for (int v = -r; v <= r; v += stride)
-    for (int u = -r; u <= r; u += stride) {
-      const int px = x + u;
-      const int py = y + v;
-      const auto [qx, qy] = mapping(px, py);
-      add_normal_rows(before, after, px, py, qx, qy, ne);
-    }
-
-  HypothesisResult res;
-  linalg::Vec6 theta;
-  if (ne.solve(theta) != linalg::SolveStatus::kOk) {
-    // Singular system: no deformation information in this patch.  Fall
-    // back to the zero-deformation error so the hypothesis still ranks.
-    res.params = MotionParams{};
-    res.error = ne.residual(linalg::Vec6{});
-    res.ok = false;
-    return res;
-  }
-  res.params = MotionParams::from_vec(theta);
-  res.error = ne.residual(theta);
-  res.ok = true;
-  return res;
 }
 
 }  // namespace sma::core

@@ -42,8 +42,6 @@
 // eliminations per tracked pixel for a 13x13 search area).
 #pragma once
 
-#include <functional>
-
 #include "core/config.hpp"
 #include "linalg/least_squares.hpp"
 #include "linalg/matrix.hpp"
@@ -65,38 +63,14 @@ struct MotionParams {
   }
 };
 
-/// Result of evaluating one correspondence hypothesis.
-struct HypothesisResult {
-  MotionParams params;
-  double error = 0.0;  ///< Eq. (3) residual, summed over the template
-  bool ok = false;     ///< false if the 6x6 system was singular
-};
-
-/// Maps a template pixel (absolute coordinates in t_m) to the absolute
-/// coordinates of its hypothesized correspondent in t_{m+1}.  F_cont uses
-/// p + h; F_semi refines each template pixel within its semi-fluid search
-/// window (Sec. 2.3).
-using TemplateMapping =
-    std::function<std::pair<int, int>(int px, int py)>;
-
 /// Adds the three linearized normal-consistency rows for one template
 /// pixel: geometry before motion from `before` at (px, py), observed
-/// normal after motion from `after` at (qx, qy).  Exposed so the
-/// MasPar SIMD executor can reuse the identical arithmetic.
+/// normal after motion from `after` at (qx, qy).  The naive oracle
+/// evaluate_pixel_hypothesis (core/tracker.hpp) accumulates its template
+/// through it, solves the 6x6 system and scores the residual — Step 1 +
+/// Step 2 of Sec. 2.2.
 void add_normal_rows(const surface::GeometricField& before,
                      const surface::GeometricField& after, int px, int py,
                      int qx, int qy, linalg::NormalEquations6& ne);
-
-/// Evaluates hypothesis (hx, hy) for the pixel (x, y): accumulates the
-/// template rows through `mapping`, solves the 6x6 system and returns the
-/// residual error (Step 1 + Step 2 of Sec. 2.2).
-HypothesisResult evaluate_hypothesis(const surface::GeometricField& before,
-                                     const surface::GeometricField& after,
-                                     int x, int y,
-                                     const SmaConfig& config,
-                                     const TemplateMapping& mapping);
-
-/// Convenience: the pure continuous mapping p -> p + h.
-TemplateMapping continuous_mapping(int hx, int hy);
 
 }  // namespace sma::core

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
+#include "core/match_prune.hpp"
 #include "linalg/least_squares.hpp"
 #include "sched/scheduler.hpp"
 
@@ -142,9 +144,13 @@ void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
                  : 0;
 }
 
-// Solve + residual tail shared by both evaluators (and the pruned
-// evaluator in match_prune.cpp) — the same tail as the naive
-// evaluate_pixel_hypothesis, applied to identically-built moments.
+namespace {
+
+// Solve + residual tail of the precomputed evaluator and its
+// half-template checkpoint: the moments go into a zero-initialized
+// NormalEquations6 exactly as the naive evaluate_pixel_hypothesis builds
+// them, so the solve and the Eq. (3) residual (theta = 0 when singular)
+// see the same bits.
 double solve_from_moments(const double* ata21, const linalg::Vec6& atb,
                           double btb, std::uint64_t rows,
                           MotionParams& params_out, bool& ok_out) {
@@ -161,12 +167,15 @@ double solve_from_moments(const double* ata21, const linalg::Vec6& atb,
   return ne.residual(linalg::Vec6{});
 }
 
+}  // namespace
+
 double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        const surface::GeometricField& after,
-                                       const WindowInvariants& win, int x,
+                                       const WindowInvariants& win,
+                                       const SemiFluidTable* table, int x,
                                        int y, int hx, int hy, int rx, int ry,
-                                       MotionParams& params_out,
-                                       bool& ok_out) {
+                                       MotionParams& params_out, bool& ok_out,
+                                       PruneCheckpoint* checkpoint) {
   const int w = pre.width();
   const int h = pre.height();
   const double* SMA_RESTRICT const ni_p = pre.plane(MatchPrecompute::kNi);
@@ -178,90 +187,75 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
   for (int t = 0; t < 18; ++t)
     rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
 
-  const bool interior = x - rx >= 0 && x + rx < w && y - ry >= 0 &&
-                        y + ry < h && x - rx + hx >= 0 && x + rx + hx < w &&
-                        y - ry + hy >= 0 && y + ry + hy < h;
   linalg::Vec6 atb;
   double btb = 0.0;
+  // The one A^T b / b^T b accumulation: template pixel i (before-frame
+  // index) against its correspondent's after-frame normal (oi, oj, ok).
+  const auto add = [&](std::size_t i, float oi, float oj, float ok) {
+    const double bi = static_cast<double>(oi) - ni_p[i];
+    const double bj = static_cast<double>(oj) - nj_p[i];
+    const double bk = static_cast<double>(ok) - nk_p[i];
+    for (int r = 0; r < 6; ++r)
+      atb[r] += rows_p[r][i] * bi + rows_p[6 + r][i] * bj +
+                rows_p[12 + r][i] * bk;
+    btb += wi_p[i] * (bi * bi) + wj_p[i] * (bj * bj) + bk * bk;
+  };
+
+  const bool interior = table == nullptr && x - rx >= 0 && x + rx < w &&
+                        y - ry >= 0 && y + ry < h && x - rx + hx >= 0 &&
+                        x + rx + hx < w && y - ry + hy >= 0 &&
+                        y + ry + hy < h;
+  const int col = table != nullptr ? hx + table->hx_radius() : 0;
   for (int v = -ry; v <= ry; ++v) {
+    if (v == 0 && checkpoint != nullptr) {
+      // Half-template checkpoint: minimize the prefix residual.  A
+      // singular prefix only yields residual(0) = b^T b — an UPPER bound
+      // of the prefix minimum — so it never prunes (bound 0).
+      MotionParams prefix_params;
+      bool prefix_ok = false;
+      const double bound =
+          solve_from_moments(checkpoint->prefix->ata, atb, btb,
+                             checkpoint->prefix->rows, prefix_params,
+                             prefix_ok);
+      checkpoint->bound = prefix_ok ? bound : 0.0;
+      checkpoint->skipped =
+          prune_bound_exceeds(checkpoint->bound, checkpoint->incumbent);
+      if (checkpoint->skipped) {
+        params_out = MotionParams{};
+        ok_out = false;
+        return std::numeric_limits<double>::infinity();
+      }
+    }
     const int py = std::clamp(y + v, 0, h - 1);
-    const int qy = std::clamp(py + hy, 0, h - 1);
     const std::size_t off = static_cast<std::size_t>(py) * w;
+    if (table != nullptr) {
+      // F_semi: template pixel p's correspondent is p + M_h(p), read
+      // with the naive path's clamp.
+      for (int u = -rx; u <= rx; ++u) {
+        const int px = std::clamp(x + u, 0, w - 1);
+        const std::uint8_t c = table->codes(px, py, hy)[col];
+        const int qx = std::clamp(px + hx + table->code_dx(c), 0, w - 1);
+        const int qy = std::clamp(py + hy + table->code_dy(c), 0, h - 1);
+        add(off + px, after.ni.row(qy)[qx], after.nj.row(qy)[qx],
+            after.nk.row(qy)[qx]);
+      }
+      continue;
+    }
+    const int qy = std::clamp(py + hy, 0, h - 1);
     const float* SMA_RESTRICT const a_ni = after.ni.row(qy);
     const float* SMA_RESTRICT const a_nj = after.nj.row(qy);
     const float* SMA_RESTRICT const a_nk = after.nk.row(qy);
     if (interior) {
       // Branch-free contiguous sweep: px walks [x-rx, x+rx] and the
-      // correspondent column is px + hx — auto-vectorizable.
-      for (int px = x - rx; px <= x + rx; ++px) {
-        const int qx = px + hx;
-        const double bi = static_cast<double>(a_ni[qx]) - ni_p[off + px];
-        const double bj = static_cast<double>(a_nj[qx]) - nj_p[off + px];
-        const double bk = static_cast<double>(a_nk[qx]) - nk_p[off + px];
-        for (int r = 0; r < 6; ++r)
-          atb[r] += rows_p[r][off + px] * bi + rows_p[6 + r][off + px] * bj +
-                    rows_p[12 + r][off + px] * bk;
-        btb += wi_p[off + px] * (bi * bi) + wj_p[off + px] * (bj * bj) +
-               bk * bk;
-      }
+      // correspondent column is px + hx.
+      for (int px = x - rx; px <= x + rx; ++px)
+        add(off + px, a_ni[px + hx], a_nj[px + hx], a_nk[px + hx]);
     } else {
       for (int u = -rx; u <= rx; ++u) {
         const int px = std::clamp(x + u, 0, w - 1);
         const int qx = std::clamp(px + hx, 0, w - 1);
-        const double bi = static_cast<double>(a_ni[qx]) - ni_p[off + px];
-        const double bj = static_cast<double>(a_nj[qx]) - nj_p[off + px];
-        const double bk = static_cast<double>(a_nk[qx]) - nk_p[off + px];
-        for (int r = 0; r < 6; ++r)
-          atb[r] += rows_p[r][off + px] * bi + rows_p[6 + r][off + px] * bj +
-                    rows_p[12 + r][off + px] * bk;
-        btb += wi_p[off + px] * (bi * bi) + wj_p[off + px] * (bj * bj) +
-               bk * bk;
+        add(off + px, a_ni[qx], a_nj[qx], a_nk[qx]);
       }
-    }
-  }
-  return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
-}
-
-double evaluate_hypothesis_remapped(const MatchPrecompute& pre,
-                                    const surface::GeometricField& after,
-                                    const WindowInvariants& win,
-                                    const SemiFluidTable& table, int x, int y,
-                                    int hx, int hy, int rx, int ry,
-                                    MotionParams& params_out, bool& ok_out) {
-  const int w = pre.width();
-  const int h = pre.height();
-  const double* SMA_RESTRICT const ni_p = pre.plane(MatchPrecompute::kNi);
-  const double* SMA_RESTRICT const nj_p = pre.plane(MatchPrecompute::kNj);
-  const double* SMA_RESTRICT const nk_p = pre.plane(MatchPrecompute::kNk);
-  const double* SMA_RESTRICT const wi_p = pre.plane(MatchPrecompute::kWi);
-  const double* SMA_RESTRICT const wj_p = pre.plane(MatchPrecompute::kWj);
-  const double* rows_p[18];
-  for (int t = 0; t < 18; ++t)
-    rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
-  const float* SMA_RESTRICT const a_ni = after.ni.data();
-  const float* SMA_RESTRICT const a_nj = after.nj.data();
-  const float* SMA_RESTRICT const a_nk = after.nk.data();
-  const int col = hx + table.hx_radius();
-
-  linalg::Vec6 atb;
-  double btb = 0.0;
-  for (int v = -ry; v <= ry; ++v) {
-    const int py = std::clamp(y + v, 0, h - 1);
-    const std::size_t off = static_cast<std::size_t>(py) * w;
-    for (int u = -rx; u <= rx; ++u) {
-      const int px = std::clamp(x + u, 0, w - 1);
-      const std::uint8_t c = table.codes(px, py, hy)[col];
-      const int qx = std::clamp(px + hx + table.code_dx(c), 0, w - 1);
-      const int qy = std::clamp(py + hy + table.code_dy(c), 0, h - 1);
-      const std::size_t q = static_cast<std::size_t>(qy) * w + qx;
-      const std::size_t i = off + px;
-      const double bi = static_cast<double>(a_ni[q]) - ni_p[i];
-      const double bj = static_cast<double>(a_nj[q]) - nj_p[i];
-      const double bk = static_cast<double>(a_nk[q]) - nk_p[i];
-      for (int r = 0; r < 6; ++r)
-        atb[r] += rows_p[r][i] * bi + rows_p[6 + r][i] * bj +
-                  rows_p[12 + r][i] * bk;
-      btb += wi_p[i] * (bi * bi) + wj_p[i] * (bj * bj) + bk * bk;
     }
   }
   return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
@@ -272,7 +266,8 @@ PrecomputeDecision resolve_precompute(const SmaConfig& config,
   if (config.precompute == PrecomputeMode::kOff)
     return PrecomputeDecision::kDisabled;
   // The semi-fluid remap needs no rule of its own: it moves only the
-  // after-frame correspondents, which the remapped evaluator gathers.
+  // after-frame correspondents, which the evaluator gathers through the
+  // correspondence table.
   // Masks change the per-pixel window MULTISET (skipped rows), which the
   // precomputed tiles cannot express.
   if (in.mask_before != nullptr || in.mask_after != nullptr)

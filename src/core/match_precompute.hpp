@@ -35,8 +35,10 @@
 // model is eligible: its per-pixel remap moves only the AFTER-frame
 // correspondent q = p + M_h(p), so A^T A (before frame only) is still
 // the shared window sum and just the A^T b / b^T b sweep gathers through
-// the correspondence table (evaluate_hypothesis_remapped).  The naive
-// path remains the equivalence oracle.
+// the correspondence table.  One evaluator serves every precomputed
+// consumer — F_cont, F_semi through its table, and the pruned search
+// through its half-template checkpoint — and the naive path remains the
+// equivalence oracle.
 #pragma once
 
 #include <cstddef>
@@ -109,9 +111,6 @@ class MatchPrecompute {
   const double* plane(int p) const {
     return data_.data() + static_cast<std::size_t>(p) * npix_;
   }
-  const double* plane_row(int p, int y) const {
-    return plane(p) + static_cast<std::size_t>(y) * width_;
-  }
 
   /// Direct window accumulation of the A^T A tiles for the template box
   /// centered at (x, y) with half-widths (rx, ry), clamped borders —
@@ -136,37 +135,37 @@ class MatchPrecompute {
   std::vector<double> data_;  // plane-major: [plane][y][x]
 };
 
-/// The shared solve + residual tail of the precomputed evaluators: adds
-/// the moments into a zero-initialized NormalEquations6 exactly as the
-/// naive path would and returns the Eq. (3) residual (theta = 0 for
-/// singular systems).  Exposed for the pruned evaluator
-/// (match_prune.cpp), which must reproduce this tail bit for bit.
-double solve_from_moments(const double* ata21, const linalg::Vec6& atb,
-                          double btb, std::uint64_t rows,
-                          MotionParams& params_out, bool& ok_out);
+/// The pruned search's half-template checkpoint (match_prune.hpp).  At
+/// the top of template row v == 0 the evaluator solves the prefix system
+/// — `prefix`'s A^T A with the rows v < 0 already swept — and abandons
+/// the hypothesis when that bound exceeds `incumbent`
+/// (prune_bound_exceeds).
+struct PruneCheckpoint {
+  /// accumulate_window_span(x, y, rx, -ry, -1); needs ry >= 1.
+  const WindowInvariants* prefix = nullptr;
+  double incumbent = 0.0;
+  double bound = 0.0;    ///< out: the prefix bound (0 when singular)
+  bool skipped = false;  ///< out: abandoned at the checkpoint (+inf)
+};
 
-/// Evaluates hypothesis (hx, hy) at pixel (x, y) on the precomputed fast
-/// path: A^T A comes from `win`, A^T b / b^T b from the 18-MAC sweep of
-/// the weighted-row planes against the after-frame normals.  Bit-
-/// identical to the naive evaluate_pixel_hypothesis (no masks, F_cont
-/// correspondents, stride 1).  Returns the Eq. (3) residual.
+/// THE precomputed Eq. (3) evaluator: hypothesis (hx, hy) at pixel
+/// (x, y), A^T A from `win`, A^T b / b^T b from the 18-MAC sweep of the
+/// weighted-row planes against the after-frame normals.  Template pixel
+/// p's correspondent is clamp(p + h) for F_cont (`table` null) and
+/// p + M_h(p) from the segment's correspondence table for F_semi (`hy`
+/// inside the table's segment, |hx| within its hx_radius), read with the
+/// naive path's clamp.  Bit-identical to the naive
+/// evaluate_pixel_hypothesis (no masks, stride 1) driven by the same
+/// table.  A non-null `checkpoint` adds the pruned search's bound;
+/// evaluations that pass it run the identical floating-point sequence.
+/// Returns the Eq. (3) residual.
 double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        const surface::GeometricField& after,
-                                       const WindowInvariants& win, int x,
+                                       const WindowInvariants& win,
+                                       const SemiFluidTable* table, int x,
                                        int y, int hx, int hy, int rx, int ry,
-                                       MotionParams& params_out, bool& ok_out);
-
-/// F_semi variant: template pixel p's correspondent is the table's
-/// p + M_h(p) instead of p + h, read with the naive path's clamp.  Same
-/// per-pixel arithmetic and order, so bit-identical to the naive
-/// evaluator driven by the same table.  `hy` must lie in the table's
-/// segment and |hx| within its hx_radius.
-double evaluate_hypothesis_remapped(const MatchPrecompute& pre,
-                                    const surface::GeometricField& after,
-                                    const WindowInvariants& win,
-                                    const SemiFluidTable& table, int x, int y,
-                                    int hx, int hy, int rx, int ry,
-                                    MotionParams& params_out, bool& ok_out);
+                                       MotionParams& params_out, bool& ok_out,
+                                       PruneCheckpoint* checkpoint = nullptr);
 
 /// Why the fast path did or did not engage for a given (config, input).
 enum class PrecomputeDecision {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -12,12 +11,6 @@
 #include "core/postprocess.hpp"
 #include "imaging/pyramid.hpp"
 #include "obs/trace.hpp"
-
-#if defined(__GNUC__) || defined(__clang__)
-#define SMA_RESTRICT __restrict__
-#else
-#define SMA_RESTRICT
-#endif
 
 namespace sma::core {
 
@@ -199,91 +192,6 @@ bool prune_winner_interior(const PruneWindow& win, int nzs_x, int nzs_y,
   return true;
 }
 
-// The body below is evaluate_hypothesis_precomputed (match_precompute.cpp)
-// with one insertion: at the top of the v == 0 iteration — the template
-// rows v in [-ry, -1] fully accumulated — the prefix system is solved
-// and its residual compared against the incumbent.  Completed
-// evaluations therefore run the identical floating-point sequence as
-// the full-mode evaluator, which is what keeps pruned-mode results
-// bit-identical across backends.
-double evaluate_hypothesis_bounded(
-    const MatchPrecompute& pre, const surface::GeometricField& after,
-    const WindowInvariants& win, const WindowInvariants& win_prefix, int x,
-    int y, int hx, int hy, int rx, int ry, double incumbent,
-    bool has_incumbent, MotionParams& params_out, bool& ok_out,
-    bool& skipped_out, double* bound_out) {
-  skipped_out = false;
-  const int w = pre.width();
-  const int h = pre.height();
-  const double* SMA_RESTRICT const ni_p = pre.plane(MatchPrecompute::kNi);
-  const double* SMA_RESTRICT const nj_p = pre.plane(MatchPrecompute::kNj);
-  const double* SMA_RESTRICT const nk_p = pre.plane(MatchPrecompute::kNk);
-  const double* SMA_RESTRICT const wi_p = pre.plane(MatchPrecompute::kWi);
-  const double* SMA_RESTRICT const wj_p = pre.plane(MatchPrecompute::kWj);
-  const double* rows_p[18];
-  for (int t = 0; t < 18; ++t)
-    rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
-
-  const bool interior = x - rx >= 0 && x + rx < w && y - ry >= 0 &&
-                        y + ry < h && x - rx + hx >= 0 && x + rx + hx < w &&
-                        y - ry + hy >= 0 && y + ry + hy < h;
-  linalg::Vec6 atb;
-  double btb = 0.0;
-  for (int v = -ry; v <= ry; ++v) {
-    if (v == 0 && has_incumbent) {
-      // Half-template checkpoint: minimize the prefix residual.  A
-      // singular prefix only yields residual(0) = b^T b — an UPPER bound
-      // of the prefix minimum — so it never prunes (bound 0).
-      MotionParams btmp;
-      bool bok = false;
-      double bound =
-          solve_from_moments(win_prefix.ata, atb, btb, win_prefix.rows, btmp,
-                             bok);
-      if (!bok) bound = 0.0;
-      if (bound_out != nullptr) *bound_out = bound;
-      if (prune_bound_exceeds(bound, incumbent)) {
-        skipped_out = true;
-        params_out = MotionParams{};
-        ok_out = false;
-        return std::numeric_limits<double>::infinity();
-      }
-    }
-    const int py = std::clamp(y + v, 0, h - 1);
-    const int qy = std::clamp(py + hy, 0, h - 1);
-    const std::size_t off = static_cast<std::size_t>(py) * w;
-    const float* SMA_RESTRICT const a_ni = after.ni.row(qy);
-    const float* SMA_RESTRICT const a_nj = after.nj.row(qy);
-    const float* SMA_RESTRICT const a_nk = after.nk.row(qy);
-    if (interior) {
-      for (int px = x - rx; px <= x + rx; ++px) {
-        const int qx = px + hx;
-        const double bi = static_cast<double>(a_ni[qx]) - ni_p[off + px];
-        const double bj = static_cast<double>(a_nj[qx]) - nj_p[off + px];
-        const double bk = static_cast<double>(a_nk[qx]) - nk_p[off + px];
-        for (int r = 0; r < 6; ++r)
-          atb[r] += rows_p[r][off + px] * bi + rows_p[6 + r][off + px] * bj +
-                    rows_p[12 + r][off + px] * bk;
-        btb += wi_p[off + px] * (bi * bi) + wj_p[off + px] * (bj * bj) +
-               bk * bk;
-      }
-    } else {
-      for (int u = -rx; u <= rx; ++u) {
-        const int px = std::clamp(x + u, 0, w - 1);
-        const int qx = std::clamp(px + hx, 0, w - 1);
-        const double bi = static_cast<double>(a_ni[qx]) - ni_p[off + px];
-        const double bj = static_cast<double>(a_nj[qx]) - nj_p[off + px];
-        const double bk = static_cast<double>(a_nk[qx]) - nk_p[off + px];
-        for (int r = 0; r < 6; ++r)
-          atb[r] += rows_p[r][off + px] * bi + rows_p[6 + r][off + px] * bj +
-                    rows_p[12 + r][off + px] * bk;
-        btb += wi_p[off + px] * (bi * bi) + wj_p[off + px] * (bj * bj) +
-               bk * bk;
-      }
-    }
-  }
-  return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
-}
-
 std::vector<PixelBest> run_pruned_search(const MatchInput& in,
                                          const SmaConfig& config,
                                          bool parallel,
@@ -352,41 +260,27 @@ std::vector<PixelBest> run_pruned_search(const MatchInput& in,
             ++tl.scheduled;
             MotionParams params;
             bool ok = false;
-            double error;
             // The bound costs a 6x6 solve; only pay it once a prunable
             // (finite, positive) incumbent exists.
-            if (bound_on && b.any_ok && std::isfinite(b.error) &&
-                b.error > 0.0) {
-              bool skipped = false;
-              double bnd = 0.0;
-              error = evaluate_hypothesis_bounded(
-                  *pre, *in.after, win, winp, x, y, hx, hy, nzt_x, nzt_y,
-                  b.error, true, params, ok, skipped, &bnd);
+            const bool check = bound_on && b.any_ok &&
+                               std::isfinite(b.error) && b.error > 0.0;
+            PruneCheckpoint cp{&winp, b.error};
+            const double error = evaluate_hypothesis_precomputed(
+                *pre, *in.after, win, nullptr, x, y, hx, hy, nzt_x, nzt_y,
+                params, ok, check ? &cp : nullptr);
+            if (check) {
               ++tl.bound_checks;
-              if (skipped) {
+              if (cp.skipped) {
                 ++tl.bound_skipped;
                 continue;
               }
               if (std::isfinite(error) && error > 0.0)
                 tl.bound_tightness_sum +=
-                    std::min(1.0, std::max(0.0, bnd) / error);
-            } else {
-              error = evaluate_hypothesis_precomputed(*pre, *in.after, win,
-                                                      x, y, hx, hy, nzt_x,
-                                                      nzt_y, params, ok);
+                    std::min(1.0, std::max(0.0, cp.bound) / error);
             }
             ++tl.evaluated;
-            if (hypothesis_improves(b, error, hx, hy)) {
-              b.solved = ok;
-              b.coverage = 1.0;
-              b.hx = hx;
-              b.hy = hy;
-              b.ux = hx;
-              b.uy = hy;
-              b.error = error;
-              b.params = params;
-              b.any_ok = true;
-            }
+            if (hypothesis_improves(b, error, hx, hy))
+              b.take(hx, hy, hx, hy, error, params, ok);
           }
         if (pw.shrunk && b.any_ok &&
             prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))

@@ -18,7 +18,8 @@
 //     sum of nonnegative per-row terms (weights 1/E, 1/G > 0), so the
 //     MINIMIZED residual of any row subset lower-bounds the minimized
 //     full residual: min_th E_full(th) >= min_th E_prefix(th).  At the
-//     half-template checkpoint (template rows v < 0 accumulated) the
+//     half-template checkpoint (template rows v < 0 accumulated; the
+//     PruneCheckpoint argument of evaluate_hypothesis_precomputed) the
 //     prefix system — its hypothesis-invariant A^T A from
 //     accumulate_window_span, its A^T b / b^T b from the rows already
 //     swept — is solved and scored; if that bound already exceeds the
@@ -28,13 +29,14 @@
 //     an UPPER bound of the prefix minimum, so singular prefixes never
 //     prune (bound 0).
 //
-// Determinism (DESIGN.md §16): completed evaluations run the identical
-// floating-point sequence as evaluate_hypothesis_precomputed, and the
-// bound can only discard hypotheses that provably cannot improve the
-// incumbent (strict inequality + slack, so exact ties survive); each
-// pixel's incumbent evolves only within its own fixed scan order, so the
-// winner — and therefore the FlowField — is bit-identical across
-// backends, thread counts, tile shapes, and steal schedules.  Every host
+// Determinism (DESIGN.md §16): the checkpoint is an argument of the one
+// precomputed evaluator, so completed evaluations run the identical
+// floating-point sequence as the full search, and the bound can only
+// discard hypotheses that provably cannot improve the incumbent (strict
+// inequality + slack, so exact ties survive); each pixel's incumbent
+// evolves only within its own fixed scan order, so the winner — and
+// therefore the FlowField — is bit-identical across backends (maspar-sim
+// included), thread counts, tile shapes, and steal schedules.  Every
 // backend runs this one pass (run_pruned_search), so the integer
 // counters are identical too; only bound_tightness_sum, a double folded
 // per tile, may differ in its last bits.
@@ -63,7 +65,7 @@ namespace sma::core {
 /// by rounding noise.
 constexpr double kPruneBoundSlack = 1e-6;
 
-/// The bounded evaluator's skip predicate.  incumbent <= 0 never
+/// The checkpoint's skip predicate.  incumbent <= 0 never
 /// prunes: a zero-residual incumbent can still be displaced by an
 /// equal-error hypothesis with a smaller displacement under the
 /// deterministic tie-break.
@@ -88,8 +90,8 @@ enum class PruneFallback {
 
 const char* prune_fallback_name(PruneFallback f);
 
-/// The single eligibility rule, shared by every consumer (staged path,
-/// vector backend) and unit-tested directly.
+/// The single eligibility rule, consulted by the one matching stage
+/// (run_matching_stage) for every backend and unit-tested directly.
 PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in);
 
 /// Pruning accounting for one tracked pair.  POD of uint64/double so the
@@ -147,8 +149,8 @@ struct PruneReport {
 };
 
 /// TrackResult::extras attachment of the sequential backend for pruned
-/// runs (the vector backend carries the report inside
-/// VectorBackendExtras).
+/// runs (the vector and maspar-sim backends carry the report inside
+/// their own extras, as `prune`).
 struct PruneBackendExtras : BackendExtras {
   PruneReport report;
 };
@@ -194,27 +196,12 @@ PruneWindow prune_window(const PruneSeeds& seeds, int x, int y, int nzs_x,
 bool prune_winner_interior(const PruneWindow& win, int nzs_x, int nzs_y,
                            int hx, int hy);
 
-/// evaluate_hypothesis_precomputed with the half-template bound
-/// checkpoint: identical floating-point sequence for completed
-/// evaluations; when `has_incumbent` and the prefix bound exceeds the
-/// incumbent (prune_bound_exceeds), returns +inf with `skipped_out`
-/// set before touching the v >= 0 template rows.  `win_prefix` must be
-/// accumulate_window_span(x, y, rx, -ry, -1) and ry >= 1.  `bound_out`
-/// (optional) receives the computed bound — exposed for the bound-
-/// validity property tests.
-double evaluate_hypothesis_bounded(
-    const MatchPrecompute& pre, const surface::GeometricField& after,
-    const WindowInvariants& win, const WindowInvariants& win_prefix, int x,
-    int y, int hx, int hy, int rx, int ry, double incumbent,
-    bool has_incumbent, MotionParams& params_out, bool& ok_out,
-    bool& skipped_out, double* bound_out = nullptr);
-
-/// The pruned pass of every host backend (run_hypothesis_search's
-/// pruned branch): the coarse seed pass, then per-pixel windows +
-/// per-hypothesis bound over pixel_tiles with per-tile counters folded
-/// in tile-index order.  Its span and its timings.hypothesis_matching
-/// time cover the seed pass.  Callers gate with resolve_prune(config,
-/// in) == kNone.
+/// The pruned pass of every backend (run_matching_stage's pruned
+/// branch): the coarse seed pass, then per-pixel windows + the
+/// evaluator's half-template checkpoint (PruneCheckpoint) over
+/// pixel_tiles with per-tile counters folded in tile-index order.  Its
+/// span and its timings.hypothesis_matching time cover the seed pass.
+/// Callers gate with resolve_prune(config, in) == kNone.
 std::vector<PixelBest> run_pruned_search(const MatchInput& in,
                                          const SmaConfig& config,
                                          bool parallel,

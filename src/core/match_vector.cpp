@@ -1,25 +1,15 @@
 #include "core/match_vector.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
-#include "obs/trace.hpp"
 #include "sched/tile.hpp"
 
 namespace sma::core {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
 
 // Why the lane kernels cannot serve this pair, or null when they can.
 const char* vector_fallback_name(PrecomputeDecision d, const MatchInput& in) {
@@ -112,13 +102,13 @@ void publish_metrics(const VectorRunReport& report,
 namespace {
 
 // The `vector` backend: SIMD lanes over pixels inside work-stealing
-// threads over cache-blocked pixel tiles — "threads x lanes".  Each tile
-// runs the lane-batched sweep for its pixels and folds its occupancy
-// tally into a per-tile slot; the slots are summed in tile-index order
-// after the batch, so the report (and the FlowField, whose per-pixel
-// slots are disjoint by construction) is identical at every thread count
-// and steal order.  Configs the tile kernel cannot serve run the shared
-// staged path on the same pool.
+// threads over cache-blocked pixel tiles — "threads x lanes".  Its
+// segment visit runs the lane-batched sweep for each tile's pixels and
+// folds the tile's occupancy tally into a per-tile slot; the slots are
+// summed in tile-index order after the stage, so the report (and the
+// FlowField, whose per-pixel slots are disjoint by construction) is
+// identical at every thread count and steal order.  Configs the tile
+// kernel cannot serve visit through the staged tiles on the same pool.
 class VectorBackend final : public TrackerBackend {
  public:
   std::string name() const override { return "vector"; }
@@ -131,79 +121,36 @@ class VectorBackend final : public TrackerBackend {
 
   TrackResult match(const MatchInput& in, const SmaConfig& config,
                     const TrackOptions& options) const override {
-    TrackResult result;
     auto extras = std::make_shared<VectorBackendExtras>();
+    VectorRunReport& report = extras->report;
     const simd::SimdLevel level =
         resolve_kernel_level(simd::active_level());
-    extras->report.level = simd::level_name(level);
-    extras->report.level_id = static_cast<int>(level);
-    extras->report.lanes = lane_kernels(level).lanes;
-
-    // An engaged pruned search runs the shared pruned pass; any other
-    // pruned-mode reason is recorded and the search runs as in full mode.
-    const PruneFallback prune_fb = resolve_prune(config, in);
-    extras->prune.fallback_reason = static_cast<std::uint64_t>(prune_fb);
-    const char* const fallback =
-        prune_fb == PruneFallback::kNone
-            ? "pruned"
-            : vector_fallback_name(resolve_precompute(config, in), in);
-    std::vector<PixelBest> best;
-    if (fallback == nullptr) {
-      extras->report.vector_path = true;
-      best = run_vector_search(in, config, level, result.timings,
-                               result.peak_mapping_bytes, extras->report);
-    } else {
-      // The shared staged path on the pool (bit-identical to the tile
-      // kernel by construction): pruned search, masked / stride /
-      // precompute-off configs and pairs without precompute planes.
-      extras->report.fallback = fallback;
-      best = run_hypothesis_search(
-          in, config, /*parallel=*/true, result.timings,
-          result.peak_mapping_bytes,
-          config.search_mode == SearchMode::kPruned ? &extras->prune
-                                                    : nullptr);
-    }
-    if (options.subpixel)
-      refine_subpixel(in, config, /*parallel=*/true, best, result.timings);
-    collect_track_result(in, config, options, best, result);
-    result.timings.total = result.timings.match_precompute +
-                           result.timings.semifluid_mapping +
-                           result.timings.hypothesis_matching;
-    result.extras = std::move(extras);
-    return result;
-  }
-
- private:
-  static std::vector<PixelBest> run_vector_search(
-      const MatchInput& in, const SmaConfig& config, simd::SimdLevel level,
-      TrackTimings& timings, std::size_t& peak_mapping_bytes,
-      VectorRunReport& report) {
-    const int w = in.width();
-    const int h = in.height();
-    const int nzs_y = config.z_search_ry();
     const LaneKernels kernels = lane_kernels(level);
+    report.level = simd::level_name(level);
+    report.level_id = static_cast<int>(level);
+    report.lanes = kernels.lanes;
 
-    std::vector<PixelBest> best(static_cast<std::size_t>(w) * h);
+    const char* fallback =
+        vector_fallback_name(resolve_precompute(config, in), in);
     // The tile kernel puts one center per lane: autotuned tiles round up
     // to whole batches so only a frame's right-edge tiles idle lanes.
-    const std::vector<sched::Tile> tiles =
-        pixel_tiles(w, h, config, /*parallel=*/true, kernels.lanes);
-    // Per-tile tally slots folded in tile-index order after the batch —
+    const std::vector<sched::Tile> tiles = pixel_tiles(
+        in.width(), in.height(), config, /*parallel=*/true, kernels.lanes);
+    // Per-tile tally slots folded in tile-index order after the stage —
     // deterministic regardless of which worker ran which tile.
     std::vector<VectorLaneTally> tallies(tiles.size());
-
-    // One pool sweep over hypothesis rows [hy_min, hy_max].
-    const auto sweep = [&](int hy_min, int hy_max,
-                           const SemiFluidTable* table) {
-      obs::TraceSpan span("match", "hypothesis_search");
-      const auto t0 = Clock::now();
+    const auto visit = [&](const MatchSegment& seg) {
+      if (fallback != nullptr) {
+        scan_segment(in, config, /*parallel=*/true, seg);
+        return;
+      }
       run_pixel_tiles(
           tiles, config, /*parallel=*/true,
           [&](const sched::Tile& tile, std::size_t index) {
             VectorTileArgs args;
-            args.pre = in.precompute;
+            args.pre = seg.pre;
             args.after = in.after;
-            args.table = table;
+            args.table = seg.table;
             args.x0 = tile.x0;
             args.y0 = tile.y0;
             args.x1 = tile.x1;
@@ -212,31 +159,18 @@ class VectorBackend final : public TrackerBackend {
             args.ry = config.z_template_ry();
             args.hx_min = -config.z_search_radius;
             args.hx_max = config.z_search_radius;
-            args.hy_min = hy_min;
-            args.hy_max = hy_max;
-            kernels.tile(args, best.data(), tallies[index]);
+            args.hy_min = seg.hy_min;
+            args.hy_max = seg.hy_max;
+            kernels.tile(args, seg.best, tallies[index]);
           });
-      timings.hypothesis_matching += seconds_since(t0);
     };
-
-    // F_semi sweeps one hypothesis-row segment (Sec. 4.3) at a time, each
-    // behind its own correspondence table; F_cont sweeps the whole search
-    // in one pass.  The table build is the "semi-fluid mapping" phase and
-    // stays outside the matching timer.
-    if (config.model == MotionModel::kSemiFluid &&
-        config.semifluid_search_radius > 0) {
-      const int zseg = config.effective_segment_rows();
-      for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
-        const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
-        const std::optional<SemiFluidTable> table = build_semifluid_table(
-            in, config, /*fast_path=*/true, hy_min, hy_max, timings,
-            peak_mapping_bytes);
-        sweep(hy_min, hy_max, table ? &*table : nullptr);
-      }
-    } else {
-      sweep(-nzs_y, nzs_y, nullptr);
-    }
-
+    TrackResult result = run_matching_stage(in, config, options,
+                                            /*parallel=*/true, visit,
+                                            &extras->prune);
+    // An engaged pruned search ran the shared pruned pass instead.
+    if (extras->prune.active != 0) fallback = "pruned";
+    report.vector_path = fallback == nullptr;
+    if (fallback != nullptr) report.fallback = fallback;
     for (const VectorLaneTally& tally : tallies) {
       report.batched_hypotheses += tally.batched_hypotheses;
       report.tail_hypotheses += tally.tail_hypotheses;
@@ -248,7 +182,8 @@ class VectorBackend final : public TrackerBackend {
         total > 0 ? static_cast<double>(report.batched_hypotheses) /
                         static_cast<double>(total)
                   : 0.0;
-    return best;
+    result.extras = std::move(extras);
+    return result;
   }
 };
 

@@ -22,7 +22,7 @@
 // folds into its own pixel's incumbent through hypothesis_improves.
 //
 // Bit-exactness: every t is the exact expression the scalar
-// evaluate_hypothesis_precomputed / _remapped adds, and each lane adds
+// evaluate_hypothesis_precomputed adds, and each lane adds
 // its template's t values in the scalar v-outer / u-inner order from
 // 0.0, so it reaches the same A^T b / b^T b bits; the window sums, the
 // 0.0 + v normalization, the elimination and the residual replay the
@@ -30,11 +30,14 @@
 // `sequential` on every lane implementation — AVX-512, AVX2, SSE2, NEON
 // and the forced-scalar fallback — for any tile shape.
 //
-// Pruned search (each pixel with its own shrunken window and its own
-// half-template bound checkpoint) and configs the precompute cannot
-// serve (masks, stride, precompute off) run the shared staged path on
-// the same pool instead — run_hypothesis_search, whose pruned branch is
-// run_pruned_search (match_prune.hpp) — again bit-identical by
+// The backend is one segment visit of the shared matching stage
+// (run_matching_stage, core/tracker.hpp), which owns the segment loop,
+// the correspondence tables, sub-pixel refinement and products.  Pruned
+// search (each pixel with its own shrunken window and its own
+// half-template bound checkpoint) is the stage's own branch
+// (run_pruned_search, match_prune.hpp), and configs the precompute
+// cannot serve (masks, stride, precompute off) visit through the staged
+// tiles (scan_segment) on the same pool — again bit-identical by
 // construction.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units

@@ -60,8 +60,9 @@ struct TemplatePlanes {
 // normals (oi, oj, ok), with b = o - n(p):
 //   t[r] = (wri·bi + wrj·bj) + wrk·bk   (r < 6, added into A^T b[r])
 //   t[6] = (wi·(bi·bi) + wj·(bj·bj)) + bk·bk   (added into b^T b)
-// — the exact expressions the scalar evaluators add.  `load(plane)`
-// yields the lanes' before-frame values of a precompute plane.
+// — the exact expressions evaluate_hypothesis_precomputed adds.
+// `load(plane)` yields the lanes' before-frame values of a precompute
+// plane.
 template <class Tag, class Load>
 [[gnu::always_inline]] inline void template_terms(
     const TemplatePlanes& p, Load load, typename simd::LaneTraits<Tag>::Vec oi,
@@ -147,22 +148,6 @@ template <class Tag>
   ++tally.batches;
 
   T::store(out.errs, err);
-}
-
-// Makes hypothesis (hx, hy), with center-pixel flow vector (ux, uy), the
-// pixel's incumbent.
-inline void take_hypothesis(PixelBest& best, int hx, int hy, int ux, int uy,
-                            double error, const MotionParams& params,
-                            bool ok) {
-  best.solved = ok;
-  best.coverage = 1.0;
-  best.hx = hx;
-  best.hy = hy;
-  best.ux = ux;
-  best.uy = uy;
-  best.error = error;
-  best.params = params;
-  best.any_ok = true;
 }
 
 // One sched tile's full search (VectorTileArgs).  For each hypothesis, in
@@ -335,8 +320,8 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
             const auto [ux, uy] = table != nullptr
                                       ? table->offset(x, y, hx, hy)
                                       : std::pair<int, int>{hx, hy};
-            take_hypothesis(b, hx, hy, ux, uy, err, scored.params(l),
-                            (scored.singular_bits >> l & 1u) == 0);
+            b.take(hx, hy, ux, uy, err, scored.params(l),
+                   (scored.singular_bits >> l & 1u) == 0);
           }
         }
       }

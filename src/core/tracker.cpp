@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <tuple>
 
 #include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
@@ -29,6 +30,17 @@ bool semifluid_active(const MatchInput& in, const SmaConfig& config) {
   return config.model == MotionModel::kSemiFluid &&
          config.semifluid_search_radius > 0 && in.disc_before != nullptr &&
          in.disc_after != nullptr;
+}
+
+// The attached precompute planes when the eligibility rule admits them
+// for this config — re-checked here so a stale attachment can never
+// corrupt a masked or strided run.
+const MatchPrecompute* admitted_precompute(const MatchInput& in,
+                                           const SmaConfig& config) {
+  return in.precompute != nullptr &&
+                 resolve_precompute(config, in) == PrecomputeDecision::kFast
+             ? in.precompute
+             : nullptr;
 }
 
 }  // namespace
@@ -82,6 +94,21 @@ bool hypothesis_improves(const PixelBest& best, double error, int hx,
   if (m_new != m_old) return m_new < m_old;
   if (hy != best.hy) return hy < best.hy;
   return hx < best.hx;
+}
+
+// Documented at the declaration; out of line for the same reason as
+// hypothesis_improves.
+void PixelBest::take(int hx, int hy, int ux, int uy, double error,
+                     const MotionParams& params, bool ok, double coverage) {
+  this->hx = hx;
+  this->hy = hy;
+  this->ux = ux;
+  this->uy = uy;
+  this->error = error;
+  this->params = params;
+  any_ok = true;
+  solved = ok;
+  this->coverage = coverage;
 }
 
 // The naive per-hypothesis evaluation — documented at the declaration in
@@ -169,87 +196,44 @@ void scan_hypotheses(const surface::GeometricField& before,
                      const imaging::ImageU8* mask_after,
                      const MatchPrecompute* pre) {
   const int nzs_x = config.z_search_radius;
+  const int nzt_x = config.z_template_radius;
+  const int nzt_y = config.z_template_ry();
   const int nss = config.effective_nss();
   const int nst = config.semifluid_template_radius;
   const bool semifluid = config.model == MotionModel::kSemiFluid && nss > 0;
-
-  if (pre != nullptr && (table != nullptr || !semifluid)) {
-    // Precomputed fast path (callers gate on resolve_precompute, so no
-    // masks, stride 1): the template's A^T A window sum is shared by
-    // every hypothesis of this pixel and this segment.  F_semi gathers
-    // its remapped correspondents — and the center pixel's flow vector —
-    // from the correspondence table.
-    const int nzt_x = config.z_template_radius;
-    const int nzt_y = config.z_template_ry();
-    WindowInvariants win;
-    pre->accumulate_window(x, y, nzt_x, nzt_y, win);
-    for (int hy = hy_min; hy <= hy_max; ++hy) {
-      for (int hx = -nzs_x; hx <= nzs_x; ++hx) {
-        MotionParams params;
-        bool ok = false;
-        const double error =
-            semifluid
-                ? evaluate_hypothesis_remapped(*pre, after, win, *table, x, y,
-                                               hx, hy, nzt_x, nzt_y, params,
-                                               ok)
-                : evaluate_hypothesis_precomputed(*pre, after, win, x, y, hx,
-                                                  hy, nzt_x, nzt_y, params,
-                                                  ok);
-        if (hypothesis_improves(best, error, hx, hy)) {
-          best.solved = ok;
-          best.coverage = 1.0;
-          best.hx = hx;
-          best.hy = hy;
-          best.ux = hx;
-          best.uy = hy;
-          if (semifluid) {
-            const auto [ox, oy] = table->offset(x, y, hx, hy);
-            best.ux = ox;
-            best.uy = oy;
-          }
-          best.error = error;
-          best.params = params;
-          best.any_ok = true;
-        }
-      }
-    }
-    return;
-  }
-
+  // F_semi rides the planes only through a correspondence table.
+  if (semifluid && table == nullptr) pre = nullptr;
+  // The template's A^T A window sum is shared by every hypothesis of
+  // this pixel and this segment.
+  WindowInvariants win;
+  if (pre != nullptr) pre->accumulate_window(x, y, nzt_x, nzt_y, win);
   for (int hy = hy_min; hy <= hy_max; ++hy) {
     for (int hx = -nzs_x; hx <= nzs_x; ++hx) {
       MotionParams params;
       bool ok = false;
       double coverage = 1.0;
       const double error =
-          evaluate_pixel_hypothesis(before, after, disc_before, disc_after,
-                                    table, x, y, hx, hy, config, params, ok,
-                                    mask_before, mask_after, &coverage);
-      if (hypothesis_improves(best, error, hx, hy)) {
-        best.solved = ok;
-        best.coverage = coverage;
-        best.hx = hx;
-        best.hy = hy;
-        // Flow vector: the center pixel's own correspondence (Eq. 9).
-        best.ux = hx;
-        best.uy = hy;
-        if (semifluid) {
-          if (table != nullptr) {
-            const auto [ox, oy] = table->offset(x, y, hx, hy);
-            best.ux = ox;
-            best.uy = oy;
-          } else {
-            const auto [sx, sy] = semifluid_match(*disc_before, *disc_after,
-                                                  x, y, x + hx, y + hy, nss,
-                                                  nst);
-            best.ux = sx - x;
-            best.uy = sy - y;
-          }
-        }
-        best.error = error;
-        best.params = params;
-        best.any_ok = true;
+          pre != nullptr
+              ? evaluate_hypothesis_precomputed(*pre, after, win, table, x, y,
+                                                hx, hy, nzt_x, nzt_y, params,
+                                                ok)
+              : evaluate_pixel_hypothesis(before, after, disc_before,
+                                          disc_after, table, x, y, hx, hy,
+                                          config, params, ok, mask_before,
+                                          mask_after, &coverage);
+      if (!hypothesis_improves(best, error, hx, hy)) continue;
+      // Flow vector: the center pixel's own correspondence (Eq. 9).
+      int ux = hx;
+      int uy = hy;
+      if (semifluid && table != nullptr) {
+        std::tie(ux, uy) = table->offset(x, y, hx, hy);
+      } else if (semifluid) {
+        const auto [sx, sy] = semifluid_match(*disc_before, *disc_after, x,
+                                              y, x + hx, y + hy, nss, nst);
+        ux = sx - x;
+        uy = sy - y;
       }
+      best.take(hx, hy, ux, uy, error, params, ok, coverage);
     }
   }
 }
@@ -281,6 +265,16 @@ void validate_tracker_input(const TrackerInput& input, const char* context) {
                                 ": validity mask shape mismatch");
 }
 
+namespace {
+
+// The "Semi-fluid mapping" phase of one hypothesis-row segment: the
+// correspondence table for hy in [hy_min, hy_max] when the semi-fluid
+// remap is active and a consumer reads it — the precomputed evaluator
+// (`fast_path`, always) or the naive path under use_precomputed_mapping
+// — and nullopt otherwise (the naive path then remaps on the fly through
+// semifluid_match, the oracle).  The build time goes to
+// timings.semifluid_mapping only; band + table bytes raise
+// `peak_mapping_bytes`.
 std::optional<SemiFluidTable> build_semifluid_table(
     const MatchInput& in, const SmaConfig& config, bool fast_path, int hy_min,
     int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes) {
@@ -299,164 +293,75 @@ std::optional<SemiFluidTable> build_semifluid_table(
   return table;
 }
 
-std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
-                                             const SmaConfig& config,
-                                             bool parallel,
-                                             TrackTimings& timings,
-                                             std::size_t& peak_mapping_bytes,
-                                             PruneReport* prune) {
-  const int w = in.width();
-  const int h = in.height();
-  const int nzs_y = config.z_search_ry();
-  const int zseg = config.effective_segment_rows();
-  const bool semifluid = semifluid_active(in, config);
-
-  // Coarse-to-fine pruned search: engages only when the eligibility rule
-  // holds (precompute fast path, unsegmented, raw frames attached);
-  // otherwise the reason is recorded and the exhaustive sweep below runs
-  // exactly as in full mode.
-  if (config.search_mode == SearchMode::kPruned) {
-    const PruneFallback fb = resolve_prune(config, in);
-    if (prune != nullptr)
-      prune->fallback_reason = static_cast<std::uint64_t>(fb);
-    if (fb == PruneFallback::kNone)
-      return run_pruned_search(in, config, parallel, timings, prune);
-  }
-
-  // Hypothesis-invariant precompute: only consumed when the pipeline
-  // attached it AND the eligibility rule holds for this config —
-  // re-checked here so a stale attachment can never corrupt a masked or
-  // strided run.
-  const MatchPrecompute* pre =
-      (in.precompute != nullptr &&
-       resolve_precompute(config, in) == PrecomputeDecision::kFast)
-          ? in.precompute
-          : nullptr;
-
-  std::vector<PixelBest> best(static_cast<std::size_t>(w) * h);
-  const std::vector<sched::Tile> tiles = pixel_tiles(w, h, config, parallel);
-
-  // Semi-fluid mapping precompute + hypothesis matching, interleaved per
-  // hypothesis-row segment (Sec. 4.3).
-  for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
-    const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
-
-    const std::optional<SemiFluidTable> table = build_semifluid_table(
-        in, config, pre != nullptr, hy_min, hy_max, timings,
-        peak_mapping_bytes);
-
-    // Nested under the pipeline's "matching" span: one span per
-    // hypothesis-row segment, so segmented searches (Sec. 4.3) show
-    // their per-segment structure on the trace timeline.
-    obs::TraceSpan segment_span("match", "hypothesis_search");
-    const auto t0 = Clock::now();
-    const SemiFluidTable* table_ptr = table ? &*table : nullptr;
-    const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
-    const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
-    run_pixel_tiles(tiles, config, parallel,
-                    [&](const sched::Tile& tile, std::size_t) {
-                      for (int y = tile.y0; y < tile.y1; ++y)
-                        for (int x = tile.x0; x < tile.x1; ++x)
-                          scan_hypotheses(
-                              *in.before, *in.after, db, da, table_ptr, x, y,
-                              hy_min, hy_max, config,
-                              best[static_cast<std::size_t>(y) * w + x],
-                              in.mask_before, in.mask_after, pre);
-                    });
-    timings.hypothesis_matching += seconds_since(t0);
-  }
-  return best;
-}
-
+// The optional parabolic sub-pixel stage (TrackOptions::subpixel): probe
+// the Eq. (3) residual at the four axis neighbors of each winner and
+// interpolate the parabola minimum.  Its time goes to
+// timings.hypothesis_matching.  The semi-fluid probes remap on the fly
+// through the direct (naive) matcher — they can fall outside the
+// search's correspondence tables, and the direct matcher equals them by
+// construction; the F_cont probes reuse the precomputed planes when
+// eligible.
 void refine_subpixel(const MatchInput& in, const SmaConfig& config,
                      bool parallel, std::vector<PixelBest>& best,
                      TrackTimings& timings) {
   const int w = in.width();
   const int h = in.height();
-  const bool semifluid = semifluid_active(in, config);
-  // Probe the Eq. (3) residual at the four axis neighbors of each winner
-  // and interpolate the parabola minimum.  The semi-fluid probes remap on
-  // the fly through the direct (naive) matcher — they can fall outside
-  // the search's correspondence tables, and the direct matcher equals
-  // them by construction.
   obs::TraceSpan span("match", "subpixel_refine");
   const auto t0 = Clock::now();
-  const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
-  const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
-  // The four F_cont neighbor probes reuse the precomputed planes when
-  // eligible.
   const MatchPrecompute* pre =
-      (in.precompute != nullptr && !semifluid &&
-       resolve_precompute(config, in) == PrecomputeDecision::kFast)
-          ? in.precompute
-          : nullptr;
+      semifluid_active(in, config) ? nullptr : admitted_precompute(in, config);
   const int nzt_x = config.z_template_radius;
   const int nzt_y = config.z_template_ry();
   run_pixel_tiles(
       pixel_tiles(w, h, config, parallel), config, parallel,
       [&](const sched::Tile& tile, std::size_t) {
-  for (int y = tile.y0; y < tile.y1; ++y)
-    for (int x = tile.x0; x < tile.x1; ++x) {
-      PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
-      // Masked winners can carry an infinite residual; the parabola is
-      // meaningless there (inf - inf), so only refine finite minima.
-      if (!b.any_ok || !std::isfinite(b.error)) continue;
-      MotionParams unused;
-      bool ok = false;
-      const double e0 = b.error;
-      double exm, exp_, eym, eyp;
-      if (pre != nullptr) {
-        WindowInvariants win;
-        pre->accumulate_window(x, y, nzt_x, nzt_y, win);
-        exm = evaluate_hypothesis_precomputed(*pre, *in.after, win, x, y,
-                                              b.hx - 1, b.hy, nzt_x, nzt_y,
-                                              unused, ok);
-        exp_ = evaluate_hypothesis_precomputed(*pre, *in.after, win, x, y,
-                                               b.hx + 1, b.hy, nzt_x, nzt_y,
-                                               unused, ok);
-        eym = evaluate_hypothesis_precomputed(*pre, *in.after, win, x, y,
-                                              b.hx, b.hy - 1, nzt_x, nzt_y,
-                                              unused, ok);
-        eyp = evaluate_hypothesis_precomputed(*pre, *in.after, win, x, y,
-                                              b.hx, b.hy + 1, nzt_x, nzt_y,
-                                              unused, ok);
-      } else {
-        exm = evaluate_pixel_hypothesis(
-            *in.before, *in.after, db, da, nullptr, x, y, b.hx - 1, b.hy,
-            config, unused, ok, in.mask_before, in.mask_after);
-        exp_ = evaluate_pixel_hypothesis(
-            *in.before, *in.after, db, da, nullptr, x, y, b.hx + 1, b.hy,
-            config, unused, ok, in.mask_before, in.mask_after);
-        eym = evaluate_pixel_hypothesis(
-            *in.before, *in.after, db, da, nullptr, x, y, b.hx, b.hy - 1,
-            config, unused, ok, in.mask_before, in.mask_after);
-        eyp = evaluate_pixel_hypothesis(
-            *in.before, *in.after, db, da, nullptr, x, y, b.hx, b.hy + 1,
-            config, unused, ok, in.mask_before, in.mask_after);
-      }
-      // A near-zero center residual means the integer hypothesis is an
-      // (essentially) exact match; the parabola is then degenerate and
-      // neighbor asymmetry would inject spurious fractions.
-      const double dx_denom = exm - 2.0 * e0 + exp_;
-      if (std::isfinite(exm) && std::isfinite(exp_) && dx_denom > 1e-12 &&
-          e0 <= exm && e0 <= exp_ && e0 > 1e-4 * std::min(exm, exp_))
-        b.sub_u = static_cast<float>(
-            std::clamp(0.5 * (exm - exp_) / dx_denom, -0.5, 0.5));
-      const double dy_denom = eym - 2.0 * e0 + eyp;
-      if (std::isfinite(eym) && std::isfinite(eyp) && dy_denom > 1e-12 &&
-          e0 <= eym && e0 <= eyp && e0 > 1e-4 * std::min(eym, eyp))
-        b.sub_v = static_cast<float>(
-            std::clamp(0.5 * (eym - eyp) / dy_denom, -0.5, 0.5));
-    }
+        for (int y = tile.y0; y < tile.y1; ++y)
+          for (int x = tile.x0; x < tile.x1; ++x) {
+            PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
+            // Masked winners can carry an infinite residual; the parabola
+            // is meaningless there (inf - inf), so only refine finite
+            // minima.
+            if (!b.any_ok || !std::isfinite(b.error)) continue;
+            WindowInvariants win;
+            if (pre != nullptr)
+              pre->accumulate_window(x, y, nzt_x, nzt_y, win);
+            const auto probe = [&](int hx, int hy) {
+              MotionParams unused;
+              bool ok = false;
+              return pre != nullptr
+                         ? evaluate_hypothesis_precomputed(
+                               *pre, *in.after, win, nullptr, x, y, hx, hy,
+                               nzt_x, nzt_y, unused, ok)
+                         : evaluate_pixel_hypothesis(
+                               *in.before, *in.after, in.disc_before,
+                               in.disc_after, nullptr, x, y, hx, hy, config,
+                               unused, ok, in.mask_before, in.mask_after);
+            };
+            // The parabola through (-1, em), (0, e0), (1, ep) along one
+            // axis.  A near-zero center residual means the integer
+            // hypothesis is an (essentially) exact match; the parabola is
+            // then degenerate and neighbor asymmetry would inject
+            // spurious fractions.
+            const auto fit = [e0 = b.error](double em, double ep,
+                                            float& sub) {
+              const double denom = em - 2.0 * e0 + ep;
+              if (std::isfinite(em) && std::isfinite(ep) && denom > 1e-12 &&
+                  e0 <= em && e0 <= ep && e0 > 1e-4 * std::min(em, ep))
+                sub = static_cast<float>(
+                    std::clamp(0.5 * (em - ep) / denom, -0.5, 0.5));
+            };
+            fit(probe(b.hx - 1, b.hy), probe(b.hx + 1, b.hy), b.sub_u);
+            fit(probe(b.hx, b.hy - 1), probe(b.hx, b.hy + 1), b.sub_v);
+          }
       });
   timings.hypothesis_matching += seconds_since(t0);
 }
 
-void collect_track_result(const MatchInput& in, const SmaConfig& config,
-                          const TrackOptions& options,
+// The "products" stage: packs per-pixel winners into the result's flow
+// field (and ParamsField when options.keep_params).
+void collect_track_result(const MatchInput& in, const TrackOptions& options,
                           const std::vector<PixelBest>& best,
                           TrackResult& result) {
-  (void)config;
   const int w = in.width();
   const int h = in.height();
   result.flow = imaging::FlowField(w, h);
@@ -493,6 +398,72 @@ void collect_track_result(const MatchInput& in, const SmaConfig& config,
         result.params->bk.at(x, y) = static_cast<float>(b.params.bk);
       }
     }
+}
+
+}  // namespace
+
+TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
+                               const TrackOptions& options, bool parallel,
+                               const SegmentVisit& visit,
+                               PruneReport* prune) {
+  TrackResult result;
+  TrackTimings& timings = result.timings;
+  std::vector<PixelBest> best;
+  // Coarse-to-fine pruned search: engages only when the eligibility rule
+  // holds (precompute fast path, unsegmented, raw frames attached);
+  // otherwise the reason is recorded and the exhaustive sweep runs
+  // exactly as in full mode.
+  const PruneFallback prune_fb = resolve_prune(config, in);
+  if (prune != nullptr)
+    prune->fallback_reason = static_cast<std::uint64_t>(prune_fb);
+  if (prune_fb == PruneFallback::kNone) {
+    best = run_pruned_search(in, config, parallel, timings, prune);
+  } else {
+    const MatchPrecompute* pre = admitted_precompute(in, config);
+    best.resize(static_cast<std::size_t>(in.width()) * in.height());
+    // Semi-fluid mapping + hypothesis matching, interleaved per
+    // hypothesis-row segment (Sec. 4.3).  Segments bound the resident
+    // correspondence table; F_cont has none and sweeps once.
+    const int nzs_y = config.z_search_ry();
+    const int zseg = semifluid_active(in, config)
+                         ? config.effective_segment_rows()
+                         : config.z_search_size_y();
+    for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
+      const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
+      const std::optional<SemiFluidTable> table = build_semifluid_table(
+          in, config, pre != nullptr, hy_min, hy_max, timings,
+          result.peak_mapping_bytes);
+      // Nested under the pipeline's "matching" span: one span per
+      // segment, so segmented searches show their per-segment structure
+      // on the trace timeline.
+      obs::TraceSpan segment_span("match", "hypothesis_search");
+      const auto t0 = Clock::now();
+      visit(MatchSegment{hy_min, hy_max, table ? &*table : nullptr, pre,
+                         best.data()});
+      timings.hypothesis_matching += seconds_since(t0);
+    }
+  }
+  if (options.subpixel) refine_subpixel(in, config, parallel, best, timings);
+  collect_track_result(in, options, best, result);
+  timings.total = timings.match_precompute + timings.semifluid_mapping +
+                  timings.hypothesis_matching;
+  return result;
+}
+
+void scan_segment(const MatchInput& in, const SmaConfig& config,
+                  bool parallel, const MatchSegment& seg) {
+  const int w = in.width();
+  run_pixel_tiles(
+      pixel_tiles(w, in.height(), config, parallel), config, parallel,
+      [&](const sched::Tile& tile, std::size_t) {
+        for (int y = tile.y0; y < tile.y1; ++y)
+          for (int x = tile.x0; x < tile.x1; ++x)
+            scan_hypotheses(*in.before, *in.after, in.disc_before,
+                            in.disc_after, seg.table, x, y, seg.hy_min,
+                            seg.hy_max, config,
+                            seg.best[static_cast<std::size_t>(y) * w + x],
+                            in.mask_before, in.mask_after, seg.pre);
+      });
 }
 
 }  // namespace sma::core

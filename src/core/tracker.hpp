@@ -9,18 +9,21 @@
 // wins (Eq. 7).
 //
 // A pair is tracked by SmaPipeline (core/pipeline.hpp), which runs the
-// per-frame stages and hands the matching stages below to a registered
-// TrackerBackend (core/backend.hpp):
-//  * "sequential" — the paper's "sequential (un-optimized) version ...
-//    used to form a baseline for comparing the correctness of the
-//    parallel algorithm results" (Sec. 4).
+// per-frame stages and hands matching to a registered TrackerBackend
+// (core/backend.hpp).  Every backend's match() calls the one matching
+// stage below (run_matching_stage) and supplies only how one segment's
+// pixels are visited:
+//  * "sequential" — inline staged tiles (scan_segment); the paper's
+//    "sequential (un-optimized) version ... used to form a baseline for
+//    comparing the correctness of the parallel algorithm results"
+//    (Sec. 4).
 //  * "vector"     — cache-blocked pixel tiles on the shared
 //    work-stealing pool (sched/scheduler.hpp), SIMD lanes over each
 //    tile's pixels (core/match_vector.hpp) where the lane kernel serves
-//    the config and the staged kernels below elsewhere; bit-identical
-//    output on every lane ISA.
-//  * "maspar-sim" — the MasPar SIMD executor (maspar/backend.hpp) driving
-//    the same per-pixel kernels layer by layer.
+//    the config and the staged tiles elsewhere; bit-identical output on
+//    every lane ISA.
+//  * "maspar-sim" — the MasPar SIMD executor (maspar/backend.hpp)
+//    visiting pixels in MP-2 memory-layer order.
 //
 // Timing is reported in the paper's Table 2 / Table 4 phase buckets:
 // surface fit, compute geometric variables, semi-fluid mapping and
@@ -152,19 +155,26 @@ struct PixelBest {
   /// Fraction of the winning hypothesis's template pixels that were
   /// unmasked (1.0 without validity masks) — the confidence channel.
   double coverage = 1.0;
+
+  /// Makes hypothesis (hx, hy), with center-pixel flow vector (ux, uy),
+  /// the incumbent — the one update of every search path, after
+  /// hypothesis_improves accepted it.  Out of line: the per-ISA lane
+  /// kernels call it too (DESIGN.md §13).
+  void take(int hx, int hy, int ux, int uy, double error,
+            const MotionParams& params, bool ok, double coverage = 1.0);
 };
 
-class MatchPrecompute;     // fwd (match_precompute.hpp)
-struct WindowInvariants;   // fwd (match_precompute.hpp)
+class MatchPrecompute;  // fwd (match_precompute.hpp)
 
 // ---------------------------------------------------------------------------
-// Staged matching kernels.
+// The matching stage.
 //
 // SmaPipeline runs the per-frame stages (surface fit, geometric
-// variables, match precompute) once per frame and every backend's
-// match() composes the stages below, so all substrates share the exact
-// per-pixel arithmetic — the paper's bit-identical-across-substrates
-// contract (Sec. 5.1).
+// variables, match precompute) once per frame, and every backend's
+// match() calls run_matching_stage below, which differs between
+// backends only in how one segment's pixels are visited — so all
+// substrates share the exact per-pixel arithmetic, the paper's
+// bit-identical-across-substrates contract (Sec. 5.1).
 // ---------------------------------------------------------------------------
 
 /// Precomputed inputs to the matching stages: geometry of both frames,
@@ -201,18 +211,6 @@ struct MatchInput {
 
 struct PruneReport;  // fwd (match_prune.hpp)
 
-/// The "Semi-fluid mapping" phase of one hypothesis-row segment: builds
-/// the correspondence table for hy in [hy_min, hy_max] when the
-/// semi-fluid remap is active and a consumer reads it — the precompute
-/// fast path (`fast_path`, always) or the naive path under
-/// use_precomputed_mapping — and returns nullopt otherwise (the naive
-/// path then remaps on the fly through semifluid_match, the oracle).  The build time goes to
-/// timings.semifluid_mapping only; band + table bytes raise
-/// `peak_mapping_bytes`.
-std::optional<SemiFluidTable> build_semifluid_table(
-    const MatchInput& in, const SmaConfig& config, bool fast_path, int hy_min,
-    int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes);
-
 /// The pixel-tile policy of every host matching pass (staged search,
 /// pruned search, sub-pixel refinement, the vector tile kernel).  Not
 /// `parallel`: one tile spanning the frame.  Otherwise
@@ -231,47 +229,61 @@ void run_pixel_tiles(
     bool parallel,
     const std::function<void(const sched::Tile&, std::size_t)>& fn);
 
-/// "Semi-fluid mapping" + "Hypothesis matching" phases: the segmented
-/// search over every pixel and hypothesis.  Accumulates phase times into
-/// `timings` and the Sec. 4.3 mapping peak into `peak_mapping_bytes`.
-/// When config.search_mode == SearchMode::kPruned and the config is
-/// eligible (resolve_prune, match_prune.hpp) the coarse-to-fine pruned
-/// sweep runs instead of the exhaustive one; `prune`, when non-null,
-/// receives the pruning accounting either way (fallback reasons
-/// included).
-std::vector<PixelBest> run_hypothesis_search(const MatchInput& in,
-                                             const SmaConfig& config,
-                                             bool parallel,
-                                             TrackTimings& timings,
-                                             std::size_t& peak_mapping_bytes,
-                                             PruneReport* prune = nullptr);
+/// One hypothesis-row segment of the full search, as the matching stage
+/// hands it to a backend's pixel visit.
+struct MatchSegment {
+  int hy_min = 0, hy_max = 0;  ///< hypothesis rows to scan (all hx)
+  /// The segment's F_semi correspondence table; null for F_cont and for
+  /// the on-the-fly semi-fluid oracle.
+  const SemiFluidTable* table = nullptr;
+  /// The precompute planes when resolve_precompute admits them; null
+  /// selects the naive oracle.
+  const MatchPrecompute* pre = nullptr;
+  PixelBest* best = nullptr;  ///< the frame's row-major incumbents
+};
 
-/// Optional parabolic sub-pixel stage (TrackOptions::subpixel); adds its
-/// time to timings.hypothesis_matching.  Identical across backends.
-void refine_subpixel(const MatchInput& in, const SmaConfig& config,
-                     bool parallel, std::vector<PixelBest>& best,
-                     TrackTimings& timings);
+/// How a backend visits one segment's pixels: fold hypotheses
+/// [hy_min, hy_max] of every pixel into its incumbent.
+using SegmentVisit = std::function<void(const MatchSegment&)>;
 
-/// "Products" stage: packs per-pixel winners into the result's flow
-/// field (and ParamsField when options.keep_params).
-void collect_track_result(const MatchInput& in, const SmaConfig& config,
-                          const TrackOptions& options,
-                          const std::vector<PixelBest>& best,
-                          TrackResult& result);
+/// The matching stage every backend's match() calls: the "Semi-fluid
+/// mapping" + "Hypothesis matching" phases, the optional sub-pixel
+/// refinement and the products.  It owns the pruned branch (when
+/// resolve_prune engages, the shared run_pruned_search replaces the
+/// visit), the precompute gating and the Sec. 4.3 segment loop: F_semi
+/// walks hypothesis rows in SmaConfig::effective_segment_rows() chunks,
+/// each behind its own correspondence table (built here, timed as
+/// semi-fluid mapping, raising peak_mapping_bytes); F_cont has no table
+/// and sweeps once.  Each segment goes to `visit` inside a
+/// "match"/"hypothesis_search" span and the matching timer.  `prune`,
+/// when non-null, receives the pruning accounting (fallback reason
+/// included).  Fills the matching-phase timings and timings.total.
+TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
+                               const TrackOptions& options, bool parallel,
+                               const SegmentVisit& visit,
+                               PruneReport* prune = nullptr);
+
+/// The staged visit: scan_hypotheses for every pixel of the segment over
+/// pixel_tiles — inline when not `parallel` (the sequential baseline),
+/// on the pool otherwise (the vector backend's fallback).
+void scan_segment(const MatchInput& in, const SmaConfig& config,
+                  bool parallel, const MatchSegment& seg);
 
 /// Shared input validation (shape / finiteness / mask checks); throws
 /// std::invalid_argument with the given context prefix.
 void validate_tracker_input(const TrackerInput& input, const char* context);
 
-/// Evaluates ONE hypothesis (hx, hy) at pixel (x, y): builds the template
-/// mapping (continuous or semi-fluid — from `table` when non-null, else
-/// by direct minimization), solves the 6x6 system and returns the Eq. (3)
-/// residual.  Shared by the search loop and the sub-pixel
-/// refinement pass, and the oracle the precomputed fast path is tested
-/// bit-identical against.  Template pixels that a validity mask marks
-/// untrustworthy are skipped (exactly like F_semi drops discontinuous
-/// pixels); `coverage_out`, when non-null, receives the unmasked fraction
-/// of the template.  A fully masked template returns infinite error.
+/// The naive oracle: evaluates ONE hypothesis (hx, hy) at pixel (x, y)
+/// straight from the geometry — builds the template mapping (continuous
+/// or semi-fluid — from `table` when non-null, else by direct
+/// minimization), solves the 6x6 system and returns the Eq. (3)
+/// residual.  The search and the sub-pixel refinement use it wherever
+/// the precompute is ineligible, and the precomputed evaluator and the
+/// lane kernel are tested bit-identical against it.  Template pixels
+/// that a validity mask marks untrustworthy are skipped (exactly like
+/// F_semi drops discontinuous pixels); `coverage_out`, when non-null,
+/// receives the unmasked fraction of the template.  A fully masked
+/// template returns infinite error.
 double evaluate_pixel_hypothesis(const surface::GeometricField& before,
                                  const surface::GeometricField& after,
                                  const imaging::ImageF* disc_before,
@@ -297,9 +309,9 @@ bool hypothesis_improves(const PixelBest& best, double error, int hx, int hy);
 /// table, or null for the continuous model and the on-the-fly semi-fluid
 /// oracle.  `mask_before` / `mask_after` are optional validity masks
 /// (see TrackerInput); null masks reproduce the unmasked pipeline bit for
-/// bit.  A non-null `pre` switches the per-hypothesis evaluation onto the
-/// precomputed fast path (bit-identical; callers must gate it with
-/// resolve_precompute, and F_semi takes it only with a table).
+/// bit.  One hypothesis loop: the precomputed evaluator when `pre` is
+/// non-null (callers gate it with resolve_precompute; F_semi takes it
+/// only with a table), the naive oracle otherwise — bit-identical.
 void scan_hypotheses(const surface::GeometricField& before,
                      const surface::GeometricField& after,
                      const imaging::ImageF* disc_before,

@@ -8,10 +8,9 @@ namespace sma::maspar {
 core::TrackResult MasParSimBackend::match(
     const core::MatchInput& in, const core::SmaConfig& config,
     const core::TrackOptions& options) const {
-  core::TrackResult result;
   auto extras = std::make_shared<MasParBackendExtras>();
-  extras->report =
-      executor_.run_matching(in, config, image_count_, options, &result);
+  core::TrackResult result = executor_.run_matching(
+      in, config, image_count_, options, extras->report, &extras->prune);
   result.extras = std::move(extras);
   return result;
 }

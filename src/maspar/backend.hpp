@@ -18,14 +18,18 @@
 #pragma once
 
 #include "core/backend.hpp"
+#include "core/match_prune.hpp"
 #include "maspar/sma_simd.hpp"
 
 namespace sma::maspar {
 
 /// TrackResult::extras payload of the maspar-sim backend.  The report's
-/// flow duplicates TrackResult::flow (it IS the same field).
+/// flow duplicates TrackResult::flow (it IS the same field).  `prune` is
+/// the pruned search's accounting when it engaged, and carries only the
+/// pruned-mode fallback reason otherwise (as VectorBackendExtras::prune).
 struct MasParBackendExtras : core::BackendExtras {
   SimdRunReport report;
+  core::PruneReport prune;
 };
 
 class MasParSimBackend final : public core::TrackerBackend {

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
-#include <optional>
 #include <stdexcept>
 
-#include "core/match_precompute.hpp"
-#include "core/semifluid.hpp"
 #include "core/workload.hpp"
 #include "obs/trace.hpp"
 
@@ -34,30 +30,30 @@ void publish_metrics(const SimdRunReport& report, obs::MetricsRegistry& reg) {
   reg.gauge("maspar.host_seconds").set(report.host_seconds);
 }
 
-SimdRunReport MasParExecutor::run_matching(const core::MatchInput& in,
-                                           const core::SmaConfig& config,
-                                           int image_count,
-                                           const core::TrackOptions& options,
-                                           core::TrackResult* track_out) const {
+core::TrackResult MasParExecutor::run_matching(
+    const core::MatchInput& in, const core::SmaConfig& config,
+    int image_count, const core::TrackOptions& options,
+    SimdRunReport& report, core::PruneReport* prune) const {
   config.validate();
   if (in.before == nullptr || in.after == nullptr)
     throw std::invalid_argument("MasParExecutor: null geometry input");
 
-  const auto t_start = std::chrono::steady_clock::now();
   obs::TraceSpan run_span("maspar", "simd_matching");
   const int w = in.width();
   const int h = in.height();
 
-  SimdRunReport report;
-  core::TrackResult track;
-
-  // --- Sec. 4.3 memory planning.
+  // --- Sec. 4.3 memory planning.  Only the F_semi correspondence table
+  // grows with the segment height Z, so only an active semi-fluid remap
+  // auto-chooses Z; F_cont keeps the unsegmented search.
   core::PeMemoryModel mem;
   const HierarchicalMap map(w, h, spec_);
   mem.xvr = map.xvr();
   mem.yvr = map.yvr();
+  const bool semifluid = config.model == core::MotionModel::kSemiFluid &&
+                         config.semifluid_search_radius > 0 &&
+                         in.disc_before != nullptr && in.disc_after != nullptr;
   core::SmaConfig run_config = config;
-  if (run_config.segment_rows == 0) {
+  if (semifluid && run_config.segment_rows == 0) {
     const std::uint64_t unseg =
         mem.segmented_bytes(run_config, run_config.z_search_size_y());
     if (unseg > spec_.pe_memory_bytes) {
@@ -70,71 +66,32 @@ SimdRunReport MasParExecutor::run_matching(const core::MatchInput& in,
   report.fits_pe_memory = report.pe_bytes <= spec_.pe_memory_bytes;
   report.layers = map.layers();
 
-  // --- SIMD schedule: hypothesis-row segments outermost (so the
-  // semi-fluid correspondence table is built once per segment), then
-  // memory layers, then the PE array in lock step.
-  const bool semifluid = run_config.model == core::MotionModel::kSemiFluid &&
-                         run_config.semifluid_search_radius > 0 &&
-                         in.disc_before != nullptr &&
-                         in.disc_after != nullptr;
-  const int nzs_x = run_config.z_search_radius;
-  const int nzs_y = run_config.z_search_ry();
-  const int nss = run_config.effective_nss();
-  const int zseg = run_config.effective_segment_rows();
-  // The hypothesis-invariant precompute is per-PE-layer data on the real
-  // machine; here the attached planes are consumed through the same
-  // shared kernel, gated by the same eligibility rule as the host
-  // backends (the auto-chosen segmentation does not affect it).
-  const core::MatchPrecompute* pre =
-      (in.precompute != nullptr &&
-       core::resolve_precompute(run_config, in) ==
-           core::PrecomputeDecision::kFast)
-          ? in.precompute
-          : nullptr;
-  std::vector<core::PixelBest> best(static_cast<std::size_t>(w) * h);
-
-  for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
-    const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
-    // The segment's correspondence table is the PE-resident mapping
-    // layer: built once, read by every memory layer's lock-step sweep.
-    const std::optional<core::SemiFluidTable> table =
-        core::build_semifluid_table(in, run_config, pre != nullptr, hy_min,
-                                    hy_max, track.timings,
-                                    track.peak_mapping_bytes);
-    const core::SemiFluidTable* fp = table ? &*table : nullptr;
-    const imaging::ImageF* db = semifluid ? in.disc_before : nullptr;
-    const imaging::ImageF* da = semifluid ? in.disc_after : nullptr;
-
-    // One nested span per hypothesis-row segment, mirroring the host
-    // tracker's "match"/"hypothesis_search" spans so both substrates
-    // show the same per-segment structure on a trace timeline.
-    obs::TraceSpan segment_span("match", "hypothesis_search");
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int mem_layer = 0; mem_layer < map.layers(); ++mem_layer) {
-      for (int iy = 0; iy < spec_.nyproc; ++iy) {
+  // --- SIMD schedule: the shared matching stage walks the hypothesis-row
+  // segments outermost (the segment's correspondence table is the
+  // PE-resident mapping layer, built once and read by every memory
+  // layer); each segment visits the memory layers, then the PE array in
+  // lock step.  run_config carries the auto-chosen segmentation, which
+  // does not affect results.
+  const auto visit = [&](const core::MatchSegment& seg) {
+    for (int mem_layer = 0; mem_layer < map.layers(); ++mem_layer)
+      for (int iy = 0; iy < spec_.nyproc; ++iy)
         for (int ix = 0; ix < spec_.nxproc; ++ix) {
           int x, y;
           map.to_xy(PixelLocation{ix, iy, mem_layer}, x, y);
           if (x < 0 || y < 0) continue;  // padding slot, PE idles
-          core::scan_hypotheses(*in.before, *in.after, db, da, fp, x, y,
-                                hy_min, hy_max, run_config,
-                                best[static_cast<std::size_t>(y) * w + x],
-                                in.mask_before, in.mask_after, pre);
+          core::scan_hypotheses(*in.before, *in.after, in.disc_before,
+                                in.disc_after, seg.table, x, y, seg.hy_min,
+                                seg.hy_max, run_config,
+                                seg.best[static_cast<std::size_t>(y) * w + x],
+                                in.mask_before, in.mask_after, seg.pre);
         }
-      }
-    }
-    track.timings.hypothesis_matching +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-  }
-
-  // --- Shared sub-pixel and products stages (bit-identical to the host
-  // backends by construction; run_config carries the auto-chosen
-  // segmentation, which does not affect results).
-  if (options.subpixel)
-    core::refine_subpixel(in, run_config, /*parallel=*/false, best,
-                          track.timings);
-  core::collect_track_result(in, run_config, options, best, track);
+  };
+  const auto t0 = std::chrono::steady_clock::now();
+  core::TrackResult track = core::run_matching_stage(
+      in, run_config, options, /*parallel=*/false, visit, prune);
+  report.host_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
   report.flow = track.flow;
 
   // --- Modeled wall-clock and mesh traffic.
@@ -148,7 +105,8 @@ SimdRunReport MasParExecutor::run_matching(const core::MatchInput& in,
   // Template-gather traffic: every tracked pixel touches geometry within
   // N_zT + N_zs + N_ss of itself; meter the multi-hop mesh cost of one
   // full gather per pixel under the hierarchical mapping.
-  const int ext = run_config.z_template_radius + nzs_x + nss;
+  const int ext = run_config.z_template_radius + run_config.z_search_radius +
+                  run_config.effective_nss();
   for (int y = 0; y < h; ++y)
     for (int x = 0; x < w; ++x) {
       const std::uint64_t hops = neighborhood_hops(map, x, y, ext);
@@ -156,17 +114,7 @@ SimdRunReport MasParExecutor::run_matching(const core::MatchInput& in,
       report.comm.xnet_words +=
           static_cast<std::uint64_t>(2 * ext + 1) * (2 * ext + 1);
     }
-
-  report.host_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t_start)
-                            .count();
-  if (track_out != nullptr) {
-    track.timings.total = track.timings.match_precompute +
-                          track.timings.semifluid_mapping +
-                          track.timings.hypothesis_matching;
-    *track_out = std::move(track);
-  }
-  return report;
+  return track;
 }
 
 }  // namespace sma::maspar

@@ -8,14 +8,18 @@
 // hypothesis search segmented by rows when the PE memory budget demands
 // it (Sec. 4.3).
 //
-// Functional contract (the paper's own validation, Sec. 5.1: "The
-// parallel algorithm obtained the same result as the sequential
+// The executor is one pixel visit of the shared matching stage
+// (core::run_matching_stage), which owns the segment loop, the
+// correspondence tables, the pruned search, sub-pixel refinement and
+// products.  Functional contract (the paper's own validation, Sec. 5.1:
+// "The parallel algorithm obtained the same result as the sequential
 // implementation"): the flow field produced here is identical to the
-// "sequential" backend's.  On top of the functional run the executor
-// reports the modeled MP-2 wall-clock (cost_model.hpp), the PE memory
-// footprint and the mesh traffic of the neighborhood gathers.  It runs
-// as the "maspar-sim" backend (maspar/backend.hpp) behind SmaPipeline,
-// which supplies the per-frame geometry.
+// "sequential" backend's, full and pruned search alike.  On top of the
+// functional run the executor reports the modeled MP-2 wall-clock
+// (cost_model.hpp), the PE memory footprint and the mesh traffic of the
+// neighborhood gathers.  It runs as the "maspar-sim" backend
+// (maspar/backend.hpp) behind SmaPipeline, which supplies the per-frame
+// geometry.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +42,7 @@ struct SimdRunReport {
   double modeled_sgi_total = 0.0;   ///< modeled sequential comparator
   double modeled_speedup = 0.0;
   CommCounters comm;                ///< template-gather mesh traffic
-  double host_seconds = 0.0;        ///< actual time of the matching simulation
+  double host_seconds = 0.0;        ///< host time of the matching stage
 };
 
 /// Publishes the whole SimdRunReport under "maspar.*": the Sec. 4.3
@@ -53,21 +57,23 @@ class MasParExecutor {
  public:
   explicit MasParExecutor(MachineSpec spec = {}) : spec_(spec) {}
 
-  /// Matching stages in SIMD layer order, on precomputed per-frame
-  /// geometry (the staged-kernel seam of core/tracker.hpp): memory
-  /// planning, the layer-ordered hypothesis search, the shared sub-pixel
-  /// and products stages, and the modeled machine costs.  If
-  /// config.segment_rows is 0 and the unsegmented footprint exceeds PE
-  /// memory, the largest fitting Z is chosen automatically (the Sec. 4.3
-  /// scheme); if even Z=1 does not fit, the run proceeds and
-  /// `fits_pe_memory` is false.  When `track_out` is non-null it
-  /// receives the full TrackResult (flow, matching-phase timings, peak
-  /// cost-layer bytes, optional ParamsField) — this is what the
-  /// "maspar-sim" TrackerBackend adapter drives.
-  SimdRunReport run_matching(const core::MatchInput& in,
-                             const core::SmaConfig& config, int image_count,
-                             const core::TrackOptions& options = {},
-                             core::TrackResult* track_out = nullptr) const;
+  /// The matching stage (core::run_matching_stage) with pixels visited
+  /// in SIMD layer order, on precomputed per-frame geometry, plus the
+  /// Sec. 4.3 memory plan and the modeled machine costs in `report`.  If
+  /// config.segment_rows is 0, the semi-fluid remap is active and the
+  /// unsegmented footprint exceeds PE memory, the largest fitting Z is
+  /// chosen automatically (the Sec. 4.3 scheme); if even Z=1 does not
+  /// fit, the run proceeds and `fits_pe_memory` is false.  `prune`, when
+  /// non-null, receives the pruned search's accounting.  Returns the
+  /// TrackResult (flow, matching-phase timings, peak mapping bytes,
+  /// optional ParamsField) the "maspar-sim" TrackerBackend adapter hands
+  /// back.
+  core::TrackResult run_matching(const core::MatchInput& in,
+                                 const core::SmaConfig& config,
+                                 int image_count,
+                                 const core::TrackOptions& options,
+                                 SimdRunReport& report,
+                                 core::PruneReport* prune = nullptr) const;
 
   const MachineSpec& spec() const { return spec_; }
 

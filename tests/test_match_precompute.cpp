@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -30,12 +33,19 @@ const imaging::ImageF& frame1() {
   return f;
 }
 
+surface::GeometricField geometry_of(const imaging::ImageF& frame) {
+  surface::GeometryOptions opts;
+  opts.patch_radius = 2;
+  return surface::compute_geometry(frame, opts);
+}
+
 const surface::GeometricField& geom0() {
-  static const surface::GeometricField g = [] {
-    surface::GeometryOptions opts;
-    opts.patch_radius = 2;
-    return surface::compute_geometry(frame0(), opts);
-  }();
+  static const surface::GeometricField g = geometry_of(frame0());
+  return g;
+}
+
+const surface::GeometricField& geom1() {
+  static const surface::GeometricField g = geometry_of(frame1());
   return g;
 }
 
@@ -131,6 +141,67 @@ TEST(MatchPrecompute, WindowSumsMatchBruteForce) {
       EXPECT_EQ(win.ata[k], expect[k]) << "slot " << k << " at (" << x << ","
                                        << y << ")";
     EXPECT_EQ(win.rows, 3ull * (2 * rx + 1) * (2 * ry + 1));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The one precomputed evaluator vs the naive oracle, hypothesis by
+// hypothesis: every residual, flag and parameter, not just the winners.
+// ---------------------------------------------------------------------------
+
+TEST(PrecomputedEvaluator, EveryHypothesisBitIdenticalToNaive) {
+  const MatchPrecompute pre(geom0());
+  const int w = pre.width();
+  const int h = pre.height();
+  for (const MotionModel model :
+       {MotionModel::kContinuous, MotionModel::kSemiFluid}) {
+    SmaConfig cfg = base_config();
+    cfg.model = model;
+    const int rx = cfg.z_template_radius;
+    const int ry = cfg.z_template_ry();
+    const int nzs = cfg.z_search_radius;
+    // F_semi is driven by one segment's correspondence table: search rows
+    // -1..2 of -2..2, so the table's row offset is exercised too.
+    const bool semi = model == MotionModel::kSemiFluid;
+    const int hy_min = semi ? -1 : -nzs;
+    std::optional<SemiFluidTable> table;
+    if (semi)
+      table.emplace(geom0().disc, geom1().disc, nzs, hy_min, nzs,
+                    cfg.effective_nss(), cfg.semifluid_template_radius);
+    const SemiFluidTable* tp = table ? &*table : nullptr;
+    int interior = 0;
+    // Every center of the 30x26 frame: the clamped border band and the
+    // contiguous interior sweep alike.
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        WindowInvariants win;
+        pre.accumulate_window(x, y, rx, ry, win);
+        if (x - rx - nzs >= 0 && x + rx + nzs < w && y - ry - nzs >= 0 &&
+            y + ry + nzs < h)
+          ++interior;
+        for (int hy = hy_min; hy <= nzs; ++hy)
+          for (int hx = -nzs; hx <= nzs; ++hx) {
+            MotionParams p_fast, p_naive;
+            bool ok_fast = false, ok_naive = false;
+            const double e_fast = evaluate_hypothesis_precomputed(
+                pre, geom1(), win, tp, x, y, hx, hy, rx, ry, p_fast, ok_fast);
+            const double e_naive = evaluate_pixel_hypothesis(
+                geom0(), geom1(), &geom0().disc, &geom1().disc, tp, x, y, hx,
+                hy, cfg, p_naive, ok_naive);
+            const auto at = [&] {
+              return std::string(semi ? "F_semi" : "F_cont") + " at (" +
+                     std::to_string(x) + ", " + std::to_string(y) + ") h=(" +
+                     std::to_string(hx) + ", " + std::to_string(hy) + ")";
+            };
+            ASSERT_EQ(std::memcmp(&e_fast, &e_naive, sizeof(double)), 0)
+                << at();
+            ASSERT_EQ(ok_fast, ok_naive) << at();
+            ASSERT_EQ(std::memcmp(&p_fast, &p_naive, sizeof(MotionParams)), 0)
+                << at();
+          }
+      }
+    EXPECT_GT(interior, 0);
+    EXPECT_LT(interior, w * h);
   }
 }
 

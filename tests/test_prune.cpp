@@ -5,15 +5,16 @@
 //  * resolve_prune is the single eligibility rule, and every fallback
 //    reason degrades to a flow BIT-IDENTICAL to the full oracle;
 //  * the half-template prefix residual really is a LOWER bound of the
-//    full Eq. (3) residual, and a completed bounded evaluation runs the
-//    identical floating-point sequence as the unbounded evaluator;
+//    full Eq. (3) residual, and an evaluation that passes the
+//    evaluator's checkpoint runs the identical floating-point sequence
+//    as one without it;
 //  * the upsampled coarse winner seeds a shrunken window that contains
 //    it, with a full-window per-pixel fallback when it cannot;
 //  * the pruned FlowField — and every integer counter of its report —
-//    is bit-identical across backends, thread caps and tile shapes, and
-//    the flow across bound on/off; only the full-vs-pruned comparison
-//    is tolerance-based (a bad seed may exclude the oracle winner;
-//    quantified, not assumed);
+//    is bit-identical across backends (maspar-sim included), thread
+//    caps and tile shapes, and the flow across bound on/off; only the
+//    full-vs-pruned comparison is tolerance-based (a bad seed may
+//    exclude the oracle winner; quantified, not assumed);
 //  * the coarse seed pass runs inside the pruned search's span, so its
 //    time is attributed.
 #include <gtest/gtest.h>
@@ -31,6 +32,7 @@
 #include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
+#include "maspar/backend.hpp"
 #include "obs/trace.hpp"
 #include "surface/geometry.hpp"
 
@@ -307,7 +309,8 @@ TEST(AccumulateWindowSpan, PrefixPlusSuffixCoversWindow) {
 }
 
 // ---------------------------------------------------------------------------
-// evaluate_hypothesis_bounded — bound validity and exactness.
+// The evaluator's half-template checkpoint — bound validity and
+// exactness.
 // ---------------------------------------------------------------------------
 
 TEST(PruneBound, LowerBoundsResidualAndPreservesBitIdentity) {
@@ -322,18 +325,21 @@ TEST(PruneBound, LowerBoundsResidualAndPreservesBitIdentity) {
       for (int hy = -2; hy <= 2; hy += 2)
         for (int hx = -2; hx <= 2; hx += 2) {
           MotionParams p_ref, p_bnd;
-          bool ok_ref = false, ok_bnd = false, skipped = false;
-          double bound = -1.0;
+          bool ok_ref = false, ok_bnd = false;
           const double ref = evaluate_hypothesis_precomputed(
-              pre, geom1(), win, x, y, hx, hy, rx, ry, p_ref, ok_ref);
+              pre, geom1(), win, nullptr, x, y, hx, hy, rx, ry, p_ref,
+              ok_ref);
           // A max() incumbent forces the checkpoint to compute the bound
           // without ever being allowed to skip.
-          const double err = evaluate_hypothesis_bounded(
-              pre, geom1(), win, win_prefix, x, y, hx, hy, rx, ry,
-              std::numeric_limits<double>::max(), true, p_bnd, ok_bnd,
-              skipped, &bound);
-          EXPECT_FALSE(skipped);
-          // Completed bounded evaluations reproduce the unbounded
+          PruneCheckpoint cp{.prefix = &win_prefix,
+                             .incumbent = std::numeric_limits<double>::max(),
+                             .bound = -1.0};
+          const double err = evaluate_hypothesis_precomputed(
+              pre, geom1(), win, nullptr, x, y, hx, hy, rx, ry, p_bnd, ok_bnd,
+              &cp);
+          EXPECT_FALSE(cp.skipped);
+          const double bound = cp.bound;
+          // Completed checkpointed evaluations reproduce the unbounded
           // evaluator bit for bit.
           EXPECT_EQ(err, ref);
           EXPECT_EQ(ok_bnd, ok_ref);
@@ -444,6 +450,17 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
   const PruneReport* ref_report = host_report(ref);
   ASSERT_NE(ref_report, nullptr);
   EXPECT_EQ(ref_report->active, 1u);
+
+  // The MP-2 executor visits pixels in its own memory-layer order but
+  // runs the same pruned pass, so its flow and counters match too.
+  maspar::register_maspar_backend();
+  const TrackResult mp =
+      SmaPipeline(cfg, {.backend = "maspar-sim"}).track_pair(in);
+  EXPECT_EQ(ref.flow, mp.flow) << "maspar-sim diverged from sequential";
+  const auto* mx =
+      dynamic_cast<const maspar::MasParBackendExtras*>(mp.extras.get());
+  ASSERT_NE(mx, nullptr);
+  expect_same_report(*ref_report, mx->prune, "maspar-sim");
 
   for (const int threads : {0, 1, 2})
     for (const auto& [tw, th] : {std::pair{0, 0}, {8, 8}, {16, 4}}) {

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 
 #include "core/pipeline.hpp"
 #include "core/semifluid.hpp"
 #include "helpers.hpp"
+#include "maspar/backend.hpp"
 
 namespace sma::core {
 namespace {
@@ -121,10 +123,22 @@ TEST(Tracker, SemiFluidWithNssZeroEqualsContinuous) {
   EXPECT_TRUE(a.flow == b.flow);
 }
 
-TEST(Tracker, TimingsPopulated) {
+// The one matching stage owns the phase timers, so every backend
+// reports semi-fluid mapping time exactly under F_semi and nonzero
+// matching time.
+class TrackerTimings : public ::testing::TestWithParam<std::string> {
+ protected:
+  void SetUp() override {
+    // maspar-sim is registered explicitly (the core cannot depend on it).
+    if (GetParam() == "maspar-sim") maspar::register_maspar_backend();
+  }
+};
+
+TEST_P(TrackerTimings, TimingsPopulated) {
   const imaging::ImageF f0 = testing::textured_pattern(20, 20);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  const TrackResult r = SmaPipeline(tiny_semifluid()).track_pair(f0, f1);
+  const TrackResult r =
+      SmaPipeline(tiny_semifluid(), {.backend = GetParam()}).track_pair(f0, f1);
   EXPECT_GT(r.timings.surface_fit, 0.0);
   EXPECT_GT(r.timings.geometric_vars, 0.0);
   EXPECT_GT(r.timings.semifluid_mapping, 0.0);
@@ -133,13 +147,23 @@ TEST(Tracker, TimingsPopulated) {
   EXPECT_GT(r.peak_mapping_bytes, 0u);
 }
 
-TEST(Tracker, ContinuousHasNoMappingPhase) {
+TEST_P(TrackerTimings, ContinuousHasNoMappingPhase) {
   const imaging::ImageF f0 = testing::textured_pattern(20, 20);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  const TrackResult r = SmaPipeline(tiny_continuous()).track_pair(f0, f1);
+  const TrackResult r = SmaPipeline(tiny_continuous(), {.backend = GetParam()})
+                            .track_pair(f0, f1);
   EXPECT_EQ(r.timings.semifluid_mapping, 0.0);
   EXPECT_EQ(r.peak_mapping_bytes, 0u);
+  EXPECT_GT(r.timings.hypothesis_matching, 0.0);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, TrackerTimings,
+    ::testing::Values("sequential", "vector", "maspar-sim"),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      // Test names take no '-'.
+      return info.param == "maspar-sim" ? std::string("maspar") : info.param;
+    });
 
 TEST(Tracker, KeepParamsProducesField) {
   const imaging::ImageF f0 = testing::textured_pattern(20, 20);
