@@ -5,12 +5,14 @@
 // hypothesis search over a paper-scale window runs for seconds; killing
 // a worker thread mid-stage would corrupt the shared geometry cache and
 // leak the request.  Instead cancellation is COOPERATIVE: the request
-// carries a CancelToken, the pipeline polls it between stages (ingest →
-// surface fit → geometric vars → precompute → matching → postprocess)
-// and unwinds with CancelledError at the next checkpoint.  A stage that
-// already started runs to completion — the granularity is deliberate,
-// matching the paper's phase boundaries, so a cancelled request can
-// never leave a half-fitted frame in the cache.
+// carries a CancelToken, polled at named checkpoints — the worker's
+// "admission" and "chaos_stall", the pipeline's entry ("ingest") and
+// stage boundaries (surface_fit → geometric_vars → match_precompute →
+// matching → postprocess), and "sequence_pair" once per streamed frame
+// — and the call unwinds with CancelledError at the next one.  A stage
+// that already started runs to completion — the granularity is
+// deliberate, matching the paper's phase boundaries, so a cancelled
+// request can never leave a half-fitted frame in the cache.
 //
 // Tokens combine two triggers behind one predicate:
 //   * an explicit cancel() from another thread (client gone, drain), and

@@ -44,15 +44,13 @@ const char* prune_fallback_name(PruneFallback f) {
   return "unknown";
 }
 
-PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in) {
+PruneFallback resolve_prune_config(const SmaConfig& config) {
   if (config.search_mode != SearchMode::kPruned)
     return PruneFallback::kNotRequested;
   // The pruned sweep rides the precomputed SoA planes (window sums for
   // the bound's prefix system, the 18-MAC A^T b sweep): no fast path, no
-  // pruned path.  This also transitively excludes masks and strided
-  // templates.
-  if (in.precompute == nullptr ||
-      resolve_precompute(config, in) != PrecomputeDecision::kFast)
+  // pruned path.
+  if (config.precompute == PrecomputeMode::kOff || config.template_stride > 1)
     return PruneFallback::kNoPrecompute;
   // F_semi rides the planes too, but the coarse seeding pass and the
   // half-template bound model F_cont correspondents only.
@@ -64,13 +62,28 @@ PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in) {
   // incumbent would reset between them.
   if (config.effective_segment_rows() < config.z_search_size_y())
     return PruneFallback::kSegmented;
-  if (in.raw_before == nullptr || in.raw_after == nullptr)
-    return PruneFallback::kNoRawFrames;
   // A 1x1 (or 1xN / Nx1) search has nothing to shrink, and the bound's
   // prefix needs at least one template row above the center.
   if (config.z_search_radius < 1 || config.z_search_ry() < 1)
     return PruneFallback::kTinySearch;
   return PruneFallback::kNone;
+}
+
+PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in) {
+  // The config rule, with the input's two gates slotted in at their
+  // places: planes attached and precompute-eligible (masks) right after
+  // the request check, raw frames just before the tiny-search check.
+  const PruneFallback by_config = resolve_prune_config(config);
+  if (by_config == PruneFallback::kNotRequested) return by_config;
+  if (in.precompute == nullptr ||
+      resolve_precompute(config, in) != PrecomputeDecision::kFast)
+    return PruneFallback::kNoPrecompute;
+  if (by_config == PruneFallback::kSemiFluid ||
+      by_config == PruneFallback::kSegmented)
+    return by_config;
+  if (in.raw_before == nullptr || in.raw_after == nullptr)
+    return PruneFallback::kNoRawFrames;
+  return by_config;
 }
 
 PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,

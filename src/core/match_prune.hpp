@@ -90,8 +90,16 @@ enum class PruneFallback {
 
 const char* prune_fallback_name(PruneFallback f);
 
+/// The config-only part of the eligibility rule: the first reason the
+/// config alone rules pruning out (kNoPrecompute for precompute off or a
+/// strided template), kNone when only the input could.  The shard runner
+/// asks it whether tiles need whole-frame seeds.
+PruneFallback resolve_prune_config(const SmaConfig& config);
+
 /// The single eligibility rule, consulted by the one matching stage
-/// (run_matching_stage) for every backend and unit-tested directly.
+/// (run_matching_stage) for every backend and unit-tested directly:
+/// resolve_prune_config plus the input's gates (attached planes, masks,
+/// raw frames), reasons reported in a fixed order.
 PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in);
 
 /// Pruning accounting for one tracked pair.  POD of uint64/double so the

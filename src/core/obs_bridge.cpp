@@ -8,7 +8,8 @@ namespace sma::core {
 // to (or removed from) the structs.  If one fires, update the matching
 // publish_metrics() AND the name list below — tests/test_obs.cpp
 // cross-checks the list against the exported snapshot.
-static_assert(sizeof(PipelineStats) == 7 * sizeof(std::size_t) + 7 * sizeof(double),
+static_assert(sizeof(PipelineStats) ==
+                  7 * sizeof(std::size_t) + 6 * sizeof(double),
               "PipelineStats changed: update publish_metrics(PipelineStats) "
               "and pipeline_stats_metric_names()");
 static_assert(sizeof(TrackTimings) == 6 * sizeof(double),
@@ -36,7 +37,6 @@ void publish_metrics(const PipelineStats& s, obs::MetricsRegistry& reg) {
       .set(static_cast<double>(s.precompute_builds));
   reg.gauge("pipeline.precompute_reuses")
       .set(static_cast<double>(s.precompute_reuses));
-  reg.gauge("pipeline.ingest_seconds").set(s.ingest_seconds);
   reg.gauge("pipeline.surface_fit_seconds").set(s.surface_fit_seconds);
   reg.gauge("pipeline.geometric_vars_seconds").set(s.geometric_vars_seconds);
   reg.gauge("pipeline.match_precompute_seconds")
@@ -60,7 +60,6 @@ const std::vector<std::string>& pipeline_stats_metric_names() {
       "pipeline.cache_evictions",
       "pipeline.precompute_builds",
       "pipeline.precompute_reuses",
-      "pipeline.ingest_seconds",
       "pipeline.surface_fit_seconds",
       "pipeline.geometric_vars_seconds",
       "pipeline.match_precompute_seconds",

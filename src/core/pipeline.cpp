@@ -11,7 +11,6 @@
 #include "core/obs_bridge.hpp"
 #include "core/postprocess.hpp"
 #include "core/trajectory.hpp"
-#include "imaging/repair.hpp"
 #include "obs/trace.hpp"
 
 namespace sma::core {
@@ -285,32 +284,7 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
                                     const CancelToken* cancel) {
   obs::TraceSpan pair_span("pipeline", "track_pair");
   validate_tracker_input(input, "SmaPipeline");
-  const bool monocular = input.intensity_before == input.surface_before &&
-                         input.intensity_after == input.surface_after;
   check_cancel(cancel, "ingest");
-
-  // --- Stage: ingest / repair.
-  TrackerInput effective = input;
-  imaging::RepairReport rep0, rep1;
-  if (options_.repair && input.validity_before == nullptr &&
-      input.validity_after == nullptr) {
-    if (!monocular)
-      throw std::invalid_argument(
-          "SmaPipeline: the repair stage supports monocular inputs; repair "
-          "stereo surfaces upstream and pass validity masks");
-    const auto t0 = Clock::now();
-    obs::TraceSpan span("pipeline", "ingest_repair");
-    rep0 = imaging::repair_frame(*input.intensity_before);
-    rep1 = imaging::repair_frame(*input.intensity_after);
-    span.finish();
-    const double seconds = seconds_since(t0);
-    std::scoped_lock lock(*state_mutex_);
-    stats_.ingest_seconds += seconds;
-    effective.intensity_before = effective.surface_before = &rep0.image;
-    effective.intensity_after = effective.surface_after = &rep1.image;
-    effective.validity_before = &rep0.validity;
-    effective.validity_after = &rep1.validity;
-  }
 
   // --- Stages: surface fit + geometric variables (through the cache).
   const auto t_start = Clock::now();
@@ -318,9 +292,9 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
                          config_.semifluid_search_radius > 0;
 
   check_cancel(cancel, "surface_fit");
-  const GeomLookup l0 = frame_geometry(*effective.surface_before);
+  const GeomLookup l0 = frame_geometry(*input.surface_before);
   check_cancel(cancel, "surface_fit");
-  const GeomLookup l1 = frame_geometry(*effective.surface_after);
+  const GeomLookup l1 = frame_geometry(*input.surface_after);
   const auto& g0 = l0.geom;
   const auto& g1 = l1.geom;
   double fit_seconds = l0.fit_seconds + l1.fit_seconds;
@@ -330,18 +304,18 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
     check_cancel(cancel, "geometric_vars");
     // Monocular aliasing short-circuits without a cache lookup, so the
     // hit/miss counters describe distinct rasters only.
-    if (effective.intensity_before == effective.surface_before) {
+    if (input.intensity_before == input.surface_before) {
       gi0 = g0;
     } else {
-      const GeomLookup li = frame_geometry(*effective.intensity_before);
+      const GeomLookup li = frame_geometry(*input.intensity_before);
       gi0 = li.geom;
       fit_seconds += li.fit_seconds;
       derive_seconds += li.derive_seconds;
     }
-    if (effective.intensity_after == effective.surface_after) {
+    if (input.intensity_after == input.surface_after) {
       gi1 = g1;
     } else {
-      const GeomLookup li = frame_geometry(*effective.intensity_after);
+      const GeomLookup li = frame_geometry(*input.intensity_after);
       gi1 = li.geom;
       fit_seconds += li.fit_seconds;
       derive_seconds += li.derive_seconds;
@@ -353,20 +327,20 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
   mi.after = g1.get();
   mi.disc_before = semifluid ? &gi0->disc : nullptr;
   mi.disc_after = semifluid ? &gi1->disc : nullptr;
-  mi.mask_before = effective.validity_before;
-  mi.mask_after = effective.validity_after;
+  mi.mask_before = input.validity_before;
+  mi.mask_after = input.validity_after;
   // Raw z-surface frames for the pruned mode's coarse seeding pyramid,
   // plus the optional externally computed seed slice (shard runner).
-  mi.raw_before = effective.surface_before;
-  mi.raw_after = effective.surface_after;
-  mi.prune_seeds = effective.prune_seeds;
+  mi.raw_before = input.surface_before;
+  mi.raw_after = input.surface_after;
+  mi.prune_seeds = input.prune_seeds;
 
   // --- Stage: match precompute (cached alongside the geometry).
   check_cancel(cancel, "match_precompute");
   std::shared_ptr<const MatchPrecompute> pre;
   double pre_seconds = 0.0;
   if (resolve_precompute(config_, mi) == PrecomputeDecision::kFast) {
-    PreLookup pl = frame_precompute(*effective.surface_before, g0, semifluid);
+    PreLookup pl = frame_precompute(*input.surface_before, g0, semifluid);
     pre = std::move(pl.pre);
     pre_seconds = pl.seconds;
     mi.precompute = pre.get();
@@ -424,43 +398,18 @@ SequenceResult SmaPipeline::track_sequence(
         "SmaPipeline::track_sequence: need at least two frames");
   check_cancel(cancel, "ingest");
 
-  // --- Stage: ingest / repair, once per frame (not per pair).
-  std::vector<imaging::ImageF> repaired;
-  std::vector<imaging::ImageU8> masks;
-  if (options_.repair) {
-    const auto t0 = Clock::now();
-    obs::TraceSpan span("pipeline", "ingest_repair");
-    repaired.reserve(frames.size());
-    masks.reserve(frames.size());
-    for (const imaging::ImageF& f : frames) {
-      imaging::RepairReport rep = imaging::repair_frame(f);
-      repaired.push_back(std::move(rep.image));
-      masks.push_back(std::move(rep.validity));
-    }
-    const double seconds = seconds_since(t0);
-    std::scoped_lock lock(*state_mutex_);
-    stats_.ingest_seconds += seconds;
-  }
-  const std::vector<imaging::ImageF>& seq =
-      options_.repair ? repaired : frames;
-
   SequenceResult result;
-  result.flows.reserve(seq.size() - 1);
-  result.timings.reserve(seq.size() - 1);
+  result.flows.reserve(frames.size() - 1);
+  result.timings.reserve(frames.size() - 1);
 
   // The batch path is the streaming path: push every frame through a
   // SequenceStream (non-owning aliases — the frames outlive the loop)
   // so the two stay bit-identical by construction.
   SequenceStream stream(*this, seeds);
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    std::shared_ptr<const imaging::ImageF> frame(std::shared_ptr<void>(),
-                                                 &seq[i]);
-    std::shared_ptr<const imaging::ImageU8> mask;
-    if (options_.repair)
-      mask = std::shared_ptr<const imaging::ImageU8>(std::shared_ptr<void>(),
-                                                     &masks[i]);
+  for (const imaging::ImageF& f : frames) {
+    std::shared_ptr<const imaging::ImageF> frame(std::shared_ptr<void>(), &f);
     std::optional<TrackResult> r =
-        stream.push(std::move(frame), std::move(mask), cancel);
+        stream.push(std::move(frame), nullptr, cancel);
     if (r.has_value()) {
       result.timings.push_back(r->timings);
       result.flows.push_back(std::move(r->flow));

@@ -11,9 +11,8 @@
 //
 // SmaPipeline decomposes tracking into explicit stages
 //
-//   ingest/repair -> surface fit -> geometric variables
-//       -> match precompute -> hypothesis matching -> postprocess
-//       -> products
+//   surface fit -> geometric variables -> match precompute
+//       -> hypothesis matching -> postprocess -> products
 //
 // and owns a per-frame GEOMETRY CACHE over the fit stages: the fitted
 // GeometricField of each frame raster is computed once and reused by
@@ -25,6 +24,10 @@
 // the same pipeline drives the sequential baseline, the thread- and
 // lane-parallel vector backend or the MasPar simulation — with
 // bit-identical flow fields (Sec. 5.1 contract).
+//
+// Frames arrive as given: callers that repair telemetry defects
+// (sma_cli --inject-faults, chaos requests in sma_serve) do so upstream
+// and pass the validity masks in through TrackerInput.
 //
 // Cache invariant: for a T-frame monocular sequence the pipeline
 // performs exactly T surface fits (one per distinct frame) versus
@@ -61,9 +64,6 @@ struct PipelineOptions {
   TrackOptions track{};
   /// Postprocess stage: robust_postprocess every per-pair flow field.
   bool robust = false;
-  /// Ingest stage: run the scan-line/column repair pass over the input
-  /// frames and track with the resulting validity masks.
-  bool repair = false;
   /// Frames the geometry cache retains (LRU).  Consecutive-pair
   /// streaming needs 2; the default leaves headroom for multispectral
   /// and coupled-stereo reuse patterns.
@@ -98,7 +98,6 @@ struct PipelineStats {
   std::size_t precompute_builds = 0;
   std::size_t precompute_reuses = 0;
 
-  double ingest_seconds = 0.0;       ///< repair pass
   double surface_fit_seconds = 0.0;  ///< patch fits (cache misses only)
   double geometric_vars_seconds = 0.0;
   double match_precompute_seconds = 0.0;  ///< invariant-plane builds
@@ -107,7 +106,7 @@ struct PipelineStats {
   double products_seconds = 0.0;     ///< trajectory chaining etc.
 
   double total_seconds() const {
-    return ingest_seconds + surface_fit_seconds + geometric_vars_seconds +
+    return surface_fit_seconds + geometric_vars_seconds +
            match_precompute_seconds + matching_seconds + postprocess_seconds +
            products_seconds;
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <stdexcept>
 #include <vector>
@@ -74,57 +75,6 @@ void write_pgm(const ImageF& img, const std::string& path, double lo,
   }
 }
 
-ImageF read_pgm(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_pgm: cannot open " + path);
-  std::string magic;
-  if (!(in >> magic))
-    throw std::runtime_error("read_pgm: empty or unreadable file: " + path);
-  if (magic != "P5" && magic != "P2")
-    throw std::runtime_error("read_pgm: not a PGM: " + path);
-  const int w = read_pnm_int(in);
-  const int h = read_pnm_int(in);
-  const int maxval = read_pnm_int(in);
-  check_dims(w, h, "read_pgm", path);
-  if (maxval <= 0 || maxval > 65535)
-    throw std::runtime_error("read_pgm: bad maxval in " + path);
-  ImageF img(w, h);
-  if (magic == "P2") {
-    for (int y = 0; y < h; ++y)
-      for (int x = 0; x < w; ++x) {
-        const int v = read_pnm_int(in);  // throws on truncated data
-        if (v < 0 || v > maxval)
-          throw std::runtime_error("read_pgm: sample out of range in " +
-                                   path);
-        img.at(x, y) = static_cast<float>(v);
-      }
-    return img;
-  }
-  in.get();  // single whitespace after maxval
-  if (maxval < 256) {
-    std::vector<unsigned char> row(static_cast<std::size_t>(w));
-    for (int y = 0; y < h; ++y) {
-      in.read(reinterpret_cast<char*>(row.data()),
-              static_cast<std::streamsize>(row.size()));
-      if (!in) throw std::runtime_error("read_pgm: truncated " + path);
-      for (int x = 0; x < w; ++x)
-        img.at(x, y) = static_cast<float>(row[static_cast<std::size_t>(x)]);
-    }
-  } else {
-    std::vector<std::uint8_t> row(static_cast<std::size_t>(w) * 2);
-    for (int y = 0; y < h; ++y) {
-      in.read(reinterpret_cast<char*>(row.data()),
-              static_cast<std::streamsize>(row.size()));
-      if (!in) throw std::runtime_error("read_pgm: truncated " + path);
-      for (int x = 0; x < w; ++x)
-        img.at(x, y) = static_cast<float>(
-            (row[static_cast<std::size_t>(2 * x)] << 8) |
-            row[static_cast<std::size_t>(2 * x + 1)]);
-    }
-  }
-  return img;
-}
-
 void write_pfm(const ImageF& img, const std::string& path) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw std::runtime_error("write_pfm: cannot open " + path);
@@ -135,45 +85,17 @@ void write_pfm(const ImageF& img, const std::string& path) {
               static_cast<std::streamsize>(sizeof(float)) * img.width());
 }
 
-ImageF read_pfm(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("read_pfm: cannot open " + path);
-  std::string magic;
-  if (!(in >> magic))
-    throw std::runtime_error("read_pfm: empty or unreadable file: " + path);
-  if (magic == "PF")
-    throw std::runtime_error("read_pfm: color PFM not supported: " + path);
-  if (magic != "Pf")
-    throw std::runtime_error("read_pfm: not a grayscale PFM: " + path);
-  int w = 0, h = 0;
-  double scale = 0.0;
-  if (!(in >> w >> h >> scale))
-    throw std::runtime_error("read_pfm: malformed header in " + path);
-  in.get();
-  check_dims(w, h, "read_pfm", path);
-  if (!std::isfinite(scale) || scale == 0.0)
-    throw std::runtime_error("read_pfm: malformed scale in " + path);
-  if (scale > 0.0)
-    throw std::runtime_error(
-        "read_pfm: big-endian PFM (positive scale) not supported: " + path);
-  ImageF img(w, h);
-  for (int y = h - 1; y >= 0; --y) {
-    in.read(reinterpret_cast<char*>(img.row(y)),
-            static_cast<std::streamsize>(sizeof(float)) * w);
-    if (!in) throw std::runtime_error("read_pfm: truncated " + path);
-    // NaN/Inf samples would silently poison every downstream surface fit
-    // and cost sum; reject them at the boundary.
-    for (int x = 0; x < w; ++x)
-      if (!std::isfinite(img.at(x, y)))
-        throw std::runtime_error("read_pfm: non-finite sample in " + path);
-  }
-  return img;
-}
+namespace {
 
-RasterHeader read_raster_header(const std::string& path) {
+std::ifstream open_raster(const std::string& path, const char* reader) {
   std::ifstream in(path, std::ios::binary);
   if (!in)
-    throw std::runtime_error("read_raster_header: cannot open " + path);
+    throw std::runtime_error(std::string(reader) + ": cannot open " + path);
+  return in;
+}
+
+// read_raster_header on an open stream at the start of the file.
+RasterHeader parse_header(std::istream& in, const std::string& path) {
   std::string magic;
   if (!(in >> magic))
     throw std::runtime_error("read_raster_header: empty or unreadable file: " +
@@ -218,90 +140,100 @@ RasterHeader read_raster_header(const std::string& path) {
   return hdr;
 }
 
+// read_raster_window on an open stream at any position.
+ImageF read_window(std::istream& in, const std::string& path,
+                   const RasterHeader& header, int x0, int y0, int w, int h) {
+  ImageF img(w, h);
+  if (header.format == RasterHeader::Format::kPgmAscii) {
+    // P2 is whitespace-delimited: no random access, so parse from the
+    // start of the file up to the end of the window.
+    in.seekg(0);
+    std::string magic;
+    in >> magic;
+    read_pnm_int(in);  // width
+    read_pnm_int(in);  // height
+    read_pnm_int(in);  // maxval
+    for (int y = 0; y <= y0 + h - 1; ++y)
+      for (int x = 0; x < header.width; ++x) {
+        const int v = read_pnm_int(in);
+        if (v < 0 || v > header.maxval)
+          throw std::runtime_error(
+              "read_raster_window: sample out of range in " + path);
+        if (y >= y0 && x >= x0 && x < x0 + w)
+          img.at(x - x0, y - y0) = static_cast<float>(v);
+      }
+    return img;
+  }
+  // Binary formats: rows are read in file order — PFM stores them
+  // bottom-to-top, so image row y sits at file row (height - 1 - y) — and
+  // a window spanning whole rows is one contiguous run: one seek.
+  const bool pfm = header.format == RasterHeader::Format::kPfm;
+  const std::streamoff bytes_per_pixel =
+      pfm ? sizeof(float)
+          : header.format == RasterHeader::Format::kPgm16 ? 2 : 1;
+  const bool whole_rows = w == header.width;
+  std::vector<unsigned char> row(
+      static_cast<std::size_t>(w * bytes_per_pixel));
+  for (int i = 0; i < h; ++i) {
+    const int y = pfm ? h - 1 - i : i;
+    const std::streamoff file_row =
+        pfm ? header.height - 1 - (y0 + y) : y0 + y;
+    if (i == 0 || !whole_rows)
+      in.seekg(header.data_offset +
+               bytes_per_pixel * (file_row * header.width + x0));
+    in.read(reinterpret_cast<char*>(row.data()),
+            static_cast<std::streamsize>(row.size()));
+    if (!in) throw std::runtime_error("read_raster_window: truncated " + path);
+    float* out = img.row(y);
+    if (pfm) {
+      std::memcpy(out, row.data(), row.size());
+      // NaN/Inf samples would silently poison every downstream surface
+      // fit and cost sum; reject them at the boundary.
+      for (int x = 0; x < w; ++x)
+        if (!std::isfinite(out[x]))
+          throw std::runtime_error(
+              "read_raster_window: non-finite sample in " + path);
+    } else if (bytes_per_pixel == 2) {
+      for (int x = 0; x < w; ++x)
+        out[x] = static_cast<float>((row[2 * x] << 8) | row[2 * x + 1]);
+    } else {
+      for (int x = 0; x < w; ++x) out[x] = static_cast<float>(row[x]);
+    }
+  }
+  return img;
+}
+
+}  // namespace
+
+ImageF read_pgm(const std::string& path) {
+  std::ifstream in = open_raster(path, "read_pgm");
+  const RasterHeader hdr = parse_header(in, path);
+  if (hdr.format == RasterHeader::Format::kPfm)
+    throw std::runtime_error("read_pgm: not a PGM: " + path);
+  return read_window(in, path, hdr, 0, 0, hdr.width, hdr.height);
+}
+
+ImageF read_pfm(const std::string& path) {
+  std::ifstream in = open_raster(path, "read_pfm");
+  const RasterHeader hdr = parse_header(in, path);
+  if (hdr.format != RasterHeader::Format::kPfm)
+    throw std::runtime_error("read_pfm: not a grayscale PFM: " + path);
+  return read_window(in, path, hdr, 0, 0, hdr.width, hdr.height);
+}
+
+RasterHeader read_raster_header(const std::string& path) {
+  std::ifstream in = open_raster(path, "read_raster_header");
+  return parse_header(in, path);
+}
+
 ImageF read_raster_window(const std::string& path, const RasterHeader& header,
                           int x0, int y0, int w, int h) {
   if (w <= 0 || h <= 0 || x0 < 0 || y0 < 0 || x0 + w > header.width ||
       y0 + h > header.height)
     throw std::runtime_error("read_raster_window: window outside raster " +
                              path);
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("read_raster_window: cannot open " + path);
-  ImageF img(w, h);
-  switch (header.format) {
-    case RasterHeader::Format::kPgmAscii: {
-      // P2 is whitespace-delimited: no random access, so parse up to the
-      // end of the window (read_pnm_int matches read_pgm sample for
-      // sample, keeping the crop bit-identical).
-      in.seekg(0);
-      std::string magic;
-      in >> magic;
-      read_pnm_int(in);  // width
-      read_pnm_int(in);  // height
-      read_pnm_int(in);  // maxval
-      for (int y = 0; y <= y0 + h - 1; ++y)
-        for (int x = 0; x < header.width; ++x) {
-          const int v = read_pnm_int(in);
-          if (v < 0 || v > header.maxval)
-            throw std::runtime_error(
-                "read_raster_window: sample out of range in " + path);
-          if (y >= y0 && x >= x0 && x < x0 + w)
-            img.at(x - x0, y - y0) = static_cast<float>(v);
-        }
-      return img;
-    }
-    case RasterHeader::Format::kPgm8: {
-      std::vector<unsigned char> row(static_cast<std::size_t>(w));
-      for (int y = 0; y < h; ++y) {
-        in.seekg(header.data_offset +
-                 std::streamoff{y0 + y} * header.width + x0);
-        in.read(reinterpret_cast<char*>(row.data()),
-                static_cast<std::streamsize>(row.size()));
-        if (!in)
-          throw std::runtime_error("read_raster_window: truncated " + path);
-        for (int x = 0; x < w; ++x)
-          img.at(x, y) = static_cast<float>(row[static_cast<std::size_t>(x)]);
-      }
-      return img;
-    }
-    case RasterHeader::Format::kPgm16: {
-      std::vector<std::uint8_t> row(static_cast<std::size_t>(w) * 2);
-      for (int y = 0; y < h; ++y) {
-        in.seekg(header.data_offset +
-                 std::streamoff{2} * (std::streamoff{y0 + y} * header.width +
-                                      x0));
-        in.read(reinterpret_cast<char*>(row.data()),
-                static_cast<std::streamsize>(row.size()));
-        if (!in)
-          throw std::runtime_error("read_raster_window: truncated " + path);
-        for (int x = 0; x < w; ++x)
-          img.at(x, y) = static_cast<float>(
-              (row[static_cast<std::size_t>(2 * x)] << 8) |
-              row[static_cast<std::size_t>(2 * x + 1)]);
-      }
-      return img;
-    }
-    case RasterHeader::Format::kPfm: {
-      // PFM rows run bottom-to-top: image row y sits at file row
-      // (height - 1 - y).
-      for (int y = 0; y < h; ++y) {
-        const std::streamoff file_row = header.height - 1 - (y0 + y);
-        in.seekg(header.data_offset +
-                 static_cast<std::streamoff>(sizeof(float)) *
-                     (file_row * header.width + x0));
-        in.read(reinterpret_cast<char*>(img.row(y)),
-                static_cast<std::streamsize>(sizeof(float)) * w);
-        if (!in)
-          throw std::runtime_error("read_raster_window: truncated " + path);
-        for (int x = 0; x < w; ++x)
-          if (!std::isfinite(img.at(x, y)))
-            throw std::runtime_error(
-                "read_raster_window: non-finite sample in " + path);
-      }
-      return img;
-    }
-  }
-  throw std::runtime_error("read_raster_window: unknown format for " + path);
+  std::ifstream in = open_raster(path, "read_raster_window");
+  return read_window(in, path, header, x0, y0, w, h);
 }
 
 }  // namespace sma::imaging

@@ -16,13 +16,15 @@ namespace sma::imaging {
 void write_pgm(const ImageF& img, const std::string& path,
                double lo = 0.0, double hi = 255.0);
 
-/// Reads a binary (P5) or ASCII (P2) PGM into floats in [0, 255].
+/// Reads a binary (P5) or ASCII (P2) PGM into floats in [0, 255]: the
+/// read_raster_header parse plus a whole-frame read_raster_window read,
+/// on one open file.  Rejects a PFM file.
 ImageF read_pgm(const std::string& path);
 
 /// Writes a little-endian single-channel PFM (grayscale, scale -1.0).
 void write_pfm(const ImageF& img, const std::string& path);
 
-/// Reads a little-endian single-channel PFM.
+/// Reads a little-endian single-channel PFM the same way; rejects a PGM.
 ImageF read_pfm(const std::string& path);
 
 /// Parsed header of a raster file plus the byte offset of its pixel
@@ -48,10 +50,10 @@ RasterHeader read_raster_header(const std::string& path);
 /// with read_raster_header.  Pixel values are BIT-IDENTICAL to the same
 /// crop of read_pgm/read_pfm on the whole file — the shard layer's
 /// stitching invariant rests on this.  The window must lie inside the
-/// raster.  Binary formats seek row by row and read only the window
-/// bytes; ASCII P2 has no random access and re-parses sequentially.
-/// PFM non-finite-sample rejection applies to the window's samples
-/// (the whole-frame reader scans every sample).
+/// raster.  Binary formats read only the window bytes, seeking once per
+/// row — or once in all when the window spans whole rows; ASCII P2 has
+/// no random access and re-parses sequentially.  PFM non-finite-sample
+/// rejection applies to the window's samples.
 ImageF read_raster_window(const std::string& path, const RasterHeader& header,
                           int x0, int y0, int w, int h);
 

@@ -50,6 +50,52 @@ struct StreamFaultPolicy {
   double backoff_base = 2.0e-3;  ///< settle seconds, doubling per retry
 };
 
+/// What one modeled stripe read took (see read_stripe).
+struct StripeRead {
+  bool fault = false;      ///< the first read hit a stripe fault
+  int retries = 0;         ///< re-reads performed
+  bool exhausted = false;  ///< the fault outlived every retry
+};
+
+/// One modeled stripe read of unit `index`: `bytes` taking
+/// `read_seconds`, added to `io_seconds` / `bytes_read`.  On a stripe
+/// fault (only with an `injector`) it re-reads up to policy.max_retries
+/// times, each a full re-read plus a settle delay doubling from
+/// policy.backoff_base, until the fault clears.  Records kStripeFault,
+/// one kStripeRetry per attempt and, on exhaustion, kStripeSkip in `log`
+/// (may be null).  What an exhausted read serves is the caller's call.
+inline StripeRead read_stripe(int index, double bytes, double read_seconds,
+                              const core::FaultInjector* injector,
+                              core::FaultLog* log,
+                              const StreamFaultPolicy& policy,
+                              double& io_seconds, std::uint64_t& bytes_read) {
+  StripeRead r;
+  io_seconds += read_seconds;
+  bytes_read += static_cast<std::uint64_t>(bytes);
+  if (injector == nullptr || !injector->stripe_fault(index)) return r;
+  r.fault = true;
+  if (log != nullptr) log->record(core::FaultKind::kStripeFault, index);
+  double backoff = policy.backoff_base;
+  for (int attempt = 1; attempt <= policy.max_retries; ++attempt) {
+    // RAID-3 re-read: the whole stripe group streams again, plus an
+    // exponential settle delay — all on the modeled clock.
+    io_seconds += read_seconds + backoff;
+    bytes_read += static_cast<std::uint64_t>(bytes);
+    ++r.retries;
+    if (log != nullptr)
+      log->record(core::FaultKind::kStripeRetry, index, attempt, backoff);
+    if (!injector->stripe_fault_persists(index, attempt)) return r;
+    backoff *= 2.0;
+  }
+  // Retry exhaustion is its own auditable event, exported as the
+  // fault.stripe-skip gauge by core::publish_metrics(FaultLog) — distinct
+  // from the per-attempt kStripeRetry records above.
+  r.exhausted = true;
+  if (log != nullptr)
+    log->record(core::FaultKind::kStripeSkip, index, policy.max_retries);
+  return r;
+}
+
 /// Serves frames in order while accounting modeled disk time.
 class FrameStream {
  public:
@@ -81,42 +127,13 @@ class FrameStream {
     const std::size_t idx = next_++;
     imaging::ImageF& f = frames_[idx];
     const double bytes = static_cast<double>(f.size()) * bytes_per_pixel_;
-    const double frame_seconds = bytes / spec_.effective_bw();
-    io_seconds_ += frame_seconds;
-    bytes_read_ += static_cast<std::uint64_t>(bytes);
-
-    if (injector_ != nullptr &&
-        injector_->stripe_fault(static_cast<int>(idx))) {
-      if (log_ != nullptr)
-        log_->record(core::FaultKind::kStripeFault, static_cast<int>(idx));
-      bool recovered = false;
-      double backoff = policy_.backoff_base;
-      for (int attempt = 1; attempt <= policy_.max_retries; ++attempt) {
-        // RAID-3 re-read: the whole stripe group streams again, plus an
-        // exponential settle delay — all on the modeled clock.
-        io_seconds_ += frame_seconds + backoff;
-        bytes_read_ += static_cast<std::uint64_t>(bytes);
-        if (log_ != nullptr)
-          log_->record(core::FaultKind::kStripeRetry, static_cast<int>(idx),
-                       attempt, backoff);
-        if (!injector_->stripe_fault_persists(static_cast<int>(idx),
-                                              attempt)) {
-          recovered = true;
-          break;
-        }
-        backoff *= 2.0;
-      }
-      if (!recovered) {
-        degrade_frame(idx);
-        ++frames_skipped_;
-        // Retry exhaustion is its own auditable event ("skip-and-
-        // interpolate engaged"), exported as the fault.stripe-skip gauge
-        // by core::publish_metrics(FaultLog) — distinct from the
-        // per-attempt kStripeRetry records above.
-        if (log_ != nullptr)
-          log_->record(core::FaultKind::kStripeSkip, static_cast<int>(idx),
-                       policy_.max_retries);
-      }
+    const StripeRead r =
+        read_stripe(static_cast<int>(idx), bytes, bytes / spec_.effective_bw(),
+                    injector_, log_, policy_, io_seconds_, bytes_read_);
+    if (r.exhausted) {
+      // Skip-and-interpolate engaged.
+      degrade_frame(idx);
+      ++frames_skipped_;
     }
     return f;
   }

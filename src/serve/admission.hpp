@@ -39,8 +39,6 @@ class TokenBucket {
   /// is) — the retry_after hint for rate-limited rejections.
   int millis_until_available(Clock::time_point now) const;
 
-  double tokens() const { return tokens_; }
-
  private:
   void refill(Clock::time_point now);
 
@@ -116,13 +114,6 @@ class BoundedQueue {
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
-  bool stopped() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stopped_;
   }
 
  private:

@@ -190,9 +190,6 @@ class RequestParser {
 
   const std::string& error() const { return error_; }
 
-  /// Bytes buffered but not yet consumed (for read-budget accounting).
-  std::size_t pending() const { return buffer_.size(); }
-
  private:
   enum class State { kHeader, kBefore, kAfter, kSeqPayload, kPoisoned };
 

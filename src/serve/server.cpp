@@ -371,62 +371,58 @@ bool Server::handle_message(Connection& conn, RequestParser::Event event,
   return false;
 }
 
-void Server::admit(Connection& conn, TrackRequest request) {
+bool Server::count_request(Connection& conn, std::uint64_t id,
+                           const std::string& tenant, bool drain_gate) {
   metrics_.counter("serve.requests_total").inc();
-  metrics_.counter("serve.tenant." + request.tenant + ".requests").inc();
-  const std::uint64_t id = request.id;
-  const std::string tenant = request.tenant;
+  metrics_.counter("serve.tenant." + tenant + ".requests").inc();
+  if (!drain_gate || !draining_) return true;
+  reject(conn, id, tenant, ServeError::kShutdown,
+         options_.admission.retry_after_ms);
+  return false;
+}
 
-  if (draining_) {
-    reject(conn, id, tenant, ServeError::kShutdown,
-           options_.admission.retry_after_ms);
-    return;
-  }
+bool Server::spend_token(Connection& conn, std::uint64_t id,
+                         const std::string& tenant) {
+  if (options_.admission.tenant_rate <= 0.0) return true;
+  auto [it, inserted] = buckets_.try_emplace(
+      tenant, options_.admission.tenant_rate, options_.admission.tenant_burst);
+  const auto now = TokenBucket::Clock::now();
+  if (it->second.try_acquire(now)) return true;
+  reject(conn, id, tenant, ServeError::kRateLimited,
+         std::max(1, it->second.millis_until_available(now)));
+  return false;
+}
 
-  if (options_.admission.tenant_rate > 0.0) {
-    auto [it, inserted] = buckets_.try_emplace(
-        tenant, options_.admission.tenant_rate,
-        options_.admission.tenant_burst);
-    const auto now = TokenBucket::Clock::now();
-    if (!it->second.try_acquire(now)) {
-      reject(conn, id, tenant, ServeError::kRateLimited,
-             std::max(1, it->second.millis_until_available(now)));
-      return;
-    }
-  }
-
-  Job job;
-  job.conn_id = conn.id;
-  job.cancel = std::make_shared<core::CancelToken>();
-  const int deadline_ms = request.deadline_ms > 0
-                              ? request.deadline_ms
-                              : options_.default_deadline_ms;
-  if (deadline_ms > 0)
-    job.cancel->set_deadline_after(std::chrono::milliseconds(deadline_ms));
-  job.admitted_at = std::chrono::steady_clock::now();
-  job.request = std::move(request);
-
-  if (!pool_->submit(std::move(job))) {
-    reject(conn, id, tenant, ServeError::kOverloaded,
-           options_.admission.retry_after_ms);
-    return;
-  }
-  ++submitted_;
+void Server::answer(Connection& conn, std::uint64_t id,
+                    const std::string& tenant, Outcome outcome,
+                    ServeError code, std::string message,
+                    int retry_after_ms) {
+  TrackResponse resp;
+  resp.id = id;
+  resp.outcome = outcome;
+  resp.code = code;
+  resp.retry_after_ms = retry_after_ms;
+  resp.message = std::move(message);
+  if (outcome == Outcome::kRejected)
+    metrics_.counter(std::string("serve.rejected.") + serve_error_name(code))
+        .inc();
+  if (code == ServeError::kProtocol)
+    metrics_.counter("serve.protocol_errors").inc();
+  account(resp, tenant);
+  conn.outbox += format_response(resp);
 }
 
 void Server::reject(Connection& conn, std::uint64_t id,
                     const std::string& tenant, ServeError code,
                     int retry_after_ms) {
-  TrackResponse resp;
-  resp.id = id;
-  resp.outcome = Outcome::kRejected;
-  resp.code = code;
-  resp.retry_after_ms = retry_after_ms;
-  resp.message = serve_error_name(code);
-  metrics_.counter(std::string("serve.rejected.") + serve_error_name(code))
-      .inc();
-  account(resp, tenant);
-  conn.outbox += format_response(resp);
+  answer(conn, id, tenant, Outcome::kRejected, code, serve_error_name(code),
+         retry_after_ms);
+}
+
+void Server::seq_error(Connection& conn, std::uint64_t id,
+                       const std::string& tenant,
+                       const std::string& message) {
+  answer(conn, id, tenant, Outcome::kError, ServeError::kProtocol, message);
 }
 
 void Server::account(const TrackResponse& response,
@@ -440,30 +436,38 @@ void Server::account(const TrackResponse& response,
       .inc();
 }
 
-void Server::seq_error(Connection& conn, std::uint64_t id,
-                       const std::string& tenant,
-                       const std::string& message) {
-  metrics_.counter("serve.protocol_errors").inc();
-  TrackResponse resp;
-  resp.id = id;
-  resp.outcome = Outcome::kError;
-  resp.code = ServeError::kProtocol;
-  resp.message = message;
-  account(resp, tenant);
-  conn.outbox += format_response(resp);
+Job Server::make_job(const Connection& conn, TrackRequest request,
+                     int deadline_ms) {
+  Job job;
+  job.conn_id = conn.id;
+  job.cancel = std::make_shared<core::CancelToken>();
+  if (deadline_ms <= 0) deadline_ms = options_.default_deadline_ms;
+  if (deadline_ms > 0)
+    job.cancel->set_deadline_after(std::chrono::milliseconds(deadline_ms));
+  job.request = std::move(request);
+  return job;
 }
 
-void Server::seq_open(Connection& conn, TrackRequest request) {
-  metrics_.counter("serve.requests_total").inc();
-  metrics_.counter("serve.tenant." + request.tenant + ".requests").inc();
+void Server::admit(Connection& conn, TrackRequest request) {
   const std::uint64_t id = request.id;
   const std::string tenant = request.tenant;
+  if (!count_request(conn, id, tenant, /*drain_gate=*/true) ||
+      !spend_token(conn, id, tenant))
+    return;
 
-  if (draining_) {
-    reject(conn, id, tenant, ServeError::kShutdown,
+  const int deadline_ms = request.deadline_ms;
+  if (!pool_->submit(make_job(conn, std::move(request), deadline_ms))) {
+    reject(conn, id, tenant, ServeError::kOverloaded,
            options_.admission.retry_after_ms);
     return;
   }
+  ++submitted_;
+}
+
+void Server::seq_open(Connection& conn, TrackRequest request) {
+  const std::uint64_t id = request.id;
+  const std::string tenant = request.tenant;
+  if (!count_request(conn, id, tenant, /*drain_gate=*/true)) return;
   if (conn.session != nullptr) {
     seq_error(conn, id, tenant, "session already open on this connection");
     return;
@@ -474,45 +478,26 @@ void Server::seq_open(Connection& conn, TrackRequest request) {
            options_.admission.retry_after_ms);
     return;
   }
-
   // The token bucket charges the OPEN only; the session's frames ride
   // on that admission (they are serialized anyway).
-  if (options_.admission.tenant_rate > 0.0) {
-    auto [it, inserted] = buckets_.try_emplace(
-        tenant, options_.admission.tenant_rate,
-        options_.admission.tenant_burst);
-    const auto now = TokenBucket::Clock::now();
-    if (!it->second.try_acquire(now)) {
-      reject(conn, id, tenant, ServeError::kRateLimited,
-             std::max(1, it->second.millis_until_available(now)));
-      return;
-    }
-  }
+  if (!spend_token(conn, id, tenant)) return;
 
-  TrackResponse resp;
-  resp.id = id;
   try {
     core::SmaPipeline& pipeline = pipelines_.pipeline_for(request);
     conn.session = std::make_shared<SeqSession>(std::move(request), pipeline);
-    ++open_sessions_;
-    resp.outcome = Outcome::kOk;
-    resp.code = ServeError::kOk;
-    resp.message = "session open";
   } catch (const std::exception& e) {
-    resp.outcome = Outcome::kError;
-    resp.code = classify_exception(e);
-    resp.message = e.what();
+    answer(conn, id, tenant, Outcome::kError, classify_exception(e), e.what());
+    return;
   }
-  account(resp, tenant);
-  conn.outbox += format_response(resp);
+  ++open_sessions_;
+  answer(conn, id, tenant, Outcome::kOk, ServeError::kOk, "session open");
 }
 
 void Server::seq_frame(Connection& conn, TrackRequest request) {
-  metrics_.counter("serve.requests_total").inc();
   const std::string tenant =
       conn.session != nullptr ? conn.session->config.tenant : request.tenant;
-  metrics_.counter("serve.tenant." + tenant + ".requests").inc();
   const std::uint64_t id = request.id;
+  count_request(conn, id, tenant, /*drain_gate=*/false);
 
   if (conn.session == nullptr) {
     seq_error(conn, id, tenant, "no open session");
@@ -533,22 +518,14 @@ void Server::seq_frame(Connection& conn, TrackRequest request) {
     return;
   }
 
-  Job job;
+  request.tenant = tenant;
+  Job job = make_job(conn, std::move(request),
+                     conn.session->config.deadline_ms);
   job.kind = JobKind::kSeqFrame;
-  job.conn_id = conn.id;
   job.session = conn.session;
-  job.cancel = std::make_shared<core::CancelToken>();
-  // Per-frame deadline chained to the session-wide control token — the
+  // The per-frame deadline chains to the session-wide control token; the
   // parent link is set before the token crosses threads.
   job.cancel->set_parent(conn.session->control);
-  const int deadline_ms = conn.session->config.deadline_ms > 0
-                              ? conn.session->config.deadline_ms
-                              : options_.default_deadline_ms;
-  if (deadline_ms > 0)
-    job.cancel->set_deadline_after(std::chrono::milliseconds(deadline_ms));
-  job.admitted_at = std::chrono::steady_clock::now();
-  request.tenant = tenant;
-  job.request = std::move(request);
 
   if (conn.seq_busy) {
     // One frame in flight per session; park the rest, bounded like the
@@ -575,10 +552,9 @@ void Server::seq_frame(Connection& conn, TrackRequest request) {
 }
 
 void Server::seq_close(Connection& conn, std::uint64_t id) {
-  metrics_.counter("serve.requests_total").inc();
   const std::string tenant =
       conn.session != nullptr ? conn.session->config.tenant : "default";
-  metrics_.counter("serve.tenant." + tenant + ".requests").inc();
+  count_request(conn, id, tenant, /*drain_gate=*/false);
 
   if (conn.session == nullptr) {
     seq_error(conn, id, tenant, "no open session");  // covers double-close
@@ -599,29 +575,14 @@ void Server::abort_session(Connection& conn, ServeError code,
   // Cancelling the control token unwinds a still-running in-flight
   // frame at its next checkpoint; its completion is accounted normally.
   conn.session->control->cancel();
-  for (Job& pending : conn.seq_pending) {
-    TrackResponse resp;
-    resp.id = pending.request.id;
-    resp.outcome = Outcome::kRejected;
-    resp.code = code;
-    resp.retry_after_ms = options_.admission.retry_after_ms;
-    resp.message = message;
-    metrics_.counter(std::string("serve.rejected.") + serve_error_name(code))
-        .inc();
-    account(resp, pending.request.tenant);
-    conn.outbox += format_response(resp);
-  }
+  for (const Job& pending : conn.seq_pending)
+    answer(conn, pending.request.id, pending.request.tenant,
+           Outcome::kRejected, code, message,
+           options_.admission.retry_after_ms);
   conn.seq_pending.clear();
   if (conn.seq_closing) {
-    TrackResponse resp;
-    resp.id = conn.seq_close_id;
-    resp.outcome = Outcome::kRejected;
-    resp.code = code;
-    resp.message = message;
-    metrics_.counter(std::string("serve.rejected.") + serve_error_name(code))
-        .inc();
-    account(resp, conn.session->config.tenant);
-    conn.outbox += format_response(resp);
+    answer(conn, conn.seq_close_id, conn.session->config.tenant,
+           Outcome::kRejected, code, message);
     conn.seq_closing = false;
   }
   conn.session.reset();
@@ -629,15 +590,11 @@ void Server::abort_session(Connection& conn, ServeError code,
 }
 
 void Server::finish_close(Connection& conn) {
-  TrackResponse resp;
-  resp.id = conn.seq_close_id;
-  resp.outcome = Outcome::kOk;
-  resp.code = ServeError::kOk;
   // Not busy, so no worker touches the stream: reading it is safe.
-  resp.message = "session closed frames=" +
-                 std::to_string(conn.session->stream.frames_pushed());
-  account(resp, conn.session->config.tenant);
-  conn.outbox += format_response(resp);
+  answer(conn, conn.seq_close_id, conn.session->config.tenant, Outcome::kOk,
+         ServeError::kOk,
+         "session closed frames=" +
+             std::to_string(conn.session->stream.frames_pushed()));
   conn.seq_closing = false;
   conn.session.reset();
   --open_sessions_;

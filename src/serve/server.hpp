@@ -1,16 +1,22 @@
 // server.hpp — sma_serve's poll()-based IO loop and request lifecycle.
 //
 // One IO thread owns every socket: it accepts connections, feeds bytes
-// to per-connection RequestParsers, runs ADMISSION on each parsed TRACK
-// (drain check -> per-tenant token bucket -> bounded queue), and writes
-// responses back as the worker pool completes them.  Workers never
-// touch sockets; completions cross back to the IO thread through a
-// mutex-guarded batch plus a self-pipe wakeup, the same pipe a signal
-// handler pokes via the async-signal-safe request_drain().
+// to per-connection RequestParsers, runs ADMISSION on each parsed
+// message, and writes responses back as the worker pool completes them.
+// Admission is three shared helpers: count_request counts every TRACK
+// and SEQ message (and gates TRACK and SEQ-OPEN on drain), spend_token
+// charges the tenant's token bucket (TRACK, SEQ-OPEN), and answer
+// builds, accounts and queues every answer given without a worker.  A
+// TRACK runs drain -> token bucket -> bounded queue; a SEQ-OPEN runs
+// drain -> one session per connection -> session cap -> token bucket.
+// Workers never touch sockets; completions cross back to the IO thread
+// through a mutex-guarded batch plus a self-pipe wakeup, the same pipe a
+// signal handler pokes via the async-signal-safe request_drain().
 //
 // Request lifecycle invariant (the chaos contract): every parsed TRACK
-// is accounted exactly once — rejected at admission (shutdown /
-// rate-limited / overloaded) or completed by a worker (ok / degraded /
+// and SEQ message is accounted exactly once — answered at admission
+// (shutdown / rate-limited / overloaded rejections, protocol misuse,
+// session open and close) or completed by a worker (ok / degraded /
 // deadline / error) — whether or not its connection is still alive to
 // receive the response.  serve.requests_total therefore always equals
 // the sum of the serve.outcome.* counters; tests/test_serve.cpp and the
@@ -125,7 +131,6 @@ class Server {
 
   void io_pass(int timeout_ms);
   void accept_ready();
-  void wake_drained();
   void process_completions();
   /// False = close the connection.
   bool read_ready(Connection& conn);
@@ -133,12 +138,33 @@ class Server {
   bool handle_message(Connection& conn, RequestParser::Event event,
                       TrackRequest& request);
   void admit(Connection& conn, TrackRequest request);
-  void reject(Connection& conn, std::uint64_t id, const std::string& tenant,
-              ServeError code, int retry_after_ms);
-  void account(const TrackResponse& response, const std::string& tenant);
   void close_connection(std::uint64_t conn_id);
   void wake() noexcept;
   void flush_metrics();
+
+  // Admission helpers shared by the message handlers (IO thread only).
+  /// Counts one TRACK or SEQ message in serve.requests_total and its
+  /// tenant's requests.  With `drain_gate` (TRACK, SEQ-OPEN) a draining
+  /// server answers it rejected/shutdown and the call returns false.
+  bool count_request(Connection& conn, std::uint64_t id,
+                     const std::string& tenant, bool drain_gate);
+  /// Spends one of the tenant's rate-limit tokens (TRACK, SEQ-OPEN); an
+  /// empty bucket answers rejected/rate-limited and returns false.
+  bool spend_token(Connection& conn, std::uint64_t id,
+                   const std::string& tenant);
+  /// Builds, accounts and queues one answer the IO thread gives itself
+  /// (every handler answer but the parse error, which is no request).
+  /// A rejection also counts serve.rejected.<code>, a protocol error
+  /// serve.protocol_errors.
+  void answer(Connection& conn, std::uint64_t id, const std::string& tenant,
+              Outcome outcome, ServeError code, std::string message,
+              int retry_after_ms = 0);
+  void reject(Connection& conn, std::uint64_t id, const std::string& tenant,
+              ServeError code, int retry_after_ms);
+  void account(const TrackResponse& response, const std::string& tenant);
+  /// An admitted request's job, its token armed with `deadline_ms` (the
+  /// server default when <= 0).
+  Job make_job(const Connection& conn, TrackRequest request, int deadline_ms);
 
   // Sequence-session lifecycle (IO thread only).  Every SEQ message is
   // counted in serve.requests_total and resolves to exactly one outcome,
@@ -182,9 +208,9 @@ class Server {
   /// admission.max_sessions).
   std::size_t open_sessions_ = 0;
 
-  /// TRACKs handed to the pool minus completions processed — maintained
+  /// Jobs handed to the pool minus completions processed — maintained
   /// only on the IO thread, so the drain-done check cannot race a
-  /// worker between queue-pop and in-flight bookkeeping.
+  /// worker between queue-pop and completion.
   std::uint64_t submitted_ = 0;
   std::uint64_t completed_ = 0;
 

@@ -1,5 +1,7 @@
 #include "serve/worker_pool.hpp"
 
+#include <chrono>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -68,7 +70,6 @@ core::PipelineStats PipelineManager::aggregate_stats() const {
     total.cache_evictions += s.cache_evictions;
     total.precompute_builds += s.precompute_builds;
     total.precompute_reuses += s.precompute_reuses;
-    total.ingest_seconds += s.ingest_seconds;
     total.surface_fit_seconds += s.surface_fit_seconds;
     total.geometric_vars_seconds += s.geometric_vars_seconds;
     total.match_precompute_seconds += s.match_precompute_seconds;
@@ -118,10 +119,8 @@ void WorkerPool::worker_main() {
       run_batch(std::move(*job));
       continue;
     }
-    in_flight_.fetch_add(1, std::memory_order_relaxed);
     TrackResponse response = process(*job);
     if (on_complete_) on_complete_(*job, std::move(response));
-    in_flight_.fetch_sub(1, std::memory_order_relaxed);
   }
 }
 
@@ -150,7 +149,6 @@ void WorkerPool::run_batch(Job leader) {
         batching_.max_batch - 1, members);
   }
 
-  in_flight_.fetch_add(1 + members.size(), std::memory_order_relaxed);
   if (batch_sweeps_ != nullptr) batch_sweeps_->inc();
   // Every eligible pop is one observation, so the size histogram also
   // records the unbatched (size 1) baseline.
@@ -194,7 +192,6 @@ void WorkerPool::run_batch(Job leader) {
     for (auto& [job, resp] : member_resps)
       on_complete_(*job, std::move(resp));
   }
-  in_flight_.fetch_sub(1 + members.size(), std::memory_order_relaxed);
 }
 
 WorkerPool::BatchStats WorkerPool::batch_stats() const {
@@ -209,11 +206,6 @@ WorkerPool::BatchStats WorkerPool::batch_stats() const {
 }
 
 TrackResponse WorkerPool::process(const Job& job) {
-  return job.kind == JobKind::kSeqFrame ? process_seq_frame(job)
-                                        : process_track(job);
-}
-
-TrackResponse WorkerPool::process_track(const Job& job) {
   const auto start = std::chrono::steady_clock::now();
   const TrackRequest& req = job.request;
   const core::CancelToken* cancel = job.cancel.get();
@@ -249,53 +241,45 @@ TrackResponse WorkerPool::process_track(const Job& job) {
       if (cancel != nullptr) cancel->check("chaos_stall");
     }
 
-    core::SmaPipeline& pipeline = pipelines_.pipeline_for(req);
-    const auto before = frames_.intern(req.width, req.height, req.before);
-    const auto after = frames_.intern(req.width, req.height, req.after);
+    // A TRACK resolves its pipeline (or config error) before it touches
+    // the frame store; a SEQ-FRAME's pipeline is its session's.
+    const bool seq = job.kind == JobKind::kSeqFrame;
+    core::SmaPipeline* pipeline = seq ? nullptr : &pipelines_.pipeline_for(req);
+    core::FaultLog log;
+    const JobFrame before = load_frame(req, req.before, 0, log);
+    const JobFrame after =
+        seq ? JobFrame{} : load_frame(req, req.after, 1, log);
+    resp.faults = static_cast<long>(log.size());
+    const bool repaired = !log.empty() || before.repaired || after.repaired;
 
-    imaging::FlowField flow;
-    bool degraded = false;
-    if (chaos_.corrupt_frames(req.id)) {
-      // Corrupt COPIES — the canonical interned frames must stay
-      // pristine for other requests sharing them.
-      imaging::ImageF dirty_before = *before;
-      imaging::ImageF dirty_after = *after;
-      core::FaultLog log;
-      const core::FaultInjector injector(chaos_.fault_spec(req.id));
-      injector.corrupt_frame(dirty_before, 0, &log);
-      injector.corrupt_frame(dirty_after, 1, &log);
-      resp.faults = static_cast<long>(log.size());
-
-      const imaging::RepairReport rep_before =
-          imaging::repair_frame(dirty_before);
-      const imaging::RepairReport rep_after =
-          imaging::repair_frame(dirty_after);
-      degraded =
-          !log.empty() || !rep_before.clean() || !rep_after.clean();
-
-      core::TrackerInput input;
-      input.intensity_before = &rep_before.image;
-      input.surface_before = &rep_before.image;
-      input.intensity_after = &rep_after.image;
-      input.surface_after = &rep_after.image;
-      input.validity_before = &rep_before.validity;
-      input.validity_after = &rep_after.validity;
-      flow = pipeline.track_pair(input, cancel).flow;
+    // The flow step, the one part that differs by job kind.
+    std::optional<imaging::FlowField> flow;
+    bool degraded = repaired;
+    if (seq) {
+      // A repaired frame taints the rest of the stream — it becomes the
+      // next pair's before frame — so the session's flag is sticky.
+      SeqSession& session = *job.session;
+      session.degraded = session.degraded || repaired;
+      degraded = session.degraded;
+      auto r = session.stream.push(before.image, before.validity, cancel);
+      if (r) flow = std::move(r->flow);
     } else {
       core::TrackerInput input;
-      input.intensity_before = before.get();
-      input.surface_before = before.get();
-      input.intensity_after = after.get();
-      input.surface_after = after.get();
-      flow = pipeline.track_pair(input, cancel).flow;
+      input.intensity_before = input.surface_before = before.image.get();
+      input.intensity_after = input.surface_after = after.image.get();
+      input.validity_before = before.validity.get();
+      input.validity_after = after.validity.get();
+      flow = pipeline->track_pair(input, cancel).flow;
     }
 
-    resp.valid = static_cast<long>(flow.count_valid());
+    const Outcome outcome = degraded ? Outcome::kDegraded : Outcome::kOk;
+    // First frame of a stream: buffered, no pair to track yet.
+    if (!flow) return finish(outcome, ServeError::kOk, "frame buffered");
+    resp.valid = static_cast<long>(flow->count_valid());
     std::ostringstream payload;
-    write_flow_text(flow, payload);
+    write_flow_text(*flow, payload);
     resp.payload = payload.str();
-    return finish(degraded ? Outcome::kDegraded : Outcome::kOk,
-                  ServeError::kOk, degraded ? "repair engaged" : "");
+    return finish(outcome, ServeError::kOk, degraded ? "repair engaged" : "");
   } catch (const core::CancelledError& e) {
     return finish(Outcome::kDeadline, ServeError::kDeadline, e.what());
   } catch (const std::exception& e) {
@@ -306,83 +290,21 @@ TrackResponse WorkerPool::process_track(const Job& job) {
   }
 }
 
-TrackResponse WorkerPool::process_seq_frame(const Job& job) {
-  const auto start = std::chrono::steady_clock::now();
-  const TrackRequest& req = job.request;
-  const core::CancelToken* cancel = job.cancel.get();
-  SeqSession& session = *job.session;
-
-  TrackResponse resp;
-  resp.id = req.id;
-  resp.total = static_cast<long>(req.width) * req.height;
-
-  auto finish = [&](Outcome outcome, ServeError code, std::string message) {
-    resp.outcome = outcome;
-    resp.code = code;
-    resp.message = std::move(message);
-    resp.wall_ms = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-    return resp;
-  };
-
-  try {
-    if (cancel != nullptr) cancel->check("admission");
-
-    if (chaos_.stall(req.id)) {
-      const auto until =
-          start + std::chrono::milliseconds(chaos_.options().stall_ms);
-      while (std::chrono::steady_clock::now() < until) {
-        if (cancel != nullptr && cancel->expired()) break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      }
-      if (cancel != nullptr) cancel->check("chaos_stall");
-    }
-
-    const auto interned = frames_.intern(req.width, req.height, req.before);
-    std::shared_ptr<const imaging::ImageF> frame = interned;
-    std::shared_ptr<const imaging::ImageU8> mask;
-    if (chaos_.corrupt_frames(req.id)) {
-      // Corrupt a COPY; the interned frame stays pristine for other
-      // tenants.  A repaired frame taints the whole remaining stream —
-      // it becomes the next pair's before frame — so the session's
-      // degraded flag is sticky.
-      imaging::ImageF dirty = *interned;
-      core::FaultLog log;
-      const core::FaultInjector injector(chaos_.fault_spec(req.id));
-      injector.corrupt_frame(dirty, 0, &log);
-      resp.faults = static_cast<long>(log.size());
-
-      imaging::RepairReport rep = imaging::repair_frame(dirty);
-      const bool repaired = !log.empty() || !rep.clean();
-      frame = std::make_shared<imaging::ImageF>(std::move(rep.image));
-      mask = std::make_shared<imaging::ImageU8>(std::move(rep.validity));
-      if (repaired) session.degraded = true;
-    }
-
-    auto r = session.stream.push(std::move(frame), std::move(mask), cancel);
-    if (!r) {
-      // First frame of the stream: buffered, no pair to fit yet.
-      return finish(session.degraded ? Outcome::kDegraded : Outcome::kOk,
-                    ServeError::kOk, "frame buffered");
-    }
-
-    const imaging::FlowField& flow = r->flow;
-    resp.valid = static_cast<long>(flow.count_valid());
-    std::ostringstream payload;
-    write_flow_text(flow, payload);
-    resp.payload = payload.str();
-    return finish(session.degraded ? Outcome::kDegraded : Outcome::kOk,
-                  ServeError::kOk,
-                  session.degraded ? "repair engaged" : "");
-  } catch (const core::CancelledError& e) {
-    return finish(Outcome::kDeadline, ServeError::kDeadline, e.what());
-  } catch (const std::exception& e) {
-    return finish(Outcome::kError, classify_exception(e), e.what());
-  } catch (...) {
-    return finish(Outcome::kError, ServeError::kInternal,
-                  "unknown exception");
-  }
+WorkerPool::JobFrame WorkerPool::load_frame(
+    const TrackRequest& req, const std::vector<std::uint8_t>& bytes,
+    int index, core::FaultLog& log) const {
+  JobFrame frame{frames_.intern(req.width, req.height, bytes)};
+  if (!chaos_.corrupt_frames(req.id)) return frame;
+  // Corrupt a COPY — the interned frame must stay pristine for other
+  // requests sharing it — then repair it like telemetry ingest would.
+  imaging::ImageF dirty = *frame.image;
+  core::FaultInjector(chaos_.fault_spec(req.id))
+      .corrupt_frame(dirty, index, &log);
+  imaging::RepairReport rep = imaging::repair_frame(dirty);
+  frame.repaired = !rep.clean();
+  frame.image = std::make_shared<imaging::ImageF>(std::move(rep.image));
+  frame.validity = std::make_shared<imaging::ImageU8>(std::move(rep.validity));
+  return frame;
 }
 
 }  // namespace sma::serve

@@ -10,12 +10,14 @@
 // same cached surface fit.  SmaPipeline::track_pair is thread-safe for
 // exactly this use (see pipeline.hpp's state_mutex_ contract).
 //
-// WorkerPool::process() is the one function that enforces the outcome
-// taxonomy: whatever happens inside — deadline expiry, chaos stall,
-// frame corruption, a throwing backend — the job leaves as exactly one
-// TrackResponse whose outcome is ok / degraded / deadline / error
-// (rejections never reach a worker; the server bounces them at
-// admission).
+// WorkerPool::process() is the one job lifecycle for both job kinds and
+// the one function that enforces the outcome taxonomy: deadline check,
+// chaos stall, chaos corrupt-and-repair of frame copies, then the flow
+// step (a TRACK tracks its pair, a SEQ-FRAME pushes its frame through
+// its session stream), payload write and catch ladder.  Whatever happens
+// inside, the job leaves as exactly one TrackResponse whose outcome is
+// ok / degraded / deadline / error (rejections never reach a worker; the
+// server bounces them at admission).
 //
 // Two extensions ride on that contract:
 //
@@ -34,8 +36,6 @@
 //     keeping fault injection per-request deterministic.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -129,7 +129,6 @@ struct Job {
   std::shared_ptr<core::CancelToken> cancel;
   /// The session a kSeqFrame belongs to; null for kTrack.
   std::shared_ptr<SeqSession> session;
-  std::chrono::steady_clock::time_point admitted_at{};
 };
 
 /// Batched-dispatch knobs (see the file comment).
@@ -170,15 +169,10 @@ class WorkerPool {
   void drain();
 
   std::size_t queue_depth() const { return queue_.size(); }
-  std::size_t queue_capacity() const { return queue_.capacity(); }
-  std::size_t in_flight() const {
-    return in_flight_.load(std::memory_order_relaxed);
-  }
 
-  /// Runs one job to a terminal response (public for the unit tests,
-  /// which exercise the taxonomy without sockets or threads).
-  /// Dispatches on job.kind: TRACK pairs and session frames share the
-  /// same taxonomy enforcement.
+  /// Runs one job of either kind to a terminal response (public for the
+  /// unit tests, which exercise the taxonomy without sockets or
+  /// threads).
   TrackResponse process(const Job& job);
 
   /// Lifetime batching tallies (counter values; zero without a metrics
@@ -197,8 +191,21 @@ class WorkerPool {
   /// chaos targeting (stall / corruption stay per-request).
   bool batch_eligible(const Job& job) const;
   void run_batch(Job leader);
-  TrackResponse process_track(const Job& job);
-  TrackResponse process_seq_frame(const Job& job);
+
+  /// A job's frame as its flow step sees it: the interned raster, or —
+  /// when chaos corrupts the request — a repaired copy and its validity
+  /// mask.
+  struct JobFrame {
+    std::shared_ptr<const imaging::ImageF> image;
+    std::shared_ptr<const imaging::ImageU8> validity;
+    bool repaired = false;  ///< the repair changed the corrupted copy
+  };
+  /// Interns `bytes`; under chaos corruption, corrupts a copy as frame
+  /// `index` of the request's fault spec (events appended to `log`) and
+  /// repairs it.
+  JobFrame load_frame(const TrackRequest& req,
+                      const std::vector<std::uint8_t>& bytes, int index,
+                      core::FaultLog& log) const;
 
   PipelineManager& pipelines_;
   FrameStore& frames_;
@@ -206,7 +213,6 @@ class WorkerPool {
   Completion on_complete_;
   BoundedQueue<Job> queue_;
   BatchOptions batching_;
-  std::atomic<std::size_t> in_flight_{0};
   std::vector<std::thread> threads_;
   std::once_flag drained_;
 

@@ -16,26 +16,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Config-only restatement of resolve_prune (match_prune.hpp) for the
-/// shard path, which never attaches masks or raw-frame gaps: true when
-/// the per-tile pruned sweep WILL engage, i.e. the runner must provide
-/// whole-frame seeds.  When false every tile falls back to the full
-/// search for the same config-derived reason the whole-frame run would,
-/// so no seeds are needed and identity holds trivially.
-bool pruned_sweep_engages(const core::SmaConfig& c) {
-  if (c.search_mode != core::SearchMode::kPruned) return false;
-  // resolve_precompute, masks excluded (a TileSource has no mask channel).
-  if (c.precompute == core::PrecomputeMode::kOff) return false;
-  if (c.template_stride > 1) return false;
-  // The remaining resolve_prune gates.
-  if (c.model == core::MotionModel::kSemiFluid &&
-      c.semifluid_search_radius > 0)
-    return false;
-  if (c.effective_segment_rows() < c.z_search_size_y()) return false;
-  if (c.z_search_radius < 1 || c.z_search_ry() < 1) return false;
-  return true;
-}
-
 /// Crop-window slice of a whole-frame seed field.  The coarse pass is a
 /// whole-frame product; each tile sees exactly the rows/columns its crop
 /// covers, with the full-frame coarse_hypotheses count carried so the
@@ -92,9 +72,13 @@ ShardResult shard_track_pair(TileSource& source,
   // Pruned mode: the coarse seeding pyramid is computed ONCE on the full
   // frames and sliced per tile (see the header).  This is the one place
   // the runner touches whole frames; the pass streams them through the
-  // source and releases them before any tile is tracked.
+  // source and releases them before any tile is tracked.  Tiles carry
+  // no masks and always carry raw frames, so the config rule alone says
+  // whether their pruned sweep engages; when it does not, every tile
+  // falls back for the reason the whole-frame run would, seed-free.
   core::PruneSeeds full_seeds;
-  const bool inject_seeds = pruned_sweep_engages(config);
+  const bool inject_seeds =
+      core::resolve_prune_config(config) == core::PruneFallback::kNone;
   if (inject_seeds) {
     const imaging::ImageF before = source.window(0, 0, 0, w, h);
     const imaging::ImageF after = source.window(1, 0, 0, w, h);

@@ -132,36 +132,12 @@ const imaging::ImageF& TiledFrameStream::block(int frame, int tile_index) {
   // bounded-retry semantics.  The local file is intact, so exhausted
   // retries serve the data as read instead of interpolating.
   const double bytes = static_cast<double>(pixels.size()) * bytes_per_pixel();
-  const double block_seconds = bytes / spec_.effective_bw();
-  stats_.io_seconds += block_seconds;
-  stats_.bytes_read += static_cast<std::uint64_t>(bytes);
-  if (injector_ != nullptr &&
-      injector_->stripe_fault(static_cast<int>(key))) {
-    ++stats_.faults;
-    if (log_ != nullptr)
-      log_->record(core::FaultKind::kStripeFault, static_cast<int>(key));
-    bool recovered = false;
-    double backoff = policy_.backoff_base;
-    for (int attempt = 1; attempt <= policy_.max_retries; ++attempt) {
-      stats_.io_seconds += block_seconds + backoff;
-      stats_.bytes_read += static_cast<std::uint64_t>(bytes);
-      ++stats_.retries;
-      if (log_ != nullptr)
-        log_->record(core::FaultKind::kStripeRetry, static_cast<int>(key),
-                     attempt, backoff);
-      if (!injector_->stripe_fault_persists(static_cast<int>(key), attempt)) {
-        recovered = true;
-        break;
-      }
-      backoff *= 2.0;
-    }
-    if (!recovered) {
-      ++stats_.skips;
-      if (log_ != nullptr)
-        log_->record(core::FaultKind::kStripeSkip, static_cast<int>(key),
-                     policy_.max_retries);
-    }
-  }
+  const maspar::StripeRead r = maspar::read_stripe(
+      static_cast<int>(key), bytes, bytes / spec_.effective_bw(), injector_,
+      log_, policy_, stats_.io_seconds, stats_.bytes_read);
+  stats_.faults += r.fault ? 1 : 0;
+  stats_.retries += static_cast<std::uint64_t>(r.retries);
+  stats_.skips += r.exhausted ? 1 : 0;
 
   cache_bytes_ += pixels.size() * sizeof(float);
   lru_.push_front(key);

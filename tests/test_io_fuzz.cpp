@@ -141,7 +141,8 @@ TEST_F(IoFuzz, BadMagicAndMaxvalThrow) {
   for (const std::string content :
        {std::string("P6\n8 6\n255\ndata"), std::string("JUNK"),
         std::string(""), std::string("P5\n8 6\n0\n"),
-        std::string("P5\n8 6\n-1\n"), std::string("P5\n8 6\n70000\n")}) {
+        std::string("P5\n8 6\n-1\n"), std::string("P5\n8 6\n70000\n"),
+        valid_pfm()}) {  // a well-formed PFM is still not a PGM
     const std::string path = write_file("bad.pgm", content);
     EXPECT_THROW(imaging::read_pgm(path), std::runtime_error);
   }
@@ -186,7 +187,8 @@ TEST_F(IoFuzz, PfmScaleAndFormatPathologiesThrow) {
         std::string("Pf\n4 3\n0.0\n"),       // zero scale
         std::string("Pf\n4 3\n1.0\n"),       // big-endian
         std::string("Pf\n4 3\nnan\n"),       // non-finite scale
-        std::string("Pf\n4 3\n")}) {         // missing scale
+        std::string("Pf\n4 3\n"),            // missing scale
+        valid_p5()}) {                       // a well-formed PGM
     const std::string path = write_file("scale.pfm", content + "xxxxxxxx");
     EXPECT_THROW(imaging::read_pfm(path), std::runtime_error);
   }

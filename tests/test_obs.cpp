@@ -480,7 +480,7 @@ TEST(Metrics, JsonExportParses) {
 TEST(ObsBridge, NameListsMatchStructShapes) {
   // One name per struct field; the sizeof static_asserts in
   // obs_bridge.cpp force these lists to be revisited on any change.
-  EXPECT_EQ(core::pipeline_stats_metric_names().size(), 14u);
+  EXPECT_EQ(core::pipeline_stats_metric_names().size(), 13u);
   EXPECT_EQ(core::track_timings_metric_names().size(), 6u);
   EXPECT_EQ(core::fault_metric_names().size(), 9u);
   EXPECT_EQ(core::pruning_metric_names().size(), 12u);
@@ -527,7 +527,6 @@ TEST(ObsBridge, PipelineMetricsMatchStatsExactly) {
             static_cast<double>(stats.precompute_builds));
   EXPECT_EQ(csv.at("pipeline.precompute_reuses"),
             static_cast<double>(stats.precompute_reuses));
-  EXPECT_EQ(csv.at("pipeline.ingest_seconds"), stats.ingest_seconds);
   EXPECT_EQ(csv.at("pipeline.surface_fit_seconds"),
             stats.surface_fit_seconds);
   EXPECT_EQ(csv.at("pipeline.geometric_vars_seconds"),

@@ -2,7 +2,8 @@
 // in the serving layer: SEQ wire protocol round-trips and fuzzing,
 // session lifecycle (open / frame stream / close), mid-session deadline
 // abort without a pipeline-slot leak, drain with an open session, chaos
-// corruption on a session frame, the golden equivalence pack (streamed
+// corruption on a session frame and its sticky taint, the admission
+// order of each message kind, the golden equivalence pack (streamed
 // session == in-process track_sequence == T-1 one-shot TRACKs, across
 // backends and batching modes), batching coalesce determinism, and a
 // seeded stress test racing session frames against batched TRACKs on
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "core/cancel.hpp"
+#include "core/fault.hpp"
 #include "core/pipeline.hpp"
 #include "imaging/flow.hpp"
 #include "imaging/image.hpp"
@@ -540,6 +542,103 @@ TEST(ServeSession, ChaosCorruptionDegradesStreamNotHangs) {
   EXPECT_GT(degraded, 0);
   EXPECT_EQ(client.seq_close(9).outcome, Outcome::kOk);
   client.quit();
+  server.request_drain();
+  server.wait();
+  expect_invariant(server);
+}
+
+TEST(ServeSession, ChaosDegradedIsSticky) {
+  serve::ServeOptions options = test_options();
+  options.chaos.enabled = true;
+  options.chaos.seed = 7;
+  options.chaos.frame_fault_rate = 0.5;
+  options.chaos.fault_intensity = 0.06;
+  const auto frames = frame_stream(32, 32, 4);
+
+  // Frame ids picked with the server's own chaos decisions: frames 0, 1
+  // and 3 clean, frame 2 corrupted with at least one injected fault.
+  const serve::ChaosEngine chaos(options.chaos);
+  const auto faults_injected = [&](std::uint64_t id, std::size_t k) {
+    imaging::ImageF img = image_from_bytes(32, 32, frames[k]);
+    core::FaultLog log;
+    core::FaultInjector(chaos.fault_spec(id)).corrupt_frame(img, 0, &log);
+    return !log.empty();
+  };
+  std::vector<std::uint64_t> ids;
+  for (std::uint64_t id = 100; ids.size() < frames.size(); ++id) {
+    const bool corrupt = chaos.corrupt_frames(id);
+    if (ids.size() == 2 ? corrupt && faults_injected(id, 2) : !corrupt)
+      ids.push_back(id);
+  }
+
+  serve::Server server(options);
+  server.start();
+  server.run_in_thread();
+  serve::Client client;
+  client.connect("127.0.0.1", server.port());
+  ASSERT_EQ(client.seq_open(session_config(1, "sticky")).outcome,
+            Outcome::kOk);
+  // The repaired frame 2 becomes pair 3's before frame, so the taint
+  // outlives it: clean frame 3 still answers degraded.
+  const Outcome expected[] = {Outcome::kOk, Outcome::kOk, Outcome::kDegraded,
+                              Outcome::kDegraded};
+  for (std::size_t k = 0; k < frames.size(); ++k) {
+    const serve::TrackResponse resp =
+        client.seq_frame(ids[k], 32, 32, frames[k]);
+    EXPECT_EQ(resp.outcome, expected[k]) << "frame " << k;
+    EXPECT_EQ(resp.code, ServeError::kOk) << "frame " << k;
+    EXPECT_EQ(resp.payload.empty(), k == 0) << "frame " << k;
+  }
+  EXPECT_EQ(client.seq_close(9).outcome, Outcome::kOk);
+  client.quit();
+  server.request_drain();
+  server.wait();
+  EXPECT_EQ(server.outcome_count(Outcome::kDegraded), 2.0);
+  expect_invariant(server);
+}
+
+TEST(ServeSession, AdmissionOrderPerMessageKind) {
+  // One token per tenant that does not refill within the test, and one
+  // session slot: each message kind meets the checks in its own order.
+  serve::ServeOptions options = test_options();
+  options.admission.tenant_rate = 0.001;
+  options.admission.tenant_burst = 1;
+  options.admission.max_sessions = 1;
+  serve::Server server(options);
+  server.start();
+  server.run_in_thread();
+
+  const auto frames = frame_stream(32, 32, 3);
+  serve::Client a, b;
+  a.connect("127.0.0.1", server.port());
+  b.connect("127.0.0.1", server.port());
+
+  // The first SEQ-OPEN spends the tenant's only token.
+  ASSERT_EQ(a.seq_open(session_config(1, "metered")).outcome, Outcome::kOk);
+  // A second open on the same connection is misuse, caught before the
+  // empty bucket.
+  serve::TrackResponse resp = a.seq_open(session_config(2, "metered"));
+  EXPECT_EQ(resp.outcome, Outcome::kError);
+  EXPECT_EQ(resp.code, ServeError::kProtocol);
+  // The session's frames ride on the open's admission.
+  for (std::size_t k = 0; k < frames.size(); ++k)
+    EXPECT_EQ(a.seq_frame(3 + k, 32, 32, frames[k]).outcome, Outcome::kOk)
+        << "frame " << k;
+  // A TRACK from the same tenant meets the empty bucket.
+  serve::TrackRequest track = session_config(10, "metered");
+  track.before = frames[0];
+  track.after = frames[1];
+  resp = b.track(track);
+  EXPECT_EQ(resp.outcome, Outcome::kRejected);
+  EXPECT_EQ(resp.code, ServeError::kRateLimited);
+  // A SEQ-OPEN from another connection meets the session cap first.
+  resp = b.seq_open(session_config(11, "metered"));
+  EXPECT_EQ(resp.outcome, Outcome::kRejected);
+  EXPECT_EQ(resp.code, ServeError::kOverloaded);
+
+  EXPECT_EQ(a.seq_close(20).outcome, Outcome::kOk);
+  a.quit();
+  b.quit();
   server.request_drain();
   server.wait();
   expect_invariant(server);
