@@ -8,6 +8,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sched/scheduler.hpp"
+
 namespace sma::core {
 
 namespace {
@@ -124,15 +126,21 @@ SemiFluidCostField::SemiFluidCostField(const imaging::ImageF& disc_before,
   for (int oy = oy_min; oy <= oy_max; ++oy) {
     for (int ox = -ox_radius; ox <= ox_radius; ++ox) {
       for (int y = r0; y <= r1; ++y) {
-        // sq_diff with the row lookups hoisted out of the x loop.
+        // sq_diff with the row lookups hoisted out of the x loop.  Only
+        // x + ox outside [0, w) clamps, so the interior [lo, hi) reads
+        // after_row unclamped and vectorizes.
         const float* const before_row = disc_before.row(y);
         const float* const after_row =
             disc_after.row(std::clamp(y + oy, 0, h - 1));
-        for (int x = 0; x < w; ++x) {
-          const double d =
-              after_row[std::clamp(x + ox, 0, w - 1)] - before_row[x];
+        const int lo = std::clamp(-ox, 0, w);
+        const int hi = std::clamp(w - ox, lo, w);
+        const auto sq_at = [&](int x, float after) {
+          const double d = after - before_row[x];
           padded[x] = d * d;
-        }
+        };
+        for (int x = 0; x < lo; ++x) sq_at(x, after_row[0]);
+        for (int x = lo; x < hi; ++x) sq_at(x, after_row[x + ox]);
+        for (int x = hi; x < w; ++x) sq_at(x, after_row[w - 1]);
         for (int e = 1; e <= nst; ++e) {
           padded[-e] = padded[0];
           padded[w - 1 + e] = padded[w - 1];
@@ -192,7 +200,7 @@ std::size_t SemiFluidCostField::bytes() const {
 SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
                                const imaging::ImageF& disc_after,
                                int hx_radius, int hy_min, int hy_max, int nss,
-                               int nst)
+                               int nst, bool parallel, int max_executors)
     : width_(disc_before.width()),
       height_(disc_before.height()),
       hx_radius_(hx_radius),
@@ -207,9 +215,7 @@ SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
     dx_[c] = static_cast<std::int8_t>(c % k - nss);
     dy_[c] = static_cast<std::int8_t>(c / k - nss);
   }
-  const auto window_code = [&](int dx, int dy) {
-    return static_cast<std::uint8_t>((dy + nss) * k + dx + nss);
-  };
+  const std::uint8_t centre = static_cast<std::uint8_t>(nss * k + nss);
   // Window codes, the one preferred on an exact cost tie first.
   std::vector<std::uint8_t> preference(static_cast<std::size_t>(k * k));
   std::iota(preference.begin(), preference.end(), std::uint8_t{0});
@@ -221,13 +227,19 @@ SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
   const std::size_t npix = static_cast<std::size_t>(width_) * height_;
   codes_.resize(static_cast<std::size_t>(hy_max - hy_min + 1) * npix * nhx);
 
-  // The entries of pixel rows [y0, y1] through a rolling band of
-  // single-offset-row cost fields over those rows: offset rows
-  // [hy - nss, hy + nss] are resident while hypothesis row hy is
-  // resolved, each is built once, and the full field never exists.
-  // Returns the band's high-water bytes.
-  const auto layer_strip = [&](int y0, int y1) {
-    const std::size_t spix = static_cast<std::size_t>(y1 - y0 + 1) * width_;
+  // One task per strip of kStripRows pixel rows [y0, y1): its entries
+  // through a rolling band of single-offset-row cost fields over those
+  // rows.  Offset rows [hy - nss, hy + nss] are resident while
+  // hypothesis row hy is resolved, each is built once, and the full
+  // field never exists.  A strip reads only the shared discriminants
+  // and writes only its own code rows and band high-water slot, so the
+  // table is the same at every pool width.
+  const std::vector<sched::Tile> strips = sched::make_tiles(
+      width_, height_, sched::TileShape{width_, kStripRows});
+  std::vector<std::size_t> strip_band(strips.size());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto build_strip = [&](const sched::Tile& strip, std::size_t index) {
+    const std::size_t spix = strip.pixels();
     std::vector<double> best(spix);
     std::vector<std::uint8_t> winner(spix);
     std::size_t high_water = 0;
@@ -238,45 +250,65 @@ SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
       for (int oy = band.empty() ? hy - nss : band.back().oy_max() + 1;
            oy <= hy + nss; ++oy)
         band.emplace_back(disc_before, disc_after, hx_radius + nss, oy, oy,
-                          nst, y0, y1);
+                          nst, strip.y0, strip.y1 - 1);
       std::size_t held = 0;
       for (const SemiFluidCostField& row : band) held += row.bytes();
       high_water = std::max(high_water, held);
 
       for (int hx = -hx_radius; hx <= hx_radius; ++hx) {
-        // best_offset's argmin for every pixel of the strip at once.  Its
-        // result is the least (cost, tie preference) pair, so visiting
-        // the window in preference order and taking only strictly lower
-        // costs selects the same winner with a branch-free update.
-        std::fill(best.begin(), best.end(),
-                  std::numeric_limits<double>::infinity());
-        std::fill(winner.begin(), winner.end(), window_code(0, 0));
+        const auto layer = [&](std::uint8_t code) {
+          return band[static_cast<std::size_t>(dy_[code] + nss)]
+              .layer(hx + dx_[code], hy + dy_[code])
+              .data();
+        };
+        // best_offset's argmin for every pixel of the strip at once, as
+        // two passes that vectorize: the least cost over the window,
+        // then the first code in preference order that attains it
+        // (walking the codes in reverse, the last write wins).  NaN
+        // costs never win either pass.  The best < inf guard keeps the
+        // window centre when no cost is finite, as best_offset does: it
+        // starts at the centre, which an infinite cost neither beats
+        // nor displaces on the tie-break.
+        std::fill(best.begin(), best.end(), kInf);
         for (const std::uint8_t code : preference) {
-          const double* const c =
-              band[static_cast<std::size_t>(dy_[code] + nss)]
-                  .layer(hx + dx_[code], hy + dy_[code])
-                  .data();
-          for (std::size_t i = 0; i < spix; ++i) {
-            const bool take = c[i] < best[i];
-            best[i] = take ? c[i] : best[i];
-            winner[i] = take ? code : winner[i];
-          }
+          const double* const c = layer(code);
+          for (std::size_t i = 0; i < spix; ++i)
+            best[i] = c[i] < best[i] ? c[i] : best[i];
+        }
+        std::fill(winner.begin(), winner.end(), centre);
+        for (auto it = preference.rbegin(); it != preference.rend(); ++it) {
+          const std::uint8_t code = *it;
+          const double* const c = layer(code);
+          for (std::size_t i = 0; i < spix; ++i)
+            winner[i] =
+                (c[i] == best[i]) & (best[i] < kInf) ? code : winner[i];
         }
         std::uint8_t* const out =
             codes_.data() +
             (static_cast<std::size_t>(hy - hy_min) * npix +
-             static_cast<std::size_t>(y0) * width_) * nhx +
+             static_cast<std::size_t>(strip.y0) * width_) * nhx +
             static_cast<std::size_t>(hx + hx_radius);
         for (std::size_t i = 0; i < spix; ++i) out[i * nhx] = winner[i];
       }
     }
-    return high_water;
+    strip_band[index] = high_water;
   };
-
-  for (int y0 = 0; y0 < height_; y0 += kStripRows) {
-    const int y1 = std::min(y0 + kStripRows, height_) - 1;
-    band_bytes_ = std::max(band_bytes_, layer_strip(y0, y1));
+  int executors = 1;
+  if (parallel) {
+    sched::ThreadPool& pool = sched::ThreadPool::shared();
+    pool.run(strips, build_strip, max_executors);
+    executors = std::max(pool.threads(), 1);
+    if (max_executors > 0) executors = std::min(executors, max_executors);
+  } else {
+    for (std::size_t i = 0; i < strips.size(); ++i)
+      build_strip(strips[i], i);
   }
+  // Up to `executors` strips, each with its own band, are built at once.
+  std::size_t strip_high_water = 0;
+  for (const std::size_t b : strip_band)
+    strip_high_water = std::max(strip_high_water, b);
+  band_bytes_ = strip_high_water *
+                std::min(strips.size(), static_cast<std::size_t>(executors));
 }
 
 }  // namespace sma::core

@@ -43,7 +43,14 @@
 // resident.  The image is further cut into strips of kStripRows pixel
 // rows, each rolling its own band, so the resident layers no longer
 // scale with the image height (the horizontal box pass recomputes N_sT
-// halo rows at each strip edge).
+// halo rows at each strip edge).  A strip reads only the shared
+// discriminants and writes only its own code rows, so a parallel build
+// runs the strips as tasks on the sched pool and yields the same table
+// at any width; band_bytes() then counts one band per strip that can be
+// resident at once.  Within a strip the argmin is two passes that
+// vectorize: the least cost over the window, then the code preferred on
+// a tie among those that attain it.  When no candidate cost is finite
+// the window centre is kept, as semifluid_match does.
 #pragma once
 
 #include <array>
@@ -138,9 +145,14 @@ class SemiFluidTable {
   /// Pixel rows per cost-layer strip.
   static constexpr int kStripRows = 8;
 
+  /// With `parallel` the strips run as one batch on the shared sched
+  /// pool, on at most `max_executors` workers (0 = the whole pool);
+  /// otherwise on the caller, in order.  The entries are the same
+  /// either way.
   SemiFluidTable(const imaging::ImageF& disc_before,
                  const imaging::ImageF& disc_after, int hx_radius,
-                 int hy_min, int hy_max, int nss, int nst);
+                 int hy_min, int hy_max, int nss, int nst,
+                 bool parallel = false, int max_executors = 0);
 
   int width() const { return width_; }
   int height() const { return height_; }
@@ -169,7 +181,8 @@ class SemiFluidTable {
 
   /// Bytes held by the table entries.
   std::size_t bytes() const { return codes_.size(); }
-  /// High-water bytes of the cost-layer band during the build.
+  /// High-water bytes of the cost-layer bands during the build: one
+  /// strip's band times the strips that can be resident at once.
   std::size_t band_bytes() const { return band_bytes_; }
 
  private:

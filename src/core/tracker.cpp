@@ -272,12 +272,14 @@ namespace {
 // remap is active and a consumer reads it — the precomputed evaluator
 // (`fast_path`, always) or the naive path under use_precomputed_mapping
 // — and nullopt otherwise (the naive path then remaps on the fly through
-// semifluid_match, the oracle).  The build time goes to
-// timings.semifluid_mapping only; band + table bytes raise
+// semifluid_match, the oracle).  With `parallel` its strips run on the
+// sched pool under the SmaConfig::threads cap.  The build time goes to
+// timings.semifluid_mapping only; resident band + table bytes raise
 // `peak_mapping_bytes`.
 std::optional<SemiFluidTable> build_semifluid_table(
-    const MatchInput& in, const SmaConfig& config, bool fast_path, int hy_min,
-    int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes) {
+    const MatchInput& in, const SmaConfig& config, bool parallel,
+    bool fast_path, int hy_min, int hy_max, TrackTimings& timings,
+    std::size_t& peak_mapping_bytes) {
   if (!semifluid_active(in, config) ||
       !(fast_path || config.use_precomputed_mapping))
     return std::nullopt;
@@ -286,7 +288,7 @@ std::optional<SemiFluidTable> build_semifluid_table(
   std::optional<SemiFluidTable> table;
   table.emplace(*in.disc_before, *in.disc_after, config.z_search_radius,
                 hy_min, hy_max, config.effective_nss(),
-                config.semifluid_template_radius);
+                config.semifluid_template_radius, parallel, config.threads);
   timings.semifluid_mapping += seconds_since(t0);
   peak_mapping_bytes =
       std::max(peak_mapping_bytes, table->band_bytes() + table->bytes());
@@ -431,7 +433,7 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
     for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
       const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
       const std::optional<SemiFluidTable> table = build_semifluid_table(
-          in, config, pre != nullptr, hy_min, hy_max, timings,
+          in, config, parallel, pre != nullptr, hy_min, hy_max, timings,
           result.peak_mapping_bytes);
       // Nested under the pipeline's "matching" span: one span per
       // segment, so segmented searches show their per-segment structure

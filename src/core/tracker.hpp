@@ -92,8 +92,9 @@ struct TrackResult {
   TrackTimings timings;
   std::optional<ParamsField> params;
   /// Peak bytes held by the semi-fluid mapping (whole image): the
-  /// rolling cost-layer band plus the segment's correspondence table;
-  /// feeds the Sec. 4.3 PE-memory accounting in the benches.
+  /// rolling cost-layer bands resident at once plus the segment's
+  /// correspondence table; feeds the Sec. 4.3 PE-memory accounting in
+  /// the benches.
   std::size_t peak_mapping_bytes = 0;
   /// Backend-specific attachments (null for full-search "sequential"
   /// runs).  See BackendExtras; shared so TrackResult stays cheaply

@@ -5,11 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "helpers.hpp"
+#include "sched/scheduler.hpp"
 
 namespace sma::core {
 namespace {
@@ -168,9 +173,17 @@ TEST(CostField, RowLimitedEqualsFullOnItsRows) {
 // SemiFluidTable: every entry M_h(p) must equal both the full cost
 // field's best_offset and the direct semifluid_match — on every pixel
 // (clamped borders included), every hypothesis of the segment, under
-// exact-tie plateaus, for N_ss in {0, 1, 2}, rectangular searches and
-// segments smaller than the full search.
+// exact-tie plateaus and non-finite costs, for N_ss in {0, 1, 2},
+// rectangular searches and segments smaller than the full search.
 // ---------------------------------------------------------------------------
+
+// A block written into the discriminants before the table is built.
+enum class Patch {
+  kNone,
+  kPlateau,   // same constant in both frames: exact-tie plateaus
+  kInfBoth,   // +inf in both frames: costs inf (one side) and NaN (both)
+  kInfAfter,  // +inf in D' only: costs inf, never NaN
+};
 
 struct TableCase {
   const char* name;
@@ -178,24 +191,77 @@ struct TableCase {
   int nss, nst;
   int hx_radius;
   int hy_min, hy_max;  // the segment
-  bool plateau;        // constant discriminant patch: exact-tie plateaus
+  Patch patch;
 };
+
+void apply_patch(const TableCase& c, imaging::ImageF& d0,
+                 imaging::ImageF& d1) {
+  const float inf = std::numeric_limits<float>::infinity();
+  switch (c.patch) {
+    case Patch::kNone:
+      return;
+    case Patch::kPlateau:
+      // Every candidate whose semi-fluid template stays inside the block
+      // costs exactly zero.
+      for (int y = 2; y < std::min(c.h, 11); ++y)
+        for (int x = 1; x < std::min(c.w, 12); ++x) {
+          d0.at(x, y) = 5.0f;
+          d1.at(x, y) = 5.0f;
+        }
+      return;
+    case Patch::kInfBoth:
+    case Patch::kInfAfter:
+      // Candidates whose template touches the block cost inf, or NaN
+      // where both frames are inf.  A pixel with no finite candidate
+      // must keep its window centre.
+      for (int y = 8; y < std::min(c.h, 13); ++y)
+        for (int x = 6; x < std::min(c.w, 11); ++x) {
+          if (c.patch == Patch::kInfBoth) d0.at(x, y) = inf;
+          d1.at(x, y) = inf;
+        }
+      return;
+  }
+}
+
+// The case's discriminants: a textured D, D' its (1, -1) shift, and the
+// case's patch written into both.
+std::pair<imaging::ImageF, imaging::ImageF> case_discriminants(
+    const TableCase& c) {
+  imaging::ImageF d0 = testing::textured_pattern(c.w, c.h);
+  imaging::ImageF d1 = testing::shift_image(d0, 1, -1);
+  apply_patch(c, d0, d1);
+  return {std::move(d0), std::move(d1)};
+}
+
+// Resizes the shared sched pool for one scope, then restores its width.
+class PoolWidth {
+ public:
+  explicit PoolWidth(int threads)
+      : saved_(sched::ThreadPool::shared().threads()) {
+    sched::ThreadPool::shared().resize(threads);
+  }
+  ~PoolWidth() { sched::ThreadPool::shared().resize(saved_); }
+  PoolWidth(const PoolWidth&) = delete;
+  PoolWidth& operator=(const PoolWidth&) = delete;
+
+ private:
+  int saved_;
+};
+
+// Code bytes that differ between two tables built over the same window.
+std::size_t differing_codes(const SemiFluidTable& a, const SemiFluidTable& b) {
+  const std::uint8_t* const pa = a.codes(0, 0, a.hy_min());
+  const std::uint8_t* const pb = b.codes(0, 0, b.hy_min());
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < a.bytes(); ++i) n += pa[i] != pb[i] ? 1 : 0;
+  return n;
+}
 
 class TableEquivalence : public ::testing::TestWithParam<TableCase> {};
 
 TEST_P(TableEquivalence, EntriesMatchCostFieldAndDirectMatch) {
   const TableCase c = GetParam();
-  imaging::ImageF d0 = testing::textured_pattern(c.w, c.h);
-  imaging::ImageF d1 = testing::shift_image(d0, 1, -1);
-  if (c.plateau) {
-    // Same constant in both frames over a block: every candidate whose
-    // semi-fluid template stays inside it costs exactly zero.
-    for (int y = 2; y < std::min(c.h, 11); ++y)
-      for (int x = 1; x < std::min(c.w, 12); ++x) {
-        d0.at(x, y) = 5.0f;
-        d1.at(x, y) = 5.0f;
-      }
-  }
+  const auto [d0, d1] = case_discriminants(c);
   const SemiFluidTable layers(d0, d1, c.hx_radius, c.hy_min, c.hy_max, c.nss,
                               c.nst);
   const SemiFluidCostField field(d0, d1, c.hx_radius + c.nss,
@@ -206,7 +272,9 @@ TEST_P(TableEquivalence, EntriesMatchCostFieldAndDirectMatch) {
   EXPECT_GT(layers.band_bytes(), 0u);
   EXPECT_LT(layers.band_bytes(), field.bytes());
 
+  const bool plateau = c.patch == Patch::kPlateau;
   int ties = 0;
+  int nonfinite = 0;
   for (int py = 0; py < c.h; ++py)
     for (int px = 0; px < c.w; ++px)
       for (int hy = c.hy_min; hy <= c.hy_max; ++hy)
@@ -219,10 +287,34 @@ TEST_P(TableEquivalence, EntriesMatchCostFieldAndDirectMatch) {
           ASSERT_EQ(layers.offset(px, py, hx, hy), want)
               << c.name << " p=(" << px << "," << py << ") h=(" << hx << ","
               << hy << ")";
-          if (c.plateau && field.cost(px, py, hx, hy) == 0.0) ++ties;
+          if (plateau && field.cost(px, py, hx, hy) == 0.0) ++ties;
+          if (!std::isfinite(field.cost(px, py, hx, hy))) ++nonfinite;
         }
-  if (c.plateau && c.nss > 0) {
+  if (plateau && c.nss > 0) {
     EXPECT_GT(ties, 0) << "plateau never tied";
+  }
+  if (c.patch == Patch::kInfBoth || c.patch == Patch::kInfAfter) {
+    EXPECT_GT(nonfinite, 0) << "inf patch left every cost finite";
+  }
+}
+
+// Strips built as pool tasks write disjoint code rows: every byte equals
+// the serial build's at every pool width and under an executor cap.
+TEST_P(TableEquivalence, ParallelBuildMatchesSerial) {
+  const TableCase c = GetParam();
+  const auto [d0, d1] = case_discriminants(c);
+  const auto build = [&](bool parallel, int max_executors) {
+    return SemiFluidTable(d0, d1, c.hx_radius, c.hy_min, c.hy_max, c.nss,
+                          c.nst, parallel, max_executors);
+  };
+  const SemiFluidTable serial = build(false, 0);
+  for (const auto& [width, cap] :
+       {std::pair{1, 0}, std::pair{2, 0}, std::pair{4, 0}, std::pair{4, 2}}) {
+    const PoolWidth pool(width);
+    const SemiFluidTable parallel = build(true, cap);
+    ASSERT_EQ(parallel.bytes(), serial.bytes());
+    EXPECT_EQ(differing_codes(parallel, serial), 0u)
+        << c.name << " at pool width " << width << ", cap " << cap;
   }
 }
 
@@ -230,26 +322,56 @@ INSTANTIATE_TEST_SUITE_P(
     Segments, TableEquivalence,
     ::testing::Values(
         // Full square search, paper-style windows.
-        TableCase{"nss1_square", 19, 21, 1, 2, 2, -2, 2, false},
+        TableCase{"nss1_square", 19, 21, 1, 2, 2, -2, 2, Patch::kNone},
         // N_ss = 0: the table is the F_cont identity.
-        TableCase{"nss0", 15, 13, 0, 2, 2, -2, 2, false},
+        TableCase{"nss0", 15, 13, 0, 2, 2, -2, 2, Patch::kNone},
         // Wider semi-fluid window.
-        TableCase{"nss2", 17, 14, 2, 1, 1, -1, 1, false},
+        TableCase{"nss2", 17, 14, 2, 1, 1, -1, 1, Patch::kNone},
         // Rectangular search: vertical radius differs from horizontal.
-        TableCase{"rect_search", 16, 18, 1, 2, 3, -1, 1, false},
+        TableCase{"rect_search", 16, 18, 1, 2, 3, -1, 1, Patch::kNone},
         // Segments of a 5-row search: first, interior, single-row.
-        TableCase{"segment_top", 18, 17, 1, 2, 2, -2, -1, false},
-        TableCase{"segment_mid", 18, 17, 1, 2, 2, 0, 1, false},
-        TableCase{"segment_row", 18, 17, 2, 1, 2, 2, 2, false},
+        TableCase{"segment_top", 18, 17, 1, 2, 2, -2, -1, Patch::kNone},
+        TableCase{"segment_mid", 18, 17, 1, 2, 2, 0, 1, Patch::kNone},
+        TableCase{"segment_row", 18, 17, 2, 1, 2, 2, 2, Patch::kNone},
         // Exact-tie plateaus.
-        TableCase{"plateau_nss1", 16, 16, 1, 1, 2, -2, 2, true},
-        TableCase{"plateau_nss2", 16, 16, 2, 0, 1, -1, 1, true},
+        TableCase{"plateau_nss1", 16, 16, 1, 1, 2, -2, 2, Patch::kPlateau},
+        TableCase{"plateau_nss2", 16, 16, 2, 0, 1, -1, 1, Patch::kPlateau},
+        // Non-finite costs: no finite candidate keeps the window centre.
+        TableCase{"inf_both", 19, 21, 1, 2, 2, -2, 2, Patch::kInfBoth},
+        TableCase{"inf_after", 19, 21, 1, 2, 2, -2, 2, Patch::kInfAfter},
+        // Whole strips only, and whole strips plus a short last one.
+        TableCase{"four_strips", 12, 32, 1, 2, 2, -2, 2, Patch::kNone},
+        TableCase{"strip_tail", 10, 27, 1, 2, 3, -1, 1, Patch::kNone},
         // Frames shorter than one strip, and smaller than the halo.
-        TableCase{"short_frame", 11, 5, 1, 2, 2, -2, 2, false},
-        TableCase{"tiny_frame", 3, 4, 2, 2, 3, -3, 3, false}),
+        TableCase{"short_frame", 11, 5, 1, 2, 2, -2, 2, Patch::kNone},
+        TableCase{"tiny_frame", 3, 4, 2, 2, 3, -3, 3, Patch::kNone}),
     [](const ::testing::TestParamInfo<TableCase>& info) {
       return std::string(info.param.name);
     });
+
+// Strips built side by side each hold their own band, so band_bytes is
+// one strip's high-water times the strips that can be resident at once.
+TEST(SemiFluidTable, BandBytesCountResidentStrips) {
+  // Four equal strips: every strip's band peaks at the same bytes.
+  const int h = 4 * SemiFluidTable::kStripRows;
+  const imaging::ImageF d0 = testing::textured_pattern(12, h);
+  const imaging::ImageF d1 = testing::shift_image(d0, 1, -1);
+  const auto band_bytes = [&](bool parallel, int max_executors) {
+    return SemiFluidTable(d0, d1, 2, -2, 2, 1, 2, parallel, max_executors)
+        .band_bytes();
+  };
+  const std::size_t serial = band_bytes(false, 0);
+  ASSERT_GT(serial, 0u);
+  {
+    const PoolWidth pool(4);
+    EXPECT_EQ(band_bytes(true, 0), 4 * serial);
+    EXPECT_EQ(band_bytes(true, 2), 2 * serial);
+  }
+  {
+    const PoolWidth pool(1);
+    EXPECT_EQ(band_bytes(true, 0), serial);
+  }
+}
 
 TEST(SemiFluidTable, RejectsOversizedWindow) {
   const imaging::ImageF d(8, 8, 1.0f);
