@@ -215,11 +215,11 @@ int main(int argc, char** argv) {
   }
 
   // --- Self-check: the fast paths are the same algorithm, not lookalikes.
-  const bool identical = pre.flow == naive.flow;
-  std::printf("\n  precompute flow bit-identical to naive: %s\n",
+  const bool identical = imaging::bit_equal(pre.flow, naive.flow);
+  std::printf("\n  precompute flow-identical to naive: %s\n",
               identical ? "yes" : "NO — BUG");
-  const bool vector_identical = vec.flow == naive.flow;
-  std::printf("  vector flow bit-identical to naive: %s\n",
+  const bool vector_identical = imaging::bit_equal(vec.flow, naive.flow);
+  std::printf("  vector flow-identical to naive: %s\n",
               vector_identical ? "yes" : "NO — BUG");
 
   const int drift_margin =

@@ -41,15 +41,6 @@ std::string temp_path(const char* name) {
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
 
-/// Whole-field bit equality over all five planes.
-bool identical(const imaging::FlowField& a, const imaging::FlowField& b) {
-  if (a.width() != b.width() || a.height() != b.height()) return false;
-  for (int y = 0; y < a.height(); ++y)
-    for (int x = 0; x < a.width(); ++x)
-      if (!(a.at(x, y) == b.at(x, y))) return false;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -126,7 +117,8 @@ int main(int argc, char** argv) {
         best = std::move(run);
     }
     const shard::ShardReport& rep = best.report;
-    const bool ok = !check_identity || identical(best.flow, reference);
+    const bool ok =
+        !check_identity || imaging::bit_equal(best.flow, reference);
     const double total_bytes =
         static_cast<double>(rep.core_bytes + rep.halo_bytes);
     const double halo_frac =
@@ -142,7 +134,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(rep.stream.block_reads),
         static_cast<unsigned long long>(rep.stream.cache_hits),
         static_cast<double>(rep.stream.resident_high_water) / (1 << 20),
-        check_identity ? (ok ? "BIT-IDENTICAL" : "MISMATCH — BUG")
+        check_identity ? (ok ? "FLOW-IDENTICAL" : "MISMATCH — BUG")
                        : "unverified (budgeted)");
 
     std::printf("    %-10s %14s %12s %14s\n", "workers", "makespan", "speedup",

@@ -58,11 +58,11 @@
 //   --max-disparity N      coarsest search range   (default 8)
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/match_vector.hpp"
@@ -109,21 +109,10 @@ int usage() {
   return 2;
 }
 
-/// The value of the flag at argv[i], advancing i past it.  A flag with
-/// no value is a bad flag (exit 2), like every other config error.
-const char* next_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc)
-    throw std::invalid_argument(std::string("missing value for ") + argv[i]);
-  return argv[++i];
-}
-
-int int_arg(int argc, char** argv, int& i) {
-  return std::atoi(next_arg(argc, argv, i));
-}
-
-double double_arg(int argc, char** argv, int& i) {
-  return std::atof(next_arg(argc, argv, i));
-}
+using serve::double_flag;
+using serve::flag_value;
+using serve::int_flag;
+using serve::int_pair_flag;
 
 int cmd_synth(int argc, char** argv) {
   const std::string prefix = argv[2];
@@ -132,9 +121,9 @@ int cmd_synth(int argc, char** argv) {
   for (int i = 3; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--frames") {
-      frames = int_arg(argc, argv, i);
+      frames = int_flag(argc, argv, i);
     } else if (a == "--size") {
-      size = int_arg(argc, argv, i);
+      size = int_flag(argc, argv, i);
       if (size < 8) throw std::invalid_argument("--size must be >= 8");
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
@@ -197,21 +186,25 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--model") {
-      const std::string m = next_arg(argc, argv, i);
-      o.cfg.model = (m == "cont") ? core::MotionModel::kContinuous
-                                  : core::MotionModel::kSemiFluid;
+      const std::string m = flag_value(argc, argv, i);
+      if (m == "cont")
+        o.cfg.model = core::MotionModel::kContinuous;
+      else if (m == "semi")
+        o.cfg.model = core::MotionModel::kSemiFluid;
+      else
+        throw std::invalid_argument("--model expects cont|semi");
     } else if (a == "--search") {
-      o.cfg.z_search_radius = int_arg(argc, argv, i);
+      o.cfg.z_search_radius = int_flag(argc, argv, i);
     } else if (a == "--template") {
-      o.cfg.z_template_radius = int_arg(argc, argv, i);
+      o.cfg.z_template_radius = int_flag(argc, argv, i);
     } else if (a == "--subpixel") {
       o.opts.subpixel = true;
     } else if (a == "--sequential") {
       o.backend = "sequential";
     } else if (a == "--backend") {
-      o.backend = next_arg(argc, argv, i);
+      o.backend = flag_value(argc, argv, i);
     } else if (a == "--precompute") {
-      const std::string m = next_arg(argc, argv, i);
+      const std::string m = flag_value(argc, argv, i);
       if (m == "on")
         o.cfg.precompute = core::PrecomputeMode::kOn;
       else if (m == "off")
@@ -219,16 +212,12 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       else
         throw std::invalid_argument("--precompute expects on|off");
     } else if (a == "--threads") {
-      o.cfg.threads = int_arg(argc, argv, i);
+      o.cfg.threads = int_flag(argc, argv, i);
     } else if (a == "--tile") {
-      const std::string t = next_arg(argc, argv, i);
-      const auto xpos = t.find('x');
-      if (xpos == std::string::npos)
-        throw std::invalid_argument("--tile expects WxH, e.g. 32x32");
-      o.cfg.tile_width = std::atoi(t.substr(0, xpos).c_str());
-      o.cfg.tile_height = std::atoi(t.substr(xpos + 1).c_str());
+      std::tie(o.cfg.tile_width, o.cfg.tile_height) =
+          int_pair_flag(argc, argv, i);
     } else if (a == "--search-mode") {
-      const std::string m = next_arg(argc, argv, i);
+      const std::string m = flag_value(argc, argv, i);
       if (m == "full")
         o.cfg.search_mode = core::SearchMode::kFull;
       else if (m == "pruned")
@@ -236,11 +225,11 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       else
         throw std::invalid_argument("--search-mode expects full|pruned");
     } else if (a == "--prune-levels") {
-      o.cfg.prune_coarse_levels = int_arg(argc, argv, i);
+      o.cfg.prune_coarse_levels = int_flag(argc, argv, i);
     } else if (a == "--prune-radius") {
-      o.cfg.prune_refine_radius = int_arg(argc, argv, i);
+      o.cfg.prune_refine_radius = int_flag(argc, argv, i);
     } else if (a == "--prune-bound") {
-      const std::string m = next_arg(argc, argv, i);
+      const std::string m = flag_value(argc, argv, i);
       if (m == "on")
         o.cfg.prune_bound = true;
       else if (m == "off")
@@ -248,28 +237,23 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       else
         throw std::invalid_argument("--prune-bound expects on|off");
     } else if (a == "--shard") {
-      const std::string t = next_arg(argc, argv, i);
-      const auto xpos = t.find('x');
-      if (xpos == std::string::npos)
-        throw std::invalid_argument("--shard expects RxC, e.g. 2x2");
-      o.shard_rows = std::atoi(t.substr(0, xpos).c_str());
-      o.shard_cols = std::atoi(t.substr(xpos + 1).c_str());
+      std::tie(o.shard_rows, o.shard_cols) = int_pair_flag(argc, argv, i);
       if (o.shard_rows < 1 || o.shard_cols < 1)
         throw std::invalid_argument("--shard expects RxC with R, C >= 1");
     } else if (a == "--max-resident-mb") {
-      o.cfg.max_resident_mb = int_arg(argc, argv, i);
+      o.cfg.max_resident_mb = int_flag(argc, argv, i);
     } else if (a == "--robust") {
       o.robust = true;
     } else if (a == "--ppm") {
-      o.ppm_path = next_arg(argc, argv, i);
+      o.ppm_path = flag_value(argc, argv, i);
     } else if (a == "--inject-faults") {
-      o.fault_rate = double_arg(argc, argv, i);
+      o.fault_rate = double_flag(argc, argv, i);
     } else if (a == "--fault-seed") {
-      o.fault_seed = static_cast<std::uint64_t>(int_arg(argc, argv, i));
+      o.fault_seed = static_cast<std::uint64_t>(int_flag(argc, argv, i));
     } else if (a == "--trace") {
-      o.trace_path = next_arg(argc, argv, i);
+      o.trace_path = flag_value(argc, argv, i);
     } else if (a == "--metrics") {
-      o.metrics_path = next_arg(argc, argv, i);
+      o.metrics_path = flag_value(argc, argv, i);
     } else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return false;
@@ -574,9 +558,9 @@ int cmd_stereo(int argc, char** argv) {
   for (int i = 5; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--levels")
-      opts.levels = int_arg(argc, argv, i);
+      opts.levels = int_flag(argc, argv, i);
     else if (a == "--max-disparity")
-      opts.max_disparity = int_arg(argc, argv, i);
+      opts.max_disparity = int_flag(argc, argv, i);
     else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return usage();

@@ -87,10 +87,6 @@ class CancelToken {
     set_deadline(Clock::now() + budget);
   }
 
-  bool has_deadline() const noexcept {
-    return deadline_ns_.load(std::memory_order_relaxed) != 0;
-  }
-
   /// True once the deadline (if armed) has passed — here or on a parent.
   bool deadline_expired() const noexcept {
     const Clock::rep ns = deadline_ns_.load(std::memory_order_relaxed);

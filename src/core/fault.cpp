@@ -149,15 +149,4 @@ void FaultInjector::corrupt_frame(imaging::ImageF& frame, int frame_index,
   }
 }
 
-std::vector<int> FaultInjector::corrupt_sequence(
-    std::vector<imaging::ImageF>& frames, FaultLog* log) const {
-  std::vector<int> missing;
-  for (std::size_t i = 0; i < frames.size(); ++i) {
-    const int idx = static_cast<int>(i);
-    if (frame_missing(idx)) missing.push_back(idx);
-    corrupt_frame(frames[i], idx, log);
-  }
-  return missing;
-}
-
 }  // namespace sma::core

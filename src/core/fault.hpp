@@ -97,11 +97,6 @@ struct FaultSpec {
   float dropout_value = 0.0f;  ///< telemetry fill value for lost data
   float noise_lo = 0.0f;       ///< "pepper" sample value
   float noise_hi = 255.0f;     ///< "salt" sample value
-
-  bool any_frame_faults() const {
-    return scanline_dropout_rate > 0.0 || bit_noise_rate > 0.0 ||
-           dead_column_rate > 0.0 || missing_frame_rate > 0.0;
-  }
 };
 
 /// Deterministic, stateless fault source.  Every query hashes
@@ -119,11 +114,6 @@ class FaultInjector {
   /// Events are appended to `log` when non-null.
   void corrupt_frame(imaging::ImageF& frame, int frame_index,
                      FaultLog* log = nullptr) const;
-
-  /// Corrupts every frame of a sequence in place (frame_index = vector
-  /// position).  Returns the indices of frames lost entirely.
-  std::vector<int> corrupt_sequence(std::vector<imaging::ImageF>& frames,
-                                    FaultLog* log = nullptr) const;
 
   /// True when the initial MPDA stripe read of `frame_index` fails.
   bool stripe_fault(int frame_index) const;

@@ -121,16 +121,6 @@ SmaPipeline::SmaPipeline(SmaConfig config, PipelineOptions options)
   publish_metrics(stats_, *metrics_);
 }
 
-void SmaPipeline::reset_stats() {
-  PipelineStats zeroed;
-  {
-    std::scoped_lock lock(*state_mutex_);
-    stats_ = zeroed;
-  }
-  metrics_->reset();
-  publish_metrics(zeroed, *metrics_);
-}
-
 obs::MetricsRegistry& SmaPipeline::metrics() {
   PipelineStats snapshot;
   {

@@ -159,10 +159,6 @@ class SmaPipeline {
 
   const PipelineStats& stats() const { return stats_; }
 
-  /// Zeroes the counters AND every metric registered in metrics()
-  /// (including externally published ones, e.g. fault gauges).
-  void reset_stats();
-
   /// The pipeline's metrics registry with the current PipelineStats
   /// freshly published (obs_bridge name scheme, "pipeline.*").  External
   /// layers may publish additional metrics into the same registry (the
@@ -240,9 +236,9 @@ class SmaPipeline {
   /// frame simultaneously both fit it (both counted — the "one miss per
   /// distinct frame" invariant is exact single-threaded, an upper bound
   /// under contention); the loser's entry is discarded on insert.
-  /// set_config(), reset_stats() and clear_cache() must still be
-  /// externally quiesced against in-flight track calls.  unique_ptr so
-  /// the pipeline stays movable.
+  /// set_config() and clear_cache() must still be externally quiesced
+  /// against in-flight track calls.  unique_ptr so the pipeline stays
+  /// movable.
   std::unique_ptr<std::mutex> state_mutex_;
   /// unique_ptr so the pipeline stays movable (the registry owns
   /// mutexes); created eagerly in the constructor.

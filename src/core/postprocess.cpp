@@ -213,41 +213,4 @@ FlowField robust_postprocess(const FlowField& flow, double outlier_k,
   return vector_median_filter(work, median_radius);
 }
 
-std::size_t forward_backward_check(imaging::FlowField& forward,
-                                   const imaging::FlowField& backward,
-                                   double threshold) {
-  std::size_t masked = 0;
-  for (int y = 0; y < forward.height(); ++y)
-    for (int x = 0; x < forward.width(); ++x) {
-      FlowVector f = forward.at(x, y);
-      if (!f.valid) continue;
-      const double lx = x + f.u;
-      const double ly = y + f.v;
-      const int ix = static_cast<int>(std::floor(lx));
-      const int iy = static_cast<int>(std::floor(ly));
-      bool consistent = false;
-      if (ix >= 0 && iy >= 0 && ix + 1 < backward.width() &&
-          iy + 1 < backward.height()) {
-        bool support_valid = true;
-        for (int dy = 0; dy <= 1 && support_valid; ++dy)
-          for (int dx = 0; dx <= 1; ++dx)
-            if (!backward.at(ix + dx, iy + dy).valid) {
-              support_valid = false;
-              break;
-            }
-        if (support_valid) {
-          const double bu = imaging::bilinear(backward.u(), lx, ly);
-          const double bv = imaging::bilinear(backward.v(), lx, ly);
-          consistent = std::hypot(f.u + bu, f.v + bv) <= threshold;
-        }
-      }
-      if (!consistent) {
-        f.valid = 0;
-        forward.set(x, y, f);
-        ++masked;
-      }
-    }
-  return masked;
-}
-
 }  // namespace sma::core

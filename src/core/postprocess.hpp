@@ -61,14 +61,4 @@ imaging::FlowField robust_postprocess(const imaging::FlowField& flow,
                                       double outlier_k = 3.0,
                                       int median_radius = 1);
 
-/// Forward-backward consistency check — the motion-field analog of the
-/// ASA left/right cross-check: a pixel's forward vector is consistent if
-/// the backward field sampled at its landing point cancels it,
-/// |f(p) + b(p + f(p))| <= threshold.  Occluded or newly revealed
-/// content fails the check and is invalidated.  Returns the number of
-/// pixels invalidated in `forward`.
-std::size_t forward_backward_check(imaging::FlowField& forward,
-                                   const imaging::FlowField& backward,
-                                   double threshold = 1.0);
-
 }  // namespace sma::core

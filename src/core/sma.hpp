@@ -12,7 +12,6 @@
 // See examples/quickstart.cpp for a complete program.
 #pragma once
 
-#include "core/autotune.hpp"
 #include "core/backend.hpp"
 #include "core/config.hpp"
 #include "core/continuous_model.hpp"

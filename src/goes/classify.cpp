@@ -40,23 +40,6 @@ ClassMap classify_clouds(const imaging::ImageF& intensity,
   return classes;
 }
 
-std::size_t mask_flow_by_class(imaging::FlowField& flow,
-                               const ClassMap& classes, unsigned keep_mask) {
-  std::size_t masked = 0;
-  for (int y = 0; y < flow.height(); ++y)
-    for (int x = 0; x < flow.width(); ++x) {
-      imaging::FlowVector f = flow.at(x, y);
-      if (!f.valid) continue;
-      const unsigned bit = 1u << classes.at(x, y);
-      if ((bit & keep_mask) == 0) {
-        f.valid = 0;
-        flow.set(x, y, f);
-        ++masked;
-      }
-    }
-  return masked;
-}
-
 std::array<ClassWindStats, 4> per_class_statistics(
     const imaging::FlowField& flow, const ClassMap& classes) {
   std::array<ClassWindStats, 4> stats{};

@@ -10,10 +10,8 @@
 // products: a pixel is CLOUDY if its intensity and local texture exceed
 // the clear-scene background, and cloudy pixels split into LOW / MID /
 // HIGH decks by cloud-top height (from the ASA stereo stage or any
-// height proxy).  `mask_flow_by_class` then invalidates motion vectors
-// outside the classes of interest, and `per_class_statistics` summarizes
-// the wind field per deck — the paper's cloud-height-resolved wind
-// product.
+// height proxy).  `per_class_statistics` then summarizes the wind field
+// per deck — the paper's cloud-height-resolved wind product.
 #pragma once
 
 #include <array>
@@ -47,17 +45,6 @@ using ClassMap = imaging::Image<std::uint8_t>;
 ClassMap classify_clouds(const imaging::ImageF& intensity,
                          const imaging::ImageF& heights_km,
                          const ClassifierOptions& options = {});
-
-/// Invalidates flow vectors whose pixel class is not in `keep` (bitmask
-/// built from `class_bit`).  Returns the number of invalidated vectors.
-std::size_t mask_flow_by_class(imaging::FlowField& flow,
-                               const ClassMap& classes, unsigned keep_mask);
-
-/// Bit for a class, for building keep masks: keep = class_bit(kLow) |
-/// class_bit(kMid) ...
-constexpr unsigned class_bit(CloudClass c) {
-  return 1u << static_cast<unsigned>(c);
-}
 
 struct ClassWindStats {
   std::size_t pixels = 0;

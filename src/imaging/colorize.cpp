@@ -113,16 +113,4 @@ ImageRgb read_ppm(const std::string& path) {
   return img;
 }
 
-ImageRgb grayscale_to_rgb(const ImageF& img, double lo, double hi) {
-  ImageRgb out(img.width(), img.height());
-  const double scale = hi > lo ? 255.0 / (hi - lo) : 1.0;
-  for (int y = 0; y < img.height(); ++y)
-    for (int x = 0; x < img.width(); ++x) {
-      const auto v = static_cast<unsigned char>(
-          std::clamp((img.at(x, y) - lo) * scale, 0.0, 255.0));
-      out.at(x, y) = Rgb{v, v, v};
-    }
-  return out;
-}
-
 }  // namespace sma::imaging

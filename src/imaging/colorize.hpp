@@ -34,9 +34,4 @@ void write_ppm(const ImageRgb& img, const std::string& path);
 /// Reads a binary (P6) PPM.
 ImageRgb read_ppm(const std::string& path);
 
-/// Grayscale image rendered to RGB through a simple ramp, for composite
-/// figures (cloud image + flow side by side).
-ImageRgb grayscale_to_rgb(const ImageF& img, double lo = 0.0,
-                          double hi = 255.0);
-
 }  // namespace sma::imaging

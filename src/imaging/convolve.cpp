@@ -51,8 +51,4 @@ ImageF gaussian_blur(const ImageF& src, double sigma) {
   return convolve_separable(src, gaussian_kernel(sigma, gaussian_radius(sigma)));
 }
 
-ImageF box3(const ImageF& src) {
-  return convolve_separable(src, {1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0});
-}
-
 }  // namespace sma::imaging

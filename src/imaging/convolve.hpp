@@ -24,7 +24,4 @@ ImageF convolve_separable(const ImageF& src, const std::vector<double>& taps);
 /// Gaussian blur (separable, ±3 sigma support).
 ImageF gaussian_blur(const ImageF& src, double sigma);
 
-/// 3x3 box blur, the cheap smoothing used before block matching.
-ImageF box3(const ImageF& src);
-
 }  // namespace sma::imaging

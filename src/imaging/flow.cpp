@@ -3,11 +3,30 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace sma::imaging {
+
+namespace {
+
+template <typename T>
+bool same_bytes(const Image<T>& a, const Image<T>& b) {
+  return a.same_shape(b) &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+}  // namespace
+
+bool bit_equal(const FlowField& a, const FlowField& b) {
+  return same_bytes(a.u(), b.u()) && same_bytes(a.v(), b.v()) &&
+         same_bytes(a.error(), b.error()) &&
+         same_bytes(a.valid(), b.valid()) &&
+         same_bytes(a.confidence(), b.confidence());
+}
 
 double rms_endpoint_error(const FlowField& flow,
                           const std::vector<ReferenceTrack>& refs) {
@@ -40,26 +59,6 @@ double rms_endpoint_error(const FlowField& flow, const FlowField& truth,
       ++n;
     }
   return n == 0 ? 0.0 : std::sqrt(sum / static_cast<double>(n));
-}
-
-double mean_angular_error_deg(const FlowField& flow, const FlowField& truth,
-                              int margin) {
-  double sum = 0.0;
-  std::size_t n = 0;
-  for (int y = margin; y < flow.height() - margin; ++y)
-    for (int x = margin; x < flow.width() - margin; ++x) {
-      const FlowVector f = flow.at(x, y);
-      if (!f.valid) continue;
-      const FlowVector t = truth.at(x, y);
-      const double num = f.u * t.u + f.v * t.v + 1.0;
-      const double den = std::sqrt((f.u * f.u + f.v * f.v + 1.0) *
-                                   (t.u * t.u + t.v * t.v + 1.0));
-      double c = num / den;
-      c = std::min(1.0, std::max(-1.0, c));
-      sum += std::acos(c) * 180.0 / M_PI;
-      ++n;
-    }
-  return n == 0 ? 0.0 : sum / static_cast<double>(n);
 }
 
 void write_flow_text(const FlowField& flow, const std::string& path,
@@ -124,19 +123,6 @@ FlowField read_flow_text(const std::string& path) {
     flow.set(x, y, f);
   }
   return flow;
-}
-
-std::size_t filter_by_confidence(FlowField& flow, float min_confidence) {
-  std::size_t dropped = 0;
-  for (int y = 0; y < flow.height(); ++y)
-    for (int x = 0; x < flow.width(); ++x) {
-      FlowVector f = flow.at(x, y);
-      if (!f.valid || f.confidence >= min_confidence) continue;
-      f.valid = 0;
-      flow.set(x, y, f);
-      ++dropped;
-    }
-  return dropped;
 }
 
 }  // namespace sma::imaging

@@ -26,7 +26,7 @@ struct FlowVector {
   std::uint8_t valid = 0;
   /// Fraction of the winning hypothesis's template that was backed by
   /// trustworthy (unmasked) data — 1 for a pristine template, 0 for an
-  /// invalid pixel.  Downstream wind/trajectory code filters on this.
+  /// invalid pixel.
   float confidence = 1.0f;
 
   friend bool operator==(const FlowVector&, const FlowVector&) = default;
@@ -69,6 +69,9 @@ class FlowField {
     return n;
   }
 
+  /// Motion equality: u, v and valid compared as floats (so -0.0 equals
+  /// 0.0); error and confidence are ignored.  `bit_equal` is the strict
+  /// check.
   friend bool operator==(const FlowField& a, const FlowField& b) {
     return a.u_ == b.u_ && a.v_ == b.v_ && a.valid_ == b.valid_;
   }
@@ -79,10 +82,10 @@ class FlowField {
   ImageF confidence_;
 };
 
-/// Marks every vector whose confidence is below `min_confidence` invalid
-/// (in place) and returns how many vectors were dropped.  The degraded-
-/// input filter for downstream wind / trajectory products.
-std::size_t filter_by_confidence(FlowField& flow, float min_confidence);
+/// True when both fields have the same shape and byte-equal u, v, error,
+/// valid and confidence planes (so -0.0 differs from 0.0, and a NaN
+/// equals the same NaN).
+bool bit_equal(const FlowField& a, const FlowField& b);
 
 /// A sparse reference track, the analog of the paper's "32 particles
 /// (pixels)" manually tracked by an expert meteorologist.
@@ -99,11 +102,6 @@ double rms_endpoint_error(const FlowField& flow,
 /// optionally ignoring a border margin (templates are unreliable there).
 double rms_endpoint_error(const FlowField& flow, const FlowField& truth,
                           int margin = 0);
-
-/// Mean angular error (degrees) of (u,v,1) vs truth, the standard
-/// optical-flow metric, over valid pixels.
-double mean_angular_error_deg(const FlowField& flow, const FlowField& truth,
-                              int margin = 0);
 
 /// Writes the flow as whitespace-separated "x y u v error valid" rows —
 /// the format consumed by the plotting scripts and the Fig. 6 harness.

@@ -1,4 +1,4 @@
-// image.hpp — dense 2-D image container with explicit border policies.
+// image.hpp — dense 2-D image container with clamped-border access.
 //
 // All SMA data products are M x N rasters: intensity images I(x,y,t),
 // surface (cloud-top height) maps z(x,y,t), disparity maps, discriminant
@@ -17,13 +17,6 @@
 #include <vector>
 
 namespace sma::imaging {
-
-/// How out-of-range coordinates are resolved.
-enum class BorderPolicy {
-  kClamp,    ///< coordinates clamp to the nearest valid pixel (default)
-  kReflect,  ///< mirror about the border (no repeated edge pixel)
-  kZero,     ///< out-of-range reads return T{}
-};
 
 template <typename T>
 class Image {
@@ -50,23 +43,6 @@ class Image {
   const T& at(int x, int y) const {
     assert(contains(x, y));
     return data_[static_cast<std::size_t>(y) * width_ + x];
-  }
-
-  /// Border-policy read; never faults for any (x, y).
-  T at_border(int x, int y, BorderPolicy policy = BorderPolicy::kClamp) const {
-    if (contains(x, y)) return at(x, y);
-    switch (policy) {
-      case BorderPolicy::kZero:
-        return T{};
-      case BorderPolicy::kReflect: {
-        x = reflect(x, width_);
-        y = reflect(y, height_);
-        return at(x, y);
-      }
-      case BorderPolicy::kClamp:
-      default:
-        return at(std::clamp(x, 0, width_ - 1), std::clamp(y, 0, height_ - 1));
-    }
   }
 
   /// Clamped read, the common case in window loops.
@@ -99,14 +75,6 @@ class Image {
     return static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
   }
 
-  static int reflect(int i, int n) {
-    if (n == 1) return 0;
-    const int period = 2 * n - 2;
-    i %= period;
-    if (i < 0) i += period;
-    return (i < n) ? i : period - i;
-  }
-
   int width_ = 0;
   int height_ = 0;
   std::vector<T> data_;
@@ -129,16 +97,6 @@ double bilinear(const Image<T>& img, double x, double y) {
   const double v11 = img.at_clamped(x0 + 1, y0 + 1);
   return (1 - fy) * ((1 - fx) * v00 + fx * v10) +
          fy * ((1 - fx) * v01 + fx * v11);
-}
-
-/// Element-wise conversion between pixel types.
-template <typename Dst, typename Src>
-Image<Dst> convert(const Image<Src>& src) {
-  Image<Dst> out(src.width(), src.height());
-  for (int y = 0; y < src.height(); ++y)
-    for (int x = 0; x < src.width(); ++x)
-      out.at(x, y) = static_cast<Dst>(src.at(x, y));
-  return out;
 }
 
 }  // namespace sma::imaging

@@ -262,48 +262,4 @@ RepairReport repair_frame(const ImageF& img, const RepairOptions& opts) {
   return report;
 }
 
-std::vector<RepairReport> repair_sequence(std::vector<ImageF>& frames,
-                                          const RepairOptions& opts) {
-  std::vector<RepairReport> reports;
-  reports.reserve(frames.size());
-  for (ImageF& f : frames) {
-    reports.push_back(repair_frame(f, opts));
-    f = reports.back().image;
-  }
-
-  // Temporal interpolation of frames lost entirely.
-  const int n = static_cast<int>(frames.size());
-  for (int i = 0; i < n; ++i) {
-    if (!reports[static_cast<std::size_t>(i)].frame_missing) continue;
-    int prev = i - 1;
-    while (prev >= 0 && reports[static_cast<std::size_t>(prev)].frame_missing)
-      --prev;
-    int next = i + 1;
-    while (next < n && reports[static_cast<std::size_t>(next)].frame_missing)
-      ++next;
-    RepairReport& rep = reports[static_cast<std::size_t>(i)];
-    if (prev >= 0 && next < n) {
-      const double t = static_cast<double>(i - prev) / (next - prev);
-      ImageF blend(frames[static_cast<std::size_t>(i)].width(),
-                   frames[static_cast<std::size_t>(i)].height());
-      for (int y = 0; y < blend.height(); ++y)
-        for (int x = 0; x < blend.width(); ++x)
-          blend.at(x, y) = static_cast<float>(
-              (1.0 - t) * frames[static_cast<std::size_t>(prev)].at(x, y) +
-              t * frames[static_cast<std::size_t>(next)].at(x, y));
-      frames[static_cast<std::size_t>(i)] = blend;
-      rep.image = std::move(blend);
-      rep.validity.fill(1);
-    } else if (prev >= 0 || next < n) {
-      const int src = prev >= 0 ? prev : next;
-      frames[static_cast<std::size_t>(i)] =
-          frames[static_cast<std::size_t>(src)];
-      rep.image = frames[static_cast<std::size_t>(i)];
-      // Extrapolated, not interpolated: keep the frame masked invalid.
-      rep.validity.fill(0);
-    }
-  }
-  return reports;
-}
-
 }  // namespace sma::imaging

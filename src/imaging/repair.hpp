@@ -78,11 +78,4 @@ std::vector<int> detect_dead_columns(const ImageF& img,
 /// frame passes through bit-identical with an all-valid mask.
 RepairReport repair_frame(const ImageF& img, const RepairOptions& opts = {});
 
-/// Sequence-level pass: repair_frame on every frame, then temporal
-/// interpolation of frames lost entirely (missing frames become the
-/// average of the nearest intact neighbors; the mask of an interpolated
-/// frame is all-valid only when both neighbors exist, else all-invalid).
-std::vector<RepairReport> repair_sequence(std::vector<ImageF>& frames,
-                                          const RepairOptions& opts = {});
-
 }  // namespace sma::imaging

@@ -26,18 +26,6 @@ Summary summarize(const ImageF& img) {
   return s;
 }
 
-double rms_difference(const ImageF& a, const ImageF& b) {
-  if (!a.same_shape(b))
-    throw std::invalid_argument("rms_difference: shape mismatch");
-  double sum = 0.0;
-  for (int y = 0; y < a.height(); ++y)
-    for (int x = 0; x < a.width(); ++x) {
-      const double d = a.at(x, y) - b.at(x, y);
-      sum += d * d;
-    }
-  return a.size() ? std::sqrt(sum / static_cast<double>(a.size())) : 0.0;
-}
-
 double max_abs_difference(const ImageF& a, const ImageF& b) {
   if (!a.same_shape(b))
     throw std::invalid_argument("max_abs_difference: shape mismatch");
@@ -46,18 +34,6 @@ double max_abs_difference(const ImageF& a, const ImageF& b) {
     for (int x = 0; x < a.width(); ++x)
       m = std::max(m, std::abs(static_cast<double>(a.at(x, y)) - b.at(x, y)));
   return m;
-}
-
-ImageF rescale(const ImageF& img, double lo, double hi) {
-  const Summary s = summarize(img);
-  const double span = s.max - s.min;
-  ImageF out(img.width(), img.height());
-  for (int y = 0; y < img.height(); ++y)
-    for (int x = 0; x < img.width(); ++x) {
-      const double t = span > 0.0 ? (img.at(x, y) - s.min) / span : 0.0;
-      out.at(x, y) = static_cast<float>(lo + t * (hi - lo));
-    }
-  return out;
 }
 
 bool has_nonfinite(const ImageF& img) {

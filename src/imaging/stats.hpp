@@ -18,14 +18,8 @@ struct Summary {
 /// Min / max / mean / population stddev over all pixels.
 Summary summarize(const ImageF& img);
 
-/// Root-mean-square difference between two same-shaped images.
-double rms_difference(const ImageF& a, const ImageF& b);
-
 /// Largest absolute per-pixel difference.
 double max_abs_difference(const ImageF& a, const ImageF& b);
-
-/// Linearly rescales the image so [min, max] maps onto [lo, hi].
-ImageF rescale(const ImageF& img, double lo, double hi);
 
 /// True if any pixel is NaN or infinite.  The SMA pipeline validates its
 /// inputs with this: non-finite radiances (dropouts, decode errors)

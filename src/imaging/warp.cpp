@@ -2,15 +2,6 @@
 
 namespace sma::imaging {
 
-ImageF warp_horizontal(const ImageF& src, const ImageF& disparity) {
-  ImageF out(src.width(), src.height());
-  for (int y = 0; y < src.height(); ++y)
-    for (int x = 0; x < src.width(); ++x)
-      out.at(x, y) =
-          static_cast<float>(bilinear(src, x + disparity.at(x, y), y));
-  return out;
-}
-
 ImageF warp_by_flow(const ImageF& src, const FlowField& flow) {
   ImageF out(src.width(), src.height());
   for (int y = 0; y < src.height(); ++y)

@@ -1,11 +1,9 @@
-// warp.hpp — image warping by disparity and flow fields.
+// warp.hpp — image warping by flow fields.
 //
-// The ASA stereo stage "uses the coarse disparity estimates to warp or
-// transform one view into the other" (Sec. 2.1); during stereo analysis
-// "the right images are rectified and warped to align them with the left
-// images such that epipolar lines become parallel to scan lines"
-// (Sec. 2.2).  Flow-field warping is also used by the synthetic GOES
-// generators to advect cloud fields by a known wind field.
+// Coarse-to-fine tracking warps a level by the upsampled coarse flow
+// before matching it, and the coupled stereo stage carries disparity maps
+// between frames along the flow: backward by sampling, forward by
+// advection.
 #pragma once
 
 #include "imaging/flow.hpp"
@@ -13,16 +11,11 @@
 
 namespace sma::imaging {
 
-/// Horizontal warp: out(x,y) = src(x + disparity(x,y), y).
-/// Used to align the right stereo view with the left along epipolar lines.
-ImageF warp_horizontal(const ImageF& src, const ImageF& disparity);
-
 /// Backward warp by a dense flow field: out(x,y) = src(x+u, y+v).
 ImageF warp_by_flow(const ImageF& src, const FlowField& flow);
 
-/// Forward advection used by the synthetic cloud generator: every source
-/// pixel is splatted bilinearly at its destination.  Gaps are filled from
-/// the source image.
+/// Forward advection: every source pixel is splatted bilinearly at its
+/// destination.  Gaps are filled from the source image.
 ImageF advect(const ImageF& src, const FlowField& flow);
 
 }  // namespace sma::imaging

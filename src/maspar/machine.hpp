@@ -44,11 +44,6 @@ struct MachineSpec {
     return peak_dp_flops * sustained_fraction;
   }
 
-  /// Per-PE share of an aggregate bandwidth (bytes/s).
-  double per_pe(double aggregate_bw) const {
-    return aggregate_bw / pe_count();
-  }
-
   /// The paper's headline ratio: X-net vs router bandwidth (~18).
   double xnet_router_ratio() const { return xnet_bw / router_bw; }
 };

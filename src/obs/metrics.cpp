@@ -10,20 +10,6 @@ namespace sma::obs {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 // %.17g round-trips any finite double exactly.
 std::string fmt_exact(double v) {
   char buf[40];
@@ -69,12 +55,6 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
   for (std::size_t i = 0; i < buckets_.size(); ++i)
     out[i] = buckets_[i].load(std::memory_order_relaxed);
   return out;
-}
-
-void Histogram::reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
 }
 
 MetricsRegistry::Entry& MetricsRegistry::entry(const std::string& name,
@@ -129,17 +109,6 @@ bool MetricsRegistry::contains(const std::string& name) const {
 std::size_t MetricsRegistry::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return metrics_.size();
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, e] : metrics_) {
-    switch (e.kind) {
-      case MetricKind::kCounter: e.counter->reset(); break;
-      case MetricKind::kGauge: e.gauge->reset(); break;
-      case MetricKind::kHistogram: e.histogram->reset(); break;
-    }
-  }
 }
 
 std::vector<MetricSnapshot> MetricsRegistry::snapshot() const {
@@ -206,37 +175,6 @@ bool MetricsRegistry::write_csv(const std::string& path) const {
     return false;
   }
   write_csv(out);
-  return out.good();
-}
-
-void MetricsRegistry::write_json(std::ostream& os) const {
-  const std::vector<MetricSnapshot> snap = snapshot();
-  os << "{\"metrics\":[\n";
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    const MetricSnapshot& s = snap[i];
-    os << "{\"name\":\"" << json_escape(s.name) << "\",\"kind\":\""
-       << metric_kind_name(s.kind) << "\",\"value\":" << fmt_exact(s.value);
-    if (s.kind == MetricKind::kHistogram) {
-      os << ",\"count\":" << s.count << ",\"bounds\":[";
-      for (std::size_t j = 0; j < s.bounds.size(); ++j)
-        os << (j > 0 ? "," : "") << fmt_exact(s.bounds[j]);
-      os << "],\"buckets\":[";
-      for (std::size_t j = 0; j < s.buckets.size(); ++j)
-        os << (j > 0 ? "," : "") << s.buckets[j];
-      os << "]";
-    }
-    os << "}" << (i + 1 < snap.size() ? ",\n" : "\n");
-  }
-  os << "]}\n";
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "MetricsRegistry: cannot open %s\n", path.c_str());
-    return false;
-  }
-  write_json(out);
   return out.good();
 }
 

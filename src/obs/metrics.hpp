@@ -1,5 +1,5 @@
 // metrics.hpp — a registry of named counters, gauges and fixed-bucket
-// histograms with one snapshot and JSON/CSV export.
+// histograms with one snapshot and CSV export.
 //
 // Before this layer, the repo's telemetry was scattered across ad-hoc
 // structs (PipelineStats, TrackTimings, SimdRunReport tallies, FaultLog
@@ -16,8 +16,7 @@
 // Value semantics mirror Prometheus: counters accumulate, gauges hold
 // the last set value, histograms count observations into fixed buckets
 // (`bounds` are inclusive upper edges, plus a +inf overflow bucket) and
-// track sum/count.  reset() zeroes every registered metric without
-// unregistering it.
+// track sum/count.
 #pragma once
 
 #include <atomic>
@@ -54,7 +53,6 @@ class Counter {
  public:
   void inc(double delta = 1.0) { detail::atomic_add(value_, delta); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -65,7 +63,6 @@ class Gauge {
  public:
   void set(double v) { value_.store(v, std::memory_order_relaxed); }
   double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
   std::atomic<double> value_{0.0};
@@ -84,7 +81,6 @@ class Histogram {
   std::vector<std::uint64_t> bucket_counts() const;
   std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const { return sum_.load(std::memory_order_relaxed); }
-  void reset();
 
  private:
   std::vector<double> bounds_;
@@ -121,9 +117,6 @@ class MetricsRegistry {
   bool contains(const std::string& name) const;
   std::size_t size() const;
 
-  /// Zeroes every registered metric (registration survives).
-  void reset();
-
   /// Snapshot of every metric, sorted by name.
   std::vector<MetricSnapshot> snapshot() const;
 
@@ -133,10 +126,6 @@ class MetricsRegistry {
   /// so the exported values round-trip exactly.
   void write_csv(std::ostream& os) const;
   bool write_csv(const std::string& path) const;
-
-  /// JSON export: {"metrics":[{...}, ...]}.
-  void write_json(std::ostream& os) const;
-  bool write_json(const std::string& path) const;
 
  private:
   struct Entry {

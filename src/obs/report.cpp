@@ -59,17 +59,6 @@ void RunReport::write_json(std::ostream& os) const {
   os << "]}";
 }
 
-bool RunReport::write_json(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "RunReport: cannot open %s\n", path.c_str());
-    return false;
-  }
-  write_json(out);
-  out << "\n";
-  return out.good();
-}
-
 void RunReport::write_metrics_csv(std::ostream& os) const {
   obs::write_metrics_csv(os, metrics);
 }

@@ -42,7 +42,6 @@ struct RunReport {
   /// One JSON object {"name":..., "config":..., "backend":...,
   /// "metrics":{...}, "spans":[...]}.
   void write_json(std::ostream& os) const;
-  bool write_json(const std::string& path) const;
 
   /// The registry CSV ("metric,kind,value,count") of this report's
   /// snapshot — the `sma_cli --metrics` format.  Doubles use %.17g so

@@ -95,12 +95,6 @@ class TileDeque {
                                         std::memory_order_seq_cst);
   }
 
-  /// Racy size estimate (monitoring / tests only).
-  std::int64_t size_estimate() const {
-    return bottom_.load(std::memory_order_relaxed) -
-           top_.load(std::memory_order_relaxed);
-  }
-
   std::size_t capacity() const { return mask_ + 1; }
 
  private:

@@ -1,11 +1,34 @@
 #include "serve/error.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <ios>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
 
 namespace sma::serve {
+
+namespace {
+
+// `text` as a whole T (std::from_chars must consume every character).
+template <typename T>
+std::optional<T> parse_whole(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc{} || ptr != end) return std::nullopt;
+  return value;
+}
+
+[[noreturn]] void bad_flag_value(std::string_view flag, std::string_view text,
+                                 const char* want) {
+  throw std::invalid_argument(std::string(flag) + " expects " + want +
+                              ", got '" + std::string(text) + "'");
+}
+
+}  // namespace
 
 const char* serve_error_name(ServeError code) {
   switch (code) {
@@ -68,6 +91,46 @@ ServeError classify_exception(const std::exception& e) {
     }
   }
   return ServeError::kInternal;
+}
+
+const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc)
+    throw std::invalid_argument(std::string("missing value for ") + argv[i]);
+  return argv[++i];
+}
+
+int int_flag(int argc, char** argv, int& i) {
+  const char* flag = argv[i];
+  const std::string_view text = flag_value(argc, argv, i);
+  if (const auto v = parse_whole<int>(text)) return *v;
+  bad_flag_value(flag, text, "an integer");
+}
+
+std::uint64_t uint64_flag(int argc, char** argv, int& i) {
+  const char* flag = argv[i];
+  const std::string_view text = flag_value(argc, argv, i);
+  if (const auto v = parse_whole<std::uint64_t>(text)) return *v;
+  bad_flag_value(flag, text, "an unsigned integer");
+}
+
+double double_flag(int argc, char** argv, int& i) {
+  const char* flag = argv[i];
+  const std::string_view text = flag_value(argc, argv, i);
+  if (const auto v = parse_whole<double>(text); v && std::isfinite(*v))
+    return *v;
+  bad_flag_value(flag, text, "a finite number");
+}
+
+std::pair<int, int> int_pair_flag(int argc, char** argv, int& i) {
+  const char* flag = argv[i];
+  const std::string_view text = flag_value(argc, argv, i);
+  const std::size_t x = text.find('x');
+  if (x != std::string_view::npos) {
+    const auto a = parse_whole<int>(text.substr(0, x));
+    const auto b = parse_whole<int>(text.substr(x + 1));
+    if (a && b) return {*a, *b};
+  }
+  bad_flag_value(flag, text, "AxB integers");
 }
 
 }  // namespace sma::serve

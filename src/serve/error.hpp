@@ -21,8 +21,10 @@
 // doubles as the usage exit the CLIs already used.)
 #pragma once
 
+#include <cstdint>
 #include <exception>
 #include <string_view>
+#include <utility>
 
 namespace sma::serve {
 
@@ -59,5 +61,27 @@ int exit_code(ServeError code);
 /// classified here — callers map it to kDeadline before falling back to
 /// this.
 ServeError classify_exception(const std::exception& e);
+
+// Flag readers shared by the front ends.  argv[i] is the flag; each
+// reader advances i past its value.  A missing value, or one that is not
+// wholly a number of the stated kind, throws std::invalid_argument
+// naming the flag, so the front end exits with the config code (2).
+
+/// The raw value of the flag.
+const char* flag_value(int argc, char** argv, int& i);
+
+/// The value as a base-10 int (std::from_chars over the whole token: an
+/// optional '-', digits, nothing else, within int range).
+int int_flag(int argc, char** argv, int& i);
+
+/// The value as a base-10 std::uint64_t (seeds and request ids).
+std::uint64_t uint64_flag(int argc, char** argv, int& i);
+
+/// The value as a finite double.
+double double_flag(int argc, char** argv, int& i);
+
+/// A value of the form AxB (--tile WxH, --shard RxC), each side read
+/// like int_flag.
+std::pair<int, int> int_pair_flag(int argc, char** argv, int& i);
 
 }  // namespace sma::serve

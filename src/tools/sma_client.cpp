@@ -23,7 +23,6 @@
 // 4 internal, 5 protocol, 6 rejected, 7 deadline.
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <stdexcept>
@@ -57,12 +56,6 @@ int usage() {
   return 2;
 }
 
-const char* value_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc)
-    throw std::invalid_argument(std::string("missing value for ") + argv[i]);
-  return argv[++i];
-}
-
 /// PGM frames are 8-bit and read_pgm maps samples to exact float values
 /// 0..255, so the u8 round-trip is lossless (the protocol's transport
 /// contract).
@@ -83,35 +76,35 @@ bool parse_track_options(int argc, char** argv, int first, std::string& host,
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--host")
-      host = value_arg(argc, argv, i);
+      host = serve::flag_value(argc, argv, i);
     else if (a == "--port")
-      port = std::atoi(value_arg(argc, argv, i));
+      port = serve::int_flag(argc, argv, i);
     else if (a == "--tenant")
-      req.tenant = value_arg(argc, argv, i);
+      req.tenant = serve::flag_value(argc, argv, i);
     else if (a == "--deadline-ms")
-      req.deadline_ms = std::atoi(value_arg(argc, argv, i));
+      req.deadline_ms = serve::int_flag(argc, argv, i);
     else if (a == "--id")
-      req.id = static_cast<std::uint64_t>(std::atoll(value_arg(argc, argv, i)));
+      req.id = serve::uint64_flag(argc, argv, i);
     else if (a == "--model")
-      req.model = value_arg(argc, argv, i);
+      req.model = serve::flag_value(argc, argv, i);
     else if (a == "--fit")
-      req.fit_radius = std::atoi(value_arg(argc, argv, i));
+      req.fit_radius = serve::int_flag(argc, argv, i);
     else if (a == "--search")
-      req.search_radius = std::atoi(value_arg(argc, argv, i));
+      req.search_radius = serve::int_flag(argc, argv, i);
     else if (a == "--template")
-      req.template_radius = std::atoi(value_arg(argc, argv, i));
+      req.template_radius = serve::int_flag(argc, argv, i);
     else if (a == "--nss")
-      req.nss = std::atoi(value_arg(argc, argv, i));
+      req.nss = serve::int_flag(argc, argv, i);
     else if (a == "--nst")
-      req.nst = std::atoi(value_arg(argc, argv, i));
+      req.nst = serve::int_flag(argc, argv, i);
     else if (a == "--subpixel")
       req.subpixel = true;
     else if (a == "--robust")
       req.robust = true;
     else if (a == "--backend")
-      req.backend = value_arg(argc, argv, i);
+      req.backend = serve::flag_value(argc, argv, i);
     else if (a == "--search-mode") {
-      req.search_mode = value_arg(argc, argv, i);
+      req.search_mode = serve::flag_value(argc, argv, i);
       if (req.search_mode != "full" && req.search_mode != "pruned")
         throw std::invalid_argument("--search-mode expects full|pruned");
     } else {
@@ -261,9 +254,9 @@ int cmd_line(int argc, char** argv, bool ping) {
   for (int i = 2; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--host")
-      host = value_arg(argc, argv, i);
+      host = serve::flag_value(argc, argv, i);
     else if (a == "--port")
-      port = std::atoi(value_arg(argc, argv, i));
+      port = serve::int_flag(argc, argv, i);
     else {
       std::fprintf(stderr, "unknown option: %s\n", a.c_str());
       return usage();

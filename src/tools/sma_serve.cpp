@@ -20,10 +20,7 @@
 // chaos smoke test and the load bench.
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
-#include <stdexcept>
 #include <string>
 
 #include "maspar/backend.hpp"
@@ -59,12 +56,6 @@ int usage() {
   return 2;
 }
 
-const char* value_arg(int argc, char** argv, int& i) {
-  if (i + 1 >= argc)
-    throw std::invalid_argument(std::string("missing value for ") + argv[i]);
-  return argv[++i];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -73,66 +64,64 @@ int main(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
       if (a == "--host")
-        options.host = value_arg(argc, argv, i);
+        options.host = serve::flag_value(argc, argv, i);
       else if (a == "--port")
-        options.port = std::atoi(value_arg(argc, argv, i));
+        options.port = serve::int_flag(argc, argv, i);
       else if (a == "--workers")
         options.workers =
-            static_cast<std::size_t>(std::atoi(value_arg(argc, argv, i)));
+            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else if (a == "--backend")
-        options.backend = value_arg(argc, argv, i);
+        options.backend = serve::flag_value(argc, argv, i);
       else if (a == "--sched-threads")
         // Tile-execution budget shared by ALL workers' tiled tracking
         // (resizes sched::ThreadPool::shared() before accepting work).
-        options.sched_threads = std::atoi(value_arg(argc, argv, i));
+        options.sched_threads = serve::int_flag(argc, argv, i);
       else if (a == "--queue")
         options.admission.queue_capacity =
-            static_cast<std::size_t>(std::atoi(value_arg(argc, argv, i)));
+            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else if (a == "--rate")
-        options.admission.tenant_rate = std::atof(value_arg(argc, argv, i));
+        options.admission.tenant_rate = serve::double_flag(argc, argv, i);
       else if (a == "--burst")
-        options.admission.tenant_burst = std::atof(value_arg(argc, argv, i));
+        options.admission.tenant_burst = serve::double_flag(argc, argv, i);
       else if (a == "--retry-after-ms")
-        options.admission.retry_after_ms =
-            std::atoi(value_arg(argc, argv, i));
+        options.admission.retry_after_ms = serve::int_flag(argc, argv, i);
       else if (a == "--deadline-ms")
-        options.default_deadline_ms = std::atoi(value_arg(argc, argv, i));
+        options.default_deadline_ms = serve::int_flag(argc, argv, i);
       else if (a == "--geometry-cache")
         options.geometry_cache_capacity =
-            static_cast<std::size_t>(std::atoi(value_arg(argc, argv, i)));
+            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else if (a == "--frame-cache")
         options.frame_cache_capacity =
-            static_cast<std::size_t>(std::atoi(value_arg(argc, argv, i)));
+            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else if (a == "--max-sessions")
         options.admission.max_sessions =
-            static_cast<std::size_t>(std::atoi(value_arg(argc, argv, i)));
+            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else if (a == "--no-batch")
         options.batching = false;
       else if (a == "--batch-max")
         options.batch_max =
-            static_cast<std::size_t>(std::atoi(value_arg(argc, argv, i)));
+            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else if (a == "--metrics")
-        options.metrics_path = value_arg(argc, argv, i);
+        options.metrics_path = serve::flag_value(argc, argv, i);
       else if (a == "--drain-flush-ms")
-        options.drain_flush_ms = std::atoi(value_arg(argc, argv, i));
+        options.drain_flush_ms = serve::int_flag(argc, argv, i);
       else if (a == "--chaos")
         options.chaos.enabled = true;
       else if (a == "--chaos-seed")
-        options.chaos.seed =
-            static_cast<std::uint64_t>(std::atoll(value_arg(argc, argv, i)));
+        options.chaos.seed = serve::uint64_flag(argc, argv, i);
       else if (a == "--chaos-frame-fault-rate")
-        options.chaos.frame_fault_rate = std::atof(value_arg(argc, argv, i));
+        options.chaos.frame_fault_rate = serve::double_flag(argc, argv, i);
       else if (a == "--chaos-fault-intensity")
-        options.chaos.fault_intensity = std::atof(value_arg(argc, argv, i));
+        options.chaos.fault_intensity = serve::double_flag(argc, argv, i);
       else if (a == "--chaos-stall-rate")
-        options.chaos.stall_rate = std::atof(value_arg(argc, argv, i));
+        options.chaos.stall_rate = serve::double_flag(argc, argv, i);
       else if (a == "--chaos-stall-ms")
-        options.chaos.stall_ms = std::atoi(value_arg(argc, argv, i));
+        options.chaos.stall_ms = serve::int_flag(argc, argv, i);
       else if (a == "--chaos-slow-read-rate")
-        options.chaos.slow_read_rate = std::atof(value_arg(argc, argv, i));
+        options.chaos.slow_read_rate = serve::double_flag(argc, argv, i);
       else if (a == "--chaos-slow-read-bytes")
         options.chaos.slow_read_bytes =
-            static_cast<std::size_t>(std::atoi(value_arg(argc, argv, i)));
+            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else {
         std::fprintf(stderr, "unknown option: %s\n", a.c_str());
         return usage();

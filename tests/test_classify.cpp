@@ -54,34 +54,6 @@ TEST(Classify, ThresholdsConfigurable) {
   EXPECT_EQ(c.at(4, 4), static_cast<std::uint8_t>(CloudClass::kClear));
 }
 
-TEST(MaskFlow, KeepsOnlySelectedClasses) {
-  imaging::FlowField flow = sma::testing::constant_flow(8, 8, 1.0f, 0.0f);
-  ClassMap classes(8, 8, static_cast<std::uint8_t>(CloudClass::kClear));
-  for (int y = 0; y < 8; ++y)
-    for (int x = 4; x < 8; ++x)
-      classes.at(x, y) = static_cast<std::uint8_t>(CloudClass::kHigh);
-  const std::size_t masked =
-      mask_flow_by_class(flow, classes, class_bit(CloudClass::kHigh));
-  EXPECT_EQ(masked, 32u);  // the clear half invalidated
-  EXPECT_EQ(flow.at(2, 2).valid, 0);
-  EXPECT_EQ(flow.at(6, 2).valid, 1);
-}
-
-TEST(MaskFlow, MultiClassKeepMask) {
-  imaging::FlowField flow = sma::testing::constant_flow(4, 1, 1.0f, 0.0f);
-  ClassMap classes(4, 1);
-  classes.at(0, 0) = static_cast<std::uint8_t>(CloudClass::kClear);
-  classes.at(1, 0) = static_cast<std::uint8_t>(CloudClass::kLow);
-  classes.at(2, 0) = static_cast<std::uint8_t>(CloudClass::kMid);
-  classes.at(3, 0) = static_cast<std::uint8_t>(CloudClass::kHigh);
-  mask_flow_by_class(flow, classes,
-                     class_bit(CloudClass::kLow) | class_bit(CloudClass::kMid));
-  EXPECT_EQ(flow.at(0, 0).valid, 0);
-  EXPECT_EQ(flow.at(1, 0).valid, 1);
-  EXPECT_EQ(flow.at(2, 0).valid, 1);
-  EXPECT_EQ(flow.at(3, 0).valid, 0);
-}
-
 TEST(PerClassStats, SeparatesLayerWinds) {
   // Two decks moving differently — the multilayer scenario of Sec. 1.
   imaging::FlowField flow(8, 8);

@@ -77,16 +77,5 @@ TEST(Ppm, MissingFileThrows) {
   EXPECT_THROW(read_ppm("/nonexistent/file.ppm"), std::runtime_error);
 }
 
-TEST(GrayscaleToRgb, RampMapsToGray) {
-  ImageF img(3, 1);
-  img.at(0, 0) = 0.0f;
-  img.at(1, 0) = 127.5f;
-  img.at(2, 0) = 255.0f;
-  const ImageRgb rgb = grayscale_to_rgb(img);
-  EXPECT_EQ(rgb.at(0, 0), (Rgb{0, 0, 0}));
-  EXPECT_EQ(rgb.at(2, 0), (Rgb{255, 255, 255}));
-  EXPECT_EQ(rgb.at(1, 0).r, rgb.at(1, 0).g);
-}
-
 }  // namespace
 }  // namespace sma::imaging

@@ -74,13 +74,5 @@ TEST(GaussianBlur, LargerSigmaSmoothsMore) {
   EXPECT_LT(s3, s1);
 }
 
-TEST(Box3, AveragesNeighborhood) {
-  ImageF img(3, 3, 0.0f);
-  img.at(1, 1) = 9.0f;
-  const ImageF out = box3(img);
-  // Separable 1/3 kernel: center becomes 9/9 = 1.
-  EXPECT_NEAR(out.at(1, 1), 1.0f, 1e-5);
-}
-
 }  // namespace
 }  // namespace sma::imaging

@@ -133,19 +133,6 @@ TEST(FaultInjector, MissingFrameFillsEverything) {
       EXPECT_EQ(frame.at(x, y), 3.0f);
 }
 
-TEST(FaultInjector, CorruptSequenceReportsMissingFrames) {
-  FaultSpec spec;
-  spec.seed = 11;
-  spec.missing_frame_rate = 0.5;
-  const FaultInjector injector(spec);
-  std::vector<imaging::ImageF> frames;
-  for (int i = 0; i < 8; ++i) frames.push_back(test_frame(12));
-  FaultLog log;
-  const std::vector<int> missing = injector.corrupt_sequence(frames, &log);
-  EXPECT_EQ(missing.size(), log.count(FaultKind::kMissingFrame));
-  for (const int idx : missing) EXPECT_TRUE(injector.frame_missing(idx));
-}
-
 TEST(FaultInjector, StripeFaultsAreDeterministic) {
   FaultSpec spec;
   spec.seed = 5;

@@ -145,19 +145,5 @@ TEST(FaultTolerance, FullyMaskedRegionYieldsZeroConfidence) {
   EXPECT_EQ(g.confidence, 1.0f);
 }
 
-TEST(FaultTolerance, FilterByConfidenceDropsLowConfidenceVectors) {
-  imaging::FlowField flow(4, 1);
-  flow.set(0, 0, {1.0f, 0.0f, 0.1f, 1, 1.0f});
-  flow.set(1, 0, {1.0f, 0.0f, 0.1f, 1, 0.4f});
-  flow.set(2, 0, {1.0f, 0.0f, 0.1f, 1, 0.9f});
-  flow.set(3, 0, {0.0f, 0.0f, 0.0f, 0, 0.0f});  // already invalid
-  const std::size_t dropped = imaging::filter_by_confidence(flow, 0.5f);
-  EXPECT_EQ(dropped, 1u);
-  EXPECT_EQ(flow.at(0, 0).valid, 1);
-  EXPECT_EQ(flow.at(1, 0).valid, 0);
-  EXPECT_EQ(flow.at(2, 0).valid, 1);
-  EXPECT_EQ(flow.count_valid(), 2u);
-}
-
 }  // namespace
 }  // namespace sma

@@ -42,6 +42,28 @@ TEST(FlowField, EqualityIgnoresError) {
   EXPECT_FALSE(a == b);
 }
 
+TEST(FlowField, BitEqualSeesEveryChannel) {
+  FlowField a(2, 2);
+  a.set(1, 0, FlowVector{0.0f, 2.0f, 0.5f, 1, 1.0f});
+  EXPECT_TRUE(bit_equal(a, a));
+
+  // Each pair is equal under operator== and differs in exactly one way.
+  FlowField error = a;
+  error.set(1, 0, FlowVector{0.0f, 2.0f, 0.75f, 1, 1.0f});
+  FlowField confidence = a;
+  confidence.set(1, 0, FlowVector{0.0f, 2.0f, 0.5f, 1, 0.5f});
+  FlowField negative_zero = a;
+  negative_zero.set(1, 0, FlowVector{-0.0f, 2.0f, 0.5f, 1, 1.0f});
+  for (const FlowField* other : {&error, &confidence, &negative_zero}) {
+    EXPECT_TRUE(a == *other);
+    EXPECT_FALSE(bit_equal(a, *other));
+    EXPECT_FALSE(bit_equal(*other, a));
+  }
+
+  EXPECT_FALSE(bit_equal(a, FlowField(2, 3)));
+  EXPECT_TRUE(bit_equal(FlowField(), FlowField()));
+}
+
 TEST(RmsSparse, ZeroForPerfectTracks) {
   const FlowField f = testing::constant_flow(8, 8, 2.0f, -1.0f);
   std::vector<ReferenceTrack> refs = {{1, 1, 2.0, -1.0}, {5, 6, 2.0, -1.0}};
@@ -84,17 +106,6 @@ TEST(RmsDense, MarginExcludesBorder) {
   t.set(0, 0, FlowVector{50.0f, 0.0f, 0.0f, 1});  // corrupt a corner
   EXPECT_GT(rms_endpoint_error(f, t, 0), 0.0);
   EXPECT_DOUBLE_EQ(rms_endpoint_error(f, t, 1), 0.0);
-}
-
-TEST(AngularError, ZeroForIdenticalFlow) {
-  const FlowField f = testing::constant_flow(5, 5, 1.0f, 1.0f);
-  EXPECT_NEAR(mean_angular_error_deg(f, f), 0.0, 1e-6);
-}
-
-TEST(AngularError, PositiveForDifferentFlow) {
-  const FlowField a = testing::constant_flow(5, 5, 2.0f, 0.0f);
-  const FlowField b = testing::constant_flow(5, 5, 0.0f, 2.0f);
-  EXPECT_GT(mean_angular_error_deg(a, b), 10.0);
 }
 
 TEST(FlowText, RoundTrip) {

@@ -45,27 +45,6 @@ TEST(Image, ClampBorder) {
   EXPECT_EQ(img.at_clamped(-5, 0), 0.0f);
   EXPECT_EQ(img.at_clamped(7, 0), 2.0f);
   EXPECT_EQ(img.at_clamped(1, 9), 21.0f);
-  EXPECT_EQ(img.at_border(-1, -1, BorderPolicy::kClamp), 0.0f);
-}
-
-TEST(Image, ZeroBorder) {
-  ImageF img(3, 3, 5.0f);
-  EXPECT_EQ(img.at_border(-1, 0, BorderPolicy::kZero), 0.0f);
-  EXPECT_EQ(img.at_border(1, 1, BorderPolicy::kZero), 5.0f);
-}
-
-TEST(Image, ReflectBorder) {
-  ImageF img = testing::make_image(4, 1, [](double x, double) { return x; });
-  // Reflection without edge repeat: -1 -> 1, -2 -> 2, 4 -> 2, 5 -> 1.
-  EXPECT_EQ(img.at_border(-1, 0, BorderPolicy::kReflect), 1.0f);
-  EXPECT_EQ(img.at_border(-2, 0, BorderPolicy::kReflect), 2.0f);
-  EXPECT_EQ(img.at_border(4, 0, BorderPolicy::kReflect), 2.0f);
-  EXPECT_EQ(img.at_border(5, 0, BorderPolicy::kReflect), 1.0f);
-}
-
-TEST(Image, ReflectSinglePixel) {
-  ImageF img(1, 1, 3.0f);
-  EXPECT_EQ(img.at_border(10, -10, BorderPolicy::kReflect), 3.0f);
 }
 
 TEST(Image, RowPointerMatchesAt) {
@@ -111,16 +90,6 @@ TEST(Bilinear, ClampsOutside) {
   });
   EXPECT_NEAR(bilinear(img, -3.0, 0.0), 0.0, 1e-6);
   EXPECT_NEAR(bilinear(img, 10.0, 3.0), 3.0 + 30.0, 1e-5);
-}
-
-TEST(Convert, FloatToByteAndBack) {
-  ImageF img = testing::make_image(3, 3, [](double x, double y) {
-    return 10 * x + y;
-  });
-  const ImageU8 b = convert<unsigned char>(img);
-  EXPECT_EQ(b.at(2, 1), 21);
-  const ImageF f = convert<float>(b);
-  EXPECT_EQ(f.at(2, 1), 21.0f);
 }
 
 }  // namespace

@@ -5,12 +5,11 @@
 //   * Chrome trace_event JSON schema of write_chrome_trace, checked with
 //     a minimal JSON parser, including one span per pipeline stage and
 //     the nested hypothesis-search spans;
-//   * MetricsRegistry kinds (counter/gauge/histogram), reset, kind
-//     conflicts, %.17g CSV round-tripping;
+//   * MetricsRegistry kinds (counter/gauge/histogram), kind conflicts,
+//     %.17g CSV round-tripping;
 //   * the obs_bridge completeness contract: every PipelineStats /
 //     TrackTimings / FaultLog field appears in the exported snapshot,
-//     the `--metrics` CSV reproduces PipelineStats EXACTLY, and
-//     SmaPipeline::reset_stats() zeroes every metric.
+//     and the `--metrics` CSV reproduces PipelineStats EXACTLY.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -369,14 +368,11 @@ TEST(ChromeTrace, SchemaAndPipelineStageSpans) {
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
-TEST(Metrics, CounterAccumulatesAndResets) {
+TEST(Metrics, CounterAccumulates) {
   obs::MetricsRegistry reg;
   reg.counter("c").inc();
   reg.counter("c").inc(2.5);
   EXPECT_DOUBLE_EQ(reg.counter("c").value(), 3.5);
-  reg.reset();
-  EXPECT_DOUBLE_EQ(reg.counter("c").value(), 0.0);
-  EXPECT_TRUE(reg.contains("c"));  // registration survives reset
 }
 
 TEST(Metrics, GaugeIsLastWriteWins) {
@@ -457,22 +453,6 @@ TEST(Metrics, HistogramCsvRowsAreCumulativeWithTerseBounds) {
       << "bucket labels must use terse %g formatting";
 }
 
-TEST(Metrics, JsonExportParses) {
-  obs::MetricsRegistry reg;
-  reg.counter("runs").inc();
-  reg.histogram("h", {1.0}).observe(0.5);
-  std::ostringstream os;
-  reg.write_json(os);
-  Json root;
-  ASSERT_NO_THROW(root = JsonParser(os.str()).parse());
-  const Json& metrics = root.at("metrics");
-  ASSERT_EQ(metrics.type, Json::kArray);
-  ASSERT_EQ(metrics.arr.size(), 2u);
-  EXPECT_EQ(metrics.arr[1].at("name").str, "runs");
-  EXPECT_EQ(metrics.arr[0].at("kind").str, "histogram");
-  ASSERT_EQ(metrics.arr[0].at("buckets").arr.size(), 2u);
-}
-
 // ---------------------------------------------------------------------------
 // obs_bridge completeness + pipeline integration
 // ---------------------------------------------------------------------------
@@ -540,29 +520,6 @@ TEST(ObsBridge, PipelineMetricsMatchStatsExactly) {
   EXPECT_EQ(csv.at("pipeline.total_seconds"), stats.total_seconds());
   // The per-pair histogram saw both pairs.
   EXPECT_EQ(csv.at("pipeline.pair_seconds.count"), 2.0);
-}
-
-TEST(ObsBridge, ResetStatsZeroesEveryMetric) {
-  core::SmaConfig cfg = tiny_config();
-  cfg.precompute = core::PrecomputeMode::kOn;
-  const TinyPair p = tiny_pair();
-  core::SmaPipeline pipeline(cfg);
-  (void)pipeline.track_pair(p.before, p.after);
-  (void)pipeline.track_pair(p.before, p.after);
-  ASSERT_GT(pipeline.stats().precompute_builds, 0u);
-  ASSERT_GT(pipeline.stats().precompute_reuses, 0u);
-
-  pipeline.reset_stats();
-  EXPECT_EQ(pipeline.stats().pairs_tracked, 0u);
-  for (const obs::MetricSnapshot& s : pipeline.metrics().snapshot()) {
-    EXPECT_EQ(s.value, 0.0) << "metric survived reset: " << s.name;
-    EXPECT_EQ(s.count, 0u) << "histogram survived reset: " << s.name;
-  }
-  // Including, explicitly, the precompute counters (regression: these
-  // were the last fields added to PipelineStats).
-  const auto snap = pipeline.metrics().snapshot();
-  EXPECT_EQ(obs::find_metric(snap, "pipeline.precompute_builds")->value, 0.0);
-  EXPECT_EQ(obs::find_metric(snap, "pipeline.precompute_reuses")->value, 0.0);
 }
 
 TEST(RunReport, CarriesIdentityMetricsAndSpans) {

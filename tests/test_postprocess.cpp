@@ -3,9 +3,6 @@
 // work, implemented here as extensions).
 #include "core/postprocess.hpp"
 
-#include "core/pipeline.hpp"
-#include "core/tracker.hpp"
-
 #include <gtest/gtest.h>
 
 #include "helpers.hpp"
@@ -199,74 +196,6 @@ TEST(RobustPipeline, CleansNoisyField) {
   const FlowField clean = robust_postprocess(f);
   const FlowField truth = sma::testing::constant_flow(16, 16, 1.0f, 0.0f);
   EXPECT_LT(imaging::rms_endpoint_error(clean, truth), 0.05);
-}
-
-
-TEST(ForwardBackward, ConsistentFieldSurvives) {
-  // Forward +2 in x, backward -2: perfectly consistent.
-  FlowField fwd = sma::testing::constant_flow(16, 16, 2.0f, 0.0f);
-  const FlowField bwd = sma::testing::constant_flow(16, 16, -2.0f, 0.0f);
-  const std::size_t masked = forward_backward_check(fwd, bwd, 0.5);
-  // Only pixels whose landing point lacks bilinear support (the right
-  // columns, plus the bottom row whose integer landing needs y+1) are
-  // invalidated.
-  EXPECT_LE(masked, 64u);
-  EXPECT_EQ(fwd.at(5, 5).valid, 1);
-}
-
-TEST(ForwardBackward, InconsistentFieldMasked) {
-  // Backward field does NOT cancel the forward one (occlusion analog).
-  FlowField fwd = sma::testing::constant_flow(16, 16, 2.0f, 0.0f);
-  const FlowField bwd = sma::testing::constant_flow(16, 16, 1.0f, 0.0f);
-  forward_backward_check(fwd, bwd, 0.5);
-  EXPECT_EQ(fwd.at(5, 5).valid, 0);
-}
-
-TEST(ForwardBackward, LandingOutsideImageMasked) {
-  FlowField fwd = sma::testing::constant_flow(8, 8, 20.0f, 0.0f);
-  const FlowField bwd = sma::testing::constant_flow(8, 8, -20.0f, 0.0f);
-  const std::size_t masked = forward_backward_check(fwd, bwd, 0.5);
-  EXPECT_EQ(masked, 64u);  // everything lands outside
-}
-
-TEST(ForwardBackward, InvalidBackwardSupportMasked) {
-  FlowField fwd = sma::testing::constant_flow(12, 12, 1.0f, 0.0f);
-  FlowField bwd = sma::testing::constant_flow(12, 12, -1.0f, 0.0f);
-  // Kill the backward field where forward pixels land from x=4.
-  for (int y = 0; y < 12; ++y) {
-    FlowVector v = bwd.at(5, y);
-    v.valid = 0;
-    bwd.set(5, y, v);
-  }
-  forward_backward_check(fwd, bwd, 0.5);
-  EXPECT_EQ(fwd.at(4, 6).valid, 0);  // lands on the invalid column
-  EXPECT_EQ(fwd.at(8, 6).valid, 1);  // unaffected
-}
-
-TEST(ForwardBackward, EndToEndOcclusionDetected) {
-  // Real tracking: content slides right, revealing new (unmatched)
-  // texture at the left edge of frame1; the backward check must flag
-  // the corresponding forward vectors near that edge as unreliable
-  // while keeping the consistent interior.
-  const imaging::ImageF f0 = sma::testing::textured_pattern(40, 40);
-  const imaging::ImageF f1 = sma::testing::shift_image(f0, 3, 0);
-  SmaConfig cfg;
-  cfg.model = MotionModel::kContinuous;
-  cfg.surface_fit_radius = 2;
-  cfg.z_template_radius = 3;
-  cfg.z_search_radius = 3;
-  SmaPipeline pipeline(cfg, {.backend = "vector"});
-  TrackResult fwd = pipeline.track_pair(f0, f1);
-  const TrackResult bwd = pipeline.track_pair(f1, f0);
-  forward_backward_check(fwd.flow, bwd.flow, 1.0);
-  // Interior pixels stay valid and correct.
-  int valid_interior = 0, total = 0;
-  for (int y = 10; y < 30; ++y)
-    for (int x = 10; x < 30; ++x) {
-      ++total;
-      valid_interior += fwd.flow.at(x, y).valid ? 1 : 0;
-    }
-  EXPECT_GT(static_cast<double>(valid_interior) / total, 0.9);
 }
 
 }  // namespace

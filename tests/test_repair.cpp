@@ -128,35 +128,6 @@ TEST(Repair, MissingFrameIsFlagged) {
     for (int x = 0; x < 24; ++x) EXPECT_EQ(rep.validity.at(x, y), 0);
 }
 
-TEST(Repair, SequenceInterpolatesMissingFrames) {
-  std::vector<ImageF> frames;
-  frames.push_back(cloudy(20));
-  frames.push_back(ImageF(20, 20, 0.0f));  // lost
-  frames.push_back(sma::testing::textured_pattern(20, 20, 0.4));
-  const ImageF f0 = frames[0];
-  const ImageF f2 = frames[2];
-  const std::vector<RepairReport> reps = repair_sequence(frames);
-  ASSERT_EQ(reps.size(), 3u);
-  EXPECT_TRUE(reps[1].frame_missing);
-  // The lost frame becomes the average of its intact neighbors...
-  for (int y = 0; y < 20; ++y)
-    for (int x = 0; x < 20; ++x)
-      EXPECT_NEAR(frames[1].at(x, y), 0.5f * (f0.at(x, y) + f2.at(x, y)),
-                  1e-4f);
-  // ...and is trusted because both neighbors exist.
-  EXPECT_EQ(reps[1].validity.at(3, 3), 1);
-}
-
-TEST(Repair, SequenceEdgeMissingFrameStaysMasked) {
-  std::vector<ImageF> frames;
-  frames.push_back(ImageF(20, 20, 0.0f));  // lost, only a next neighbor
-  frames.push_back(cloudy(20));
-  const std::vector<RepairReport> reps = repair_sequence(frames);
-  EXPECT_TRUE(reps[0].frame_missing);
-  EXPECT_EQ(max_abs_difference(frames[0], frames[1]), 0.0);  // copied
-  EXPECT_EQ(reps[0].validity.at(3, 3), 0);  // extrapolated => untrusted
-}
-
 TEST(Repair, RoundTripsInjectedScanlineDropout) {
   // End-to-end with the injector: every dropped line is either repaired
   // or masked; nothing survives as a raw constant row.

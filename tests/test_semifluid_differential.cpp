@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <random>
 #include <sstream>
 #include <string>
@@ -91,17 +90,6 @@ GeneratedCase generate(std::mt19937& rng) {
   return c;
 }
 
-bool bit_equal(const imaging::ImageF& a, const imaging::ImageF& b) {
-  return a.same_shape(b) &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-// Strict bit-identity: vectors, validity and residuals.
-bool flow_bit_equal(const imaging::FlowField& a, const imaging::FlowField& b) {
-  return a == b && bit_equal(a.u(), b.u()) && bit_equal(a.v(), b.v()) &&
-         bit_equal(a.error(), b.error());
-}
-
 std::vector<simd::SimdLevel> compiled_levels() {
   std::vector<simd::SimdLevel> out;
   for (const simd::SimdLevel req :
@@ -146,7 +134,7 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
           SmaPipeline(cfg, {.backend = what.substr(0, what.find('@')),
                             .track = c.options})
               .track_pair(in);
-      EXPECT_TRUE(flow_bit_equal(r.flow, oracle.flow)) << what;
+      EXPECT_TRUE(imaging::bit_equal(r.flow, oracle.flow)) << what;
       return r;
     };
 
@@ -181,7 +169,7 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
     const shard::ShardResult sharded = shard::shard_track_pair(
         source, c.config,
         {.spec = c.grid, .backend = "vector", .track = c.options});
-    EXPECT_TRUE(flow_bit_equal(sharded.flow, oracle.flow)) << "shard";
+    EXPECT_TRUE(imaging::bit_equal(sharded.flow, oracle.flow)) << "shard";
   }
 }
 

@@ -5,8 +5,6 @@
 
 #include <limits>
 
-#include "helpers.hpp"
-
 namespace sma::imaging {
 namespace {
 
@@ -36,46 +34,12 @@ TEST(Summarize, EmptyImage) {
   EXPECT_EQ(s.count, 0u);
 }
 
-TEST(RmsDifference, ZeroForIdentical) {
-  const ImageF img = testing::textured_pattern(8, 8);
-  EXPECT_DOUBLE_EQ(rms_difference(img, img), 0.0);
-}
-
-TEST(RmsDifference, KnownOffset) {
-  const ImageF a(4, 4, 1.0f);
-  const ImageF b(4, 4, 4.0f);
-  EXPECT_DOUBLE_EQ(rms_difference(a, b), 3.0);
-}
-
-TEST(RmsDifference, ShapeMismatchThrows) {
-  EXPECT_THROW(rms_difference(ImageF(2, 2), ImageF(3, 2)),
-               std::invalid_argument);
-}
-
 TEST(MaxAbsDifference, FindsWorstPixel) {
   ImageF a(3, 3, 0.0f);
   ImageF b(3, 3, 0.0f);
   b.at(2, 2) = -7.0f;
   EXPECT_DOUBLE_EQ(max_abs_difference(a, b), 7.0);
 }
-
-TEST(Rescale, MapsFullRange) {
-  ImageF img(3, 1);
-  img.at(0, 0) = 10.0f;
-  img.at(1, 0) = 20.0f;
-  img.at(2, 0) = 30.0f;
-  const ImageF out = rescale(img, 0.0, 1.0);
-  EXPECT_NEAR(out.at(0, 0), 0.0f, 1e-6);
-  EXPECT_NEAR(out.at(1, 0), 0.5f, 1e-6);
-  EXPECT_NEAR(out.at(2, 0), 1.0f, 1e-6);
-}
-
-TEST(Rescale, ConstantImageMapsToLow) {
-  const ImageF img(2, 2, 9.0f);
-  const ImageF out = rescale(img, -1.0, 1.0);
-  EXPECT_EQ(out.at(0, 0), -1.0f);
-}
-
 
 TEST(HasNonfinite, DetectsNanAndInf) {
   ImageF img(4, 4, 1.0f);

@@ -9,22 +9,6 @@
 namespace sma::imaging {
 namespace {
 
-TEST(WarpHorizontal, ZeroDisparityIsIdentity) {
-  const ImageF img = testing::textured_pattern(16, 16);
-  const ImageF zero(16, 16, 0.0f);
-  const ImageF out = warp_horizontal(img, zero);
-  EXPECT_LT(max_abs_difference(img, out), 1e-5);
-}
-
-TEST(WarpHorizontal, IntegerShift) {
-  const ImageF img = testing::textured_pattern(16, 16);
-  const ImageF disp(16, 16, 2.0f);
-  const ImageF out = warp_horizontal(img, disp);
-  for (int y = 0; y < 16; ++y)
-    for (int x = 0; x < 13; ++x)
-      EXPECT_NEAR(out.at(x, y), img.at(x + 2, y), 1e-4);
-}
-
 TEST(WarpByFlow, ZeroFlowIsIdentity) {
   const ImageF img = testing::textured_pattern(12, 12);
   const FlowField zero = testing::constant_flow(12, 12, 0.0f, 0.0f);
