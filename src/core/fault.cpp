@@ -32,9 +32,6 @@ const char* fault_kind_name(FaultKind kind) {
     case FaultKind::kBitNoise: return "bit-noise";
     case FaultKind::kDeadColumn: return "dead-column";
     case FaultKind::kMissingFrame: return "missing-frame";
-    case FaultKind::kStripeFault: return "stripe-fault";
-    case FaultKind::kStripeRetry: return "stripe-retry";
-    case FaultKind::kStripeSkip: return "stripe-skip";
     case FaultKind::kLineRepaired: return "line-repaired";
     case FaultKind::kLineMasked: return "line-masked";
   }
@@ -52,9 +49,7 @@ std::string FaultLog::summary() const {
   static constexpr FaultKind kAll[] = {
       FaultKind::kScanlineDropout, FaultKind::kBitNoise,
       FaultKind::kDeadColumn,      FaultKind::kMissingFrame,
-      FaultKind::kStripeFault,     FaultKind::kStripeRetry,
-      FaultKind::kStripeSkip,      FaultKind::kLineRepaired,
-      FaultKind::kLineMasked,
+      FaultKind::kLineRepaired,    FaultKind::kLineMasked,
   };
   static_assert(sizeof(kAll) / sizeof(kAll[0]) == kFaultKindCount,
                 "FaultKind changed: update FaultLog::summary and "
@@ -80,18 +75,6 @@ bool FaultInjector::frame_missing(int frame_index) const {
   return spec_.missing_frame_rate > 0.0 &&
          uniform(FaultKind::kMissingFrame, frame_index, 0) <
              spec_.missing_frame_rate;
-}
-
-bool FaultInjector::stripe_fault(int frame_index) const {
-  return spec_.stripe_fault_rate > 0.0 &&
-         uniform(FaultKind::kStripeFault, frame_index, 0) <
-             spec_.stripe_fault_rate;
-}
-
-bool FaultInjector::stripe_fault_persists(int frame_index,
-                                          int attempt) const {
-  return uniform(FaultKind::kStripeRetry, frame_index, attempt) <
-         spec_.stripe_fault_persist;
 }
 
 void FaultInjector::corrupt_frame(imaging::ImageF& frame, int frame_index,

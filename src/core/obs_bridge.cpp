@@ -93,14 +93,10 @@ namespace {
 constexpr FaultKind kAllFaultKinds[] = {
     FaultKind::kScanlineDropout, FaultKind::kBitNoise,
     FaultKind::kDeadColumn,      FaultKind::kMissingFrame,
-    FaultKind::kStripeFault,     FaultKind::kStripeRetry,
-    FaultKind::kStripeSkip,      FaultKind::kLineRepaired,
-    FaultKind::kLineMasked,
+    FaultKind::kLineRepaired,    FaultKind::kLineMasked,
 };
 // Completeness: every FaultKind must appear above so publish_metrics
-// exports a "fault.*" gauge for it — in particular "fault.stripe-skip",
-// the FrameStream retry-exhaustion ("skip-and-interpolate engaged")
-// counter the pdisk benches alert on.
+// exports a "fault.*" gauge for it.
 static_assert(sizeof(kAllFaultKinds) / sizeof(kAllFaultKinds[0]) ==
                   kFaultKindCount,
               "FaultKind changed: update kAllFaultKinds (and the "

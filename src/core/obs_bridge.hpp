@@ -13,7 +13,7 @@
 //
 // Naming scheme: "<layer>.<field>" with the struct's own field names
 // ("pipeline.cache_hits", "track.surface_fit_seconds"); fault events use
-// the fault_kind_name() strings ("fault.stripe-retry").  Struct fields
+// the fault_kind_name() strings ("fault.line-repaired").  Struct fields
 // are mirrored as gauges (an idempotent re-publish of a cumulative
 // snapshot), event counts as gauges of the log's current totals.
 #pragma once

@@ -132,8 +132,7 @@ obs::MetricsRegistry& SmaPipeline::metrics() {
 }
 
 obs::RunReport SmaPipeline::run_report() {
-  obs::RunReport report =
-      obs::build_run_report("sma_pipeline", metrics(), obs::trace_recorder());
+  obs::RunReport report = obs::build_run_report("sma_pipeline", metrics());
   report.config = config_.describe();
   report.backend = backend_->name();
   return report;

@@ -167,8 +167,7 @@ class SmaPipeline {
   obs::MetricsRegistry& metrics();
 
   /// One RunReport of everything this pipeline ran: backend + config
-  /// identity, the metrics() snapshot, and — when a global TraceRecorder
-  /// is installed (obs/trace.hpp) — the span rollup.
+  /// identity and the metrics() snapshot.
   obs::RunReport run_report();
 
   /// Drops all cached geometry (e.g. after mutating frame buffers in

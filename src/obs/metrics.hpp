@@ -9,7 +9,7 @@
 // and export it.  The ad-hoc structs survive as the in-process API —
 // core/obs_bridge.hpp publishes each of them into a registry under a
 // stable name scheme ("pipeline.cache_hits", "track.surface_fit_seconds",
-// "maspar.xnet_words", "fault.stripe-retry", ...), and
+// "maspar.xnet_words", "fault.line-repaired", ...), and
 // tests/test_obs.cpp cross-checks that every struct field has a
 // registered metric, so a counter added without registration fails CI.
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <ostream>
 #include <utility>
 
@@ -48,15 +47,7 @@ void RunReport::write_json(std::ostream& os) const {
     os << (i > 0 ? "," : "") << "\"" << json_escape(s.name)
        << "\":" << fmt_exact(s.value);
   }
-  os << "},\"spans\":[";
-  for (std::size_t i = 0; i < spans.size(); ++i) {
-    const SpanSummary& s = spans[i];
-    os << (i > 0 ? "," : "") << "{\"cat\":\"" << json_escape(s.category)
-       << "\",\"name\":\"" << json_escape(s.name)
-       << "\",\"count\":" << s.count
-       << ",\"total_us\":" << fmt_exact(s.total_us) << "}";
-  }
-  os << "]}";
+  os << "}}";
 }
 
 void RunReport::write_metrics_csv(std::ostream& os) const {
@@ -73,33 +64,10 @@ bool RunReport::write_metrics_csv(const std::string& path) const {
   return out.good();
 }
 
-std::vector<SpanSummary> summarize_spans(const TraceRecorder& recorder) {
-  std::map<std::pair<std::string, std::string>, SpanSummary> rollup;
-  for (const TraceEvent& e : recorder.events()) {
-    SpanSummary& s = rollup[{e.category, e.name}];
-    if (s.count == 0) {
-      s.category = e.category;
-      s.name = e.name;
-    }
-    ++s.count;
-    s.total_us += e.dur_us;
-  }
-  std::vector<SpanSummary> out;
-  out.reserve(rollup.size());
-  for (auto& [key, s] : rollup) out.push_back(std::move(s));
-  std::sort(out.begin(), out.end(),
-            [](const SpanSummary& a, const SpanSummary& b) {
-              return a.total_us > b.total_us;
-            });
-  return out;
-}
-
-RunReport build_run_report(std::string name, const MetricsRegistry& registry,
-                           const TraceRecorder* recorder) {
+RunReport build_run_report(std::string name, const MetricsRegistry& registry) {
   RunReport report;
   report.name = std::move(name);
   report.metrics = registry.snapshot();
-  if (recorder != nullptr) report.spans = summarize_spans(*recorder);
   return report;
 }
 

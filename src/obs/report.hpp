@@ -1,5 +1,5 @@
 // report.hpp — the RunReport aggregator: one machine-readable record of
-// what a run did (config, backend, metrics snapshot, span summary).
+// what a run did (config, backend, metrics snapshot).
 //
 // Every front end used to invent its own report (printf tables in the
 // benches, a bench-local JsonReport class, CLI printfs).  A RunReport is
@@ -11,36 +11,25 @@
 // `sma_cli --metrics` CSV and the tests all read the same numbers.
 #pragma once
 
-#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 
 namespace sma::obs {
-
-/// Per-(category, name) rollup of recorded spans.
-struct SpanSummary {
-  std::string category;
-  std::string name;
-  std::uint64_t count = 0;
-  double total_us = 0.0;
-};
 
 struct RunReport {
   std::string name;     ///< tool or record name ("sma_cli track", ...)
   std::string config;   ///< free-form config description
   std::string backend;  ///< tracker backend name, if one was involved
   std::vector<MetricSnapshot> metrics;
-  std::vector<SpanSummary> spans;
 
   /// Convenience: value of a counter/gauge metric, or `fallback`.
   double metric(const std::string& metric_name, double fallback = 0.0) const;
 
   /// One JSON object {"name":..., "config":..., "backend":...,
-  /// "metrics":{...}, "spans":[...]}.
+  /// "metrics":{...}}.
   void write_json(std::ostream& os) const;
 
   /// The registry CSV ("metric,kind,value,count") of this report's
@@ -50,14 +39,8 @@ struct RunReport {
   bool write_metrics_csv(const std::string& path) const;
 };
 
-/// Builds a report from a registry snapshot and (optionally) a span
-/// rollup of everything `recorder` holds.
-RunReport build_run_report(std::string name, const MetricsRegistry& registry,
-                           const TraceRecorder* recorder = nullptr);
-
-/// Rolls recorded events up into per-(category, name) totals, sorted by
-/// descending total time.
-std::vector<SpanSummary> summarize_spans(const TraceRecorder& recorder);
+/// Builds a report from a registry snapshot.
+RunReport build_run_report(std::string name, const MetricsRegistry& registry);
 
 /// Writes a JSON array of reports (the BENCH_*.json artifact shape).
 bool write_run_reports(const std::string& path,

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <exception>
 
-#include "sched/deque.hpp"
-
 namespace sma::sched {
 
 namespace {
@@ -21,12 +19,19 @@ thread_local bool tls_in_tile = false;
 // caller only returns (and destroys it) once `completed` is set AND
 // `executors` has drained to zero, so no worker can touch a dead batch.
 struct ThreadPool::Batch {
+  // Pool worker w's share of the batch: the contiguous index range
+  // [n*w/W, n*(w+1)/W) (owner-computes), claimed front to back by
+  // bumping `next`.  One cache line each, so owners do not contend.
+  struct alignas(64) Share {
+    std::atomic<std::size_t> next{0};
+    std::size_t end = 0;
+  };
+
+  explicit Batch(int width) : shares(static_cast<std::size_t>(width)) {}
+
   const std::vector<Tile>* tiles = nullptr;
   const TileFn* fn = nullptr;
-  // One deque per pool worker (owner-computes distribution), bulk-filled
-  // with tile indices before the batch is published.  unique_ptr because
-  // TileDeque holds atomics and cannot move.
-  std::vector<std::unique_ptr<TileDeque>> deques;
+  std::vector<Share> shares;  ///< one per pool worker
   std::atomic<std::int64_t> remaining{0};  ///< tiles not yet finished
   std::atomic<std::int64_t> unclaimed{0};  ///< tiles not yet claimed
   std::atomic<int> executors{0};           ///< workers attached right now
@@ -101,7 +106,7 @@ void ThreadPool::run(const std::vector<Tile>& tiles, const TileFn& fn,
   }
 
   const int width = threads();
-  Batch batch;
+  Batch batch(width);
   batch.tiles = &tiles;
   batch.fn = &fn;
   batch.max_executors =
@@ -112,19 +117,10 @@ void ThreadPool::run(const std::vector<Tile>& tiles, const TileFn& fn,
   batch.unclaimed.store(static_cast<std::int64_t>(n),
                         std::memory_order_relaxed);
 
-  // Owner-computes: worker w starts with the contiguous index range
-  // [n*w/W, n*(w+1)/W); imbalance drains via steals.
-  batch.deques.reserve(static_cast<std::size_t>(width));
-  for (int w = 0; w < width; ++w) {
-    const std::size_t lo = n * static_cast<std::size_t>(w) /
-                           static_cast<std::size_t>(width);
-    const std::size_t hi = n * (static_cast<std::size_t>(w) + 1) /
-                           static_cast<std::size_t>(width);
-    auto dq = std::make_unique<TileDeque>(std::max<std::size_t>(hi - lo, 1));
-    for (std::size_t i = lo; i < hi; ++i) {
-      dq->push(static_cast<std::uint32_t>(i));
-    }
-    batch.deques.push_back(std::move(dq));
+  const std::size_t shares = batch.shares.size();
+  for (std::size_t w = 0; w < shares; ++w) {
+    batch.shares[w].next.store(n * w / shares, std::memory_order_relaxed);
+    batch.shares[w].end = n * (w + 1) / shares;
   }
 
   {
@@ -190,23 +186,24 @@ void ThreadPool::worker_main(int id) {
 void ThreadPool::execute(Batch& batch, int id) {
   tls_in_tile = true;
   bool finisher = false;
-  const int width = static_cast<int>(batch.deques.size());
+  const std::size_t shares = batch.shares.size();
+  const std::size_t own = static_cast<std::size_t>(id);
   std::uint64_t ns = 0;
 
   for (;;) {
-    std::uint32_t index = 0;
-    bool got = batch.deques[static_cast<std::size_t>(id)]->pop(index);
-    if (!got) {
-      for (int k = 1; k < width && !got; ++k) {
-        const int victim = (id + k) % width;
-        if (batch.deques[static_cast<std::size_t>(victim)]->steal(index)) {
-          got = true;
-          steals_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
+    // Claim from the own share first, then steal from the others in ring
+    // order.  A claim fails only once its share is exhausted for good, so
+    // when every share fails, every tile has been claimed and the worker
+    // leaves; whoever finishes the last tile completes the batch.
+    std::size_t index = 0;
+    std::size_t k = 0;
+    for (; k < shares; ++k) {
+      Batch::Share& s = batch.shares[(own + k) % shares];
+      index = s.next.fetch_add(1, std::memory_order_relaxed);
+      if (index < s.end) break;
     }
-    if (!got) break;  // full scan failed -> any leftover work is being
-                      // claimed concurrently by another executor
+    if (k == shares) break;
+    if (k > 0) steals_.fetch_add(1, std::memory_order_relaxed);
     batch.unclaimed.fetch_sub(1, std::memory_order_relaxed);
 
     const auto t0 = std::chrono::steady_clock::now();

@@ -6,11 +6,12 @@
 // segmented across 16K processors with an owner-computes distribution
 // (Sec. 4.3).  The host analogue built here is a fixed pool of worker
 // threads fed cache-blocked pixel tiles (sched/tile.hpp): each batch's
-// tiles are distributed contiguously across per-worker Chase-Lev deques
-// (owner-computes), and load imbalance — border clamping, semi-fluid
-// remaps, skewed texture — is absorbed by work stealing from the top
-// end of a victim's deque (the PGAS extreme-scale particle tracker's
-// owner-computes + dynamic-stealing pattern, arXiv 2005.13193).
+// tiles are split into one contiguous share per worker (owner-computes),
+// and load imbalance — border clamping, semi-fluid remaps, skewed
+// texture — is absorbed by workers that run out of their own share
+// stealing the next tiles of the others' (the PGAS extreme-scale
+// particle tracker's owner-computes + dynamic-stealing pattern, arXiv
+// 2005.13193).
 //
 // CONCURRENCY BUDGET: the pool is the process-wide execution budget.
 // Tiles only ever run on the pool's worker threads; the submitting
@@ -52,7 +53,7 @@ struct SchedStats {
   int threads = 0;             ///< configured worker-thread budget
   std::uint64_t batches = 0;   ///< run() calls that reached the pool
   std::uint64_t tiles = 0;     ///< tiles executed
-  std::uint64_t steals = 0;    ///< successful cross-deque steals
+  std::uint64_t steals = 0;    ///< tiles claimed from another worker's share
   std::uint64_t inline_batches = 0;  ///< run() calls executed inline
                                ///< (empty pool or nested submission)
   int max_busy = 0;            ///< high-water of concurrently busy workers

@@ -6,8 +6,8 @@ TileShape choose_tile_shape(int width, int height, int executors) {
   TileShape shape{32, 32};
   if (width <= 0 || height <= 0) return shape;
   const int ex = executors > 1 ? executors : 1;
-  // Granularity target: enough tiles that the stealing deque has slack
-  // to redistribute skewed per-pixel cost across every executor.
+  // Granularity target: enough tiles that stealing has slack to
+  // redistribute skewed per-pixel cost across every executor.
   const long long target = 6LL * ex;
   const auto count = [&](const TileShape& s) {
     const long long tx = (width + s.width - 1) / s.width;

@@ -37,11 +37,11 @@ struct TileShape {
 
 /// Tile-size heuristic (the "autotuned" default; SmaConfig::tile_width /
 /// tile_height override it).  Two pressures balance:
-///  * granularity — at least ~6 tiles per executor so the stealing deque
-///    has imbalance to redistribute (per-pixel cost varies with border
+///  * granularity — at least ~6 tiles per executor so stealing has
+///    imbalance to redistribute (per-pixel cost varies with border
 ///    clamping and semi-fluid remaps);
 ///  * amortization — each tile large enough that per-tile scheduling
-///    overhead (one deque operation + one atomic decrement) is noise
+///    overhead (a few atomic increments and decrements) is noise
 ///    against the hypothesis sweep, which costs >> 1 us per pixel.
 /// Starting from 32x32 the larger side is halved until the tile count
 /// reaches the granularity target (or the tile hits 4x4).

@@ -175,9 +175,6 @@ void publish_metrics(const ShardReport& report,
   gauge("shard.stream.resident_high_water",
         static_cast<double>(report.stream.resident_high_water));
   gauge("shard.stream.io_seconds", report.stream.io_seconds);
-  gauge("shard.stream.faults", static_cast<double>(report.stream.faults));
-  gauge("shard.stream.retries", static_cast<double>(report.stream.retries));
-  gauge("shard.stream.skips", static_cast<double>(report.stream.skips));
 }
 
 }  // namespace sma::shard

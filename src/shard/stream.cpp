@@ -62,14 +62,6 @@ TiledFrameStream::TiledFrameStream(const std::string& before_path,
   }
 }
 
-void TiledFrameStream::attach_faults(const core::FaultInjector* injector,
-                                     core::FaultLog* log,
-                                     maspar::StreamFaultPolicy policy) {
-  injector_ = injector;
-  log_ = log;
-  policy_ = policy;
-}
-
 int TiledFrameStream::bytes_per_pixel() const {
   switch (headers_[0].format) {
     case imaging::RasterHeader::Format::kPgm16:
@@ -128,16 +120,10 @@ const imaging::ImageF& TiledFrameStream::block(int frame, int tile_index) {
       t.core_height());
 
   // Modeled MPDA streaming: the block's backing-store bytes at the
-  // effective array bandwidth, with the FrameStream stripe-fault /
-  // bounded-retry semantics.  The local file is intact, so exhausted
-  // retries serve the data as read instead of interpolating.
+  // effective array bandwidth.
   const double bytes = static_cast<double>(pixels.size()) * bytes_per_pixel();
-  const maspar::StripeRead r = maspar::read_stripe(
-      static_cast<int>(key), bytes, bytes / spec_.effective_bw(), injector_,
-      log_, policy_, stats_.io_seconds, stats_.bytes_read);
-  stats_.faults += r.fault ? 1 : 0;
-  stats_.retries += static_cast<std::uint64_t>(r.retries);
-  stats_.skips += r.exhausted ? 1 : 0;
+  stats_.io_seconds += bytes / spec_.effective_bw();
+  stats_.bytes_read += static_cast<std::uint64_t>(bytes);
 
   cache_bytes_ += pixels.size() * sizeof(float);
   lru_.push_front(key);

@@ -15,10 +15,8 @@
 // a tile shares with its neighbors are served from blocks the neighbor
 // already paid to load: cache hits are the in-process analogue of a
 // halo exchange.  Every block read advances the modeled MPDA I/O clock
-// (maspar/pdisk.hpp) and may hit a modeled RAID-3 stripe fault with the
-// same bounded-retry/backoff policy as FrameStream; because the local
-// file is actually intact, retry exhaustion degrades to serving the
-// data as read (recorded as a kStripeSkip) rather than interpolating.
+// at the arrays' effective bandwidth (maspar/pdisk.hpp); a short read of
+// the file throws.
 //
 // Resident accounting: resident = cached block bytes + the working crop
 // bytes the runner notes while a tile is in flight.  The high-water
@@ -32,7 +30,6 @@
 #include <map>
 #include <string>
 
-#include "core/fault.hpp"
 #include "imaging/image.hpp"
 #include "imaging/io.hpp"
 #include "maspar/pdisk.hpp"
@@ -87,9 +84,6 @@ struct ShardStreamStats {
   std::uint64_t resident_bytes = 0;       ///< current cache + working
   std::uint64_t resident_high_water = 0;  ///< max resident ever seen
   double io_seconds = 0.0;         ///< modeled MPDA streaming time
-  std::uint64_t faults = 0;        ///< initial stripe-read failures
-  std::uint64_t retries = 0;       ///< bounded re-read attempts
-  std::uint64_t skips = 0;         ///< retry exhaustion (served as read)
 };
 
 /// Out-of-core tile source over two raster files (see header comment).
@@ -102,13 +96,6 @@ class TiledFrameStream : public TileSource {
   TiledFrameStream(const std::string& before_path,
                    const std::string& after_path, const ShardPlan& plan,
                    maspar::MpdaSpec spec = {}, std::size_t budget_bytes = 0);
-
-  /// Attaches a modeled stripe-fault source (see maspar/pdisk.hpp); the
-  /// fault index of a block is frame * tiles + tile_index.  Pointers
-  /// must outlive the stream; pass nullptr to detach.
-  void attach_faults(const core::FaultInjector* injector,
-                     core::FaultLog* log = nullptr,
-                     maspar::StreamFaultPolicy policy = {});
 
   int width() const override { return plan_.width; }
   int height() const override { return plan_.height; }
@@ -138,9 +125,6 @@ class TiledFrameStream : public TileSource {
   std::list<std::int64_t> lru_;  ///< most recent at front
   std::map<std::int64_t, CacheEntry> cache_;
 
-  const core::FaultInjector* injector_ = nullptr;
-  core::FaultLog* log_ = nullptr;
-  maspar::StreamFaultPolicy policy_{};
   ShardStreamStats stats_;
 };
 

@@ -21,7 +21,6 @@ TEST(FaultInjector, ZeroRatesAreIdentity) {
   injector.corrupt_frame(frame, 0, &log);
   EXPECT_EQ(imaging::max_abs_difference(orig, frame), 0.0);
   EXPECT_TRUE(log.empty());
-  EXPECT_FALSE(injector.stripe_fault(0));
   EXPECT_FALSE(injector.frame_missing(0));
 }
 
@@ -133,33 +132,17 @@ TEST(FaultInjector, MissingFrameFillsEverything) {
       EXPECT_EQ(frame.at(x, y), 3.0f);
 }
 
-TEST(FaultInjector, StripeFaultsAreDeterministic) {
-  FaultSpec spec;
-  spec.seed = 5;
-  spec.stripe_fault_rate = 0.5;
-  spec.stripe_fault_persist = 0.5;
-  const FaultInjector a(spec), b(spec);
-  int faults = 0;
-  for (int f = 0; f < 64; ++f) {
-    EXPECT_EQ(a.stripe_fault(f), b.stripe_fault(f));
-    if (a.stripe_fault(f)) ++faults;
-    EXPECT_EQ(a.stripe_fault_persists(f, 1), b.stripe_fault_persists(f, 1));
-  }
-  EXPECT_GT(faults, 0);
-  EXPECT_LT(faults, 64);
-}
-
 TEST(FaultLog, CountsAndSummary) {
   FaultLog log;
   log.record(FaultKind::kScanlineDropout, 0, 3);
   log.record(FaultKind::kScanlineDropout, 0, 9);
-  log.record(FaultKind::kStripeSkip, 4);
+  log.record(FaultKind::kLineMasked, 4);
   EXPECT_EQ(log.size(), 3u);
   EXPECT_EQ(log.count(FaultKind::kScanlineDropout), 2u);
   EXPECT_EQ(log.count(FaultKind::kDeadColumn), 0u);
   const std::string s = log.summary();
   EXPECT_NE(s.find("scanline-dropout"), std::string::npos);
-  EXPECT_NE(s.find("stripe-skip"), std::string::npos);
+  EXPECT_NE(s.find("line-masked"), std::string::npos);
   log.clear();
   EXPECT_TRUE(log.empty());
 }

@@ -73,83 +73,5 @@ TEST(FrameStream, OverReadThrows) {
   EXPECT_THROW(fs.next(), std::out_of_range);  // still exhausted
 }
 
-TEST(FrameStream, ZeroFaultRatesAreBitIdentical) {
-  // An attached all-zero injector must not perturb anything: same
-  // frames, same modeled clock, same byte count, empty log.
-  FrameStream plain(frames(3, 8));
-  FrameStream faulty(frames(3, 8));
-  const core::FaultInjector injector;  // all rates 0
-  core::FaultLog log;
-  faulty.attach_faults(&injector, &log);
-  for (int i = 0; i < 3; ++i) {
-    const imaging::ImageF& a = plain.next();
-    const imaging::ImageF& b = faulty.next();
-    EXPECT_EQ(a.at(0, 0), b.at(0, 0));
-  }
-  EXPECT_EQ(plain.io_seconds(), faulty.io_seconds());
-  EXPECT_EQ(plain.bytes_read(), faulty.bytes_read());
-  EXPECT_EQ(faulty.frames_skipped(), 0u);
-  EXPECT_TRUE(log.empty());
-}
-
-TEST(FrameStream, StripeFaultRetryAdvancesModeledClock) {
-  // Every read faults but recovers on the first re-read: the clock must
-  // carry one extra stripe-group read plus the settle backoff per frame.
-  core::FaultSpec spec;
-  spec.stripe_fault_rate = 1.0;
-  spec.stripe_fault_persist = 0.0;  // first retry always recovers
-  const core::FaultInjector injector(spec);
-  core::FaultLog log;
-  StreamFaultPolicy policy;
-  policy.max_retries = 3;
-  policy.backoff_base = 1.0e-3;
-
-  FrameStream clean(frames(2, 8));
-  FrameStream faulty(frames(2, 8));
-  faulty.attach_faults(&injector, &log, policy);
-  clean.next();
-  faulty.next();
-  const double frame_seconds = clean.io_seconds();
-  EXPECT_NEAR(faulty.io_seconds(),
-              2.0 * frame_seconds + policy.backoff_base, 1e-12);
-  EXPECT_EQ(faulty.bytes_read(), 2 * clean.bytes_read());
-  EXPECT_EQ(log.count(core::FaultKind::kStripeFault), 1u);
-  EXPECT_EQ(log.count(core::FaultKind::kStripeRetry), 1u);
-  EXPECT_EQ(log.count(core::FaultKind::kStripeSkip), 0u);
-  EXPECT_EQ(faulty.frames_skipped(), 0u);
-}
-
-TEST(FrameStream, PersistentStripeFaultDegradesToInterpolation) {
-  // The fault persists through every retry: the frame is rebuilt from
-  // its neighbors and the skip is logged, with exponential backoff on
-  // the modeled clock for each attempt.
-  core::FaultSpec spec;
-  spec.seed = 3;
-  spec.stripe_fault_rate = 1.0;
-  spec.stripe_fault_persist = 1.0;  // never recovers
-  const core::FaultInjector injector(spec);
-  core::FaultLog log;
-  StreamFaultPolicy policy;
-  policy.max_retries = 2;
-  policy.backoff_base = 1.0e-3;
-
-  // Frames hold 0, 1, 2; the middle frame must become (0 + 2) / 2 = 1,
-  // the first a copy of its only neighbor.
-  FrameStream fs(frames(3, 4));
-  fs.attach_faults(&injector, &log, policy);
-  const imaging::ImageF& f0 = fs.next();
-  EXPECT_EQ(f0.at(0, 0), 1.0f);  // edge: copied from the next frame
-  const imaging::ImageF& f1 = fs.next();
-  EXPECT_EQ(f1.at(0, 0), 1.5f);  // avg of repaired f0 (=1) and f2 (=2)
-  EXPECT_EQ(fs.frames_skipped(), 2u);
-  EXPECT_EQ(log.count(core::FaultKind::kStripeRetry), 4u);  // 2 per frame
-  EXPECT_EQ(log.count(core::FaultKind::kStripeSkip), 2u);
-  // Backoff doubles: retry events carry 1 ms then 2 ms.
-  double total_backoff = 0.0;
-  for (const core::FaultEvent& e : log.events())
-    if (e.kind == core::FaultKind::kStripeRetry) total_backoff += e.detail;
-  EXPECT_NEAR(total_backoff, 2.0 * (1.0e-3 + 2.0e-3), 1e-12);
-}
-
 }  // namespace
 }  // namespace sma::maspar

@@ -4,10 +4,10 @@
 //  1. Tiling algebra: make_tiles() is an exact partition (every pixel in
 //     exactly one tile) and choose_tile_shape() yields enough tiles to
 //     keep every executor fed with steal slack.
-//  2. Deque + pool mechanics: the Chase-Lev-style TileDeque never
-//     duplicates or drops a tile under concurrent steals (this is the
-//     stress test the TSan CI job runs); ThreadPool::run() executes
-//     every tile exactly once, honors the max_executors budget, runs
+//  2. Pool mechanics: ThreadPool::run() executes every tile exactly
+//     once under concurrent claims from the per-worker shares (the
+//     stress test the TSan CI job runs) and counts claims from another
+//     worker's share as steals, honors the max_executors budget, runs
 //     nested submissions inline instead of deadlocking, and propagates
 //     exceptions; for_each_row() visits every row once and leaves
 //     small frames off the pool.
@@ -28,7 +28,6 @@
 
 #include "core/pipeline.hpp"
 #include "helpers.hpp"
-#include "sched/deque.hpp"
 #include "sched/scheduler.hpp"
 #include "sched/tile.hpp"
 
@@ -95,63 +94,47 @@ TEST(Tiling, ChooseTileShapeClampsToTinyImages) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Deque + pool mechanics
+// 2. Pool mechanics
 // ---------------------------------------------------------------------------
 
-TEST(TileDeque, OwnerPopsLifoStealersTakeFifo) {
-  TileDeque dq(16);
-  for (std::uint32_t i = 0; i < 5; ++i) dq.push(i);
-  std::uint32_t v = 0;
-  ASSERT_TRUE(dq.steal(v));  // oldest first
-  EXPECT_EQ(v, 0u);
-  ASSERT_TRUE(dq.pop(v));  // newest first
-  EXPECT_EQ(v, 4u);
-  ASSERT_TRUE(dq.steal(v));
-  EXPECT_EQ(v, 1u);
-  ASSERT_TRUE(dq.pop(v));
-  EXPECT_EQ(v, 3u);
-  ASSERT_TRUE(dq.pop(v));
-  EXPECT_EQ(v, 2u);
-  EXPECT_FALSE(dq.pop(v));
-  EXPECT_FALSE(dq.steal(v));
+// Runs `count` index-only tiles and returns how often each index ran.
+std::vector<int> run_counting(ThreadPool& pool, std::size_t count,
+                              int max_executors) {
+  const std::vector<Tile> tiles(count);
+  std::vector<std::atomic<int>> hits(count);
+  for (auto& h : hits) h.store(0, std::memory_order_relaxed);
+  pool.run(
+      tiles,
+      [&](const Tile&, std::size_t index) {
+        hits[index].fetch_add(1, std::memory_order_relaxed);
+      },
+      max_executors);
+  std::vector<int> out;
+  for (const auto& h : hits) out.push_back(h.load());
+  return out;
 }
 
-// The TSan target: one owner popping, several thieves stealing, every
-// element claimed EXACTLY once.  Spurious steal failures are allowed
-// (another thief won); lost or duplicated elements are not.
-TEST(TileDeque, ConcurrentStealStressClaimsEachElementOnce) {
-  constexpr std::uint32_t kElems = 4096;
-  constexpr int kThieves = 4;
-  TileDeque dq(kElems);
-  for (std::uint32_t i = 0; i < kElems; ++i) dq.push(i);
+// The TSan target: four workers claim from their own shares and steal
+// from each other's, and every index runs EXACTLY once.  Under a cap,
+// the shares of workers that never attach can only be stolen: one
+// worker steals all three foreign shares of a 64-tile batch, and two
+// workers steal at least the two unattached ones.
+TEST(ThreadPool, SharesRunEveryIndexOnceAndCountSteals) {
+  ThreadPool pool(4);
+  const std::vector<int> wide = run_counting(pool, 4096, 0);
+  for (std::size_t i = 0; i < wide.size(); ++i)
+    ASSERT_EQ(wide[i], 1) << "index " << i;
 
-  std::vector<std::atomic<int>> claimed(kElems);
-  for (auto& c : claimed) c.store(0, std::memory_order_relaxed);
-  std::atomic<std::uint32_t> total{0};
-
-  auto thief = [&] {
-    std::uint32_t v = 0;
-    // Keep stealing until the whole deque is drained by everyone.
-    while (total.load(std::memory_order_relaxed) < kElems)
-      if (dq.steal(v)) {
-        claimed[v].fetch_add(1, std::memory_order_relaxed);
-        total.fetch_add(1, std::memory_order_relaxed);
-      }
+  const auto capped_steals = [&](int cap) {
+    pool.reset_stats();
+    const std::vector<int> hits = run_counting(pool, 64, cap);
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i], 1) << "index " << i << " under cap " << cap;
+    EXPECT_EQ(pool.stats().tiles, 64u);
+    return pool.stats().steals;
   };
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) thieves.emplace_back(thief);
-  // Owner drains from its end concurrently.
-  std::uint32_t v = 0;
-  while (total.load(std::memory_order_relaxed) < kElems)
-    if (dq.pop(v)) {
-      claimed[v].fetch_add(1, std::memory_order_relaxed);
-      total.fetch_add(1, std::memory_order_relaxed);
-    }
-  for (std::thread& t : thieves) t.join();
-
-  for (std::uint32_t i = 0; i < kElems; ++i)
-    ASSERT_EQ(claimed[i].load(), 1) << "element " << i;
+  EXPECT_EQ(capped_steals(1), 48u);
+  EXPECT_GE(capped_steals(2), 32u);
 }
 
 TEST(ThreadPool, RunExecutesEveryTileExactlyOnce) {

@@ -10,8 +10,8 @@
 //    to the whole-frame run for every backend x precompute x search
 //    mode x grid — including non-divisible grids;
 //  * the out-of-core stream serves the same bits as the in-memory
-//    source, stays under its byte budget, survives modeled stripe
-//    faults, and the cost model replays spans deterministically.
+//    source and stays under its byte budget, and the cost model replays
+//    spans deterministically.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "core/fault.hpp"
 #include "core/pipeline.hpp"
 #include "core/postprocess.hpp"
 #include "goes/synth.hpp"
@@ -357,38 +356,6 @@ TEST(TiledFrameStream, StaysUnderTheResidentBudget) {
   EXPECT_LE(r.report.stream.resident_high_water, budget);
   // The budget forces evictions, so some blocks stream more than once.
   EXPECT_GT(r.report.stream.block_reads, plan.tiles.size() * 2);
-}
-
-TEST(TiledFrameStream, SurvivesModeledStripeFaults) {
-  const StreamFixture fx;
-  const core::SmaConfig cfg = continuous_config();
-  const ShardPlan plan = make_plan(kW, kH, ShardSpec{2, 2}, cfg, false);
-
-  TiledFrameStream clean(fx.before_path, fx.after_path, plan);
-  ShardOptions opts;
-  opts.spec = {2, 2};
-  const ShardResult base = shard_track_pair(clean, cfg, opts);
-
-  core::FaultSpec spec;
-  spec.stripe_fault_rate = 1.0;     // every block read fails...
-  spec.stripe_fault_persist = 1.0;  // ...and persists through every retry
-  const core::FaultInjector injector(spec);
-  core::FaultLog log;
-  TiledFrameStream faulty(fx.before_path, fx.after_path, plan);
-  maspar::StreamFaultPolicy policy;
-  faulty.attach_faults(&injector, &log, policy);
-  const ShardResult r = shard_track_pair(faulty, cfg, opts);
-
-  // The local file is intact: exhausted retries serve the data as read,
-  // so the flow is unchanged; only the modeled clock and the log move.
-  expect_identical(r.flow, base.flow, "faulty stream");
-  const ShardStreamStats& st = r.report.stream;
-  EXPECT_EQ(st.faults, st.block_reads);
-  EXPECT_EQ(st.skips, st.faults);
-  EXPECT_EQ(st.retries, st.faults * static_cast<std::uint64_t>(
-                                        policy.max_retries));
-  EXPECT_GT(st.io_seconds, base.report.stream.io_seconds);
-  EXPECT_EQ(log.count(core::FaultKind::kStripeSkip), st.skips);
 }
 
 // --------------------------------------------------------------------------
