@@ -91,29 +91,7 @@ MatchPrecompute::MatchPrecompute(const surface::GeometricField& before,
 
 void MatchPrecompute::accumulate_window(int x, int y, int rx, int ry,
                                         WindowInvariants& out) const {
-  const int w = width_;
-  const int h = height_;
-  const bool interior = x - rx >= 0 && x + rx < w && y - ry >= 0 && y + ry < h;
-  // Plane-at-a-time: each ata slot's contributions are independent of the
-  // other slots, so summing one contiguous plane at a time keeps the
-  // per-slot addition order identical to the naive v-outer/u-inner
-  // template loop while staying cache-friendly.
-  for (int k = 0; k < 21; ++k) {
-    const double* SMA_RESTRICT const t = plane(kTile0 + k);
-    double acc = 0.0;
-    for (int v = -ry; v <= ry; ++v) {
-      const std::size_t off =
-          static_cast<std::size_t>(std::clamp(y + v, 0, h - 1)) * w;
-      if (interior) {
-        for (int px = x - rx; px <= x + rx; ++px) acc += t[off + px];
-      } else {
-        for (int u = -rx; u <= rx; ++u)
-          acc += t[off + std::clamp(x + u, 0, w - 1)];
-      }
-    }
-    out.ata[k] = acc;
-  }
-  out.rows = 3ull * (2 * rx + 1) * (2 * ry + 1);
+  accumulate_window_span(x, y, rx, -ry, ry, out);
 }
 
 void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
@@ -123,18 +101,24 @@ void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
   const int h = height_;
   const bool interior = x - rx >= 0 && x + rx < w && y + v_lo >= 0 &&
                         y + v_hi < h;
+  // Plane-at-a-time in the two-level order: each template row sums from
+  // 0.0 in u order, then the row subtotals add in v order.  Each slot's
+  // sum is independent of the others, so one contiguous plane at a time
+  // keeps every slot's order and stays cache-friendly.
   for (int k = 0; k < 21; ++k) {
     const double* SMA_RESTRICT const t = plane(kTile0 + k);
     double acc = 0.0;
     for (int v = v_lo; v <= v_hi; ++v) {
       const std::size_t off =
           static_cast<std::size_t>(std::clamp(y + v, 0, h - 1)) * w;
+      double row = 0.0;
       if (interior) {
-        for (int px = x - rx; px <= x + rx; ++px) acc += t[off + px];
+        for (int px = x - rx; px <= x + rx; ++px) row += t[off + px];
       } else {
         for (int u = -rx; u <= rx; ++u)
-          acc += t[off + std::clamp(x + u, 0, w - 1)];
+          row += t[off + std::clamp(x + u, 0, w - 1)];
       }
+      acc += row;
     }
     out.ata[k] = acc;
   }
@@ -187,8 +171,13 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
   for (int t = 0; t < 18; ++t)
     rows_p[t] = pre.plane(MatchPrecompute::kWri0 + t);
 
+  // The two-level order: each template row sums into row_atb / row_btb
+  // from 0.0 in u order, then the row subtotals add into atb / btb in v
+  // order.
   linalg::Vec6 atb;
   double btb = 0.0;
+  linalg::Vec6 row_atb;
+  double row_btb = 0.0;
   // The one A^T b / b^T b accumulation: template pixel i (before-frame
   // index) against its correspondent's after-frame normal (oi, oj, ok).
   const auto add = [&](std::size_t i, float oi, float oj, float ok) {
@@ -196,9 +185,9 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
     const double bj = static_cast<double>(oj) - nj_p[i];
     const double bk = static_cast<double>(ok) - nk_p[i];
     for (int r = 0; r < 6; ++r)
-      atb[r] += rows_p[r][i] * bi + rows_p[6 + r][i] * bj +
-                rows_p[12 + r][i] * bk;
-    btb += wi_p[i] * (bi * bi) + wj_p[i] * (bj * bj) + bk * bk;
+      row_atb[r] += rows_p[r][i] * bi + rows_p[6 + r][i] * bj +
+                    rows_p[12 + r][i] * bk;
+    row_btb += wi_p[i] * (bi * bi) + wj_p[i] * (bj * bj) + bk * bk;
   };
 
   const bool interior = table == nullptr && x - rx >= 0 && x + rx < w &&
@@ -208,9 +197,10 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
   const int col = table != nullptr ? hx + table->hx_radius() : 0;
   for (int v = -ry; v <= ry; ++v) {
     if (v == 0 && checkpoint != nullptr) {
-      // Half-template checkpoint: minimize the prefix residual.  A
-      // singular prefix only yields residual(0) = b^T b — an UPPER bound
-      // of the prefix minimum — so it never prunes (bound 0).
+      // Half-template checkpoint on the running total after row -1:
+      // minimize the prefix residual.  A singular prefix only yields
+      // residual(0) = b^T b — an UPPER bound of the prefix minimum — so
+      // it never prunes (bound 0).
       MotionParams prefix_params;
       bool prefix_ok = false;
       const double bound =
@@ -228,6 +218,8 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
     }
     const int py = std::clamp(y + v, 0, h - 1);
     const std::size_t off = static_cast<std::size_t>(py) * w;
+    row_atb = linalg::Vec6{};
+    row_btb = 0.0;
     if (table != nullptr) {
       // F_semi: template pixel p's correspondent is p + M_h(p), read
       // with the naive path's clamp.
@@ -239,24 +231,26 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
         add(off + px, after.ni.row(qy)[qx], after.nj.row(qy)[qx],
             after.nk.row(qy)[qx]);
       }
-      continue;
-    }
-    const int qy = std::clamp(py + hy, 0, h - 1);
-    const float* SMA_RESTRICT const a_ni = after.ni.row(qy);
-    const float* SMA_RESTRICT const a_nj = after.nj.row(qy);
-    const float* SMA_RESTRICT const a_nk = after.nk.row(qy);
-    if (interior) {
-      // Branch-free contiguous sweep: px walks [x-rx, x+rx] and the
-      // correspondent column is px + hx.
-      for (int px = x - rx; px <= x + rx; ++px)
-        add(off + px, a_ni[px + hx], a_nj[px + hx], a_nk[px + hx]);
     } else {
-      for (int u = -rx; u <= rx; ++u) {
-        const int px = std::clamp(x + u, 0, w - 1);
-        const int qx = std::clamp(px + hx, 0, w - 1);
-        add(off + px, a_ni[qx], a_nj[qx], a_nk[qx]);
+      const int qy = std::clamp(py + hy, 0, h - 1);
+      const float* SMA_RESTRICT const a_ni = after.ni.row(qy);
+      const float* SMA_RESTRICT const a_nj = after.nj.row(qy);
+      const float* SMA_RESTRICT const a_nk = after.nk.row(qy);
+      if (interior) {
+        // Branch-free contiguous sweep: px walks [x-rx, x+rx] and the
+        // correspondent column is px + hx.
+        for (int px = x - rx; px <= x + rx; ++px)
+          add(off + px, a_ni[px + hx], a_nj[px + hx], a_nk[px + hx]);
+      } else {
+        for (int u = -rx; u <= rx; ++u) {
+          const int px = std::clamp(x + u, 0, w - 1);
+          const int qx = std::clamp(px + hx, 0, w - 1);
+          add(off + px, a_ni[qx], a_nj[qx], a_nk[qx]);
+        }
       }
     }
+    atb += row_atb;
+    btb += row_btb;
   }
   return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
 }

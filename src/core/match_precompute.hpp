@@ -25,8 +25,10 @@
 // auto-vectorize.  DESIGN.md §11 derives the split and proves the fast
 // path is BIT-IDENTICAL to the naive oracle: both paths compute the
 // identical floating-point expressions in the identical association
-// order (per-pixel tiles, v-outer/u-inner window order, unsplit target
-// in A^T b), so `NormalEquations6::solve` receives the same bits.
+// order (per-pixel tiles, the two-level window order — each template row
+// summed from 0.0 in u order, then the row subtotals in v order —
+// unsplit target in A^T b), so `NormalEquations6::solve` receives the
+// same bits.
 //
 // Fallback contract (resolve_precompute): the fast path engages only
 // when no validity masks are present and template_stride == 1 —
@@ -114,15 +116,14 @@ class MatchPrecompute {
 
   /// Direct window accumulation of the A^T A tiles for the template box
   /// centered at (x, y) with half-widths (rx, ry), clamped borders —
-  /// the same pixel multiset, in the same v-outer/u-inner order, as the
-  /// naive template loop.
+  /// the same pixel multiset, in the same two-level order, as the naive
+  /// template loop: accumulate_window_span over rows [-ry, ry].
   void accumulate_window(int x, int y, int rx, int ry,
                          WindowInvariants& out) const;
 
-  /// Partial-template variant for the branch-and-bound lower bound
-  /// (match_prune.hpp): accumulates only the template rows v in
-  /// [v_lo, v_hi] (template-relative, clamped borders, same
-  /// plane-at-a-time order).  The prefix system's A^T A is hypothesis-
+  /// The template rows v in [v_lo, v_hi] only (template-relative,
+  /// clamped borders, the same order), for the branch-and-bound lower
+  /// bound (match_prune.hpp).  The prefix system's A^T A is hypothesis-
   /// invariant just like the full window's, so the bound pays one extra
   /// window sweep per pixel, amortized over every hypothesis.
   void accumulate_window_span(int x, int y, int rx, int v_lo, int v_hi,
@@ -137,8 +138,8 @@ class MatchPrecompute {
 
 /// The pruned search's half-template checkpoint (match_prune.hpp).  At
 /// the top of template row v == 0 the evaluator solves the prefix system
-/// — `prefix`'s A^T A with the rows v < 0 already swept — and abandons
-/// the hypothesis when that bound exceeds `incumbent`
+/// — `prefix`'s A^T A with the running A^T b / b^T b total after row -1
+/// — and abandons the hypothesis when that bound exceeds `incumbent`
 /// (prune_bound_exceeds).
 struct PruneCheckpoint {
   /// accumulate_window_span(x, y, rx, -ry, -1); needs ry >= 1.

@@ -67,22 +67,22 @@ LaneKernels lane_kernels(simd::SimdLevel level) {
   switch (resolve_kernel_level(level)) {
 #if defined(SMA_KERNEL_AVX512)
     case simd::SimdLevel::kAvx512:
-      return {8, &scan_tile_avx512, &batch_solve6_avx512};
+      return {8, &scan_tile_avx512, &batch_factor_apply6_avx512};
 #endif
 #if defined(SMA_KERNEL_AVX2)
     case simd::SimdLevel::kAvx2:
-      return {4, &scan_tile_avx2, &batch_solve6_avx2};
+      return {4, &scan_tile_avx2, &batch_factor_apply6_avx2};
 #endif
 #if defined(SMA_KERNEL_SSE2)
     case simd::SimdLevel::kSse2:
-      return {2, &scan_tile_sse2, &batch_solve6_sse2};
+      return {2, &scan_tile_sse2, &batch_factor_apply6_sse2};
 #endif
 #if defined(SMA_KERNEL_NEON)
     case simd::SimdLevel::kNeon:
-      return {2, &scan_tile_neon, &batch_solve6_neon};
+      return {2, &scan_tile_neon, &batch_factor_apply6_neon};
 #endif
     default:  // simd::LaneTraits<ScalarTag>::kLanes == 2
-      return {2, &scan_tile_scalar, &batch_solve6_scalar};
+      return {2, &scan_tile_scalar, &batch_factor_apply6_scalar};
   }
 }
 

@@ -4,9 +4,9 @@
 // The paper steps its 16K PEs through one hypothesis at a time, one
 // pixel per PE; the `vector` backend does the same on SIMD lanes: a
 // lane is one CENTER pixel of a sched tile (scan_tile_*).
-// For each hypothesis h the tile kernel first builds, over the tile plus
-// its template halo, the seven planes of per-template-pixel terms that
-// Eq. (3) adds into A^T b and b^T b:
+// For each hypothesis h the tile kernel first builds, row by row over
+// the tile plus its template halo, the seven per-template-pixel terms
+// that Eq. (3) adds into A^T b and b^T b:
 //
 //   t_r(p, h) = (wri·bi + wrj·bj) + wrk·bk   (r = 0..5)
 //   t_b(p, h) = (wi·(bi·bi) + wj·(bj·bj)) + bk·bk,   b = n'(q) - n(p),
@@ -15,18 +15,23 @@
 // the per-segment SemiFluidTable for F_semi.  Neither depends on the
 // center, so each term is computed once per (p, h) instead of once per
 // template covering p — the Sec. 4.1 "share the overlap" argument carried
-// from the semi-fluid mapping to the matching sums.  Each lane then sums
-// its center's template window out of the planes, loads its own A^T A
-// from the tile's window sums, and the lanes go through one batched 6x6
-// elimination (simd/batch_solve.hpp) and Eq. (3) residual; each lane
+// from the semi-fluid mapping to the matching sums.  The same goes one
+// level up: a template row's subtotal depends on the row and the center
+// column only, so the kernel sums each tile row's terms once per
+// hypothesis, and each lane adds its center's 2N_zT+1 row subtotals.
+// The A^T A window sums are built the same way once per tile, and each
+// batch of centers is factored once per tile (simd::batch_factor6);
+// per hypothesis the lanes only replay the row operations on A^T b
+// (simd::batch_apply6) and score the Eq. (3) residual, and each lane
 // folds into its own pixel's incumbent through hypothesis_improves.
 //
 // Bit-exactness: every t is the exact expression the scalar
-// evaluate_hypothesis_precomputed adds, and each lane adds
-// its template's t values in the scalar v-outer / u-inner order from
-// 0.0, so it reaches the same A^T b / b^T b bits; the window sums, the
-// 0.0 + v normalization, the elimination and the residual replay the
-// scalar sequence too.  The backend is therefore BIT-IDENTICAL to
+// evaluate_hypothesis_precomputed adds, and each lane adds its
+// template's t values in the scalar two-level order (each row from 0.0
+// in u order, then the row subtotals in v order from 0.0), so it reaches
+// the same A^T b / b^T b bits; the window sums, the 0.0 + v
+// normalization, the elimination and the residual replay the scalar
+// sequence too.  The backend is therefore BIT-IDENTICAL to
 // `sequential` on every lane implementation — AVX-512, AVX2, SSE2, NEON
 // and the forced-scalar fallback — for any tile shape.
 //
@@ -83,7 +88,7 @@ struct VectorLaneTally {
   /// Evaluated outside full batches: the centers of a tile row's last,
   /// partly idle batch.
   std::uint64_t tail_hypotheses = 0;
-  std::uint64_t batches = 0;             ///< batch-solve invocations
+  std::uint64_t batches = 0;             ///< scored batches (one apply each)
 };
 
 /// `best` is the frame's row-major PixelBest array; the kernel updates
@@ -97,16 +102,18 @@ using TileKernelFn = void (*)(const VectorTileArgs&, PixelBest* best,
 simd::SimdLevel resolve_kernel_level(simd::SimdLevel request);
 
 /// The lane kernels compiled for one level: its lane count, the tile
-/// kernel, and the batched solve the property tests call
-/// (`a` is the SoA batch — element k of system l at a[k * lanes + l],
-/// row-major 6x6 — `b`/`x` likewise 6 x lanes; `singular[l]` reports
-/// per-lane solve6 kSingular, and those lanes get x = 0).  Unresolved
-/// levels get the scalar kernels.
+/// kernel, and the batched solve the property tests call.
+/// `factor_apply` factors the SoA batch `a` once (batch_factor6) — element
+/// k of system l at a[k * lanes + l], row-major 6x6 — and applies it
+/// (batch_apply6) to `nrhs` right-hand sides stored one after another in
+/// `b`, each 6 x lanes, writing as many solutions to `x`; `singular[l]`
+/// reports per-lane solve6 kSingular, and those lanes get x = 0.
+/// Unresolved levels get the scalar kernels.
 struct LaneKernels {
   int lanes = 0;
   TileKernelFn tile = nullptr;
-  void (*solve)(const double* a, const double* b, double* x,
-                unsigned char* singular, double eps) = nullptr;
+  void (*factor_apply)(const double* a, const double* b, int nrhs, double* x,
+                       unsigned char* singular, double eps) = nullptr;
 };
 LaneKernels lane_kernels(simd::SimdLevel level);
 
@@ -148,27 +155,27 @@ std::unique_ptr<TrackerBackend> make_vector_backend();
 // build-time fact (SMA_KERNEL_* from src/core/CMakeLists.txt); use
 // lane_kernels() instead of calling these directly.
 void scan_tile_scalar(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_solve6_scalar(const double*, const double*, double*,
-                         unsigned char*, double);
+void batch_factor_apply6_scalar(const double*, const double*, int, double*,
+                                unsigned char*, double);
 #if defined(SMA_KERNEL_SSE2)
 void scan_tile_sse2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_solve6_sse2(const double*, const double*, double*, unsigned char*,
-                       double);
+void batch_factor_apply6_sse2(const double*, const double*, int, double*,
+                              unsigned char*, double);
 #endif
 #if defined(SMA_KERNEL_AVX2)
 void scan_tile_avx2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_solve6_avx2(const double*, const double*, double*, unsigned char*,
-                       double);
+void batch_factor_apply6_avx2(const double*, const double*, int, double*,
+                              unsigned char*, double);
 #endif
 #if defined(SMA_KERNEL_AVX512)
 void scan_tile_avx512(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_solve6_avx512(const double*, const double*, double*, unsigned char*,
-                         double);
+void batch_factor_apply6_avx512(const double*, const double*, int, double*,
+                                unsigned char*, double);
 #endif
 #if defined(SMA_KERNEL_NEON)
 void scan_tile_neon(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_solve6_neon(const double*, const double*, double*, unsigned char*,
-                       double);
+void batch_factor_apply6_neon(const double*, const double*, int, double*,
+                              unsigned char*, double);
 #endif
 
 }  // namespace sma::core

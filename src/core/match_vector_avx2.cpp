@@ -18,9 +18,9 @@ void scan_tile_avx2(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::Avx2Tag>(g, best, tally);
 }
 
-void batch_solve6_avx2(const double* a, const double* b, double* x,
-                       unsigned char* singular, double eps) {
-  detail::batch_solve_soa<simd::Avx2Tag>(a, b, x, singular, eps);
+void batch_factor_apply6_avx2(const double* a, const double* b, int nrhs,
+                              double* x, unsigned char* singular, double eps) {
+  detail::batch_factor_apply_soa<simd::Avx2Tag>(a, b, nrhs, x, singular, eps);
 }
 
 }  // namespace sma::core

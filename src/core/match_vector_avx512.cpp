@@ -19,9 +19,9 @@ void scan_tile_avx512(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::Avx512Tag>(g, best, tally);
 }
 
-void batch_solve6_avx512(const double* a, const double* b, double* x,
-                         unsigned char* singular, double eps) {
-  detail::batch_solve_soa<simd::Avx512Tag>(a, b, x, singular, eps);
+void batch_factor_apply6_avx512(const double* a, const double* b, int nrhs,
+                                double* x, unsigned char* singular, double eps) {
+  detail::batch_factor_apply_soa<simd::Avx512Tag>(a, b, nrhs, x, singular, eps);
 }
 
 }  // namespace sma::core

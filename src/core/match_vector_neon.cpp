@@ -13,9 +13,9 @@ void scan_tile_neon(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::NeonTag>(g, best, tally);
 }
 
-void batch_solve6_neon(const double* a, const double* b, double* x,
-                       unsigned char* singular, double eps) {
-  detail::batch_solve_soa<simd::NeonTag>(a, b, x, singular, eps);
+void batch_factor_apply6_neon(const double* a, const double* b, int nrhs,
+                              double* x, unsigned char* singular, double eps) {
+  detail::batch_factor_apply_soa<simd::NeonTag>(a, b, nrhs, x, singular, eps);
 }
 
 }  // namespace sma::core

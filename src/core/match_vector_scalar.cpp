@@ -10,9 +10,9 @@ void scan_tile_scalar(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::ScalarTag>(g, best, tally);
 }
 
-void batch_solve6_scalar(const double* a, const double* b, double* x,
-                         unsigned char* singular, double eps) {
-  detail::batch_solve_soa<simd::ScalarTag>(a, b, x, singular, eps);
+void batch_factor_apply6_scalar(const double* a, const double* b, int nrhs,
+                                double* x, unsigned char* singular, double eps) {
+  detail::batch_factor_apply_soa<simd::ScalarTag>(a, b, nrhs, x, singular, eps);
 }
 
 }  // namespace sma::core

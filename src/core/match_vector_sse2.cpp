@@ -14,9 +14,9 @@ void scan_tile_sse2(const VectorTileArgs& g, PixelBest* best,
   detail::scan_tile_t<simd::Sse2Tag>(g, best, tally);
 }
 
-void batch_solve6_sse2(const double* a, const double* b, double* x,
-                       unsigned char* singular, double eps) {
-  detail::batch_solve_soa<simd::Sse2Tag>(a, b, x, singular, eps);
+void batch_factor_apply6_sse2(const double* a, const double* b, int nrhs,
+                              double* x, unsigned char* singular, double eps) {
+  detail::batch_factor_apply_soa<simd::Sse2Tag>(a, b, nrhs, x, singular, eps);
 }
 
 }  // namespace sma::core

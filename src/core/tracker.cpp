@@ -134,10 +134,14 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
   const int h = before.height();
   const bool masked = mask_before != nullptr || mask_after != nullptr;
 
+  // The two-level window order every evaluator shares (DESIGN.md §11):
+  // each template row sums from 0.0 in u order, then the row subtotals
+  // add in v order.
   linalg::NormalEquations6 ne;
   int total = 0;
   int included = 0;
   for (int v = -nzt_y; v <= nzt_y; v += stride) {
+    linalg::NormalEquations6 row;
     for (int u = -nzt_x; u <= nzt_x; u += stride) {
       // Clamp template coordinates up front so the precomputed and
       // naive semi-fluid paths see identical border semantics.
@@ -163,8 +167,9 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
           mask_after->at_clamped(qx, qy) == 0)
         continue;
       ++included;
-      add_normal_rows(before, after, px, py, qx, qy, ne);
+      add_normal_rows(before, after, px, py, qx, qy, row);
     }
+    ne.add(row);
   }
   if (coverage_out != nullptr)
     *coverage_out = total > 0 ? static_cast<double>(included) / total : 0.0;

@@ -54,6 +54,16 @@ class NormalEquations6 {
     rows_ += rows;
   }
 
+  /// Adds another accumulator's moments and row count: a template row's
+  /// subtotal going into the template total (the two-level window order,
+  /// DESIGN.md §11).
+  void add(const NormalEquations6& other) {
+    ata_ += other.ata_;
+    atb_ += other.atb_;
+    btb_ += other.btb_;
+    rows_ += other.rows_;
+  }
+
   /// Number of rows accumulated so far.
   std::uint64_t rows() const { return rows_; }
 

@@ -19,11 +19,19 @@
 //    singular hypothesis scores residual(theta = 0) — the existing
 //    "infinite error / no information" convention of the tracker.
 //
+// Pivots, multipliers, skips and the singular mask depend on the matrix
+// only, so the solve comes in two halves: batch_factor6 records them,
+// and batch_apply6 replays the row operations on one right-hand side.
+// The b-side operations read only b and the recorded values, so
+// factor-then-apply is the same sequence on b as solve6's interleaved
+// pass, and one factorization serves any number of right-hand sides.
+//
 // Because every lane executes the exact instruction sequence of
 // solve6 on the same values, a lane's solution is bit-identical to
 // calling solve6 on that lane's system alone — the property
 // tests/test_simd_lanes.cpp checks, including mixed singular and
-// non-singular lanes in one batch.
+// non-singular lanes in one batch and several right-hand sides per
+// factorization.
 #pragma once
 
 #include "simd/lane.hpp"
@@ -36,23 +44,35 @@ constexpr int tri21(int r, int c) {
   return r * (13 - r) / 2 + (c - r);
 }
 
-/// Eliminates the kLanes systems held SoA in `a` (row-major 6x6, one
-/// Vec per element) with right-hand sides `b`, writing the solutions to
-/// `x`.  Returns the singular-lane mask; singular lanes have x = 0.
-/// `a` and `b` are destroyed (as in solve6, which takes them by value).
+/// What the elimination decides from the matrix alone: per column the
+/// lanes' pivot rows and the multipliers below the diagonal (f == 0
+/// lanes skip their row update), the eliminated upper triangle U, and
+/// the singular-lane mask.  Every right-hand side of one A^T A replays
+/// the same row operations, so a tracker centre factors once and applies
+/// the factorization to each of its hypotheses' A^T b.
 template <class Tag>
-typename LaneTraits<Tag>::Mask batch_solve6(
-    typename LaneTraits<Tag>::Vec a[36], typename LaneTraits<Tag>::Vec b[6],
-    typename LaneTraits<Tag>::Vec x[6], double eps) {
+struct Factor6 {
+  typename LaneTraits<Tag>::Vec pivot[5];  ///< column c's pivot row, as a double
+  typename LaneTraits<Tag>::Vec f[15];     ///< multipliers, column by column
+  typename LaneTraits<Tag>::Vec u[21];     ///< U, tri21 layout
+  typename LaneTraits<Tag>::Mask singular;
+};
+
+/// The matrix half of the solve: eliminates the kLanes systems held SoA
+/// in `a` (row-major 6x6, one Vec per element; destroyed, as in solve6,
+/// which takes it by value).
+template <class Tag>
+void batch_factor6(typename LaneTraits<Tag>::Vec a[36], double eps,
+                   Factor6<Tag>& out) {
   using T = LaneTraits<Tag>;
   using V = typename T::Vec;
   using M = typename T::Mask;
 
   const V veps = T::broadcast(eps);
-  const V vzero = T::zero();
   const V vone = T::broadcast(1.0);
 
-  M singular = T::cmp_lt(vone, vzero);  // all-false
+  M singular = T::cmp_lt(vone, T::zero());  // all-false
+  int k = 0;
   for (int col = 0; col < 6; ++col) {
     // Per-lane partial pivot: first row of strictly maximal magnitude,
     // tracked as a lane-wise row index held in a double Vec.
@@ -65,6 +85,8 @@ typename LaneTraits<Tag>::Mask batch_solve6(
       pivot = T::select(better, T::broadcast(static_cast<double>(r)), pivot);
     }
     singular = T::mask_or(singular, T::cmp_lt(best, veps));
+    if (col == 5) break;
+    out.pivot[col] = pivot;
 
     // Conditional row swap: for each candidate row, lanes whose pivot
     // landed there exchange it with row `col`.  Values only move — no
@@ -78,22 +100,51 @@ typename LaneTraits<Tag>::Mask batch_solve6(
         a[col * 6 + c] = T::select(here, row, top);
         a[r * 6 + c] = T::select(here, top, row);
       }
-      const V tb = b[col];
-      b[col] = T::select(here, b[r], tb);
-      b[r] = T::select(here, tb, b[r]);
     }
 
     // Keep singular lanes finite: their pivot becomes 1.0 (their x is
-    // discarded below), everyone else divides by the true pivot.
+    // discarded by batch_apply6), everyone else divides by the true
+    // pivot.
     const V piv = T::select(singular, vone, a[col * 6 + col]);
     const V inv = T::div(vone, piv);
     for (int r = col + 1; r < 6; ++r) {
       const V f = T::mul(a[r * 6 + col], inv);
-      const M skip = T::cmp_eq(f, vzero);  // solve6's `if (f == 0.0)`
+      const M skip = T::cmp_eq(f, T::zero());  // solve6's `if (f == 0.0)`
       for (int c = col; c < 6; ++c) {
         const V updated = T::sub(a[r * 6 + c], T::mul(f, a[col * 6 + c]));
         a[r * 6 + c] = T::select(skip, a[r * 6 + c], updated);
       }
+      out.f[k++] = f;
+    }
+  }
+  for (int r = 0; r < 6; ++r)
+    for (int c = r; c < 6; ++c) out.u[tri21(r, c)] = a[r * 6 + c];
+  out.singular = singular;
+}
+
+/// The right-hand-side half of the solve: replays the factorization's
+/// swaps and row operations on `b` (destroyed), back-substitutes through
+/// U into `x`, and gives singular lanes x = 0.
+template <class Tag>
+void batch_apply6(const Factor6<Tag>& fac, typename LaneTraits<Tag>::Vec b[6],
+                  typename LaneTraits<Tag>::Vec x[6]) {
+  using T = LaneTraits<Tag>;
+  using V = typename T::Vec;
+  using M = typename T::Mask;
+
+  int k = 0;
+  for (int col = 0; col < 5; ++col) {
+    for (int r = col + 1; r < 6; ++r) {
+      const M here =
+          T::cmp_eq(fac.pivot[col], T::broadcast(static_cast<double>(r)));
+      if (!T::mask_any(here)) continue;
+      const V tb = b[col];
+      b[col] = T::select(here, b[r], tb);
+      b[r] = T::select(here, tb, b[r]);
+    }
+    for (int r = col + 1; r < 6; ++r) {
+      const V f = fac.f[k++];
+      const M skip = T::cmp_eq(f, T::zero());
       b[r] = T::select(skip, b[r], T::sub(b[r], T::mul(f, b[col])));
     }
   }
@@ -103,11 +154,10 @@ typename LaneTraits<Tag>::Mask batch_solve6(
   for (int ri = 5; ri >= 0; --ri) {
     V s = b[ri];
     for (int c = ri + 1; c < 6; ++c)
-      s = T::sub(s, T::mul(a[ri * 6 + c], x[c]));
-    x[ri] = T::div(s, a[ri * 6 + ri]);
+      s = T::sub(s, T::mul(fac.u[tri21(ri, c)], x[c]));
+    x[ri] = T::div(s, fac.u[tri21(ri, ri)]);
   }
-  for (int r = 0; r < 6; ++r) x[r] = T::select(singular, vzero, x[r]);
-  return singular;
+  for (int r = 0; r < 6; ++r) x[r] = T::select(fac.singular, T::zero(), x[r]);
 }
 
 /// Residual r = x^T (A^T A) x - 2 x^T (A^T b) + b^T b, clamped at zero,

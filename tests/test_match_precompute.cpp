@@ -8,16 +8,22 @@
 // when resolve_precompute says the window algebra is invalid.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <optional>
+#include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/backend.hpp"
 #include "core/match_precompute.hpp"
 #include "core/pipeline.hpp"
 #include "helpers.hpp"
+#include "linalg/least_squares.hpp"
+#include "simd/batch_solve.hpp"
 #include "surface/geometry.hpp"
 
 namespace sma::core {
@@ -128,19 +134,208 @@ TEST(MatchPrecompute, WindowSumsMatchBruteForce) {
     WindowInvariants win;
     pre.accumulate_window(x, y, rx, ry, win);
 
-    // Brute force in the same v-outer/u-inner order through the SAME
-    // canonical per-pixel arithmetic: the sums must match to the bit.
+    // Brute force in the same two-level order — each template row from
+    // 0.0 in u order, then the row subtotals in v order — through the
+    // SAME canonical per-pixel arithmetic: the sums must match to the bit.
     double expect[21] = {};
-    for (int v = -ry; v <= ry; ++v)
+    for (int v = -ry; v <= ry; ++v) {
+      double row[21] = {};
       for (int u = -rx; u <= rx; ++u) {
         PixelInvariants p;
         compute_pixel_invariants(geom0(), x + u, y + v, p);
-        for (int k = 0; k < 21; ++k) expect[k] += p.tile[k];
+        for (int k = 0; k < 21; ++k) row[k] += p.tile[k];
       }
+      for (int k = 0; k < 21; ++k) expect[k] += row[k];
+    }
     for (int k = 0; k < 21; ++k)
       EXPECT_EQ(win.ata[k], expect[k]) << "slot " << k << " at (" << x << ","
                                        << y << ")";
     EXPECT_EQ(win.rows, 3ull * (2 * rx + 1) * (2 * ry + 1));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The summation order against an order-independent reference: the
+// double residual of the two-level order (which every evaluator uses)
+// and of the flat v-outer / u-inner order it replaced, each against the
+// same moments summed and solved in long double.
+// ---------------------------------------------------------------------------
+
+// One template's Eq. (3) moments: 21 A^T A slots, A^T b, b^T b.
+template <class F>
+struct Moments {
+  F ata[21] = {};
+  F atb[6] = {};
+  F btb = 0;
+};
+
+// Partial-pivot elimination and the Eq. (3) residual in long double;
+// nullopt when a pivot falls below 1e-12, as solve6 reports singular.
+std::optional<long double> reference_residual(const Moments<long double>& m) {
+  long double a[6][6], b[6], x[6];
+  for (int r = 0; r < 6; ++r) {
+    for (int c = 0; c < 6; ++c)
+      a[r][c] = m.ata[c >= r ? simd::tri21(r, c) : simd::tri21(c, r)];
+    b[r] = m.atb[r];
+  }
+  long double full[6][6];
+  std::memcpy(full, a, sizeof(a));
+  for (int col = 0; col < 6; ++col) {
+    int pivot = col;
+    for (int r = col + 1; r < 6; ++r)
+      if (std::fabs(a[r][col]) > std::fabs(a[pivot][col])) pivot = r;
+    if (std::fabs(a[pivot][col]) < 1e-12L) return std::nullopt;
+    for (int c = 0; c < 6; ++c) std::swap(a[col][c], a[pivot][c]);
+    std::swap(b[col], b[pivot]);
+    for (int r = col + 1; r < 6; ++r) {
+      const long double f = a[r][col] / a[col][col];
+      for (int c = col; c < 6; ++c) a[r][c] -= f * a[col][c];
+      b[r] -= f * b[col];
+    }
+  }
+  for (int r = 5; r >= 0; --r) {
+    long double s = b[r];
+    for (int c = r + 1; c < 6; ++c) s -= a[r][c] * x[c];
+    x[r] = s / a[r][r];
+  }
+  long double quad = 0, lin = 0;
+  for (int r = 0; r < 6; ++r) {
+    for (int c = 0; c < 6; ++c) quad += x[r] * full[r][c] * x[c];
+    lin += x[r] * m.atb[r];
+  }
+  return std::max(quad - 2 * lin + m.btb, 0.0L);
+}
+
+// The double evaluator's solve and residual on given moments.
+double double_residual(const Moments<double>& m, std::uint64_t rows) {
+  linalg::NormalEquations6 ne;
+  linalg::Vec6 atb;
+  for (int r = 0; r < 6; ++r) atb[r] = m.atb[r];
+  ne.add_precomputed(m.ata, atb, m.btb, rows);
+  linalg::Vec6 theta;
+  if (ne.solve(theta) != linalg::SolveStatus::kOk) theta = linalg::Vec6{};
+  return ne.residual(theta);
+}
+
+TEST(WindowOrder, ResidualGapToLongDoubleReferenceIsBounded) {
+  const MatchPrecompute pre(geom0());
+  const int w = pre.width();
+  const int h = pre.height();
+  std::mt19937 rng(20261018);
+  for (const MotionModel model :
+       {MotionModel::kContinuous, MotionModel::kSemiFluid}) {
+    SmaConfig cfg = base_config();
+    cfg.model = model;
+    const int rx = cfg.z_template_radius;
+    const int ry = cfg.z_template_ry();
+    const int nzs = cfg.z_search_radius;
+    const bool semi = model == MotionModel::kSemiFluid;
+    std::optional<SemiFluidTable> table;
+    if (semi)
+      table.emplace(geom0().disc, geom1().disc, nzs, -nzs, nzs,
+                    cfg.effective_nss(), cfg.semifluid_template_radius);
+    const SemiFluidTable* tp = table ? &*table : nullptr;
+
+    // Seeded centres: 12 in the clamped border band, 12 interior.
+    std::vector<std::pair<int, int>> centres;
+    std::uniform_int_distribution<int> xs(0, w - 1), ys(0, h - 1);
+    int borders = 0, interiors = 0;
+    while (centres.size() < 24) {
+      const int x = xs(rng), y = ys(rng);
+      const bool border = x - rx - nzs < 0 || x + rx + nzs >= w ||
+                          y - ry - nzs < 0 || y + ry + nzs >= h;
+      int& n = border ? borders : interiors;
+      if (n < 12) {
+        ++n;
+        centres.emplace_back(x, y);
+      }
+    }
+
+    double max_gap_old = 0.0, max_gap_new = 0.0;
+    int samples = 0;
+    for (const auto& [x, y] : centres) {
+      WindowInvariants win;
+      pre.accumulate_window(x, y, rx, ry, win);
+      for (int hy = -nzs; hy <= nzs; ++hy)
+        for (int hx = -nzs; hx <= nzs; ++hx) {
+          Moments<double> flat, two_level;
+          Moments<long double> ref;
+          for (int v = -ry; v <= ry; ++v) {
+            Moments<double> row;
+            for (int u = -rx; u <= rx; ++u) {
+              // add_normal_rows' terms for template pixel p and its
+              // correspondent q.
+              const int px = std::clamp(x + u, 0, w - 1);
+              const int py = std::clamp(y + v, 0, h - 1);
+              const auto [ox, oy] = semi ? tp->offset(px, py, hx, hy)
+                                         : std::pair<int, int>{hx, hy};
+              PixelInvariants p;
+              compute_pixel_invariants(geom0(), px, py, p);
+              const double bi =
+                  static_cast<double>(geom1().ni.at_clamped(px + ox, py + oy)) -
+                  p.ni;
+              const double bj =
+                  static_cast<double>(geom1().nj.at_clamped(px + ox, py + oy)) -
+                  p.nj;
+              const double bk =
+                  static_cast<double>(geom1().nk.at_clamped(px + ox, py + oy)) -
+                  p.nk;
+              double t[6];
+              for (int r = 0; r < 6; ++r)
+                t[r] = p.wri[r] * bi + p.wrj[r] * bj + p.wrk[r] * bk;
+              const double tb = p.wi * (bi * bi) + p.wj * (bj * bj) + bk * bk;
+              for (int k = 0; k < 21; ++k) {
+                flat.ata[k] += p.tile[k];
+                row.ata[k] += p.tile[k];
+                ref.ata[k] += p.tile[k];
+              }
+              for (int r = 0; r < 6; ++r) {
+                flat.atb[r] += t[r];
+                row.atb[r] += t[r];
+                ref.atb[r] += t[r];
+              }
+              flat.btb += tb;
+              row.btb += tb;
+              ref.btb += tb;
+            }
+            for (int k = 0; k < 21; ++k) two_level.ata[k] += row.ata[k];
+            for (int r = 0; r < 6; ++r) two_level.atb[r] += row.atb[r];
+            two_level.btb += row.btb;
+          }
+          const double e_new = double_residual(two_level, win.rows);
+          // The evaluators run exactly the two-level sums.
+          for (int k = 0; k < 21; ++k)
+            ASSERT_EQ(two_level.ata[k], win.ata[k]) << "slot " << k;
+          MotionParams params;
+          bool ok = false;
+          const double e_eval = evaluate_hypothesis_precomputed(
+              pre, geom1(), win, tp, x, y, hx, hy, rx, ry, params, ok);
+          ASSERT_EQ(std::memcmp(&e_new, &e_eval, sizeof(double)), 0);
+
+          const std::optional<long double> e_ref = reference_residual(ref);
+          if (!e_ref || !ok) continue;
+          // Relative to b^T b, the residual at theta = 0 and the scale of
+          // the three terms the residual cancels.
+          const double scale = 1.0 + static_cast<double>(ref.btb);
+          const double e_old = double_residual(flat, win.rows);
+          max_gap_old = std::max(
+              max_gap_old,
+              static_cast<double>(std::fabs(e_old - *e_ref)) / scale);
+          max_gap_new = std::max(
+              max_gap_new,
+              static_cast<double>(std::fabs(e_new - *e_ref)) / scale);
+          ++samples;
+        }
+    }
+    const std::string name = semi ? "F_semi" : "F_cont";
+    std::printf("[ order    ] %s: %d samples, max |residual - long double "
+                "reference| / (1 + b^T b): flat %.3g, two-level %.3g\n",
+                name.c_str(), samples, max_gap_old, max_gap_new);
+    RecordProperty(name + "_max_gap_flat", std::to_string(max_gap_old));
+    RecordProperty(name + "_max_gap_two_level", std::to_string(max_gap_new));
+    EXPECT_GT(samples, 0);
+    EXPECT_LT(max_gap_old, 1e-12) << name;
+    EXPECT_LT(max_gap_new, 1e-12) << name;
   }
 }
 
