@@ -245,10 +245,9 @@ int main(int argc, char** argv) {
     leg.drift = flow_drift(leg.result.flow, naive.flow, drift_margin);
     pruned_legs.push_back(std::move(leg));
   }
-  std::printf(
-      "\n  %-12s %12s %10s %10s %8s %8s %10s %10s %10s\n", "pruned",
-      "hypotheses", "reduction", "bnd-skip", "max|du|", "max|dv|", "mismatch",
-      "interior", "seed-hit");
+  std::printf("\n  %-12s %12s %10s %8s %8s %10s %10s %10s\n", "pruned",
+              "hypotheses", "reduction", "max|du|", "max|dv|", "mismatch",
+              "interior", "seed-hit");
   bool pruned_ok = false;
   for (const PrunedLeg& leg : pruned_legs) {
     const core::PruneReport& pr = leg.result.prune;
@@ -258,10 +257,9 @@ int main(int argc, char** argv) {
                   leg.drift.interior_pixels
             : 0.0;
     std::printf(
-        "  r=%-10d %12lld %9.2fx %10lld %8.3f %8.3f %9.4f%% %9.4f%% %10.3f\n",
+        "  r=%-10d %12lld %9.2fx %8.3f %8.3f %9.4f%% %9.4f%% %10.3f\n",
         leg.radius, static_cast<long long>(pr.hypotheses_evaluated()),
-        pr.reduction(), static_cast<long long>(pr.bound_skipped),
-        leg.drift.max_du, leg.drift.max_dv,
+        pr.reduction(), leg.drift.max_du, leg.drift.max_dv,
         100.0 * leg.drift.mismatches / npix, 100.0 * interior_frac,
         pr.seed_hit_rate());
     // The ISSUE contract is gated on the interior: the clamped-border
@@ -321,7 +319,7 @@ int main(int argc, char** argv) {
       rec.wall_ms = leg.result.wall_seconds * 1000.0;
       rec.pixels_per_s = npix / leg.result.match_seconds;
       rec.config = cfg.describe() + ", search-mode=pruned(levels=1, refine=" +
-                   std::to_string(leg.radius) + ", bound=on)";
+                   std::to_string(leg.radius) + ")";
       rec.backend = leg.result.backend;
       rec.extra("match_ms", leg.result.match_seconds * 1000.0)
           .extra("speedup_vs_naive",
@@ -334,9 +332,6 @@ int main(int argc, char** argv) {
           .extra("full_grid_hypotheses",
                  static_cast<double>(pr.full_grid_hypotheses))
           .extra("hypothesis_reduction", pr.reduction())
-          .extra("bound_checks", static_cast<double>(pr.bound_checks))
-          .extra("bound_skipped", static_cast<double>(pr.bound_skipped))
-          .extra("bound_tightness", pr.mean_bound_tightness())
           .extra("seed_hit_rate", pr.seed_hit_rate())
           .extra("max_du_vs_full", leg.drift.max_du)
           .extra("max_dv_vs_full", leg.drift.max_dv)

@@ -18,8 +18,9 @@
 // The measured section ends with a thread-scaling sweep: the vector
 // backend at 1, 2, 4, ... threads (pool resized to the sweep
 // maximum, each run capped via SmaConfig::threads, and warmed by one
-// second of untimed tracks before its best-of-3), emitting a
-// speedup/efficiency curve into the JSON and asserting FlowField
+// second of untimed tracks before kSweepTracks timed ones), emitting
+// the median total with its p25 and p75, and the speedup/efficiency
+// curve of the medians, into the JSON and asserting FlowField
 // bit-identity against the sequential reference at every width.  Exits
 // nonzero when any measured run diverges from the sequential result.
 #include <algorithm>
@@ -39,6 +40,24 @@
 #include "sched/scheduler.hpp"
 
 using namespace sma;
+
+namespace {
+
+// Timed tracks per sweep width: the pair's wall is a few milliseconds,
+// so a best-of-3 reads host noise; the median and its quartiles of this
+// many tracks do not.
+constexpr int kSweepTracks = 15;
+
+// Linear-interpolated quantile q of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   std::string backend = "vector";
@@ -180,15 +199,16 @@ int main(int argc, char** argv) {
   struct SweepPoint {
     std::string backend;
     int threads;
-    double speedup;
-    core::TrackResult result;
+    double p25, p75;  ///< quartiles of the timed totals (s)
+    double speedup;   ///< 1-thread median / this width's median
+    core::TrackResult result;  ///< the median-total track
   };
   std::vector<SweepPoint> sweep;
   const std::string swept = "vector";
   bench::header("Thread scaling — " + swept + " backend (" +
                 std::to_string(std::max(hw, 4)) + "-wide pool, " +
                 std::to_string(hw) + " hardware thread(s))");
-  bench::row_header("threads", "total (s) / speedup");
+  bench::row_header("median [p25, p75] (ms)", "speedup");
   bool sweep_identical = true;
   double t1 = 0.0;
   for (const int t : widths) {
@@ -196,18 +216,34 @@ int main(int argc, char** argv) {
     tcfg.threads = t;
     // Untimed tracks for a fixed wall time first: straight after the
     // resize, or after a narrower width, the workers of a cold pool do
-    // not yet run side by side, and a best-of-3 taken then measures
-    // about 1x at every width.
+    // not yet run side by side, and tracks timed then measure about 1x
+    // at every width.
     const auto warm_until =
         std::chrono::steady_clock::now() + std::chrono::seconds(1);
     while (std::chrono::steady_clock::now() < warm_until) track(swept, tcfg);
-    core::TrackResult r = best_of_3(swept, tcfg);
-    if (t == widths.front()) t1 = r.timings.total;
-    sweep_identical = sweep_identical && imaging::bit_equal(r.flow, seq.flow);
-    const double speedup = t1 / r.timings.total;
+    std::vector<core::TrackResult> runs;
+    for (int rep = 0; rep < kSweepTracks; ++rep) {
+      runs.push_back(track(swept, tcfg));
+      sweep_identical =
+          sweep_identical && imaging::bit_equal(runs.back().flow, seq.flow);
+    }
+    std::sort(runs.begin(), runs.end(),
+              [](const core::TrackResult& a, const core::TrackResult& b) {
+                return a.timings.total < b.timings.total;
+              });
+    std::vector<double> totals;
+    for (const core::TrackResult& r : runs) totals.push_back(r.timings.total);
+    core::TrackResult& median = runs[runs.size() / 2];
+    if (t == widths.front()) t1 = median.timings.total;
+    const double speedup = t1 / median.timings.total;
+    const double p25 = quantile(totals, 0.25);
+    const double p75 = quantile(totals, 0.75);
     bench::row(swept + ", " + std::to_string(t) + " thread(s)",
-               bench::fmt(r.timings.total), bench::fmt(speedup, "x", 2));
-    sweep.push_back({swept, t, speedup, std::move(r)});
+               bench::fmt(1e3 * median.timings.total, "", 2) + " [" +
+                   bench::fmt(1e3 * p25, "", 2) + ", " +
+                   bench::fmt(1e3 * p75, "", 2) + "]",
+               bench::fmt(speedup, "x", 2));
+    sweep.push_back({swept, t, p25, p75, speedup, std::move(median)});
   }
   std::printf("  flow-identical to sequential at every width: %s\n",
               sweep_identical ? "yes (paper Sec. 5.1 criterion)"
@@ -236,7 +272,8 @@ int main(int argc, char** argv) {
                  r.timings.hypothesis_matching * 1000.0)
           .extra("size", size);
     }
-    // The efficiency curves: one record per backend and sweep width, so
+    // The efficiency curves: one record per backend and sweep width
+    // (wall_ms is the median track, p25_ms/p75_ms its quartiles), so
     // trajectory tooling can plot speedup_vs_1t/efficiency straight from
     // the JSON.
     for (const SweepPoint& p : sweep) {
@@ -249,6 +286,9 @@ int main(int argc, char** argv) {
       rec.config = tcfg.describe();
       rec.backend = p.backend;
       rec.extra("threads", p.threads)
+          .extra("tracks", kSweepTracks)
+          .extra("p25_ms", p.p25 * 1000.0)
+          .extra("p75_ms", p.p75 * 1000.0)
           .extra("speedup_vs_1t", p.speedup)
           .extra("efficiency", p.speedup / p.threads)
           .extra("semifluid_mapping_ms",

@@ -29,14 +29,12 @@
 //   --tile WxH             scheduler tile shape (default: autotuned)
 //   --search-mode MODE     hypothesis search: full (default, the
 //                          bit-exact exhaustive oracle) | pruned
-//                          (coarse-to-fine seeding + branch-and-bound;
-//                          tolerance-equal to full)
+//                          (coarse-to-fine seeding + per-pixel
+//                          admission windows; tolerance-equal to full)
 //   --prune-levels N       pruned mode: pyramid levels above full res
 //                          for the coarse seeding pass (default 1)
 //   --prune-radius N       pruned mode: fine window half-width around
 //                          the upsampled coarse winner (default 1)
-//   --prune-bound on|off   pruned mode: half-template residual lower
-//                          bound / early exit (default on)
 //   --shard RxC            halo-exchange tile sharding (src/shard/):
 //                          split the pair into an RxC grid of haloed
 //                          tiles streamed out-of-core from the input
@@ -100,7 +98,6 @@ int usage() {
                "                 [--threads N] [--tile WxH]\n"
                "                 [--search-mode full|pruned]\n"
                "                 [--prune-levels N] [--prune-radius N]\n"
-               "                 [--prune-bound on|off]\n"
                "                 [--shard RxC] [--max-resident-mb N]\n"
                "                 [--inject-faults RATE] [--fault-seed N]\n"
                "                 [--trace FILE] [--metrics FILE]\n"
@@ -228,14 +225,6 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       o.cfg.prune_coarse_levels = int_flag(argc, argv, i);
     } else if (a == "--prune-radius") {
       o.cfg.prune_refine_radius = int_flag(argc, argv, i);
-    } else if (a == "--prune-bound") {
-      const std::string m = flag_value(argc, argv, i);
-      if (m == "on")
-        o.cfg.prune_bound = true;
-      else if (m == "off")
-        o.cfg.prune_bound = false;
-      else
-        throw std::invalid_argument("--prune-bound expects on|off");
     } else if (a == "--shard") {
       std::tie(o.shard_rows, o.shard_cols) = int_pair_flag(argc, argv, i);
       if (o.shard_rows < 1 || o.shard_cols < 1)
@@ -447,13 +436,10 @@ int cmd_track(int argc, char** argv) {
     if (prune->active != 0)
       std::printf(
           "pruned search: %llu of %llu hypotheses (%.1fx reduction), "
-          "bound skipped %llu of %llu, seed hit rate %.3f\n",
+          "seed hit rate %.3f\n",
           static_cast<unsigned long long>(prune->hypotheses_evaluated()),
           static_cast<unsigned long long>(prune->full_grid_hypotheses),
-          prune->reduction(),
-          static_cast<unsigned long long>(prune->bound_skipped),
-          static_cast<unsigned long long>(prune->bound_checks),
-          prune->seed_hit_rate());
+          prune->reduction(), prune->seed_hit_rate());
     else
       std::printf("pruned search fell back to full (%s)\n",
                   core::prune_fallback_name(static_cast<core::PruneFallback>(

@@ -15,16 +15,14 @@ std::string SmaConfig::describe() const {
     os << ", semi-fluid search " << semifluid_search_size() << "x"
        << semifluid_search_size() << ", semi-fluid template "
        << semifluid_template_size() << "x" << semifluid_template_size();
-  os << ", Z=" << effective_segment_rows() << " rows/segment"
-     << ", stride=" << template_stride;
+  os << ", Z=" << effective_segment_rows() << " rows/segment";
   os << ", precompute=" << (precompute == PrecomputeMode::kOff ? "off" : "on");
   // The pruned search changes results (tolerance-level subpixel deltas
   // vs. the full oracle), so it MUST be part of the signature — but only
   // when engaged, keeping every existing full-mode signature byte-stable.
   if (search_mode == SearchMode::kPruned)
     os << ", search-mode=pruned(levels=" << prune_coarse_levels
-       << ", refine=" << prune_refine_radius
-       << ", bound=" << (prune_bound ? "on" : "off") << ")";
+       << ", refine=" << prune_refine_radius << ")";
   // Scheduler knobs only when explicitly set: they never change results,
   // so defaults stay out of config signatures.
   if (threads > 0) os << ", threads=" << threads;

@@ -34,8 +34,8 @@ enum class MotionModel {
 /// per-pixel weighted design rows and A^T A tiles of the 6x6 normal
 /// equations are built once per before frame instead of once per
 /// (pixel, hypothesis).  Bit-identical to the naive path where eligible
-/// (no masks, stride 1; F_semi included); ineligible configs
-/// fall back to naive regardless of the mode.
+/// (no masks; F_semi included); ineligible configs fall back to naive
+/// regardless of the mode.
 enum class PrecomputeMode {
   kOn,   ///< engage whenever eligible
   kOff,  ///< always run the naive oracle path
@@ -43,15 +43,15 @@ enum class PrecomputeMode {
 
 /// Hypothesis-search strategy (match_prune.hpp).  kFull is the paper's
 /// exhaustive (2N_zs+1)^2 sweep and the exact-verification oracle.
-/// kPruned seeds each pixel from a coarse pyramid track, refines inside
-/// a shrunken window around the upsampled coarse winner, and abandons
-/// hypotheses whose half-template residual lower bound already exceeds
-/// the incumbent.  Pruned results are bit-identical across backends /
-/// thread counts / tile shapes, and tolerance-equal (not bit-equal) to
-/// kFull; configs the pruned path cannot serve fall back to kFull.
+/// kPruned seeds each pixel from a coarse pyramid track and admits only
+/// the hypotheses inside a shrunken window around the upsampled coarse
+/// winner, on the same sweep full search runs.  Pruned results are
+/// bit-identical across backends / thread counts / tile shapes, and
+/// tolerance-equal (not bit-equal) to kFull; configs the pruned path
+/// cannot serve fall back to kFull.
 enum class SearchMode {
   kFull,    ///< exhaustive search (the default, and the oracle)
-  kPruned,  ///< coarse-to-fine seeding + branch-and-bound early exit
+  kPruned,  ///< coarse-to-fine seeding + per-pixel admission windows
 };
 
 struct SmaConfig {
@@ -84,11 +84,6 @@ struct SmaConfig {
   /// it skips the table and remaps every template pixel on the fly (the
   /// naive oracle).  Both are exact.
   bool use_precomputed_mapping = true;
-
-  /// Subsample the z-template (evaluate every k-th template pixel).  1 =
-  /// exact paper behaviour.  Larger strides approximate the error surface
-  /// and are an extension used to make paper-scale templates tractable.
-  int template_stride = 1;
 
   /// Hypothesis-invariant normal-equation precompute (see PrecomputeMode
   /// and match_precompute.hpp).  Distinct from use_precomputed_mapping,
@@ -126,13 +121,6 @@ struct SmaConfig {
   /// seeds.  Pixels whose seed is invalid or outside the search area
   /// fall back to the full window.
   int prune_refine_radius = 1;
-
-  /// Branch-and-bound residual lower bound: abandon a hypothesis at the
-  /// half-template checkpoint when the minimized prefix residual already
-  /// exceeds the incumbent.  Never changes the winner (DESIGN.md §16
-  /// derives the bound); off only isolates the window-shrink effect in
-  /// benches.
-  bool prune_bound = true;
 
   /// Resident-memory budget in MiB for the out-of-core shard stream
   /// (src/shard/): bounds the LRU tile-block cache plus the working
@@ -189,8 +177,6 @@ struct SmaConfig {
       throw std::invalid_argument("SmaConfig: rectangular radii >= -1 required");
     if (segment_rows < 0 || segment_rows > z_search_size_y())
       throw std::invalid_argument("SmaConfig: segment_rows out of range");
-    if (template_stride < 1)
-      throw std::invalid_argument("SmaConfig: template_stride >= 1 required");
     if (threads < 0)
       throw std::invalid_argument("SmaConfig: threads >= 0 required");
     if (tile_width < 0 || tile_height < 0)

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
-#include "core/match_prune.hpp"
 #include "linalg/least_squares.hpp"
 #include "sched/scheduler.hpp"
 
@@ -91,16 +89,10 @@ MatchPrecompute::MatchPrecompute(const surface::GeometricField& before,
 
 void MatchPrecompute::accumulate_window(int x, int y, int rx, int ry,
                                         WindowInvariants& out) const {
-  accumulate_window_span(x, y, rx, -ry, ry, out);
-}
-
-void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
-                                             int v_hi,
-                                             WindowInvariants& out) const {
   const int w = width_;
   const int h = height_;
-  const bool interior = x - rx >= 0 && x + rx < w && y + v_lo >= 0 &&
-                        y + v_hi < h;
+  const bool interior =
+      x - rx >= 0 && x + rx < w && y - ry >= 0 && y + ry < h;
   // Plane-at-a-time in the two-level order: each template row sums from
   // 0.0 in u order, then the row subtotals add in v order.  Each slot's
   // sum is independent of the others, so one contiguous plane at a time
@@ -108,7 +100,7 @@ void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
   for (int k = 0; k < 21; ++k) {
     const double* SMA_RESTRICT const t = plane(kTile0 + k);
     double acc = 0.0;
-    for (int v = v_lo; v <= v_hi; ++v) {
+    for (int v = -ry; v <= ry; ++v) {
       const std::size_t off =
           static_cast<std::size_t>(std::clamp(y + v, 0, h - 1)) * w;
       double row = 0.0;
@@ -122,44 +114,16 @@ void MatchPrecompute::accumulate_window_span(int x, int y, int rx, int v_lo,
     }
     out.ata[k] = acc;
   }
-  out.rows = v_hi >= v_lo
-                 ? 3ull * (2 * rx + 1) * static_cast<std::uint64_t>(v_hi -
-                                                                    v_lo + 1)
-                 : 0;
+  out.rows = 3ull * (2 * rx + 1) * static_cast<std::uint64_t>(2 * ry + 1);
 }
-
-namespace {
-
-// Solve + residual tail of the precomputed evaluator and its
-// half-template checkpoint: the moments go into a zero-initialized
-// NormalEquations6 exactly as the naive evaluate_pixel_hypothesis builds
-// them, so the solve and the Eq. (3) residual (theta = 0 when singular)
-// see the same bits.
-double solve_from_moments(const double* ata21, const linalg::Vec6& atb,
-                          double btb, std::uint64_t rows,
-                          MotionParams& params_out, bool& ok_out) {
-  linalg::NormalEquations6 ne;
-  ne.add_precomputed(ata21, atb, btb, rows);
-  linalg::Vec6 theta;
-  if (ne.solve(theta) == linalg::SolveStatus::kOk) {
-    params_out = MotionParams::from_vec(theta);
-    ok_out = true;
-    return ne.residual(theta);
-  }
-  params_out = MotionParams{};
-  ok_out = false;
-  return ne.residual(linalg::Vec6{});
-}
-
-}  // namespace
 
 double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        const surface::GeometricField& after,
                                        const WindowInvariants& win,
                                        const SemiFluidTable* table, int x,
                                        int y, int hx, int hy, int rx, int ry,
-                                       MotionParams& params_out, bool& ok_out,
-                                       PruneCheckpoint* checkpoint) {
+                                       MotionParams& params_out,
+                                       bool& ok_out) {
   const int w = pre.width();
   const int h = pre.height();
   const double* SMA_RESTRICT const ni_p = pre.plane(MatchPrecompute::kNi);
@@ -196,26 +160,6 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                         y + ry + hy < h;
   const int col = table != nullptr ? hx + table->hx_radius() : 0;
   for (int v = -ry; v <= ry; ++v) {
-    if (v == 0 && checkpoint != nullptr) {
-      // Half-template checkpoint on the running total after row -1:
-      // minimize the prefix residual.  A singular prefix only yields
-      // residual(0) = b^T b — an UPPER bound of the prefix minimum — so
-      // it never prunes (bound 0).
-      MotionParams prefix_params;
-      bool prefix_ok = false;
-      const double bound =
-          solve_from_moments(checkpoint->prefix->ata, atb, btb,
-                             checkpoint->prefix->rows, prefix_params,
-                             prefix_ok);
-      checkpoint->bound = prefix_ok ? bound : 0.0;
-      checkpoint->skipped =
-          prune_bound_exceeds(checkpoint->bound, checkpoint->incumbent);
-      if (checkpoint->skipped) {
-        params_out = MotionParams{};
-        ok_out = false;
-        return std::numeric_limits<double>::infinity();
-      }
-    }
     const int py = std::clamp(y + v, 0, h - 1);
     const std::size_t off = static_cast<std::size_t>(py) * w;
     row_atb = linalg::Vec6{};
@@ -252,7 +196,20 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
     atb += row_atb;
     btb += row_btb;
   }
-  return solve_from_moments(win.ata, atb, btb, win.rows, params_out, ok_out);
+  // The moments go into a zero-initialized NormalEquations6 exactly as
+  // the naive evaluate_pixel_hypothesis builds them, so the solve and the
+  // Eq. (3) residual (theta = 0 when singular) see the same bits.
+  linalg::NormalEquations6 ne;
+  ne.add_precomputed(win.ata, atb, btb, win.rows);
+  linalg::Vec6 theta;
+  if (ne.solve(theta) == linalg::SolveStatus::kOk) {
+    params_out = MotionParams::from_vec(theta);
+    ok_out = true;
+    return ne.residual(theta);
+  }
+  params_out = MotionParams{};
+  ok_out = false;
+  return ne.residual(linalg::Vec6{});
 }
 
 PrecomputeDecision resolve_precompute(const SmaConfig& config,
@@ -266,9 +223,6 @@ PrecomputeDecision resolve_precompute(const SmaConfig& config,
   // precomputed tiles cannot express.
   if (in.mask_before != nullptr || in.mask_after != nullptr)
     return PrecomputeDecision::kMasked;
-  // A strided template is no longer a dense box; the window sums and the
-  // contiguous interior sweep both assume stride 1.
-  if (config.template_stride > 1) return PrecomputeDecision::kStride;
   return PrecomputeDecision::kFast;
 }
 

@@ -31,16 +31,15 @@
 // same bits.
 //
 // Fallback contract (resolve_precompute): the fast path engages only
-// when no validity masks are present and template_stride == 1 —
-// otherwise the template window is no longer a fixed box over the
-// before frame and the shared window sums are invalid.  The semi-fluid
-// model is eligible: its per-pixel remap moves only the AFTER-frame
-// correspondent q = p + M_h(p), so A^T A (before frame only) is still
-// the shared window sum and just the A^T b / b^T b sweep gathers through
-// the correspondence table.  One evaluator serves every precomputed
-// consumer — F_cont, F_semi through its table, and the pruned search
-// through its half-template checkpoint — and the naive path remains the
-// equivalence oracle.
+// when no validity masks are present — otherwise the template window is
+// no longer a fixed box over the before frame and the shared window
+// sums are invalid.  The semi-fluid model is eligible: its per-pixel
+// remap moves only the AFTER-frame correspondent q = p + M_h(p), so
+// A^T A (before frame only) is still the shared window sum and just the
+// A^T b / b^T b sweep gathers through the correspondence table.  One
+// evaluator serves every precomputed consumer — F_cont and F_semi
+// through its table — and the naive path remains the equivalence
+// oracle.
 #pragma once
 
 #include <cstddef>
@@ -117,36 +116,15 @@ class MatchPrecompute {
   /// Direct window accumulation of the A^T A tiles for the template box
   /// centered at (x, y) with half-widths (rx, ry), clamped borders —
   /// the same pixel multiset, in the same two-level order, as the naive
-  /// template loop: accumulate_window_span over rows [-ry, ry].
+  /// template loop.
   void accumulate_window(int x, int y, int rx, int ry,
                          WindowInvariants& out) const;
-
-  /// The template rows v in [v_lo, v_hi] only (template-relative,
-  /// clamped borders, the same order), for the branch-and-bound lower
-  /// bound (match_prune.hpp).  The prefix system's A^T A is hypothesis-
-  /// invariant just like the full window's, so the bound pays one extra
-  /// window sweep per pixel, amortized over every hypothesis.
-  void accumulate_window_span(int x, int y, int rx, int v_lo, int v_hi,
-                              WindowInvariants& out) const;
 
  private:
   int width_ = 0;
   int height_ = 0;
   std::size_t npix_ = 0;
   std::vector<double> data_;  // plane-major: [plane][y][x]
-};
-
-/// The pruned search's half-template checkpoint (match_prune.hpp).  At
-/// the top of template row v == 0 the evaluator solves the prefix system
-/// — `prefix`'s A^T A with the running A^T b / b^T b total after row -1
-/// — and abandons the hypothesis when that bound exceeds `incumbent`
-/// (prune_bound_exceeds).
-struct PruneCheckpoint {
-  /// accumulate_window_span(x, y, rx, -ry, -1); needs ry >= 1.
-  const WindowInvariants* prefix = nullptr;
-  double incumbent = 0.0;
-  double bound = 0.0;    ///< out: the prefix bound (0 when singular)
-  bool skipped = false;  ///< out: abandoned at the checkpoint (+inf)
 };
 
 /// THE precomputed Eq. (3) evaluator: hypothesis (hx, hy) at pixel
@@ -156,24 +134,21 @@ struct PruneCheckpoint {
 /// p + M_h(p) from the segment's correspondence table for F_semi (`hy`
 /// inside the table's segment, |hx| within its hx_radius), read with the
 /// naive path's clamp.  Bit-identical to the naive
-/// evaluate_pixel_hypothesis (no masks, stride 1) driven by the same
-/// table.  A non-null `checkpoint` adds the pruned search's bound;
-/// evaluations that pass it run the identical floating-point sequence.
+/// evaluate_pixel_hypothesis (no masks) driven by the same table.
 /// Returns the Eq. (3) residual.
 double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        const surface::GeometricField& after,
                                        const WindowInvariants& win,
                                        const SemiFluidTable* table, int x,
                                        int y, int hx, int hy, int rx, int ry,
-                                       MotionParams& params_out, bool& ok_out,
-                                       PruneCheckpoint* checkpoint = nullptr);
+                                       MotionParams& params_out,
+                                       bool& ok_out);
 
 /// Why the fast path did or did not engage for a given (config, input).
 enum class PrecomputeDecision {
   kFast,       ///< precompute engages
   kDisabled,   ///< PrecomputeMode::kOff
   kMasked,     ///< validity masks present: window multiset varies per pixel
-  kStride,     ///< template_stride > 1: the window is no longer a box
 };
 
 /// The single eligibility rule, shared by every attachment and consumer

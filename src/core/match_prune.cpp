@@ -1,28 +1,18 @@
 #include "core/match_prune.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
 
 #include "core/hierarchical.hpp"
+#include "core/match_precompute.hpp"
 #include "core/pipeline.hpp"
 #include "core/postprocess.hpp"
 #include "imaging/pyramid.hpp"
 #include "obs/trace.hpp"
 
 namespace sma::core {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-}  // namespace
 
 const char* prune_fallback_name(PruneFallback f) {
   switch (f) {
@@ -47,13 +37,12 @@ const char* prune_fallback_name(PruneFallback f) {
 PruneFallback resolve_prune_config(const SmaConfig& config) {
   if (config.search_mode != SearchMode::kPruned)
     return PruneFallback::kNotRequested;
-  // The pruned sweep rides the precomputed SoA planes (window sums for
-  // the bound's prefix system, the 18-MAC A^T b sweep): no fast path, no
+  // Pruned search rides the precomputed SoA planes: no fast path, no
   // pruned path.
-  if (config.precompute == PrecomputeMode::kOff || config.template_stride > 1)
+  if (config.precompute == PrecomputeMode::kOff)
     return PruneFallback::kNoPrecompute;
-  // F_semi rides the planes too, but the coarse seeding pass and the
-  // half-template bound model F_cont correspondents only.
+  // F_semi rides the planes too, but the coarse seeding pass models
+  // F_cont correspondents only.
   if (config.model == MotionModel::kSemiFluid &&
       config.semifluid_search_radius > 0)
     return PruneFallback::kSemiFluid;
@@ -62,8 +51,7 @@ PruneFallback resolve_prune_config(const SmaConfig& config) {
   // incumbent would reset between them.
   if (config.effective_segment_rows() < config.z_search_size_y())
     return PruneFallback::kSegmented;
-  // A 1x1 (or 1xN / Nx1) search has nothing to shrink, and the bound's
-  // prefix needs at least one template row above the center.
+  // A 1x1 (or 1xN / Nx1) search has nothing to shrink.
   if (config.z_search_radius < 1 || config.z_search_ry() < 1)
     return PruneFallback::kTinySearch;
   return PruneFallback::kNone;
@@ -205,28 +193,14 @@ bool prune_winner_interior(const PruneWindow& win, int nzs_x, int nzs_y,
   return true;
 }
 
-std::vector<PixelBest> run_pruned_search(const MatchInput& in,
-                                         const SmaConfig& config,
-                                         bool parallel,
-                                         TrackTimings& timings,
-                                         PruneReport* report) {
+std::vector<PruneWindow> prune_windows(const MatchInput& in,
+                                       const SmaConfig& config,
+                                       std::uint64_t& coarse_hypotheses) {
   const int w = in.width();
   const int h = in.height();
-  const int nzs_x = config.z_search_radius;
-  const int nzs_y = config.z_search_ry();
-  const int nzt_x = config.z_template_radius;
-  const int nzt_y = config.z_template_ry();
-  const int radius = config.prune_refine_radius;
-  const MatchPrecompute* const pre = in.precompute;
-  // The bound's prefix is the template rows above the center; with a
-  // one-row template there is no prefix to checkpoint.
-  const bool bound_on = config.prune_bound && nzt_y >= 1;
-
-  obs::TraceSpan span("match", "pruned_search");
-  const auto t0 = Clock::now();
   // An injected seed slice (shard runner) replaces the coarse pass: the
-  // seeds were computed once on the full frames, so every tile's fine
-  // pass sees exactly the values the whole-frame run would have.
+  // seeds were computed once on the full frames, so every tile's windows
+  // are exactly the ones the whole-frame run would use.
   if (in.prune_seeds != nullptr &&
       (in.prune_seeds->width != w || in.prune_seeds->height != h))
     throw std::invalid_argument(
@@ -236,93 +210,44 @@ std::vector<PixelBest> run_pruned_search(const MatchInput& in,
     local_seeds = compute_prune_seeds(*in.raw_before, *in.raw_after, config);
   const PruneSeeds& seeds =
       in.prune_seeds != nullptr ? *in.prune_seeds : local_seeds;
+  coarse_hypotheses = seeds.coarse_hypotheses;
 
-  std::vector<PixelBest> best(static_cast<std::size_t>(w) * h);
+  std::vector<PruneWindow> windows(static_cast<std::size_t>(w) * h);
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x)
+      windows[static_cast<std::size_t>(y) * w + x] =
+          prune_window(seeds, x, y, config.z_search_radius,
+                       config.z_search_ry(), config.prune_refine_radius);
+  return windows;
+}
 
-  // Per-tile counters, folded in tile-index order after the run: the
-  // report is deterministic for a fixed tile grid no matter the steal
-  // schedule (and the FlowField is deterministic unconditionally).
-  struct TileTally {
-    std::uint64_t scheduled = 0, evaluated = 0;
-    std::uint64_t bound_checks = 0, bound_skipped = 0;
-    std::uint64_t window_pixels = 0, fallback_pixels = 0, seed_interior = 0;
-    double bound_tightness_sum = 0.0;
-  };
-
-  const std::vector<sched::Tile> tiles = pixel_tiles(w, h, config, parallel);
-  std::vector<TileTally> tallies(tiles.size());
-
-  const auto process_tile = [&](const sched::Tile& tile, std::size_t index) {
-    TileTally& tl = tallies[index];
-    for (int y = tile.y0; y < tile.y1; ++y)
-      for (int x = tile.x0; x < tile.x1; ++x) {
-        const PruneWindow pw =
-            prune_window(seeds, x, y, nzs_x, nzs_y, radius);
-        if (pw.shrunk)
-          ++tl.window_pixels;
-        else
-          ++tl.fallback_pixels;
-        WindowInvariants win;
-        pre->accumulate_window(x, y, nzt_x, nzt_y, win);
-        WindowInvariants winp;
-        if (bound_on)
-          pre->accumulate_window_span(x, y, nzt_x, -nzt_y, -1, winp);
-        PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
-        for (int hy = pw.hy_min; hy <= pw.hy_max; ++hy)
-          for (int hx = pw.hx_min; hx <= pw.hx_max; ++hx) {
-            ++tl.scheduled;
-            MotionParams params;
-            bool ok = false;
-            // The bound costs a 6x6 solve; only pay it once a prunable
-            // (finite, positive) incumbent exists.
-            const bool check = bound_on && b.any_ok &&
-                               std::isfinite(b.error) && b.error > 0.0;
-            PruneCheckpoint cp{&winp, b.error};
-            const double error = evaluate_hypothesis_precomputed(
-                *pre, *in.after, win, nullptr, x, y, hx, hy, nzt_x, nzt_y,
-                params, ok, check ? &cp : nullptr);
-            if (check) {
-              ++tl.bound_checks;
-              if (cp.skipped) {
-                ++tl.bound_skipped;
-                continue;
-              }
-              if (std::isfinite(error) && error > 0.0)
-                tl.bound_tightness_sum +=
-                    std::min(1.0, std::max(0.0, cp.bound) / error);
-            }
-            ++tl.evaluated;
-            if (hypothesis_improves(b, error, hx, hy))
-              b.take(hx, hy, hx, hy, error, params, ok);
-          }
-        if (pw.shrunk && b.any_ok &&
-            prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
-          ++tl.seed_interior;
-      }
-  };
-
-  run_pixel_tiles(tiles, config, parallel, process_tile);
-
-  if (report != nullptr) {
-    report->active = 1;
-    report->fallback_reason = static_cast<std::uint64_t>(PruneFallback::kNone);
-    report->full_grid_hypotheses =
-        static_cast<std::uint64_t>(w) * h *
-        (static_cast<std::uint64_t>(2 * nzs_x + 1) * (2 * nzs_y + 1));
-    report->coarse_hypotheses = seeds.coarse_hypotheses;
-    for (const TileTally& tl : tallies) {
-      report->fine_scheduled += tl.scheduled;
-      report->fine_evaluated += tl.evaluated;
-      report->bound_checks += tl.bound_checks;
-      report->bound_skipped += tl.bound_skipped;
-      report->window_pixels += tl.window_pixels;
-      report->fallback_pixels += tl.fallback_pixels;
-      report->seed_interior += tl.seed_interior;
-      report->bound_tightness_sum += tl.bound_tightness_sum;
+PruneReport prune_report(const std::vector<PruneWindow>& windows,
+                         const std::vector<PixelBest>& best,
+                         std::uint64_t coarse_hypotheses,
+                         const SmaConfig& config) {
+  const int nzs_x = config.z_search_radius;
+  const int nzs_y = config.z_search_ry();
+  PruneReport r;
+  r.active = 1;
+  r.fallback_reason = static_cast<std::uint64_t>(PruneFallback::kNone);
+  r.full_grid_hypotheses =
+      static_cast<std::uint64_t>(windows.size()) *
+      (static_cast<std::uint64_t>(2 * nzs_x + 1) * (2 * nzs_y + 1));
+  r.coarse_hypotheses = coarse_hypotheses;
+  for (std::size_t i = 0; i < windows.size(); ++i) {
+    const PruneWindow& pw = windows[i];
+    r.fine_scheduled += static_cast<std::uint64_t>(pw.hx_max - pw.hx_min + 1) *
+                        static_cast<std::uint64_t>(pw.hy_max - pw.hy_min + 1);
+    if (!pw.shrunk) {
+      ++r.fallback_pixels;
+      continue;
     }
+    ++r.window_pixels;
+    const PixelBest& b = best[i];
+    if (b.any_ok && prune_winner_interior(pw, nzs_x, nzs_y, b.hx, b.hy))
+      ++r.seed_interior;
   }
-  timings.hypothesis_matching += seconds_since(t0);
-  return best;
+  return r;
 }
 
 }  // namespace sma::core

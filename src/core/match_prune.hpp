@@ -1,45 +1,27 @@
-// match_prune.hpp — coarse-to-fine hypothesis search with
-// branch-and-bound pruning (SmaConfig::search_mode == SearchMode::kPruned).
+// match_prune.hpp — coarse-to-fine pruned hypothesis search
+// (SmaConfig::search_mode == SearchMode::kPruned).
 //
-// The paper brute-forces all (2N_zs+1)^2 hypotheses per pixel; PRs 3/5/7
-// made each of them cheap (precompute -> SIMD lanes -> pool threads).
-// This layer evaluates FEWER of them, two ways:
+// The paper brute-forces all (2N_zs+1)^2 hypotheses per pixel; the
+// precompute, the SIMD lanes and the pool threads make each of them
+// cheap.  This layer evaluates FEWER of them: a cheap tracking pass on a
+// downsampled pyramid level (imaging/pyramid.hpp) yields a per-pixel
+// motion estimate; the upsampled, median+Gaussian-smoothed, rounded
+// winner (core/hierarchical.hpp's upsample_flow, the same smoothing
+// recipe track_pair_hierarchical uses for its priors) seeds a SHRUNKEN
+// admission window of half-width prune_refine_radius around it.  Pixels
+// whose seed is invalid or falls outside the search area keep the full
+// window — the per-pixel exact fallback.
 //
-//  1. Coarse seeding: a cheap tracking pass on a downsampled pyramid
-//     level (imaging/pyramid.hpp) yields a per-pixel motion estimate;
-//     the upsampled, median+Gaussian-smoothed, rounded winner
-//     (core/hierarchical.hpp's upsample_flow, the same smoothing recipe
-//     track_pair_hierarchical uses for its priors) seeds a SHRUNKEN fine
-//     window of half-width prune_refine_radius around it.  Pixels whose
-//     seed is invalid or falls outside the search area keep the full
-//     window — the per-pixel exact fallback.
-//
-//  2. Branch-and-bound residual lower bound: the Eq. (3) residual is a
-//     sum of nonnegative per-row terms (weights 1/E, 1/G > 0), so the
-//     MINIMIZED residual of any row subset lower-bounds the minimized
-//     full residual: min_th E_full(th) >= min_th E_prefix(th).  At the
-//     half-template checkpoint (template rows v < 0 accumulated; the
-//     PruneCheckpoint argument of evaluate_hypothesis_precomputed) the
-//     prefix system — its hypothesis-invariant A^T A from
-//     accumulate_window_span, its A^T b / b^T b from the rows already
-//     swept — is solved and scored; if that bound already exceeds the
-//     incumbent by more than kPruneBoundSlack, the hypothesis is
-//     abandoned before the remaining rows' 18-MAC accumulation.  A
-//     SINGULAR prefix system yields residual(theta = 0) = b^T b, which is
-//     an UPPER bound of the prefix minimum, so singular prefixes never
-//     prune (bound 0).
-//
-// Determinism (DESIGN.md §16): the checkpoint is an argument of the one
-// precomputed evaluator, so completed evaluations run the identical
-// floating-point sequence as the full search, and the bound can only
-// discard hypotheses that provably cannot improve the incumbent (strict
-// inequality + slack, so exact ties survive); each pixel's incumbent
-// evolves only within its own fixed scan order, so the winner — and
-// therefore the FlowField — is bit-identical across backends (maspar-sim
-// included), thread counts, tile shapes, and steal schedules.  Every
-// backend runs this one pass (run_pruned_search), so the integer
-// counters are identical too; only bound_tightness_sum, a double folded
-// per tile, may differ in its last bits.
+// Pruning is not a sweep of its own.  The one matching stage
+// (run_matching_stage) computes the windows and hands them to every
+// backend's segment visit with the segment (MatchSegment::windows); each
+// visit runs the sweep full search runs and folds into a pixel's
+// incumbent only the hypotheses inside that pixel's window.  The winner
+// predicate (hypothesis_improves) does not depend on the visit order, so
+// the winner — and therefore the FlowField — is bit-identical across
+// backends (maspar-sim included), thread counts, tile shapes and steal
+// schedules.  The stage fills the PruneReport once, from the windows and
+// the winners, so its counters are identical too (DESIGN.md §16).
 //
 // Pruned results are tolerance-equal, NOT bit-equal, to the kFull
 // oracle: a bad seed can exclude the full-search winner from the
@@ -52,47 +34,31 @@
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/match_precompute.hpp"
 #include "core/tracker.hpp"
 #include "imaging/image.hpp"
 
 namespace sma::core {
-
-/// Relative slack on every bound comparison: a hypothesis is abandoned
-/// only when bound > incumbent * (1 + slack).  The margin absorbs the
-/// floating-point error of the prefix solve so a true winner (or an
-/// exact tie, which hypothesis_improves may prefer) can never be pruned
-/// by rounding noise.
-constexpr double kPruneBoundSlack = 1e-6;
-
-/// The checkpoint's skip predicate.  incumbent <= 0 never
-/// prunes: a zero-residual incumbent can still be displaced by an
-/// equal-error hypothesis with a smaller displacement under the
-/// deterministic tie-break.
-inline bool prune_bound_exceeds(double bound, double incumbent) {
-  return incumbent > 0.0 && bound > incumbent * (1.0 + kPruneBoundSlack);
-}
 
 /// Why the pruned path did or did not engage (mirrors PrecomputeDecision
 /// for the precompute).  Reported through PruneReport::fallback_reason.
 enum class PruneFallback {
   kNone = 0,        ///< pruned search engaged
   kNotRequested,    ///< search_mode == kFull
-  kNoPrecompute,    ///< precompute ineligible/absent (masks, stride,
-                    ///< off) — the pruned sweep rides its planes
+  kNoPrecompute,    ///< precompute ineligible/absent (masks, off) —
+                    ///< pruned search rides its planes
   kSegmented,       ///< segment_rows splits the hy range; the shrunken
                     ///< window crosses segments
   kNoRawFrames,     ///< MatchInput::raw_* not attached (no pyramid)
   kTinySearch,      ///< search radius < 1: nothing to prune
-  kSemiFluid,       ///< active semi-fluid remap: the coarse seeds and the
-                    ///< prefix bound are F_cont-only
+  kSemiFluid,       ///< active semi-fluid remap: the coarse seeds are
+                    ///< F_cont-only
 };
 
 const char* prune_fallback_name(PruneFallback f);
 
 /// The config-only part of the eligibility rule: the first reason the
-/// config alone rules pruning out (kNoPrecompute for precompute off or a
-/// strided template), kNone when only the input could.  The shard runner
+/// config alone rules pruning out (kNoPrecompute for precompute off),
+/// kNone when only the input could.  The shard runner
 /// asks it whether tiles need whole-frame seeds.
 PruneFallback resolve_prune_config(const SmaConfig& config);
 
@@ -102,23 +68,21 @@ PruneFallback resolve_prune_config(const SmaConfig& config);
 /// raw frames), reasons reported in a fixed order.
 PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in);
 
-/// Pruning accounting for one tracked pair.  POD of uint64/double so the
-/// obs bridge's sizeof completeness guard covers it.  All hypothesis
-/// counts are per (pixel, hypothesis) units.
+/// Pruning accounting for one tracked pair.  POD of uint64 so the obs
+/// bridge's sizeof completeness guard covers it.  All hypothesis counts
+/// are per (pixel, hypothesis) units.
 struct PruneReport {
-  std::uint64_t active = 0;           ///< 1 when the pruned sweep ran
+  std::uint64_t active = 0;           ///< 1 when pruned search engaged
   std::uint64_t fallback_reason = 0;  ///< PruneFallback as an integer
   /// (2N_zs+1)^2 * pixels: what the full oracle would evaluate.
   std::uint64_t full_grid_hypotheses = 0;
   /// Hypotheses spent by the coarse seeding pass (search grid plus the
   /// forced subpixel probes, at coarse resolution).
   std::uint64_t coarse_hypotheses = 0;
-  /// Fine-level hypotheses admitted by the per-pixel windows (before the
-  /// bound) and actually completed (after it).
+  /// Fine-level hypotheses admitted by the per-pixel windows.
   std::uint64_t fine_scheduled = 0;
-  std::uint64_t fine_evaluated = 0;
-  /// Half-template bound checkpoints reached / hypotheses abandoned
-  /// there.
+  /// Always 0: pruned search has no residual bound.  Kept only because
+  /// the end-to-end benchmark still reads them.
   std::uint64_t bound_checks = 0;
   std::uint64_t bound_skipped = 0;
   /// Pixels searched with a shrunken window vs full-window fallbacks.
@@ -128,9 +92,6 @@ struct PruneReport {
   /// shrunken edge — the coarse-seed hit signal (a winner pinned to a
   /// shrunken edge suggests the true minimum lies outside).
   std::uint64_t seed_interior = 0;
-  /// Sum over completed bound checks of min(1, bound / realized error),
-  /// in hypothesis units; mean = tightness of the bound (1 = exact).
-  double bound_tightness_sum = 0.0;
 
   /// Derived conveniences (mirrored as pruning.* gauges).
   double hypotheses_evaluated() const {
@@ -145,13 +106,6 @@ struct PruneReport {
     return window_pixels > 0
                ? static_cast<double>(seed_interior) /
                      static_cast<double>(window_pixels)
-               : 0.0;
-  }
-  double mean_bound_tightness() const {
-    const std::uint64_t completed =
-        bound_checks > bound_skipped ? bound_checks - bound_skipped : 0;
-    return completed > 0
-               ? bound_tightness_sum / static_cast<double>(completed)
                : 0.0;
   }
 };
@@ -204,16 +158,22 @@ PruneWindow prune_window(const PruneSeeds& seeds, int x, int y, int nzs_x,
 bool prune_winner_interior(const PruneWindow& win, int nzs_x, int nzs_y,
                            int hx, int hy);
 
-/// The pruned pass of every backend (run_matching_stage's pruned
-/// branch): the coarse seed pass, then per-pixel windows + the
-/// evaluator's half-template checkpoint (PruneCheckpoint) over
-/// pixel_tiles with per-tile counters folded in tile-index order.  Its
-/// span and its timings.hypothesis_matching time cover the seed pass.
-/// Callers gate with resolve_prune(config, in) == kNone.
-std::vector<PixelBest> run_pruned_search(const MatchInput& in,
-                                         const SmaConfig& config,
-                                         bool parallel,
-                                         TrackTimings& timings,
-                                         PruneReport* report);
+/// The admission windows of an engaged pruned search, one per pixel in
+/// row-major order: prune_window around each pixel's coarse seed.  The
+/// seeds are MatchInput::prune_seeds when attached (the shard runner's
+/// slice; its dimensions must match the frames) and compute_prune_seeds
+/// on the raw frames otherwise.  `coarse_hypotheses` receives the
+/// seeding pass's cost.  Callers gate with resolve_prune(config, in) ==
+/// kNone.
+std::vector<PruneWindow> prune_windows(const MatchInput& in,
+                                       const SmaConfig& config,
+                                       std::uint64_t& coarse_hypotheses);
+
+/// The report of an engaged pruned search, from its windows and the
+/// winners (row-major, like the windows) the visits found.
+PruneReport prune_report(const std::vector<PruneWindow>& windows,
+                         const std::vector<PixelBest>& best,
+                         std::uint64_t coarse_hypotheses,
+                         const SmaConfig& config);
 
 }  // namespace sma::core

@@ -1,5 +1,6 @@
 #include "core/match_vector.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -18,8 +19,6 @@ const char* vector_fallback_name(PrecomputeDecision d, const MatchInput& in) {
       return "precompute-off";
     case PrecomputeDecision::kMasked:
       return "masked";
-    case PrecomputeDecision::kStride:
-      return "stride";
     case PrecomputeDecision::kFast:
       break;
   }
@@ -144,6 +143,7 @@ class VectorBackend final : public TrackerBackend {
         scan_segment(in, config, /*parallel=*/true, seg);
         return;
       }
+      const int w = in.width();
       run_pixel_tiles(
           tiles, config, /*parallel=*/true,
           [&](const sched::Tile& tile, std::size_t index) {
@@ -151,6 +151,7 @@ class VectorBackend final : public TrackerBackend {
             args.pre = seg.pre;
             args.after = in.after;
             args.table = seg.table;
+            args.windows = seg.windows;
             args.x0 = tile.x0;
             args.y0 = tile.y0;
             args.x1 = tile.x1;
@@ -161,14 +162,32 @@ class VectorBackend final : public TrackerBackend {
             args.hx_max = config.z_search_radius;
             args.hy_min = seg.hy_min;
             args.hy_max = seg.hy_max;
+            if (seg.windows != nullptr) {
+              // Pruned search: sweep the union of the tile's windows
+              // inside the segment; each lane admits only its own.
+              PruneWindow u =
+                  seg.windows[static_cast<std::size_t>(tile.y0) * w +
+                              tile.x0];
+              for (int y = tile.y0; y < tile.y1; ++y)
+                for (int x = tile.x0; x < tile.x1; ++x) {
+                  const PruneWindow& pw =
+                      seg.windows[static_cast<std::size_t>(y) * w + x];
+                  u.hx_min = std::min(u.hx_min, pw.hx_min);
+                  u.hx_max = std::max(u.hx_max, pw.hx_max);
+                  u.hy_min = std::min(u.hy_min, pw.hy_min);
+                  u.hy_max = std::max(u.hy_max, pw.hy_max);
+                }
+              args.hx_min = u.hx_min;
+              args.hx_max = u.hx_max;
+              args.hy_min = std::max(args.hy_min, u.hy_min);
+              args.hy_max = std::min(args.hy_max, u.hy_max);
+            }
             kernels.tile(args, seg.best, tallies[index]);
           });
     };
     TrackResult result = run_matching_stage(in, config, options,
                                             /*parallel=*/true, visit,
                                             &extras->prune);
-    // An engaged pruned search ran the shared pruned pass instead.
-    if (extras->prune.active != 0) fallback = "pruned";
     report.vector_path = fallback == nullptr;
     if (fallback != nullptr) report.fallback = fallback;
     for (const VectorLaneTally& tally : tallies) {

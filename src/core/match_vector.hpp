@@ -37,13 +37,14 @@
 //
 // The backend is one segment visit of the shared matching stage
 // (run_matching_stage, core/tracker.hpp), which owns the segment loop,
-// the correspondence tables, sub-pixel refinement and products.  Pruned
-// search (each pixel with its own shrunken window and its own
-// half-template bound checkpoint) is the stage's own branch
-// (run_pruned_search, match_prune.hpp), and configs the precompute
-// cannot serve (masks, stride, precompute off) visit through the staged
-// tiles (scan_segment) on the same pool — again bit-identical by
-// construction.
+// the correspondence tables, sub-pixel refinement and products.  Under
+// pruned search the stage hands each pixel's admission window
+// (match_prune.hpp) with the segment: a tile sweeps the union of its
+// pixels' windows and each lane folds only the hypotheses inside its
+// own pixel's window — the hypotheses the scalar visit evaluates, with
+// the same bits.  Configs the precompute cannot serve (masks, precompute
+// off) visit through the staged tiles (scan_segment) on the same pool —
+// again bit-identical by construction.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units
 // compiled with the matching target flags (only the AVX2 and AVX-512
@@ -65,14 +66,18 @@ namespace sma::core {
 
 class MatchPrecompute;
 
-/// One sched tile's full search (scan_tile_*): the precompute planes,
-/// the after-frame geometry, the tile [x0, x1) x [y0, y1), the template
-/// half-widths and the hypothesis box.  F_semi passes the segment's
-/// correspondence table, and the hy bounds must lie inside its segment.
+/// One sched tile's search (scan_tile_*): the precompute planes, the
+/// after-frame geometry, the tile [x0, x1) x [y0, y1), the template
+/// half-widths and the hypothesis box the tile sweeps.  F_semi passes
+/// the segment's correspondence table, and the hy bounds must lie inside
+/// its segment.  Under pruned search `windows` holds the frame's
+/// row-major admission windows, the box is the union of the tile's, and
+/// a center folds only the hypotheses inside its own window.
 struct VectorTileArgs {
   const MatchPrecompute* pre = nullptr;
   const surface::GeometricField* after = nullptr;
   const SemiFluidTable* table = nullptr;  ///< F_semi; null for F_cont
+  const PruneWindow* windows = nullptr;   ///< pruned search; else null
   int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
   int rx = 0, ry = 0;  ///< template half-widths
   int hx_min = 0, hx_max = 0;
@@ -81,12 +86,13 @@ struct VectorTileArgs {
 
 /// Lane-occupancy accounting, summed across tiles into the
 /// VectorRunReport (and from there into the obs MetricsRegistry and
-/// BENCH_matching.json).  Every (pixel, hypothesis) evaluation lands in
-/// exactly one of batched_hypotheses and tail_hypotheses.
+/// BENCH_matching.json).  Every (pixel, hypothesis) evaluation a center
+/// folds lands in exactly one of batched_hypotheses and tail_hypotheses.
 struct VectorLaneTally {
-  std::uint64_t batched_hypotheses = 0;  ///< evaluated inside full batches
-  /// Evaluated outside full batches: the centers of a tile row's last,
-  /// partly idle batch.
+  std::uint64_t batched_hypotheses = 0;  ///< folded by full batches
+  /// Folded by partly idle batches: the centers of a tile row's last
+  /// batch, and under pruned search the lanes whose window admits the
+  /// hypothesis when some other lane's does not.
   std::uint64_t tail_hypotheses = 0;
   std::uint64_t batches = 0;             ///< scored batches (one apply each)
 };
@@ -123,21 +129,22 @@ struct VectorRunReport {
   int level_id = 0;           ///< numeric SimdLevel (metrics-friendly)
   int lanes = 1;              ///< lanes per batch at that level
   bool vector_path = false;   ///< tile kernel ran (vs. staged fallback)
-  /// Why not, when it didn't ("" otherwise): "pruned" (an engaged pruned
-  /// search), "precompute-off", "masked", "stride" or "no-precompute".
+  /// Why not, when it didn't ("" otherwise): "precompute-off", "masked"
+  /// or "no-precompute".
   std::string fallback;
   std::uint64_t batched_hypotheses = 0;
   std::uint64_t tail_hypotheses = 0;
   std::uint64_t batches = 0;
   /// batched / (batched + tail): fraction of hypothesis evaluations that
   /// ran inside full lanes-wide batches.  batched + tail is the whole
-  /// search, pixels x hypotheses, on the tile kernel; 0 on fallbacks.
+  /// search, pixels x hypotheses (admitted ones under pruned search), on
+  /// the tile kernel; 0 on fallbacks.
   double lane_utilization = 0.0;
 };
 
 /// TrackResult::extras attachment for the vector backend.  `prune` is
-/// the pruned pass's accounting when it engaged (fallback "pruned"), and
-/// carries only the pruned-mode fallback reason otherwise.
+/// the pruned search's accounting when it engaged, and carries only the
+/// pruned-mode fallback reason otherwise.
 struct VectorBackendExtras : BackendExtras {
   VectorRunReport report;
   PruneReport prune;

@@ -147,14 +147,15 @@ struct TileScratch {
 // Normalize the moments m (A^T b in m[0..5], b^T b in m[6]) the way
 // add_precomputed does (0.0 + v), apply the centers' factorization,
 // score, and count the solves: one per hypothesis and live lane, as if
-// each were its own solve6.  Only the first `active` lanes hold real
-// systems: the solve counters count those, and a batch with idle lanes
-// tallies as tail rather than batched work.
+// each were its own solve6.  Only the lanes set in `live` fold the
+// result — real centers whose window admits the hypothesis: the solve
+// counters count those, and a batch with idle lanes tallies as tail
+// rather than batched work.
 template <class Tag>
 [[gnu::always_inline]] inline void score_batch(
     const CenterSystems<Tag>& sys,
     const typename simd::LaneTraits<Tag>::Vec (&m)[7], ScoredBatch<Tag>& out,
-    VectorLaneTally& tally, int active) {
+    VectorLaneTally& tally, unsigned live) {
   using T = simd::LaneTraits<Tag>;
   using V = typename T::Vec;
   constexpr int N = T::kLanes;
@@ -168,20 +169,20 @@ template <class Tag>
   for (int r = 0; r < 6; ++r) T::store(out.theta[r], theta[r]);
 
   out.singular_bits = T::mask_bits(sys.factor.singular);
-  const unsigned live = (1u << active) - 1u;
+  const int folded = std::popcount(live);
   auto& counters = linalg::solve_counters();
-  counters.solves6 += static_cast<std::uint64_t>(active);
+  counters.solves6 += static_cast<std::uint64_t>(folded);
   counters.singular += std::popcount(out.singular_bits & live);
-  if (active == N)
+  if (folded == N)
     tally.batched_hypotheses += N;
   else
-    tally.tail_hypotheses += static_cast<std::uint64_t>(active);
+    tally.tail_hypotheses += static_cast<std::uint64_t>(folded);
   ++tally.batches;
 
   T::store(out.errs, err);
 }
 
-// One sched tile's full search (VectorTileArgs).  Once per tile:
+// One sched tile's search (VectorTileArgs).  Once per tile:
 //  0. every center's A^T A in accumulate_window's two-level order — per
 //     tile plane, each template row's subtotal over each center column,
 //     then each center's 2ry+1 row subtotals — normalized and factored
@@ -200,7 +201,9 @@ template <class Tag>
 //  4. apply the batch's factorization and score (score_batch);
 //  5. fold each lane into its center's incumbent.
 // A tile row's last batch may hold fewer than kLanes centers; its idle
-// lanes carry the next (clamped) columns and are discarded.
+// lanes carry the next (clamped) columns and are discarded.  Under
+// pruned search a lane whose window does not admit the hypothesis is
+// discarded the same way, and a batch with no admitting lane is skipped.
 template <class Tag>
 void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
                  VectorLaneTally& tally) {
@@ -354,8 +357,22 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
       for (int cy = 0; cy < th; ++cy) {
         const int y = g.y0 + cy;
         PixelBest* const row_best = best + static_cast<std::size_t>(y) * w;
+        const PruneWindow* const row_win =
+            g.windows != nullptr ? g.windows + static_cast<std::size_t>(y) * w
+                                 : nullptr;
         for (int gi = 0; gi < groups; ++gi) {
           const int c0 = gi * N;
+          const int active = std::min(N, tw - c0);
+          unsigned live = (1u << active) - 1u;
+          if (row_win != nullptr) {
+            for (int l = 0; l < active; ++l) {
+              const PruneWindow& pw = row_win[g.x0 + c0 + l];
+              if (hx < pw.hx_min || hx > pw.hx_max || hy < pw.hy_min ||
+                  hy > pw.hy_max)
+                live &= ~(1u << l);
+            }
+            if (live == 0) continue;
+          }
           V m[7];
           for (int k = 0; k < 7; ++k) m[k] = T::zero();
           for (int v = 0; v <= 2 * ry; ++v) {
@@ -365,12 +382,11 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
               m[k] = T::add(m[k], T::load(src + k * row_plane));
           }
 
-          const int active = std::min(N, tw - c0);
           ScoredBatch<Tag> scored;
-          score_batch<Tag>(systems[cy * groups + gi], m, scored, tally,
-                           active);
+          score_batch<Tag>(systems[cy * groups + gi], m, scored, tally, live);
 
           for (int l = 0; l < active; ++l) {
+            if ((live >> l & 1u) == 0) continue;
             const int x = g.x0 + c0 + l;
             PixelBest& b = row_best[x];
             const double err = scored.errs[l];

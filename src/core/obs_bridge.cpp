@@ -15,8 +15,7 @@ static_assert(sizeof(PipelineStats) ==
 static_assert(sizeof(TrackTimings) == 6 * sizeof(double),
               "TrackTimings changed: update publish_metrics(TrackTimings) "
               "and track_timings_metric_names()");
-static_assert(sizeof(PruneReport) ==
-                  11 * sizeof(std::uint64_t) + sizeof(double),
+static_assert(sizeof(PruneReport) == 10 * sizeof(std::uint64_t),
               "PruneReport changed: update publish_metrics(PruneReport) "
               "and pruning_metric_names()");
 static_assert(sizeof(sched::SchedStats) ==
@@ -120,8 +119,6 @@ void publish_metrics(const PruneReport& r, obs::MetricsRegistry& reg) {
       .set(static_cast<double>(r.coarse_hypotheses));
   reg.gauge("pruning.fine_scheduled")
       .set(static_cast<double>(r.fine_scheduled));
-  reg.gauge("pruning.fine_evaluated")
-      .set(static_cast<double>(r.fine_evaluated));
   reg.gauge("pruning.bound_checks").set(static_cast<double>(r.bound_checks));
   reg.gauge("pruning.bound_skipped").set(static_cast<double>(r.bound_skipped));
   reg.gauge("pruning.window_pixels")
@@ -129,11 +126,9 @@ void publish_metrics(const PruneReport& r, obs::MetricsRegistry& reg) {
   reg.gauge("pruning.fallback_pixels")
       .set(static_cast<double>(r.fallback_pixels));
   reg.gauge("pruning.seed_interior").set(static_cast<double>(r.seed_interior));
-  reg.gauge("pruning.bound_tightness_sum").set(r.bound_tightness_sum);
   // Derived conveniences (not part of the completeness contract).
   reg.gauge("pruning.reduction").set(r.reduction());
   reg.gauge("pruning.seed_hit_rate").set(r.seed_hit_rate());
-  reg.gauge("pruning.bound_tightness").set(r.mean_bound_tightness());
 }
 
 const std::vector<std::string>& pruning_metric_names() {
@@ -143,13 +138,11 @@ const std::vector<std::string>& pruning_metric_names() {
       "pruning.full_grid_hypotheses",
       "pruning.coarse_hypotheses",
       "pruning.fine_scheduled",
-      "pruning.fine_evaluated",
       "pruning.bound_checks",
       "pruning.bound_skipped",
       "pruning.window_pixels",
       "pruning.fallback_pixels",
       "pruning.seed_interior",
-      "pruning.bound_tightness_sum",
   };
   return names;
 }

@@ -34,7 +34,7 @@ bool semifluid_active(const MatchInput& in, const SmaConfig& config) {
 
 // The attached precompute planes when the eligibility rule admits them
 // for this config — re-checked here so a stale attachment can never
-// corrupt a masked or strided run.
+// corrupt a masked run.
 const MatchPrecompute* admitted_precompute(const MatchInput& in,
                                            const SmaConfig& config) {
   return in.precompute != nullptr &&
@@ -128,7 +128,6 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
   const int nzt_y = config.z_template_ry();
   const int nss = config.effective_nss();
   const int nst = config.semifluid_template_radius;
-  const int stride = config.template_stride;
   const bool semifluid = config.model == MotionModel::kSemiFluid && nss > 0;
   const int w = before.width();
   const int h = before.height();
@@ -140,9 +139,9 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
   linalg::NormalEquations6 ne;
   int total = 0;
   int included = 0;
-  for (int v = -nzt_y; v <= nzt_y; v += stride) {
+  for (int v = -nzt_y; v <= nzt_y; ++v) {
     linalg::NormalEquations6 row;
-    for (int u = -nzt_x; u <= nzt_x; u += stride) {
+    for (int u = -nzt_x; u <= nzt_x; ++u) {
       // Clamp template coordinates up front so the precomputed and
       // naive semi-fluid paths see identical border semantics.
       const int px = std::clamp(x + u, 0, w - 1);
@@ -191,41 +190,49 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
   return ne.residual(linalg::Vec6{});
 }
 
-void scan_hypotheses(const surface::GeometricField& before,
-                     const surface::GeometricField& after,
-                     const imaging::ImageF* disc_before,
-                     const imaging::ImageF* disc_after,
-                     const SemiFluidTable* table, int x, int y,
-                     int hy_min, int hy_max, const SmaConfig& config,
-                     PixelBest& best, const imaging::ImageU8* mask_before,
-                     const imaging::ImageU8* mask_after,
-                     const MatchPrecompute* pre) {
-  const int nzs_x = config.z_search_radius;
+void scan_hypotheses(const MatchInput& in, const SmaConfig& config,
+                     const MatchSegment& seg, int x, int y) {
+  const std::size_t i = static_cast<std::size_t>(y) * in.width() + x;
   const int nzt_x = config.z_template_radius;
   const int nzt_y = config.z_template_ry();
   const int nss = config.effective_nss();
   const int nst = config.semifluid_template_radius;
   const bool semifluid = config.model == MotionModel::kSemiFluid && nss > 0;
+  const SemiFluidTable* const table = seg.table;
+  PixelBest& best = seg.best[i];
+  // The segment's rows, narrowed to the pixel's window under pruned
+  // search.
+  int hx_min = -config.z_search_radius, hx_max = config.z_search_radius;
+  int hy_min = seg.hy_min, hy_max = seg.hy_max;
+  if (seg.windows != nullptr) {
+    const PruneWindow& pw = seg.windows[i];
+    hx_min = pw.hx_min;
+    hx_max = pw.hx_max;
+    hy_min = std::max(hy_min, pw.hy_min);
+    hy_max = std::min(hy_max, pw.hy_max);
+  }
   // F_semi rides the planes only through a correspondence table.
-  if (semifluid && table == nullptr) pre = nullptr;
+  const MatchPrecompute* const pre =
+      semifluid && table == nullptr ? nullptr : seg.pre;
   // The template's A^T A window sum is shared by every hypothesis of
   // this pixel and this segment.
   WindowInvariants win;
   if (pre != nullptr) pre->accumulate_window(x, y, nzt_x, nzt_y, win);
   for (int hy = hy_min; hy <= hy_max; ++hy) {
-    for (int hx = -nzs_x; hx <= nzs_x; ++hx) {
+    for (int hx = hx_min; hx <= hx_max; ++hx) {
       MotionParams params;
       bool ok = false;
       double coverage = 1.0;
       const double error =
           pre != nullptr
-              ? evaluate_hypothesis_precomputed(*pre, after, win, table, x, y,
-                                                hx, hy, nzt_x, nzt_y, params,
-                                                ok)
-              : evaluate_pixel_hypothesis(before, after, disc_before,
-                                          disc_after, table, x, y, hx, hy,
-                                          config, params, ok, mask_before,
-                                          mask_after, &coverage);
+              ? evaluate_hypothesis_precomputed(*pre, *in.after, win, table,
+                                                x, y, hx, hy, nzt_x, nzt_y,
+                                                params, ok)
+              : evaluate_pixel_hypothesis(*in.before, *in.after,
+                                          in.disc_before, in.disc_after,
+                                          table, x, y, hx, hy, config, params,
+                                          ok, in.mask_before, in.mask_after,
+                                          &coverage);
       if (!hypothesis_improves(best, error, hx, hy)) continue;
       // Flow vector: the center pixel's own correspondence (Eq. 9).
       int ux = hx;
@@ -233,8 +240,9 @@ void scan_hypotheses(const surface::GeometricField& before,
       if (semifluid && table != nullptr) {
         std::tie(ux, uy) = table->offset(x, y, hx, hy);
       } else if (semifluid) {
-        const auto [sx, sy] = semifluid_match(*disc_before, *disc_after, x,
-                                              y, x + hx, y + hy, nss, nst);
+        const auto [sx, sy] = semifluid_match(*in.disc_before,
+                                              *in.disc_after, x, y, x + hx,
+                                              y + hy, nss, nst);
         ux = sx - x;
         uy = sy - y;
       }
@@ -415,22 +423,13 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
                                PruneReport* prune) {
   TrackResult result;
   TrackTimings& timings = result.timings;
-  std::vector<PixelBest> best;
-  // Coarse-to-fine pruned search: engages only when the eligibility rule
-  // holds (precompute fast path, unsegmented, raw frames attached);
-  // otherwise the reason is recorded and the exhaustive sweep runs
-  // exactly as in full mode.
-  const PruneFallback prune_fb = resolve_prune(config, in);
-  if (prune != nullptr)
-    prune->fallback_reason = static_cast<std::uint64_t>(prune_fb);
-  if (prune_fb == PruneFallback::kNone) {
-    best = run_pruned_search(in, config, parallel, timings, prune);
-  } else {
-    const MatchPrecompute* pre = admitted_precompute(in, config);
-    best.resize(static_cast<std::size_t>(in.width()) * in.height());
-    // Semi-fluid mapping + hypothesis matching, interleaved per
-    // hypothesis-row segment (Sec. 4.3).  Segments bound the resident
-    // correspondence table; F_cont has none and sweeps once.
+  std::vector<PixelBest> best(static_cast<std::size_t>(in.width()) *
+                              in.height());
+  const MatchPrecompute* pre = admitted_precompute(in, config);
+  // Semi-fluid mapping + hypothesis matching, interleaved per
+  // hypothesis-row segment (Sec. 4.3).  Segments bound the resident
+  // correspondence table; F_cont has none and sweeps once.
+  const auto sweep = [&](const PruneWindow* windows) {
     const int nzs_y = config.z_search_ry();
     const int zseg = semifluid_active(in, config)
                          ? config.effective_segment_rows()
@@ -446,9 +445,30 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
       obs::TraceSpan segment_span("match", "hypothesis_search");
       const auto t0 = Clock::now();
       visit(MatchSegment{hy_min, hy_max, table ? &*table : nullptr, pre,
-                         best.data()});
+                         best.data(), windows});
       timings.hypothesis_matching += seconds_since(t0);
     }
+  };
+  // Coarse-to-fine pruned search: engages only when the eligibility rule
+  // holds (precompute fast path, unsegmented, raw frames attached); it
+  // then narrows each pixel of the same sweep to its admission window.
+  // Otherwise the reason is recorded and the sweep runs exactly as in
+  // full mode.
+  const PruneFallback prune_fb = resolve_prune(config, in);
+  if (prune != nullptr)
+    prune->fallback_reason = static_cast<std::uint64_t>(prune_fb);
+  if (prune_fb == PruneFallback::kNone) {
+    obs::TraceSpan span("match", "pruned_search");
+    const auto t0 = Clock::now();
+    std::uint64_t coarse_hypotheses = 0;
+    const std::vector<PruneWindow> windows =
+        prune_windows(in, config, coarse_hypotheses);
+    timings.hypothesis_matching += seconds_since(t0);
+    sweep(windows.data());
+    if (prune != nullptr)
+      *prune = prune_report(windows, best, coarse_hypotheses, config);
+  } else {
+    sweep(nullptr);
   }
   if (options.subpixel) refine_subpixel(in, config, parallel, best, timings);
   collect_track_result(in, options, best, result);
@@ -465,11 +485,7 @@ void scan_segment(const MatchInput& in, const SmaConfig& config,
       [&](const sched::Tile& tile, std::size_t) {
         for (int y = tile.y0; y < tile.y1; ++y)
           for (int x = tile.x0; x < tile.x1; ++x)
-            scan_hypotheses(*in.before, *in.after, in.disc_before,
-                            in.disc_after, seg.table, x, y, seg.hy_min,
-                            seg.hy_max, config,
-                            seg.best[static_cast<std::size_t>(y) * w + x],
-                            in.mask_before, in.mask_after, seg.pre);
+            scan_hypotheses(in, config, seg, x, y);
       });
 }
 

@@ -46,7 +46,8 @@
 
 namespace sma::core {
 
-struct PruneSeeds;  // fwd (match_prune.hpp)
+struct PruneSeeds;   // fwd (match_prune.hpp)
+struct PruneWindow;  // fwd (match_prune.hpp)
 
 /// Base class for backend-specific result attachments (the "extras"
 /// channel).  A TrackerBackend may hang substrate-specific reports off
@@ -190,10 +191,9 @@ struct MatchInput {
   const imaging::ImageU8* mask_after = nullptr;
   /// Optional hypothesis-invariant precompute of `before`
   /// (match_precompute.hpp), attached by SmaPipeline, which caches it
-  /// alongside the geometry.  Consumers
-  /// re-check resolve_precompute before using it; when null — or when
-  /// masks / stride make it ineligible — the matching stages run the
-  /// naive oracle path.
+  /// alongside the geometry.  Consumers re-check resolve_precompute
+  /// before using it; when null — or when masks make it ineligible — the
+  /// matching stages run the naive oracle path.
   const MatchPrecompute* precompute = nullptr;
   /// The raw z-surface frames the geometry was derived from, attached by
   /// SmaPipeline so the pruned search mode
@@ -213,7 +213,7 @@ struct MatchInput {
 struct PruneReport;  // fwd (match_prune.hpp)
 
 /// The pixel-tile policy of every host matching pass (staged search,
-/// pruned search, sub-pixel refinement, the vector tile kernel).  Not
+/// sub-pixel refinement, the vector tile kernel).  Not
 /// `parallel`: one tile spanning the frame.  Otherwise
 /// SmaConfig::tile_width x tile_height when either is set (32 for the
 /// unset side), else sched::choose_tile_shape for the run's executors
@@ -230,7 +230,7 @@ void run_pixel_tiles(
     bool parallel,
     const std::function<void(const sched::Tile&, std::size_t)>& fn);
 
-/// One hypothesis-row segment of the full search, as the matching stage
+/// One hypothesis-row segment of the search, as the matching stage
 /// hands it to a backend's pixel visit.
 struct MatchSegment {
   int hy_min = 0, hy_max = 0;  ///< hypothesis rows to scan (all hx)
@@ -241,24 +241,30 @@ struct MatchSegment {
   /// selects the naive oracle.
   const MatchPrecompute* pre = nullptr;
   PixelBest* best = nullptr;  ///< the frame's row-major incumbents
+  /// Pruned search: each pixel's admission window (match_prune.hpp),
+  /// row-major like `best`; a pixel folds only the hypotheses inside
+  /// its window.  Null for full search.
+  const PruneWindow* windows = nullptr;
 };
 
 /// How a backend visits one segment's pixels: fold hypotheses
-/// [hy_min, hy_max] of every pixel into its incumbent.
+/// [hy_min, hy_max] of every pixel — or of its window — into its
+/// incumbent.
 using SegmentVisit = std::function<void(const MatchSegment&)>;
 
 /// The matching stage every backend's match() calls: the "Semi-fluid
 /// mapping" + "Hypothesis matching" phases, the optional sub-pixel
-/// refinement and the products.  It owns the pruned branch (when
-/// resolve_prune engages, the shared run_pruned_search replaces the
-/// visit), the precompute gating and the Sec. 4.3 segment loop: F_semi
-/// walks hypothesis rows in SmaConfig::effective_segment_rows() chunks,
-/// each behind its own correspondence table (built here, timed as
-/// semi-fluid mapping, raising peak_mapping_bytes); F_cont has no table
-/// and sweeps once.  Each segment goes to `visit` inside a
-/// "match"/"hypothesis_search" span and the matching timer.  `prune`,
-/// when non-null, receives the pruning accounting (fallback reason
-/// included).  Fills the matching-phase timings and timings.total.
+/// refinement and the products.  It owns the pruned-search gating (when
+/// resolve_prune engages, it computes the coarse seeds' admission
+/// windows and hands them to `visit` with each segment), the precompute
+/// gating and the Sec. 4.3 segment loop: F_semi walks hypothesis rows in
+/// SmaConfig::effective_segment_rows() chunks, each behind its own
+/// correspondence table (built here, timed as semi-fluid mapping,
+/// raising peak_mapping_bytes); F_cont has no table and sweeps once.
+/// Each segment goes to `visit` inside a "match"/"hypothesis_search"
+/// span and the matching timer.  `prune`, when non-null, receives the
+/// pruning accounting (fallback reason included).  Fills the
+/// matching-phase timings and timings.total.
 TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
                                const TrackOptions& options, bool parallel,
                                const SegmentVisit& visit,
@@ -305,23 +311,15 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
 /// and still converge on the same winner.
 bool hypothesis_improves(const PixelBest& best, double error, int hx, int hy);
 
-/// Scans hypothesis rows [hy_min, hy_max] for pixel (x, y), refining
-/// `best` in place.  `table` is the segment's semi-fluid correspondence
-/// table, or null for the continuous model and the on-the-fly semi-fluid
-/// oracle.  `mask_before` / `mask_after` are optional validity masks
-/// (see TrackerInput); null masks reproduce the unmasked pipeline bit for
-/// bit.  One hypothesis loop: the precomputed evaluator when `pre` is
-/// non-null (callers gate it with resolve_precompute; F_semi takes it
-/// only with a table), the naive oracle otherwise — bit-identical.
-void scan_hypotheses(const surface::GeometricField& before,
-                     const surface::GeometricField& after,
-                     const imaging::ImageF* disc_before,
-                     const imaging::ImageF* disc_after,
-                     const SemiFluidTable* table, int x, int y,
-                     int hy_min, int hy_max, const SmaConfig& config,
-                     PixelBest& best,
-                     const imaging::ImageU8* mask_before = nullptr,
-                     const imaging::ImageU8* mask_after = nullptr,
-                     const MatchPrecompute* pre = nullptr);
+/// Folds pixel (x, y)'s hypotheses in `seg` into its incumbent
+/// seg.best[y * width + x]: every hx of rows [seg.hy_min, seg.hy_max],
+/// narrowed to the pixel's window when seg.windows is set.  The
+/// segment's table serves F_semi (null for F_cont and the on-the-fly
+/// semi-fluid oracle); `in`'s validity masks, when set, are honoured
+/// like in evaluate_pixel_hypothesis.  One hypothesis loop: the
+/// precomputed evaluator when seg.pre is set (F_semi takes it only with
+/// a table), the naive oracle otherwise — bit-identical.
+void scan_hypotheses(const MatchInput& in, const SmaConfig& config,
+                     const MatchSegment& seg, int x, int y);
 
 }  // namespace sma::core

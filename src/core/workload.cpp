@@ -14,15 +14,8 @@ std::uint64_t Workload::hypotheses_per_pixel() const {
 }
 
 std::uint64_t Workload::error_terms_per_hypothesis() const {
-  const std::uint64_t edge_x =
-      (static_cast<std::uint64_t>(config.z_template_size()) +
-       config.template_stride - 1) /
-      config.template_stride;
-  const std::uint64_t edge_y =
-      (static_cast<std::uint64_t>(config.z_template_size_y()) +
-       config.template_stride - 1) /
-      config.template_stride;
-  return edge_x * edge_y;
+  return static_cast<std::uint64_t>(config.z_template_size()) *
+         static_cast<std::uint64_t>(config.z_template_size_y());
 }
 
 std::uint64_t Workload::semifluid_candidates_per_mapping() const {

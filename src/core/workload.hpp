@@ -49,7 +49,7 @@ struct Workload {
   std::uint64_t eliminations_per_pixel() const { return hypotheses_per_pixel(); }
 
   /// Template pixels contributing error terms per hypothesis:
-  /// (2N_zT+1)^2  (14641 for Table 1), adjusted for template_stride.
+  /// (2N_zT+1)^2  (14641 for Table 1).
   std::uint64_t error_terms_per_hypothesis() const;
 
   /// Semi-fluid candidates evaluated per template-mapping pixel:

@@ -80,12 +80,8 @@ PhaseTimes CostModel::sgi_times(const core::Workload& w,
 
 double CostModel::sgi_seconds_per_correspondence(
     const core::SmaConfig& config) const {
-  const double terms =
-      ((config.z_template_size() + config.template_stride - 1) /
-       config.template_stride) *
-      static_cast<double>((config.z_template_size_y() +
-                           config.template_stride - 1) /
-                          config.template_stride);
+  const double terms = static_cast<double>(config.z_template_size()) *
+                       config.z_template_size_y();
   double per_term = kErrTermFlopsSeq;
   if (config.model == core::MotionModel::kSemiFluid) {
     const double ss = square(config.semifluid_search_size());

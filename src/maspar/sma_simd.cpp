@@ -79,11 +79,7 @@ core::TrackResult MasParExecutor::run_matching(
           int x, y;
           map.to_xy(PixelLocation{ix, iy, mem_layer}, x, y);
           if (x < 0 || y < 0) continue;  // padding slot, PE idles
-          core::scan_hypotheses(*in.before, *in.after, in.disc_before,
-                                in.disc_after, seg.table, x, y, seg.hy_min,
-                                seg.hy_max, run_config,
-                                seg.best[static_cast<std::size_t>(y) * w + x],
-                                in.mask_before, in.mask_after, seg.pre);
+          core::scan_hypotheses(in, run_config, seg, x, y);
         }
   };
   const auto t0 = std::chrono::steady_clock::now();

@@ -100,7 +100,7 @@ struct TrackRequest {
   /// Backend name; empty = the server's default backend.
   std::string backend;
   /// Hypothesis search mode: "" or "full" = the exhaustive oracle,
-  /// "pruned" = coarse-to-fine seeding with branch-and-bound (wire key
+  /// "pruned" = coarse-to-fine seeded admission windows (wire key
   /// `smode=`, omitted when full so pre-existing clients' request lines
   /// are byte-stable).
   std::string search_mode;

@@ -74,7 +74,7 @@ ShardResult shard_track_pair(TileSource& source,
   // the runner touches whole frames; the pass streams them through the
   // source and releases them before any tile is tracked.  Tiles carry
   // no masks and always carry raw frames, so the config rule alone says
-  // whether their pruned sweep engages; when it does not, every tile
+  // whether their pruned search engages; when it does not, every tile
   // falls back for the reason the whole-frame run would, seed-free.
   core::PruneSeeds full_seeds;
   const bool inject_seeds =

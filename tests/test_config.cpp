@@ -82,10 +82,6 @@ TEST(Config, ValidateRejectsBadParameters) {
   EXPECT_THROW(c.validate(), std::invalid_argument);
 
   c = goes9_scaled_config();
-  c.template_stride = 0;
-  EXPECT_THROW(c.validate(), std::invalid_argument);
-
-  c = goes9_scaled_config();
   c.segment_rows = c.z_search_size() + 1;  // bigger than the search area
   EXPECT_THROW(c.validate(), std::invalid_argument);
 

@@ -134,22 +134,5 @@ TEST(MotionParams, VectorRoundTrip) {
   EXPECT_DOUBLE_EQ(q.bk, 0.6);
 }
 
-TEST(EvaluateHypothesis, TemplateStrideSubsamples) {
-  const imaging::ImageF img = testing::textured_pattern(32, 32);
-  const surface::GeometricField g = geometry_of(img);
-  SmaConfig cfg = small_config(4, 2);
-  cfg.template_stride = 2;
-  // 9x9 template with stride 2 -> 5x5 = 25 pixels, 75 rows.
-  linalg::NormalEquations6 ne;
-  const int r = cfg.z_template_radius;
-  int count = 0;
-  for (int v = -r; v <= r; v += cfg.template_stride)
-    for (int u = -r; u <= r; u += cfg.template_stride) ++count;
-  EXPECT_EQ(count, 25);
-  const Evaluation res = evaluate(g, g, 16, 16, cfg, 0, 0);
-  EXPECT_TRUE(res.ok);
-  EXPECT_NEAR(res.error, 0.0, 1e-8);
-}
-
 }  // namespace
 }  // namespace sma::core

@@ -11,6 +11,10 @@
 // other — the Sec. 5.1 "same result as the sequential implementation"
 // contract — so only one golden file is needed.
 //
+// A second artifact pins the pruned search (coarse seeds plus per-pixel
+// admission windows) on an F_cont config: every backend, tile shape and
+// thread cap must reproduce it byte for byte as flow text.
+//
 // Regenerate the artifact after an intentional algorithm change with
 //   SMA_UPDATE_GOLDEN=1 ./test_golden_flowfield
 // (writes into the source tree via the SMA_GOLDEN_DIR compile define).
@@ -18,9 +22,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/match_prune.hpp"
 #include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "imaging/flow.hpp"
@@ -34,6 +41,10 @@ constexpr double kMismatchFrac = 0.01; // tie-flip allowance
 
 std::string golden_path() {
   return std::string(SMA_GOLDEN_DIR) + "/flowfield_semi_48.txt";
+}
+
+std::string pruned_golden_path() {
+  return std::string(SMA_GOLDEN_DIR) + "/flowfield_cont_pruned_48.txt";
 }
 
 // 48x48 fractal cloud deck advected by a Rankine vortex: deterministic
@@ -63,9 +74,17 @@ core::SmaConfig golden_config() {
   return cfg;
 }
 
-imaging::FlowField run_pipeline(core::SmaConfig cfg,
-                                const std::string& backend,
-                                core::PrecomputeMode precompute) {
+// The pruned F_cont search with the default coarse levels and refine
+// radius.
+core::SmaConfig pruned_config() {
+  core::SmaConfig cfg = golden_config();
+  cfg.model = core::MotionModel::kContinuous;
+  cfg.search_mode = core::SearchMode::kPruned;
+  return cfg;
+}
+
+core::TrackResult run_track(core::SmaConfig cfg, const std::string& backend,
+                            core::PrecomputeMode precompute) {
   maspar::register_maspar_backend();
   cfg.precompute = precompute;
   core::PipelineOptions popts;
@@ -73,7 +92,19 @@ imaging::FlowField run_pipeline(core::SmaConfig cfg,
   popts.track.subpixel = true;
   core::SmaPipeline pipeline(cfg, popts);
   const GoldenScene s = golden_scene();
-  return pipeline.track_pair(s.before, s.after).flow;
+  return pipeline.track_pair(s.before, s.after);
+}
+
+imaging::FlowField run_pipeline(const core::SmaConfig& cfg,
+                                const std::string& backend,
+                                core::PrecomputeMode precompute) {
+  return run_track(cfg, backend, precompute).flow;
+}
+
+std::string flow_text(const imaging::FlowField& flow) {
+  std::ostringstream os;
+  imaging::write_flow_text(flow, os);
+  return os.str();
 }
 
 // Pixels where the fields differ beyond (tol, tol) or disagree on
@@ -148,6 +179,47 @@ TEST(GoldenFlowfield, AllBackendsAndPrecomputeModesBitIdentical) {
       }
     }
   }
+}
+
+// The pruned search on every backend, tile shape and thread cap: one
+// committed artifact, reproduced byte for byte as flow text.
+TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
+  const core::SmaConfig cfg = pruned_config();
+  const core::TrackResult seq =
+      run_track(cfg, "sequential", core::PrecomputeMode::kOn);
+  const auto* extras =
+      dynamic_cast<const core::PruneBackendExtras*>(seq.extras.get());
+  ASSERT_NE(extras, nullptr);
+  ASSERT_EQ(extras->report.active, 1u) << "pruned search did not engage";
+  const std::string text = flow_text(seq.flow);
+
+  if (std::getenv("SMA_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(pruned_golden_path(), std::ios::binary) << text;
+    GTEST_SKIP() << "regenerated golden artifact: " << pruned_golden_path();
+  }
+
+  std::ifstream in(pruned_golden_path(), std::ios::binary);
+  ASSERT_TRUE(in) << "missing golden artifact — regenerate with "
+                     "SMA_UPDATE_GOLDEN=1";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(text, golden.str()) << "sequential";
+  EXPECT_EQ(flow_text(run_pipeline(cfg, "maspar-sim",
+                                   core::PrecomputeMode::kOn)),
+            golden.str())
+      << "maspar-sim";
+  for (const int threads : {1, 4})
+    for (const int tile : {0, 1}) {
+      core::SmaConfig vcfg = cfg;
+      vcfg.threads = threads;
+      vcfg.tile_width = tile != 0 ? 5 : 0;
+      vcfg.tile_height = tile != 0 ? 3 : 0;
+      EXPECT_EQ(flow_text(run_pipeline(vcfg, "vector",
+                                       core::PrecomputeMode::kOn)),
+                golden.str())
+          << "vector, threads " << threads
+          << (tile != 0 ? ", 5x3 tiles" : ", default tiles");
+    }
 }
 
 }  // namespace

@@ -106,10 +106,6 @@ TEST(ResolvePrecompute, DecisionTable) {
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kMasked);
   in.mask_after = nullptr;
 
-  // Strided templates are not a dense box.
-  cfg.template_stride = 2;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kStride);
-
   // kOff wins over every other reason.
   cfg.precompute = PrecomputeMode::kOff;
   EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kDisabled);
@@ -411,7 +407,6 @@ struct GridCase {
   const char* name;
   MotionModel model;
   int template_ry;  // -1 = square
-  int stride;
   bool subpixel;
   bool masked;
 };
@@ -423,7 +418,6 @@ TEST_P(PrecomputeEquivalence, FlowBitIdenticalToNaive) {
   SmaConfig cfg = base_config();
   cfg.model = c.model;
   cfg.z_template_radius_y = c.template_ry;
-  cfg.template_stride = c.stride;
   TrackOptions options;
   options.subpixel = c.subpixel;
 
@@ -453,15 +447,12 @@ TEST_P(PrecomputeEquivalence, FlowBitIdenticalToNaive) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, PrecomputeEquivalence,
     ::testing::Values(
-        GridCase{"cont_square", MotionModel::kContinuous, -1, 1, false, false},
-        GridCase{"cont_rect", MotionModel::kContinuous, 2, 1, false, false},
-        GridCase{"cont_subpixel", MotionModel::kContinuous, -1, 1, true,
-                 false},
-        GridCase{"cont_stride2", MotionModel::kContinuous, -1, 2, false,
-                 false},
-        GridCase{"cont_masked", MotionModel::kContinuous, -1, 1, false, true},
-        GridCase{"semi_square", MotionModel::kSemiFluid, -1, 1, false, false},
-        GridCase{"semi_subpixel_masked", MotionModel::kSemiFluid, -1, 1, true,
+        GridCase{"cont_square", MotionModel::kContinuous, -1, false, false},
+        GridCase{"cont_rect", MotionModel::kContinuous, 2, false, false},
+        GridCase{"cont_subpixel", MotionModel::kContinuous, -1, true, false},
+        GridCase{"cont_masked", MotionModel::kContinuous, -1, false, true},
+        GridCase{"semi_square", MotionModel::kSemiFluid, -1, false, false},
+        GridCase{"semi_subpixel_masked", MotionModel::kSemiFluid, -1, true,
                  true}),
     [](const ::testing::TestParamInfo<GridCase>& info) {
       return std::string(info.param.name);

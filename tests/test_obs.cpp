@@ -463,7 +463,7 @@ TEST(ObsBridge, NameListsMatchStructShapes) {
   EXPECT_EQ(core::pipeline_stats_metric_names().size(), 13u);
   EXPECT_EQ(core::track_timings_metric_names().size(), 6u);
   EXPECT_EQ(core::fault_metric_names().size(), 6u);
-  EXPECT_EQ(core::pruning_metric_names().size(), 12u);
+  EXPECT_EQ(core::pruning_metric_names().size(), 10u);
 }
 
 TEST(ObsBridge, EveryStructFieldAppearsInSnapshot) {

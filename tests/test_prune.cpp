@@ -4,24 +4,19 @@
 // The load-bearing properties, in dependency order:
 //  * resolve_prune is the single eligibility rule, and every fallback
 //    reason degrades to a flow BIT-IDENTICAL to the full oracle;
-//  * the half-template prefix residual really is a LOWER bound of the
-//    full Eq. (3) residual, and an evaluation that passes the
-//    evaluator's checkpoint runs the identical floating-point sequence
-//    as one without it;
 //  * the upsampled coarse winner seeds a shrunken window that contains
 //    it, with a full-window per-pixel fallback when it cannot;
-//  * the pruned FlowField — and every integer counter of its report —
-//    is bit-identical across backends (maspar-sim included), thread
-//    caps and tile shapes, and the flow across bound on/off; only the
-//    full-vs-pruned comparison is tolerance-based (a bad seed may
-//    exclude the oracle winner; quantified, not assumed);
+//  * the pruned FlowField — and every counter of its report — is
+//    bit-identical across backends (maspar-sim included), thread caps
+//    and tile shapes, and the vector backend runs it on its lane kernel,
+//    folding exactly the admitted hypotheses; only the full-vs-pruned
+//    comparison is tolerance-based (a bad seed may exclude the oracle
+//    winner; quantified, not assumed);
 //  * the coarse seed pass runs inside the pruned search's span, so its
 //    time is attributed.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -78,15 +73,6 @@ const surface::GeometricField& geom0() {
   return g;
 }
 
-const surface::GeometricField& geom1() {
-  static const surface::GeometricField g = [] {
-    surface::GeometryOptions opts;
-    opts.patch_radius = 2;
-    return surface::compute_geometry(frame1(), opts);
-  }();
-  return g;
-}
-
 const MatchPrecompute& precompute0() {
   static const MatchPrecompute pre(geom0());
   return pre;
@@ -99,28 +85,22 @@ const PruneReport* host_report(const TrackResult& r) {
   return extras != nullptr ? &extras->report : nullptr;
 }
 
-/// Every backend runs the one pruned pass, so every integer counter
-/// matches; bound_tightness_sum is a double folded per tile in tile
-/// order, so it only agrees to rounding.
+/// The stage fills every backend's report from the same windows and the
+/// same winners, so every counter matches.
 void expect_same_report(const PruneReport& want, const PruneReport& got,
                         const std::string& what) {
-  static_assert(sizeof(PruneReport) ==
-                    11 * sizeof(std::uint64_t) + sizeof(double),
+  static_assert(sizeof(PruneReport) == 10 * sizeof(std::uint64_t),
                 "PruneReport changed: compare the new field here");
   EXPECT_EQ(got.active, want.active) << what;
   EXPECT_EQ(got.fallback_reason, want.fallback_reason) << what;
   EXPECT_EQ(got.full_grid_hypotheses, want.full_grid_hypotheses) << what;
   EXPECT_EQ(got.coarse_hypotheses, want.coarse_hypotheses) << what;
   EXPECT_EQ(got.fine_scheduled, want.fine_scheduled) << what;
-  EXPECT_EQ(got.fine_evaluated, want.fine_evaluated) << what;
   EXPECT_EQ(got.bound_checks, want.bound_checks) << what;
   EXPECT_EQ(got.bound_skipped, want.bound_skipped) << what;
   EXPECT_EQ(got.window_pixels, want.window_pixels) << what;
   EXPECT_EQ(got.fallback_pixels, want.fallback_pixels) << what;
   EXPECT_EQ(got.seed_interior, want.seed_interior) << what;
-  EXPECT_NEAR(got.bound_tightness_sum, want.bound_tightness_sum,
-              1e-9 * std::abs(want.bound_tightness_sum))
-      << what;
 }
 
 // ---------------------------------------------------------------------------
@@ -270,107 +250,6 @@ TEST(PruneWindow, WinnerInteriorPredicate) {
 }
 
 // ---------------------------------------------------------------------------
-// accumulate_window_span — the prefix system.
-// ---------------------------------------------------------------------------
-
-TEST(AccumulateWindowSpan, FullSpanMatchesWindowBitwise) {
-  const MatchPrecompute& pre = precompute0();
-  const int rx = 3, ry = 3;
-  for (const auto [x, y] : {std::pair{10, 12}, {0, 0}, {kW - 1, kH - 1}}) {
-    WindowInvariants full, span;
-    pre.accumulate_window(x, y, rx, ry, full);
-    pre.accumulate_window_span(x, y, rx, -ry, ry, span);
-    EXPECT_EQ(span.rows, full.rows);
-    for (int k = 0; k < 21; ++k)
-      EXPECT_EQ(span.ata[k], full.ata[k]) << "slot " << k << " at (" << x
-                                          << ", " << y << ")";
-  }
-}
-
-TEST(AccumulateWindowSpan, PrefixPlusSuffixCoversWindow) {
-  const MatchPrecompute& pre = precompute0();
-  const int rx = 2, ry = 3;
-  for (const auto [x, y] : {std::pair{8, 9}, {1, kH - 2}}) {
-    WindowInvariants full, prefix, suffix;
-    pre.accumulate_window(x, y, rx, ry, full);
-    pre.accumulate_window_span(x, y, rx, -ry, -1, prefix);
-    pre.accumulate_window_span(x, y, rx, 0, ry, suffix);
-    EXPECT_EQ(prefix.rows + suffix.rows, full.rows);
-    EXPECT_EQ(prefix.rows, 3ull * (2 * rx + 1) * ry);
-    for (int k = 0; k < 21; ++k)
-      // Near, not equal: the split reassociates the plane sums.
-      EXPECT_NEAR(prefix.ata[k] + suffix.ata[k], full.ata[k],
-                  1e-9 * (1.0 + std::abs(full.ata[k])))
-          << "slot " << k;
-  }
-  WindowInvariants empty;
-  pre.accumulate_window_span(5, 5, rx, 0, -1, empty);
-  EXPECT_EQ(empty.rows, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// The evaluator's half-template checkpoint — bound validity and
-// exactness.
-// ---------------------------------------------------------------------------
-
-TEST(PruneBound, LowerBoundsResidualAndPreservesBitIdentity) {
-  const MatchPrecompute& pre = precompute0();
-  const int rx = 3, ry = 3;
-  int finite_bounds = 0;
-  for (int y = ry; y < kH - ry; y += 5)
-    for (int x = rx; x < kW - rx; x += 5) {
-      WindowInvariants win, win_prefix;
-      pre.accumulate_window(x, y, rx, ry, win);
-      pre.accumulate_window_span(x, y, rx, -ry, -1, win_prefix);
-      for (int hy = -2; hy <= 2; hy += 2)
-        for (int hx = -2; hx <= 2; hx += 2) {
-          MotionParams p_ref, p_bnd;
-          bool ok_ref = false, ok_bnd = false;
-          const double ref = evaluate_hypothesis_precomputed(
-              pre, geom1(), win, nullptr, x, y, hx, hy, rx, ry, p_ref,
-              ok_ref);
-          // A max() incumbent forces the checkpoint to compute the bound
-          // without ever being allowed to skip.
-          PruneCheckpoint cp{.prefix = &win_prefix,
-                             .incumbent = std::numeric_limits<double>::max(),
-                             .bound = -1.0};
-          const double err = evaluate_hypothesis_precomputed(
-              pre, geom1(), win, nullptr, x, y, hx, hy, rx, ry, p_bnd, ok_bnd,
-              &cp);
-          EXPECT_FALSE(cp.skipped);
-          const double bound = cp.bound;
-          // Completed checkpointed evaluations reproduce the unbounded
-          // evaluator bit for bit.
-          EXPECT_EQ(err, ref);
-          EXPECT_EQ(ok_bnd, ok_ref);
-          if (ok_ref) {
-            EXPECT_EQ(std::memcmp(&p_bnd, &p_ref, sizeof(p_ref)), 0);
-          }
-          // The prefix minimum lower-bounds the full residual (with the
-          // shared slack absorbing the prefix solve's rounding).
-          if (std::isfinite(ref)) {
-            EXPECT_LE(bound, ref * (1.0 + kPruneBoundSlack) + 1e-12)
-                << "at (" << x << ", " << y << ") h=(" << hx << ", " << hy
-                << ")";
-            if (bound > 0.0) ++finite_bounds;
-          }
-        }
-    }
-  // The property must have been exercised by nontrivial bounds, not
-  // vacuously passed on all-singular prefixes.
-  EXPECT_GT(finite_bounds, 0);
-}
-
-TEST(PruneBound, SkipPredicateIsTieSafe) {
-  EXPECT_FALSE(prune_bound_exceeds(1.0, 1.0));            // exact tie
-  EXPECT_FALSE(prune_bound_exceeds(0.5, 1.0));            // better
-  EXPECT_FALSE(prune_bound_exceeds(1.0 + 1e-9, 1.0));     // inside slack
-  EXPECT_TRUE(prune_bound_exceeds(1.0 + 1e-3, 1.0));      // beyond slack
-  EXPECT_FALSE(prune_bound_exceeds(5.0, 0.0));  // zero incumbent guard
-  EXPECT_FALSE(prune_bound_exceeds(0.0, -1.0));
-}
-
-// ---------------------------------------------------------------------------
 // compute_prune_seeds — the coarse-to-fine seeding property.
 // ---------------------------------------------------------------------------
 
@@ -476,20 +355,15 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
       EXPECT_EQ(ref.flow, r.flow) << what << " diverged from sequential";
       const auto* vx = dynamic_cast<const VectorBackendExtras*>(r.extras.get());
       ASSERT_NE(vx, nullptr) << what;
-      EXPECT_FALSE(vx->report.vector_path) << what;
-      EXPECT_EQ(vx->report.fallback, "pruned") << what;
+      // Pruned search runs on the lane kernel, and its lanes fold exactly
+      // the admitted hypotheses.
+      EXPECT_TRUE(vx->report.vector_path) << what;
+      EXPECT_EQ(vx->report.fallback, "") << what;
+      EXPECT_EQ(vx->report.batched_hypotheses + vx->report.tail_hypotheses,
+                ref_report->fine_scheduled)
+          << what;
       expect_same_report(*ref_report, vx->prune, what);
     }
-
-  // The bound only discards provably-worse hypotheses, so switching it
-  // off changes the work done, never the winner.
-  SmaConfig unbounded = cfg;
-  unbounded.prune_bound = false;
-  const TrackResult nb = SmaPipeline(unbounded).track_pair(in);
-  EXPECT_EQ(ref.flow, nb.flow);
-  const PruneReport* nb_report = host_report(nb);
-  ASSERT_NE(nb_report, nullptr);
-  EXPECT_EQ(nb_report->bound_checks, 0u);
 }
 
 TEST(PrunedSearch, ReportAccountingIsConsistent) {
@@ -509,16 +383,14 @@ TEST(PrunedSearch, ReportAccountingIsConsistent) {
   EXPECT_EQ(report->window_pixels + report->fallback_pixels, npix);
   EXPECT_GT(report->window_pixels, 0u);
   EXPECT_GT(report->fine_scheduled, 0u);
-  EXPECT_LE(report->fine_evaluated, report->fine_scheduled);
-  EXPECT_EQ(report->fine_scheduled - report->fine_evaluated,
-            report->bound_skipped);
-  EXPECT_LE(report->bound_skipped, report->bound_checks);
+  EXPECT_LT(report->fine_scheduled, report->full_grid_hypotheses);
+  // No residual bound: nothing is checked or skipped.
+  EXPECT_EQ(report->bound_checks, 0u);
+  EXPECT_EQ(report->bound_skipped, 0u);
   EXPECT_LE(report->seed_interior, report->window_pixels);
   EXPECT_GT(report->coarse_hypotheses, 0u);
   // The point of the exercise: fewer hypotheses than the full grid.
   EXPECT_GT(report->reduction(), 1.0);
-  EXPECT_GE(report->mean_bound_tightness(), 0.0);
-  EXPECT_LE(report->mean_bound_tightness(), 1.0);
 }
 
 TEST(PrunedSearch, CoarsePassRunsInsideThePrunedSpan) {
@@ -656,7 +528,6 @@ TEST(PruneReportTest, MetricsNamesCoverEveryField) {
   report.full_grid_hypotheses = 100;
   report.coarse_hypotheses = 10;
   report.fine_scheduled = 20;
-  report.fine_evaluated = 15;
   publish_metrics(report, reg);
   const auto snap = reg.snapshot();
   for (const std::string& name : pruning_metric_names())

@@ -571,18 +571,25 @@ linalg::SolveCounters solves_of(const SmaConfig& cfg,
 
 // Factoring once per centre still counts one solve per hypothesis: the
 // lane kernel, the MP-2 simulation and the scalar oracle agree on
-// solves6 and singular, for F_cont and F_semi.
+// solves6 and singular, for F_cont, F_semi and pruned F_cont — where
+// every visit solves only the hypotheses a pixel's window admits, and
+// the lane kernel counts only its admitting lanes.
 TEST(VectorBackend, SolveCountersMatchEveryBackend) {
   maspar::register_maspar_backend();
-  for (const core::MotionModel model :
-       {core::MotionModel::kContinuous, core::MotionModel::kSemiFluid}) {
-    SmaConfig cfg = vector_config();
-    cfg.model = model;
-    SCOPED_TRACE(model == core::MotionModel::kContinuous ? "F_cont"
-                                                          : "F_semi");
+  SmaConfig semi = vector_config();
+  semi.model = core::MotionModel::kSemiFluid;
+  SmaConfig pruned = vector_config();
+  pruned.search_mode = core::SearchMode::kPruned;
+  for (const auto& [name, cfg] : {std::pair{"F_cont", vector_config()},
+                                  {"F_semi", semi},
+                                  {"pruned F_cont", pruned}}) {
+    SCOPED_TRACE(name);
     const linalg::SolveCounters seq = solves_of(cfg, "sequential");
     const std::uint64_t side = 2ull * cfg.z_search_radius + 1ull;
-    EXPECT_GE(seq.solves6, kSide * kSide * side * side);
+    if (cfg.search_mode == core::SearchMode::kFull)
+      EXPECT_GE(seq.solves6, kSide * kSide * side * side);
+    else  // the windows engaged
+      EXPECT_LT(seq.solves6, kSide * kSide * side * side);
     for (const char* backend : {"vector", "maspar-sim"}) {
       const linalg::SolveCounters got = solves_of(cfg, backend);
       EXPECT_EQ(got.solves6, seq.solves6) << backend;
@@ -604,16 +611,6 @@ TEST(VectorBackend, FallsBackWhenPrecomputeCannotServe) {
   EXPECT_EQ(vx_off->report.fallback, "precompute-off");
   EXPECT_TRUE(
       imaging::bit_equal(r_off.flow, SmaPipeline(off).track_pair(in).flow));
-
-  SmaConfig strided = vector_config();
-  strided.template_stride = 2;
-  const TrackResult r_str =
-      SmaPipeline(strided, {.backend = "vector"}).track_pair(in);
-  const auto* vx_str = vector_extras(r_str);
-  ASSERT_NE(vx_str, nullptr);
-  EXPECT_FALSE(vx_str->report.vector_path);
-  EXPECT_TRUE(imaging::bit_equal(r_str.flow,
-                                 SmaPipeline(strided).track_pair(in).flow));
 
   // An eligible config whose caller attached no precompute planes.
   const SmaConfig cfg = vector_config();

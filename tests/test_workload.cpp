@@ -77,12 +77,6 @@ TEST(Workload, PrecomputeSharesWorkAcrossHypotheses) {
             1000.0);
 }
 
-TEST(Workload, TemplateStrideReducesTerms) {
-  Workload w = frederic_workload();
-  w.config.template_stride = 2;
-  EXPECT_EQ(w.error_terms_per_hypothesis(), 61ull * 61ull);
-}
-
 TEST(PeMemory, PaperSection43Example) {
   // "storing just two floating pointing numbers for each precomputed
   // template mapping for a relatively small search area of 23 x 23 and
