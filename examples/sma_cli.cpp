@@ -432,19 +432,13 @@ int cmd_track(int argc, char** argv) {
                  r.extras.get()))
       prune = &mp->prune;
   }
-  if (prune != nullptr) {
-    if (prune->active != 0)
-      std::printf(
-          "pruned search: %llu of %llu hypotheses (%.1fx reduction), "
-          "seed hit rate %.3f\n",
-          static_cast<unsigned long long>(prune->hypotheses_evaluated()),
-          static_cast<unsigned long long>(prune->full_grid_hypotheses),
-          prune->reduction(), prune->seed_hit_rate());
-    else
-      std::printf("pruned search fell back to full (%s)\n",
-                  core::prune_fallback_name(static_cast<core::PruneFallback>(
-                      prune->fallback_reason)));
-  }
+  if (prune != nullptr && prune->active != 0)
+    std::printf(
+        "pruned search: %llu of %llu hypotheses (%.1fx reduction), "
+        "seed hit rate %.3f\n",
+        static_cast<unsigned long long>(prune->hypotheses_evaluated()),
+        static_cast<unsigned long long>(prune->full_grid_hypotheses),
+        prune->reduction(), prune->seed_hit_rate());
   if (!ppm_path.empty()) {
     imaging::write_ppm(imaging::colorize_flow(flow), ppm_path);
     std::printf("color rendering -> %s\n", ppm_path.c_str());

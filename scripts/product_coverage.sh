@@ -154,6 +154,16 @@ run cmp flow_pruned_sequential.txt flow_pruned_vec4.txt
 run "$cli" track "${pair[@]}" flow_pruned_shard.txt --model cont \
   --search-mode pruned --backend vector --shard 2x2 --max-resident-mb 64
 run cmp flow_pruned_vector.txt flow_pruned_shard.txt
+run "$cli" track "${pair[@]}" flow_pruned_semi.txt --model semi \
+  --search-mode pruned --backend vector
+run "$cli" track "${pair[@]}" flow_pruned_semi_off.txt --model semi \
+  --search-mode pruned --backend sequential --precompute off
+run cmp flow_pruned_semi.txt flow_pruned_semi_off.txt
+run "$cli" track "${pair[@]}" flow_pruned_fault_seq.txt --search-mode pruned \
+  --backend sequential --inject-faults 0.02
+run "$cli" track "${pair[@]}" flow_pruned_fault_vec.txt --search-mode pruned \
+  --backend vector --inject-faults 0.02
+run cmp flow_pruned_fault_seq.txt flow_pruned_fault_vec.txt
 run "$cli" track "${pair[@]}" flow_full.txt --model cont --search-mode full \
   --backend vector
 run "$cli" track "${pair[@]}" flow_obs.txt --model cont --search 2 \
@@ -170,6 +180,8 @@ run "$cli" track "${pair[@]}" flow_obs_mp.txt --model cont --search 2 \
 run "$cli" synth serve --frames 4
 frames=(serve_f0.pgm serve_f1.pgm serve_f2.pgm serve_f3.pgm)
 run "$cli" track serve_before.pgm serve_after.pgm flow_direct.txt
+run "$cli" track serve_before.pgm serve_after.pgm flow_direct_pruned.txt \
+  --search-mode pruned
 run "$cli" sequence seq_ref "${frames[@]}"
 # A rate generous enough that nothing is rejected still runs every
 # admission through the tenant's token bucket.
@@ -178,6 +190,9 @@ run "$client" ping --port "$daemon_port"
 run "$client" track serve_before.pgm serve_after.pgm flow_served.txt \
   --port "$daemon_port"
 run cmp flow_direct.txt flow_served.txt
+run "$client" track serve_before.pgm serve_after.pgm flow_served_pruned.txt \
+  --port "$daemon_port" --search-mode pruned
+run cmp flow_direct_pruned.txt flow_served_pruned.txt
 run "$client" seq seq_served "${frames[@]}" --port "$daemon_port"
 for p in 1 2 3; do run cmp seq_ref_p$p.txt seq_served_p$p.txt; done
 run "$client" stats --port "$daemon_port"

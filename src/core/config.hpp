@@ -47,8 +47,7 @@ enum class PrecomputeMode {
 /// the hypotheses inside a shrunken window around the upsampled coarse
 /// winner, on the same sweep full search runs.  Pruned results are
 /// bit-identical across backends / thread counts / tile shapes, and
-/// tolerance-equal (not bit-equal) to kFull; configs the pruned path
-/// cannot serve fall back to kFull.
+/// tolerance-equal (not bit-equal) to kFull.
 enum class SearchMode {
   kFull,    ///< exhaustive search (the default, and the oracle)
   kPruned,  ///< coarse-to-fine seeding + per-pixel admission windows
@@ -104,9 +103,8 @@ struct SmaConfig {
   int tile_width = 0;
   int tile_height = 0;
 
-  /// Hypothesis-search strategy (see SearchMode).  kPruned only engages
-  /// on precompute-eligible configs (resolve_prune in match_prune.hpp);
-  /// everything else silently runs the kFull oracle and reports why
+  /// Hypothesis-search strategy (see SearchMode).  kPruned runs for every
+  /// model, segment height, mask and precompute setting, and reports
   /// through the pruning.* metrics.
   SearchMode search_mode = SearchMode::kFull;
 

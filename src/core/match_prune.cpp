@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/hierarchical.hpp"
-#include "core/match_precompute.hpp"
 #include "core/pipeline.hpp"
 #include "core/postprocess.hpp"
 #include "imaging/pyramid.hpp"
@@ -14,64 +12,22 @@
 
 namespace sma::core {
 
-const char* prune_fallback_name(PruneFallback f) {
-  switch (f) {
-    case PruneFallback::kNone:
-      return "none";
-    case PruneFallback::kNotRequested:
-      return "not-requested";
-    case PruneFallback::kNoPrecompute:
-      return "no-precompute";
-    case PruneFallback::kSegmented:
-      return "segmented";
-    case PruneFallback::kNoRawFrames:
-      return "no-raw-frames";
-    case PruneFallback::kTinySearch:
-      return "tiny-search";
-    case PruneFallback::kSemiFluid:
-      return "semi-fluid";
-  }
-  return "unknown";
-}
-
-PruneFallback resolve_prune_config(const SmaConfig& config) {
-  if (config.search_mode != SearchMode::kPruned)
-    return PruneFallback::kNotRequested;
-  // Pruned search rides the precomputed SoA planes: no fast path, no
-  // pruned path.
-  if (config.precompute == PrecomputeMode::kOff)
-    return PruneFallback::kNoPrecompute;
-  // F_semi rides the planes too, but the coarse seeding pass models
-  // F_cont correspondents only.
-  if (config.model == MotionModel::kSemiFluid &&
-      config.semifluid_search_radius > 0)
-    return PruneFallback::kSemiFluid;
-  // Segmented searches chunk the hy range across semi-fluid mapping
-  // segments; a per-pixel shrunken window straddles chunks and the
-  // incumbent would reset between them.
-  if (config.effective_segment_rows() < config.z_search_size_y())
-    return PruneFallback::kSegmented;
-  // A 1x1 (or 1xN / Nx1) search has nothing to shrink.
-  if (config.z_search_radius < 1 || config.z_search_ry() < 1)
-    return PruneFallback::kTinySearch;
-  return PruneFallback::kNone;
-}
-
-PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in) {
-  // The config rule, with the input's two gates slotted in at their
-  // places: planes attached and precompute-eligible (masks) right after
-  // the request check, raw frames just before the tiny-search check.
-  const PruneFallback by_config = resolve_prune_config(config);
-  if (by_config == PruneFallback::kNotRequested) return by_config;
-  if (in.precompute == nullptr ||
-      resolve_precompute(config, in) != PrecomputeDecision::kFast)
-    return PruneFallback::kNoPrecompute;
-  if (by_config == PruneFallback::kSemiFluid ||
-      by_config == PruneFallback::kSegmented)
-    return by_config;
-  if (in.raw_before == nullptr || in.raw_after == nullptr)
-    return PruneFallback::kNoRawFrames;
-  return by_config;
+imaging::FlowField upsample_flow(const imaging::FlowField& flow, int width,
+                                 int height) {
+  const double gain_x =
+      flow.width() > 1 ? static_cast<double>(width) / flow.width() : 1.0;
+  const imaging::ImageF u =
+      imaging::upsample_to(flow.u(), width, height, gain_x);
+  const double gain_y =
+      flow.height() > 1 ? static_cast<double>(height) / flow.height() : 1.0;
+  const imaging::ImageF v =
+      imaging::upsample_to(flow.v(), width, height, gain_y);
+  imaging::FlowField out(width, height);
+  for (int y = 0; y < height; ++y)
+    for (int x = 0; x < width; ++x)
+      out.set(x, y,
+              imaging::FlowVector{u.at(x, y), v.at(x, y), 0.0f, 1});
+  return out;
 }
 
 PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
@@ -95,12 +51,16 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
   if (top < 1) return s;
   const int f = 1 << top;
 
-  // Coarse configuration: the same model on 2^top-downsampled frames,
-  // radii shrunk to cover the same physical extent (ceil-divided, floor
-  // 1 so the coarse search still localizes).  search_mode is forced back
-  // to kFull — the seeding pass must not recurse.
+  // Coarse configuration: F_cont on 2^top-downsampled frames, radii
+  // shrunk to cover the same physical extent (ceil-divided, floor 1 so
+  // the coarse search still localizes).  The seeds only place windows
+  // around a motion estimate, which F_cont gives for every model; so
+  // pruned F_semi does not pay F_semi's on-the-fly sub-pixel probes at
+  // the coarse level.  search_mode is forced back to kFull — the seeding
+  // pass must not recurse.
   const auto shrink = [f](int r) { return std::max(1, (r + f - 1) / f); };
   SmaConfig coarse = config;
+  coarse.model = MotionModel::kContinuous;
   coarse.search_mode = SearchMode::kFull;
   coarse.z_search_radius = shrink(config.z_search_radius);
   if (config.z_search_radius_y >= 0)
@@ -113,8 +73,7 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
   coarse.tile_height = 0;
 
   // Sub-pixel at the coarse level: integer quantization there costs
-  // 2^top fine pixels after upsampling (same rationale as the
-  // hierarchical tracker's forced subpixel).
+  // 2^top fine pixels after upsampling.
   TrackOptions topts;
   topts.subpixel = true;
 
@@ -131,9 +90,9 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
   const TrackResult coarse_res =
       SmaPipeline(coarse, std::move(popts)).track_pair(cb, ca);
 
-  // Propagate to full resolution with the hierarchical smoothing recipe:
-  // vector median kills isolated coarse errors, the Gaussian gives a
-  // fractional consensus, nearbyint recovers integer seeds.
+  // Propagate to full resolution: vector median kills isolated coarse
+  // errors, the Gaussian gives a fractional consensus, nearbyint
+  // recovers integer seeds.
   const imaging::FlowField prior = gaussian_smooth(
       vector_median_filter(upsample_flow(coarse_res.flow, s.width, s.height),
                            1),
@@ -205,6 +164,10 @@ std::vector<PruneWindow> prune_windows(const MatchInput& in,
       (in.prune_seeds->width != w || in.prune_seeds->height != h))
     throw std::invalid_argument(
         "MatchInput::prune_seeds dimensions do not match the frames");
+  if (in.prune_seeds == nullptr &&
+      (in.raw_before == nullptr || in.raw_after == nullptr))
+    throw std::invalid_argument(
+        "pruned search needs MatchInput::prune_seeds or the raw frames");
   PruneSeeds local_seeds;
   if (in.prune_seeds == nullptr)
     local_seeds = compute_prune_seeds(*in.raw_before, *in.raw_after, config);
@@ -229,7 +192,6 @@ PruneReport prune_report(const std::vector<PruneWindow>& windows,
   const int nzs_y = config.z_search_ry();
   PruneReport r;
   r.active = 1;
-  r.fallback_reason = static_cast<std::uint64_t>(PruneFallback::kNone);
   r.full_grid_hypotheses =
       static_cast<std::uint64_t>(windows.size()) *
       (static_cast<std::uint64_t>(2 * nzs_x + 1) * (2 * nzs_y + 1));

@@ -1,33 +1,36 @@
 // match_prune.hpp — coarse-to-fine pruned hypothesis search
-// (SmaConfig::search_mode == SearchMode::kPruned).
+// (SmaConfig::search_mode == SearchMode::kPruned), the library's one
+// coarse-to-fine path (the paper's Sec. 6 "adaptive hierarchical ...
+// windows").
 //
 // The paper brute-forces all (2N_zs+1)^2 hypotheses per pixel; the
 // precompute, the SIMD lanes and the pool threads make each of them
-// cheap.  This layer evaluates FEWER of them: a cheap tracking pass on a
-// downsampled pyramid level (imaging/pyramid.hpp) yields a per-pixel
-// motion estimate; the upsampled, median+Gaussian-smoothed, rounded
-// winner (core/hierarchical.hpp's upsample_flow, the same smoothing
-// recipe track_pair_hierarchical uses for its priors) seeds a SHRUNKEN
-// admission window of half-width prune_refine_radius around it.  Pixels
-// whose seed is invalid or falls outside the search area keep the full
+// cheap.  This layer evaluates FEWER of them: a cheap F_cont tracking
+// pass on a downsampled pyramid level (imaging/pyramid.hpp) yields a
+// per-pixel motion estimate; the upsampled (upsample_flow),
+// median+Gaussian-smoothed, rounded winner seeds a SHRUNKEN admission
+// window of half-width prune_refine_radius around it.  Pixels whose
+// seed is invalid or falls outside the search area keep the full
 // window — the per-pixel exact fallback.
 //
-// Pruning is not a sweep of its own.  The one matching stage
-// (run_matching_stage) computes the windows and hands them to every
-// backend's segment visit with the segment (MatchSegment::windows); each
-// visit runs the sweep full search runs and folds into a pixel's
-// incumbent only the hypotheses inside that pixel's window.  The winner
-// predicate (hypothesis_improves) does not depend on the visit order, so
-// the winner — and therefore the FlowField — is bit-identical across
-// backends (maspar-sim included), thread counts, tile shapes and steal
-// schedules.  The stage fills the PruneReport once, from the windows and
-// the winners, so its counters are identical too (DESIGN.md §16).
+// Pruning is not a sweep of its own, and it runs whenever it is asked
+// for.  The one matching stage (run_matching_stage) computes the
+// windows and hands them to every backend's segment visit with the
+// segment (MatchSegment::windows); each visit runs the sweep full search
+// runs — any model, segment height, mask or precompute setting — and
+// folds into a pixel's incumbent only the hypotheses inside that pixel's
+// window.  The winner predicate (hypothesis_improves) does not depend on
+// the visit order, so the winner — and therefore the FlowField — is
+// bit-identical across backends (maspar-sim included), thread counts,
+// tile shapes, steal schedules, segment heights and precompute settings.
+// The stage fills the PruneReport once, from the windows and the
+// winners, so its counters are identical too (DESIGN.md §16).
 //
 // Pruned results are tolerance-equal, NOT bit-equal, to the kFull
 // oracle: a bad seed can exclude the full-search winner from the
 // shrunken window.  The golden accuracy-vs-speed curves in
 // BENCH_matching.json quantify that error; `--search-mode full` remains
-// the exact-verification fallback.
+// the exact-verification path.
 #pragma once
 
 #include <cstdint>
@@ -35,45 +38,16 @@
 
 #include "core/config.hpp"
 #include "core/tracker.hpp"
+#include "imaging/flow.hpp"
 #include "imaging/image.hpp"
 
 namespace sma::core {
-
-/// Why the pruned path did or did not engage (mirrors PrecomputeDecision
-/// for the precompute).  Reported through PruneReport::fallback_reason.
-enum class PruneFallback {
-  kNone = 0,        ///< pruned search engaged
-  kNotRequested,    ///< search_mode == kFull
-  kNoPrecompute,    ///< precompute ineligible/absent (masks, off) —
-                    ///< pruned search rides its planes
-  kSegmented,       ///< segment_rows splits the hy range; the shrunken
-                    ///< window crosses segments
-  kNoRawFrames,     ///< MatchInput::raw_* not attached (no pyramid)
-  kTinySearch,      ///< search radius < 1: nothing to prune
-  kSemiFluid,       ///< active semi-fluid remap: the coarse seeds are
-                    ///< F_cont-only
-};
-
-const char* prune_fallback_name(PruneFallback f);
-
-/// The config-only part of the eligibility rule: the first reason the
-/// config alone rules pruning out (kNoPrecompute for precompute off),
-/// kNone when only the input could.  The shard runner
-/// asks it whether tiles need whole-frame seeds.
-PruneFallback resolve_prune_config(const SmaConfig& config);
-
-/// The single eligibility rule, consulted by the one matching stage
-/// (run_matching_stage) for every backend and unit-tested directly:
-/// resolve_prune_config plus the input's gates (attached planes, masks,
-/// raw frames), reasons reported in a fixed order.
-PruneFallback resolve_prune(const SmaConfig& config, const MatchInput& in);
 
 /// Pruning accounting for one tracked pair.  POD of uint64 so the obs
 /// bridge's sizeof completeness guard covers it.  All hypothesis counts
 /// are per (pixel, hypothesis) units.
 struct PruneReport {
-  std::uint64_t active = 0;           ///< 1 when pruned search engaged
-  std::uint64_t fallback_reason = 0;  ///< PruneFallback as an integer
+  std::uint64_t active = 0;  ///< 1 when pruned search ran
   /// (2N_zs+1)^2 * pixels: what the full oracle would evaluate.
   std::uint64_t full_grid_hypotheses = 0;
   /// Hypotheses spent by the coarse seeding pass (search grid plus the
@@ -132,11 +106,17 @@ struct PruneSeeds {
   }
 };
 
-/// Runs the coarse pyramid track (through a "vector" SmaPipeline —
-/// bit-identical to "sequential" by the Sec. 5.1 contract, so the seeds
-/// are deterministic no matter which backend asked) and propagates its
-/// winners to full resolution with the hierarchical smoothing recipe.
-/// Exposed for the seed-in-window property tests.
+/// Upsamples a flow field to (width, height), scaling vectors by the
+/// resolution ratio (displacement doubles when resolution doubles).
+imaging::FlowField upsample_flow(const imaging::FlowField& flow, int width,
+                                 int height);
+
+/// Runs the coarse pyramid track as F_cont whatever the requested model
+/// (through a "vector" SmaPipeline — bit-identical to "sequential" by
+/// the Sec. 5.1 contract, so the seeds are deterministic no matter which
+/// backend asked) and propagates its winners to full resolution:
+/// upsample_flow, vector median, Gaussian, round.  Exposed for the
+/// seed-in-window property tests.
 PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
                                const imaging::ImageF& raw_after,
                                const SmaConfig& config);
@@ -158,19 +138,19 @@ PruneWindow prune_window(const PruneSeeds& seeds, int x, int y, int nzs_x,
 bool prune_winner_interior(const PruneWindow& win, int nzs_x, int nzs_y,
                            int hx, int hy);
 
-/// The admission windows of an engaged pruned search, one per pixel in
-/// row-major order: prune_window around each pixel's coarse seed.  The
-/// seeds are MatchInput::prune_seeds when attached (the shard runner's
-/// slice; its dimensions must match the frames) and compute_prune_seeds
-/// on the raw frames otherwise.  `coarse_hypotheses` receives the
-/// seeding pass's cost.  Callers gate with resolve_prune(config, in) ==
-/// kNone.
+/// The admission windows of a pruned search, one per pixel in row-major
+/// order: prune_window around each pixel's coarse seed.  The seeds are
+/// MatchInput::prune_seeds when attached (the shard runner's slice; its
+/// dimensions must match the frames) and compute_prune_seeds on the raw
+/// frames otherwise.  Throws std::invalid_argument when the input
+/// carries neither (SmaPipeline always attaches the raw frames).
+/// `coarse_hypotheses` receives the seeding pass's cost.
 std::vector<PruneWindow> prune_windows(const MatchInput& in,
                                        const SmaConfig& config,
                                        std::uint64_t& coarse_hypotheses);
 
-/// The report of an engaged pruned search, from its windows and the
-/// winners (row-major, like the windows) the visits found.
+/// The report of a pruned search, from its windows and the winners
+/// (row-major, like the windows) the visits found.
 PruneReport prune_report(const std::vector<PruneWindow>& windows,
                          const std::vector<PixelBest>& best,
                          std::uint64_t coarse_hypotheses,

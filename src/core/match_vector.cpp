@@ -23,8 +23,7 @@ const char* vector_fallback_name(PrecomputeDecision d, const MatchInput& in) {
       break;
   }
   // Eligible, but the caller attached no planes.
-  if (in.precompute == nullptr)
-    return prune_fallback_name(PruneFallback::kNoPrecompute);
+  if (in.precompute == nullptr) return "no-precompute";
   return nullptr;
 }
 
@@ -181,6 +180,8 @@ class VectorBackend final : public TrackerBackend {
               args.hx_max = u.hx_max;
               args.hy_min = std::max(args.hy_min, u.hy_min);
               args.hy_max = std::min(args.hy_max, u.hy_max);
+              // No window of the tile reaches into this segment.
+              if (args.hy_min > args.hy_max) return;
             }
             kernels.tile(args, seg.best, tallies[index]);
           });

@@ -143,8 +143,7 @@ struct VectorRunReport {
 };
 
 /// TrackResult::extras attachment for the vector backend.  `prune` is
-/// the pruned search's accounting when it engaged, and carries only the
-/// pruned-mode fallback reason otherwise.
+/// the pruned search's accounting, all zero under full search.
 struct VectorBackendExtras : BackendExtras {
   VectorRunReport report;
   PruneReport prune;

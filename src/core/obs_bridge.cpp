@@ -15,7 +15,7 @@ static_assert(sizeof(PipelineStats) ==
 static_assert(sizeof(TrackTimings) == 6 * sizeof(double),
               "TrackTimings changed: update publish_metrics(TrackTimings) "
               "and track_timings_metric_names()");
-static_assert(sizeof(PruneReport) == 10 * sizeof(std::uint64_t),
+static_assert(sizeof(PruneReport) == 9 * sizeof(std::uint64_t),
               "PruneReport changed: update publish_metrics(PruneReport) "
               "and pruning_metric_names()");
 static_assert(sizeof(sched::SchedStats) ==
@@ -111,8 +111,6 @@ void publish_metrics(const FaultLog& log, obs::MetricsRegistry& reg) {
 
 void publish_metrics(const PruneReport& r, obs::MetricsRegistry& reg) {
   reg.gauge("pruning.active").set(static_cast<double>(r.active));
-  reg.gauge("pruning.fallback_reason")
-      .set(static_cast<double>(r.fallback_reason));
   reg.gauge("pruning.full_grid_hypotheses")
       .set(static_cast<double>(r.full_grid_hypotheses));
   reg.gauge("pruning.coarse_hypotheses")
@@ -134,7 +132,6 @@ void publish_metrics(const PruneReport& r, obs::MetricsRegistry& reg) {
 const std::vector<std::string>& pruning_metric_names() {
   static const std::vector<std::string> names = {
       "pruning.active",
-      "pruning.fallback_reason",
       "pruning.full_grid_hypotheses",
       "pruning.coarse_hypotheses",
       "pruning.fine_scheduled",

@@ -42,10 +42,7 @@ void publish_metrics(const TrackTimings& timings, obs::MetricsRegistry& reg);
 void publish_metrics(const FaultLog& log, obs::MetricsRegistry& reg);
 
 /// Registers/updates every PruneReport field under "pruning.*", plus the
-/// derived "pruning.reduction" and "pruning.seed_hit_rate".  A fallback
-/// run still exports the full shape (active = 0 with the fallback_reason
-/// code), so dashboards can tell "pruning off" from "pruning requested
-/// but ineligible".
+/// derived "pruning.reduction" and "pruning.seed_hit_rate".
 void publish_metrics(const PruneReport& report, obs::MetricsRegistry& reg);
 
 /// Registers/updates the tiled scheduler's counters under "sched.*"

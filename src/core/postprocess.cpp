@@ -132,6 +132,13 @@ std::size_t fill_invalid(FlowField& flow, int radius, int max_iterations) {
 FlowField gaussian_smooth(const FlowField& flow, double sigma,
                           double error_scale) {
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
+  const int side = 2 * radius + 1;
+  // The spatial weight depends only on the tap offset.
+  std::vector<double> spatial(static_cast<std::size_t>(side) * side);
+  for (int v = -radius; v <= radius; ++v)
+    for (int u = -radius; u <= radius; ++u)
+      spatial[static_cast<std::size_t>(v + radius) * side + (u + radius)] =
+          std::exp(-0.5 * (u * u + v * v) / (sigma * sigma));
   FlowField out(flow.width(), flow.height());
   for (int y = 0; y < flow.height(); ++y)
     for (int x = 0; x < flow.width(); ++x) {
@@ -144,7 +151,9 @@ FlowField gaussian_smooth(const FlowField& flow, double sigma,
             continue;
           const FlowVector f = flow.at(sx, sy);
           if (!f.valid) continue;
-          double w = std::exp(-0.5 * (u * u + v * v) / (sigma * sigma));
+          double w =
+              spatial[static_cast<std::size_t>(v + radius) * side +
+                      (u + radius)];
           if (error_scale > 0.0) w *= std::exp(-f.error / error_scale);
           su += w * f.u;
           sv += w * f.v;

@@ -16,8 +16,8 @@
 #include "core/config.hpp"
 #include "core/continuous_model.hpp"
 #include "core/fault.hpp"
-#include "core/hierarchical.hpp"
 #include "core/match_precompute.hpp"
+#include "core/match_prune.hpp"
 #include "core/multispectral.hpp"
 #include "core/pipeline.hpp"
 #include "core/postprocess.hpp"

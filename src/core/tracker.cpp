@@ -210,6 +210,7 @@ void scan_hypotheses(const MatchInput& in, const SmaConfig& config,
     hx_max = pw.hx_max;
     hy_min = std::max(hy_min, pw.hy_min);
     hy_max = std::min(hy_max, pw.hy_max);
+    if (hy_min > hy_max) return;  // the window misses this segment
   }
   // F_semi rides the planes only through a correspondence table.
   const MatchPrecompute* const pre =
@@ -449,15 +450,9 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
       timings.hypothesis_matching += seconds_since(t0);
     }
   };
-  // Coarse-to-fine pruned search: engages only when the eligibility rule
-  // holds (precompute fast path, unsegmented, raw frames attached); it
-  // then narrows each pixel of the same sweep to its admission window.
-  // Otherwise the reason is recorded and the sweep runs exactly as in
-  // full mode.
-  const PruneFallback prune_fb = resolve_prune(config, in);
-  if (prune != nullptr)
-    prune->fallback_reason = static_cast<std::uint64_t>(prune_fb);
-  if (prune_fb == PruneFallback::kNone) {
+  // Coarse-to-fine pruned search narrows each pixel of the same sweep to
+  // its admission window, in every segment.
+  if (config.search_mode == SearchMode::kPruned) {
     obs::TraceSpan span("match", "pruned_search");
     const auto t0 = Clock::now();
     std::uint64_t coarse_hypotheses = 0;

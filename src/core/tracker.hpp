@@ -196,9 +196,9 @@ struct MatchInput {
   /// matching stages run the naive oracle path.
   const MatchPrecompute* precompute = nullptr;
   /// The raw z-surface frames the geometry was derived from, attached by
-  /// SmaPipeline so the pruned search mode
-  /// (match_prune.hpp) can build its coarse seeding pyramid.  Optional:
-  /// when null, SearchMode::kPruned falls back to the full search.
+  /// SmaPipeline so the pruned search mode (match_prune.hpp) can build
+  /// its coarse seeding pyramid.  A pruned search needs them unless
+  /// `prune_seeds` is attached.
   const imaging::ImageF* raw_before = nullptr;
   const imaging::ImageF* raw_after = nullptr;
   /// Optional externally computed seed field forwarded from
@@ -254,16 +254,16 @@ using SegmentVisit = std::function<void(const MatchSegment&)>;
 
 /// The matching stage every backend's match() calls: the "Semi-fluid
 /// mapping" + "Hypothesis matching" phases, the optional sub-pixel
-/// refinement and the products.  It owns the pruned-search gating (when
-/// resolve_prune engages, it computes the coarse seeds' admission
-/// windows and hands them to `visit` with each segment), the precompute
+/// refinement and the products.  It owns the pruned search (under
+/// SearchMode::kPruned it computes the coarse seeds' admission windows
+/// and hands them to `visit` with each segment), the precompute
 /// gating and the Sec. 4.3 segment loop: F_semi walks hypothesis rows in
 /// SmaConfig::effective_segment_rows() chunks, each behind its own
 /// correspondence table (built here, timed as semi-fluid mapping,
 /// raising peak_mapping_bytes); F_cont has no table and sweeps once.
 /// Each segment goes to `visit` inside a "match"/"hypothesis_search"
 /// span and the matching timer.  `prune`, when non-null, receives the
-/// pruning accounting (fallback reason included).  Fills the
+/// pruning accounting of a pruned search.  Fills the
 /// matching-phase timings and timings.total.
 TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
                                const TrackOptions& options, bool parallel,

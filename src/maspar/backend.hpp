@@ -25,8 +25,8 @@ namespace sma::maspar {
 
 /// TrackResult::extras payload of the maspar-sim backend.  The report's
 /// flow duplicates TrackResult::flow (it IS the same field).  `prune` is
-/// the pruned search's accounting when it engaged, and carries only the
-/// pruned-mode fallback reason otherwise (as VectorBackendExtras::prune).
+/// the pruned search's accounting, all zero under full search (as
+/// VectorBackendExtras::prune).
 struct MasParBackendExtras : core::BackendExtras {
   SimdRunReport report;
   core::PruneReport prune;

@@ -72,13 +72,9 @@ ShardResult shard_track_pair(TileSource& source,
   // Pruned mode: the coarse seeding pyramid is computed ONCE on the full
   // frames and sliced per tile (see the header).  This is the one place
   // the runner touches whole frames; the pass streams them through the
-  // source and releases them before any tile is tracked.  Tiles carry
-  // no masks and always carry raw frames, so the config rule alone says
-  // whether their pruned search engages; when it does not, every tile
-  // falls back for the reason the whole-frame run would, seed-free.
+  // source and releases them before any tile is tracked.
   core::PruneSeeds full_seeds;
-  const bool inject_seeds =
-      core::resolve_prune_config(config) == core::PruneFallback::kNone;
+  const bool inject_seeds = config.search_mode == core::SearchMode::kPruned;
   if (inject_seeds) {
     const imaging::ImageF before = source.window(0, 0, 0, w, h);
     const imaging::ImageF after = source.window(1, 0, 0, w, h);

@@ -44,18 +44,11 @@ DerivativeField fit_derivatives(const imaging::ImageF& img,
   f.zxy = imaging::ImageF(w, h);
   f.zyy = imaging::ImageF(w, h);
 
-  if (opts.use_fast_fitter) {
-    const PatchFitter fitter(opts.patch_radius);
-    fitter.fit_frame(img, opts.parallel,
-                     [&f](int x, int y, const QuadraticPatch& p) {
-                       store_derivatives(f, x, y, p);
-                     });
-  } else {
-    sched::for_each_row(h, w, opts.parallel, [&](int y) {
-      for (int x = 0; x < w; ++x)
-        store_derivatives(f, x, y, fit_patch(img, x, y, opts.patch_radius));
-    });
-  }
+  const PatchFitter fitter(opts.patch_radius);
+  fitter.fit_frame(img, opts.parallel,
+                   [&f](int x, int y, const QuadraticPatch& p) {
+                     store_derivatives(f, x, y, p);
+                   });
   return f;
 }
 

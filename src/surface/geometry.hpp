@@ -59,8 +59,7 @@ struct GeometricField {
 /// Options for the geometry pass.
 struct GeometryOptions {
   int patch_radius = 2;  ///< N_z: (2Nz+1)^2 surface-fitting window (Table 1: 5x5)
-  bool use_fast_fitter = true;  ///< cached-inverse fit vs per-pixel elimination
-  bool parallel = false;        ///< rows on the sched pool (identical results)
+  bool parallel = false;  ///< rows on the sched pool (identical results)
 };
 
 /// "Surface fit": fits a quadratic patch at every pixel and stores the

@@ -11,10 +11,9 @@
 namespace sma::surface {
 namespace {
 
-GeometryOptions opts(int radius, bool fast = true, bool parallel = false) {
+GeometryOptions opts(int radius, bool parallel = false) {
   GeometryOptions o;
   o.patch_radius = radius;
-  o.use_fast_fitter = fast;
   o.parallel = parallel;
   return o;
 }
@@ -89,19 +88,24 @@ TEST(ComputeGeometry, UnitNormalsEverywhere) {
     }
 }
 
-TEST(ComputeGeometry, SlowAndFastFittersAgree) {
+TEST(ComputeGeometry, MatchesPerPixelFitPatch) {
+  // The cached-inverse fitter against per-pixel elimination (fit_patch)
+  // at every pixel, borders included.
   const imaging::ImageF img = testing::textured_pattern(16, 16);
-  const GeometricField fast = compute_geometry(img, opts(2, true));
-  const GeometricField slow = compute_geometry(img, opts(2, false));
-  EXPECT_LT(imaging::max_abs_difference(fast.zx, slow.zx), 1e-4);
-  EXPECT_LT(imaging::max_abs_difference(fast.ni, slow.ni), 1e-4);
-  EXPECT_LT(imaging::max_abs_difference(fast.disc, slow.disc), 1e-3);
+  const GeometricField fast = compute_geometry(img, opts(2));
+  for (int y = 0; y < 16; ++y)
+    for (int x = 0; x < 16; ++x) {
+      const PointGeometry slow = point_geometry(fit_patch(img, x, y, 2));
+      EXPECT_NEAR(fast.zx.at(x, y), slow.zx, 1e-4) << x << "," << y;
+      EXPECT_NEAR(fast.ni.at(x, y), slow.ni, 1e-4) << x << "," << y;
+      EXPECT_NEAR(fast.disc.at(x, y), slow.disc, 1e-3) << x << "," << y;
+    }
 }
 
 TEST(ComputeGeometry, ParallelMatchesSequential) {
   const imaging::ImageF img = testing::textured_pattern(20, 20);
-  const GeometricField seq = compute_geometry(img, opts(2, true, false));
-  const GeometricField par = compute_geometry(img, opts(2, true, true));
+  const GeometricField seq = compute_geometry(img, opts(2, false));
+  const GeometricField par = compute_geometry(img, opts(2, true));
   EXPECT_EQ(imaging::max_abs_difference(seq.ni, par.ni), 0.0);
   EXPECT_EQ(imaging::max_abs_difference(seq.disc, par.disc), 0.0);
 }

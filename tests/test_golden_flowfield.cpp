@@ -11,9 +11,10 @@
 // other — the Sec. 5.1 "same result as the sequential implementation"
 // contract — so only one golden file is needed.
 //
-// A second artifact pins the pruned search (coarse seeds plus per-pixel
-// admission windows) on an F_cont config: every backend, tile shape and
-// thread cap must reproduce it byte for byte as flow text.
+// Two more artifacts pin the pruned search (coarse seeds plus per-pixel
+// admission windows) on an F_cont and an F_semi config: every backend,
+// tile shape and thread cap must reproduce each byte for byte as flow
+// text.
 //
 // Regenerate the artifact after an intentional algorithm change with
 //   SMA_UPDATE_GOLDEN=1 ./test_golden_flowfield
@@ -43,8 +44,11 @@ std::string golden_path() {
   return std::string(SMA_GOLDEN_DIR) + "/flowfield_semi_48.txt";
 }
 
-std::string pruned_golden_path() {
-  return std::string(SMA_GOLDEN_DIR) + "/flowfield_cont_pruned_48.txt";
+std::string pruned_golden_path(core::MotionModel model) {
+  return std::string(SMA_GOLDEN_DIR) +
+         (model == core::MotionModel::kSemiFluid
+              ? "/flowfield_semi_pruned_48.txt"
+              : "/flowfield_cont_pruned_48.txt");
 }
 
 // 48x48 fractal cloud deck advected by a Rankine vortex: deterministic
@@ -74,11 +78,10 @@ core::SmaConfig golden_config() {
   return cfg;
 }
 
-// The pruned F_cont search with the default coarse levels and refine
-// radius.
-core::SmaConfig pruned_config() {
+// The pruned search with the default coarse levels and refine radius.
+core::SmaConfig pruned_config(core::MotionModel model) {
   core::SmaConfig cfg = golden_config();
-  cfg.model = core::MotionModel::kContinuous;
+  cfg.model = model;
   cfg.search_mode = core::SearchMode::kPruned;
   return cfg;
 }
@@ -182,44 +185,51 @@ TEST(GoldenFlowfield, AllBackendsAndPrecomputeModesBitIdentical) {
 }
 
 // The pruned search on every backend, tile shape and thread cap: one
-// committed artifact, reproduced byte for byte as flow text.
+// committed artifact per model, reproduced byte for byte as flow text.
 TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
-  const core::SmaConfig cfg = pruned_config();
-  const core::TrackResult seq =
-      run_track(cfg, "sequential", core::PrecomputeMode::kOn);
-  const auto* extras =
-      dynamic_cast<const core::PruneBackendExtras*>(seq.extras.get());
-  ASSERT_NE(extras, nullptr);
-  ASSERT_EQ(extras->report.active, 1u) << "pruned search did not engage";
-  const std::string text = flow_text(seq.flow);
+  for (const core::MotionModel model :
+       {core::MotionModel::kContinuous, core::MotionModel::kSemiFluid}) {
+    const core::SmaConfig cfg = pruned_config(model);
+    const std::string path = pruned_golden_path(model);
+    SCOPED_TRACE(path);
+    const core::TrackResult seq =
+        run_track(cfg, "sequential", core::PrecomputeMode::kOn);
+    const auto* extras =
+        dynamic_cast<const core::PruneBackendExtras*>(seq.extras.get());
+    ASSERT_NE(extras, nullptr);
+    ASSERT_EQ(extras->report.active, 1u) << "pruned search did not run";
+    const std::string text = flow_text(seq.flow);
 
-  if (std::getenv("SMA_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream(pruned_golden_path(), std::ios::binary) << text;
-    GTEST_SKIP() << "regenerated golden artifact: " << pruned_golden_path();
-  }
-
-  std::ifstream in(pruned_golden_path(), std::ios::binary);
-  ASSERT_TRUE(in) << "missing golden artifact — regenerate with "
-                     "SMA_UPDATE_GOLDEN=1";
-  std::ostringstream golden;
-  golden << in.rdbuf();
-  EXPECT_EQ(text, golden.str()) << "sequential";
-  EXPECT_EQ(flow_text(run_pipeline(cfg, "maspar-sim",
-                                   core::PrecomputeMode::kOn)),
-            golden.str())
-      << "maspar-sim";
-  for (const int threads : {1, 4})
-    for (const int tile : {0, 1}) {
-      core::SmaConfig vcfg = cfg;
-      vcfg.threads = threads;
-      vcfg.tile_width = tile != 0 ? 5 : 0;
-      vcfg.tile_height = tile != 0 ? 3 : 0;
-      EXPECT_EQ(flow_text(run_pipeline(vcfg, "vector",
-                                       core::PrecomputeMode::kOn)),
-                golden.str())
-          << "vector, threads " << threads
-          << (tile != 0 ? ", 5x3 tiles" : ", default tiles");
+    if (std::getenv("SMA_UPDATE_GOLDEN") != nullptr) {
+      std::ofstream(path, std::ios::binary) << text;
+      continue;
     }
+
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in) << "missing golden artifact — regenerate with "
+                       "SMA_UPDATE_GOLDEN=1";
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(text, golden.str()) << "sequential";
+    EXPECT_EQ(flow_text(run_pipeline(cfg, "maspar-sim",
+                                     core::PrecomputeMode::kOn)),
+              golden.str())
+        << "maspar-sim";
+    for (const int threads : {1, 4})
+      for (const int tile : {0, 1}) {
+        core::SmaConfig vcfg = cfg;
+        vcfg.threads = threads;
+        vcfg.tile_width = tile != 0 ? 5 : 0;
+        vcfg.tile_height = tile != 0 ? 3 : 0;
+        EXPECT_EQ(flow_text(run_pipeline(vcfg, "vector",
+                                         core::PrecomputeMode::kOn)),
+                  golden.str())
+            << "vector, threads " << threads
+            << (tile != 0 ? ", 5x3 tiles" : ", default tiles");
+      }
+  }
+  if (std::getenv("SMA_UPDATE_GOLDEN") != nullptr)
+    GTEST_SKIP() << "regenerated the pruned golden artifacts";
 }
 
 }  // namespace

@@ -2,25 +2,28 @@
 // (core/match_prune.hpp).
 //
 // The load-bearing properties, in dependency order:
-//  * resolve_prune is the single eligibility rule, and every fallback
-//    reason degrades to a flow BIT-IDENTICAL to the full oracle;
+//  * upsample_flow scales vectors with the resolution ratio;
 //  * the upsampled coarse winner seeds a shrunken window that contains
 //    it, with a full-window per-pixel fallback when it cannot;
 //  * the pruned FlowField — and every counter of its report — is
 //    bit-identical across backends (maspar-sim included), thread caps
 //    and tile shapes, and the vector backend runs it on its lane kernel,
-//    folding exactly the admitted hypotheses; only the full-vs-pruned
-//    comparison is tolerance-based (a bad seed may exclude the oracle
-//    winner; quantified, not assumed);
+//    folding exactly the admitted hypotheses;
+//  * pruned search runs whenever it is asked for: F_semi, every segment
+//    height, validity masks and the precompute off prune too, with the
+//    same bytes on every backend, and every segment height and the
+//    precompute off reproduce the unsegmented, precomputed run; only
+//    the full-vs-pruned comparison is tolerance-based (a bad seed may
+//    exclude the oracle winner; quantified, not assumed);
 //  * the coarse seed pass runs inside the pruned search's span, so its
 //    time is attributed.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
 #include "core/match_vector.hpp"
 #include "core/obs_bridge.hpp"
@@ -73,11 +76,6 @@ const surface::GeometricField& geom0() {
   return g;
 }
 
-const MatchPrecompute& precompute0() {
-  static const MatchPrecompute pre(geom0());
-  return pre;
-}
-
 /// The pruning accounting of a sequential result (null if absent).
 const PruneReport* host_report(const TrackResult& r) {
   const auto* extras =
@@ -89,10 +87,9 @@ const PruneReport* host_report(const TrackResult& r) {
 /// same winners, so every counter matches.
 void expect_same_report(const PruneReport& want, const PruneReport& got,
                         const std::string& what) {
-  static_assert(sizeof(PruneReport) == 10 * sizeof(std::uint64_t),
+  static_assert(sizeof(PruneReport) == 9 * sizeof(std::uint64_t),
                 "PruneReport changed: compare the new field here");
   EXPECT_EQ(got.active, want.active) << what;
-  EXPECT_EQ(got.fallback_reason, want.fallback_reason) << what;
   EXPECT_EQ(got.full_grid_hypotheses, want.full_grid_hypotheses) << what;
   EXPECT_EQ(got.coarse_hypotheses, want.coarse_hypotheses) << what;
   EXPECT_EQ(got.fine_scheduled, want.fine_scheduled) << what;
@@ -104,81 +101,26 @@ void expect_same_report(const PruneReport& want, const PruneReport& got,
 }
 
 // ---------------------------------------------------------------------------
-// resolve_prune — the single eligibility rule.
+// upsample_flow — the coarse winners' propagation to full resolution.
 // ---------------------------------------------------------------------------
 
-TEST(ResolvePrune, DecisionTable) {
-  SmaConfig cfg = pruned_config();
-  MatchInput in;
-  in.precompute = &precompute0();
-  in.raw_before = &frame0();
-  in.raw_after = &frame1();
-
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNone);
-
-  cfg.search_mode = SearchMode::kFull;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNotRequested);
-  cfg.search_mode = SearchMode::kPruned;
-
-  // No planes (or an ineligible precompute config) — the pruned sweep
-  // rides the SoA planes, so it degrades with them.
-  in.precompute = nullptr;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNoPrecompute);
-  in.precompute = &precompute0();
-  cfg.precompute = PrecomputeMode::kOff;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNoPrecompute);
-  cfg.precompute = PrecomputeMode::kOn;
-
-  // F_semi rides the precompute now, but the pruned sweep does not model
-  // its remap: an active one reports its own reason instead of hiding
-  // under kNoPrecompute (or silently pruning).  Nss = 0 is F_cont.
-  cfg.model = MotionModel::kSemiFluid;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kSemiFluid);
-  cfg.semifluid_search_radius = 0;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNone);
-  cfg = pruned_config();
-
-  // A segment height below the full hy range splits the shrunken
-  // window across segments.
-  cfg.segment_rows = 1;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kSegmented);
-  cfg.segment_rows = 0;
-
-  in.raw_before = nullptr;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNoRawFrames);
-  in.raw_before = &frame0();
-  in.raw_after = nullptr;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNoRawFrames);
-  in.raw_after = &frame1();
-
-  cfg.z_search_radius = 0;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kTinySearch);
-  cfg.z_search_radius = 3;
-  cfg.z_search_radius_y = 0;
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kTinySearch);
-  cfg.z_search_radius_y = -1;
-
-  EXPECT_EQ(resolve_prune(cfg, in), PruneFallback::kNone);
+TEST(UpsampleFlow, DoublesVectorsWithResolution) {
+  const imaging::FlowField coarse = testing::constant_flow(8, 8, 1.5f, -0.5f);
+  const imaging::FlowField fine = upsample_flow(coarse, 16, 16);
+  EXPECT_EQ(fine.width(), 16);
+  EXPECT_NEAR(fine.at(8, 8).u, 3.0f, 1e-5);
+  EXPECT_NEAR(fine.at(8, 8).v, -1.0f, 1e-5);
+  EXPECT_EQ(fine.count_valid(), 256u);
 }
 
-TEST(ResolvePrune, FallbackNamesAreStable) {
-  EXPECT_STREQ(prune_fallback_name(PruneFallback::kNone), "none");
-  EXPECT_STREQ(prune_fallback_name(PruneFallback::kNotRequested),
-               "not-requested");
-  EXPECT_STREQ(prune_fallback_name(PruneFallback::kSemiFluid), "semi-fluid");
-  // Every enumerator has a distinct, non-empty name (metrics readers
-  // key on them).
-  std::vector<std::string> names;
-  for (const PruneFallback f :
-       {PruneFallback::kNone, PruneFallback::kNotRequested,
-        PruneFallback::kNoPrecompute, PruneFallback::kSegmented,
-        PruneFallback::kNoRawFrames, PruneFallback::kTinySearch,
-        PruneFallback::kSemiFluid}) {
-    const std::string name = prune_fallback_name(f);
-    EXPECT_FALSE(name.empty());
-    for (const std::string& seen : names) EXPECT_NE(name, seen);
-    names.push_back(name);
-  }
+TEST(UpsampleFlow, IdentityAtSameSize) {
+  const imaging::FlowField f = testing::constant_flow(8, 8, 2.0f, 1.0f);
+  const imaging::FlowField same = upsample_flow(f, 8, 8);
+  for (int y = 0; y < 8; ++y)
+    for (int x = 0; x < 8; ++x) {
+      EXPECT_NEAR(same.at(x, y).u, 2.0f, 1e-5);
+      EXPECT_NEAR(same.at(x, y).v, 1.0f, 1e-5);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -374,8 +316,6 @@ TEST(PrunedSearch, ReportAccountingIsConsistent) {
   const PruneReport* report = host_report(r);
   ASSERT_NE(report, nullptr);
   EXPECT_EQ(report->active, 1u);
-  EXPECT_EQ(report->fallback_reason,
-            static_cast<std::uint64_t>(PruneFallback::kNone));
 
   const std::uint64_t npix = static_cast<std::uint64_t>(kW) * kH;
   const std::uint64_t grid = 7ull * 7ull;  // (2*3+1)^2
@@ -428,87 +368,194 @@ TEST(PrunedSearch, CoarsePassRunsInsideThePrunedSpan) {
   }
 }
 
-TEST(PrunedSearch, IneligibleConfigsFallBackBitIdenticalToFull) {
+TEST(PrunedSearch, AnyModelSegmentMaskOrPrecomputePrunesOnEveryBackend) {
+  // F_semi, segmented, masked and precompute-off runs prune, and every
+  // backend, tile shape and thread cap reproduces the sequential bytes
+  // and counters.  Segment heights and the precompute do not change the
+  // hypotheses a pixel folds, so they reproduce the unsegmented,
+  // precomputed run too.
+  maspar::register_maspar_backend();
+  const TrackerInput plain = monocular_input();
+  imaging::ImageU8 mask(kW, kH);
+  mask.fill(1);
+  for (int x = 0; x < kW; ++x) mask.at(x, 9) = 0;
+  TrackerInput masked = plain;
+  masked.validity_before = &mask;
 
-  struct FallbackCase {
-    const char* name;
-    PruneFallback expected;
-    void (*mutate)(SmaConfig&, TrackerInput&, imaging::ImageU8&);
+  // Runs `cfg` on every backend and returns the sequential result.
+  const auto every_backend = [](const SmaConfig& cfg, const TrackerInput& in,
+                                const std::string& what) {
+    TrackResult ref = SmaPipeline(cfg).track_pair(in);
+    const PruneReport* want = host_report(ref);
+    EXPECT_NE(want, nullptr) << what;
+    if (want == nullptr) return ref;
+    EXPECT_EQ(want->active, 1u) << what;
+    EXPECT_GT(want->window_pixels, 0u) << what;
+    EXPECT_LT(want->fine_scheduled, want->full_grid_hypotheses) << what;
+
+    const TrackResult mp =
+        SmaPipeline(cfg, {.backend = "maspar-sim"}).track_pair(in);
+    EXPECT_TRUE(imaging::bit_equal(ref.flow, mp.flow)) << what << " maspar";
+    const auto* mx =
+        dynamic_cast<const maspar::MasParBackendExtras*>(mp.extras.get());
+    EXPECT_NE(mx, nullptr) << what;
+    if (mx != nullptr) expect_same_report(*want, mx->prune, what + " maspar");
+    for (const int threads : {1, 4})
+      for (const int tile : {0, 1}) {
+        SmaConfig vcfg = cfg;
+        vcfg.threads = threads;
+        vcfg.tile_width = tile != 0 ? 5 : 0;
+        vcfg.tile_height = tile != 0 ? 3 : 0;
+        const std::string vwhat = what + " vector threads " +
+                                  std::to_string(threads) +
+                                  (tile != 0 ? " 5x3" : " default tiles");
+        const TrackResult r =
+            SmaPipeline(vcfg, {.backend = "vector"}).track_pair(in);
+        EXPECT_TRUE(imaging::bit_equal(ref.flow, r.flow)) << vwhat;
+        const auto* vx =
+            dynamic_cast<const VectorBackendExtras*>(r.extras.get());
+        EXPECT_NE(vx, nullptr) << vwhat;
+        if (vx != nullptr) expect_same_report(*want, vx->prune, vwhat);
+      }
+    return ref;
   };
-  const FallbackCase cases[] = {
-      {"segmented", PruneFallback::kSegmented,
-       [](SmaConfig& cfg, TrackerInput&, imaging::ImageU8&) {
-         cfg.segment_rows = 2;
-       }},
-      {"tiny-search", PruneFallback::kTinySearch,
-       [](SmaConfig& cfg, TrackerInput&, imaging::ImageU8&) {
-         cfg.z_search_radius_y = 0;
-       }},
-      {"semi-fluid", PruneFallback::kSemiFluid,
-       [](SmaConfig& cfg, TrackerInput&, imaging::ImageU8&) {
-         cfg.model = MotionModel::kSemiFluid;
-       }},
-      {"masked", PruneFallback::kNoPrecompute,
-       [](SmaConfig&, TrackerInput& in, imaging::ImageU8& mask) {
-         mask = imaging::ImageU8(kW, kH);
-         mask.fill(1);
-         for (int x = 0; x < kW; ++x) mask.at(x, 9) = 0;
-         in.validity_before = &mask;
-       }},
-  };
 
-  for (const FallbackCase& c : cases) {
-    SmaConfig pruned = pruned_config();
-    TrackerInput in = monocular_input();
-    imaging::ImageU8 mask;
-    c.mutate(pruned, in, mask);
-    SmaConfig full = pruned;
-    full.search_mode = SearchMode::kFull;
+  for (const MotionModel model :
+       {MotionModel::kSemiFluid, MotionModel::kContinuous}) {
+    SmaConfig cfg = pruned_config();
+    cfg.model = model;
+    const std::string name =
+        model == MotionModel::kSemiFluid ? "semi" : "cont";
+    const TrackResult base = every_backend(cfg, plain, name);
+    const PruneReport* base_report = host_report(base);
+    ASSERT_NE(base_report, nullptr) << name;
 
-    const TrackResult want = SmaPipeline(full).track_pair(in);
-    const TrackResult got = SmaPipeline(pruned).track_pair(in);
-    EXPECT_EQ(want.flow, got.flow)
-        << "fallback '" << c.name << "' must be bit-identical to full";
-    const PruneReport* report = host_report(got);
-    ASSERT_NE(report, nullptr) << c.name;
-    EXPECT_EQ(report->active, 0u) << c.name;
-    EXPECT_EQ(report->fallback_reason, static_cast<std::uint64_t>(c.expected))
-        << c.name;
+    const auto expect_as_base = [&](const TrackResult& r,
+                                    const std::string& what) {
+      EXPECT_TRUE(imaging::bit_equal(base.flow, r.flow)) << what;
+      const PruneReport* got = host_report(r);
+      EXPECT_NE(got, nullptr) << what;
+      if (got != nullptr) expect_same_report(*base_report, *got, what);
+    };
+    for (int rows = 1; rows <= cfg.z_search_size_y(); ++rows) {
+      SmaConfig seg = cfg;
+      seg.segment_rows = rows;
+      const std::string what = name + " segment_rows " + std::to_string(rows);
+      expect_as_base(every_backend(seg, plain, what), what);
+    }
+    SmaConfig off = cfg;
+    off.precompute = PrecomputeMode::kOff;
+    expect_as_base(every_backend(off, plain, name + " precompute off"),
+                   name + " precompute off");
+
+    const TrackResult m = every_backend(cfg, masked, name + " masked");
+    EXPECT_LT(m.flow.at(20, 9).confidence, 1.0f) << name << " masked";
   }
 }
 
-TEST(PrunedSearch, AgreesWithFullOracleOnTranslation) {
-  const TrackerInput in = monocular_input();
+TEST(PrunedSearch, RadiusZeroSearchReportsItsOwnCost) {
+  // A 1x1 search has nothing to shrink: every pixel keeps its full
+  // window, the flow is full search's, and the report shows the seed
+  // pass as pure overhead.
   SmaConfig pruned = pruned_config();
+  pruned.z_search_radius = 0;
   SmaConfig full = pruned;
   full.search_mode = SearchMode::kFull;
+  const TrackerInput in = monocular_input();
+  const TrackResult want = SmaPipeline(full).track_pair(in);
+  const TrackResult got = SmaPipeline(pruned).track_pair(in);
+  EXPECT_TRUE(imaging::bit_equal(want.flow, got.flow));
+  const PruneReport* report = host_report(got);
+  ASSERT_NE(report, nullptr);
+  EXPECT_EQ(report->active, 1u);
+  const std::uint64_t npix = static_cast<std::uint64_t>(kW) * kH;
+  EXPECT_EQ(report->window_pixels, 0u);
+  EXPECT_EQ(report->fallback_pixels, npix);
+  EXPECT_EQ(report->fine_scheduled, npix);
+  EXPECT_LT(report->reduction(), 1.0);
+}
 
-  TrackOptions opts;
-  opts.subpixel = true;
-  const TrackResult want = SmaPipeline(full, {.track = opts}).track_pair(in);
-  const TrackResult got = SmaPipeline(pruned, {.track = opts}).track_pair(in);
+TEST(PruneWindows, NeedSeedsOrRawFrames) {
+  MatchInput in;
+  in.before = in.after = &geom0();
+  std::uint64_t coarse = 0;
+  EXPECT_THROW(prune_windows(in, pruned_config(), coarse),
+               std::invalid_argument);
+  in.raw_before = &frame0();
+  EXPECT_THROW(prune_windows(in, pruned_config(), coarse),
+               std::invalid_argument);
+  in.raw_after = &frame1();
+  EXPECT_EQ(prune_windows(in, pruned_config(), coarse).size(),
+            static_cast<std::size_t>(kW) * kH);
+  EXPECT_GT(coarse, 0u);
+}
 
-  // Tolerance-equal, not bit-equal: a bad seed can exclude the oracle
-  // winner.  The disagreement concentrates in the clamped-border band,
-  // where the shifted frame is locally ambiguous and the oracle's
-  // tie-break picks among near-equal minima the shrunken window may
-  // exclude — so the interior budget is tight and the global one loose.
-  const int margin = pruned.z_search_radius + pruned.z_template_radius + 2;
-  int mismatches = 0, interior_mismatches = 0, interior = 0;
-  for (int y = 0; y < got.flow.height(); ++y)
-    for (int x = 0; x < got.flow.width(); ++x) {
-      const imaging::FlowVector a = got.flow.at(x, y);
-      const imaging::FlowVector b = want.flow.at(x, y);
-      const bool differs = a.valid != b.valid || a.u != b.u || a.v != b.v;
-      if (differs) ++mismatches;
-      if (x >= margin && x < kW - margin && y >= margin && y < kH - margin) {
-        ++interior;
-        if (differs) ++interior_mismatches;
+TEST(PrunedSearch, AgreesWithFullOracleOnTranslation) {
+  struct Translation {
+    const char* name;
+    imaging::ImageF before, after;
+    SmaConfig config;
+  };
+  std::vector<Translation> inputs;
+  inputs.push_back({"textured 40x36, shift (2, -1)", frame0(), frame1(),
+                    pruned_config()});
+  // A 6 px shift that a 7 px search box covers: the coarse level sees
+  // 3 px.  Multiscale clouds, so the decimated frames stay trackable.
+  {
+    const imaging::ImageF base = goes::fractal_clouds(96, 96, 7);
+    SmaConfig wide = pruned_config();
+    wide.z_search_radius = 7;
+    inputs.push_back({"clouds 96x96, shift (6, 0)", base,
+                      testing::shift_image(base, 6, 0), wide});
+  }
+
+  imaging::FlowField wide_flow;
+  for (const Translation& t : inputs) {
+    SCOPED_TRACE(t.name);
+    const SmaConfig& pruned = t.config;
+    SmaConfig full = pruned;
+    full.search_mode = SearchMode::kFull;
+    TrackOptions opts;
+    opts.subpixel = true;
+    const TrackResult want =
+        SmaPipeline(full, {.track = opts}).track_pair(t.before, t.after);
+    const TrackResult got =
+        SmaPipeline(pruned, {.track = opts}).track_pair(t.before, t.after);
+
+    // Tolerance-equal, not bit-equal: a bad seed can exclude the oracle
+    // winner.  The disagreement concentrates in the clamped-border band,
+    // where the shifted frame is locally ambiguous and the oracle's
+    // tie-break picks among near-equal minima the shrunken window may
+    // exclude — so the interior budget is tight and the global one loose.
+    const int w = got.flow.width();
+    const int h = got.flow.height();
+    const int margin = pruned.z_search_radius + pruned.z_template_radius + 2;
+    int mismatches = 0, interior_mismatches = 0, interior = 0;
+    for (int y = 0; y < h; ++y)
+      for (int x = 0; x < w; ++x) {
+        const imaging::FlowVector a = got.flow.at(x, y);
+        const imaging::FlowVector b = want.flow.at(x, y);
+        const bool differs = a.valid != b.valid || a.u != b.u || a.v != b.v;
+        if (differs) ++mismatches;
+        if (x >= margin && x < w - margin && y >= margin && y < h - margin) {
+          ++interior;
+          if (differs) ++interior_mismatches;
+        }
       }
+    ASSERT_GT(interior, 0);
+    EXPECT_LE(static_cast<double>(interior_mismatches) / interior, 0.02);
+    EXPECT_LE(static_cast<double>(mismatches) / (w * h), 0.20);
+    wide_flow = got.flow;
+  }
+  // The wide pair's pruned flow reaches the 6 px displacement.
+  int close = 0, total = 0;
+  for (int y = 16; y < 80; ++y)
+    for (int x = 16; x < 80; ++x) {
+      const imaging::FlowVector f = wide_flow.at(x, y);
+      if (std::abs(f.u - 6.0f) <= 1.0f && std::abs(f.v) <= 1.0f) ++close;
+      ++total;
     }
-  ASSERT_GT(interior, 0);
-  EXPECT_LE(static_cast<double>(interior_mismatches) / interior, 0.02);
-  EXPECT_LE(static_cast<double>(mismatches) / (kW * kH), 0.20);
+  EXPECT_GT(static_cast<double>(close) / total, 0.9);
 }
 
 TEST(PrunedSearch, FullModeCarriesNoPruneExtras) {
