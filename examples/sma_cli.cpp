@@ -20,7 +20,6 @@
 //   --subpixel             parabolic refinement
 //   --backend NAME         execution backend from the registry:
 //                          sequential | vector (default) | maspar-sim
-//   --sequential           shorthand for --backend sequential
 //   --precompute MODE      hypothesis-invariant matching precompute:
 //                          on (default) | off
 //   --threads N            cap this run's tile executors (0 = the whole
@@ -90,7 +89,7 @@ int usage() {
                "                 [track options]\n"
                "  sma_cli track  <before.pgm> <after.pgm> <out_flow.txt>\n"
                "                 [--model cont|semi] [--search N]\n"
-               "                 [--template N] [--subpixel] [--sequential]\n"
+               "                 [--template N] [--subpixel]\n"
                "                 [--backend sequential|vector|maspar-sim]\n"
                "                 (default vector)\n"
                "                 [--robust] [--ppm FILE]\n"
@@ -196,8 +195,6 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       o.cfg.z_template_radius = int_flag(argc, argv, i);
     } else if (a == "--subpixel") {
       o.opts.subpixel = true;
-    } else if (a == "--sequential") {
-      o.backend = "sequential";
     } else if (a == "--backend") {
       o.backend = flag_value(argc, argv, i);
     } else if (a == "--precompute") {
@@ -391,8 +388,8 @@ int cmd_track(int argc, char** argv) {
     core::TrackerInput in;
     in.intensity_before = in.surface_before = &rep0.image;
     in.intensity_after = in.surface_after = &rep1.image;
-    in.validity_before = &rep0.validity;
-    in.validity_after = &rep1.validity;
+    in.validity_before = rep0.masked() ? &rep0.validity : nullptr;
+    in.validity_after = rep1.masked() ? &rep1.validity : nullptr;
     r = pipeline.track_pair(in);
   } else {
     r = pipeline.track_pair(before, after);

@@ -159,10 +159,18 @@ run "$cli" track "${pair[@]}" flow_pruned_semi.txt --model semi \
 run "$cli" track "${pair[@]}" flow_pruned_semi_off.txt --model semi \
   --search-mode pruned --backend sequential --precompute off
 run cmp flow_pruned_semi.txt flow_pruned_semi_off.txt
+# Faults at rate 0.02 are only interpolated and despiked (no mask, the
+# lane kernel); seed 5 at rate 0.05 leaves one scan line masked (the
+# staged path).
+run "$cli" track "${pair[@]}" flow_fault_seq.txt --backend sequential \
+  --inject-faults 0.02
+run "$cli" track "${pair[@]}" flow_fault_vec.txt --backend vector \
+  --inject-faults 0.02
+run cmp flow_fault_seq.txt flow_fault_vec.txt
 run "$cli" track "${pair[@]}" flow_pruned_fault_seq.txt --search-mode pruned \
-  --backend sequential --inject-faults 0.02
+  --backend sequential --inject-faults 0.05 --fault-seed 5
 run "$cli" track "${pair[@]}" flow_pruned_fault_vec.txt --search-mode pruned \
-  --backend vector --inject-faults 0.02
+  --backend vector --inject-faults 0.05 --fault-seed 5
 run cmp flow_pruned_fault_seq.txt flow_pruned_fault_vec.txt
 run "$cli" track "${pair[@]}" flow_full.txt --model cont --search-mode full \
   --backend vector
@@ -173,7 +181,7 @@ run "$cli" track "${pair[@]}" flow_smoke.txt --model semi --search 3 \
   --subpixel --robust --ppm flow_smoke.ppm
 run "$cli" stereo ci_before.pgm ci_before.pgm disp.pfm --levels 2
 run "$cli" track "${pair[@]}" flow_obs_mp.txt --model cont --search 2 \
-  --template 2 --backend maspar-sim --inject-faults 0.02 \
+  --template 2 --backend maspar-sim --inject-faults 0.05 --fault-seed 5 \
   --trace obs_mp_trace.json --metrics obs_mp_metrics.csv
 
 # --- sma_serve / sma_client: a rate-limited and a chaos daemon.

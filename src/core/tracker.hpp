@@ -172,9 +172,9 @@ class MatchPrecompute;  // fwd (match_precompute.hpp)
 // The matching stage.
 //
 // SmaPipeline runs the per-frame stages (surface fit, geometric
-// variables, match precompute) once per frame, and every backend's
-// match() calls run_matching_stage below, which differs between
-// backends only in how one segment's pixels are visited — so all
+// variables) once per frame and the match precompute once per pair, and
+// every backend's match() calls run_matching_stage below, which differs
+// between backends only in how one segment's pixels are visited — so all
 // substrates share the exact per-pixel arithmetic, the paper's
 // bit-identical-across-substrates contract (Sec. 5.1).
 // ---------------------------------------------------------------------------
@@ -190,10 +190,10 @@ struct MatchInput {
   const imaging::ImageU8* mask_before = nullptr;
   const imaging::ImageU8* mask_after = nullptr;
   /// Optional hypothesis-invariant precompute of `before`
-  /// (match_precompute.hpp), attached by SmaPipeline, which caches it
-  /// alongside the geometry.  Consumers re-check resolve_precompute
-  /// before using it; when null — or when masks make it ineligible — the
-  /// matching stages run the naive oracle path.
+  /// (match_precompute.hpp), built by SmaPipeline for this pair and
+  /// dropped when the pair returns.  Consumers re-check
+  /// resolve_precompute before using it; when null — or when masks make
+  /// it ineligible — the matching stages run the naive oracle path.
   const MatchPrecompute* precompute = nullptr;
   /// The raw z-surface frames the geometry was derived from, attached by
   /// SmaPipeline so the pruned search mode (match_prune.hpp) can build

@@ -50,12 +50,6 @@ void TrajectoryTracker::advance(const imaging::FlowField& flow) {
   }
 }
 
-std::size_t TrajectoryTracker::live_count() const {
-  std::size_t n = 0;
-  for (const Trajectory& t : tracks_) n += t.lost ? 0 : 1;
-  return n;
-}
-
 std::vector<Trajectory> track_trajectories(
     const std::vector<imaging::FlowField>& flows,
     const std::vector<std::pair<double, double>>& seeds) {

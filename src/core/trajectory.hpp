@@ -47,7 +47,6 @@ class TrajectoryTracker {
   void advance(const imaging::FlowField& flow);
 
   const std::vector<Trajectory>& trajectories() const { return tracks_; }
-  std::size_t live_count() const;
 
  private:
   std::vector<Trajectory> tracks_;

@@ -63,6 +63,15 @@ struct RepairReport {
            repaired_cols.empty() && masked_cols.empty() &&
            despiked_pixels == 0 && !frame_missing;
   }
+
+  /// True when `validity` holds a zero: a masked row or column, or a
+  /// missing frame.  Interpolation and despiking leave it all-valid, and
+  /// an all-valid mask tracks bit-identically to none, so callers attach
+  /// the mask only when this holds — any attached mask costs the
+  /// precompute and the vector lane kernel (DESIGN.md §9).
+  bool masked() const {
+    return !masked_rows.empty() || !masked_cols.empty() || frame_missing;
+  }
 };
 
 /// Rows whose statistics mark them as dropped scan lines.

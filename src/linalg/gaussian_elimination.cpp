@@ -11,8 +11,6 @@ SolveCounters& solve_counters() {
   return counters;
 }
 
-void reset_solve_counters() { solve_counters() = SolveCounters{}; }
-
 SolveStatus solve6(Mat6 a, Vec6 b, Vec6& x, double eps) {
   auto& counters = solve_counters();
   ++counters.solves6;

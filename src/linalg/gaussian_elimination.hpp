@@ -36,11 +36,9 @@ struct SolveCounters {
 };
 
 /// Returns a mutable reference to this thread's counters.  Each worker
-/// thread accumulates privately; harnesses sum via `collect_solve_counters`.
+/// thread accumulates privately; a caller measures its own work as the
+/// difference of two reads.
 SolveCounters& solve_counters();
-
-/// Reset this thread's counters to zero.
-void reset_solve_counters();
 
 /// Solves A x = b for a 6x6 system with partial pivoting.
 /// A and b are taken by value (the elimination destroys them); the solution

@@ -95,8 +95,7 @@ core::TrackResult MasParExecutor::run_matching(
   const CostModel model(spec_);
   report.modeled = model.mp2_times(workload, image_count);
   report.modeled_sgi_total = model.sgi_times(workload, image_count).total();
-  report.modeled_speedup =
-      report.modeled_sgi_total / report.modeled.total();
+  report.modeled_speedup = model.speedup(workload, image_count);
 
   // Template-gather traffic: every tracked pixel touches geometry within
   // N_zT + N_zs + N_ss of itself; meter the multi-hop mesh cost of one

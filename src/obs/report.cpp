@@ -32,12 +32,6 @@ std::string fmt_exact(double v) {
 
 }  // namespace
 
-double RunReport::metric(const std::string& metric_name,
-                         double fallback) const {
-  const MetricSnapshot* s = find_metric(metrics, metric_name);
-  return s != nullptr ? s->value : fallback;
-}
-
 void RunReport::write_json(std::ostream& os) const {
   os << "{\"name\":\"" << json_escape(name) << "\",\"config\":\""
      << json_escape(config) << "\",\"backend\":\"" << json_escape(backend)

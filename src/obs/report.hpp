@@ -25,9 +25,6 @@ struct RunReport {
   std::string backend;  ///< tracker backend name, if one was involved
   std::vector<MetricSnapshot> metrics;
 
-  /// Convenience: value of a counter/gauge metric, or `fallback`.
-  double metric(const std::string& metric_name, double fallback = 0.0) const;
-
   /// One JSON object {"name":..., "config":..., "backend":...,
   /// "metrics":{...}}.
   void write_json(std::ostream& os) const;

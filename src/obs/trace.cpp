@@ -129,11 +129,6 @@ std::uint64_t TraceRecorder::dropped() const {
   return total;
 }
 
-std::size_t TraceRecorder::thread_count() const {
-  std::lock_guard<std::mutex> lock(rings_mutex_);
-  return rings_.size();
-}
-
 void TraceRecorder::clear() {
   std::lock_guard<std::mutex> lock(rings_mutex_);
   for (const auto& ring : rings_) {

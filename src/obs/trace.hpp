@@ -67,9 +67,6 @@ class TraceRecorder {
   /// Events overwritten because a ring was full.
   std::uint64_t dropped() const;
 
-  /// Number of threads that have recorded at least one span.
-  std::size_t thread_count() const;
-
   void clear();
 
   /// Chrome trace_event JSON ("ph":"X" complete events).  The stream

@@ -69,7 +69,6 @@ core::PipelineStats PipelineManager::aggregate_stats() const {
     total.cache_misses += s.cache_misses;
     total.cache_evictions += s.cache_evictions;
     total.precompute_builds += s.precompute_builds;
-    total.precompute_reuses += s.precompute_reuses;
     total.surface_fit_seconds += s.surface_fit_seconds;
     total.geometric_vars_seconds += s.geometric_vars_seconds;
     total.match_precompute_seconds += s.match_precompute_seconds;
@@ -303,7 +302,9 @@ WorkerPool::JobFrame WorkerPool::load_frame(
   imaging::RepairReport rep = imaging::repair_frame(dirty);
   frame.repaired = !rep.clean();
   frame.image = std::make_shared<imaging::ImageF>(std::move(rep.image));
-  frame.validity = std::make_shared<imaging::ImageU8>(std::move(rep.validity));
+  if (rep.masked())
+    frame.validity =
+        std::make_shared<imaging::ImageU8>(std::move(rep.validity));
   return frame;
 }
 

@@ -193,8 +193,8 @@ class WorkerPool {
   void run_batch(Job leader);
 
   /// A job's frame as its flow step sees it: the interned raster, or —
-  /// when chaos corrupts the request — a repaired copy and its validity
-  /// mask.
+  /// when chaos corrupts the request — a repaired copy and, when the
+  /// repair masked something, its validity mask.
   struct JobFrame {
     std::shared_ptr<const imaging::ImageF> image;
     std::shared_ptr<const imaging::ImageU8> validity;

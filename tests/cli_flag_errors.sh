@@ -7,12 +7,12 @@
 # an internal error or go on with a value it made up. That covers a
 # trailing flag that is missing its value, a name the flag does not
 # accept (a backend the registry does not know, including the retired
-# "openmp" and "tiled", a retired --precompute mode or --prune-bound, a
-# model other than cont|semi) and a number that is not wholly a number (--search abc
-# used to run a 1x1 search, sma_serve --port abc used to listen on an
-# ephemeral port). Every leg runs under `timeout`, so a front end that
-# starts work instead of rejecting its flags fails the leg rather than
-# hanging the test.
+# "openmp" and "tiled", a retired --precompute mode, the retired
+# --prune-bound and --sequential flags, a model other than cont|semi) and
+# a number that is not wholly a number (--search abc used to run a 1x1
+# search, sma_serve --port abc used to listen on an ephemeral port).
+# Every leg runs under `timeout`, so a front end that starts work instead
+# of rejecting its flags fails the leg rather than hanging the test.
 set -u
 cli_dir=$1
 tools_dir=$2
@@ -34,7 +34,7 @@ expect_config() {
 
 for tail in --ppm --model --backend "--backend openmp" "--backend tiled" \
     "--precompute auto" "--search abc" "--search 3x" "--model foo" \
-    "--inject-faults abc" "--tile 8xq" "--prune-bound on"; do
+    "--inject-faults abc" "--tile 8xq" "--prune-bound on" --sequential; do
   # $tail is split on purpose: "--backend openmp" is a flag and a value.
   expect_config "sma_cli track ... $tail" ./sma_cli track \
     cli_flags_before.pgm cli_flags_after.pgm cli_flags_flow.txt $tail

@@ -243,7 +243,7 @@ TEST(SmaPipeline, CachedSequenceMatchesPairwiseTracking) {
   }
 }
 
-TEST(SmaPipeline, ClearCacheAndConfigChangeRefit) {
+TEST(SmaPipeline, ClearCacheRefits) {
   const std::vector<imaging::ImageF> frames = make_sequence(2);
   SmaPipeline pipeline(sequence_config());
   pipeline.track_pair(frames[0], frames[1]);
@@ -257,13 +257,24 @@ TEST(SmaPipeline, ClearCacheAndConfigChangeRefit) {
   pipeline.clear_cache();
   pipeline.track_pair(frames[0], frames[1]);
   EXPECT_EQ(pipeline.stats().surface_fits, 4u);
+}
 
-  // A different surface-fit radius invalidates by key, not by flush.
-  SmaConfig wider = pipeline.config();
-  wider.surface_fit_radius = 3;
-  pipeline.set_config(wider);
+// The cache keys on the buffer address, so a buffer that comes back
+// with other pixels must miss: the daemon's repaired copies of one frame
+// can land on a freed copy's address and differ from it in a few scan
+// lines only.
+TEST(SmaPipeline, ChangedPixelsAtACachedAddressRefit) {
+  std::vector<imaging::ImageF> frames = make_sequence(2);
+  SmaPipeline pipeline(sequence_config());
   pipeline.track_pair(frames[0], frames[1]);
-  EXPECT_EQ(pipeline.stats().surface_fits, 6u);
+
+  for (int x = 0; x < frames[0].width(); ++x) frames[0].at(x, 5) += 1.0f;
+  const TrackResult changed = pipeline.track_pair(frames[0], frames[1]);
+  EXPECT_EQ(pipeline.stats().surface_fits, 3u);
+  EXPECT_EQ(pipeline.stats().cache_hits, 1u);
+  const TrackResult fresh =
+      SmaPipeline(sequence_config()).track_pair(frames[0], frames[1]);
+  EXPECT_TRUE(imaging::bit_equal(changed.flow, fresh.flow));
 }
 
 TEST(SmaPipeline, RejectsUnknownBackendAndBadCapacity) {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/fault.hpp"
+#include "core/match_vector.hpp"
 #include "core/sma.hpp"
 #include "goes/datasets.hpp"
 #include "imaging/repair.hpp"
+#include "maspar/backend.hpp"
 
 namespace sma {
 namespace {
@@ -90,29 +93,35 @@ TEST(FaultTolerance, RepairedTrackingStaysNearCleanAccuracy) {
     }
 }
 
+// An all-valid mask tracks bit-identically to none on every backend, so
+// the CLI and the daemon attach a repaired frame's mask only when repair
+// masked something (RepairReport::masked()) — and without one the
+// `vector` backend keeps its lane kernel.
 TEST(FaultTolerance, AllValidMaskIsBitIdenticalToNoMask) {
+  maspar::register_maspar_backend();
   const Pipelines p;
-  const core::TrackResult bare =
-      core::SmaPipeline(p.cfg, p.opts).track_pair(p.data.left0, p.data.left1);
-
   const imaging::ImageU8 ones(p.data.left0.width(), p.data.left0.height(), 1);
   core::TrackerInput in;
   in.intensity_before = in.surface_before = &p.data.left0;
   in.intensity_after = in.surface_after = &p.data.left1;
   in.validity_before = &ones;
   in.validity_after = &ones;
-  const core::TrackResult masked =
-      core::SmaPipeline(p.cfg, p.opts).track_pair(in);
 
-  EXPECT_TRUE(bare.flow == masked.flow);
-  // Including the error channel, which operator== does not cover.
-  for (int y = 0; y < bare.flow.height(); ++y)
-    for (int x = 0; x < bare.flow.width(); ++x) {
-      const imaging::FlowVector a = bare.flow.at(x, y);
-      const imaging::FlowVector b = masked.flow.at(x, y);
-      ASSERT_EQ(a.error, b.error) << "at " << x << "," << y;
-      ASSERT_EQ(a.confidence, b.confidence);
+  for (const std::string backend : {"sequential", "vector", "maspar-sim"}) {
+    SCOPED_TRACE(backend);
+    const core::PipelineOptions opts{.backend = backend};
+    const core::TrackResult bare =
+        core::SmaPipeline(p.cfg, opts).track_pair(p.data.left0, p.data.left1);
+    const core::TrackResult masked =
+        core::SmaPipeline(p.cfg, opts).track_pair(in);
+    EXPECT_TRUE(imaging::bit_equal(bare.flow, masked.flow));
+    if (backend == "vector") {
+      const auto* vx =
+          dynamic_cast<const core::VectorBackendExtras*>(bare.extras.get());
+      ASSERT_NE(vx, nullptr);
+      EXPECT_TRUE(vx->report.vector_path) << vx->report.fallback;
     }
+  }
 }
 
 TEST(FaultTolerance, FullyMaskedRegionYieldsZeroConfidence) {

@@ -459,26 +459,27 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Pipeline caching: the planes are built once per before frame and
-// reused — without perturbing the geometry hit/miss invariant.
+// Pipeline: the planes are built once per pair and dropped with it; the
+// geometry cache holds fitted geometry only, so the hit/miss invariant
+// is untouched.
 // ---------------------------------------------------------------------------
 
-TEST(PipelinePrecompute, BuildsOncePerBeforeFrameAndReuses) {
+TEST(PipelinePrecompute, BuildsOncePerPair) {
   const imaging::ImageF f0 = testing::textured_pattern(24, 24);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
   SmaPipeline pipeline(base_config());
 
-  pipeline.track_pair(f0, f1);
+  const TrackResult first = pipeline.track_pair(f0, f1);
   EXPECT_EQ(pipeline.stats().precompute_builds, 1u);
-  EXPECT_EQ(pipeline.stats().precompute_reuses, 0u);
 
-  // Same pair again: geometry is a cache hit AND the planes are reused.
-  pipeline.track_pair(f0, f1);
-  EXPECT_EQ(pipeline.stats().precompute_builds, 1u);
-  EXPECT_EQ(pipeline.stats().precompute_reuses, 1u);
+  // Same pair again: geometry is a cache hit, the planes are rebuilt
+  // from it, and the flow keeps every bit.
+  const TrackResult second = pipeline.track_pair(f0, f1);
+  EXPECT_EQ(pipeline.stats().precompute_builds, 2u);
   EXPECT_EQ(pipeline.stats().surface_fits, 2u);
   EXPECT_EQ(pipeline.stats().cache_hits, 2u);
   EXPECT_EQ(pipeline.stats().cache_misses, 2u);
+  EXPECT_TRUE(imaging::bit_equal(first.flow, second.flow));
 }
 
 TEST(PipelinePrecompute, DisabledModeBuildsNothing) {
@@ -489,20 +490,18 @@ TEST(PipelinePrecompute, DisabledModeBuildsNothing) {
   SmaPipeline pipeline(cfg);
   pipeline.track_pair(f0, f1);
   EXPECT_EQ(pipeline.stats().precompute_builds, 0u);
-  EXPECT_EQ(pipeline.stats().precompute_reuses, 0u);
   EXPECT_EQ(pipeline.stats().match_precompute_seconds, 0.0);
 }
 
-TEST(PipelinePrecompute, SequenceBuildsOncePerDistinctBeforeFrame) {
+TEST(PipelinePrecompute, SequenceBuildsOncePerPair) {
   std::vector<imaging::ImageF> frames;
   for (int t = 0; t < 4; ++t)
     frames.push_back(testing::textured_pattern(24, 24, 0.15 * t));
   SmaPipeline pipeline(base_config());
   pipeline.track_sequence(frames);
-  // Every pair has a distinct before frame: 3 builds, no reuse — and the
-  // documented geometry invariant is untouched.
+  // One build per pair, and the documented geometry invariant is
+  // untouched.
   EXPECT_EQ(pipeline.stats().precompute_builds, 3u);
-  EXPECT_EQ(pipeline.stats().precompute_reuses, 0u);
   EXPECT_EQ(pipeline.stats().surface_fits, 4u);
 }
 

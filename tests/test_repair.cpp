@@ -27,6 +27,7 @@ TEST(Repair, CleanFramePassesThroughBitIdentical) {
   const ImageF img = cloudy(40);
   const RepairReport rep = repair_frame(img);
   EXPECT_TRUE(rep.clean());
+  EXPECT_FALSE(rep.masked());
   EXPECT_EQ(max_abs_difference(img, rep.image), 0.0);
   for (int y = 0; y < img.height(); ++y)
     for (int x = 0; x < img.width(); ++x)
@@ -57,6 +58,7 @@ TEST(Repair, InterpolatedRowsAreCloseToOriginal) {
   const RepairReport rep = repair_frame(img);
   EXPECT_EQ(rep.repaired_rows, (std::vector<int>{10, 30}));
   EXPECT_TRUE(rep.masked_rows.empty());
+  EXPECT_FALSE(rep.masked());  // interpolated only: an all-valid mask
   // The cloud texture is smooth enough that a lerp across one line is
   // a good reconstruction — and far better than the dropout fill.
   double worst = 0.0;
@@ -79,6 +81,7 @@ TEST(Repair, WideGapsAreMaskedNotFabricated) {
   const RepairReport rep = repair_frame(img, opts);
   EXPECT_TRUE(rep.repaired_rows.empty());
   EXPECT_EQ(rep.masked_rows.size(), 6u);
+  EXPECT_TRUE(rep.masked());
   for (int y = 12; y < 18; ++y)
     for (int x = 0; x < img.width(); ++x)
       EXPECT_EQ(rep.validity.at(x, y), 0);
@@ -92,7 +95,17 @@ TEST(Repair, EdgeRunWithoutBothNeighborsIsMasked) {
   drop_row(img, 0);  // no row below to bridge from
   const RepairReport rep = repair_frame(img);
   EXPECT_EQ(rep.masked_rows, (std::vector<int>{0}));
+  EXPECT_TRUE(rep.masked());
   for (int x = 0; x < img.width(); ++x) EXPECT_EQ(rep.validity.at(x, 0), 0);
+}
+
+TEST(Repair, EdgeColumnIsMasked) {
+  ImageF img = cloudy(32);
+  drop_col(img, 0);  // no column left of it to bridge from
+  const RepairReport rep = repair_frame(img);
+  EXPECT_EQ(rep.masked_cols, (std::vector<int>{0}));
+  EXPECT_TRUE(rep.masked());
+  for (int y = 0; y < img.height(); ++y) EXPECT_EQ(rep.validity.at(0, y), 0);
 }
 
 TEST(Repair, DespikesSaltAndPepper) {
@@ -115,6 +128,7 @@ TEST(Repair, DespikesSaltAndPepper) {
   img.at(px, py) = 0.0f;    // pepper
   const RepairReport rep = repair_frame(img);
   EXPECT_EQ(rep.despiked_pixels, 2);
+  EXPECT_FALSE(rep.masked());  // despiked only: an all-valid mask
   EXPECT_LT(std::fabs(rep.image.at(sx, sy) - orig.at(sx, sy)), 30.0);
   EXPECT_LT(std::fabs(rep.image.at(px, py) - orig.at(px, py)), 30.0);
   EXPECT_EQ(rep.validity.at(sx, sy), 1);  // repaired, not masked
@@ -124,6 +138,7 @@ TEST(Repair, MissingFrameIsFlagged) {
   ImageF img(24, 24, 0.0f);
   const RepairReport rep = repair_frame(img);
   EXPECT_TRUE(rep.frame_missing);
+  EXPECT_TRUE(rep.masked());
   for (int y = 0; y < 24; ++y)
     for (int x = 0; x < 24; ++x) EXPECT_EQ(rep.validity.at(x, y), 0);
 }

@@ -89,8 +89,7 @@ TEST_P(CostFieldEquivalence, MatchesDirectCost) {
         for (int ox = -fc.ox_radius; ox <= fc.ox_radius; ++ox) {
           const double direct =
               semifluid_cost(d0, d1, px, py, px + ox, py + oy, fc.nst);
-          EXPECT_NEAR(field.cost(px, py, ox, oy), direct,
-                      1e-4 * (1.0 + direct))
+          EXPECT_EQ(field.layer(ox, oy).at(px, py), direct)
               << "p=(" << px << "," << py << ") o=(" << ox << "," << oy << ")";
         }
 }
@@ -100,24 +99,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FieldCase{2, -2, 2, 1}, FieldCase{3, -3, 3, 2},
                       FieldCase{2, -1, 1, 2}, FieldCase{1, 0, 2, 1},
                       FieldCase{4, -4, -2, 1}));
-
-TEST(CostField, BestOffsetMatchesDirectMatch) {
-  const imaging::ImageF d0 = testing::textured_pattern(24, 24);
-  const imaging::ImageF d1 = testing::shift_image(d0, 1, 1);
-  const int nss = 1, nst = 2, nzs = 2;
-  const SemiFluidCostField field(d0, d1, nzs + nss, -nzs - nss, nzs + nss,
-                                 nst);
-  for (int py = 4; py < 20; py += 2)
-    for (int px = 4; px < 20; px += 2)
-      for (int hy = -nzs; hy <= nzs; ++hy)
-        for (int hx = -nzs; hx <= nzs; ++hx) {
-          const auto [ox, oy] = field.best_offset(px, py, hx, hy, nss);
-          const auto [ax, ay] =
-              semifluid_match(d0, d1, px, py, px + hx, py + hy, nss, nst);
-          EXPECT_EQ(px + ox, ax) << px << "," << py << " h=" << hx << "," << hy;
-          EXPECT_EQ(py + oy, ay);
-        }
-}
 
 TEST(CostField, BandedConstructionBytes) {
   const imaging::ImageF d0 = testing::textured_pattern(16, 16);
@@ -140,7 +121,8 @@ TEST(CostField, BandedEqualsFullOnSharedOffsets) {
     for (int px = 0; px < 16; px += 2)
       for (int oy = 0; oy <= 1; ++oy)
         for (int ox = -2; ox <= 2; ++ox)
-          EXPECT_EQ(band.cost(px, py, ox, oy), full.cost(px, py, ox, oy));
+          EXPECT_EQ(band.layer(ox, oy).at(px, py),
+                    full.layer(ox, oy).at(px, py));
 }
 
 TEST(CostField, AccessorsReportBand) {
@@ -163,18 +145,19 @@ TEST(CostField, RowLimitedEqualsFullOnItsRows) {
       for (int px = 0; px < 13; ++px)
         for (int oy = -1; oy <= 1; ++oy)
           for (int ox = -2; ox <= 2; ++ox)
-            EXPECT_EQ(strip.cost(px, py, ox, oy), full.cost(px, py, ox, oy))
+            EXPECT_EQ(strip.layer(ox, oy).at(px, py - r0),
+                      full.layer(ox, oy).at(px, py))
                 << "rows " << r0 << ".." << r1 << " p=(" << px << "," << py
                 << ") o=(" << ox << "," << oy << ")";
   }
 }
 
 // ---------------------------------------------------------------------------
-// SemiFluidTable: every entry M_h(p) must equal both the full cost
-// field's best_offset and the direct semifluid_match — on every pixel
-// (clamped borders included), every hypothesis of the segment, under
-// exact-tie plateaus and non-finite costs, for N_ss in {0, 1, 2},
-// rectangular searches and segments smaller than the full search.
+// SemiFluidTable: every entry M_h(p) must equal the direct
+// semifluid_match — on every pixel (clamped borders included), every
+// hypothesis of the segment, under exact-tie plateaus and non-finite
+// costs, for N_ss in {0, 1, 2}, rectangular searches and segments
+// smaller than the full search.
 // ---------------------------------------------------------------------------
 
 // A block written into the discriminants before the table is built.
@@ -259,7 +242,7 @@ std::size_t differing_codes(const SemiFluidTable& a, const SemiFluidTable& b) {
 
 class TableEquivalence : public ::testing::TestWithParam<TableCase> {};
 
-TEST_P(TableEquivalence, EntriesMatchCostFieldAndDirectMatch) {
+TEST_P(TableEquivalence, EntriesMatchDirectMatch) {
   const TableCase c = GetParam();
   const auto [d0, d1] = case_discriminants(c);
   const SemiFluidTable layers(d0, d1, c.hx_radius, c.hy_min, c.hy_max, c.nss,
@@ -279,16 +262,15 @@ TEST_P(TableEquivalence, EntriesMatchCostFieldAndDirectMatch) {
     for (int px = 0; px < c.w; ++px)
       for (int hy = c.hy_min; hy <= c.hy_max; ++hy)
         for (int hx = -c.hx_radius; hx <= c.hx_radius; ++hx) {
-          const auto want = field.best_offset(px, py, hx, hy, c.nss);
           const auto [sx, sy] = semifluid_match(d0, d1, px, py, px + hx,
                                                 py + hy, c.nss, c.nst);
-          ASSERT_EQ(px + want.first, sx);
-          ASSERT_EQ(py + want.second, sy);
-          ASSERT_EQ(layers.offset(px, py, hx, hy), want)
+          ASSERT_EQ(layers.offset(px, py, hx, hy),
+                    std::make_pair(sx - px, sy - py))
               << c.name << " p=(" << px << "," << py << ") h=(" << hx << ","
               << hy << ")";
-          if (plateau && field.cost(px, py, hx, hy) == 0.0) ++ties;
-          if (!std::isfinite(field.cost(px, py, hx, hy))) ++nonfinite;
+          const double cost = field.layer(hx, hy).at(px, py);
+          if (plateau && cost == 0.0) ++ties;
+          if (!std::isfinite(cost)) ++nonfinite;
         }
   if (plateau && c.nss > 0) {
     EXPECT_GT(ties, 0) << "plateau never tied";

@@ -562,9 +562,12 @@ linalg::SolveCounters solves_of(const SmaConfig& cfg,
   sched::ThreadPool::shared().run(
       {sched::Tile{0, 0, 1, 1}}, [&](const sched::Tile&, std::size_t) {
         SmaPipeline pipeline(cfg, {.backend = backend});
-        linalg::reset_solve_counters();
+        const linalg::SolveCounters before = linalg::solve_counters();
         pipeline.track_pair(vector_input());
-        counted = linalg::solve_counters();
+        const linalg::SolveCounters& after = linalg::solve_counters();
+        counted.solves6 = after.solves6 - before.solves6;
+        counted.solves_dynamic = after.solves_dynamic - before.solves_dynamic;
+        counted.singular = after.singular - before.singular;
       });
   return counted;
 }
