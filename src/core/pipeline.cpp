@@ -3,6 +3,7 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -32,23 +33,26 @@ void check_cancel(const CancelToken* cancel, const char* stage) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// GeometryCache — LRU of per-frame GeometricFields.
+// GeometryCache — LRU of per-frame GeometricFields, keyed on content.
 //
-// Keyed by the frame raster's identity: buffer address, dimensions and a
-// fingerprint of every pixel (a pipeline's surface-fit radius is fixed).
-// The fingerprint guards against the one hazard of pointer keying — a
-// freed buffer's address being recycled by a different frame: the
-// per-iteration height maps of the coupled-stereo loop, or the daemon's
-// chaos-repaired copies of one frame, which differ from each other in a
-// few scan lines only, so any sparse sample of the pixels can miss the
-// difference.  The hash costs about 1.5 ns per pixel on a 4-core
-// AVX-512 Xeon host (0.4 ms for a 512² frame, about 1% of its fit).
+// A pipeline's surface-fit radius is fixed at construction, so a frame's
+// geometry depends on its pixels alone, and this cache is the one place
+// that decides whether two frames are the same.  Each entry keeps a copy
+// of the pixels it fitted (4 B/px), and a lookup hits only when its frame
+// is bitwise equal to that copy.  The key — dimensions and an FNV-1a over
+// every pixel's bits — only narrows the search: FNV-1a is not collision
+// resistant (two 3-pixel blocks that leave it in the same state are
+// cheap to find), so a matching key alone never counts.  Equal content
+// in any buffer shares one fit (a tenant re-posting another's frame, a
+// sequence's repeated frames), and different content never does, also
+// when it is rewritten in place at a cached frame's address.  The hash
+// costs about 1.5 ns per pixel on a 4-core AVX-512 Xeon host (0.4 ms for
+// a 512² frame, about 1% of its fit); a hit adds one memcmp.
 // ---------------------------------------------------------------------------
 
 class GeometryCache {
  public:
   struct Key {
-    const float* data;
     int width, height;
     std::uint64_t fingerprint;
 
@@ -61,20 +65,24 @@ class GeometryCache {
     const float* p = img.data();
     for (std::size_t i = 0; i < img.size(); ++i)
       h = (h ^ std::bit_cast<std::uint32_t>(p[i])) * 0x100000001b3ull;
-    return {img.data(), img.width(), img.height(), h};
+    return {img.width(), img.height(), h};
   }
 
   explicit GeometryCache(std::size_t capacity) : capacity_(capacity) {}
 
   struct Entry {
     Key key;
+    imaging::ImageF pixels;  ///< the fitted frame, compared on every hit
     std::shared_ptr<const surface::GeometricField> geom;
   };
 
-  /// Returns the cached entry or null; promotes hits to the front.
-  Entry* find(const Key& key) {
+  /// The entry fitted from exactly `img`'s pixels, or null; promotes hits
+  /// to the front.
+  Entry* find(const Key& key, const imaging::ImageF& img) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it)
-      if (it->key == key) {
+      if (it->key == key &&
+          (img.empty() || std::memcmp(it->pixels.data(), img.data(),
+                                      img.size() * sizeof(float)) == 0)) {
         entries_.splice(entries_.begin(), entries_, it);
         return &entries_.front();
       }
@@ -140,7 +148,7 @@ SmaPipeline::GeomLookup SmaPipeline::frame_geometry(
   const GeometryCache::Key key = GeometryCache::make_key(img);
   {
     std::scoped_lock lock(state_mutex_);
-    if (GeometryCache::Entry* hit = cache_->find(key)) {
+    if (GeometryCache::Entry* hit = cache_->find(key, img)) {
       ++stats_.cache_hits;
       return {hit->geom, 0.0, 0.0};
     }
@@ -169,16 +177,17 @@ SmaPipeline::GeomLookup SmaPipeline::frame_geometry(
     out.derive_seconds = seconds_since(t0);
   }
 
+  GeometryCache::Entry entry{key, img, out.geom};  // copied outside the lock
   std::scoped_lock lock(state_mutex_);
   stats_.surface_fit_seconds += out.fit_seconds;
   stats_.geometric_vars_seconds += out.derive_seconds;
   // A concurrent caller may have inserted the same frame while we were
   // fitting; keep the incumbent and drop our duplicate.
-  if (GeometryCache::Entry* raced = cache_->find(key)) {
+  if (GeometryCache::Entry* raced = cache_->find(key, img)) {
     out.geom = raced->geom;
     return out;
   }
-  cache_->insert({key, out.geom}, stats_);
+  cache_->insert(std::move(entry), stats_);
   return out;
 }
 
@@ -186,7 +195,7 @@ std::shared_ptr<const surface::GeometricField> SmaPipeline::peek_geometry(
     const imaging::ImageF& img) {
   const GeometryCache::Key key = GeometryCache::make_key(img);
   std::scoped_lock lock(state_mutex_);
-  GeometryCache::Entry* entry = cache_->find(key);
+  GeometryCache::Entry* entry = cache_->find(key, img);
   return entry != nullptr ? entry->geom : nullptr;
 }
 
@@ -196,8 +205,8 @@ void SmaPipeline::reseed_geometry(
   if (geom == nullptr) return;
   const GeometryCache::Key key = GeometryCache::make_key(img);
   std::scoped_lock lock(state_mutex_);
-  if (cache_->find(key) != nullptr) return;  // still resident — no-op
-  cache_->insert({key, geom}, stats_);
+  if (cache_->find(key, img) != nullptr) return;  // still resident — no-op
+  cache_->insert({key, img, geom}, stats_);
 }
 
 TrackResult SmaPipeline::track_pair(const TrackerInput& input) {

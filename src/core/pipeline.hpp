@@ -15,10 +15,12 @@
 //       -> hypothesis matching -> postprocess -> products
 //
 // and owns a per-frame GEOMETRY CACHE over the fit stages: the fitted
-// GeometricField of each frame raster is computed once and reused by
-// every pair (and every spectral channel, and every coupled-stereo
-// iteration) that references the same frame.  The cache holds geometry
-// only: the 352 B/px match-precompute planes are built for each pair
+// GeometricField of each distinct frame is computed once and reused by
+// every pair (and every spectral channel, every coupled-stereo iteration
+// and every daemon tenant) whose frame has the same pixels, in whatever
+// buffer they arrive.  The cache is the one judge of frame identity: it
+// keys on the content and counts a hit only when the pixels are bitwise
+// equal to the copy it fitted.  It holds geometry only: the 352 B/px match-precompute planes are built for each pair
 // and dropped when it returns, since a stream makes each frame the
 // BEFORE frame once (DESIGN §11 "Caching").  It is the ONE orchestrator:
 // every pair — CLI, daemon, shard tile, pruned seed pass, MasPar
@@ -68,9 +70,10 @@ struct PipelineOptions {
   TrackOptions track{};
   /// Postprocess stage: robust_postprocess every per-pair flow field.
   bool robust = false;
-  /// Frames the geometry cache retains (LRU).  Consecutive-pair
-  /// streaming needs 2; the default leaves headroom for multispectral
-  /// and coupled-stereo reuse patterns.
+  /// Frames the geometry cache retains (LRU), each as its geometry plus
+  /// a 4 B/px copy of its pixels.  Consecutive-pair streaming needs 2;
+  /// the default leaves headroom for multispectral and coupled-stereo
+  /// reuse patterns.
   std::size_t geometry_cache_capacity = 8;
 };
 
@@ -128,7 +131,7 @@ class SmaPipeline {
   SmaPipeline& operator=(const SmaPipeline&) = delete;
 
   /// Tracks one pair through the stages, reusing cached geometry for
-  /// any frame raster the pipeline has seen before.
+  /// any frame whose pixels the pipeline has fitted before.
   TrackResult track_pair(const TrackerInput& input);
 
   /// Cancellable variant: `cancel` (may be null) is polled at the
@@ -169,7 +172,7 @@ class SmaPipeline {
   /// identity and the metrics() snapshot.
   obs::RunReport run_report();
 
-  /// Drops all cached geometry.
+  /// Drops all cached geometry and the pixel copies it is keyed on.
   void clear_cache();
 
  private:
@@ -184,7 +187,7 @@ class SmaPipeline {
     double derive_seconds = 0.0;
   };
 
-  /// Geometry of one frame raster via the cache (surface fit +
+  /// Geometry of one frame's pixels via the cache (surface fit +
   /// geometric variables stages).
   GeomLookup frame_geometry(const imaging::ImageF& img);
 

@@ -23,8 +23,7 @@
 
 namespace sma::maspar {
 
-/// TrackResult::extras payload of the maspar-sim backend.  The report's
-/// flow duplicates TrackResult::flow (it IS the same field).  `prune` is
+/// TrackResult::extras payload of the maspar-sim backend.  `prune` is
 /// the pruned search's accounting, all zero under full search (as
 /// VectorBackendExtras::prune).
 struct MasParBackendExtras : core::BackendExtras {

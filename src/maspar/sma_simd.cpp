@@ -88,7 +88,6 @@ core::TrackResult MasParExecutor::run_matching(
   report.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  report.flow = track.flow;
 
   // --- Modeled wall-clock and mesh traffic.
   core::Workload workload{w, h, run_config};

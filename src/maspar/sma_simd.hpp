@@ -33,7 +33,6 @@
 namespace sma::maspar {
 
 struct SimdRunReport {
-  imaging::FlowField flow;          ///< identical to the sequential tracker
   int layers = 0;                   ///< xvr * yvr memory layers executed
   int segment_rows = 0;             ///< hypothesis-row chunk height used
   bool fits_pe_memory = false;      ///< Sec. 4.3 budget check at this Z

@@ -74,7 +74,6 @@ struct Server::Connection {
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
       pipelines_(options_.backend, options_.geometry_cache_capacity),
-      frames_(options_.frame_cache_capacity),
       chaos_(options_.chaos) {
   if (options_.workers == 0)
     throw std::invalid_argument("Server: workers >= 1 required");
@@ -93,12 +92,9 @@ Server::Server(ServeOptions options)
   metrics_.histogram("serve.request_seconds", kLatencyBounds);
   metrics_.gauge("serve.queue_depth");
   metrics_.gauge("serve.in_flight");
-  metrics_.gauge("serve.frame_dedup_hits");
-  metrics_.gauge("serve.frame_dedup_misses");
 
   pool_ = std::make_unique<WorkerPool>(
-      options_.workers, options_.admission.queue_capacity, pipelines_,
-      frames_, chaos_,
+      options_.workers, options_.admission.queue_capacity, pipelines_, chaos_,
       [this](const Job& job, TrackResponse response) {
         {
           std::lock_guard<std::mutex> lock(completions_mutex_);
@@ -695,8 +691,6 @@ std::string Server::stats_line() {
       << " error=" << static_cast<long>(value("serve.outcome.error"))
       << " queue_depth=" << pool_->queue_depth()
       << " in_flight=" << (submitted_ - completed_)
-      << " dedup_hits=" << frames_.hits()
-      << " dedup_misses=" << frames_.misses()
       << " pipelines=" << pipelines_.pipeline_count()
       << " geometry_hits=" << agg.cache_hits
       << " surface_fits=" << agg.surface_fits
@@ -711,10 +705,6 @@ std::string Server::stats_line() {
 }
 
 void Server::flush_metrics() {
-  metrics_.gauge("serve.frame_dedup_hits")
-      .set(static_cast<double>(frames_.hits()));
-  metrics_.gauge("serve.frame_dedup_misses")
-      .set(static_cast<double>(frames_.misses()));
   metrics_.gauge("serve.queue_depth").set(0.0);
   metrics_.gauge("serve.in_flight")
       .set(static_cast<double>(submitted_ - completed_));

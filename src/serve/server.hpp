@@ -42,7 +42,6 @@
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/chaos.hpp"
-#include "serve/frame_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/worker_pool.hpp"
 
@@ -57,7 +56,6 @@ struct ServeOptions {
   std::string backend = "sequential";
   /// Deadline imposed on requests that carry none; 0 = unlimited.
   int default_deadline_ms = 0;
-  std::size_t frame_cache_capacity = 64;
   std::size_t geometry_cache_capacity = 16;
   AdmissionOptions admission;
   ChaosOptions chaos;
@@ -111,7 +109,6 @@ class Server {
 
   obs::MetricsRegistry& metrics() { return metrics_; }
   PipelineManager& pipelines() { return pipelines_; }
-  FrameStore& frames() { return frames_; }
 
   /// Current value of one serve.outcome.* counter.
   double outcome_count(Outcome outcome);
@@ -185,7 +182,6 @@ class Server {
   ServeOptions options_;
   obs::MetricsRegistry metrics_;
   PipelineManager pipelines_;
-  FrameStore frames_;
   ChaosEngine chaos_;
   std::unique_ptr<WorkerPool> pool_;
 

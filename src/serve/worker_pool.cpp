@@ -1,8 +1,10 @@
 #include "serve/worker_pool.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "imaging/flow.hpp"
@@ -80,10 +82,10 @@ core::PipelineStats PipelineManager::aggregate_stats() const {
 }
 
 WorkerPool::WorkerPool(std::size_t workers, std::size_t queue_capacity,
-                       PipelineManager& pipelines, FrameStore& frames,
-                       const ChaosEngine& chaos, Completion on_complete,
-                       BatchOptions batching, obs::MetricsRegistry* metrics)
-    : pipelines_(pipelines), frames_(frames), chaos_(chaos),
+                       PipelineManager& pipelines, const ChaosEngine& chaos,
+                       Completion on_complete, BatchOptions batching,
+                       obs::MetricsRegistry* metrics)
+    : pipelines_(pipelines), chaos_(chaos),
       on_complete_(std::move(on_complete)), queue_(queue_capacity),
       batching_(batching) {
   if (batching_.max_batch < 1) batching_.max_batch = 1;
@@ -131,10 +133,9 @@ bool WorkerPool::batch_eligible(const Job& job) const {
 void WorkerPool::run_batch(Job leader) {
   const std::string key = pipelines_.pipeline_key(leader.request);
 
-  // Sweep queued TRACKs that would run on the same pipeline with the
-  // same interned before frame — the work the leader's surface fit
-  // already covers.  Byte-equality of `before` implies FrameStore
-  // interning maps them to the same canonical frame.
+  // Sweep queued TRACKs that would run on the same pipeline with a
+  // byte-equal before frame — the work the leader's surface fit already
+  // covers, since the geometry cache keys on frame content.
   std::vector<Job> members;
   if (batching_.max_batch > 1) {
     queue_.try_pop_matching(
@@ -240,8 +241,8 @@ TrackResponse WorkerPool::process(const Job& job) {
       if (cancel != nullptr) cancel->check("chaos_stall");
     }
 
-    // A TRACK resolves its pipeline (or config error) before it touches
-    // the frame store; a SEQ-FRAME's pipeline is its session's.
+    // A TRACK resolves its pipeline (or config error) before it decodes
+    // its frames; a SEQ-FRAME's pipeline is its session's.
     const bool seq = job.kind == JobKind::kSeqFrame;
     core::SmaPipeline* pipeline = seq ? nullptr : &pipelines_.pipeline_for(req);
     core::FaultLog log;
@@ -292,19 +293,26 @@ TrackResponse WorkerPool::process(const Job& job) {
 WorkerPool::JobFrame WorkerPool::load_frame(
     const TrackRequest& req, const std::vector<std::uint8_t>& bytes,
     int index, core::FaultLog& log) const {
-  JobFrame frame{frames_.intern(req.width, req.height, bytes)};
-  if (!chaos_.corrupt_frames(req.id)) return frame;
-  // Corrupt a COPY — the interned frame must stay pristine for other
-  // requests sharing it — then repair it like telemetry ingest would.
-  imaging::ImageF dirty = *frame.image;
-  core::FaultInjector(chaos_.fault_spec(req.id))
-      .corrupt_frame(dirty, index, &log);
-  imaging::RepairReport rep = imaging::repair_frame(dirty);
-  frame.repaired = !rep.clean();
-  frame.image = std::make_shared<imaging::ImageF>(std::move(rep.image));
-  if (rep.masked())
-    frame.validity =
-        std::make_shared<imaging::ImageU8>(std::move(rep.validity));
+  // u8 samples become the same 0..255 floats read_pgm produces (the
+  // lossless-transport contract).
+  imaging::ImageF image(req.width, req.height);
+  if (bytes.size() != image.size())
+    throw std::invalid_argument("frame payload does not match its size");
+  std::copy(bytes.begin(), bytes.end(), image.data());
+  JobFrame frame;
+  if (chaos_.corrupt_frames(req.id)) {
+    // No other request shares this decoded frame, so corrupt it in place,
+    // then repair it like telemetry ingest would.
+    core::FaultInjector(chaos_.fault_spec(req.id))
+        .corrupt_frame(image, index, &log);
+    imaging::RepairReport rep = imaging::repair_frame(image);
+    frame.repaired = !rep.clean();
+    image = std::move(rep.image);
+    if (rep.masked())
+      frame.validity =
+          std::make_shared<imaging::ImageU8>(std::move(rep.validity));
+  }
+  frame.image = std::make_shared<imaging::ImageF>(std::move(image));
   return frame;
 }
 

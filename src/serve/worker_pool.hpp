@@ -2,17 +2,18 @@
 // keyed by config signature, and the worker threads that run admitted
 // requests to one of the five terminal outcomes.
 //
-// PipelineManager is the multi-tenant heart of the tentpole: every
+// PipelineManager is the multi-tenant heart of the daemon: every
 // request whose config_signature() matches shares ONE SmaPipeline — and
 // therefore one geometry cache — no matter which tenant or connection
-// it arrived on.  Combined with FrameStore's content interning, two
-// tenants posting the same GOES frame under the same config hit the
-// same cached surface fit.  SmaPipeline::track_pair is thread-safe for
-// exactly this use (see pipeline.hpp's state_mutex_ contract).
+// it arrived on.  The cache keys on frame content, so two tenants
+// posting the same GOES frame under the same config hit the same cached
+// surface fit although each request decodes its own buffer.
+// SmaPipeline::track_pair is thread-safe for exactly this use (see
+// pipeline.hpp's state_mutex_ contract).
 //
 // WorkerPool::process() is the one job lifecycle for both job kinds and
 // the one function that enforces the outcome taxonomy: deadline check,
-// chaos stall, chaos corrupt-and-repair of frame copies, then the flow
+// chaos stall, frame decode (with chaos corrupt-and-repair), then the flow
 // step (a TRACK tracks its pair, a SEQ-FRAME pushes its frame through
 // its session stream), payload write and catch ladder.  Whatever happens
 // inside, the job leaves as exactly one TrackResponse whose outcome is
@@ -50,7 +51,6 @@
 #include "obs/metrics.hpp"
 #include "serve/admission.hpp"
 #include "serve/chaos.hpp"
-#include "serve/frame_store.hpp"
 #include "serve/protocol.hpp"
 
 namespace sma::serve {
@@ -152,9 +152,8 @@ class WorkerPool {
   /// coalesce_hits counters.  Metric addresses are stable, so they are
   /// resolved once here and inc'd lock-free from the workers.
   WorkerPool(std::size_t workers, std::size_t queue_capacity,
-             PipelineManager& pipelines, FrameStore& frames,
-             const ChaosEngine& chaos, Completion on_complete,
-             BatchOptions batching = {},
+             PipelineManager& pipelines, const ChaosEngine& chaos,
+             Completion on_complete, BatchOptions batching = {},
              obs::MetricsRegistry* metrics = nullptr);
   ~WorkerPool();
 
@@ -192,23 +191,22 @@ class WorkerPool {
   bool batch_eligible(const Job& job) const;
   void run_batch(Job leader);
 
-  /// A job's frame as its flow step sees it: the interned raster, or —
-  /// when chaos corrupts the request — a repaired copy and, when the
-  /// repair masked something, its validity mask.
+  /// A job's frame as its flow step sees it: the decoded raster, or —
+  /// when chaos corrupts the request — its repaired version and, when
+  /// the repair masked something, its validity mask.
   struct JobFrame {
     std::shared_ptr<const imaging::ImageF> image;
     std::shared_ptr<const imaging::ImageU8> validity;
-    bool repaired = false;  ///< the repair changed the corrupted copy
+    bool repaired = false;  ///< the repair changed the corrupted frame
   };
-  /// Interns `bytes`; under chaos corruption, corrupts a copy as frame
-  /// `index` of the request's fault spec (events appended to `log`) and
-  /// repairs it.
+  /// Decodes `bytes`; under chaos corruption, corrupts the decoded frame
+  /// as frame `index` of the request's fault spec (events appended to
+  /// `log`) and repairs it.
   JobFrame load_frame(const TrackRequest& req,
                       const std::vector<std::uint8_t>& bytes, int index,
                       core::FaultLog& log) const;
 
   PipelineManager& pipelines_;
-  FrameStore& frames_;
   const ChaosEngine& chaos_;
   Completion on_complete_;
   BoundedQueue<Job> queue_;

@@ -106,9 +106,8 @@ ShardResult shard_track_pair(TileSource& source,
 
     const auto t0 = std::chrono::steady_clock::now();
     core::TrackResult tr = pipeline.track_pair(tin);
-    // The crops die with this iteration, so no tile's geometry may
-    // outlive its stitch — and the next tile's crop may reuse this one's
-    // buffer address, which the geometry cache keys on.
+    // No other tile has this tile's pixels, so its cached geometry and
+    // pixel copies would only hold memory past the stitch.
     pipeline.clear_cache();
     const double compute_s = seconds_since(t0);
 

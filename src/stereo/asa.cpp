@@ -5,7 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "imaging/integral.hpp"
 #include "imaging/pyramid.hpp"
 #include "imaging/warp.hpp"
 #include "sched/scheduler.hpp"
@@ -81,77 +80,6 @@ DisparityMap match_level(const imaging::ImageF& left,
       }
       out.disparity.at(x, y) = static_cast<float>(d);
       out.correlation.at(x, y) = static_cast<float>(best_c);
-      out.valid.at(x, y) = best_c >= opts.min_correlation ? 1 : 0;
-    }
-  });
-  return out;
-}
-
-DisparityMap match_range_fast(const imaging::ImageF& left,
-                              const imaging::ImageF& right, int d_min,
-                              int d_max, const AsaOptions& opts) {
-  const int w = left.width();
-  const int h = left.height();
-  const int r = opts.template_radius;
-  DisparityMap out;
-  out.disparity = imaging::ImageF(w, h, 0.0f);
-  out.correlation = imaging::ImageF(w, h, 0.0f);
-  out.valid = imaging::Image<unsigned char>(w, h, 0);
-
-  const imaging::IntegralImage il(left);
-  const imaging::IntegralImage il2(imaging::shifted_product(left, left, 0, 0));
-  const imaging::IntegralImage ir(right);
-  const imaging::IntegralImage ir2(
-      imaging::shifted_product(right, right, 0, 0));
-
-  // One correlation layer per candidate (kept for the parabolic
-  // refinement of the winner).
-  const int candidates = d_max - d_min + 1;
-  std::vector<imaging::ImageF> corr(
-      static_cast<std::size_t>(candidates), imaging::ImageF(w, h, -1.0f));
-
-  for (int d = d_min; d <= d_max; ++d) {
-    const imaging::IntegralImage ip(
-        imaging::shifted_product(left, right, d, 0));
-    imaging::ImageF& layer = corr[static_cast<std::size_t>(d - d_min)];
-    sched::for_each_row(h, w, /*parallel=*/true, [&](int y) {
-      for (int x = 0; x < w; ++x) {
-        const double n = imaging::IntegralImage::window_area(x, y, r, w, h);
-        const double sl = il.window_sum(x, y, r);
-        const double sl2 = il2.window_sum(x, y, r);
-        const double sr = ir.window_sum(x + d, y, r);
-        const double sr2 = ir2.window_sum(x + d, y, r);
-        const double sp = ip.window_sum(x, y, r);
-        const double num = sp - sl * sr / n;
-        const double dl = sl2 - sl * sl / n;
-        const double dr = sr2 - sr * sr / n;
-        const double den = std::sqrt(std::max(dl, 0.0) * std::max(dr, 0.0));
-        layer.at(x, y) =
-            den > 1e-9 ? static_cast<float>(num / den) : 0.0f;
-      }
-    });
-  }
-
-  sched::for_each_row(h, w, /*parallel=*/true, [&](int y) {
-    for (int x = 0; x < w; ++x) {
-      int best_k = 0;
-      float best_c = corr[0].at(x, y);
-      for (int k = 1; k < candidates; ++k)
-        if (corr[static_cast<std::size_t>(k)].at(x, y) > best_c) {
-          best_c = corr[static_cast<std::size_t>(k)].at(x, y);
-          best_k = k;
-        }
-      double d = d_min + best_k;
-      if (opts.subpixel && best_k > 0 && best_k + 1 < candidates) {
-        const double cm = corr[static_cast<std::size_t>(best_k - 1)].at(x, y);
-        const double cc = best_c;
-        const double cp = corr[static_cast<std::size_t>(best_k + 1)].at(x, y);
-        const double denom = cm - 2.0 * cc + cp;
-        if (std::abs(denom) > 1e-12)
-          d += std::clamp(0.5 * (cm - cp) / denom, -0.5, 0.5);
-      }
-      out.disparity.at(x, y) = static_cast<float>(d);
-      out.correlation.at(x, y) = best_c;
       out.valid.at(x, y) = best_c >= opts.min_correlation ? 1 : 0;
     }
   });

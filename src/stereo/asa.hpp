@@ -59,14 +59,4 @@ DisparityMap asa_disparity(const imaging::ImageF& left,
 double ncc(const imaging::ImageF& left, const imaging::ImageF& right, int xl,
            int y, double d, int radius);
 
-/// Integer-disparity full-range search accelerated with integral images:
-/// O(1) correlation per (pixel, candidate) instead of O(T^2).  Matches
-/// `match_level` with a zero prior on interior pixels (border windows
-/// truncate instead of clamping).  Used for the coarsest pyramid level,
-/// where the search prior is uniformly zero; bench_ncc_ablation
-/// quantifies the speedup.
-DisparityMap match_range_fast(const imaging::ImageF& left,
-                              const imaging::ImageF& right, int d_min,
-                              int d_max, const AsaOptions& opts);
-
 }  // namespace sma::stereo

@@ -3,7 +3,7 @@
 //   sma_serve [--host H] [--port P] [--workers N] [--backend NAME]
 //             [--sched-threads N]
 //             [--queue N] [--rate R] [--burst B] [--retry-after-ms MS]
-//             [--deadline-ms MS] [--geometry-cache N] [--frame-cache N]
+//             [--deadline-ms MS] [--geometry-cache N]
 //             [--max-sessions N] [--no-batch] [--batch-max N]
 //             [--metrics FILE] [--drain-flush-ms MS]
 //             [--chaos] [--chaos-seed N] [--chaos-frame-fault-rate R]
@@ -45,7 +45,7 @@ int usage() {
       "                 [--backend NAME] [--sched-threads N]\n"
       "                 [--queue N] [--rate R] [--burst B]\n"
       "                 [--retry-after-ms MS] [--deadline-ms MS]\n"
-      "                 [--geometry-cache N] [--frame-cache N]\n"
+      "                 [--geometry-cache N]\n"
       "                 [--max-sessions N] [--no-batch] [--batch-max N]\n"
       "                 [--metrics FILE] [--drain-flush-ms MS]\n"
       "                 [--chaos] [--chaos-seed N]\n"
@@ -89,9 +89,6 @@ int main(int argc, char** argv) {
         options.default_deadline_ms = serve::int_flag(argc, argv, i);
       else if (a == "--geometry-cache")
         options.geometry_cache_capacity =
-            static_cast<std::size_t>(serve::int_flag(argc, argv, i));
-      else if (a == "--frame-cache")
-        options.frame_cache_capacity =
             static_cast<std::size_t>(serve::int_flag(argc, argv, i));
       else if (a == "--max-sessions")
         options.admission.max_sessions =

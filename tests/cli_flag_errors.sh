@@ -8,7 +8,8 @@
 # trailing flag that is missing its value, a name the flag does not
 # accept (a backend the registry does not know, including the retired
 # "openmp" and "tiled", a retired --precompute mode, the retired
-# --prune-bound and --sequential flags, a model other than cont|semi) and
+# --prune-bound and --sequential flags and sma_serve's retired
+# --frame-cache, a model other than cont|semi) and
 # a number that is not wholly a number (--search abc used to run a 1x1
 # search, sma_serve --port abc used to listen on an ephemeral port).
 # Every leg runs under `timeout`, so a front end that starts work instead
@@ -40,6 +41,8 @@ for tail in --ppm --model --backend "--backend openmp" "--backend tiled" \
     cli_flags_before.pgm cli_flags_after.pgm cli_flags_flow.txt $tail
 done
 expect_config "sma_serve --port abc" "$tools_dir/sma_serve" --port abc
+expect_config "sma_serve --frame-cache 8" "$tools_dir/sma_serve" \
+  --frame-cache 8
 expect_config "sma_client ping --port 12x" "$tools_dir/sma_client" ping \
   --port 12x
 exit $status

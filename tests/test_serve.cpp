@@ -22,7 +22,6 @@
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/error.hpp"
-#include "serve/frame_store.hpp"
 #include "sched/scheduler.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -328,40 +327,12 @@ TEST(Chaos, DeterministicAndDisabledByDefault) {
 }
 
 // ---------------------------------------------------------------------------
-// Frame store
-
-TEST(FrameStore, InternsByContent) {
-  serve::FrameStore store(4);
-  const auto bytes = pattern_bytes(16, 16, 0.0);
-  const auto a = store.intern(16, 16, bytes);
-  const auto b = store.intern(16, 16, bytes);
-  EXPECT_EQ(a.get(), b.get());  // same content -> same canonical image
-  EXPECT_EQ(store.hits(), 1u);
-  EXPECT_EQ(store.misses(), 1u);
-  EXPECT_FLOAT_EQ(a->at(3, 2), static_cast<float>(bytes[2 * 16 + 3]));
-
-  const auto c = store.intern(16, 16, pattern_bytes(16, 16, 1.0));
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(store.misses(), 2u);
-}
-
-TEST(FrameStore, EvictionKeepsSharedImagesAlive) {
-  serve::FrameStore store(1);
-  const auto a = store.intern(8, 8, pattern_bytes(8, 8, 0.0));
-  const auto b = store.intern(8, 8, pattern_bytes(8, 8, 1.0));  // evicts a
-  EXPECT_EQ(store.size(), 1u);
-  EXPECT_FLOAT_EQ(a->at(0, 0), a->at(0, 0));  // `a` still valid via shared_ptr
-  EXPECT_NE(a.get(), b.get());
-}
-
-// ---------------------------------------------------------------------------
 // Worker pool outcome taxonomy (no sockets)
 
 struct PoolFixture {
   serve::PipelineManager pipelines{"sequential", 16};
-  serve::FrameStore frames{16};
   serve::ChaosEngine chaos{};
-  serve::WorkerPool pool{1, 4, pipelines, frames, chaos, nullptr};
+  serve::WorkerPool pool{1, 4, pipelines, chaos, nullptr};
 };
 
 TEST(WorkerPool, OkRequestMatchesOneShotPipeline) {
@@ -436,9 +407,8 @@ TEST(WorkerPool, ChaosCorruptionDegradesButAnswers) {
   options.frame_fault_rate = 1.0;  // every request corrupted
   options.fault_intensity = 0.08;
   serve::PipelineManager pipelines{"sequential", 16};
-  serve::FrameStore frames{16};
   serve::ChaosEngine chaos{options};
-  serve::WorkerPool pool{1, 4, pipelines, frames, chaos, nullptr};
+  serve::WorkerPool pool{1, 4, pipelines, chaos, nullptr};
 
   serve::Job job;
   job.request = small_request(6);
@@ -524,12 +494,10 @@ TEST(Server, CrossTenantRequestsShareGeometryCache) {
   server.request_drain();
   server.wait();
 
-  // Tenant B's frames interned to tenant A's canonical images, so the
-  // shared pipeline's pointer-keyed geometry cache HIT both frames:
-  // 2 misses (A's fits) + 2 hits (B's reuse), and only 2 surface fits
-  // across 2 tenants.
-  EXPECT_EQ(server.frames().hits(), 2u);
-  EXPECT_EQ(server.frames().misses(), 2u);
+  // Tenant B's frames decode into fresh buffers with tenant A's pixels,
+  // so the shared pipeline's content-keyed geometry cache HIT both
+  // frames: 2 misses (A's fits) + 2 hits (B's reuse), and only 2
+  // surface fits across 2 tenants.
   const core::PipelineStats stats = server.pipelines().aggregate_stats();
   EXPECT_EQ(stats.surface_fits, 2u);
   EXPECT_EQ(stats.cache_hits, 2u);

@@ -30,7 +30,6 @@
 #include "serve/chaos.hpp"
 #include "serve/client.hpp"
 #include "serve/error.hpp"
-#include "serve/frame_store.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/worker_pool.hpp"
@@ -753,7 +752,6 @@ TEST(GoldenSession, BitIdenticalAcrossBackendsAndBatchingModes) {
 
 TEST(Batching, CoalescesIdenticalQueuedTracks) {
   serve::PipelineManager pipelines{"sequential", 16};
-  serve::FrameStore frames{16};
   serve::ChaosEngine chaos{};
   obs::MetricsRegistry metrics;
 
@@ -775,9 +773,8 @@ TEST(Batching, CoalescesIdenticalQueuedTracks) {
   heavy.before = pattern_bytes(64, 64, 0.0);
   heavy.after = pattern_bytes(64, 64, 0.35);
 
-  serve::WorkerPool pool{1, 8,    pipelines, frames,
-                         chaos,   on_complete, serve::BatchOptions{true, 8},
-                         &metrics};
+  serve::WorkerPool pool{1, 8, pipelines, chaos, on_complete,
+                         serve::BatchOptions{true, 8}, &metrics};
   serve::Job lead;
   lead.request = heavy;
   ASSERT_TRUE(pool.submit(std::move(lead)));
@@ -826,7 +823,6 @@ TEST(Batching, CoalescesIdenticalQueuedTracks) {
 
 TEST(Batching, DifferentConfigsOrFramesDoNotCoalesce) {
   serve::PipelineManager pipelines{"sequential", 16};
-  serve::FrameStore frames{16};
   serve::ChaosEngine chaos{};
   obs::MetricsRegistry metrics;
 
@@ -846,9 +842,8 @@ TEST(Batching, DifferentConfigsOrFramesDoNotCoalesce) {
   heavy.before = pattern_bytes(64, 64, 0.0);
   heavy.after = pattern_bytes(64, 64, 0.35);
 
-  serve::WorkerPool pool{1, 8,    pipelines, frames,
-                         chaos,   on_complete, serve::BatchOptions{true, 8},
-                         &metrics};
+  serve::WorkerPool pool{1, 8, pipelines, chaos, on_complete,
+                         serve::BatchOptions{true, 8}, &metrics};
   serve::Job lead;
   lead.request = heavy;
   ASSERT_TRUE(pool.submit(std::move(lead)));

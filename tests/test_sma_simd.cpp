@@ -42,11 +42,14 @@ core::SmaConfig tiny_semifluid() {
 
 /// One pair through a "maspar-sim" pipeline on `spec` (two images, the
 /// monocular count); the executor's report rides on the extras.
-SimdRunReport run_simd(const core::TrackerInput& in,
-                       const core::SmaConfig& cfg, const MachineSpec& spec) {
+core::TrackResult run_simd(const core::TrackerInput& in,
+                           const core::SmaConfig& cfg,
+                           const MachineSpec& spec) {
   register_maspar_backend(spec, /*image_count=*/2);
-  const core::TrackResult r =
-      core::SmaPipeline(cfg, {.backend = "maspar-sim"}).track_pair(in);
+  return core::SmaPipeline(cfg, {.backend = "maspar-sim"}).track_pair(in);
+}
+
+SimdRunReport report_of(const core::TrackResult& r) {
   return dynamic_cast<const MasParBackendExtras&>(*r.extras).report;
 }
 
@@ -66,7 +69,8 @@ TEST(MasParExecutor, MatchesSequentialContinuous) {
   const auto in = monocular(f0, f1);
   const core::TrackResult seq =
       core::SmaPipeline(tiny_continuous()).track_pair(in);
-  const SimdRunReport par = run_simd(in, tiny_continuous(), small_spec(4));
+  const core::TrackResult par =
+      run_simd(in, tiny_continuous(), small_spec(4));
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -76,7 +80,7 @@ TEST(MasParExecutor, MatchesSequentialSemiFluid) {
   const auto in = monocular(f0, f1);
   const core::TrackResult seq =
       core::SmaPipeline(tiny_semifluid()).track_pair(in);
-  const SimdRunReport par = run_simd(in, tiny_semifluid(), small_spec(4));
+  const core::TrackResult par = run_simd(in, tiny_semifluid(), small_spec(4));
   EXPECT_TRUE(seq.flow == par.flow);
 }
 
@@ -84,14 +88,16 @@ TEST(MasParExecutor, LayerCountMatchesMapping) {
   const imaging::ImageF f0 = sma::testing::textured_pattern(24, 24);
   const auto in = monocular(f0, f0);
   // 24x24 on a 4x4 grid: 6x6 block -> 36 layers.
-  const SimdRunReport r = run_simd(in, tiny_continuous(), small_spec(4));
+  const SimdRunReport r =
+      report_of(run_simd(in, tiny_continuous(), small_spec(4)));
   EXPECT_EQ(r.layers, 36);
 }
 
 TEST(MasParExecutor, ReportsMemoryAndSegmentation) {
   const imaging::ImageF f0 = sma::testing::textured_pattern(24, 24);
   const auto in = monocular(f0, f0);
-  const SimdRunReport r = run_simd(in, tiny_semifluid(), small_spec(4));
+  const SimdRunReport r =
+      report_of(run_simd(in, tiny_semifluid(), small_spec(4)));
   EXPECT_GT(r.pe_bytes, 0u);
   EXPECT_GE(r.segment_rows, 1);
   EXPECT_LE(r.segment_rows, tiny_semifluid().z_search_size());
@@ -104,16 +110,16 @@ TEST(MasParExecutor, AutoSegmentsUnderTightMemory) {
   const auto in = monocular(f0, f1);
   // Budget chosen so the unsegmented footprint does not fit but some
   // Z >= 1 does: the executor must pick a smaller Z automatically.
-  const SimdRunReport big =
+  const core::TrackResult big =
       run_simd(in, tiny_semifluid(), small_spec(4, 64 * 1024));
   core::PeMemoryModel mem;
   mem.xvr = 6;
   mem.yvr = 6;
   const std::uint64_t unseg =
       mem.segmented_bytes(tiny_semifluid(), tiny_semifluid().z_search_size());
-  const SimdRunReport seg =
+  const core::TrackResult seg =
       run_simd(in, tiny_semifluid(), small_spec(4, unseg - 64));
-  EXPECT_LT(seg.segment_rows, big.segment_rows);
+  EXPECT_LT(report_of(seg).segment_rows, report_of(big).segment_rows);
   // Segmentation must not change the result (Sec. 4.3).
   EXPECT_TRUE(seg.flow == big.flow);
 }
@@ -121,7 +127,8 @@ TEST(MasParExecutor, AutoSegmentsUnderTightMemory) {
 TEST(MasParExecutor, ModeledTimesPopulated) {
   const imaging::ImageF f0 = sma::testing::textured_pattern(16, 16);
   const auto in = monocular(f0, f0);
-  const SimdRunReport r = run_simd(in, tiny_semifluid(), small_spec(4));
+  const SimdRunReport r =
+      report_of(run_simd(in, tiny_semifluid(), small_spec(4)));
   EXPECT_GT(r.modeled.total(), 0.0);
   EXPECT_GT(r.modeled_sgi_total, r.modeled.total());
   EXPECT_GT(r.modeled_speedup, 1.0);
@@ -131,7 +138,8 @@ TEST(MasParExecutor, ModeledTimesPopulated) {
 TEST(MasParExecutor, CommTrafficMetered) {
   const imaging::ImageF f0 = sma::testing::textured_pattern(16, 16);
   const auto in = monocular(f0, f0);
-  const SimdRunReport r = run_simd(in, tiny_continuous(), small_spec(4));
+  const SimdRunReport r =
+      report_of(run_simd(in, tiny_continuous(), small_spec(4)));
   EXPECT_GT(r.comm.xnet_words, 0u);
   EXPECT_GT(r.comm.xnet_word_hops, 0u);
 }
@@ -142,8 +150,8 @@ TEST(MasParExecutor, ExplicitSegmentRowsHonored) {
   const auto in = monocular(f0, f1);
   core::SmaConfig cfg = tiny_semifluid();
   cfg.segment_rows = 2;  // the paper's Sec. 4.3 example granularity
-  const SimdRunReport r = run_simd(in, cfg, small_spec(4));
-  EXPECT_EQ(r.segment_rows, 2);
+  const core::TrackResult r = run_simd(in, cfg, small_spec(4));
+  EXPECT_EQ(report_of(r).segment_rows, 2);
   const core::TrackResult seq = core::SmaPipeline(cfg).track_pair(in);
   EXPECT_TRUE(seq.flow == r.flow);
 }
