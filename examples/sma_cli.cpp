@@ -436,6 +436,13 @@ int cmd_track(int argc, char** argv) {
         static_cast<unsigned long long>(prune->hypotheses_evaluated()),
         static_cast<unsigned long long>(prune->full_grid_hypotheses),
         prune->reduction(), prune->seed_hit_rate());
+  if (cli.opts.subpixel)
+    std::printf(
+        "sub-pixel: %.3f s, %llu probes evaluated, %llu read from the "
+        "search\n",
+        r.timings.subpixel_refine,
+        static_cast<unsigned long long>(r.subpixel_probes.evaluated),
+        static_cast<unsigned long long>(r.subpixel_probes.reused));
   if (!ppm_path.empty()) {
     imaging::write_ppm(imaging::colorize_flow(flow), ppm_path);
     std::printf("color rendering -> %s\n", ppm_path.c_str());
@@ -454,6 +461,7 @@ int cmd_track(int argc, char** argv) {
     // occupancy).
     obs::MetricsRegistry& reg = pipeline.metrics();
     core::publish_metrics(r.timings, reg);
+    core::publish_metrics(r.subpixel_probes, reg);
     core::publish_metrics(sched::ThreadPool::shared().stats(), reg);
     if (fault_rate > 0.0) core::publish_metrics(fault_log, reg);
     if (const auto* mp =

@@ -92,11 +92,12 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
 
   // Propagate to full resolution: vector median kills isolated coarse
   // errors, the Gaussian gives a fractional consensus, nearbyint
-  // recovers integer seeds.
+  // recovers integer seeds.  Both filter rows on the pool, like the
+  // coarse pass.
   const imaging::FlowField prior = gaussian_smooth(
       vector_median_filter(upsample_flow(coarse_res.flow, s.width, s.height),
-                           1),
-      1.0);
+                           1, /*parallel=*/true),
+      1.0, 0.0, /*parallel=*/true);
   for (int y = 0; y < s.height; ++y)
     for (int x = 0; x < s.width; ++x) {
       const imaging::FlowVector p = prior.at(x, y);
@@ -109,7 +110,8 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
     }
 
   // Cost of the seeding pass, in hypothesis units: the coarse grid plus
-  // the four forced subpixel probes per coarse pixel.
+  // the four forced subpixel probes per coarse pixel, counted whether a
+  // probe is evaluated or read from the coarse sweep.
   const std::uint64_t coarse_pixels =
       static_cast<std::uint64_t>(cb.width()) * cb.height();
   s.coarse_hypotheses =

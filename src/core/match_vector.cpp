@@ -151,6 +151,7 @@ class VectorBackend final : public TrackerBackend {
             args.after = in.after;
             args.table = seg.table;
             args.windows = seg.windows;
+            args.probes = seg.probes;
             args.x0 = tile.x0;
             args.y0 = tile.y0;
             args.x1 = tile.x1;

@@ -78,6 +78,9 @@ struct VectorTileArgs {
   const surface::GeometricField* after = nullptr;
   const SemiFluidTable* table = nullptr;  ///< F_semi; null for F_cont
   const PruneWindow* windows = nullptr;   ///< pruned search; else null
+  /// The frame's row-major sub-pixel probe store (MatchSegment::probes);
+  /// the kernel fills its tile's slots.  Null without sub-pixel.
+  SubpixelProbes* probes = nullptr;
   int x0 = 0, y0 = 0, x1 = 0, y1 = 0;
   int rx = 0, ry = 0;  ///< template half-widths
   int hx_min = 0, hx_max = 0;

@@ -142,6 +142,9 @@ struct TileScratch {
   Buffer<double> terms;  // one term row: 7 planes x hw
   Buffer<double> rows;   // row subtotals: 7 planes x hh x cw
   Buffer<CenterSystems<Tag>> systems;  // th x cw / kLanes batches
+  // Sub-pixel probes only: every scored residual of the tile's box,
+  // hypotheses x th x cw.
+  Buffer<double> residuals;
 };
 
 // Normalize the moments m (A^T b in m[0..5], b^T b in m[6]) the way
@@ -200,6 +203,10 @@ template <class Tag>
 //     0.0, the scalar two-level order;
 //  4. apply the batch's factorization and score (score_batch);
 //  5. fold each lane into its center's incumbent.
+// With a probe store (VectorTileArgs::probes) step 4 also keeps every
+// lane's residual in a tile-local block, and after the sweep each
+// center's slot takes the residuals of its incumbent's axis neighbours
+// that the sweep scored (6.).
 // A tile row's last batch may hold fewer than kLanes centers; its idle
 // lanes carry the next (clamped) columns and are discarded.  Under
 // pruned search a lane whose window does not admit the hypothesis is
@@ -233,6 +240,16 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
   double* const rows = scratch.rows.at_least(7 * row_plane);
   CenterSystems<Tag>* const systems =
       scratch.systems.at_least(static_cast<std::size_t>(th) * groups);
+  // Residual (hx, hy) of center (cy, c) sits at
+  // resid[(hi * th + cy) * cw + c], hi = (hy - hy_min) * nhx + hx - hx_min.
+  const int nhx = g.hx_max - g.hx_min + 1;
+  const std::size_t resid_plane = static_cast<std::size_t>(th) * cw;
+  double* const resid =
+      g.probes != nullptr
+          ? scratch.residuals.at_least(static_cast<std::size_t>(nhx) *
+                                       (g.hy_max - g.hy_min + 1) *
+                                       resid_plane)
+          : nullptr;
 
   // 0. A^T A: one tile plane at a time through the first row-subtotal
   // plane, then one factorization per batch.
@@ -283,6 +300,13 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
 
   for (int hy = g.hy_min; hy <= g.hy_max; ++hy) {
     for (int hx = g.hx_min; hx <= g.hx_max; ++hx) {
+      // This hypothesis's plane of the residual block, if there is one.
+      double* const resid_h =
+          resid != nullptr
+              ? resid + (static_cast<std::size_t>(hy - g.hy_min) * nhx + hx -
+                         g.hx_min) *
+                            resid_plane
+              : nullptr;
       for (int r = 0; r < hh; ++r) {
         // 1. Term row r; column j is template pixel x0 - rx + j.
         const int py = std::clamp(g.y0 - ry + r, 0, h - 1);
@@ -384,6 +408,11 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
 
           ScoredBatch<Tag> scored;
           score_batch<Tag>(systems[cy * groups + gi], m, scored, tally, live);
+          if (resid_h != nullptr) {
+            double* const out =
+                resid_h + static_cast<std::size_t>(cy) * cw + c0;
+            for (int l = 0; l < N; ++l) out[l] = scored.errs[l];
+          }
 
           for (int l = 0; l < active; ++l) {
             if ((live >> l & 1u) == 0) continue;
@@ -403,6 +432,40 @@ void scan_tile_t(const VectorTileArgs& g, PixelBest* best,
       }
     }
   }
+
+  // 6. The incumbents' neighbours this sweep scored — inside the box
+  // and, under pruned search, inside the center's window — go to the
+  // probe store; a slot whose incumbent changed starts over.
+  if (resid == nullptr) return;
+  for (int cy = 0; cy < th; ++cy)
+    for (int c = 0; c < tw; ++c) {
+      const std::size_t i = static_cast<std::size_t>(g.y0 + cy) * w + g.x0 + c;
+      const PixelBest& b = best[i];
+      if (!b.any_ok) continue;
+      SubpixelProbes& s = g.probes[i];
+      if (s.hx != b.hx || s.hy != b.hy) {
+        s.hx = b.hx;
+        s.hy = b.hy;
+        s.known = 0;
+      }
+      for (int k = 0; k < 4; ++k) {
+        const int hx = b.hx + SubpixelProbes::kDx[k];
+        const int hy = b.hy + SubpixelProbes::kDy[k];
+        if (hx < g.hx_min || hx > g.hx_max || hy < g.hy_min || hy > g.hy_max)
+          continue;
+        if (g.windows != nullptr) {
+          const PruneWindow& pw = g.windows[i];
+          if (hx < pw.hx_min || hx > pw.hx_max || hy < pw.hy_min ||
+              hy > pw.hy_max)
+            continue;
+        }
+        s.err[k] = resid[(static_cast<std::size_t>(hy - g.hy_min) * nhx + hx -
+                          g.hx_min) *
+                             resid_plane +
+                         static_cast<std::size_t>(cy) * cw + c];
+        s.known |= 1u << k;
+      }
+    }
 }
 
 /// SoA adapter for the property tests: a batch laid out as element-major

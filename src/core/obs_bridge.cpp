@@ -12,9 +12,13 @@ static_assert(sizeof(PipelineStats) ==
                   6 * sizeof(std::size_t) + 6 * sizeof(double),
               "PipelineStats changed: update publish_metrics(PipelineStats) "
               "and pipeline_stats_metric_names()");
-static_assert(sizeof(TrackTimings) == 6 * sizeof(double),
+static_assert(sizeof(TrackTimings) == 7 * sizeof(double),
               "TrackTimings changed: update publish_metrics(TrackTimings) "
               "and track_timings_metric_names()");
+static_assert(sizeof(SubpixelProbeCount) == 2 * sizeof(std::uint64_t),
+              "SubpixelProbeCount changed: update "
+              "publish_metrics(SubpixelProbeCount) and "
+              "subpixel_probe_metric_names()");
 static_assert(sizeof(PruneReport) == 9 * sizeof(std::uint64_t),
               "PruneReport changed: update publish_metrics(PruneReport) "
               "and pruning_metric_names()");
@@ -72,14 +76,33 @@ void publish_metrics(const TrackTimings& t, obs::MetricsRegistry& reg) {
   reg.gauge("track.match_precompute_seconds").set(t.match_precompute);
   reg.gauge("track.semifluid_mapping_seconds").set(t.semifluid_mapping);
   reg.gauge("track.hypothesis_matching_seconds").set(t.hypothesis_matching);
+  reg.gauge("track.subpixel_refine_seconds").set(t.subpixel_refine);
   reg.gauge("track.total_seconds").set(t.total);
 }
 
 const std::vector<std::string>& track_timings_metric_names() {
   static const std::vector<std::string> names = {
-      "track.surface_fit_seconds",      "track.geometric_vars_seconds",
-      "track.match_precompute_seconds", "track.semifluid_mapping_seconds",
-      "track.hypothesis_matching_seconds", "track.total_seconds",
+      "track.surface_fit_seconds",
+      "track.geometric_vars_seconds",
+      "track.match_precompute_seconds",
+      "track.semifluid_mapping_seconds",
+      "track.hypothesis_matching_seconds",
+      "track.subpixel_refine_seconds",
+      "track.total_seconds",
+  };
+  return names;
+}
+
+void publish_metrics(const SubpixelProbeCount& c, obs::MetricsRegistry& reg) {
+  reg.gauge("track.subpixel_probes_evaluated")
+      .set(static_cast<double>(c.evaluated));
+  reg.gauge("track.subpixel_probes_reused").set(static_cast<double>(c.reused));
+}
+
+const std::vector<std::string>& subpixel_probe_metric_names() {
+  static const std::vector<std::string> names = {
+      "track.subpixel_probes_evaluated",
+      "track.subpixel_probes_reused",
   };
   return names;
 }

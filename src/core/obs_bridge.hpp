@@ -1,5 +1,6 @@
 // obs_bridge.hpp — publishes the core layer's ad-hoc telemetry structs
-// (PipelineStats, TrackTimings, FaultLog) into an obs::MetricsRegistry.
+// (PipelineStats, TrackTimings, SubpixelProbeCount, FaultLog, ...) into an
+// obs::MetricsRegistry.
 //
 // The structs stay the in-process API (cheap, typed, no lookups on hot
 // paths); the bridge is the single place their fields are mapped onto
@@ -37,6 +38,11 @@ void publish_metrics(const PipelineStats& stats, obs::MetricsRegistry& reg);
 /// Registers/updates every TrackTimings field under "track.*".
 void publish_metrics(const TrackTimings& timings, obs::MetricsRegistry& reg);
 
+/// Registers/updates the sub-pixel probe counts under
+/// "track.subpixel_probes_*".
+void publish_metrics(const SubpixelProbeCount& count,
+                     obs::MetricsRegistry& reg);
+
 /// Registers/updates one gauge per FaultKind under "fault.*" (all kinds
 /// are registered, so an empty log still exports explicit zeros).
 void publish_metrics(const FaultLog& log, obs::MetricsRegistry& reg);
@@ -58,6 +64,9 @@ const std::vector<std::string>& pipeline_stats_metric_names();
 
 /// Likewise for TrackTimings.
 const std::vector<std::string>& track_timings_metric_names();
+
+/// Likewise for SubpixelProbeCount.
+const std::vector<std::string>& subpixel_probe_metric_names();
 
 /// Likewise for the FaultKind gauges.
 const std::vector<std::string>& fault_metric_names();

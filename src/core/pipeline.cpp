@@ -293,8 +293,9 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
   result.timings.geometric_vars = derive_seconds;
   {
     std::scoped_lock lock(state_mutex_);
-    stats_.matching_seconds +=
-        result.timings.semifluid_mapping + result.timings.hypothesis_matching;
+    stats_.matching_seconds += result.timings.semifluid_mapping +
+                               result.timings.hypothesis_matching +
+                               result.timings.subpixel_refine;
   }
 
   // --- Stage: postprocess.

@@ -106,7 +106,7 @@ struct PipelineStats {
   double surface_fit_seconds = 0.0;  ///< patch fits (cache misses only)
   double geometric_vars_seconds = 0.0;
   double match_precompute_seconds = 0.0;  ///< invariant-plane builds
-  double matching_seconds = 0.0;     ///< semifluid mapping + hypothesis search
+  double matching_seconds = 0.0;  ///< semifluid mapping + search + sub-pixel
   double postprocess_seconds = 0.0;  ///< robust_postprocess
   double products_seconds = 0.0;     ///< trajectory chaining etc.
 

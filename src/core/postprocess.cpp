@@ -5,6 +5,8 @@
 #include <limits>
 #include <vector>
 
+#include "sched/scheduler.hpp"
+
 namespace sma::core {
 
 namespace {
@@ -27,20 +29,47 @@ void collect_window(const FlowField& flow, int x, int y, int radius,
     }
 }
 
-// The vector minimizing the summed L2 distance to all others.
-FlowVector vector_median(const std::vector<FlowVector>& window) {
-  double best_sum = std::numeric_limits<double>::infinity();
-  FlowVector best = window.front();
-  for (const FlowVector& cand : window) {
-    double sum = 0.0;
-    for (const FlowVector& other : window)
-      sum += std::hypot(cand.u - other.u, cand.v - other.v);
-    if (sum < best_sum) {
-      best_sum = sum;
-      best = cand;
-    }
+// vector_median's buffers, reused from window to window.
+struct MedianScratch {
+  std::vector<FlowVector> window;
+  std::vector<float> dist;  // n x n window distances, symmetric
+  std::vector<double> sum;  // each candidate's distance sum
+};
+
+// The window vector minimizing the summed L2 distance to all window
+// vectors: each candidate's distances add in window order from 0.0, and
+// the first strict minimum wins.  Each unordered pair's distance is
+// computed once — float a - b is exactly -(b - a) and hypot ignores
+// sign, so both orders have the same bits.  A candidate's distance to
+// itself counts as +0.0: for a finite one it is, and adds nothing; a
+// non-finite one (whose own distance is NaN) cannot win either way, as
+// its distances to the others make its sum inf or NaN, unless it is the
+// window's only vector.  The candidates' sums are independent, so they
+// accumulate side by side.
+FlowVector vector_median(MedianScratch& s) {
+  const std::vector<FlowVector>& window = s.window;
+  const std::size_t n = window.size();
+  s.dist.resize(n * n);
+  float* const dist = s.dist.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const FlowVector& a = window[i];
+    dist[i * n + i] = 0.0f;
+    for (std::size_t j = i + 1; j < n; ++j)
+      dist[i * n + j] = dist[j * n + i] =
+          std::hypot(a.u - window[j].u, a.v - window[j].v);
   }
-  return best;
+  s.sum.assign(n, 0.0);
+  double* const sum = s.sum.data();
+  for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t i = 0; i < n; ++i) sum[i] += dist[j * n + i];
+  double best_sum = std::numeric_limits<double>::infinity();
+  std::size_t best = 0;
+  for (std::size_t i = 0; i < n; ++i)
+    if (sum[i] < best_sum) {
+      best_sum = sum[i];
+      best = i;
+    }
+  return window[best];
 }
 
 double median_of(std::vector<double>& values) {
@@ -52,22 +81,24 @@ double median_of(std::vector<double>& values) {
 
 }  // namespace
 
-FlowField vector_median_filter(const FlowField& flow, int radius) {
+FlowField vector_median_filter(const FlowField& flow, int radius,
+                               bool parallel) {
   FlowField out(flow.width(), flow.height());
-  std::vector<FlowVector> window;
-  for (int y = 0; y < flow.height(); ++y)
+  sched::for_each_row(flow.height(), flow.width(), parallel, [&](int y) {
+    MedianScratch scratch;
     for (int x = 0; x < flow.width(); ++x) {
-      collect_window(flow, x, y, radius, window);
-      if (window.empty()) {
+      collect_window(flow, x, y, radius, scratch.window);
+      if (scratch.window.empty()) {
         out.set(x, y, flow.at(x, y));
         continue;
       }
-      FlowVector med = vector_median(window);
+      FlowVector med = vector_median(scratch);
       // Keep the center's own residual/validity bookkeeping.
       med.error = flow.at(x, y).error;
       med.valid = 1;
       out.set(x, y, med);
     }
+  });
   return out;
 }
 
@@ -105,16 +136,16 @@ std::size_t error_outlier_mask(FlowField& flow, double k) {
 }
 
 std::size_t fill_invalid(FlowField& flow, int radius, int max_iterations) {
-  std::vector<FlowVector> window;
+  MedianScratch scratch;
   for (int iter = 0; iter < max_iterations; ++iter) {
     std::size_t filled = 0;
     FlowField next = flow;
     for (int y = 0; y < flow.height(); ++y)
       for (int x = 0; x < flow.width(); ++x) {
         if (flow.at(x, y).valid) continue;
-        collect_window(flow, x, y, radius, window);
-        if (window.empty()) continue;
-        FlowVector med = vector_median(window);
+        collect_window(flow, x, y, radius, scratch.window);
+        if (scratch.window.empty()) continue;
+        FlowVector med = vector_median(scratch);
         med.valid = 1;
         next.set(x, y, med);
         ++filled;
@@ -130,7 +161,7 @@ std::size_t fill_invalid(FlowField& flow, int radius, int max_iterations) {
 }
 
 FlowField gaussian_smooth(const FlowField& flow, double sigma,
-                          double error_scale) {
+                          double error_scale, bool parallel) {
   const int radius = std::max(1, static_cast<int>(std::ceil(3.0 * sigma)));
   const int side = 2 * radius + 1;
   // The spatial weight depends only on the tap offset.
@@ -140,7 +171,7 @@ FlowField gaussian_smooth(const FlowField& flow, double sigma,
       spatial[static_cast<std::size_t>(v + radius) * side + (u + radius)] =
           std::exp(-0.5 * (u * u + v * v) / (sigma * sigma));
   FlowField out(flow.width(), flow.height());
-  for (int y = 0; y < flow.height(); ++y)
+  sched::for_each_row(flow.height(), flow.width(), parallel, [&](int y) {
     for (int x = 0; x < flow.width(); ++x) {
       double su = 0.0, sv = 0.0, sw = 0.0;
       for (int v = -radius; v <= radius; ++v)
@@ -167,6 +198,7 @@ FlowField gaussian_smooth(const FlowField& flow, double sigma,
       }
       out.set(x, y, o);
     }
+  });
   return out;
 }
 

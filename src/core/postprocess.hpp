@@ -30,9 +30,11 @@
 namespace sma::core {
 
 /// Vector median over a (2*radius+1)^2 window (valid pixels only; the
-/// center keeps its vector if no valid neighbor exists).
+/// center keeps its vector if no valid neighbor exists).  With
+/// `parallel` the rows run on the sched pool (sched::for_each_row); each
+/// row writes only its own pixels, so the bytes are the same.
 imaging::FlowField vector_median_filter(const imaging::FlowField& flow,
-                                        int radius);
+                                        int radius, bool parallel = false);
 
 /// Marks pixels whose residual error exceeds median + k * MAD as
 /// invalid.  Returns the number of pixels invalidated.
@@ -45,9 +47,11 @@ std::size_t fill_invalid(imaging::FlowField& flow, int radius,
                          int max_iterations = 8);
 
 /// Gaussian regularization with weights = validity * exp(-error/scale);
-/// `error_scale` <= 0 disables error weighting.
+/// `error_scale` <= 0 disables error weighting.  `parallel` as for
+/// vector_median_filter.
 imaging::FlowField gaussian_smooth(const imaging::FlowField& flow,
-                                   double sigma, double error_scale = 0.0);
+                                   double sigma, double error_scale = 0.0,
+                                   bool parallel = false);
 
 /// Discrete relaxation labeling (see header comment).  `sigma` sets the
 /// compatibility kernel width in pixels of flow difference.

@@ -309,17 +309,21 @@ std::optional<SemiFluidTable> build_semifluid_table(
   return table;
 }
 
-// The optional parabolic sub-pixel stage (TrackOptions::subpixel): probe
-// the Eq. (3) residual at the four axis neighbors of each winner and
-// interpolate the parabola minimum.  Its time goes to
-// timings.hypothesis_matching.  The semi-fluid probes remap on the fly
+// The optional parabolic sub-pixel stage (TrackOptions::subpixel): the
+// Eq. (3) residuals at the four axis neighbors of each winner, and the
+// parabola minimum through them.  A residual the visit's sweep already
+// scored is read from `probes` (the same bits, by the evaluator
+// contract); the rest are evaluated, and a pixel whose four probes are
+// all known skips its window sum.  The semi-fluid probes remap on the fly
 // through the direct (naive) matcher — they can fall outside the
 // search's correspondence tables, and the direct matcher equals them by
 // construction; the F_cont probes reuse the precomputed planes when
-// eligible.
+// eligible.  Its time goes to timings.subpixel_refine, its probe counts
+// to `count`.
 void refine_subpixel(const MatchInput& in, const SmaConfig& config,
                      bool parallel, std::vector<PixelBest>& best,
-                     TrackTimings& timings) {
+                     const std::vector<SubpixelProbes>& probes,
+                     TrackTimings& timings, SubpixelProbeCount& count) {
   const int w = in.width();
   const int h = in.height();
   obs::TraceSpan span("match", "subpixel_refine");
@@ -328,23 +332,39 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
       semifluid_active(in, config) ? nullptr : admitted_precompute(in, config);
   const int nzt_x = config.z_template_radius;
   const int nzt_y = config.z_template_ry();
+  const std::vector<sched::Tile> tiles = pixel_tiles(w, h, config, parallel);
+  // Per-tile counts, summed in tile order after the pass.
+  std::vector<SubpixelProbeCount> tallies(tiles.size());
   run_pixel_tiles(
-      pixel_tiles(w, h, config, parallel), config, parallel,
-      [&](const sched::Tile& tile, std::size_t) {
+      tiles, config, parallel,
+      [&](const sched::Tile& tile, std::size_t index) {
+        SubpixelProbeCount& tally = tallies[index];
         for (int y = tile.y0; y < tile.y1; ++y)
           for (int x = tile.x0; x < tile.x1; ++x) {
-            PixelBest& b = best[static_cast<std::size_t>(y) * w + x];
+            const std::size_t i = static_cast<std::size_t>(y) * w + x;
+            PixelBest& b = best[i];
             // Masked winners can carry an infinite residual; the parabola
             // is meaningless there (inf - inf), so only refine finite
             // minima.
             if (!b.any_ok || !std::isfinite(b.error)) continue;
+            const SubpixelProbes& s = probes[i];
+            const unsigned known =
+                s.hx == b.hx && s.hy == b.hy ? s.known : 0u;
+            double e[4];
             WindowInvariants win;
-            if (pre != nullptr)
+            if (pre != nullptr && known != 0xFu)
               pre->accumulate_window(x, y, nzt_x, nzt_y, win);
-            const auto probe = [&](int hx, int hy) {
+            for (int k = 0; k < 4; ++k) {
+              if ((known >> k & 1u) != 0) {
+                e[k] = s.err[k];
+                ++tally.reused;
+                continue;
+              }
+              const int hx = b.hx + SubpixelProbes::kDx[k];
+              const int hy = b.hy + SubpixelProbes::kDy[k];
               MotionParams unused;
               bool ok = false;
-              return pre != nullptr
+              e[k] = pre != nullptr
                          ? evaluate_hypothesis_precomputed(
                                *pre, *in.after, win, nullptr, x, y, hx, hy,
                                nzt_x, nzt_y, unused, ok)
@@ -352,7 +372,8 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
                                *in.before, *in.after, in.disc_before,
                                in.disc_after, nullptr, x, y, hx, hy, config,
                                unused, ok, in.mask_before, in.mask_after);
-            };
+              ++tally.evaluated;
+            }
             // The parabola through (-1, em), (0, e0), (1, ep) along one
             // axis.  A near-zero center residual means the integer
             // hypothesis is an (essentially) exact match; the parabola is
@@ -366,11 +387,15 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
                 sub = static_cast<float>(
                     std::clamp(0.5 * (em - ep) / denom, -0.5, 0.5));
             };
-            fit(probe(b.hx - 1, b.hy), probe(b.hx + 1, b.hy), b.sub_u);
-            fit(probe(b.hx, b.hy - 1), probe(b.hx, b.hy + 1), b.sub_v);
+            fit(e[0], e[1], b.sub_u);
+            fit(e[2], e[3], b.sub_v);
           }
       });
-  timings.hypothesis_matching += seconds_since(t0);
+  for (const SubpixelProbeCount& tally : tallies) {
+    count.evaluated += tally.evaluated;
+    count.reused += tally.reused;
+  }
+  timings.subpixel_refine += seconds_since(t0);
 }
 
 // The "products" stage: packs per-pixel winners into the result's flow
@@ -427,6 +452,9 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
   std::vector<PixelBest> best(static_cast<std::size_t>(in.width()) *
                               in.height());
   const MatchPrecompute* pre = admitted_precompute(in, config);
+  // The sub-pixel step's probe store, filled by the visits that can.
+  std::vector<SubpixelProbes> probes;
+  if (options.subpixel) probes.resize(best.size());
   // Semi-fluid mapping + hypothesis matching, interleaved per
   // hypothesis-row segment (Sec. 4.3).  Segments bound the resident
   // correspondence table; F_cont has none and sweeps once.
@@ -446,7 +474,8 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
       obs::TraceSpan segment_span("match", "hypothesis_search");
       const auto t0 = Clock::now();
       visit(MatchSegment{hy_min, hy_max, table ? &*table : nullptr, pre,
-                         best.data(), windows});
+                         best.data(), windows,
+                         probes.empty() ? nullptr : probes.data()});
       timings.hypothesis_matching += seconds_since(t0);
     }
   };
@@ -465,10 +494,12 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
   } else {
     sweep(nullptr);
   }
-  if (options.subpixel) refine_subpixel(in, config, parallel, best, timings);
+  if (options.subpixel)
+    refine_subpixel(in, config, parallel, best, probes, timings,
+                    result.subpixel_probes);
   collect_track_result(in, options, best, result);
   timings.total = timings.match_precompute + timings.semifluid_mapping +
-                  timings.hypothesis_matching;
+                  timings.hypothesis_matching + timings.subpixel_refine;
   return result;
 }
 

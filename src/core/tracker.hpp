@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -80,7 +81,18 @@ struct TrackTimings {
   double match_precompute = 0.0;
   double semifluid_mapping = 0.0;
   double hypothesis_matching = 0.0;
+  /// The optional parabolic sub-pixel step (TrackOptions::subpixel),
+  /// timed apart from the search it refines.
+  double subpixel_refine = 0.0;
   double total = 0.0;
+};
+
+/// The sub-pixel step's probe accounting for one tracked pair: residuals
+/// it evaluated, and residuals it read from the visit's own sweep
+/// (MatchSegment::probes) instead.  Both 0 without TrackOptions::subpixel.
+struct SubpixelProbeCount {
+  std::uint64_t evaluated = 0;
+  std::uint64_t reused = 0;
 };
 
 /// Dense per-pixel motion parameters (optional output).
@@ -97,6 +109,7 @@ struct TrackResult {
   /// correspondence table; feeds the Sec. 4.3 PE-memory accounting in
   /// the benches.
   std::size_t peak_mapping_bytes = 0;
+  SubpixelProbeCount subpixel_probes;
   /// Backend-specific attachments (null for full-search "sequential"
   /// runs).  See BackendExtras; shared so TrackResult stays cheaply
   /// copyable.
@@ -230,6 +243,23 @@ void run_pixel_tiles(
     bool parallel,
     const std::function<void(const sched::Tile&, std::size_t)>& fn);
 
+/// One winner's four sub-pixel probes as a sweep scored them: the
+/// Eq. (3) residuals of hypotheses (hx - 1, hy), (hx + 1, hy),
+/// (hx, hy - 1) and (hx, hy + 1), in that order, tagged with the winner
+/// (hx, hy) they belong to.  Bit k of `known` marks err[k] filled.  By
+/// the evaluator contract a scored residual has the bits of the probe
+/// that would re-score it, so the sub-pixel step reads a filled slot
+/// instead of evaluating it.
+struct SubpixelProbes {
+  /// Probe k's hypothesis offset from the winner.
+  static constexpr int kDx[4] = {-1, 1, 0, 0};
+  static constexpr int kDy[4] = {0, 0, -1, 1};
+
+  int hx = 0, hy = 0;
+  unsigned known = 0;
+  double err[4] = {};
+};
+
 /// One hypothesis-row segment of the search, as the matching stage
 /// hands it to a backend's pixel visit.
 struct MatchSegment {
@@ -245,6 +275,12 @@ struct MatchSegment {
   /// row-major like `best`; a pixel folds only the hypotheses inside
   /// its window.  Null for full search.
   const PruneWindow* windows = nullptr;
+  /// With TrackOptions::subpixel: the frame's row-major probe store,
+  /// one slot per pixel, kept across segments.  A visit may fill the
+  /// slots of its incumbents' neighbours it scored (the `vector` tile
+  /// kernel does; the staged visits leave it alone), resetting a slot
+  /// whose incumbent changed.  Null otherwise.
+  SubpixelProbes* probes = nullptr;
 };
 
 /// How a backend visits one segment's pixels: fold hypotheses
@@ -263,8 +299,10 @@ using SegmentVisit = std::function<void(const MatchSegment&)>;
 /// raising peak_mapping_bytes); F_cont has no table and sweeps once.
 /// Each segment goes to `visit` inside a "match"/"hypothesis_search"
 /// span and the matching timer.  `prune`, when non-null, receives the
-/// pruning accounting of a pruned search.  Fills the
-/// matching-phase timings and timings.total.
+/// pruning accounting of a pruned search.  With TrackOptions::subpixel
+/// every segment carries the probe store, and the sub-pixel step then
+/// evaluates only the probes no visit filled.  Fills the matching-phase
+/// timings, timings.total and subpixel_probes.
 TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
                                const TrackOptions& options, bool parallel,
                                const SegmentVisit& visit,

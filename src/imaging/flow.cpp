@@ -91,13 +91,28 @@ void write_flow_text(const FlowField& flow, std::ostream& out, int stride) {
     buf += sep;
     buf.append(num, std::to_chars(num, num + sizeof(num), value...).ptr);
   };
+  // "%g" prints an integral value below 1e6 in magnitude as its integer
+  // digits ("-0" for -0.0), which integer to_chars writes faster.
+  // Without sub-pixel refinement every u and v is such a value.
+  const auto put_component = [&](float v) {
+    if (std::abs(v) < 1e6f && v == std::trunc(v)) {
+      if (v == 0.0f && std::signbit(v)) {
+        buf += " -0";
+        return;
+      }
+      put(' ', static_cast<int>(v));
+      return;
+    }
+    put(' ', static_cast<double>(v), std::chars_format::general, 6);
+  };
   for (int y = 0; y < flow.height(); y += stride)
     for (int x = 0; x < flow.width(); x += stride) {
       const FlowVector f = flow.at(x, y);
       buf.append(num, std::to_chars(num, num + sizeof(num), x).ptr);
       put(' ', y);
-      for (const float v : {f.u, f.v, f.error})
-        put(' ', static_cast<double>(v), std::chars_format::general, 6);
+      put_component(f.u);
+      put_component(f.v);
+      put(' ', static_cast<double>(f.error), std::chars_format::general, 6);
       put(' ', static_cast<int>(f.valid));
       buf += '\n';
     }

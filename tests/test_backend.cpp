@@ -8,7 +8,9 @@
 // models, sub-pixel refinement, validity masks) and asserts
 // bit-identical results against the sequential reference.  The pipeline
 // tests pin the geometry-cache invariant: a T-frame monocular sequence
-// performs exactly T surface fits.
+// performs exactly T surface fits.  The sub-pixel tests pin the probe
+// accounting: `vector` evaluates only the probes its sweep did not
+// score, with the same bytes.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -17,7 +19,9 @@
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/match_vector.hpp"
 #include "core/pipeline.hpp"
+#include "goes/synth.hpp"
 #include "helpers.hpp"
 #include "maspar/backend.hpp"
 
@@ -158,6 +162,113 @@ TEST(BackendEquivalenceDegenerate, SemifluidNssZeroEqualsContinuous) {
   for (const std::string& name : BackendRegistry::instance().names()) {
     const TrackResult r = track_with(name, in, semi);
     EXPECT_EQ(ref.flow, r.flow) << "backend '" << name << "'";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Sub-pixel probes from the sweep's own residuals.  `sequential` and
+// `maspar-sim` evaluate all four probes of every refined winner; the
+// `vector` tile kernel keeps the residuals its sweep scored, so the
+// sub-pixel step evaluates only the probes the sweep never scored.
+// ---------------------------------------------------------------------------
+
+// A 32x32 cloud deck under a Rankine vortex: structured motion whose
+// winners reach the edges of a 5x5 search box.
+TrackerInput vortex_input() {
+  static const imaging::ImageF before = goes::fractal_clouds(32, 32, 11);
+  static const imaging::ImageF after = goes::advect_frame(
+      before, goes::rankine_vortex(16.0, 16.0, 6.4, 2.0));
+  TrackerInput in;
+  in.intensity_before = in.surface_before = &before;
+  in.intensity_after = in.surface_after = &after;
+  return in;
+}
+
+TEST(SubpixelProbes, VectorEvaluatesOnlyProbesOutsideTheSearchBox) {
+  maspar::register_maspar_backend();
+  const SmaConfig cfg = case_config(
+      {"", MotionModel::kContinuous, -1, -1, false, false});
+  const TrackerInput in = vortex_input();
+  // The integer winners (F_cont: the flow vector is the hypothesis).
+  const imaging::FlowField winners = track_with("sequential", in, cfg).flow;
+  const int w = winners.width(), h = winners.height();
+  ASSERT_EQ(winners.count_valid(), static_cast<std::size_t>(w) * h);
+  const int n = cfg.z_search_radius;
+  std::uint64_t outside = 0;
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      const int hx = static_cast<int>(winners.at(x, y).u);
+      const int hy = static_cast<int>(winners.at(x, y).v);
+      outside += (hx - 1 < -n) + (hx + 1 > n) + (hy - 1 < -n) + (hy + 1 > n);
+    }
+  ASSERT_GT(outside, 0u) << "no winner on the search box edge";
+  const std::uint64_t all = 4ull * w * h;
+
+  const TrackOptions sub{.subpixel = true};
+  const TrackResult seq = track_with("sequential", in, cfg, sub);
+  EXPECT_EQ(seq.subpixel_probes.evaluated, all);
+  EXPECT_EQ(seq.subpixel_probes.reused, 0u);
+  const TrackResult mp = track_with("maspar-sim", in, cfg, sub);
+  EXPECT_EQ(mp.subpixel_probes.evaluated, all);
+  EXPECT_TRUE(imaging::bit_equal(mp.flow, seq.flow));
+  for (const int tile : {0, 3}) {
+    SmaConfig tiled = cfg;
+    tiled.tile_width = tile;
+    tiled.tile_height = tile;
+    const TrackResult vec = track_with("vector", in, tiled, sub);
+    EXPECT_EQ(vec.subpixel_probes.evaluated, outside) << "tile " << tile;
+    EXPECT_EQ(vec.subpixel_probes.reused, all - outside) << "tile " << tile;
+    EXPECT_TRUE(imaging::bit_equal(vec.flow, seq.flow)) << "tile " << tile;
+  }
+}
+
+// Segmented, pruned and masked F_semi: the store spans segments, pruned
+// windows limit what the sweep scored, and a masked run takes the staged
+// fallback, which evaluates every probe.  Each case matches the
+// sequential flow bit for bit and accounts for every probe.
+TEST(SubpixelProbes, SegmentedPrunedAndMaskedSemiFluidMatchSequential) {
+  const TrackerInput plain = vortex_input();
+  const int w = plain.surface_before->width();
+  const int h = plain.surface_before->height();
+  imaging::ImageU8 mask(w, h);
+  mask.fill(1);
+  for (int x = 0; x < w; ++x) mask.at(x, 13) = 0;
+  TrackerInput masked = plain;
+  masked.validity_before = &mask;
+
+  const SmaConfig semi =
+      case_config({"", MotionModel::kSemiFluid, -1, -1, false, false});
+  struct Case {
+    const char* name;
+    SmaConfig cfg;
+    const TrackerInput* in;
+  };
+  SmaConfig seg1 = semi, seg2 = semi, pruned = semi;
+  seg1.segment_rows = 1;
+  seg2.segment_rows = 2;
+  pruned.search_mode = SearchMode::kPruned;
+  const TrackOptions sub{.subpixel = true};
+  for (const Case& c : {Case{"segment_rows 1", seg1, &plain},
+                        Case{"segment_rows 2", seg2, &plain},
+                        Case{"pruned", pruned, &plain},
+                        Case{"masked", semi, &masked}}) {
+    SCOPED_TRACE(c.name);
+    const TrackResult seq = track_with("sequential", *c.in, c.cfg, sub);
+    EXPECT_EQ(seq.subpixel_probes.reused, 0u);
+    const TrackResult vec = track_with("vector", *c.in, c.cfg, sub);
+    EXPECT_TRUE(imaging::bit_equal(vec.flow, seq.flow));
+    EXPECT_EQ(vec.subpixel_probes.evaluated + vec.subpixel_probes.reused,
+              seq.subpixel_probes.evaluated);
+    const auto* vx =
+        dynamic_cast<const VectorBackendExtras*>(vec.extras.get());
+    ASSERT_NE(vx, nullptr);
+    if (c.in == &masked) {
+      EXPECT_FALSE(vx->report.vector_path);
+      EXPECT_EQ(vec.subpixel_probes.reused, 0u);
+    } else {
+      EXPECT_TRUE(vx->report.vector_path);
+      EXPECT_GT(vec.subpixel_probes.reused, 0u);
+    }
   }
 }
 

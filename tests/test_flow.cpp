@@ -163,6 +163,34 @@ TEST(FlowText, NumbersArePrintfG) {
   EXPECT_EQ(out.str(), expected);
 }
 
+// u and v that are integral and below 1e6 in magnitude take the integer
+// formatter; the values around its edges must still print as "%g" does.
+TEST(FlowText, IntegralComponentsArePrintfG) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float values[] = {0.0f,      -0.0f,     1.0f,      -7.0f,
+                          999999.0f, -999999.0f, 1e6f,     -1e6f,
+                          999999.9375f, 0.5f,   -0.5f,     inf,
+                          -inf,      std::numeric_limits<float>::quiet_NaN(),
+                          1e7f,      2.5e-3f,   65536.0f,  -65536.0f,
+                          16777216.0f, 123456.0f};
+  const int n = static_cast<int>(std::size(values));
+  FlowField f(n, 1);
+  for (int x = 0; x < n; ++x)
+    f.set(x, 0, FlowVector{values[x], values[n - 1 - x], 2.0f, 1});
+  std::ostringstream out;
+  write_flow_text(f, out);
+  std::string expected = "# width " + std::to_string(n) +
+                         " height 1 stride 1\n";
+  char line[128];
+  for (int x = 0; x < n; ++x) {
+    std::snprintf(line, sizeof(line), "%d 0 %g %g 2 1\n", x,
+                  static_cast<double>(values[x]),
+                  static_cast<double>(values[n - 1 - x]));
+    expected += line;
+  }
+  EXPECT_EQ(out.str(), expected);
+}
+
 TEST(FlowText, MissingFileThrows) {
   EXPECT_THROW(read_flow_text("/nonexistent/flow.txt"), std::runtime_error);
 }

@@ -460,7 +460,8 @@ TEST(ObsBridge, NameListsMatchStructShapes) {
   // One name per struct field; the sizeof static_asserts in
   // obs_bridge.cpp force these lists to be revisited on any change.
   EXPECT_EQ(core::pipeline_stats_metric_names().size(), 12u);
-  EXPECT_EQ(core::track_timings_metric_names().size(), 6u);
+  EXPECT_EQ(core::track_timings_metric_names().size(), 7u);
+  EXPECT_EQ(core::subpixel_probe_metric_names().size(), 2u);
   EXPECT_EQ(core::fault_metric_names().size(), 6u);
   EXPECT_EQ(core::pruning_metric_names().size(), 9u);
 }
@@ -469,12 +470,14 @@ TEST(ObsBridge, EveryStructFieldAppearsInSnapshot) {
   obs::MetricsRegistry reg;
   core::publish_metrics(core::PipelineStats{}, reg);
   core::publish_metrics(core::TrackTimings{}, reg);
+  core::publish_metrics(core::SubpixelProbeCount{}, reg);
   core::publish_metrics(core::FaultLog{}, reg);
   core::publish_metrics(core::PruneReport{}, reg);
   const auto snap = reg.snapshot();
   for (const auto* names :
        {&core::pipeline_stats_metric_names(),
-        &core::track_timings_metric_names(), &core::fault_metric_names(),
+        &core::track_timings_metric_names(),
+        &core::subpixel_probe_metric_names(), &core::fault_metric_names(),
         &core::pruning_metric_names()})
     for (const std::string& name : *names)
       EXPECT_NE(obs::find_metric(snap, name), nullptr)

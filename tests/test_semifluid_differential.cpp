@@ -25,6 +25,8 @@
 // the vector lanes fold exactly the admitted hypotheses
 // (fine_scheduled).  Masked cases take the vector backend's staged
 // fallback and skip the shard leg (a tile source has no mask channel).
+// Sub-pixel cases also account for every probe: a path's evaluated plus
+// reused probes equal the probes the oracle evaluates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,6 +191,10 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
     oracle_cfg.use_precomputed_mapping = false;
     const TrackResult oracle =
         SmaPipeline(oracle_cfg, {.track = c.options}).track_pair(in);
+    EXPECT_EQ(oracle.subpixel_probes.reused, 0u);
+    if (!c.options.subpixel) {
+      EXPECT_EQ(oracle.subpixel_probes.evaluated, 0u);
+    }
     const auto* oracle_prune =
         dynamic_cast<const PruneBackendExtras*>(oracle.extras.get());
     ASSERT_EQ(oracle_prune != nullptr, pruned);
@@ -224,6 +230,11 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
                             .track = c.options})
               .track_pair(in);
       EXPECT_TRUE(imaging::bit_equal(r.flow, oracle.flow)) << what;
+      // Every probe the oracle evaluates is either evaluated or read
+      // from the sweep's residuals.
+      EXPECT_EQ(r.subpixel_probes.evaluated + r.subpixel_probes.reused,
+                oracle.subpixel_probes.evaluated)
+          << what;
       if (pruned) {
         const PruneReport* got = prune_report_of(r);
         EXPECT_NE(got, nullptr) << what;
