@@ -3,7 +3,8 @@
 // normal-equation evaluator on a continuous-model Frederic-analog pair.
 //
 // Three variants of the same search (Nzs = Nzt = 4):
-//   naive                --precompute off, the paper's per-hypothesis
+//   naive                `sequential`'s match() on the pair without
+//                        precompute planes: the paper's per-hypothesis
 //                        row-by-row normal-equation accumulation
 //   precompute           SoA invariant planes + per-window A^T A tiles
 //   vector               the `vector` backend: SIMD lanes over center
@@ -25,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -86,16 +88,14 @@ FlowDrift flow_drift(const imaging::FlowField& flow,
   return d;
 }
 
-VariantResult run_variant(const std::string& name,
-                          const std::string& backend_name,
-                          const core::TrackerInput& in, core::SmaConfig cfg,
-                          core::PrecomputeMode mode, int repeat) {
-  cfg.precompute = mode;
-  // A fresh pipeline per run, so every run pays both fits and the
-  // precompute build instead of hitting the geometry cache.
-  const auto track = [&] {
-    return core::SmaPipeline(cfg, {.backend = backend_name}).track_pair(in);
-  };
+// Times `track` (best of `repeat` after one warm-up) from its
+// TrackTimings: match = precompute + mapping + hypothesis matching, wall
+// = timings.total.
+VariantResult time_variant(const std::string& name,
+                           const std::string& backend_name,
+                           const core::SmaConfig& cfg,
+                           const std::function<core::TrackResult()>& track,
+                           int repeat) {
   VariantResult best;
   best.name = name;
   best.backend = backend_name;
@@ -131,6 +131,51 @@ VariantResult run_variant(const std::string& name,
     }
   }
   return best;
+}
+
+// A fresh pipeline per run, so every run pays both fits and the
+// precompute build instead of hitting the geometry cache.
+VariantResult run_variant(const std::string& name,
+                          const std::string& backend_name,
+                          const core::TrackerInput& in,
+                          const core::SmaConfig& cfg, int repeat) {
+  return time_variant(
+      name, backend_name, cfg,
+      [&] {
+        return core::SmaPipeline(cfg, {.backend = backend_name})
+            .track_pair(in);
+      },
+      repeat);
+}
+
+// The naive evaluator: `sequential`'s match() on the pair without
+// precompute planes, over geometry fitted as the pipeline fits it.  Both
+// fits run inside every timed call and count in its wall time, as they
+// do on a fresh pipeline.
+VariantResult run_naive(const core::TrackerInput& in,
+                        const core::SmaConfig& cfg, int repeat) {
+  const core::TrackerBackend& sequential =
+      core::BackendRegistry::instance().get("sequential");
+  return time_variant(
+      "naive", "sequential", cfg,
+      [&] {
+        const auto t0 = std::chrono::steady_clock::now();
+        surface::GeometryOptions gopts;
+        gopts.patch_radius = cfg.surface_fit_radius;
+        const surface::GeometricField g0 =
+            surface::compute_geometry(*in.surface_before, gopts);
+        const surface::GeometricField g1 =
+            surface::compute_geometry(*in.surface_after, gopts);
+        core::MatchInput mi;
+        mi.before = &g0;
+        mi.after = &g1;
+        core::TrackResult r = sequential.match(mi, cfg, {});
+        r.timings.total = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        return r;
+      },
+      repeat);
 }
 
 // Per-span cost of the disabled path (no recorder installed): one
@@ -189,12 +234,10 @@ int main(int argc, char** argv) {
                 std::to_string(size) + "x" + std::to_string(size) + ", " +
                 cfg.describe() + ")");
 
-  const VariantResult naive = run_variant(
-      "naive", "sequential", in, cfg, core::PrecomputeMode::kOff, repeat);
-  const VariantResult pre = run_variant(
-      "precompute", "sequential", in, cfg, core::PrecomputeMode::kOn, repeat);
-  const VariantResult vec = run_variant(
-      "vector", "vector", in, cfg, core::PrecomputeMode::kOn, repeat);
+  const VariantResult naive = run_naive(in, cfg, repeat);
+  const VariantResult pre =
+      run_variant("precompute", "sequential", in, cfg, repeat);
+  const VariantResult vec = run_variant("vector", "vector", in, cfg, repeat);
 
   const double npix = static_cast<double>(size) * size;
   std::printf("  %-22s %12s %12s %10s %14s\n", "variant", "match (s)",
@@ -241,7 +284,7 @@ int main(int argc, char** argv) {
     PrunedLeg leg;
     leg.radius = radius;
     leg.result = run_variant("pruned-r" + std::to_string(radius), "vector",
-                             in, cfg_p, core::PrecomputeMode::kOn, repeat);
+                             in, cfg_p, repeat);
     leg.drift = flow_drift(leg.result.flow, naive.flow, drift_margin);
     pruned_legs.push_back(std::move(leg));
   }

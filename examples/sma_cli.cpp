@@ -20,8 +20,6 @@
 //   --subpixel             parabolic refinement
 //   --backend NAME         execution backend from the registry:
 //                          sequential | vector (default) | maspar-sim
-//   --precompute MODE      hypothesis-invariant matching precompute:
-//                          on (default) | off
 //   --threads N            cap this run's tile executors (0 = the whole
 //                          shared pool; pool width = SMA_THREADS or the
 //                          hardware count)
@@ -93,7 +91,6 @@ int usage() {
                "                 [--backend sequential|vector|maspar-sim]\n"
                "                 (default vector)\n"
                "                 [--robust] [--ppm FILE]\n"
-               "                 [--precompute on|off]\n"
                "                 [--threads N] [--tile WxH]\n"
                "                 [--search-mode full|pruned]\n"
                "                 [--prune-levels N] [--prune-radius N]\n"
@@ -197,14 +194,6 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       o.opts.subpixel = true;
     } else if (a == "--backend") {
       o.backend = flag_value(argc, argv, i);
-    } else if (a == "--precompute") {
-      const std::string m = flag_value(argc, argv, i);
-      if (m == "on")
-        o.cfg.precompute = core::PrecomputeMode::kOn;
-      else if (m == "off")
-        o.cfg.precompute = core::PrecomputeMode::kOff;
-      else
-        throw std::invalid_argument("--precompute expects on|off");
     } else if (a == "--threads") {
       o.cfg.threads = int_flag(argc, argv, i);
     } else if (a == "--tile") {

@@ -156,22 +156,34 @@ run "$cli" track "${pair[@]}" flow_pruned_shard.txt --model cont \
 run cmp flow_pruned_vector.txt flow_pruned_shard.txt
 run "$cli" track "${pair[@]}" flow_pruned_semi.txt --model semi \
   --search-mode pruned --backend vector
-run "$cli" track "${pair[@]}" flow_pruned_semi_off.txt --model semi \
-  --search-mode pruned --backend sequential --precompute off
-run cmp flow_pruned_semi.txt flow_pruned_semi_off.txt
+run "$cli" track "${pair[@]}" flow_pruned_semi_seq.txt --model semi \
+  --search-mode pruned --backend sequential
+run cmp flow_pruned_semi.txt flow_pruned_semi_seq.txt
 # Faults at rate 0.02 are only interpolated and despiked (no mask, the
-# lane kernel); seed 5 at rate 0.05 leaves one scan line masked (the
-# staged path).
+# lane kernel); seed 5 at rate 0.05 leaves one scan line masked (no
+# precompute planes: the naive evaluator, and the staged path on
+# `vector`), for both models.
 run "$cli" track "${pair[@]}" flow_fault_seq.txt --backend sequential \
   --inject-faults 0.02
 run "$cli" track "${pair[@]}" flow_fault_vec.txt --backend vector \
   --inject-faults 0.02
 run cmp flow_fault_seq.txt flow_fault_vec.txt
+for backend in sequential maspar-sim vector; do
+  run "$cli" track "${pair[@]}" flow_mask_$backend.txt --backend $backend \
+    --inject-faults 0.05 --fault-seed 5
+  run cmp flow_mask_sequential.txt flow_mask_$backend.txt
+done
 run "$cli" track "${pair[@]}" flow_pruned_fault_seq.txt --search-mode pruned \
   --backend sequential --inject-faults 0.05 --fault-seed 5
 run "$cli" track "${pair[@]}" flow_pruned_fault_vec.txt --search-mode pruned \
   --backend vector --inject-faults 0.05 --fault-seed 5
 run cmp flow_pruned_fault_seq.txt flow_pruned_fault_vec.txt
+run "$cli" track "${pair[@]}" flow_pruned_fault_cont_seq.txt --model cont \
+  --search-mode pruned --backend sequential --inject-faults 0.05 \
+  --fault-seed 5
+run "$cli" track "${pair[@]}" flow_pruned_fault_cont_vec.txt --model cont \
+  --search-mode pruned --backend vector --inject-faults 0.05 --fault-seed 5
+run cmp flow_pruned_fault_cont_seq.txt flow_pruned_fault_cont_vec.txt
 run "$cli" track "${pair[@]}" flow_full.txt --model cont --search-mode full \
   --backend vector
 run "$cli" track "${pair[@]}" flow_obs.txt --model cont --search 2 \

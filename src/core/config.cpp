@@ -16,7 +16,6 @@ std::string SmaConfig::describe() const {
        << semifluid_search_size() << ", semi-fluid template "
        << semifluid_template_size() << "x" << semifluid_template_size();
   os << ", Z=" << effective_segment_rows() << " rows/segment";
-  os << ", precompute=" << (precompute == PrecomputeMode::kOff ? "off" : "on");
   // The pruned search changes results (tolerance-level subpixel deltas
   // vs. the full oracle), so it MUST be part of the signature — but only
   // when engaged, keeping every existing full-mode signature byte-stable.

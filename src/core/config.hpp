@@ -13,6 +13,12 @@
 // Setting N_ss = 0 reduces the semi-fluid mapping F_semi to the continuous
 // mapping F_cont (Sec. 2.3), which is also what MotionModel::kContinuous
 // selects directly.
+//
+// The paper's two precomputes are not configured here: the matching
+// stage builds the Sec. 4.1 correspondence table whenever the semi-fluid
+// remap is on (effective_nss() > 0), and SmaPipeline builds the Sec. 3
+// geometric-variable planes (match_precompute.hpp) for every pair
+// without a validity mask.
 #pragma once
 
 #include <stdexcept>
@@ -28,17 +34,6 @@ inline constexpr int kMaxSemiFluidSearchRadius = 7;
 enum class MotionModel {
   kContinuous,  ///< F_cont: locally affine continuous deformation (Eq. 2)
   kSemiFluid,   ///< F_semi: per-pixel fragmented correspondences (Eq. 9)
-};
-
-/// Hypothesis-invariant matching precompute (match_precompute.hpp): the
-/// per-pixel weighted design rows and A^T A tiles of the 6x6 normal
-/// equations are built once per before frame instead of once per
-/// (pixel, hypothesis).  Bit-identical to the naive path where eligible
-/// (no masks; F_semi included); ineligible configs fall back to naive
-/// regardless of the mode.
-enum class PrecomputeMode {
-  kOn,   ///< engage whenever eligible
-  kOff,  ///< always run the naive oracle path
 };
 
 /// Hypothesis-search strategy (match_prune.hpp).  kFull is the paper's
@@ -75,20 +70,6 @@ struct SmaConfig {
   /// during this run i.e. Z = 2N_zs + 1").
   int segment_rows = 0;
 
-  /// Sec. 4.1 optimization: precompute the semi-fluid matching cost for
-  /// the whole (2N_zs + 2N_ss + 1)^2 extended window and share it across
-  /// hypotheses, instead of recomputing per hypothesis.  The precompute
-  /// fast path always reads the per-pair correspondence table
-  /// (semifluid.hpp); false matters only with the precompute off, where
-  /// it skips the table and remaps every template pixel on the fly (the
-  /// naive oracle).  Both are exact.
-  bool use_precomputed_mapping = true;
-
-  /// Hypothesis-invariant normal-equation precompute (see PrecomputeMode
-  /// and match_precompute.hpp).  Distinct from use_precomputed_mapping,
-  /// which is the Sec. 4.1 semi-fluid COST precompute.
-  PrecomputeMode precompute = PrecomputeMode::kOn;
-
   /// Executor cap for the tiled scheduler (sched/scheduler.hpp): how
   /// many pool workers may serve THIS run's tile batches.  0 = the
   /// whole shared pool (whose width is SMA_THREADS or the hardware
@@ -104,8 +85,8 @@ struct SmaConfig {
   int tile_height = 0;
 
   /// Hypothesis-search strategy (see SearchMode).  kPruned runs for every
-  /// model, segment height, mask and precompute setting, and reports
-  /// through the pruning.* metrics.
+  /// model, segment height and mask, and reports through the pruning.*
+  /// metrics.
   SearchMode search_mode = SearchMode::kFull;
 
   /// Pyramid depth of the pruned mode's coarse seeding pass: the number

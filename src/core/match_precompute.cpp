@@ -212,18 +212,4 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
   return ne.residual(linalg::Vec6{});
 }
 
-PrecomputeDecision resolve_precompute(const SmaConfig& config,
-                                      const MatchInput& in) {
-  if (config.precompute == PrecomputeMode::kOff)
-    return PrecomputeDecision::kDisabled;
-  // The semi-fluid remap needs no rule of its own: it moves only the
-  // after-frame correspondents, which the evaluator gathers through the
-  // correspondence table.
-  // Masks change the per-pixel window MULTISET (skipped rows), which the
-  // precomputed tiles cannot express.
-  if (in.mask_before != nullptr || in.mask_after != nullptr)
-    return PrecomputeDecision::kMasked;
-  return PrecomputeDecision::kFast;
-}
-
 }  // namespace sma::core

@@ -30,26 +30,26 @@
 // unsplit target in A^T b), so `NormalEquations6::solve` receives the
 // same bits.
 //
-// Fallback contract (resolve_precompute): the fast path engages only
-// when no validity masks are present — otherwise the template window is
-// no longer a fixed box over the before frame and the shared window
-// sums are invalid.  The semi-fluid model is eligible: its per-pixel
-// remap moves only the AFTER-frame correspondent q = p + M_h(p), so
-// A^T A (before frame only) is still the shared window sum and just the
-// A^T b / b^T b sweep gathers through the correspondence table.  One
-// evaluator serves every precomputed consumer — F_cont and F_semi
-// through its table — and the naive path remains the equivalence
-// oracle.
+// The pair decides: SmaPipeline::track_pair builds the planes exactly
+// when no validity mask is attached — a mask drops template pixels, so
+// the window is no longer a fixed box over the before frame and the
+// shared window sums are invalid — and run_matching_stage rejects a
+// caller that attaches both.  A null MatchInput::precompute selects the
+// naive evaluator on every backend.  The semi-fluid model rides the
+// planes: its per-pixel remap moves only the AFTER-frame correspondent
+// q = p + M_h(p), so A^T A (before frame only) is still the shared
+// window sum and just the A^T b / b^T b sweep gathers through the
+// correspondence table.  One evaluator serves every precomputed
+// consumer — F_cont and F_semi through its table — and the naive path
+// remains the equivalence oracle.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "core/config.hpp"
 #include "core/continuous_model.hpp"
 #include "core/semifluid.hpp"
-#include "core/tracker.hpp"
 #include "surface/geometry.hpp"
 
 namespace sma::core {
@@ -143,20 +143,5 @@ double evaluate_hypothesis_precomputed(const MatchPrecompute& pre,
                                        int y, int hx, int hy, int rx, int ry,
                                        MotionParams& params_out,
                                        bool& ok_out);
-
-/// Why the fast path did or did not engage for a given (config, input).
-enum class PrecomputeDecision {
-  kFast,       ///< precompute engages
-  kDisabled,   ///< PrecomputeMode::kOff
-  kMasked,     ///< validity masks present: window multiset varies per pixel
-};
-
-/// The single eligibility rule, shared by every attachment and consumer
-/// site (backend, pipeline, tracker stages, MasPar executor) and
-/// unit-tested directly.  kOn engages wherever eligible: the precompute
-/// amortizes after the second hypothesis and even a 1x1 search with
-/// subpixel refinement evaluates five.
-PrecomputeDecision resolve_precompute(const SmaConfig& config,
-                                      const MatchInput& in);
 
 }  // namespace sma::core

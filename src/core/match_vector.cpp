@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/match_precompute.hpp"
 #include "core/match_prune.hpp"
 #include "sched/tile.hpp"
 
@@ -13,16 +12,8 @@ namespace sma::core {
 namespace {
 
 // Why the lane kernels cannot serve this pair, or null when they can.
-const char* vector_fallback_name(PrecomputeDecision d, const MatchInput& in) {
-  switch (d) {
-    case PrecomputeDecision::kDisabled:
-      return "precompute-off";
-    case PrecomputeDecision::kMasked:
-      return "masked";
-    case PrecomputeDecision::kFast:
-      break;
-  }
-  // Eligible, but the caller attached no planes.
+const char* vector_fallback_name(const MatchInput& in) {
+  if (in.mask_before != nullptr || in.mask_after != nullptr) return "masked";
   if (in.precompute == nullptr) return "no-precompute";
   return nullptr;
 }
@@ -128,8 +119,7 @@ class VectorBackend final : public TrackerBackend {
     report.level_id = static_cast<int>(level);
     report.lanes = kernels.lanes;
 
-    const char* fallback =
-        vector_fallback_name(resolve_precompute(config, in), in);
+    const char* fallback = vector_fallback_name(in);
     // The tile kernel puts one center per lane: autotuned tiles round up
     // to whole batches so only a frame's right-edge tiles idle lanes.
     const std::vector<sched::Tile> tiles = pixel_tiles(

@@ -42,9 +42,10 @@
 // (match_prune.hpp) with the segment: a tile sweeps the union of its
 // pixels' windows and each lane folds only the hypotheses inside its
 // own pixel's window — the hypotheses the scalar visit evaluates, with
-// the same bits.  Configs the precompute cannot serve (masks, precompute
-// off) visit through the staged tiles (scan_segment) on the same pool —
-// again bit-identical by construction.
+// the same bits.  A pair without precompute planes — a masked one, which
+// the pipeline never gives planes, or a caller's planes-less input —
+// visits through the staged tiles (scan_segment) on the same pool, again
+// bit-identical by construction.
 //
 // The per-ISA kernels live in match_vector_<isa>.cpp translation units
 // compiled with the matching target flags (only the AVX2 and AVX-512
@@ -132,8 +133,8 @@ struct VectorRunReport {
   int level_id = 0;           ///< numeric SimdLevel (metrics-friendly)
   int lanes = 1;              ///< lanes per batch at that level
   bool vector_path = false;   ///< tile kernel ran (vs. staged fallback)
-  /// Why not, when it didn't ("" otherwise): "precompute-off", "masked"
-  /// or "no-precompute".
+  /// Why not, when it didn't ("" otherwise): "masked" when a validity
+  /// mask is attached, else "no-precompute" when the planes are null.
   std::string fallback;
   std::uint64_t batched_hypotheses = 0;
   std::uint64_t tail_hypotheses = 0;

@@ -221,8 +221,7 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
 
   // --- Stages: surface fit + geometric variables (through the cache).
   const auto t_start = Clock::now();
-  const bool semifluid = config_.model == MotionModel::kSemiFluid &&
-                         config_.semifluid_search_radius > 0;
+  const bool semifluid = config_.effective_nss() > 0;
 
   check_cancel(cancel, "surface_fit");
   const GeomLookup l0 = frame_geometry(*input.surface_before);
@@ -269,10 +268,12 @@ TrackResult SmaPipeline::track_pair(const TrackerInput& input,
   mi.prune_seeds = input.prune_seeds;
 
   // --- Stage: match precompute (built for this pair, dropped with it).
+  // A validity mask is the one input the planes cannot serve: it drops
+  // template pixels, so the shared window sums no longer hold.
   check_cancel(cancel, "match_precompute");
   std::optional<MatchPrecompute> pre;
   double pre_seconds = 0.0;
-  if (resolve_precompute(config_, mi) == PrecomputeDecision::kFast) {
+  if (mi.mask_before == nullptr && mi.mask_after == nullptr) {
     const auto t0 = Clock::now();
     obs::TraceSpan span("pipeline", "match_precompute");
     mi.precompute = &pre.emplace(*g0, backend_->capabilities().host_parallel);

@@ -24,25 +24,6 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// Semi-fluid flag used consistently across the stages: the discriminants
-// must actually be present for the semi-fluid path to engage.
-bool semifluid_active(const MatchInput& in, const SmaConfig& config) {
-  return config.model == MotionModel::kSemiFluid &&
-         config.semifluid_search_radius > 0 && in.disc_before != nullptr &&
-         in.disc_after != nullptr;
-}
-
-// The attached precompute planes when the eligibility rule admits them
-// for this config — re-checked here so a stale attachment can never
-// corrupt a masked run.
-const MatchPrecompute* admitted_precompute(const MatchInput& in,
-                                           const SmaConfig& config) {
-  return in.precompute != nullptr &&
-                 resolve_precompute(config, in) == PrecomputeDecision::kFast
-             ? in.precompute
-             : nullptr;
-}
-
 }  // namespace
 
 // Cache-blocked 2-D tiles keep a thread's template reads cache-resident
@@ -128,7 +109,7 @@ double evaluate_pixel_hypothesis(const surface::GeometricField& before,
   const int nzt_y = config.z_template_ry();
   const int nss = config.effective_nss();
   const int nst = config.semifluid_template_radius;
-  const bool semifluid = config.model == MotionModel::kSemiFluid && nss > 0;
+  const bool semifluid = nss > 0;
   const int w = before.width();
   const int h = before.height();
   const bool masked = mask_before != nullptr || mask_after != nullptr;
@@ -197,7 +178,7 @@ void scan_hypotheses(const MatchInput& in, const SmaConfig& config,
   const int nzt_y = config.z_template_ry();
   const int nss = config.effective_nss();
   const int nst = config.semifluid_template_radius;
-  const bool semifluid = config.model == MotionModel::kSemiFluid && nss > 0;
+  const bool semifluid = nss > 0;
   const SemiFluidTable* const table = seg.table;
   PixelBest& best = seg.best[i];
   // The segment's rows, narrowed to the pixel's window under pruned
@@ -283,20 +264,16 @@ namespace {
 
 // The "Semi-fluid mapping" phase of one hypothesis-row segment: the
 // correspondence table for hy in [hy_min, hy_max] when the semi-fluid
-// remap is active and a consumer reads it — the precomputed evaluator
-// (`fast_path`, always) or the naive path under use_precomputed_mapping
-// — and nullopt otherwise (the naive path then remaps on the fly through
-// semifluid_match, the oracle).  With `parallel` its strips run on the
-// sched pool under the SmaConfig::threads cap.  The build time goes to
+// remap is on, nullopt under F_cont.  Every evaluator reads it — the
+// precomputed one, the lane kernel and the naive one, masked or not.
+// With `parallel` its strips run on the sched pool under the
+// SmaConfig::threads cap.  The build time goes to
 // timings.semifluid_mapping only; resident band + table bytes raise
 // `peak_mapping_bytes`.
 std::optional<SemiFluidTable> build_semifluid_table(
-    const MatchInput& in, const SmaConfig& config, bool parallel,
-    bool fast_path, int hy_min, int hy_max, TrackTimings& timings,
-    std::size_t& peak_mapping_bytes) {
-  if (!semifluid_active(in, config) ||
-      !(fast_path || config.use_precomputed_mapping))
-    return std::nullopt;
+    const MatchInput& in, const SmaConfig& config, bool parallel, int hy_min,
+    int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes) {
+  if (config.effective_nss() == 0) return std::nullopt;
   const auto t0 = Clock::now();
   obs::TraceSpan span("match", "semifluid_mapping");
   std::optional<SemiFluidTable> table;
@@ -317,9 +294,9 @@ std::optional<SemiFluidTable> build_semifluid_table(
 // all known skips its window sum.  The semi-fluid probes remap on the fly
 // through the direct (naive) matcher — they can fall outside the
 // search's correspondence tables, and the direct matcher equals them by
-// construction; the F_cont probes reuse the precomputed planes when
-// eligible.  Its time goes to timings.subpixel_refine, its probe counts
-// to `count`.
+// construction; the F_cont probes reuse the precompute planes when the
+// pair has them.  Its time goes to timings.subpixel_refine, its probe
+// counts to `count`.
 void refine_subpixel(const MatchInput& in, const SmaConfig& config,
                      bool parallel, std::vector<PixelBest>& best,
                      const std::vector<SubpixelProbes>& probes,
@@ -329,7 +306,7 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
   obs::TraceSpan span("match", "subpixel_refine");
   const auto t0 = Clock::now();
   const MatchPrecompute* pre =
-      semifluid_active(in, config) ? nullptr : admitted_precompute(in, config);
+      config.effective_nss() > 0 ? nullptr : in.precompute;
   const int nzt_x = config.z_template_radius;
   const int nzt_y = config.z_template_ry();
   const std::vector<sched::Tile> tiles = pixel_tiles(w, h, config, parallel);
@@ -447,11 +424,18 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
                                const TrackOptions& options, bool parallel,
                                const SegmentVisit& visit,
                                PruneReport* prune) {
+  const bool semifluid = config.effective_nss() > 0;
+  if (semifluid && (in.disc_before == nullptr || in.disc_after == nullptr))
+    throw std::invalid_argument(
+        "run_matching_stage: the semi-fluid remap needs both discriminants");
+  if (in.precompute != nullptr &&
+      (in.mask_before != nullptr || in.mask_after != nullptr))
+    throw std::invalid_argument(
+        "run_matching_stage: precompute planes cannot serve a masked pair");
   TrackResult result;
   TrackTimings& timings = result.timings;
   std::vector<PixelBest> best(static_cast<std::size_t>(in.width()) *
                               in.height());
-  const MatchPrecompute* pre = admitted_precompute(in, config);
   // The sub-pixel step's probe store, filled by the visits that can.
   std::vector<SubpixelProbes> probes;
   if (options.subpixel) probes.resize(best.size());
@@ -460,21 +444,20 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
   // correspondence table; F_cont has none and sweeps once.
   const auto sweep = [&](const PruneWindow* windows) {
     const int nzs_y = config.z_search_ry();
-    const int zseg = semifluid_active(in, config)
-                         ? config.effective_segment_rows()
-                         : config.z_search_size_y();
+    const int zseg = semifluid ? config.effective_segment_rows()
+                               : config.z_search_size_y();
     for (int hy_min = -nzs_y; hy_min <= nzs_y; hy_min += zseg) {
       const int hy_max = std::min(hy_min + zseg - 1, nzs_y);
-      const std::optional<SemiFluidTable> table = build_semifluid_table(
-          in, config, parallel, pre != nullptr, hy_min, hy_max, timings,
-          result.peak_mapping_bytes);
+      const std::optional<SemiFluidTable> table =
+          build_semifluid_table(in, config, parallel, hy_min, hy_max,
+                                timings, result.peak_mapping_bytes);
       // Nested under the pipeline's "matching" span: one span per
       // segment, so segmented searches show their per-segment structure
       // on the trace timeline.
       obs::TraceSpan segment_span("match", "hypothesis_search");
       const auto t0 = Clock::now();
-      visit(MatchSegment{hy_min, hy_max, table ? &*table : nullptr, pre,
-                         best.data(), windows,
+      visit(MatchSegment{hy_min, hy_max, table ? &*table : nullptr,
+                         in.precompute, best.data(), windows,
                          probes.empty() ? nullptr : probes.data()});
       timings.hypothesis_matching += seconds_since(t0);
     }

@@ -193,7 +193,8 @@ class MatchPrecompute;  // fwd (match_precompute.hpp)
 // ---------------------------------------------------------------------------
 
 /// Precomputed inputs to the matching stages: geometry of both frames,
-/// the semi-fluid discriminants (null for the continuous model) and the
+/// the semi-fluid discriminants (required when the semi-fluid remap is
+/// on, SmaConfig::effective_nss() > 0; ignored otherwise) and the
 /// optional validity masks.  The pointed-to data must outlive the call.
 struct MatchInput {
   const surface::GeometricField* before = nullptr;
@@ -203,10 +204,11 @@ struct MatchInput {
   const imaging::ImageU8* mask_before = nullptr;
   const imaging::ImageU8* mask_after = nullptr;
   /// Optional hypothesis-invariant precompute of `before`
-  /// (match_precompute.hpp), built by SmaPipeline for this pair and
-  /// dropped when the pair returns.  Consumers re-check
-  /// resolve_precompute before using it; when null — or when masks make
-  /// it ineligible — the matching stages run the naive oracle path.
+  /// (match_precompute.hpp), built by SmaPipeline for every pair without
+  /// a validity mask and dropped when the pair returns.  Non-null selects
+  /// the fast evaluators on every backend; null selects the naive
+  /// oracle.  It cannot serve a masked pair: run_matching_stage rejects
+  /// planes plus a mask.
   const MatchPrecompute* precompute = nullptr;
   /// The raw z-surface frames the geometry was derived from, attached by
   /// SmaPipeline so the pruned search mode (match_prune.hpp) can build
@@ -267,8 +269,8 @@ struct MatchSegment {
   /// The segment's F_semi correspondence table; null for F_cont and for
   /// the on-the-fly semi-fluid oracle.
   const SemiFluidTable* table = nullptr;
-  /// The precompute planes when resolve_precompute admits them; null
-  /// selects the naive oracle.
+  /// The pair's precompute planes (MatchInput::precompute); null selects
+  /// the naive oracle.
   const MatchPrecompute* pre = nullptr;
   PixelBest* best = nullptr;  ///< the frame's row-major incumbents
   /// Pruned search: each pixel's admission window (match_prune.hpp),
@@ -292,11 +294,14 @@ using SegmentVisit = std::function<void(const MatchSegment&)>;
 /// mapping" + "Hypothesis matching" phases, the optional sub-pixel
 /// refinement and the products.  It owns the pruned search (under
 /// SearchMode::kPruned it computes the coarse seeds' admission windows
-/// and hands them to `visit` with each segment), the precompute
-/// gating and the Sec. 4.3 segment loop: F_semi walks hypothesis rows in
+/// and hands them to `visit` with each segment) and the Sec. 4.3
+/// segment loop: F_semi walks hypothesis rows in
 /// SmaConfig::effective_segment_rows() chunks, each behind its own
-/// correspondence table (built here, timed as semi-fluid mapping,
-/// raising peak_mapping_bytes); F_cont has no table and sweeps once.
+/// correspondence table (built here, masked or not, timed as semi-fluid
+/// mapping, raising peak_mapping_bytes); F_cont has no table and sweeps
+/// once.  Throws std::invalid_argument when the semi-fluid remap is on
+/// and a discriminant is missing, or when `in` carries both precompute
+/// planes and a validity mask.
 /// Each segment goes to `visit` inside a "match"/"hypothesis_search"
 /// span and the matching timer.  `prune`, when non-null, receives the
 /// pruning accounting of a pruned search.  With TrackOptions::subpixel
@@ -323,8 +328,8 @@ void validate_tracker_input(const TrackerInput& input, const char* context);
 /// or semi-fluid — from `table` when non-null, else by direct
 /// minimization), solves the 6x6 system and returns the Eq. (3)
 /// residual.  The search and the sub-pixel refinement use it wherever
-/// the precompute is ineligible, and the precomputed evaluator and the
-/// lane kernel are tested bit-identical against it.  Template pixels
+/// the pair has no precompute planes, and the precomputed evaluator and
+/// the lane kernel are tested bit-identical against it.  Template pixels
 /// that a validity mask marks untrustworthy are skipped (exactly like
 /// F_semi drops discontinuous pixels); `coverage_out`, when non-null,
 /// receives the unmasked fraction of the template.  A fully masked

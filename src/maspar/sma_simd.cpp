@@ -49,11 +49,8 @@ core::TrackResult MasParExecutor::run_matching(
   const HierarchicalMap map(w, h, spec_);
   mem.xvr = map.xvr();
   mem.yvr = map.yvr();
-  const bool semifluid = config.model == core::MotionModel::kSemiFluid &&
-                         config.semifluid_search_radius > 0 &&
-                         in.disc_before != nullptr && in.disc_after != nullptr;
   core::SmaConfig run_config = config;
-  if (semifluid && run_config.segment_rows == 0) {
+  if (config.effective_nss() > 0 && run_config.segment_rows == 0) {
     const std::uint64_t unseg =
         mem.segmented_bytes(run_config, run_config.z_search_size_y());
     if (unseg > spec_.pe_memory_bytes) {

@@ -7,9 +7,9 @@
 # an internal error or go on with a value it made up. That covers a
 # trailing flag that is missing its value, a name the flag does not
 # accept (a backend the registry does not know, including the retired
-# "openmp" and "tiled", a retired --precompute mode, the retired
-# --prune-bound and --sequential flags and sma_serve's retired
-# --frame-cache, a model other than cont|semi) and
+# "openmp" and "tiled", the retired --precompute, --prune-bound and
+# --sequential flags and sma_serve's retired --frame-cache, a model
+# other than cont|semi) and
 # a number that is not wholly a number (--search abc used to run a 1x1
 # search, sma_serve --port abc used to listen on an ephemeral port).
 # Every leg runs under `timeout`, so a front end that starts work instead
@@ -34,7 +34,8 @@ expect_config() {
 }
 
 for tail in --ppm --model --backend "--backend openmp" "--backend tiled" \
-    "--precompute auto" "--search abc" "--search 3x" "--model foo" \
+    "--precompute off" "--precompute on" "--search abc" "--search 3x" \
+    "--model foo" \
     "--inject-faults abc" "--tile 8xq" "--prune-bound on" --sequential; do
   # $tail is split on purpose: "--backend openmp" is a flag and a value.
   expect_config "sma_cli track ... $tail" ./sma_cli track \

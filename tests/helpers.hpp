@@ -3,9 +3,14 @@
 
 #include <cmath>
 #include <functional>
+#include <optional>
+#include <string>
 
+#include "core/backend.hpp"
+#include "core/tracker.hpp"
 #include "imaging/flow.hpp"
 #include "imaging/image.hpp"
+#include "surface/geometry.hpp"
 
 namespace sma::testing {
 
@@ -71,5 +76,60 @@ inline double flow_match_fraction(const imaging::FlowField& flow, int u,
     }
   return total > 0 ? static_cast<double>(hit) / total : 0.0;
 }
+
+/// A pair as the naive evaluator sees it: a MatchInput without
+/// precompute planes, over geometry that surface::compute_geometry fits
+/// as SmaPipeline fits it, with the pair's masks, raw frames and seeds
+/// forwarded.  SmaPipeline gives every unmasked pair planes, so a test
+/// reaches the naive evaluator on one through match(), which runs a
+/// backend's match() on this input — bit-comparable with
+/// SmaPipeline(cfg).track_pair(in) on any backend.  Not copyable:
+/// input() points into the pair.
+class PlanelessPair {
+ public:
+  PlanelessPair(const core::TrackerInput& in, const core::SmaConfig& cfg) {
+    surface::GeometryOptions gopts;
+    gopts.patch_radius = cfg.surface_fit_radius;
+    const auto fit = [&](const imaging::ImageF* img) {
+      return surface::compute_geometry(*img, gopts);
+    };
+    before_ = fit(in.surface_before);
+    after_ = fit(in.surface_after);
+    input_.before = &before_;
+    input_.after = &after_;
+    if (cfg.effective_nss() > 0) {
+      // A monocular pair's intensity is its surface.
+      if (in.intensity_before != in.surface_before)
+        intensity_before_ = fit(in.intensity_before);
+      if (in.intensity_after != in.surface_after)
+        intensity_after_ = fit(in.intensity_after);
+      input_.disc_before =
+          intensity_before_ ? &intensity_before_->disc : &before_.disc;
+      input_.disc_after =
+          intensity_after_ ? &intensity_after_->disc : &after_.disc;
+    }
+    input_.mask_before = in.validity_before;
+    input_.mask_after = in.validity_after;
+    input_.raw_before = in.surface_before;
+    input_.raw_after = in.surface_after;
+    input_.prune_seeds = in.prune_seeds;
+  }
+  PlanelessPair(const PlanelessPair&) = delete;
+  PlanelessPair& operator=(const PlanelessPair&) = delete;
+
+  const core::MatchInput& input() const { return input_; }
+
+  core::TrackResult match(const std::string& backend,
+                          const core::SmaConfig& cfg,
+                          const core::TrackOptions& options = {}) const {
+    return core::BackendRegistry::instance().get(backend).match(input_, cfg,
+                                                                options);
+  }
+
+ private:
+  surface::GeometricField before_, after_;
+  std::optional<surface::GeometricField> intensity_before_, intensity_after_;
+  core::MatchInput input_;
+};
 
 }  // namespace sma::testing

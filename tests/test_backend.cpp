@@ -107,25 +107,22 @@ TEST_P(BackendEquivalence, AllBackendsBitIdentical) {
   }
 
   // The naive evaluator on the sequential backend is the oracle; every
-  // backend must match it BOTH with the hypothesis-invariant precompute
-  // disabled and enabled (the fast path is bit-identical where eligible
-  // and falls back to naive where not).
-  SmaConfig cfg_off = cfg;
-  cfg_off.precompute = PrecomputeMode::kOff;
-  SmaConfig cfg_on = cfg;
-  cfg_on.precompute = PrecomputeMode::kOn;
-
-  const TrackResult ref = track_with("sequential", in, cfg_off, options);
+  // backend must match it both without the precompute planes and through
+  // the pipeline, which gives an unmasked pair planes (the fast paths
+  // are bit-identical to naive) and a masked one none.
+  const testing::PlanelessPair planeless(in, cfg);
+  const TrackResult ref = planeless.match("sequential", cfg, options);
   ASSERT_GT(ref.flow.count_valid(), 0u);
-  for (const std::string& name : BackendRegistry::instance().names())
-    for (const SmaConfig* variant : {&cfg_off, &cfg_on}) {
-      if (name == "sequential" && variant == &cfg_off) continue;
-      const TrackResult r = track_with(name, in, *variant, options);
-      EXPECT_EQ(ref.flow, r.flow)
-          << "backend '" << name << "' (precompute "
-          << (variant == &cfg_on ? "on" : "off")
-          << ") diverged from sequential on " << c.name;
+  for (const std::string& name : BackendRegistry::instance().names()) {
+    if (name != "sequential") {
+      EXPECT_EQ(ref.flow, planeless.match(name, cfg, options).flow)
+          << "backend '" << name
+          << "' without planes diverged from sequential on " << c.name;
     }
+    EXPECT_EQ(ref.flow, track_with(name, in, cfg, options).flow)
+        << "backend '" << name << "' through the pipeline diverged from "
+        << "sequential on " << c.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -6,10 +6,11 @@
 // Tolerances: each pixel may deviate by <= kPixelTol in |du| and |dv|
 // and the valid flags must match; at most kMismatchFrac of pixels may
 // exceed that (subpixel ties can flip across compilers/libm versions).
-// Every registered backend (sequential / maspar-sim / vector)
-// and both precompute settings must agree BIT-IDENTICALLY with each
-// other — the Sec. 5.1 "same result as the sequential implementation"
-// contract — so only one golden file is needed.
+// Every registered backend (sequential / maspar-sim / vector), through
+// the pipeline (with the precompute planes) and without the planes (the
+// naive evaluator), must agree BIT-IDENTICALLY with each other — the
+// Sec. 5.1 "same result as the sequential implementation" contract — so
+// only one golden file is needed.
 //
 // Two more artifacts pin the pruned search (coarse seeds plus per-pixel
 // admission windows) on an F_cont and an F_semi config: every backend,
@@ -31,6 +32,7 @@
 #include "core/match_prune.hpp"
 #include "core/pipeline.hpp"
 #include "goes/synth.hpp"
+#include "helpers.hpp"
 #include "imaging/flow.hpp"
 #include "maspar/backend.hpp"
 
@@ -86,22 +88,24 @@ core::SmaConfig pruned_config(core::MotionModel model) {
   return cfg;
 }
 
-core::TrackResult run_track(core::SmaConfig cfg, const std::string& backend,
-                            core::PrecomputeMode precompute) {
+core::TrackOptions golden_options() {
+  core::TrackOptions options;
+  options.subpixel = true;
+  return options;
+}
+
+core::TrackResult run_track(const core::SmaConfig& cfg,
+                            const std::string& backend) {
   maspar::register_maspar_backend();
-  cfg.precompute = precompute;
-  core::PipelineOptions popts;
-  popts.backend = backend;
-  popts.track.subpixel = true;
-  core::SmaPipeline pipeline(cfg, popts);
+  core::SmaPipeline pipeline(cfg,
+                             {.backend = backend, .track = golden_options()});
   const GoldenScene s = golden_scene();
   return pipeline.track_pair(s.before, s.after);
 }
 
 imaging::FlowField run_pipeline(const core::SmaConfig& cfg,
-                                const std::string& backend,
-                                core::PrecomputeMode precompute) {
-  return run_track(cfg, backend, precompute).flow;
+                                const std::string& backend) {
+  return run_track(cfg, backend).flow;
 }
 
 std::string flow_text(const imaging::FlowField& flow) {
@@ -130,8 +134,7 @@ std::size_t count_mismatches(const imaging::FlowField& a,
 }
 
 TEST(GoldenFlowfield, MatchesCommittedArtifact) {
-  const imaging::FlowField flow =
-      run_pipeline(golden_config(), "sequential", core::PrecomputeMode::kOn);
+  const imaging::FlowField flow = run_pipeline(golden_config(), "sequential");
 
   if (std::getenv("SMA_UPDATE_GOLDEN") != nullptr) {
     imaging::write_flow_text(flow, golden_path());
@@ -157,28 +160,35 @@ TEST(GoldenFlowfield, MatchesCommittedArtifact) {
             static_cast<std::size_t>(flow.width() * flow.height() * 9 / 10));
 }
 
-// Sec. 5.1 contract, end-to-end: every backend and both precompute
-// paths produce the IDENTICAL flow field, so the golden file covers
-// them all.
-TEST(GoldenFlowfield, AllBackendsAndPrecomputeModesBitIdentical) {
-  // Two configs, both taking the invariant fast path under
-  // PrecomputeMode::kOn: the semi-fluid golden config (through the
-  // correspondence table) and a continuous-model one.
+// Sec. 5.1 contract, end-to-end: every backend, with the precompute
+// planes and without them, produces the IDENTICAL flow field, so the
+// golden file covers them all.
+TEST(GoldenFlowfield, AllBackendsBitIdenticalWithAndWithoutPlanes) {
+  // Two configs, both taking the planes through the pipeline: the
+  // semi-fluid golden config (through the correspondence table) and a
+  // continuous-model one.  The reference is the naive evaluator: the
+  // sequential backend on the pair without planes.
+  maspar::register_maspar_backend();
+  const GoldenScene s = golden_scene();
+  core::TrackerInput in;
+  in.intensity_before = in.surface_before = &s.before;
+  in.intensity_after = in.surface_after = &s.after;
   core::SmaConfig continuous = golden_config();
   continuous.model = core::MotionModel::kContinuous;
   for (const core::SmaConfig& cfg : {golden_config(), continuous}) {
+    const testing::PlanelessPair planeless(in, cfg);
     const imaging::FlowField reference =
-        run_pipeline(cfg, "sequential", core::PrecomputeMode::kOff);
+        planeless.match("sequential", cfg, golden_options()).flow;
     for (const std::string backend : {"sequential", "maspar-sim", "vector"}) {
-      for (const core::PrecomputeMode mode :
-           {core::PrecomputeMode::kOff, core::PrecomputeMode::kOn}) {
-        const imaging::FlowField flow = run_pipeline(cfg, backend, mode);
+      for (const bool planes : {false, true}) {
+        const imaging::FlowField flow =
+            planes ? run_pipeline(cfg, backend)
+                   : planeless.match(backend, cfg, golden_options()).flow;
         EXPECT_EQ(count_mismatches(flow, reference, 0.0), 0u)
-            << "backend " << backend << ", precompute mode "
-            << static_cast<int>(mode) << ", model "
-            << static_cast<int>(cfg.model)
-            << " diverged from sequential/off — Sec. 5.1 bit-identity "
-               "contract broken";
+            << "backend " << backend << (planes ? " with" : " without")
+            << " planes, model " << static_cast<int>(cfg.model)
+            << " diverged from the naive sequential run — Sec. 5.1 "
+               "bit-identity contract broken";
       }
     }
   }
@@ -192,8 +202,7 @@ TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
     const core::SmaConfig cfg = pruned_config(model);
     const std::string path = pruned_golden_path(model);
     SCOPED_TRACE(path);
-    const core::TrackResult seq =
-        run_track(cfg, "sequential", core::PrecomputeMode::kOn);
+    const core::TrackResult seq = run_track(cfg, "sequential");
     const auto* extras =
         dynamic_cast<const core::PruneBackendExtras*>(seq.extras.get());
     ASSERT_NE(extras, nullptr);
@@ -211,9 +220,7 @@ TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
     std::ostringstream golden;
     golden << in.rdbuf();
     EXPECT_EQ(text, golden.str()) << "sequential";
-    EXPECT_EQ(flow_text(run_pipeline(cfg, "maspar-sim",
-                                     core::PrecomputeMode::kOn)),
-              golden.str())
+    EXPECT_EQ(flow_text(run_pipeline(cfg, "maspar-sim")), golden.str())
         << "maspar-sim";
     for (const int threads : {1, 4})
       for (const int tile : {0, 1}) {
@@ -221,9 +228,7 @@ TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
         vcfg.threads = threads;
         vcfg.tile_width = tile != 0 ? 5 : 0;
         vcfg.tile_height = tile != 0 ? 3 : 0;
-        EXPECT_EQ(flow_text(run_pipeline(vcfg, "vector",
-                                         core::PrecomputeMode::kOn)),
-                  golden.str())
+        EXPECT_EQ(flow_text(run_pipeline(vcfg, "vector")), golden.str())
             << "vector, threads " << threads
             << (tile != 0 ? ", 5x3 tiles" : ", default tiles");
       }

@@ -2,10 +2,12 @@
 // precompute (core/match_precompute.hpp).
 //
 // The load-bearing property is the equivalence-oracle contract: with the
-// precompute ON the tracker must produce BIT-IDENTICAL flow to the naive
-// per-pixel evaluator, across the whole configuration grid — and must
-// fall back to the naive path (still bit-identical, trivially) exactly
-// when resolve_precompute says the window algebra is invalid.
+// precompute planes the tracker must produce BIT-IDENTICAL flow to the
+// naive per-pixel evaluator, across the whole configuration grid.  The
+// pair picks the evaluator: the pipeline builds planes exactly for a
+// pair without a validity mask (the one input the window algebra cannot
+// serve), and the matching stage rejects planes plus a mask, and an
+// F_semi input without its discriminants, on every backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +16,7 @@
 #include <cstring>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,8 +24,10 @@
 #include "core/backend.hpp"
 #include "core/match_precompute.hpp"
 #include "core/pipeline.hpp"
+#include "goes/synth.hpp"
 #include "helpers.hpp"
 #include "linalg/least_squares.hpp"
+#include "maspar/backend.hpp"
 #include "simd/batch_solve.hpp"
 #include "surface/geometry.hpp"
 
@@ -67,48 +72,83 @@ SmaConfig base_config() {
 }
 
 // ---------------------------------------------------------------------------
-// resolve_precompute — the single eligibility rule.
+// The pair picks the evaluator.
 // ---------------------------------------------------------------------------
 
-TEST(ResolvePrecompute, DecisionTable) {
+// Planes for every pair without a validity mask, none for a masked one,
+// and the stage rejects both together on every backend: it never drops
+// planes silently.
+TEST(PairPicksEvaluator, PlanesExactlyForUnmaskedPairs) {
+  maspar::register_maspar_backend();
+  imaging::ImageU8 mask(frame0().width(), frame0().height(), 1);
+  mask.at(5, 5) = 0;
+  const MatchPrecompute pre(geom0());
+  for (const MotionModel model :
+       {MotionModel::kContinuous, MotionModel::kSemiFluid}) {
+    SmaConfig cfg = base_config();
+    cfg.model = model;
+    SCOPED_TRACE(cfg.describe());
+    SmaPipeline pipeline(cfg);
+    TrackerInput in;
+    in.intensity_before = in.surface_before = &frame0();
+    in.intensity_after = in.surface_after = &frame1();
+    for (const bool before : {true, false}) {
+      TrackerInput masked = in;
+      (before ? masked.validity_before : masked.validity_after) = &mask;
+      pipeline.track_pair(masked);
+      EXPECT_EQ(pipeline.stats().precompute_builds, 0u);
+      EXPECT_EQ(pipeline.stats().match_precompute_seconds, 0.0);
+
+      MatchInput mi;
+      mi.before = &geom0();
+      mi.after = &geom1();
+      mi.disc_before = &geom0().disc;
+      mi.disc_after = &geom1().disc;
+      (before ? mi.mask_before : mi.mask_after) = &mask;
+      mi.precompute = &pre;
+      for (const char* backend : {"sequential", "maspar-sim", "vector"})
+        EXPECT_THROW(
+            BackendRegistry::instance().get(backend).match(mi, cfg, {}),
+            std::invalid_argument)
+            << backend << (before ? " mask_before" : " mask_after");
+    }
+    pipeline.track_pair(in);
+    EXPECT_EQ(pipeline.stats().precompute_builds, 1u);
+  }
+}
+
+// The semi-fluid remap reads both discriminants.  Without either one
+// every backend throws, with planes or without; the naive evaluator
+// used to dereference the missing one, and the planes without a
+// correspondence table ran F_cont.
+TEST(PairPicksEvaluator, SemiFluidWithoutDiscriminantsThrowsOnEveryBackend) {
+  maspar::register_maspar_backend();
+  const imaging::ImageF f0 = goes::fractal_clouds(32, 32, 7);
+  const imaging::ImageF f1 =
+      goes::advect_frame(f0, goes::rankine_vortex(16.0, 16.0, 6.4, 2.0));
+  const surface::GeometricField g0 = geometry_of(f0);
+  const surface::GeometricField g1 = geometry_of(f1);
+  const MatchPrecompute pre(g0);
   SmaConfig cfg = base_config();
-  MatchInput in;
-
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
-
-  cfg.precompute = PrecomputeMode::kOff;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kDisabled);
-  cfg.precompute = PrecomputeMode::kOn;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
-
-  // Semi-fluid remapping moves only the after-frame correspondents, so
-  // F_semi is eligible whether or not the remap is active (Nss > 0); the
-  // correspondence table carries the remap.
   cfg.model = MotionModel::kSemiFluid;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
-  cfg.semifluid_search_radius = 0;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kFast);
   cfg.semifluid_search_radius = 1;
-
-  // ... but masked F_semi still falls back, under kMasked.
-  imaging::ImageU8 semi_mask(4, 4, 1);
-  in.mask_after = &semi_mask;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kMasked);
-  in.mask_after = nullptr;
-  cfg = base_config();
-
-  // Masks change the per-pixel window multiset.
-  imaging::ImageU8 mask(4, 4, 1);
-  in.mask_before = &mask;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kMasked);
-  in.mask_before = nullptr;
-  in.mask_after = &mask;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kMasked);
-  in.mask_after = nullptr;
-
-  // kOff wins over every other reason.
-  cfg.precompute = PrecomputeMode::kOff;
-  EXPECT_EQ(resolve_precompute(cfg, in), PrecomputeDecision::kDisabled);
+  for (const char* backend : {"sequential", "maspar-sim", "vector"})
+    for (const bool planes : {false, true})
+      for (const int present : {0, 1, 2}) {  // none, before only, after only
+        MatchInput mi;
+        mi.before = &g0;
+        mi.after = &g1;
+        mi.disc_before = present == 1 ? &g0.disc : nullptr;
+        mi.disc_after = present == 2 ? &g1.disc : nullptr;
+        mi.precompute = planes ? &pre : nullptr;
+        EXPECT_THROW(
+            BackendRegistry::instance().get(backend).match(mi, cfg, {}),
+            std::invalid_argument)
+            << backend << (planes ? " with" : " without") << " planes, "
+            << (present == 0 ? "no" : present == 1 ? "only the before"
+                                                   : "only the after")
+            << " discriminant";
+      }
 }
 
 // ---------------------------------------------------------------------------
@@ -397,10 +437,10 @@ TEST(PrecomputedEvaluator, EveryHypothesisBitIdenticalToNaive) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity grid: precompute ON vs the naive oracle, through the
-// full tracker (search + optional subpixel), across every fallback
-// trigger.  Fallback cases are trivially identical (both run naive);
-// the fast cases are the real assertion.
+// Bit-identity grid: the pipeline vs the naive oracle (the sequential
+// backend without planes), through the full tracker (search + optional
+// subpixel).  Masked cases are trivially identical (the pipeline gives a
+// masked pair no planes); the unmasked cases are the real assertion.
 // ---------------------------------------------------------------------------
 
 struct GridCase {
@@ -432,14 +472,9 @@ TEST_P(PrecomputeEquivalence, FlowBitIdenticalToNaive) {
     in.validity_before = &mask0;
   }
 
-  SmaConfig off = cfg;
-  off.precompute = PrecomputeMode::kOff;
-  SmaConfig on = cfg;
-  on.precompute = PrecomputeMode::kOn;
-
   const TrackResult naive =
-      SmaPipeline(off, {.track = options}).track_pair(in);
-  const TrackResult fast = SmaPipeline(on, {.track = options}).track_pair(in);
+      testing::PlanelessPair(in, cfg).match("sequential", cfg, options);
+  const TrackResult fast = SmaPipeline(cfg, {.track = options}).track_pair(in);
   ASSERT_GT(naive.flow.count_valid(), 0u);
   EXPECT_EQ(naive.flow, fast.flow) << "precompute diverged on " << c.name;
 }
@@ -480,17 +515,6 @@ TEST(PipelinePrecompute, BuildsOncePerPair) {
   EXPECT_EQ(pipeline.stats().cache_hits, 2u);
   EXPECT_EQ(pipeline.stats().cache_misses, 2u);
   EXPECT_TRUE(imaging::bit_equal(first.flow, second.flow));
-}
-
-TEST(PipelinePrecompute, DisabledModeBuildsNothing) {
-  const imaging::ImageF f0 = testing::textured_pattern(24, 24);
-  const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  SmaConfig cfg = base_config();
-  cfg.precompute = PrecomputeMode::kOff;
-  SmaPipeline pipeline(cfg);
-  pipeline.track_pair(f0, f1);
-  EXPECT_EQ(pipeline.stats().precompute_builds, 0u);
-  EXPECT_EQ(pipeline.stats().match_precompute_seconds, 0.0);
 }
 
 TEST(PipelinePrecompute, SequenceBuildsOncePerPair) {

@@ -10,9 +10,10 @@
 //    and tile shapes, and the vector backend runs it on its lane kernel,
 //    folding exactly the admitted hypotheses;
 //  * pruned search runs whenever it is asked for: F_semi, every segment
-//    height, validity masks and the precompute off prune too, with the
-//    same bytes on every backend, and every segment height and the
-//    precompute off reproduce the unsegmented, precomputed run; only
+//    height, validity masks and a pair without precompute planes prune
+//    too, with the same bytes on every backend, and every segment height
+//    and the planes-less route reproduce the unsegmented run with
+//    planes; only
 //    the full-vs-pruned comparison is tolerance-based (a bad seed may
 //    exclude the oracle winner; quantified, not assumed);
 //  * the coarse seed pass runs inside the pruned search's span, so its
@@ -21,6 +22,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -368,12 +370,12 @@ TEST(PrunedSearch, CoarsePassRunsInsideThePrunedSpan) {
   }
 }
 
-TEST(PrunedSearch, AnyModelSegmentMaskOrPrecomputePrunesOnEveryBackend) {
-  // F_semi, segmented, masked and precompute-off runs prune, and every
+TEST(PrunedSearch, AnyModelSegmentMaskOrPlanesPrunesOnEveryBackend) {
+  // F_semi, segmented, masked and planes-less runs prune, and every
   // backend, tile shape and thread cap reproduces the sequential bytes
-  // and counters.  Segment heights and the precompute do not change the
-  // hypotheses a pixel folds, so they reproduce the unsegmented,
-  // precomputed run too.
+  // and counters.  Segment heights and the precompute planes do not
+  // change the hypotheses a pixel folds, so they reproduce the
+  // unsegmented run with planes too.
   maspar::register_maspar_backend();
   const TrackerInput plain = monocular_input();
   imaging::ImageU8 mask(kW, kH);
@@ -382,10 +384,19 @@ TEST(PrunedSearch, AnyModelSegmentMaskOrPrecomputePrunesOnEveryBackend) {
   TrackerInput masked = plain;
   masked.validity_before = &mask;
 
-  // Runs `cfg` on every backend and returns the sequential result.
+  // Runs `cfg` on every backend and returns the sequential result:
+  // through the pipeline, or with `planeless` through each backend's
+  // match() on the pair without precompute planes (the naive evaluator).
   const auto every_backend = [](const SmaConfig& cfg, const TrackerInput& in,
-                                const std::string& what) {
-    TrackResult ref = SmaPipeline(cfg).track_pair(in);
+                                const std::string& what,
+                                bool planeless = false) {
+    std::optional<testing::PlanelessPair> pair;
+    if (planeless) pair.emplace(in, cfg);
+    const auto run = [&](const SmaConfig& rcfg, const std::string& backend) {
+      return pair ? pair->match(backend, rcfg)
+                  : SmaPipeline(rcfg, {.backend = backend}).track_pair(in);
+    };
+    TrackResult ref = run(cfg, "sequential");
     const PruneReport* want = host_report(ref);
     EXPECT_NE(want, nullptr) << what;
     if (want == nullptr) return ref;
@@ -393,8 +404,7 @@ TEST(PrunedSearch, AnyModelSegmentMaskOrPrecomputePrunesOnEveryBackend) {
     EXPECT_GT(want->window_pixels, 0u) << what;
     EXPECT_LT(want->fine_scheduled, want->full_grid_hypotheses) << what;
 
-    const TrackResult mp =
-        SmaPipeline(cfg, {.backend = "maspar-sim"}).track_pair(in);
+    const TrackResult mp = run(cfg, "maspar-sim");
     EXPECT_TRUE(imaging::bit_equal(ref.flow, mp.flow)) << what << " maspar";
     const auto* mx =
         dynamic_cast<const maspar::MasParBackendExtras*>(mp.extras.get());
@@ -409,8 +419,7 @@ TEST(PrunedSearch, AnyModelSegmentMaskOrPrecomputePrunesOnEveryBackend) {
         const std::string vwhat = what + " vector threads " +
                                   std::to_string(threads) +
                                   (tile != 0 ? " 5x3" : " default tiles");
-        const TrackResult r =
-            SmaPipeline(vcfg, {.backend = "vector"}).track_pair(in);
+        const TrackResult r = run(vcfg, "vector");
         EXPECT_TRUE(imaging::bit_equal(ref.flow, r.flow)) << vwhat;
         const auto* vx =
             dynamic_cast<const VectorBackendExtras*>(r.extras.get());
@@ -443,10 +452,8 @@ TEST(PrunedSearch, AnyModelSegmentMaskOrPrecomputePrunesOnEveryBackend) {
       const std::string what = name + " segment_rows " + std::to_string(rows);
       expect_as_base(every_backend(seg, plain, what), what);
     }
-    SmaConfig off = cfg;
-    off.precompute = PrecomputeMode::kOff;
-    expect_as_base(every_backend(off, plain, name + " precompute off"),
-                   name + " precompute off");
+    expect_as_base(every_backend(cfg, plain, name + " without planes", true),
+                   name + " without planes");
 
     const TrackResult m = every_backend(cfg, masked, name + " masked");
     EXPECT_LT(m.flow.at(20, 9).confidence, 1.0f) << name << " masked";

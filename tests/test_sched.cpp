@@ -13,7 +13,8 @@
 //     small frames off the pool.
 //  3. Determinism: the vector backend's FlowField is BIT-IDENTICAL to
 //     the sequential reference at every thread count and tile shape —
-//     on the staged path (precompute off) and on the lane kernel,
+//     on the staged path (a pair without precompute planes) and on the
+//     lane kernel,
 //     including degenerate skewed shapes that force heavy stealing —
 //     the paper's Sec. 5.1 contract extended to the host scheduler.
 #include <gtest/gtest.h>
@@ -309,25 +310,23 @@ class SchedDeterminism : public ::testing::Test {
   }
 };
 
-// The staged kernels on the pool: precompute off keeps the vector
-// backend off its lane kernel.
+// The staged kernels on the pool: a pair without precompute planes
+// keeps the vector backend off its lane kernel.
 TEST_F(SchedDeterminism, StagedBitIdenticalAcrossThreadCounts) {
   const core::TrackerInput in = tracker_input();
   for (const core::MotionModel model :
        {core::MotionModel::kContinuous, core::MotionModel::kSemiFluid}) {
-    core::SmaConfig cfg = tracker_config(model);
-    cfg.precompute = core::PrecomputeMode::kOff;
+    const core::SmaConfig cfg = tracker_config(model);
+    const testing::PlanelessPair planeless(in, cfg);
     core::TrackOptions options;
     options.subpixel = true;
     const core::TrackResult ref =
-        core::SmaPipeline(cfg, {.track = options}).track_pair(in);
+        planeless.match("sequential", cfg, options);
     ASSERT_GT(ref.flow.count_valid(), 0u);
     for (const int threads : {1, 2, 4}) {
       core::SmaConfig tcfg = cfg;
       tcfg.threads = threads;
-      const core::TrackResult r =
-          core::SmaPipeline(tcfg, {.backend = "vector", .track = options})
-              .track_pair(in);
+      const core::TrackResult r = planeless.match("vector", tcfg, options);
       EXPECT_EQ(ref.flow, r.flow)
           << "staged path diverged at threads=" << threads;
     }
@@ -336,9 +335,9 @@ TEST_F(SchedDeterminism, StagedBitIdenticalAcrossThreadCounts) {
 
 TEST_F(SchedDeterminism, StagedBitIdenticalAcrossSkewedTileShapes) {
   const core::TrackerInput in = tracker_input();
-  core::SmaConfig cfg = tracker_config(core::MotionModel::kSemiFluid);
-  cfg.precompute = core::PrecomputeMode::kOff;
-  const core::TrackResult ref = core::SmaPipeline(cfg).track_pair(in);
+  const core::SmaConfig cfg = tracker_config(core::MotionModel::kSemiFluid);
+  const testing::PlanelessPair planeless(in, cfg);
+  const core::TrackResult ref = planeless.match("sequential", cfg);
   // Skewed shapes create wildly unequal per-tile costs (single-row
   // strips hit window setup once per pixel; single-column strips defeat
   // horizontal locality) — maximal steal pressure.
@@ -348,8 +347,7 @@ TEST_F(SchedDeterminism, StagedBitIdenticalAcrossSkewedTileShapes) {
     tcfg.tile_width = tw;
     tcfg.tile_height = th;
     tcfg.threads = 4;
-    const core::TrackResult r =
-        core::SmaPipeline(tcfg, {.backend = "vector"}).track_pair(in);
+    const core::TrackResult r = planeless.match("vector", tcfg);
     EXPECT_EQ(ref.flow, r.flow)
         << "staged path diverged at tile " << tw << "x" << th;
   }

@@ -6,10 +6,12 @@
 // frames smaller than the template + search halo, segment heights,
 // sub-pixel refinement and tile shapes — tile widths 1..20, so tiles
 // narrower than, equal to and wider than every lane count occur.  Every
-// case runs the naive oracle — sequential, precompute off,
-// use_precomputed_mapping off, so every F_semi template pixel is
-// remapped on the fly by semifluid_match — and asserts that every
-// execution path reproduces its flow bit for bit: sequential (with the
+// case runs the naive oracle — the matching stage with the sequential
+// visit on the pair without precompute planes, each segment's
+// correspondence table cleared before scan_hypotheses, so every F_semi
+// template pixel is remapped on the fly by semifluid_match — and
+// asserts that every execution path reproduces its flow bit for bit:
+// sequential without planes and through the pipeline (both reading the
 // correspondence table for F_semi), vector at every compiled SIMD level
 // (selected through SMA_SIMD_LEVEL) and the thread caps {1, 4}, and
 // maspar-sim.  Every vector run must also account for the whole
@@ -186,19 +188,24 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
     if (!c.mask_after.empty()) in.validity_after = &c.mask_after;
     const bool pruned = c.config.search_mode == SearchMode::kPruned;
 
-    SmaConfig oracle_cfg = c.config;
-    oracle_cfg.precompute = PrecomputeMode::kOff;
-    oracle_cfg.use_precomputed_mapping = false;
-    const TrackResult oracle =
-        SmaPipeline(oracle_cfg, {.track = c.options}).track_pair(in);
+    const testing::PlanelessPair planeless(in, c.config);
+    const MatchInput& mi = planeless.input();
+    PruneReport oracle_prune;
+    const TrackResult oracle = run_matching_stage(
+        mi, c.config, c.options, /*parallel=*/false,
+        [&](const MatchSegment& seg) {
+          MatchSegment naive = seg;
+          naive.table = nullptr;
+          naive.pre = nullptr;
+          scan_segment(mi, c.config, /*parallel=*/false, naive);
+        },
+        &oracle_prune);
     EXPECT_EQ(oracle.subpixel_probes.reused, 0u);
     if (!c.options.subpixel) {
       EXPECT_EQ(oracle.subpixel_probes.evaluated, 0u);
     }
-    const auto* oracle_prune =
-        dynamic_cast<const PruneBackendExtras*>(oracle.extras.get());
-    ASSERT_EQ(oracle_prune != nullptr, pruned);
-    if (pruned && oracle_prune->report.window_pixels > 0) {
+    ASSERT_EQ(oracle_prune.active, pruned ? 1u : 0u);
+    if (pruned && oracle_prune.window_pixels > 0) {
       const bool semi = c.config.effective_nss() > 0;
       ++shrunk;
       shrunk_semi += semi ? 1 : 0;
@@ -224,11 +231,7 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
       return p;
     };
     const auto expect_same = [&](const std::string& what,
-                                 const SmaConfig& cfg) {
-      const TrackResult r =
-          SmaPipeline(cfg, {.backend = what.substr(0, what.find('@')),
-                            .track = c.options})
-              .track_pair(in);
+                                 const TrackResult& r) {
       EXPECT_TRUE(imaging::bit_equal(r.flow, oracle.flow)) << what;
       // Every probe the oracle evaluates is either evaluated or read
       // from the sweep's residuals.
@@ -238,28 +241,29 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
       if (pruned) {
         const PruneReport* got = prune_report_of(r);
         EXPECT_NE(got, nullptr) << what;
-        if (got != nullptr)
-          EXPECT_EQ(std::memcmp(got, &oracle_prune->report,
-                                sizeof(PruneReport)),
-                    0)
+        if (got != nullptr) {
+          EXPECT_EQ(std::memcmp(got, &oracle_prune, sizeof(PruneReport)), 0)
               << what << " PruneReport differs";
+        }
       }
-      return r;
+    };
+    const auto track = [&](const std::string& backend, const SmaConfig& cfg) {
+      return SmaPipeline(cfg, {.backend = backend, .track = c.options})
+          .track_pair(in);
     };
 
-    // The table consumed by the naive arithmetic (precompute off).
-    SmaConfig table_naive = c.config;
-    table_naive.precompute = PrecomputeMode::kOff;
-    expect_same("sequential", table_naive);
-    expect_same("sequential", c.config);
-    expect_same("maspar-sim", c.config);
+    // The table consumed by the naive arithmetic: no planes.
+    expect_same("sequential without planes",
+                planeless.match("sequential", c.config, c.options));
+    expect_same("sequential", track("sequential", c.config));
+    expect_same("maspar-sim", track("maspar-sim", c.config));
     for (const int threads : {1, 4}) {
       SmaConfig cfg = c.config;
       cfg.threads = threads;
       for (const simd::SimdLevel level : levels) {
         setenv("SMA_SIMD_LEVEL", simd::level_name(level), 1);
-        const TrackResult r = expect_same(
-            std::string("vector@") + simd::level_name(level), cfg);
+        const TrackResult r = track("vector", cfg);
+        expect_same(std::string("vector@") + simd::level_name(level), r);
         const auto* vx =
             dynamic_cast<const VectorBackendExtras*>(r.extras.get());
         ASSERT_NE(vx, nullptr);
@@ -271,7 +275,7 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
         EXPECT_TRUE(vx->report.vector_path);
         EXPECT_EQ(vx->report.fallback, "");
         EXPECT_EQ(vx->report.batched_hypotheses + vx->report.tail_hypotheses,
-                  pruned ? oracle_prune->report.fine_scheduled
+                  pruned ? oracle_prune.fine_scheduled
                          : static_cast<std::uint64_t>(c.w) * c.h *
                                cfg.z_search_size() * cfg.z_search_size_y());
       }

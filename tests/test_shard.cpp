@@ -7,8 +7,8 @@
 //  * make_plan partitions the frame exactly, clamps crops, and rejects
 //    grids / resident budgets that cannot work;
 //  * the stitched shard result is BIT-IDENTICAL (all five flow planes)
-//    to the whole-frame run for every backend x precompute x search
-//    mode x grid — including non-divisible grids;
+//    to the whole-frame run for every backend x model x search mode x
+//    grid — including non-divisible grids;
 //  * the out-of-core stream serves the same bits as the in-memory
 //    source and stays under its byte budget, and the cost model replays
 //    spans deterministically.
@@ -239,28 +239,24 @@ TEST(RasterWindow, BitIdenticalToWholeFileReaders) {
 // Stitching bit-identity: the tentpole invariant.
 // --------------------------------------------------------------------------
 
-TEST(ShardStitch, BitIdenticalAcrossGridsBackendsAndPrecompute) {
+TEST(ShardStitch, BitIdenticalAcrossGridsAndBackends) {
   const ShardSpec grids[] = {{1, 1}, {2, 2}, {3, 2}};
   const char* backends[] = {"sequential", "vector"};
-  for (core::SmaConfig cfg :
+  for (const core::SmaConfig& cfg :
        {continuous_config(), semifluid_config()}) {
-    for (const bool precompute : {true, false}) {
-      cfg.precompute = precompute ? core::PrecomputeMode::kOn
-                                  : core::PrecomputeMode::kOff;
-      for (const char* backend : backends) {
-        const imaging::FlowField whole = whole_frame(backend, cfg);
-        for (const ShardSpec& grid : grids) {
-          InMemoryTileSource src(frame0(), frame1());
-          ShardOptions opts;
-          opts.spec = grid;
-          opts.backend = backend;
-          const ShardResult r = shard_track_pair(src, cfg, opts);
-          EXPECT_EQ(r.report.tiles, grid.rows * grid.cols);
-          expect_identical(
-              r.flow, whole,
-              std::string(backend) + (precompute ? "/pre" : "/nopre") + " " +
-                  std::to_string(grid.rows) + "x" + std::to_string(grid.cols));
-        }
+    for (const char* backend : backends) {
+      const imaging::FlowField whole = whole_frame(backend, cfg);
+      for (const ShardSpec& grid : grids) {
+        InMemoryTileSource src(frame0(), frame1());
+        ShardOptions opts;
+        opts.spec = grid;
+        opts.backend = backend;
+        const ShardResult r = shard_track_pair(src, cfg, opts);
+        EXPECT_EQ(r.report.tiles, grid.rows * grid.cols);
+        expect_identical(r.flow, whole,
+                         std::string(backend) + " " +
+                             std::to_string(grid.rows) + "x" +
+                             std::to_string(grid.cols));
       }
     }
   }

@@ -30,6 +30,7 @@
 #include "core/match_vector.hpp"
 #include "core/sma.hpp"
 #include "goes/synth.hpp"
+#include "helpers.hpp"
 #include "imaging/flow.hpp"
 #include "linalg/gaussian_elimination.hpp"
 #include "maspar/backend.hpp"
@@ -502,7 +503,6 @@ SmaConfig vector_config() {
   // batches), so the occupancy assertions below stay live.
   cfg.z_search_radius = 4;
   cfg.z_template_radius = 3;
-  cfg.precompute = core::PrecomputeMode::kOn;
   return cfg;
 }
 
@@ -601,40 +601,32 @@ TEST(VectorBackend, SolveCountersMatchEveryBackend) {
   }
 }
 
+// A pair without planes runs the staged path and names why: "masked"
+// for a masked pair (the pipeline gives it no planes), "no-precompute"
+// for a caller's planes-less input; both keep sequential's bytes.
 TEST(VectorBackend, FallsBackWhenPrecomputeCannotServe) {
-  const TrackerInput in = vector_input();
-
-  SmaConfig off = vector_config();
-  off.precompute = core::PrecomputeMode::kOff;
-  const TrackResult r_off =
-      SmaPipeline(off, {.backend = "vector"}).track_pair(in);
-  const auto* vx_off = vector_extras(r_off);
-  ASSERT_NE(vx_off, nullptr);
-  EXPECT_FALSE(vx_off->report.vector_path);
-  EXPECT_EQ(vx_off->report.fallback, "precompute-off");
-  EXPECT_TRUE(
-      imaging::bit_equal(r_off.flow, SmaPipeline(off).track_pair(in).flow));
-
-  // An eligible config whose caller attached no precompute planes.
   const SmaConfig cfg = vector_config();
-  surface::GeometryOptions gopts;
-  gopts.patch_radius = cfg.surface_fit_radius;
-  const surface::GeometricField g0 = surface::compute_geometry(frame0(), gopts);
-  const surface::GeometricField g1 = surface::compute_geometry(frame1(), gopts);
-  core::MatchInput mi;
-  mi.before = &g0;
-  mi.after = &g1;
-  mi.precompute = nullptr;
-  ASSERT_EQ(core::resolve_precompute(cfg, mi),
-            core::PrecomputeDecision::kFast);
-  const TrackResult r_np =
-      BackendRegistry::instance().get("vector").match(mi, cfg, {});
+  TrackerInput masked = vector_input();
+  imaging::ImageU8 mask(kSide, kSide, 1);
+  for (int x = 0; x < kSide; ++x) mask.at(x, 11) = 0;
+  masked.validity_before = &mask;
+  const TrackResult r_mask =
+      SmaPipeline(cfg, {.backend = "vector"}).track_pair(masked);
+  const auto* vx_mask = vector_extras(r_mask);
+  ASSERT_NE(vx_mask, nullptr);
+  EXPECT_FALSE(vx_mask->report.vector_path);
+  EXPECT_EQ(vx_mask->report.fallback, "masked");
+  EXPECT_TRUE(imaging::bit_equal(r_mask.flow,
+                                 SmaPipeline(cfg).track_pair(masked).flow));
+
+  const testing::PlanelessPair planeless(vector_input(), cfg);
+  const TrackResult r_np = planeless.match("vector", cfg);
   const auto* vx_np = vector_extras(r_np);
   ASSERT_NE(vx_np, nullptr);
   EXPECT_FALSE(vx_np->report.vector_path);
   EXPECT_EQ(vx_np->report.fallback, "no-precompute");
-  EXPECT_TRUE(imaging::bit_equal(r_np.flow,
-                                 SmaPipeline(cfg).track_pair(in).flow));
+  EXPECT_TRUE(imaging::bit_equal(
+      r_np.flow, SmaPipeline(cfg).track_pair(vector_input()).flow));
 }
 
 TEST(VectorBackend, PublishesLaneMetrics) {

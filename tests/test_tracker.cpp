@@ -97,20 +97,6 @@ TEST_P(SegmentationInvariance, FlowIdenticalForAnyZ) {
 INSTANTIATE_TEST_SUITE_P(SegmentRows, SegmentationInvariance,
                          ::testing::Values(1, 2, 3, 4, 5));
 
-TEST(Tracker, PrecomputedMatchesNaiveSemiFluid) {
-  // The Sec. 4.1 shared-cost-field optimization must be functionally
-  // equivalent to recomputing the semi-fluid search per hypothesis.
-  const imaging::ImageF f0 = testing::textured_pattern(20, 20);
-  const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  SmaConfig pre = tiny_semifluid();
-  pre.use_precomputed_mapping = true;
-  SmaConfig naive = tiny_semifluid();
-  naive.use_precomputed_mapping = false;
-  const TrackResult a = SmaPipeline(pre).track_pair(f0, f1);
-  const TrackResult b = SmaPipeline(naive).track_pair(f0, f1);
-  EXPECT_TRUE(a.flow == b.flow);
-}
-
 TEST(Tracker, SemiFluidWithNssZeroEqualsContinuous) {
   // Sec. 2.3: "When N_ss = 0 then F_semi reduces to the mapping F_cont."
   const imaging::ImageF f0 = testing::textured_pattern(24, 24);
