@@ -56,22 +56,22 @@ LaneKernels lane_kernels(simd::SimdLevel level) {
   switch (resolve_kernel_level(level)) {
 #if defined(SMA_KERNEL_AVX512)
     case simd::SimdLevel::kAvx512:
-      return {8, &scan_tile_avx512, &batch_factor_apply6_avx512};
+      return lane_kernels_avx512();
 #endif
 #if defined(SMA_KERNEL_AVX2)
     case simd::SimdLevel::kAvx2:
-      return {4, &scan_tile_avx2, &batch_factor_apply6_avx2};
+      return lane_kernels_avx2();
 #endif
 #if defined(SMA_KERNEL_SSE2)
     case simd::SimdLevel::kSse2:
-      return {2, &scan_tile_sse2, &batch_factor_apply6_sse2};
+      return lane_kernels_sse2();
 #endif
 #if defined(SMA_KERNEL_NEON)
     case simd::SimdLevel::kNeon:
-      return {2, &scan_tile_neon, &batch_factor_apply6_neon};
+      return lane_kernels_neon();
 #endif
-    default:  // simd::LaneTraits<ScalarTag>::kLanes == 2
-      return {2, &scan_tile_scalar, &batch_factor_apply6_scalar};
+    default:
+      return lane_kernels_scalar();
   }
 }
 
@@ -121,7 +121,8 @@ class VectorBackend final : public TrackerBackend {
 
     const char* fallback = vector_fallback_name(in);
     // The tile kernel puts one center per lane: autotuned tiles round up
-    // to whole batches so only a frame's right-edge tiles idle lanes.
+    // to whole batches so only a frame's right-edge tiles idle lanes, and
+    // under full search grow with the template halo the kernel builds.
     const std::vector<sched::Tile> tiles = pixel_tiles(
         in.width(), in.height(), config, /*parallel=*/true, kernels.lanes);
     // Per-tile tally slots folded in tile-index order after the stage —

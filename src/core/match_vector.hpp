@@ -22,8 +22,10 @@
 // The A^T A window sums are built the same way once per tile, and each
 // batch of centers is factored once per tile (simd::batch_factor6);
 // per hypothesis the lanes only replay the row operations on A^T b
-// (simd::batch_apply6) and score the Eq. (3) residual, and each lane
-// folds into its own pixel's incumbent through hypothesis_improves.
+// (simd::batch_apply6_k, several batches per pass so their dependency
+// chains overlap) and score the Eq. (3) residual, and a lane that one
+// vector compare against its pixel's incumbent error does not reject
+// folds into that incumbent through hypothesis_improves.
 //
 // Bit-exactness: every t is the exact expression the scalar
 // evaluate_hypothesis_precomputed adds, and each lane adds its
@@ -111,19 +113,27 @@ using TileKernelFn = void (*)(const VectorTileArgs&, PixelBest* best,
 /// to SSE2 degrades to scalar; NEON to scalar).
 simd::SimdLevel resolve_kernel_level(simd::SimdLevel request);
 
-/// The lane kernels compiled for one level: its lane count, the tile
-/// kernel, and the batched solve the property tests call.
+/// The lane kernels compiled for one level: its lane count, how many
+/// batches the tile kernel scores per pass, the tile kernel, and the
+/// batched solves the property tests call.
 /// `factor_apply` factors the SoA batch `a` once (batch_factor6) — element
 /// k of system l at a[k * lanes + l], row-major 6x6 — and applies it
 /// (batch_apply6) to `nrhs` right-hand sides stored one after another in
 /// `b`, each 6 x lanes, writing as many solutions to `x`; `singular[l]`
 /// reports per-lane solve6 kSingular, and those lanes get x = 0.
+/// `score` scores `nbatch` SoA batches the way the tile kernel does
+/// (detail::batch_score_soa): in its passes of `batches_per_pass`
+/// batches when `passes`, else one batch_apply6 and batch_residual6
+/// call per batch.
 /// Unresolved levels get the scalar kernels.
 struct LaneKernels {
   int lanes = 0;
+  int batches_per_pass = 0;
   TileKernelFn tile = nullptr;
   void (*factor_apply)(const double* a, const double* b, int nrhs, double* x,
                        unsigned char* singular, double eps) = nullptr;
+  void (*score)(const double* ata, const double* m, int nbatch, bool passes,
+                double* theta, double* err, unsigned char* singular) = nullptr;
 };
 LaneKernels lane_kernels(simd::SimdLevel level);
 
@@ -160,32 +170,22 @@ void publish_metrics(const VectorRunReport& report, obs::MetricsRegistry& reg);
 /// constructor alongside "sequential").
 std::unique_ptr<TrackerBackend> make_vector_backend();
 
-// Per-ISA kernel entry points, each defined in its own translation unit
-// so only that object file carries wide instructions.  Which exist is a
+// Per-ISA kernel tables, each defined in its own translation unit so
+// only that object file carries wide instructions.  Which exist is a
 // build-time fact (SMA_KERNEL_* from src/core/CMakeLists.txt); use
 // lane_kernels() instead of calling these directly.
-void scan_tile_scalar(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_factor_apply6_scalar(const double*, const double*, int, double*,
-                                unsigned char*, double);
+LaneKernels lane_kernels_scalar();
 #if defined(SMA_KERNEL_SSE2)
-void scan_tile_sse2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_factor_apply6_sse2(const double*, const double*, int, double*,
-                              unsigned char*, double);
+LaneKernels lane_kernels_sse2();
 #endif
 #if defined(SMA_KERNEL_AVX2)
-void scan_tile_avx2(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_factor_apply6_avx2(const double*, const double*, int, double*,
-                              unsigned char*, double);
+LaneKernels lane_kernels_avx2();
 #endif
 #if defined(SMA_KERNEL_AVX512)
-void scan_tile_avx512(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_factor_apply6_avx512(const double*, const double*, int, double*,
-                                unsigned char*, double);
+LaneKernels lane_kernels_avx512();
 #endif
 #if defined(SMA_KERNEL_NEON)
-void scan_tile_neon(const VectorTileArgs&, PixelBest*, VectorLaneTally&);
-void batch_factor_apply6_neon(const double*, const double*, int, double*,
-                              unsigned char*, double);
+LaneKernels lane_kernels_neon();
 #endif
 
 }  // namespace sma::core

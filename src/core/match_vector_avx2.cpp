@@ -1,7 +1,7 @@
 // AVX2 instantiation of the lane-batched kernels: four lanes per
 // batch.  This is the ONLY translation unit built with -mavx2 (see
-// src/core/CMakeLists.txt); its exported symbols are the uniquely-named
-// entry points below, reached solely through runtime dispatch after
+// src/core/CMakeLists.txt); its one exported function hands out
+// its kernels, reached solely through runtime dispatch after
 // __builtin_cpu_supports("avx2") — the standard per-file-ISA pattern.
 // DESIGN.md §13 discusses the residual comdat caveat and the
 // -DSMA_SIMD=OFF escape hatch.
@@ -13,14 +13,8 @@
 
 namespace sma::core {
 
-void scan_tile_avx2(const VectorTileArgs& g, PixelBest* best,
-                    VectorLaneTally& tally) {
-  detail::scan_tile_t<simd::Avx2Tag>(g, best, tally);
-}
-
-void batch_factor_apply6_avx2(const double* a, const double* b, int nrhs,
-                              double* x, unsigned char* singular, double eps) {
-  detail::batch_factor_apply_soa<simd::Avx2Tag>(a, b, nrhs, x, singular, eps);
+LaneKernels lane_kernels_avx2() {
+  return detail::lane_kernels_of<simd::Avx2Tag>();
 }
 
 }  // namespace sma::core

@@ -8,14 +8,8 @@
 
 namespace sma::core {
 
-void scan_tile_neon(const VectorTileArgs& g, PixelBest* best,
-                    VectorLaneTally& tally) {
-  detail::scan_tile_t<simd::NeonTag>(g, best, tally);
-}
-
-void batch_factor_apply6_neon(const double* a, const double* b, int nrhs,
-                              double* x, unsigned char* singular, double eps) {
-  detail::batch_factor_apply_soa<simd::NeonTag>(a, b, nrhs, x, singular, eps);
+LaneKernels lane_kernels_neon() {
+  return detail::lane_kernels_of<simd::NeonTag>();
 }
 
 }  // namespace sma::core

@@ -5,14 +5,8 @@
 
 namespace sma::core {
 
-void scan_tile_scalar(const VectorTileArgs& g, PixelBest* best,
-                      VectorLaneTally& tally) {
-  detail::scan_tile_t<simd::ScalarTag>(g, best, tally);
-}
-
-void batch_factor_apply6_scalar(const double* a, const double* b, int nrhs,
-                                double* x, unsigned char* singular, double eps) {
-  detail::batch_factor_apply_soa<simd::ScalarTag>(a, b, nrhs, x, singular, eps);
+LaneKernels lane_kernels_scalar() {
+  return detail::lane_kernels_of<simd::ScalarTag>();
 }
 
 }  // namespace sma::core

@@ -9,14 +9,8 @@
 
 namespace sma::core {
 
-void scan_tile_sse2(const VectorTileArgs& g, PixelBest* best,
-                    VectorLaneTally& tally) {
-  detail::scan_tile_t<simd::Sse2Tag>(g, best, tally);
-}
-
-void batch_factor_apply6_sse2(const double* a, const double* b, int nrhs,
-                              double* x, unsigned char* singular, double eps) {
-  detail::batch_factor_apply_soa<simd::Sse2Tag>(a, b, nrhs, x, singular, eps);
+LaneKernels lane_kernels_sse2() {
+  return detail::lane_kernels_of<simd::Sse2Tag>();
 }
 
 }  // namespace sma::core

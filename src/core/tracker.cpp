@@ -32,20 +32,45 @@ double seconds_since(Clock::time_point t0) {
 // neighbors and each tile writes only its own pixels' slots, so results
 // are bit-identical for ANY tile shape, thread count and steal order.
 std::vector<sched::Tile> pixel_tiles(int w, int h, const SmaConfig& config,
-                                     bool parallel, int lane_batch) {
+                                     bool parallel, int kernel_lanes) {
   if (w <= 0 || h <= 0) return {};
   if (!parallel) return {sched::Tile{0, 0, w, h}};
   sched::TileShape shape;
   if (config.tile_width > 0 || config.tile_height > 0) {
     shape.width = config.tile_width > 0 ? config.tile_width : 32;
     shape.height = config.tile_height > 0 ? config.tile_height : 32;
-  } else {
-    const int pool = sched::ThreadPool::shared().threads();
-    const int executors =
-        config.threads > 0 ? std::min(config.threads, pool) : pool;
-    shape = sched::choose_tile_shape(w, h, std::max(executors, 1));
-    const int n = std::max(lane_batch, 1);
-    shape.width = std::min(w, (shape.width + n - 1) / n * n);
+    return sched::make_tiles(w, h, shape);
+  }
+  const int pool = sched::ThreadPool::shared().threads();
+  const int executors =
+      std::max(config.threads > 0 ? std::min(config.threads, pool) : pool, 1);
+  shape = sched::choose_tile_shape(w, h, executors);
+  if (kernel_lanes <= 0) return sched::make_tiles(w, h, shape);
+  const int n = kernel_lanes;
+  shape.width = std::min(w, (shape.width + n - 1) / n * n);
+  if (config.search_mode != SearchMode::kFull)
+    return sched::make_tiles(w, h, shape);
+  // Grow with the template: the kernel builds a tile's template halo
+  // once per hypothesis, so while the haloed tile is more than twice
+  // the tile, double the smaller side (the height on a tie), as long as
+  // every executor keeps two tiles and the kernel's per-center scratch
+  // stays bounded.
+  constexpr long long kMaxCenters = 8192;
+  const long long rx = config.z_template_radius;
+  const long long ry = config.z_template_ry();
+  while ((shape.width + 2 * rx) * (shape.height + 2 * ry) >
+         2LL * shape.width * shape.height) {
+    sched::TileShape next = shape;
+    if ((shape.height <= shape.width || shape.width == w) && shape.height < h)
+      next.height = std::min(h, 2 * shape.height);
+    else if (shape.width < w)
+      next.width = std::min(w, 2 * shape.width);
+    else
+      break;
+    if (1LL * next.width * next.height > kMaxCenters ||
+        sched::make_tiles(w, h, next).size() < 2u * executors)
+      break;
+    shape = next;
   }
   return sched::make_tiles(w, h, shape);
 }

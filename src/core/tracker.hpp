@@ -232,11 +232,17 @@ struct PruneReport;  // fwd (match_prune.hpp)
 /// `parallel`: one tile spanning the frame.  Otherwise
 /// SmaConfig::tile_width x tile_height when either is set (32 for the
 /// unset side), else sched::choose_tile_shape for the run's executors
-/// (SmaConfig::threads capped at the shared pool's width) with the
-/// width rounded up to whole `lane_batch`-wide batches.  Tiles write
-/// only their own pixels, so results are bit-identical for any shape.
+/// (SmaConfig::threads capped at the shared pool's width).
+/// `kernel_lanes` names the caller: 0 for the per-pixel passes, else
+/// the vector tile kernel's lane count.  For the kernel the width rounds
+/// up to whole batches, and under full search the tile then grows with
+/// the template: while the tile plus its template halo covers more than
+/// twice the tile, the smaller side doubles (the height on a tie) unless
+/// that would leave fewer than two tiles per executor or more than 8192
+/// centers in a tile.  Tiles write only their own pixels, so results
+/// are bit-identical for any shape.
 std::vector<sched::Tile> pixel_tiles(int w, int h, const SmaConfig& config,
-                                     bool parallel, int lane_batch = 1);
+                                     bool parallel, int kernel_lanes = 0);
 
 /// Runs fn(tile, index) over `tiles`: on the shared pool, capped at
 /// SmaConfig::threads executors, when `parallel`; else inline in order.

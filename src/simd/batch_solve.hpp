@@ -21,7 +21,8 @@
 //
 // Pivots, multipliers, skips and the singular mask depend on the matrix
 // only, so the solve comes in two halves: batch_factor6 records them,
-// and batch_apply6 replays the row operations on one right-hand side.
+// and batch_apply6_k replays the row operations on a right-hand side of
+// each of K batches (batch_apply6 is its K = 1 call).
 // The b-side operations read only b and the recorded values, so
 // factor-then-apply is the same sequence on b as solve6's interleaved
 // pass, and one factorization serves any number of right-hand sides.
@@ -33,6 +34,8 @@
 // non-singular lanes in one batch and several right-hand sides per
 // factorization.
 #pragma once
+
+#include <algorithm>
 
 #include "simd/lane.hpp"
 
@@ -122,68 +125,120 @@ void batch_factor6(typename LaneTraits<Tag>::Vec a[36], double eps,
   out.singular = singular;
 }
 
-/// The right-hand-side half of the solve: replays the factorization's
-/// swaps and row operations on `b` (destroyed), back-substitutes through
-/// U into `x`, and gives singular lanes x = 0.
-template <class Tag>
-void batch_apply6(const Factor6<Tag>& fac, typename LaneTraits<Tag>::Vec b[6],
-                  typename LaneTraits<Tag>::Vec x[6]) {
+// ---- The right-hand-side half and the residual, K batches at once.
+// One batch's apply and residual is a single dependency chain (six
+// dependent divisions, then 36 serial adds); K independent batches
+// interleaved keep the divider and adders busy.  Batch k runs exactly
+// the operations of a K = 1 call on its own values — only the order
+// across batches differs — so every lane keeps its bits.
+
+/// The right-hand-side half of the solve for K batches: batch k replays
+/// fac[k]'s swaps and row operations on b[k] (destroyed),
+/// back-substitutes through U into x[k], and gives singular lanes x = 0.
+template <class Tag, int K>
+[[gnu::always_inline]] inline void batch_apply6_k(
+    const Factor6<Tag>* const (&fac)[K],
+    typename LaneTraits<Tag>::Vec (&b)[K][6],
+    typename LaneTraits<Tag>::Vec (&x)[K][6]) {
   using T = LaneTraits<Tag>;
   using V = typename T::Vec;
   using M = typename T::Mask;
 
-  int k = 0;
+  int i = 0;
   for (int col = 0; col < 5; ++col) {
     for (int r = col + 1; r < 6; ++r) {
-      const M here =
-          T::cmp_eq(fac.pivot[col], T::broadcast(static_cast<double>(r)));
-      if (!T::mask_any(here)) continue;
-      const V tb = b[col];
-      b[col] = T::select(here, b[r], tb);
-      b[r] = T::select(here, tb, b[r]);
+      const V row = T::broadcast(static_cast<double>(r));
+      for (int k = 0; k < K; ++k) {
+        const M here = T::cmp_eq(fac[k]->pivot[col], row);
+        if (!T::mask_any(here)) continue;
+        const V tb = b[k][col];
+        b[k][col] = T::select(here, b[k][r], tb);
+        b[k][r] = T::select(here, tb, b[k][r]);
+      }
     }
-    for (int r = col + 1; r < 6; ++r) {
-      const V f = fac.f[k++];
-      const M skip = T::cmp_eq(f, T::zero());
-      b[r] = T::select(skip, b[r], T::sub(b[r], T::mul(f, b[col])));
-    }
+    for (int r = col + 1; r < 6; ++r, ++i)
+      for (int k = 0; k < K; ++k) {
+        const V f = fac[k]->f[i];
+        const M skip = T::cmp_eq(f, T::zero());
+        b[k][r] = T::select(skip, b[k][r],
+                            T::sub(b[k][r], T::mul(f, b[k][col])));
+      }
   }
 
   // Back substitution; singular lanes may divide by junk — their x is
   // overwritten with the theta = 0 convention immediately after.
-  for (int ri = 5; ri >= 0; --ri) {
-    V s = b[ri];
-    for (int c = ri + 1; c < 6; ++c)
-      s = T::sub(s, T::mul(fac.u[tri21(ri, c)], x[c]));
-    x[ri] = T::div(s, fac.u[tri21(ri, ri)]);
-  }
-  for (int r = 0; r < 6; ++r) x[r] = T::select(fac.singular, T::zero(), x[r]);
+  for (int ri = 5; ri >= 0; --ri)
+    for (int k = 0; k < K; ++k) {
+      V s = b[k][ri];
+      for (int c = ri + 1; c < 6; ++c)
+        s = T::sub(s, T::mul(fac[k]->u[tri21(ri, c)], x[k][c]));
+      x[k][ri] = T::div(s, fac[k]->u[tri21(ri, ri)]);
+    }
+  for (int k = 0; k < K; ++k)
+    for (int r = 0; r < 6; ++r)
+      x[k][r] = T::select(fac[k]->singular, T::zero(), x[k][r]);
 }
 
 /// Residual r = x^T (A^T A) x - 2 x^T (A^T b) + b^T b, clamped at zero,
-/// batched across lanes — NormalEquations6::residual per lane, in its
-/// exact association order (r-outer/c-inner full 6x6 quad sweep,
-/// ascending dot product).  `ata21` is the upper triangle.
+/// for K batches: out[k] scores x[k] against ata21[k] (the upper
+/// triangle), atb[k] and btb[k] — NormalEquations6::residual per lane,
+/// in its exact association order (r-outer/c-inner full 6x6 quad sweep,
+/// ascending dot product).
+template <class Tag, int K>
+[[gnu::always_inline]] inline void batch_residual6_k(
+    const typename LaneTraits<Tag>::Vec* const (&ata21)[K],
+    const typename LaneTraits<Tag>::Vec (&x)[K][6],
+    const typename LaneTraits<Tag>::Vec (&atb)[K][6],
+    const typename LaneTraits<Tag>::Vec (&btb)[K],
+    typename LaneTraits<Tag>::Vec (&out)[K]) {
+  using T = LaneTraits<Tag>;
+  using V = typename T::Vec;
+
+  V quad[K], lin[K];
+  for (int k = 0; k < K; ++k) quad[k] = lin[k] = T::zero();
+  for (int r = 0; r < 6; ++r)
+    for (int c = 0; c < 6; ++c) {
+      const int e = c >= r ? tri21(r, c) : tri21(c, r);
+      for (int k = 0; k < K; ++k)
+        quad[k] = T::add(quad[k],
+                         T::mul(T::mul(x[k][r], ata21[k][e]), x[k][c]));
+    }
+  for (int i = 0; i < 6; ++i)
+    for (int k = 0; k < K; ++k)
+      lin[k] = T::add(lin[k], T::mul(x[k][i], atb[k][i]));
+  const V two = T::broadcast(2.0);
+  for (int k = 0; k < K; ++k) {
+    const V res = T::add(T::sub(quad[k], T::mul(two, lin[k])), btb[k]);
+    out[k] = T::select(T::cmp_gt(res, T::zero()), res, T::zero());
+  }
+}
+
+/// One batch's batch_apply6_k: `fac` replayed on b into x.
+template <class Tag>
+void batch_apply6(const Factor6<Tag>& fac, typename LaneTraits<Tag>::Vec b[6],
+                  typename LaneTraits<Tag>::Vec x[6]) {
+  const Factor6<Tag>* const f[1] = {&fac};
+  typename LaneTraits<Tag>::Vec bk[1][6], xk[1][6];
+  std::copy_n(b, 6, bk[0]);
+  batch_apply6_k<Tag, 1>(f, bk, xk);
+  std::copy_n(xk[0], 6, x);
+}
+
+/// One batch's batch_residual6_k.
 template <class Tag>
 typename LaneTraits<Tag>::Vec batch_residual6(
     const typename LaneTraits<Tag>::Vec ata21[21],
     const typename LaneTraits<Tag>::Vec x[6],
     const typename LaneTraits<Tag>::Vec atb[6],
     typename LaneTraits<Tag>::Vec btb) {
-  using T = LaneTraits<Tag>;
-  using V = typename T::Vec;
-
-  V quad = T::zero();
-  for (int r = 0; r < 6; ++r)
-    for (int c = 0; c < 6; ++c) {
-      const V a = c >= r ? ata21[tri21(r, c)] : ata21[tri21(c, r)];
-      quad = T::add(quad, T::mul(T::mul(x[r], a), x[c]));
-    }
-  V lin = T::zero();
-  for (int i = 0; i < 6; ++i) lin = T::add(lin, T::mul(x[i], atb[i]));
-  const V res =
-      T::add(T::sub(quad, T::mul(T::broadcast(2.0), lin)), btb);
-  return T::select(T::cmp_gt(res, T::zero()), res, T::zero());
+  using V = typename LaneTraits<Tag>::Vec;
+  const V* const a[1] = {ata21};
+  V xk[1][6], bk[1][6], out[1];
+  const V tk[1] = {btb};
+  std::copy_n(x, 6, xk[0]);
+  std::copy_n(atb, 6, bk[0]);
+  batch_residual6_k<Tag, 1>(a, xk, bk, tk, out);
+  return out[0];
 }
 
 }  // namespace sma::simd

@@ -21,6 +21,11 @@
 //    (NaN/±0 payloads survive exactly).
 //  * Comparisons are ordered and non-signaling (NaN compares false).
 //
+// Besides kLanes, each implementation names kBatchesPerPass: how many
+// independent batches the tile kernel scores together
+// (batch_apply6_k), so their dependency chains overlap.  It is tuned
+// per implementation by measurement (DESIGN.md §13); it changes no bit.
+//
 // Which specializations exist in a given translation unit depends on
 // the architecture macros in effect when it is compiled: the per-ISA
 // kernel TUs (core/match_vector_<isa>.cpp) are built with the matching
@@ -73,6 +78,7 @@ struct LaneTraits;
 template <>
 struct LaneTraits<ScalarTag> {
   static constexpr int kLanes = 2;
+  static constexpr int kBatchesPerPass = 2;
 
   struct Vec {
     double v[kLanes];
@@ -157,6 +163,7 @@ struct LaneTraits<ScalarTag> {
 template <>
 struct LaneTraits<Sse2Tag> {
   static constexpr int kLanes = 2;
+  static constexpr int kBatchesPerPass = 2;
   using Vec = __m128d;
   using Mask = __m128d;  // all-ones / all-zeros lanes from cmp*
 
@@ -199,6 +206,7 @@ struct LaneTraits<Sse2Tag> {
 template <>
 struct LaneTraits<Avx2Tag> {
   static constexpr int kLanes = 4;
+  static constexpr int kBatchesPerPass = 4;
   using Vec = __m256d;
   using Mask = __m256d;
 
@@ -250,6 +258,7 @@ struct LaneTraits<Avx2Tag> {
 template <>
 struct LaneTraits<Avx512Tag> {
   static constexpr int kLanes = 8;
+  static constexpr int kBatchesPerPass = 4;
   using Vec = __m512d;
   using Mask = __mmask8;
 
@@ -295,6 +304,7 @@ struct LaneTraits<Avx512Tag> {
 template <>
 struct LaneTraits<NeonTag> {
   static constexpr int kLanes = 2;
+  static constexpr int kBatchesPerPass = 2;  // SSE2's; not yet measured on AArch64
   using Vec = float64x2_t;
   using Mask = uint64x2_t;
 

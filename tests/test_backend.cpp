@@ -10,20 +10,28 @@
 // tests pin the geometry-cache invariant: a T-frame monocular sequence
 // performs exactly T surface fits.  The sub-pixel tests pin the probe
 // accounting: `vector` evaluates only the probes its sweep did not
-// score, with the same bytes.
+// score, with the same bytes.  The partial-pass tests pin the lane
+// kernel's accounting where a tile's live batches do not fill its
+// scoring passes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "core/backend.hpp"
+#include "core/match_prune.hpp"
 #include "core/match_vector.hpp"
 #include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
+#include "linalg/gaussian_elimination.hpp"
 #include "maspar/backend.hpp"
+#include "sched/scheduler.hpp"
+#include "simd/dispatch.hpp"
 
 namespace sma::core {
 namespace {
@@ -267,6 +275,176 @@ TEST(SubpixelProbes, SegmentedPrunedAndMaskedSemiFluidMatchSequential) {
       EXPECT_GT(vec.subpixel_probes.reused, 0u);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Partial scoring passes.  The lane kernel scores LaneKernels::
+// batches_per_pass live batches at a time; where a tile's live batches
+// per hypothesis are not a multiple of that, the last pass is padded.
+// Padding must reach neither the flow nor the accounting: the lane
+// tally and the solve counters follow the per-batch formulas, at every
+// lane width, on odd tiles and under pruned windows that empty whole
+// batches.
+// ---------------------------------------------------------------------------
+
+// A 37x29 cloud deck under a vortex: odd in both directions, so edge
+// tiles are partial too.
+TrackerInput odd_input() {
+  static const imaging::ImageF before = goes::fractal_clouds(37, 29, 5);
+  static const imaging::ImageF after = goes::advect_frame(
+      before, goes::rankine_vortex(18.0, 14.0, 7.0, 1.5));
+  TrackerInput in;
+  in.intensity_before = in.surface_before = &before;
+  in.intensity_after = in.surface_after = &after;
+  return in;
+}
+
+// Seeds (+2, +2) left of x = 20 and (-2, -2) from there on, none on
+// every fifth row: with refine radius 1 the windows split the 7x7 box,
+// so whole batches admit none of a hypothesis's lanes.
+PruneSeeds split_seeds(int w, int h) {
+  PruneSeeds s;
+  s.width = w;
+  s.height = h;
+  s.sx.resize(static_cast<std::size_t>(w) * h);
+  s.sy.resize(s.sx.size());
+  s.ok.resize(s.sx.size());
+  for (int y = 0; y < h; ++y)
+    for (int x = 0; x < w; ++x) {
+      const std::size_t i = static_cast<std::size_t>(y) * w + x;
+      s.sx[i] = s.sy[i] = x < 20 ? 2 : -2;
+      s.ok[i] = y % 5 != 4;
+    }
+  return s;
+}
+
+struct CountedRun {
+  TrackResult result;
+  linalg::SolveCounters solves;
+};
+
+// One pair on one thread: a run() submitted from inside a pool tile
+// executes inline, so every solve lands in this thread's counters.
+CountedRun counted_track(const std::string& backend, const TrackerInput& in,
+                         const SmaConfig& cfg) {
+  CountedRun out;
+  sched::ThreadPool::shared().run(
+      {sched::Tile{0, 0, 1, 1}}, [&](const sched::Tile&, std::size_t) {
+        const linalg::SolveCounters before = linalg::solve_counters();
+        out.result = track_with(backend, in, cfg);
+        const linalg::SolveCounters& after = linalg::solve_counters();
+        out.solves.solves6 = after.solves6 - before.solves6;
+        out.solves.singular = after.singular - before.singular;
+      });
+  return out;
+}
+
+// The tally the kernel must report: per tile, hypothesis, tile row and
+// batch of `lanes` columns, the lanes whose window admits the
+// hypothesis; a batch with none is skipped, a full one is batched and
+// any other is tail.
+VectorLaneTally expected_tally(int w, int h, const SmaConfig& cfg, int lanes,
+                               const PruneSeeds* seeds) {
+  VectorLaneTally t;
+  const int n = cfg.z_search_radius;
+  for (const sched::Tile& tile : pixel_tiles(w, h, cfg, true, lanes))
+    for (int hy = -n; hy <= n; ++hy)
+      for (int hx = -n; hx <= n; ++hx)
+        for (int y = tile.y0; y < tile.y1; ++y)
+          for (int x0 = tile.x0; x0 < tile.x1; x0 += lanes) {
+            int live = 0;
+            for (int x = x0; x < std::min(x0 + lanes, tile.x1); ++x) {
+              PruneWindow win{-n, n, -n, n};
+              if (seeds != nullptr)
+                win = prune_window(*seeds, x, y, n, n,
+                                   cfg.prune_refine_radius);
+              live += hx >= win.hx_min && hx <= win.hx_max &&
+                      hy >= win.hy_min && hy <= win.hy_max;
+            }
+            if (live == 0) continue;
+            ++t.batches;
+            if (live == lanes)
+              t.batched_hypotheses += live;
+            else
+              t.tail_hypotheses += live;
+          }
+  return t;
+}
+
+TEST(PartialPasses, OddTilesAndEmptiedBatchesKeepFlowAndAccounting) {
+  const TrackerInput plain = odd_input();
+  const int w = plain.surface_before->width();
+  const int h = plain.surface_before->height();
+  const PruneSeeds seeds = split_seeds(w, h);
+  TrackerInput seeded = plain;
+  seeded.prune_seeds = &seeds;
+
+  SmaConfig base = case_config(
+      {"", MotionModel::kContinuous, -1, -1, false, false});
+  base.z_search_radius = 3;
+  base.threads = 2;
+  unsetenv("SMA_SIMD_LEVEL");
+  std::vector<simd::SimdLevel> levels;
+  for (simd::SimdLevel req :
+       {simd::SimdLevel::kScalar, simd::SimdLevel::kSse2,
+        simd::SimdLevel::kAvx2, simd::SimdLevel::kAvx512,
+        simd::SimdLevel::kNeon}) {
+    const simd::SimdLevel got = resolve_kernel_level(req);
+    if (simd::level_supported(got) &&
+        std::find(levels.begin(), levels.end(), got) == levels.end())
+      levels.push_back(got);
+  }
+  bool partial_pass = false, emptied_batch = false;
+  for (const bool pruned : {false, true}) {
+    for (const auto& [tw, th] : {std::pair{5, 3}, {13, 7}, {0, 0}}) {
+      SmaConfig cfg = base;
+      cfg.tile_width = tw;
+      cfg.tile_height = th;
+      if (pruned) cfg.search_mode = SearchMode::kPruned;
+      const TrackerInput& in = pruned ? seeded : plain;
+      const CountedRun seq = counted_track("sequential", in, cfg);
+      for (const simd::SimdLevel level : levels) {
+        setenv("SMA_SIMD_LEVEL", simd::level_name(level), 1);
+        const LaneKernels k = lane_kernels(level);
+        SCOPED_TRACE(std::string(simd::level_name(level)) + " tile " +
+                     std::to_string(tw) + "x" + std::to_string(th) +
+                     (pruned ? " pruned" : " full"));
+        const CountedRun vec = counted_track("vector", in, cfg);
+        EXPECT_TRUE(imaging::bit_equal(vec.result.flow, seq.result.flow));
+        EXPECT_EQ(vec.solves.solves6, seq.solves.solves6);
+        EXPECT_EQ(vec.solves.singular, seq.solves.singular);
+        const auto* vx =
+            dynamic_cast<const VectorBackendExtras*>(vec.result.extras.get());
+        ASSERT_NE(vx, nullptr);
+        ASSERT_TRUE(vx->report.vector_path);
+        const VectorLaneTally want =
+            expected_tally(w, h, cfg, k.lanes, pruned ? &seeds : nullptr);
+        EXPECT_EQ(vx->report.batched_hypotheses, want.batched_hypotheses);
+        EXPECT_EQ(vx->report.tail_hypotheses, want.tail_hypotheses);
+        EXPECT_EQ(vx->report.batches, want.batches);
+        const std::uint64_t folded =
+            vx->report.batched_hypotheses + vx->report.tail_hypotheses;
+        if (pruned) {
+          EXPECT_EQ(folded, vx->prune.fine_scheduled);
+          EXPECT_LT(folded, 49ull * w * h);
+        } else {
+          EXPECT_EQ(folded, 49ull * w * h);
+        }
+        // The shapes do exercise what this test is about.
+        for (const sched::Tile& t : pixel_tiles(w, h, cfg, true, k.lanes)) {
+          const int batches = t.height() * ((t.width() + k.lanes - 1) / k.lanes);
+          partial_pass = partial_pass || batches % k.batches_per_pass != 0;
+        }
+        emptied_batch =
+            emptied_batch ||
+            (pruned &&
+             want.batches < expected_tally(w, h, cfg, k.lanes, nullptr).batches);
+      }
+      unsetenv("SMA_SIMD_LEVEL");
+    }
+  }
+  EXPECT_TRUE(partial_pass);
+  EXPECT_TRUE(emptied_batch);
 }
 
 TEST(BackendRegistry, NamesAndCapabilities) {

@@ -13,6 +13,12 @@
 //    tracker's theta=0 convention), for every right-hand side one
 //    factorization is applied to; and every backend must count the
 //    same solves;
+//  * the tile kernel's scoring passes — batch_apply6_k +
+//    batch_residual6_k over several batches at once — must give every
+//    lane the bits of one batch_apply6 + batch_residual6 call per batch
+//    and of that lane's own NormalEquations6, with pivot orders that
+//    differ between the batches of a pass, singular lanes, -0.0
+//    moments and padded last passes;
 //  * dispatch + backend — SMA_SIMD_LEVEL parsing/overrides, and the
 //    `vector` backend staying bit-identical to `sequential` on every
 //    flow plane, error included, at every dispatch level while
@@ -33,6 +39,7 @@
 #include "helpers.hpp"
 #include "imaging/flow.hpp"
 #include "linalg/gaussian_elimination.hpp"
+#include "linalg/least_squares.hpp"
 #include "maspar/backend.hpp"
 #include "obs/metrics.hpp"
 #include "sched/scheduler.hpp"
@@ -362,6 +369,179 @@ TEST(BatchFactorApply, MixedSingularAndSolvableLanes) {
       check_factor_apply(level, mats, random_rhs(rng, 3, lanes));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Scoring passes: K batches applied and scored at once, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// A symmetric system whose rows pair up: rows i and pair(i) carry a
+/// dominant entry in each other's column, so partial pivoting swaps
+/// them.  `pairs` picks the pairing (0: none, 1..3: (0,1), (2,3), (4,5)
+/// partly or fully; 4: (0,5), (1,4), (2,3)), so batches built from
+/// different `pairs` pivot in different orders.
+Mat6 paired_symmetric(std::mt19937& rng, int pairs) {
+  std::uniform_real_distribution<double> coef(-1.0, 1.0);
+  Mat6 a;
+  for (int r = 0; r < 6; ++r)
+    for (int c = r; c < 6; ++c) a(r, c) = a(c, r) = coef(rng);
+  int pair[6] = {0, 1, 2, 3, 4, 5};
+  if (pairs == 4) {
+    for (int i = 0; i < 6; ++i) pair[i] = 5 - i;
+  } else {
+    for (int p = 0; p < pairs; ++p) std::swap(pair[2 * p], pair[2 * p + 1]);
+  }
+  for (int i = 0; i < 6; ++i)
+    if (i <= pair[i]) a(i, pair[i]) = a(pair[i], i) = 8.0 + coef(rng);
+  return a;
+}
+
+/// Batches for LaneKernels::score, one lane per system: the systems'
+/// upper triangles, -0.0 in row and column `dead` of a lane marked
+/// singular (an all-zero row: solve6 finds no pivot there), and random
+/// moments with -0.0 sprinkled in.
+struct ScoreBatches {
+  int lanes = 0, nbatch = 0;
+  std::vector<double> ata, m;  // SoA, as LaneKernels::score reads them
+  std::vector<std::uint64_t> profiles;  // per batch: its lanes' swaps
+};
+
+ScoreBatches make_score_batches(std::mt19937& rng, int lanes, int nbatch) {
+  ScoreBatches out;
+  out.lanes = lanes;
+  out.nbatch = nbatch;
+  out.ata.resize(static_cast<std::size_t>(nbatch) * 21 * lanes);
+  out.m.resize(static_cast<std::size_t>(nbatch) * 7 * lanes);
+  std::uniform_real_distribution<double> coef(-10.0, 10.0);
+  for (int i = 0; i < nbatch; ++i) {
+    std::uint64_t profile = 0;
+    for (int l = 0; l < lanes; ++l) {
+      Mat6 a = paired_symmetric(rng, (i + l) % 5);
+      // One lane in three is singular, in a different row each time.
+      if ((i * lanes + l) % 3 == 1) {
+        const int dead = (i + 2 * l) % 6;
+        for (int k = 0; k < 6; ++k) a(dead, k) = a(k, dead) = -0.0;
+      }
+      profile = profile * 64 + elimination_profile(a).swapped_columns;
+      int e = 0;
+      for (int r = 0; r < 6; ++r)
+        for (int c = r; c < 6; ++c)
+          out.ata[(static_cast<std::size_t>(i) * 21 + e++) * lanes + l] =
+              a(r, c);
+      for (int k = 0; k < 7; ++k) {
+        const double v = (i + l + k) % 4 == 0 ? -0.0 : coef(rng);
+        out.m[(static_cast<std::size_t>(i) * 7 + k) * lanes + l] =
+            k == 6 && v != 0.0 ? 50.0 + std::abs(v) : v;  // b^T b >= 0
+      }
+    }
+    out.profiles.push_back(profile);
+  }
+  return out;
+}
+
+struct Scored {
+  std::vector<double> theta, err;
+  std::vector<unsigned char> singular;
+};
+
+Scored score(const core::LaneKernels& hook, const ScoreBatches& b,
+             bool passes) {
+  Scored s;
+  s.theta.assign(static_cast<std::size_t>(b.nbatch) * 6 * b.lanes, -1.0);
+  s.err.assign(static_cast<std::size_t>(b.nbatch) * b.lanes, -1.0);
+  s.singular.assign(static_cast<std::size_t>(b.nbatch) * b.lanes, 0xCC);
+  hook.score(b.ata.data(), b.m.data(), b.nbatch, passes, s.theta.data(),
+             s.err.data(), s.singular.data());
+  return s;
+}
+
+TEST(ScoringPasses, EveryLaneKeepsItsBitsInPassesOfSeveralBatches) {
+  std::mt19937 rng(30);
+  for (const simd::SimdLevel level : runnable_levels()) {
+    const core::LaneKernels hook = core::lane_kernels(level);
+    ASSERT_NE(hook.score, nullptr);
+    const int lanes = hook.lanes;
+    const int k = hook.batches_per_pass;
+    ASSERT_GE(k, 1);
+    SCOPED_TRACE(std::string("level=") + simd::level_name(level) +
+                 " batches/pass=" + std::to_string(k));
+    // Whole passes, and last passes with every count of padded slots.
+    for (int nbatch = 1; nbatch <= 3 * k + 1; ++nbatch) {
+      const ScoreBatches b = make_score_batches(rng, lanes, nbatch);
+      if (nbatch >= 2) {  // the batches of a pass pivot differently
+        bool differ = false;
+        for (int i = 1; i < nbatch; ++i)
+          differ = differ || b.profiles[i] != b.profiles[0];
+        EXPECT_TRUE(differ);
+      }
+      const Scored one = score(hook, b, /*passes=*/false);
+      const Scored pass = score(hook, b, /*passes=*/true);
+      for (int i = 0; i < nbatch; ++i) {
+        for (int l = 0; l < lanes; ++l) {
+          const std::string at = "batch " + std::to_string(i) + " of " +
+                                 std::to_string(nbatch) + " lane " +
+                                 std::to_string(l);
+          // The lane's own scalar evaluation: moments into a
+          // zero-initialized NormalEquations6 (0.0 + v), solve6 on the
+          // symmetric system, theta = 0 when singular, Eq. (3) residual.
+          double upper[21];
+          for (int e = 0; e < 21; ++e)
+            upper[e] = b.ata[(static_cast<std::size_t>(i) * 21 + e) * lanes + l];
+          Vec6 atb;
+          for (int r = 0; r < 6; ++r)
+            atb[r] = b.m[(static_cast<std::size_t>(i) * 7 + r) * lanes + l];
+          linalg::NormalEquations6 ne;
+          ne.add_precomputed(
+              upper, atb, b.m[(static_cast<std::size_t>(i) * 7 + 6) * lanes + l],
+              1);
+          Vec6 x{};
+          const bool singular = ne.solve(x) == SolveStatus::kSingular;
+          const double err = ne.residual(x);
+
+          const std::size_t li = static_cast<std::size_t>(i) * lanes + l;
+          EXPECT_EQ(one.singular[li] != 0, singular) << at;
+          EXPECT_EQ(pass.singular[li], one.singular[li]) << at;
+          EXPECT_EQ(bits_of(one.err[li]), bits_of(err)) << at;
+          EXPECT_EQ(bits_of(pass.err[li]), bits_of(err)) << at;
+          for (int r = 0; r < 6; ++r) {
+            const std::size_t ti =
+                (static_cast<std::size_t>(i) * 6 + r) * lanes + l;
+            EXPECT_EQ(bits_of(one.theta[ti]), bits_of(x[r])) << at;
+            EXPECT_EQ(bits_of(pass.theta[ti]), bits_of(x[r])) << at;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The fixtures reach what the test claims: singular lanes, -0.0
+// moments, and batches whose lanes pivot off the diagonal.
+TEST(ScoringPasses, FixturesMixPivotsSingularLanesAndNegativeZeros) {
+  std::mt19937 rng(31);
+  const ScoreBatches b = make_score_batches(rng, 8, 6);
+  int singular = 0, negative_zero = 0;
+  for (int i = 0; i < b.nbatch; ++i)
+    for (int l = 0; l < b.lanes; ++l) {
+      Mat6 a;
+      int e = 0;
+      for (int r = 0; r < 6; ++r)
+        for (int c = r; c < 6; ++c)
+          a(r, c) = a(c, r) =
+              b.ata[(static_cast<std::size_t>(i) * 21 + e++) * b.lanes + l];
+      Vec6 x;
+      singular += linalg::solve6(a, Vec6{}, x) == SolveStatus::kSingular;
+      for (int k = 0; k < 7; ++k) {
+        const double v = b.m[(static_cast<std::size_t>(i) * 7 + k) * b.lanes + l];
+        negative_zero += v == 0.0 && std::signbit(v);
+      }
+    }
+  EXPECT_GT(singular, 0);
+  EXPECT_LT(singular, b.nbatch * b.lanes);
+  EXPECT_GT(negative_zero, 0);
+  std::uint64_t swapped = 0;
+  for (const std::uint64_t p : b.profiles) swapped |= p;
+  EXPECT_NE(swapped, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,21 @@
 // Unit and integration tests for core/tracker.hpp — the paper's own
 // validation criteria: parallel == sequential, segmentation-invariant,
-// dense recovery of known motion.
+// dense recovery of known motion — and the one pixel-tile policy,
+// core::pixel_tiles.
 #include "core/tracker.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "core/pipeline.hpp"
 #include "core/semifluid.hpp"
 #include "helpers.hpp"
 #include "maspar/backend.hpp"
+#include "sched/scheduler.hpp"
 
 namespace sma::core {
 namespace {
@@ -377,6 +381,158 @@ TEST(Tracker, NonFiniteInputRejected) {
   f1.at(8, 8) = std::numeric_limits<float>::infinity();
   EXPECT_THROW(SmaPipeline(tiny_continuous()).track_pair(f0, f1),
                std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The pixel-tile policy: under full search the vector tile kernel's
+// autotuned tiles grow with the template until the halo at most doubles
+// the tile, keeping two tiles per executor and at most 8192 centers;
+// the per-pixel passes and pruned search keep choose_tile_shape's tiles.
+// ---------------------------------------------------------------------------
+
+// Puts the shared pool back to its width however a test ends: tiles_for
+// widens it.
+class PixelTiles : public ::testing::Test {
+ protected:
+  void TearDown() override {
+    if (sched::ThreadPool::shared().threads() != width_)
+      sched::ThreadPool::shared().resize(width_);
+  }
+
+  // pixel_tiles for `executors` executors (SmaConfig::threads on a pool
+  // at least that wide) and a square template of radius `radius`.
+  static std::vector<sched::Tile> tiles_for(
+      int w, int h, int radius, int executors, int kernel_lanes,
+      int tile_w = 0, int tile_h = 0,
+      SearchMode mode = SearchMode::kFull) {
+    sched::ThreadPool& pool = sched::ThreadPool::shared();
+    if (pool.threads() < executors) pool.resize(executors);
+    SmaConfig cfg;
+    cfg.z_template_radius = radius;
+    cfg.threads = executors;
+    cfg.tile_width = tile_w;
+    cfg.tile_height = tile_h;
+    cfg.search_mode = mode;
+    return pixel_tiles(w, h, cfg, /*parallel=*/true, kernel_lanes);
+  }
+
+ private:
+  const int width_ = sched::ThreadPool::shared().threads();
+};
+
+int tile_count(int side, int w, int h) {
+  return ((side + w - 1) / w) * ((side + h - 1) / h);
+}
+
+struct TileCase {
+  const char* what;
+  int side, radius, executors;
+  int width, height;  // the pinned shape
+  enum Stop { kHalo, kFloor, kCap } stop;
+};
+
+TEST_F(PixelTiles, KernelTilesGrowWithTheTemplate) {
+  for (const TileCase& c : {
+           // semi_pair's F_semi windows (9x9 template): 8x16 -> 16x32.
+           TileCase{"48^2, 9x9 template", 48, 4, 2, 16, 32, TileCase::kHalo},
+           // The Sec. 5 Luis windows (11x11 template): 16x16 -> 32x32.
+           TileCase{"64^2, 11x11 template", 64, 5, 2, 32, 32,
+                    TileCase::kHalo},
+           // An out-of-core shard crop: the 7x7 halo is already small.
+           TileCase{"114^2 crop, 7x7 template", 114, 3, 2, 32, 32,
+                    TileCase::kHalo},
+           // Table 1's 121x121 template: 32x32 -> 64x128, where the next
+           // doubling would leave one tile per executor.
+           TileCase{"256^2, 121x121 template", 256, 60, 4, 64, 128,
+                    TileCase::kFloor},
+           // The same windows on 512^2 stop at the 8192-center bound.
+           TileCase{"512^2, 121x121 template", 512, 60, 4, 64, 128,
+                    TileCase::kCap},
+       }) {
+    SCOPED_TRACE(c.what);
+    for (const int lanes : {1, 2, 4, 8}) {
+      const std::vector<sched::Tile> tiles =
+          tiles_for(c.side, c.side, c.radius, c.executors, lanes);
+      ASSERT_FALSE(tiles.empty());
+      EXPECT_EQ(tiles[0].width(), c.width) << lanes << " lanes";
+      EXPECT_EQ(tiles[0].height(), c.height) << lanes << " lanes";
+      EXPECT_GE(tiles.size(), 2u * c.executors) << lanes << " lanes";
+      EXPECT_LE(tiles[0].width() * tiles[0].height(), 8192);
+    }
+    const long long halo = (c.width + 2LL * c.radius) *
+                           (c.height + 2LL * c.radius);
+    const long long tile = 1LL * c.width * c.height;
+    // The next doubling of the smaller side (the height on a tie).
+    const int nw = c.height <= c.width ? c.width : 2 * c.width;
+    const int nh = c.height <= c.width ? 2 * c.height : c.height;
+    switch (c.stop) {
+      case TileCase::kHalo:
+        EXPECT_LE(halo, 2 * tile);
+        break;
+      case TileCase::kFloor:
+        EXPECT_GT(halo, 2 * tile);
+        EXPECT_LT(tile_count(c.side, nw, nh), 2 * c.executors);
+        break;
+      case TileCase::kCap:
+        EXPECT_GT(halo, 2 * tile);
+        EXPECT_GE(tile_count(c.side, nw, nh), 2 * c.executors);
+        EXPECT_GT(nw * nh, 8192);
+        break;
+    }
+  }
+}
+
+// The per-pixel passes (staged search, sub-pixel refinement) have no
+// halo to save, and a pruned sweep's per-tile hypothesis union grows
+// with the tile: both keep choose_tile_shape's slack.
+TEST_F(PixelTiles, PerPixelPassesAndPrunedSearchDoNotGrow) {
+  const sched::TileShape base = sched::choose_tile_shape(256, 256, 4);
+  for (const std::vector<sched::Tile>& tiles :
+       {tiles_for(256, 256, 60, 4, 0),
+        tiles_for(256, 256, 60, 4, 8, 0, 0, SearchMode::kPruned)}) {
+    ASSERT_FALSE(tiles.empty());
+    EXPECT_EQ(tiles[0].width(), base.width);
+    EXPECT_EQ(tiles[0].height(), base.height);
+  }
+  // Without a kernel the width is not rounded to lanes either.
+  const sched::TileShape small = sched::choose_tile_shape(40, 40, 8);
+  EXPECT_EQ(tiles_for(40, 40, 1, 8, 0)[0].width(), small.width);
+}
+
+// Kernel widths are whole lane batches except at the frame's right
+// edge; a small frame on a wide pool keeps two tiles per executor and
+// never grows.
+TEST_F(PixelTiles, WidthsAreWholeLaneBatches) {
+  for (const int lanes : {1, 2, 4, 8}) {
+    for (const int side : {40, 77}) {
+      const std::vector<sched::Tile> tiles = tiles_for(side, side, 1, 8, lanes);
+      for (const sched::Tile& t : tiles) {
+        if (t.x1 != side) {
+          EXPECT_EQ(t.width() % lanes, 0) << side;
+        }
+      }
+    }
+  }
+  // choose_tile_shape's 4x8 on 40^2 for 8 executors: 8 lanes round it to
+  // 8x8, and the 3x3 halo is small enough to stop there.
+  EXPECT_EQ(tiles_for(40, 40, 1, 8, 8)[0].width(), 8);
+  EXPECT_EQ(tiles_for(40, 40, 1, 8, 8)[0].height(), 8);
+  EXPECT_EQ(tiles_for(40, 40, 1, 8, 1)[0].width(), 4);
+}
+
+TEST_F(PixelTiles, ConfiguredShapeOverridesThePolicy) {
+  const std::vector<sched::Tile> t53 = tiles_for(256, 256, 60, 4, 8, 5, 3);
+  EXPECT_EQ(t53[0].width(), 5);
+  EXPECT_EQ(t53[0].height(), 3);
+  const std::vector<sched::Tile> t7 = tiles_for(64, 64, 5, 2, 8, 7, 0);
+  EXPECT_EQ(t7[0].width(), 7);
+  EXPECT_EQ(t7[0].height(), 32);
+  SmaConfig cfg;
+  cfg.z_template_radius = 60;
+  const std::vector<sched::Tile> one =
+      pixel_tiles(256, 256, cfg, /*parallel=*/false, 8);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0], (sched::Tile{0, 0, 256, 256}));
 }
 
 }  // namespace
