@@ -51,8 +51,7 @@ struct VariantResult {
   imaging::FlowField flow;
   core::VectorRunReport vector_report;  // only set by the vector backend
   bool has_vector_report = false;
-  core::PruneReport prune;              // only set for search_mode=pruned
-  bool has_prune = false;
+  core::PruneReport prune;              // all zero under full search
 };
 
 /// Max per-axis winner deviation and differing-pixel counts of `flow`
@@ -93,7 +92,6 @@ FlowDrift flow_drift(const imaging::FlowField& flow,
 // = timings.total.
 VariantResult time_variant(const std::string& name,
                            const std::string& backend_name,
-                           const core::SmaConfig& cfg,
                            const std::function<core::TrackResult()>& track,
                            int repeat) {
   VariantResult best;
@@ -118,16 +116,8 @@ VariantResult time_variant(const std::string& name,
               dynamic_cast<const core::VectorBackendExtras*>(r.extras.get())) {
         best.vector_report = vx->report;
         best.has_vector_report = true;
-        if (cfg.search_mode == core::SearchMode::kPruned) {
-          best.prune = vx->prune;
-          best.has_prune = true;
-        }
       }
-      if (const auto* px =
-              dynamic_cast<const core::PruneBackendExtras*>(r.extras.get())) {
-        best.prune = px->report;
-        best.has_prune = true;
-      }
+      best.prune = r.extras->prune;
     }
   }
   return best;
@@ -140,7 +130,7 @@ VariantResult run_variant(const std::string& name,
                           const core::TrackerInput& in,
                           const core::SmaConfig& cfg, int repeat) {
   return time_variant(
-      name, backend_name, cfg,
+      name, backend_name,
       [&] {
         return core::SmaPipeline(cfg, {.backend = backend_name})
             .track_pair(in);
@@ -157,7 +147,7 @@ VariantResult run_naive(const core::TrackerInput& in,
   const core::TrackerBackend& sequential =
       core::BackendRegistry::instance().get("sequential");
   return time_variant(
-      "naive", "sequential", cfg,
+      "naive", "sequential",
       [&] {
         const auto t0 = std::chrono::steady_clock::now();
         surface::GeometryOptions gopts;
@@ -309,7 +299,7 @@ int main(int argc, char** argv) {
     // band is full of near-tied minima whose oracle winner is an
     // arbitrary tie-break, not a meaningful motion estimate.
     if (leg.radius == 1)
-      pruned_ok = leg.result.has_prune && pr.active != 0 &&
+      pruned_ok = pr.active != 0 &&
                   pr.reduction() >= 3.0 && interior_frac <= 0.01;
   }
   std::printf("  pruned (r=1) contract — >=3x fewer hypotheses at near-equal "

@@ -16,9 +16,11 @@
 //   PATH receives the measured per-phase rows as a JSON record array.
 //
 // The measured section ends with a thread-scaling sweep: the vector
-// backend at 1, 2, 4, ... threads (pool resized to the sweep
-// maximum, each run capped via SmaConfig::threads, and warmed by one
-// second of untimed tracks before kSweepTracks timed ones), emitting
+// backend at 1, 2, 4, ... threads (the shared pool resized to each
+// width — the one thread budget every stage of a run obeys, as
+// `sma_cli --threads` and `sma_serve --sched-threads` set it — and
+// warmed by one second of untimed tracks before kSweepTracks timed
+// ones), emitting
 // the median total with its p25 and p75, and the speedup/efficiency
 // curve of the medians, into the JSON and asserting FlowField
 // bit-identity against the sequential reference at every width.  Exits
@@ -186,15 +188,13 @@ int main(int argc, char** argv) {
 
   // ---------- 3. Thread-scaling sweep (vector backend) ----------
   // Widths 1, 2, 4, ... up to at least 4 (so the curve exists even on a
-  // 1-core box, where it honestly records ~1x: the shared pool is
-  // resized to the sweep maximum, and each run is capped through
-  // SmaConfig::threads — the same budget mechanism sma_serve uses).
+  // 1-core box, where it honestly records ~1x): the shared pool is
+  // resized to each width, so every stage of the tracks runs on it.
   sched::ThreadPool& pool = sched::ThreadPool::shared();
   const int hw = sched::ThreadPool::default_threads();
   std::vector<int> widths;
   for (int t = 1; t < std::max(hw, 4); t *= 2) widths.push_back(t);
   widths.push_back(std::max(hw, 4));
-  pool.resize(widths.back());
 
   struct SweepPoint {
     std::string backend;
@@ -205,25 +205,23 @@ int main(int argc, char** argv) {
   };
   std::vector<SweepPoint> sweep;
   const std::string swept = "vector";
-  bench::header("Thread scaling — " + swept + " backend (" +
-                std::to_string(std::max(hw, 4)) + "-wide pool, " +
+  bench::header("Thread scaling — " + swept + " backend (pool of 1.." +
+                std::to_string(widths.back()) + " workers, " +
                 std::to_string(hw) + " hardware thread(s))");
   bench::row_header("median [p25, p75] (ms)", "speedup");
   bool sweep_identical = true;
   double t1 = 0.0;
   for (const int t : widths) {
-    core::SmaConfig tcfg = cfg;
-    tcfg.threads = t;
+    pool.resize(t);
     // Untimed tracks for a fixed wall time first: straight after the
-    // resize, or after a narrower width, the workers of a cold pool do
-    // not yet run side by side, and tracks timed then measure about 1x
-    // at every width.
+    // resize the workers of a cold pool do not yet run side by side,
+    // and tracks timed then measure about 1x at every width.
     const auto warm_until =
         std::chrono::steady_clock::now() + std::chrono::seconds(1);
-    while (std::chrono::steady_clock::now() < warm_until) track(swept, tcfg);
+    while (std::chrono::steady_clock::now() < warm_until) track(swept, cfg);
     std::vector<core::TrackResult> runs;
     for (int rep = 0; rep < kSweepTracks; ++rep) {
-      runs.push_back(track(swept, tcfg));
+      runs.push_back(track(swept, cfg));
       sweep_identical =
           sweep_identical && imaging::bit_equal(runs.back().flow, seq.flow);
     }
@@ -281,9 +279,7 @@ int main(int argc, char** argv) {
                                           std::to_string(p.threads));
       rec.wall_ms = p.result.timings.total * 1000.0;
       rec.pixels_per_s = npix / p.result.timings.total;
-      core::SmaConfig tcfg = cfg;
-      tcfg.threads = p.threads;
-      rec.config = tcfg.describe();
+      rec.config = cfg.describe();
       rec.backend = p.backend;
       rec.extra("threads", p.threads)
           .extra("tracks", kSweepTracks)

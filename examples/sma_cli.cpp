@@ -20,9 +20,9 @@
 //   --subpixel             parabolic refinement
 //   --backend NAME         execution backend from the registry:
 //                          sequential | vector (default) | maspar-sim
-//   --threads N            cap this run's tile executors (0 = the whole
-//                          shared pool; pool width = SMA_THREADS or the
-//                          hardware count)
+//   --threads N            width of the shared thread pool, 1..4096
+//                          (default SMA_THREADS or the hardware count):
+//                          every stage of the run shares these workers
 //   --tile WxH             scheduler tile shape (default: autotuned)
 //   --search-mode MODE     hypothesis search: full (default, the
 //                          bit-exact exhaustive oracle) | pruned
@@ -69,6 +69,7 @@
 #include "maspar/backend.hpp"
 #include "maspar/sma_simd.hpp"
 #include "obs/trace.hpp"
+#include "sched/scheduler.hpp"
 #include "serve/error.hpp"
 #include "shard/costmodel.hpp"
 #include "shard/runner.hpp"
@@ -162,6 +163,7 @@ struct TrackCliOptions {
   std::string trace_path;
   std::string metrics_path;
   int shard_rows = 0, shard_cols = 0;  ///< 0 = unsharded
+  int threads = 0;  ///< shared pool width; 0 = leave it as started
 
   TrackCliOptions() {
     cfg.model = core::MotionModel::kSemiFluid;
@@ -174,7 +176,9 @@ struct TrackCliOptions {
 };
 
 /// Parses the shared option tail starting at argv[first]; false on an
-/// unknown option (the caller prints usage).
+/// unknown option (the caller prints usage).  A valid --threads resizes
+/// the shared pool once the whole tail has parsed, before any frame is
+/// read, so every stage of the run shares that one budget.
 bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
   for (int i = first; i < argc; ++i) {
     const std::string a = argv[i];
@@ -195,7 +199,10 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
     } else if (a == "--backend") {
       o.backend = flag_value(argc, argv, i);
     } else if (a == "--threads") {
-      o.cfg.threads = int_flag(argc, argv, i);
+      // The range SMA_THREADS accepts (sched::ThreadPool::default_threads).
+      o.threads = int_flag(argc, argv, i);
+      if (o.threads < 1 || o.threads > 4096)
+        throw std::invalid_argument("--threads expects 1..4096");
     } else if (a == "--tile") {
       std::tie(o.cfg.tile_width, o.cfg.tile_height) =
           int_pair_flag(argc, argv, i);
@@ -234,6 +241,7 @@ bool parse_track_cli(int argc, char** argv, int first, TrackCliOptions& o) {
       return false;
     }
   }
+  if (o.threads > 0) sched::ThreadPool::shared().resize(o.threads);
   return true;
 }
 
@@ -403,28 +411,15 @@ int cmd_track(int argc, char** argv) {
       std::printf("vector backend fell back to the staged path (%s)\n",
                   vx->report.fallback.c_str());
   }
-  // Pruned-search accounting rides on every backend's extras:
-  // PruneBackendExtras (sequential), VectorBackendExtras.prune or
-  // MasParBackendExtras.prune.
-  const core::PruneReport* prune = nullptr;
-  if (const auto* px =
-          dynamic_cast<const core::PruneBackendExtras*>(r.extras.get()))
-    prune = &px->report;
-  else if (cfg.search_mode == core::SearchMode::kPruned) {
-    if (const auto* vx =
-            dynamic_cast<const core::VectorBackendExtras*>(r.extras.get()))
-      prune = &vx->prune;
-    else if (const auto* mp = dynamic_cast<const maspar::MasParBackendExtras*>(
-                 r.extras.get()))
-      prune = &mp->prune;
-  }
-  if (prune != nullptr && prune->active != 0)
+  // Pruned-search accounting rides on every backend's extras.
+  const core::PruneReport& prune = r.extras->prune;
+  if (prune.active != 0)
     std::printf(
         "pruned search: %llu of %llu hypotheses (%.1fx reduction), "
         "seed hit rate %.3f\n",
-        static_cast<unsigned long long>(prune->hypotheses_evaluated()),
-        static_cast<unsigned long long>(prune->full_grid_hypotheses),
-        prune->reduction(), prune->seed_hit_rate());
+        static_cast<unsigned long long>(prune.hypotheses_evaluated()),
+        static_cast<unsigned long long>(prune.full_grid_hypotheses),
+        prune.reduction(), prune.seed_hit_rate());
   if (cli.opts.subpixel)
     std::printf(
         "sub-pixel: %.3f s, %llu probes evaluated, %llu read from the "
@@ -459,7 +454,7 @@ int cmd_track(int argc, char** argv) {
     if (const auto* vx =
             dynamic_cast<const core::VectorBackendExtras*>(r.extras.get()))
       core::publish_metrics(vx->report, reg);
-    if (prune != nullptr) core::publish_metrics(*prune, reg);
+    if (prune.active != 0) core::publish_metrics(prune, reg);
     obs::RunReport report = pipeline.run_report();
     report.name = "sma_cli track";
     if (report.write_metrics_csv(metrics_path))

@@ -255,7 +255,7 @@ for workload in semi_pair rapidscan_session outofcore_shard; do
   mkdir -p "$dir"
   run "$pbtree/perfbench_e2e" --phase prepare --workload $workload --seed 1 \
     --dir "$dir"
-  run env SMA_THREADS=2 OMP_NUM_THREADS=2 "$pbtree/perfbench_e2e" \
+  run env SMA_THREADS=2 "$pbtree/perfbench_e2e" \
     --phase run --workload $workload --seed 1 --dir "$dir" --seconds 2
 done
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/match_prune.hpp"
 #include "core/match_vector.hpp"
 
 namespace sma::core {
@@ -20,19 +19,11 @@ class HostBackend final : public TrackerBackend {
 
   TrackResult match(const MatchInput& in, const SmaConfig& config,
                     const TrackOptions& options) const override {
-    // Pruned runs get the accounting report attached as extras; full
-    // runs stay extras-free (the baseline's historical contract).
-    std::shared_ptr<PruneBackendExtras> prune_extras;
-    if (config.search_mode == SearchMode::kPruned)
-      prune_extras = std::make_shared<PruneBackendExtras>();
-    TrackResult result = run_matching_stage(
+    return run_matching_stage(
         in, config, options, /*parallel=*/false,
         [&](const MatchSegment& seg) {
           scan_segment(in, config, /*parallel=*/false, seg);
-        },
-        prune_extras != nullptr ? &prune_extras->report : nullptr);
-    result.extras = std::move(prune_extras);
-    return result;
+        });
   }
 };
 

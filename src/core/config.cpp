@@ -22,9 +22,8 @@ std::string SmaConfig::describe() const {
   if (search_mode == SearchMode::kPruned)
     os << ", search-mode=pruned(levels=" << prune_coarse_levels
        << ", refine=" << prune_refine_radius << ")";
-  // Scheduler knobs only when explicitly set: they never change results,
-  // so defaults stay out of config signatures.
-  if (threads > 0) os << ", threads=" << threads;
+  // The scheduler knob only when explicitly set: it never changes
+  // results, so the default stays out of config signatures.
   if (tile_width > 0 || tile_height > 0)
     os << ", tile=" << tile_width << "x" << tile_height;
   if (max_resident_mb > 0) os << ", resident<=" << max_resident_mb << "MiB";

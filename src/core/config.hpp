@@ -70,17 +70,12 @@ struct SmaConfig {
   /// during this run i.e. Z = 2N_zs + 1").
   int segment_rows = 0;
 
-  /// Executor cap for the tiled scheduler (sched/scheduler.hpp): how
-  /// many pool workers may serve THIS run's tile batches.  0 = the
-  /// whole shared pool (whose width is SMA_THREADS or the hardware
-  /// count).  The cap throttles one run below the pool width — the
-  /// pool itself is the process-wide budget shared with sma_serve.
-  int threads = 0;
-
   /// Tile shape for the scheduler's cache-blocked pixel tiles.  0 =
   /// autotuned via sched::choose_tile_shape (≈32x32, shrunk until every
-  /// executor has stealable slack).  Results are bit-identical for ANY
-  /// tile shape; this is a performance knob only.
+  /// worker of the shared pool has stealable slack).  Results are
+  /// bit-identical for ANY tile shape; this is a performance knob only.
+  /// How many threads run the tiles is not a config field: the shared
+  /// pool's width (sched/scheduler.hpp) is the process-wide budget.
   int tile_width = 0;
   int tile_height = 0;
 
@@ -156,8 +151,6 @@ struct SmaConfig {
       throw std::invalid_argument("SmaConfig: rectangular radii >= -1 required");
     if (segment_rows < 0 || segment_rows > z_search_size_y())
       throw std::invalid_argument("SmaConfig: segment_rows out of range");
-    if (threads < 0)
-      throw std::invalid_argument("SmaConfig: threads >= 0 required");
     if (tile_width < 0 || tile_height < 0)
       throw std::invalid_argument("SmaConfig: tile sizes >= 0 required");
     if (prune_coarse_levels < 1)

@@ -32,7 +32,7 @@ imaging::FlowField upsample_flow(const imaging::FlowField& flow, int width,
 
 PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
                                const imaging::ImageF& raw_after,
-                               const SmaConfig& config) {
+                               const SmaConfig& config, bool parallel) {
   PruneSeeds s;
   s.width = raw_before.width();
   s.height = raw_before.height();
@@ -77,27 +77,27 @@ PruneSeeds compute_prune_seeds(const imaging::ImageF& raw_before,
   TrackOptions topts;
   topts.subpixel = true;
 
-  // The "vector" backend is bit-identical to "sequential" by the
-  // Sec. 5.1 contract, so the seeds do not depend on who asked; it runs
-  // on the caller's thread (the fine tile fan-out has not started), so
-  // the pool is never entered re-entrantly.  A local pipeline: the
-  // pyramid levels die with this call, so nothing may cache them.
+  // Every backend is bit-identical by the Sec. 5.1 contract, so the
+  // seeds do not depend on who asked; the pass runs on the caller's
+  // thread (the fine tile fan-out has not started), so the pool is
+  // never entered re-entrantly.  A local pipeline: the pyramid levels
+  // die with this call, so nothing may cache them.
   const imaging::ImageF& cb = pb.level(top);
   const imaging::ImageF& ca = pa.level(top);
   PipelineOptions popts;
-  popts.backend = "vector";
+  popts.backend = parallel ? "vector" : "sequential";
   popts.track = topts;
   const TrackResult coarse_res =
       SmaPipeline(coarse, std::move(popts)).track_pair(cb, ca);
 
   // Propagate to full resolution: vector median kills isolated coarse
   // errors, the Gaussian gives a fractional consensus, nearbyint
-  // recovers integer seeds.  Both filter rows on the pool, like the
-  // coarse pass.
+  // recovers integer seeds.  Both filter rows on the pool when the
+  // coarse pass does.
   const imaging::FlowField prior = gaussian_smooth(
       vector_median_filter(upsample_flow(coarse_res.flow, s.width, s.height),
-                           1, /*parallel=*/true),
-      1.0, 0.0, /*parallel=*/true);
+                           1, parallel),
+      1.0, 0.0, parallel);
   for (int y = 0; y < s.height; ++y)
     for (int x = 0; x < s.width; ++x) {
       const imaging::FlowVector p = prior.at(x, y);
@@ -155,7 +155,7 @@ bool prune_winner_interior(const PruneWindow& win, int nzs_x, int nzs_y,
 }
 
 std::vector<PruneWindow> prune_windows(const MatchInput& in,
-                                       const SmaConfig& config,
+                                       const SmaConfig& config, bool parallel,
                                        std::uint64_t& coarse_hypotheses) {
   const int w = in.width();
   const int h = in.height();
@@ -172,7 +172,8 @@ std::vector<PruneWindow> prune_windows(const MatchInput& in,
         "pruned search needs MatchInput::prune_seeds or the raw frames");
   PruneSeeds local_seeds;
   if (in.prune_seeds == nullptr)
-    local_seeds = compute_prune_seeds(*in.raw_before, *in.raw_after, config);
+    local_seeds =
+        compute_prune_seeds(*in.raw_before, *in.raw_after, config, parallel);
   const PruneSeeds& seeds =
       in.prune_seeds != nullptr ? *in.prune_seeds : local_seeds;
   coarse_hypotheses = seeds.coarse_hypotheses;

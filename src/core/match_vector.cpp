@@ -135,7 +135,7 @@ class VectorBackend final : public TrackerBackend {
       }
       const int w = in.width();
       run_pixel_tiles(
-          tiles, config, /*parallel=*/true,
+          tiles, /*parallel=*/true,
           [&](const sched::Tile& tile, std::size_t index) {
             VectorTileArgs args;
             args.pre = seg.pre;
@@ -179,8 +179,7 @@ class VectorBackend final : public TrackerBackend {
           });
     };
     TrackResult result = run_matching_stage(in, config, options,
-                                            /*parallel=*/true, visit,
-                                            &extras->prune);
+                                            /*parallel=*/true, visit, extras);
     report.vector_path = fallback == nullptr;
     if (fallback != nullptr) report.fallback = fallback;
     for (const VectorLaneTally& tally : tallies) {
@@ -194,7 +193,6 @@ class VectorBackend final : public TrackerBackend {
         total > 0 ? static_cast<double>(report.batched_hypotheses) /
                         static_cast<double>(total)
                   : 0.0;
-    result.extras = std::move(extras);
     return result;
   }
 };

@@ -156,11 +156,10 @@ struct VectorRunReport {
   double lane_utilization = 0.0;
 };
 
-/// TrackResult::extras attachment for the vector backend.  `prune` is
-/// the pruned search's accounting, all zero under full search.
+/// TrackResult::extras attachment for the vector backend (the pruned
+/// search's accounting is the inherited `prune`).
 struct VectorBackendExtras : BackendExtras {
   VectorRunReport report;
-  PruneReport prune;
 };
 
 /// Publishes the report into `reg` under the `vector.` prefix.

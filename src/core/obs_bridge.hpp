@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/fault.hpp"
-#include "core/match_prune.hpp"
 #include "core/pipeline.hpp"
 #include "core/tracker.hpp"
 #include "obs/metrics.hpp"

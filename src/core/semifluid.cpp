@@ -180,7 +180,7 @@ std::size_t SemiFluidCostField::bytes() const {
 SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
                                const imaging::ImageF& disc_after,
                                int hx_radius, int hy_min, int hy_max, int nss,
-                               int nst, bool parallel, int max_executors)
+                               int nst, bool parallel)
     : width_(disc_before.width()),
       height_(disc_before.height()),
       hx_radius_(hx_radius),
@@ -276,9 +276,8 @@ SemiFluidTable::SemiFluidTable(const imaging::ImageF& disc_before,
   int executors = 1;
   if (parallel) {
     sched::ThreadPool& pool = sched::ThreadPool::shared();
-    pool.run(strips, build_strip, max_executors);
+    pool.run(strips, build_strip);
     executors = std::max(pool.threads(), 1);
-    if (max_executors > 0) executors = std::min(executors, max_executors);
   } else {
     for (std::size_t i = 0; i < strips.size(); ++i)
       build_strip(strips[i], i);

@@ -128,13 +128,12 @@ class SemiFluidTable {
   static constexpr int kStripRows = 8;
 
   /// With `parallel` the strips run as one batch on the shared sched
-  /// pool, on at most `max_executors` workers (0 = the whole pool);
-  /// otherwise on the caller, in order.  The entries are the same
+  /// pool; otherwise on the caller, in order.  The entries are the same
   /// either way.
   SemiFluidTable(const imaging::ImageF& disc_before,
                  const imaging::ImageF& disc_after, int hx_radius,
                  int hy_min, int hy_max, int nss, int nst,
-                 bool parallel = false, int max_executors = 0);
+                 bool parallel = false);
 
   int width() const { return width_; }
   int height() const { return height_; }

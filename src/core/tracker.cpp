@@ -41,9 +41,7 @@ std::vector<sched::Tile> pixel_tiles(int w, int h, const SmaConfig& config,
     shape.height = config.tile_height > 0 ? config.tile_height : 32;
     return sched::make_tiles(w, h, shape);
   }
-  const int pool = sched::ThreadPool::shared().threads();
-  const int executors =
-      std::max(config.threads > 0 ? std::min(config.threads, pool) : pool, 1);
+  const int executors = std::max(sched::ThreadPool::shared().threads(), 1);
   shape = sched::choose_tile_shape(w, h, executors);
   if (kernel_lanes <= 0) return sched::make_tiles(w, h, shape);
   const int n = kernel_lanes;
@@ -76,11 +74,10 @@ std::vector<sched::Tile> pixel_tiles(int w, int h, const SmaConfig& config,
 }
 
 void run_pixel_tiles(
-    const std::vector<sched::Tile>& tiles, const SmaConfig& config,
-    bool parallel,
+    const std::vector<sched::Tile>& tiles, bool parallel,
     const std::function<void(const sched::Tile&, std::size_t)>& fn) {
   if (parallel) {
-    sched::ThreadPool::shared().run(tiles, fn, config.threads);
+    sched::ThreadPool::shared().run(tiles, fn);
     return;
   }
   for (std::size_t i = 0; i < tiles.size(); ++i) fn(tiles[i], i);
@@ -291,10 +288,9 @@ namespace {
 // correspondence table for hy in [hy_min, hy_max] when the semi-fluid
 // remap is on, nullopt under F_cont.  Every evaluator reads it — the
 // precomputed one, the lane kernel and the naive one, masked or not.
-// With `parallel` its strips run on the sched pool under the
-// SmaConfig::threads cap.  The build time goes to
-// timings.semifluid_mapping only; resident band + table bytes raise
-// `peak_mapping_bytes`.
+// With `parallel` its strips run on the shared sched pool.  The build
+// time goes to timings.semifluid_mapping only; resident band + table
+// bytes raise `peak_mapping_bytes`.
 std::optional<SemiFluidTable> build_semifluid_table(
     const MatchInput& in, const SmaConfig& config, bool parallel, int hy_min,
     int hy_max, TrackTimings& timings, std::size_t& peak_mapping_bytes) {
@@ -304,7 +300,7 @@ std::optional<SemiFluidTable> build_semifluid_table(
   std::optional<SemiFluidTable> table;
   table.emplace(*in.disc_before, *in.disc_after, config.z_search_radius,
                 hy_min, hy_max, config.effective_nss(),
-                config.semifluid_template_radius, parallel, config.threads);
+                config.semifluid_template_radius, parallel);
   timings.semifluid_mapping += seconds_since(t0);
   peak_mapping_bytes =
       std::max(peak_mapping_bytes, table->band_bytes() + table->bytes());
@@ -338,7 +334,7 @@ void refine_subpixel(const MatchInput& in, const SmaConfig& config,
   // Per-tile counts, summed in tile order after the pass.
   std::vector<SubpixelProbeCount> tallies(tiles.size());
   run_pixel_tiles(
-      tiles, config, parallel,
+      tiles, parallel,
       [&](const sched::Tile& tile, std::size_t index) {
         SubpixelProbeCount& tally = tallies[index];
         for (int y = tile.y0; y < tile.y1; ++y)
@@ -448,7 +444,7 @@ void collect_track_result(const MatchInput& in, const TrackOptions& options,
 TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
                                const TrackOptions& options, bool parallel,
                                const SegmentVisit& visit,
-                               PruneReport* prune) {
+                               std::shared_ptr<BackendExtras> extras) {
   const bool semifluid = config.effective_nss() > 0;
   if (semifluid && (in.disc_before == nullptr || in.disc_after == nullptr))
     throw std::invalid_argument(
@@ -457,6 +453,7 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
       (in.mask_before != nullptr || in.mask_after != nullptr))
     throw std::invalid_argument(
         "run_matching_stage: precompute planes cannot serve a masked pair");
+  if (extras == nullptr) extras = std::make_shared<BackendExtras>();
   TrackResult result;
   TrackTimings& timings = result.timings;
   std::vector<PixelBest> best(static_cast<std::size_t>(in.width()) *
@@ -494,11 +491,10 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
     const auto t0 = Clock::now();
     std::uint64_t coarse_hypotheses = 0;
     const std::vector<PruneWindow> windows =
-        prune_windows(in, config, coarse_hypotheses);
+        prune_windows(in, config, parallel, coarse_hypotheses);
     timings.hypothesis_matching += seconds_since(t0);
     sweep(windows.data());
-    if (prune != nullptr)
-      *prune = prune_report(windows, best, coarse_hypotheses, config);
+    extras->prune = prune_report(windows, best, coarse_hypotheses, config);
   } else {
     sweep(nullptr);
   }
@@ -508,6 +504,7 @@ TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
   collect_track_result(in, options, best, result);
   timings.total = timings.match_precompute + timings.semifluid_mapping +
                   timings.hypothesis_matching + timings.subpixel_refine;
+  result.extras = std::move(extras);
   return result;
 }
 
@@ -515,7 +512,7 @@ void scan_segment(const MatchInput& in, const SmaConfig& config,
                   bool parallel, const MatchSegment& seg) {
   const int w = in.width();
   run_pixel_tiles(
-      pixel_tiles(w, in.height(), config, parallel), config, parallel,
+      pixel_tiles(w, in.height(), config, parallel), parallel,
       [&](const sched::Tile& tile, std::size_t) {
         for (int y = tile.y0; y < tile.y1; ++y)
           for (int x = tile.x0; x < tile.x1; ++x)

@@ -50,14 +50,58 @@ namespace sma::core {
 struct PruneSeeds;   // fwd (match_prune.hpp)
 struct PruneWindow;  // fwd (match_prune.hpp)
 
-/// Base class for backend-specific result attachments (the "extras"
-/// channel).  A TrackerBackend may hang substrate-specific reports off
-/// TrackResult::extras — e.g. the MasPar adapter attaches its full
-/// SimdRunReport (modeled MP-2 wall-clock, PE memory, mesh traffic) —
-/// without the core layer depending on that backend.  Consumers
-/// dynamic_cast to the concrete type they know about.
+/// Pruning accounting for one tracked pair (match_prune.hpp).  POD of
+/// uint64 so the obs bridge's sizeof completeness guard covers it.  All
+/// hypothesis counts are per (pixel, hypothesis) units.
+struct PruneReport {
+  std::uint64_t active = 0;  ///< 1 when pruned search ran
+  /// (2N_zs+1)^2 * pixels: what the full oracle would evaluate.
+  std::uint64_t full_grid_hypotheses = 0;
+  /// Hypotheses spent by the coarse seeding pass (search grid plus the
+  /// forced subpixel probes, at coarse resolution).
+  std::uint64_t coarse_hypotheses = 0;
+  /// Fine-level hypotheses admitted by the per-pixel windows.
+  std::uint64_t fine_scheduled = 0;
+  /// Always 0: pruned search has no residual bound.  Kept only because
+  /// the end-to-end benchmark still reads them.
+  std::uint64_t bound_checks = 0;
+  std::uint64_t bound_skipped = 0;
+  /// Pixels searched with a shrunken window vs full-window fallbacks.
+  std::uint64_t window_pixels = 0;
+  std::uint64_t fallback_pixels = 0;
+  /// Shrunken-window pixels whose winner sits strictly inside every
+  /// shrunken edge — the coarse-seed hit signal (a winner pinned to a
+  /// shrunken edge suggests the true minimum lies outside).
+  std::uint64_t seed_interior = 0;
+
+  /// Derived conveniences (mirrored as pruning.* gauges).
+  double hypotheses_evaluated() const {
+    return static_cast<double>(coarse_hypotheses + fine_scheduled);
+  }
+  double reduction() const {
+    const double spent = hypotheses_evaluated();
+    return spent > 0.0 ? static_cast<double>(full_grid_hypotheses) / spent
+                       : 0.0;
+  }
+  double seed_hit_rate() const {
+    return window_pixels > 0
+               ? static_cast<double>(seed_interior) /
+                     static_cast<double>(window_pixels)
+               : 0.0;
+  }
+};
+
+/// Base class for backend result attachments (the "extras" channel).
+/// Every backend's match() returns one: the matching stage fills
+/// `prune` (all zero under full search), and a TrackerBackend may derive
+/// from it to hang substrate-specific reports off TrackResult::extras —
+/// e.g. the MasPar adapter attaches its full SimdRunReport (modeled MP-2
+/// wall-clock, PE memory, mesh traffic) — without the core layer
+/// depending on that backend.  Consumers dynamic_cast to the concrete
+/// type they know about.
 struct BackendExtras {
   virtual ~BackendExtras() = default;
+  PruneReport prune;
 };
 
 struct TrackOptions {
@@ -110,9 +154,9 @@ struct TrackResult {
   /// the benches.
   std::size_t peak_mapping_bytes = 0;
   SubpixelProbeCount subpixel_probes;
-  /// Backend-specific attachments (null for full-search "sequential"
-  /// runs).  See BackendExtras; shared so TrackResult stays cheaply
-  /// copyable.
+  /// Backend attachments, never null in a backend's result: at least
+  /// the pruning report.  See BackendExtras; shared so TrackResult stays
+  /// cheaply copyable.
   std::shared_ptr<const BackendExtras> extras;
 };
 
@@ -225,14 +269,12 @@ struct MatchInput {
   int height() const { return before != nullptr ? before->height() : 0; }
 };
 
-struct PruneReport;  // fwd (match_prune.hpp)
-
 /// The pixel-tile policy of every host matching pass (staged search,
 /// sub-pixel refinement, the vector tile kernel).  Not
 /// `parallel`: one tile spanning the frame.  Otherwise
 /// SmaConfig::tile_width x tile_height when either is set (32 for the
-/// unset side), else sched::choose_tile_shape for the run's executors
-/// (SmaConfig::threads capped at the shared pool's width).
+/// unset side), else sched::choose_tile_shape for the shared pool's
+/// width, whose workers are the executors.
 /// `kernel_lanes` names the caller: 0 for the per-pixel passes, else
 /// the vector tile kernel's lane count.  For the kernel the width rounds
 /// up to whole batches, and under full search the tile then grows with
@@ -244,11 +286,10 @@ struct PruneReport;  // fwd (match_prune.hpp)
 std::vector<sched::Tile> pixel_tiles(int w, int h, const SmaConfig& config,
                                      bool parallel, int kernel_lanes = 0);
 
-/// Runs fn(tile, index) over `tiles`: on the shared pool, capped at
-/// SmaConfig::threads executors, when `parallel`; else inline in order.
+/// Runs fn(tile, index) over `tiles`: on the shared pool when
+/// `parallel`, else inline in order.
 void run_pixel_tiles(
-    const std::vector<sched::Tile>& tiles, const SmaConfig& config,
-    bool parallel,
+    const std::vector<sched::Tile>& tiles, bool parallel,
     const std::function<void(const sched::Tile&, std::size_t)>& fn);
 
 /// One winner's four sub-pixel probes as a sweep scored them: the
@@ -308,16 +349,21 @@ using SegmentVisit = std::function<void(const MatchSegment&)>;
 /// once.  Throws std::invalid_argument when the semi-fluid remap is on
 /// and a discriminant is missing, or when `in` carries both precompute
 /// planes and a validity mask.
+/// `parallel` says whether the stage's own passes — table strips, the
+/// pruned seed pass, sub-pixel refinement — may use the shared pool; a
+/// backend passes its BackendCapabilities::host_parallel, so one that
+/// declares no host parallelism never enters the pool.
 /// Each segment goes to `visit` inside a "match"/"hypothesis_search"
-/// span and the matching timer.  `prune`, when non-null, receives the
-/// pruning accounting of a pruned search.  With TrackOptions::subpixel
-/// every segment carries the probe store, and the sub-pixel step then
-/// evaluates only the probes no visit filled.  Fills the matching-phase
-/// timings, timings.total and subpixel_probes.
+/// span and the matching timer.  `extras` (a plain BackendExtras when
+/// null) becomes the result's extras, its `prune` filled by a pruned
+/// search.  With TrackOptions::subpixel every segment carries the probe
+/// store, and the sub-pixel step then evaluates only the probes no visit
+/// filled.  Fills the matching-phase timings, timings.total and
+/// subpixel_probes.
 TrackResult run_matching_stage(const MatchInput& in, const SmaConfig& config,
                                const TrackOptions& options, bool parallel,
                                const SegmentVisit& visit,
-                               PruneReport* prune = nullptr);
+                               std::shared_ptr<BackendExtras> extras = nullptr);
 
 /// The staged visit: scan_hypotheses for every pixel of the segment over
 /// pixel_tiles — inline when not `parallel` (the sequential baseline),

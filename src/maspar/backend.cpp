@@ -1,7 +1,6 @@
 #include "maspar/backend.hpp"
 
 #include <memory>
-#include <utility>
 
 namespace sma::maspar {
 
@@ -9,10 +8,8 @@ core::TrackResult MasParSimBackend::match(
     const core::MatchInput& in, const core::SmaConfig& config,
     const core::TrackOptions& options) const {
   auto extras = std::make_shared<MasParBackendExtras>();
-  core::TrackResult result = executor_.run_matching(
-      in, config, image_count_, options, extras->report, &extras->prune);
-  result.extras = std::move(extras);
-  return result;
+  return executor_.run_matching(in, config, image_count_, options,
+                                extras->report, extras);
 }
 
 void register_maspar_backend(MachineSpec spec, int image_count) {

@@ -18,17 +18,14 @@
 #pragma once
 
 #include "core/backend.hpp"
-#include "core/match_prune.hpp"
 #include "maspar/sma_simd.hpp"
 
 namespace sma::maspar {
 
-/// TrackResult::extras payload of the maspar-sim backend.  `prune` is
-/// the pruned search's accounting, all zero under full search (as
-/// VectorBackendExtras::prune).
+/// TrackResult::extras payload of the maspar-sim backend (the pruned
+/// search's accounting is the inherited `prune`).
 struct MasParBackendExtras : core::BackendExtras {
   SimdRunReport report;
-  core::PruneReport prune;
 };
 
 class MasParSimBackend final : public core::TrackerBackend {

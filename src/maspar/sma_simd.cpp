@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
 #include "core/workload.hpp"
 #include "obs/trace.hpp"
@@ -33,7 +34,7 @@ void publish_metrics(const SimdRunReport& report, obs::MetricsRegistry& reg) {
 core::TrackResult MasParExecutor::run_matching(
     const core::MatchInput& in, const core::SmaConfig& config,
     int image_count, const core::TrackOptions& options,
-    SimdRunReport& report, core::PruneReport* prune) const {
+    SimdRunReport& report, std::shared_ptr<core::BackendExtras> extras) const {
   config.validate();
   if (in.before == nullptr || in.after == nullptr)
     throw std::invalid_argument("MasParExecutor: null geometry input");
@@ -81,7 +82,7 @@ core::TrackResult MasParExecutor::run_matching(
   };
   const auto t0 = std::chrono::steady_clock::now();
   core::TrackResult track = core::run_matching_stage(
-      in, run_config, options, /*parallel=*/false, visit, prune);
+      in, run_config, options, /*parallel=*/false, visit, std::move(extras));
   report.host_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

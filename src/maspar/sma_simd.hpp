@@ -23,6 +23,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "core/tracker.hpp"
 #include "maspar/cost_model.hpp"
@@ -62,17 +63,16 @@ class MasParExecutor {
   /// config.segment_rows is 0, the semi-fluid remap is active and the
   /// unsegmented footprint exceeds PE memory, the largest fitting Z is
   /// chosen automatically (the Sec. 4.3 scheme); if even Z=1 does not
-  /// fit, the run proceeds and `fits_pe_memory` is false.  `prune`, when
-  /// non-null, receives the pruned search's accounting.  Returns the
-  /// TrackResult (flow, matching-phase timings, peak mapping bytes,
-  /// optional ParamsField) the "maspar-sim" TrackerBackend adapter hands
-  /// back.
-  core::TrackResult run_matching(const core::MatchInput& in,
-                                 const core::SmaConfig& config,
-                                 int image_count,
-                                 const core::TrackOptions& options,
-                                 SimdRunReport& report,
-                                 core::PruneReport* prune = nullptr) const;
+  /// fit, the run proceeds and `fits_pe_memory` is false.  `extras`
+  /// becomes the result's extras, as in core::run_matching_stage.
+  /// Returns the TrackResult (flow, matching-phase timings, peak mapping
+  /// bytes, optional ParamsField, extras) the "maspar-sim" TrackerBackend
+  /// adapter hands back.
+  core::TrackResult run_matching(
+      const core::MatchInput& in, const core::SmaConfig& config,
+      int image_count, const core::TrackOptions& options,
+      SimdRunReport& report,
+      std::shared_ptr<core::BackendExtras> extras = nullptr) const;
 
   const MachineSpec& spec() const { return spec_; }
 

@@ -35,7 +35,6 @@ struct ThreadPool::Batch {
   std::atomic<std::int64_t> remaining{0};  ///< tiles not yet finished
   std::atomic<std::int64_t> unclaimed{0};  ///< tiles not yet claimed
   std::atomic<int> executors{0};           ///< workers attached right now
-  int max_executors = 0;
 
   std::mutex m;
   std::condition_variable cv;
@@ -74,6 +73,7 @@ void ThreadPool::stop_and_join() {
 void ThreadPool::resize(int threads) {
   stop_and_join();
   start(std::max(threads, 0));
+  reset_stats();
 }
 
 int ThreadPool::default_threads() {
@@ -93,8 +93,7 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-void ThreadPool::run(const std::vector<Tile>& tiles, const TileFn& fn,
-                     int max_executors) {
+void ThreadPool::run(const std::vector<Tile>& tiles, const TileFn& fn) {
   if (tiles.empty()) return;
   if (workers_.empty() || tls_in_tile) {
     inline_batches_.fetch_add(1, std::memory_order_relaxed);
@@ -105,12 +104,9 @@ void ThreadPool::run(const std::vector<Tile>& tiles, const TileFn& fn,
     return;
   }
 
-  const int width = threads();
-  Batch batch(width);
+  Batch batch(threads());
   batch.tiles = &tiles;
   batch.fn = &fn;
-  batch.max_executors =
-      max_executors > 0 ? std::min(max_executors, width) : width;
   const std::size_t n = tiles.size();
   batch.remaining.store(static_cast<std::int64_t>(n),
                         std::memory_order_relaxed);
@@ -145,10 +141,7 @@ void ThreadPool::run(const std::vector<Tile>& tiles, const TileFn& fn,
 
 ThreadPool::Batch* ThreadPool::pick_batch_locked(int /*id*/) {
   for (Batch* b : active_) {
-    if (b->unclaimed.load(std::memory_order_relaxed) > 0 &&
-        b->executors.load(std::memory_order_relaxed) < b->max_executors) {
-      return b;
-    }
+    if (b->unclaimed.load(std::memory_order_relaxed) > 0) return b;
   }
   return nullptr;
 }
@@ -165,8 +158,8 @@ void ThreadPool::worker_main(int id) {
       work_cv_.wait(lk, [&] { return stop_ || generation_ != gen; });
       continue;
     }
-    // Attach under the pool lock so the executor cap is never exceeded
-    // (all increments happen here; decrements only make room).
+    // Attach under the pool lock: the batch is still listed, so its
+    // caller cannot have seen it complete and freed it yet.
     batch->executors.fetch_add(1, std::memory_order_relaxed);
     lk.unlock();
 

@@ -19,9 +19,9 @@
 // sma_serve's request workers — share the SAME `threads` budget instead
 // of multiplying it.  At most `threads()` threads are ever busy in
 // tile work, which `SchedStats::max_busy` records and the serve tests
-// assert.  A batch may additionally cap its own parallelism
-// (`max_executors`, wired to SmaConfig::threads) so a single request
-// can be throttled below the pool width.
+// assert.  The width is the only thread setting: every batch may use
+// every worker, and a process that wants fewer resizes the pool
+// (SMA_THREADS, `sma_cli --threads`, `sma_serve --sched-threads`).
 //
 // DETERMINISM: the scheduler guarantees nothing about which executor
 // runs which tile or in what order — determinism is a property of the
@@ -48,7 +48,8 @@
 
 namespace sma::sched {
 
-/// Cumulative pool counters (process lifetime; reset_stats() zeroes).
+/// Cumulative pool counters since the pool started or last resized
+/// (reset_stats() zeroes them too).
 struct SchedStats {
   int threads = 0;             ///< configured worker-thread budget
   std::uint64_t batches = 0;   ///< run() calls that reached the pool
@@ -82,19 +83,19 @@ class ThreadPool {
 
   int threads() const { return static_cast<int>(workers_.size()); }
 
-  /// Executes fn over every tile and blocks until all are done.
-  /// `max_executors` caps how many workers serve THIS batch (0 = the
-  /// whole pool); the effective parallelism is min(cap, threads()).
-  /// Runs inline on the caller when the pool is empty or when called
-  /// from inside a tile (nested parallelism serializes rather than
-  /// deadlocking).  The first exception a tile throws is rethrown here
-  /// after the batch completes; remaining tiles still run.
-  void run(const std::vector<Tile>& tiles, const TileFn& fn,
-           int max_executors = 0);
+  /// Executes fn over every tile on the pool's workers and blocks until
+  /// all are done.  Runs inline on the caller when the pool is empty or
+  /// when called from inside a tile (nested parallelism serializes
+  /// rather than deadlocking).  The first exception a tile throws is
+  /// rethrown here after the batch completes; remaining tiles still run.
+  void run(const std::vector<Tile>& tiles, const TileFn& fn);
 
-  /// Tears the pool down and respawns it with `threads` workers.  Must
-  /// not race in-flight run() calls (callers quiesce first — sma_serve
-  /// resizes before accepting connections, tests between batches).
+  /// Tears the pool down and respawns it with `threads` workers, with
+  /// fresh statistics: every SchedStats counter restarts at zero, so
+  /// `max_busy` never exceeds the new width.  Must not race in-flight
+  /// run() calls (callers quiesce first — sma_serve resizes before
+  /// accepting connections, sma_cli before reading its frames, tests
+  /// between batches).
   void resize(int threads);
 
   SchedStats stats() const;

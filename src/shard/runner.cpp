@@ -70,15 +70,17 @@ ShardResult shard_track_pair(TileSource& source,
   report.tiles = static_cast<int>(plan.tiles.size());
 
   // Pruned mode: the coarse seeding pyramid is computed ONCE on the full
-  // frames and sliced per tile (see the header).  This is the one place
-  // the runner touches whole frames; the pass streams them through the
-  // source and releases them before any tile is tracked.
+  // frames and sliced per tile (see the header), on the pool only when
+  // the tiles' backend uses it.  This is the one place the runner
+  // touches whole frames; the pass streams them through the source and
+  // releases them before any tile is tracked.
   core::PruneSeeds full_seeds;
   const bool inject_seeds = config.search_mode == core::SearchMode::kPruned;
   if (inject_seeds) {
     const imaging::ImageF before = source.window(0, 0, 0, w, h);
     const imaging::ImageF after = source.window(1, 0, 0, w, h);
-    full_seeds = core::compute_prune_seeds(before, after, config);
+    full_seeds = core::compute_prune_seeds(
+        before, after, config, pipeline.backend().capabilities().host_parallel);
   }
 
   result.flow = imaging::FlowField(w, h);

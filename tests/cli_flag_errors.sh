@@ -11,7 +11,9 @@
 # --sequential flags and sma_serve's retired --frame-cache, a model
 # other than cont|semi) and
 # a number that is not wholly a number (--search abc used to run a 1x1
-# search, sma_serve --port abc used to listen on an ephemeral port).
+# search, sma_serve --port abc used to listen on an ephemeral port), and
+# a --threads pool width outside 1..4096, the range SMA_THREADS accepts
+# (no valid large width is tried: it would start that many threads).
 # Every leg runs under `timeout`, so a front end that starts work instead
 # of rejecting its flags fails the leg rather than hanging the test.
 set -u
@@ -36,7 +38,8 @@ expect_config() {
 for tail in --ppm --model --backend "--backend openmp" "--backend tiled" \
     "--precompute off" "--precompute on" "--search abc" "--search 3x" \
     "--model foo" \
-    "--inject-faults abc" "--tile 8xq" "--prune-bound on" --sequential; do
+    "--inject-faults abc" "--tile 8xq" "--prune-bound on" --sequential \
+    "--threads 0" "--threads -1" "--threads 4097"; do
   # $tail is split on purpose: "--backend openmp" is a flag and a value.
   expect_config "sma_cli track ... $tail" ./sma_cli track \
     cli_flags_before.pgm cli_flags_after.pgm cli_flags_flow.txt $tail

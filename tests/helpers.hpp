@@ -10,6 +10,7 @@
 #include "core/tracker.hpp"
 #include "imaging/flow.hpp"
 #include "imaging/image.hpp"
+#include "sched/scheduler.hpp"
 #include "surface/geometry.hpp"
 
 namespace sma::testing {
@@ -76,6 +77,23 @@ inline double flow_match_fraction(const imaging::FlowField& flow, int u,
     }
   return total > 0 ? static_cast<double>(hit) / total : 0.0;
 }
+
+/// Resizes the shared sched pool for one scope, then restores its
+/// width: the pool's width is the only thread setting, so a test runs
+/// at N threads by holding a PoolWidth(N).
+class PoolWidth {
+ public:
+  explicit PoolWidth(int threads)
+      : saved_(sched::ThreadPool::shared().threads()) {
+    sched::ThreadPool::shared().resize(threads);
+  }
+  ~PoolWidth() { sched::ThreadPool::shared().resize(saved_); }
+  PoolWidth(const PoolWidth&) = delete;
+  PoolWidth& operator=(const PoolWidth&) = delete;
+
+ private:
+  int saved_;
+};
 
 /// A pair as the naive evaluator sees it: a MatchInput without
 /// precompute planes, over geometry that surface::compute_geometry fits

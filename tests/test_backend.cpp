@@ -382,7 +382,7 @@ TEST(PartialPasses, OddTilesAndEmptiedBatchesKeepFlowAndAccounting) {
   SmaConfig base = case_config(
       {"", MotionModel::kContinuous, -1, -1, false, false});
   base.z_search_radius = 3;
-  base.threads = 2;
+  const testing::PoolWidth pool(2);
   unsetenv("SMA_SIMD_LEVEL");
   std::vector<simd::SimdLevel> levels;
   for (simd::SimdLevel req :

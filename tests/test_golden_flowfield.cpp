@@ -14,7 +14,7 @@
 //
 // Two more artifacts pin the pruned search (coarse seeds plus per-pixel
 // admission windows) on an F_cont and an F_semi config: every backend,
-// tile shape and thread cap must reproduce each byte for byte as flow
+// tile shape and pool width must reproduce each byte for byte as flow
 // text.
 //
 // Regenerate the artifact after an intentional algorithm change with
@@ -29,7 +29,6 @@
 #include <string>
 #include <vector>
 
-#include "core/match_prune.hpp"
 #include "core/pipeline.hpp"
 #include "goes/synth.hpp"
 #include "helpers.hpp"
@@ -194,7 +193,7 @@ TEST(GoldenFlowfield, AllBackendsBitIdenticalWithAndWithoutPlanes) {
   }
 }
 
-// The pruned search on every backend, tile shape and thread cap: one
+// The pruned search on every backend, tile shape and pool width: one
 // committed artifact per model, reproduced byte for byte as flow text.
 TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
   for (const core::MotionModel model :
@@ -203,10 +202,7 @@ TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
     const std::string path = pruned_golden_path(model);
     SCOPED_TRACE(path);
     const core::TrackResult seq = run_track(cfg, "sequential");
-    const auto* extras =
-        dynamic_cast<const core::PruneBackendExtras*>(seq.extras.get());
-    ASSERT_NE(extras, nullptr);
-    ASSERT_EQ(extras->report.active, 1u) << "pruned search did not run";
+    ASSERT_EQ(seq.extras->prune.active, 1u) << "pruned search did not run";
     const std::string text = flow_text(seq.flow);
 
     if (std::getenv("SMA_UPDATE_GOLDEN") != nullptr) {
@@ -224,8 +220,8 @@ TEST(GoldenFlowfield, PrunedMatchesCommittedArtifactOnEveryBackend) {
         << "maspar-sim";
     for (const int threads : {1, 4})
       for (const int tile : {0, 1}) {
+        const testing::PoolWidth pool(threads);
         core::SmaConfig vcfg = cfg;
-        vcfg.threads = threads;
         vcfg.tile_width = tile != 0 ? 5 : 0;
         vcfg.tile_height = tile != 0 ? 3 : 0;
         EXPECT_EQ(flow_text(run_pipeline(vcfg, "vector")), golden.str())

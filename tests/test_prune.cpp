@@ -6,9 +6,11 @@
 //  * the upsampled coarse winner seeds a shrunken window that contains
 //    it, with a full-window per-pixel fallback when it cannot;
 //  * the pruned FlowField — and every counter of its report — is
-//    bit-identical across backends (maspar-sim included), thread caps
+//    bit-identical across backends (maspar-sim included), pool widths
 //    and tile shapes, and the vector backend runs it on its lane kernel,
 //    folding exactly the admitted hypotheses;
+//  * a backend without host parallelism (sequential, maspar-sim) runs
+//    the whole pruned search, seed pass included, off the shared pool;
 //  * pruned search runs whenever it is asked for: F_semi, every segment
 //    height, validity masks and a pair without precompute planes prune
 //    too, with the same bytes on every backend, and every segment height
@@ -76,13 +78,6 @@ const surface::GeometricField& geom0() {
     return surface::compute_geometry(frame0(), opts);
   }();
   return g;
-}
-
-/// The pruning accounting of a sequential result (null if absent).
-const PruneReport* host_report(const TrackResult& r) {
-  const auto* extras =
-      dynamic_cast<const PruneBackendExtras*>(r.extras.get());
-  return extras != nullptr ? &extras->report : nullptr;
 }
 
 /// The stage fills every backend's report from the same windows and the
@@ -212,7 +207,7 @@ TEST(PruneSeedsTest, UpsampledWinnerSeedsWindowForSyntheticFlows) {
   const imaging::ImageF f0 = goes::fractal_clouds(48, 44, 7);
   for (const auto [dx, dy] : {std::pair{1, 0}, {2, -1}, {-3, 2}, {0, 3}}) {
     const imaging::ImageF f1 = testing::shift_image(f0, dx, dy);
-    const PruneSeeds seeds = compute_prune_seeds(f0, f1, cfg);
+    const PruneSeeds seeds = compute_prune_seeds(f0, f1, cfg, true);
     ASSERT_EQ(seeds.width, 48);
     ASSERT_EQ(seeds.height, 44);
     EXPECT_GT(seeds.coarse_hypotheses, 0u);
@@ -255,14 +250,53 @@ TEST(PruneSeedsTest, TinyFrameYieldsNoSeeds) {
   // result: every pixel searches the full window.
   const imaging::ImageF f0 = testing::textured_pattern(8, 8);
   const imaging::ImageF f1 = testing::shift_image(f0, 1, 0);
-  const PruneSeeds seeds = compute_prune_seeds(f0, f1, pruned_config());
+  const PruneSeeds seeds =
+      compute_prune_seeds(f0, f1, pruned_config(), true);
   for (int y = 0; y < 8; ++y)
     for (int x = 0; x < 8; ++x) EXPECT_FALSE(seeds.valid_at(x, y));
+}
+
+// The seed pass runs on the pool only for a host-parallel caller, and
+// gives the same bits either way: 96^2 is past for_each_row's two-band
+// threshold, so the filters really split across the pool.
+TEST(PruneSeedsTest, SameSeedsOnAndOffThePool) {
+  const testing::PoolWidth pool(4);
+  const imaging::ImageF f0 = goes::fractal_clouds(96, 96, 7);
+  const imaging::ImageF f1 = testing::shift_image(f0, 2, -1);
+  const PruneSeeds on = compute_prune_seeds(f0, f1, pruned_config(), true);
+  const PruneSeeds off = compute_prune_seeds(f0, f1, pruned_config(), false);
+  EXPECT_EQ(on.sx, off.sx);
+  EXPECT_EQ(on.sy, off.sy);
+  EXPECT_EQ(on.ok, off.ok);
+  EXPECT_EQ(on.coarse_hypotheses, off.coarse_hypotheses);
 }
 
 // ---------------------------------------------------------------------------
 // End-to-end: determinism, fallback exactness, oracle agreement.
 // ---------------------------------------------------------------------------
+
+// A backend that declares no host parallelism never enters the shared
+// pool, its seed pass included, and still gives vector's flow.
+TEST(PrunedSearch, InlineBackendsNeverEnterThePool) {
+  maspar::register_maspar_backend();
+  const TrackerInput in = monocular_input();
+  for (const MotionModel model :
+       {MotionModel::kContinuous, MotionModel::kSemiFluid}) {
+    SmaConfig cfg = pruned_config();
+    cfg.model = model;
+    const TrackResult vec =
+        SmaPipeline(cfg, {.backend = "vector"}).track_pair(in);
+    for (const std::string backend : {"sequential", "maspar-sim"}) {
+      const std::uint64_t batches =
+          sched::ThreadPool::shared().stats().batches;
+      const TrackResult r =
+          SmaPipeline(cfg, {.backend = backend}).track_pair(in);
+      EXPECT_EQ(sched::ThreadPool::shared().stats().batches, batches)
+          << backend << " entered the pool";
+      EXPECT_TRUE(imaging::bit_equal(vec.flow, r.flow)) << backend;
+    }
+  }
+}
 
 TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
   const TrackerInput in = monocular_input();
@@ -270,9 +304,8 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
 
   const TrackResult ref = SmaPipeline(cfg).track_pair(in);
   ASSERT_GT(ref.flow.count_valid(), 0u);
-  const PruneReport* ref_report = host_report(ref);
-  ASSERT_NE(ref_report, nullptr);
-  EXPECT_EQ(ref_report->active, 1u);
+  const PruneReport& ref_report = ref.extras->prune;
+  EXPECT_EQ(ref_report.active, 1u);
 
   // The MP-2 executor visits pixels in its own memory-layer order but
   // runs the same pruned pass, so its flow and counters match too.
@@ -280,15 +313,12 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
   const TrackResult mp =
       SmaPipeline(cfg, {.backend = "maspar-sim"}).track_pair(in);
   EXPECT_EQ(ref.flow, mp.flow) << "maspar-sim diverged from sequential";
-  const auto* mx =
-      dynamic_cast<const maspar::MasParBackendExtras*>(mp.extras.get());
-  ASSERT_NE(mx, nullptr);
-  expect_same_report(*ref_report, mx->prune, "maspar-sim");
+  expect_same_report(ref_report, mp.extras->prune, "maspar-sim");
 
-  for (const int threads : {0, 1, 2})
+  for (const int threads : {1, 2, 4})
     for (const auto& [tw, th] : {std::pair{0, 0}, {8, 8}, {16, 4}}) {
+      const testing::PoolWidth pool(threads);
       SmaConfig variant = cfg;
-      variant.threads = threads;
       variant.tile_width = tw;
       variant.tile_height = th;
       const TrackResult r =
@@ -304,9 +334,9 @@ TEST(PrunedSearch, BitIdenticalAcrossBackendsThreadsAndTiles) {
       EXPECT_TRUE(vx->report.vector_path) << what;
       EXPECT_EQ(vx->report.fallback, "") << what;
       EXPECT_EQ(vx->report.batched_hypotheses + vx->report.tail_hypotheses,
-                ref_report->fine_scheduled)
+                ref_report.fine_scheduled)
           << what;
-      expect_same_report(*ref_report, vx->prune, what);
+      expect_same_report(ref_report, r.extras->prune, what);
     }
 }
 
@@ -315,24 +345,23 @@ TEST(PrunedSearch, ReportAccountingIsConsistent) {
   const SmaConfig cfg = pruned_config();
   const TrackResult r =
       SmaPipeline(cfg).track_pair(in);
-  const PruneReport* report = host_report(r);
-  ASSERT_NE(report, nullptr);
-  EXPECT_EQ(report->active, 1u);
+  const PruneReport& report = r.extras->prune;
+  EXPECT_EQ(report.active, 1u);
 
   const std::uint64_t npix = static_cast<std::uint64_t>(kW) * kH;
   const std::uint64_t grid = 7ull * 7ull;  // (2*3+1)^2
-  EXPECT_EQ(report->full_grid_hypotheses, npix * grid);
-  EXPECT_EQ(report->window_pixels + report->fallback_pixels, npix);
-  EXPECT_GT(report->window_pixels, 0u);
-  EXPECT_GT(report->fine_scheduled, 0u);
-  EXPECT_LT(report->fine_scheduled, report->full_grid_hypotheses);
+  EXPECT_EQ(report.full_grid_hypotheses, npix * grid);
+  EXPECT_EQ(report.window_pixels + report.fallback_pixels, npix);
+  EXPECT_GT(report.window_pixels, 0u);
+  EXPECT_GT(report.fine_scheduled, 0u);
+  EXPECT_LT(report.fine_scheduled, report.full_grid_hypotheses);
   // No residual bound: nothing is checked or skipped.
-  EXPECT_EQ(report->bound_checks, 0u);
-  EXPECT_EQ(report->bound_skipped, 0u);
-  EXPECT_LE(report->seed_interior, report->window_pixels);
-  EXPECT_GT(report->coarse_hypotheses, 0u);
+  EXPECT_EQ(report.bound_checks, 0u);
+  EXPECT_EQ(report.bound_skipped, 0u);
+  EXPECT_LE(report.seed_interior, report.window_pixels);
+  EXPECT_GT(report.coarse_hypotheses, 0u);
   // The point of the exercise: fewer hypotheses than the full grid.
-  EXPECT_GT(report->reduction(), 1.0);
+  EXPECT_GT(report.reduction(), 1.0);
 }
 
 TEST(PrunedSearch, CoarsePassRunsInsideThePrunedSpan) {
@@ -372,7 +401,7 @@ TEST(PrunedSearch, CoarsePassRunsInsideThePrunedSpan) {
 
 TEST(PrunedSearch, AnyModelSegmentMaskOrPlanesPrunesOnEveryBackend) {
   // F_semi, segmented, masked and planes-less runs prune, and every
-  // backend, tile shape and thread cap reproduces the sequential bytes
+  // backend, tile shape and pool width reproduces the sequential bytes
   // and counters.  Segment heights and the precompute planes do not
   // change the hypotheses a pixel folds, so they reproduce the
   // unsegmented run with planes too.
@@ -397,23 +426,18 @@ TEST(PrunedSearch, AnyModelSegmentMaskOrPlanesPrunesOnEveryBackend) {
                   : SmaPipeline(rcfg, {.backend = backend}).track_pair(in);
     };
     TrackResult ref = run(cfg, "sequential");
-    const PruneReport* want = host_report(ref);
-    EXPECT_NE(want, nullptr) << what;
-    if (want == nullptr) return ref;
-    EXPECT_EQ(want->active, 1u) << what;
-    EXPECT_GT(want->window_pixels, 0u) << what;
-    EXPECT_LT(want->fine_scheduled, want->full_grid_hypotheses) << what;
+    const PruneReport& want = ref.extras->prune;
+    EXPECT_EQ(want.active, 1u) << what;
+    EXPECT_GT(want.window_pixels, 0u) << what;
+    EXPECT_LT(want.fine_scheduled, want.full_grid_hypotheses) << what;
 
     const TrackResult mp = run(cfg, "maspar-sim");
     EXPECT_TRUE(imaging::bit_equal(ref.flow, mp.flow)) << what << " maspar";
-    const auto* mx =
-        dynamic_cast<const maspar::MasParBackendExtras*>(mp.extras.get());
-    EXPECT_NE(mx, nullptr) << what;
-    if (mx != nullptr) expect_same_report(*want, mx->prune, what + " maspar");
+    expect_same_report(want, mp.extras->prune, what + " maspar");
     for (const int threads : {1, 4})
       for (const int tile : {0, 1}) {
+        const testing::PoolWidth pool(threads);
         SmaConfig vcfg = cfg;
-        vcfg.threads = threads;
         vcfg.tile_width = tile != 0 ? 5 : 0;
         vcfg.tile_height = tile != 0 ? 3 : 0;
         const std::string vwhat = what + " vector threads " +
@@ -421,10 +445,7 @@ TEST(PrunedSearch, AnyModelSegmentMaskOrPlanesPrunesOnEveryBackend) {
                                   (tile != 0 ? " 5x3" : " default tiles");
         const TrackResult r = run(vcfg, "vector");
         EXPECT_TRUE(imaging::bit_equal(ref.flow, r.flow)) << vwhat;
-        const auto* vx =
-            dynamic_cast<const VectorBackendExtras*>(r.extras.get());
-        EXPECT_NE(vx, nullptr) << vwhat;
-        if (vx != nullptr) expect_same_report(*want, vx->prune, vwhat);
+        expect_same_report(want, r.extras->prune, vwhat);
       }
     return ref;
   };
@@ -436,15 +457,11 @@ TEST(PrunedSearch, AnyModelSegmentMaskOrPlanesPrunesOnEveryBackend) {
     const std::string name =
         model == MotionModel::kSemiFluid ? "semi" : "cont";
     const TrackResult base = every_backend(cfg, plain, name);
-    const PruneReport* base_report = host_report(base);
-    ASSERT_NE(base_report, nullptr) << name;
 
     const auto expect_as_base = [&](const TrackResult& r,
                                     const std::string& what) {
       EXPECT_TRUE(imaging::bit_equal(base.flow, r.flow)) << what;
-      const PruneReport* got = host_report(r);
-      EXPECT_NE(got, nullptr) << what;
-      if (got != nullptr) expect_same_report(*base_report, *got, what);
+      expect_same_report(base.extras->prune, r.extras->prune, what);
     };
     for (int rows = 1; rows <= cfg.z_search_size_y(); ++rows) {
       SmaConfig seg = cfg;
@@ -472,27 +489,26 @@ TEST(PrunedSearch, RadiusZeroSearchReportsItsOwnCost) {
   const TrackResult want = SmaPipeline(full).track_pair(in);
   const TrackResult got = SmaPipeline(pruned).track_pair(in);
   EXPECT_TRUE(imaging::bit_equal(want.flow, got.flow));
-  const PruneReport* report = host_report(got);
-  ASSERT_NE(report, nullptr);
-  EXPECT_EQ(report->active, 1u);
+  const PruneReport& report = got.extras->prune;
+  EXPECT_EQ(report.active, 1u);
   const std::uint64_t npix = static_cast<std::uint64_t>(kW) * kH;
-  EXPECT_EQ(report->window_pixels, 0u);
-  EXPECT_EQ(report->fallback_pixels, npix);
-  EXPECT_EQ(report->fine_scheduled, npix);
-  EXPECT_LT(report->reduction(), 1.0);
+  EXPECT_EQ(report.window_pixels, 0u);
+  EXPECT_EQ(report.fallback_pixels, npix);
+  EXPECT_EQ(report.fine_scheduled, npix);
+  EXPECT_LT(report.reduction(), 1.0);
 }
 
 TEST(PruneWindows, NeedSeedsOrRawFrames) {
   MatchInput in;
   in.before = in.after = &geom0();
   std::uint64_t coarse = 0;
-  EXPECT_THROW(prune_windows(in, pruned_config(), coarse),
+  EXPECT_THROW(prune_windows(in, pruned_config(), false, coarse),
                std::invalid_argument);
   in.raw_before = &frame0();
-  EXPECT_THROW(prune_windows(in, pruned_config(), coarse),
+  EXPECT_THROW(prune_windows(in, pruned_config(), false, coarse),
                std::invalid_argument);
   in.raw_after = &frame1();
-  EXPECT_EQ(prune_windows(in, pruned_config(), coarse).size(),
+  EXPECT_EQ(prune_windows(in, pruned_config(), false, coarse).size(),
             static_cast<std::size_t>(kW) * kH);
   EXPECT_GT(coarse, 0u);
 }
@@ -565,12 +581,16 @@ TEST(PrunedSearch, AgreesWithFullOracleOnTranslation) {
   EXPECT_GT(static_cast<double>(close) / total, 0.9);
 }
 
-TEST(PrunedSearch, FullModeCarriesNoPruneExtras) {
+TEST(PrunedSearch, FullModeReportStaysZero) {
   SmaConfig full = pruned_config();
   full.search_mode = SearchMode::kFull;
-  const TrackResult r = SmaPipeline(full).track_pair(monocular_input());
-  // The historical host-backend contract: full runs stay extras-free.
-  EXPECT_EQ(host_report(r), nullptr);
+  maspar::register_maspar_backend();
+  for (const std::string backend : {"sequential", "vector", "maspar-sim"}) {
+    const TrackResult r = SmaPipeline(full, {.backend = backend})
+                              .track_pair(monocular_input());
+    ASSERT_NE(r.extras, nullptr) << backend;
+    expect_same_report(PruneReport{}, r.extras->prune, backend);
+  }
 }
 
 TEST(PruneReportTest, MetricsNamesCoverEveryField) {

@@ -6,11 +6,11 @@
 //     keep every executor fed with steal slack.
 //  2. Pool mechanics: ThreadPool::run() executes every tile exactly
 //     once under concurrent claims from the per-worker shares (the
-//     stress test the TSan CI job runs) and counts claims from another
-//     worker's share as steals, honors the max_executors budget, runs
-//     nested submissions inline instead of deadlocking, and propagates
-//     exceptions; for_each_row() visits every row once and leaves
-//     small frames off the pool.
+//     stress test the TSan CI job runs), lets the other workers steal
+//     the share of a worker held by another caller's batch, runs nested
+//     submissions inline instead of deadlocking, propagates exceptions
+//     and starts fresh statistics on resize; for_each_row() visits every
+//     row once and leaves small frames off the pool.
 //  3. Determinism: the vector backend's FlowField is BIT-IDENTICAL to
 //     the sequential reference at every thread count and tile shape —
 //     on the staged path (a pair without precompute planes) and on the
@@ -20,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -99,43 +101,51 @@ TEST(Tiling, ChooseTileShapeClampsToTinyImages) {
 // ---------------------------------------------------------------------------
 
 // Runs `count` index-only tiles and returns how often each index ran.
-std::vector<int> run_counting(ThreadPool& pool, std::size_t count,
-                              int max_executors) {
+std::vector<int> run_counting(ThreadPool& pool, std::size_t count) {
   const std::vector<Tile> tiles(count);
   std::vector<std::atomic<int>> hits(count);
   for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-  pool.run(
-      tiles,
-      [&](const Tile&, std::size_t index) {
-        hits[index].fetch_add(1, std::memory_order_relaxed);
-      },
-      max_executors);
+  pool.run(tiles, [&](const Tile&, std::size_t index) {
+    hits[index].fetch_add(1, std::memory_order_relaxed);
+  });
   std::vector<int> out;
   for (const auto& h : hits) out.push_back(h.load());
   return out;
 }
 
 // The TSan target: four workers claim from their own shares and steal
-// from each other's, and every index runs EXACTLY once.  Under a cap,
-// the shares of workers that never attach can only be stolen: one
-// worker steals all three foreign shares of a 64-tile batch, and two
-// workers steal at least the two unattached ones.
-TEST(ThreadPool, SharesRunEveryIndexOnceAndCountSteals) {
+// from each other's, and every index runs EXACTLY once.
+TEST(ThreadPool, SharesRunEveryIndexOnce) {
   ThreadPool pool(4);
-  const std::vector<int> wide = run_counting(pool, 4096, 0);
-  for (std::size_t i = 0; i < wide.size(); ++i)
-    ASSERT_EQ(wide[i], 1) << "index " << i;
+  const std::vector<int> hits = run_counting(pool, 4096);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i], 1) << "index " << i;
+}
 
-  const auto capped_steals = [&](int cap) {
-    pool.reset_stats();
-    const std::vector<int> hits = run_counting(pool, 64, cap);
-    for (std::size_t i = 0; i < hits.size(); ++i)
-      EXPECT_EQ(hits[i], 1) << "index " << i << " under cap " << cap;
-    EXPECT_EQ(pool.stats().tiles, 64u);
-    return pool.stats().steals;
-  };
-  EXPECT_EQ(capped_steals(1), 48u);
-  EXPECT_GE(capped_steals(2), 32u);
+// Two callers share the pool.  The first batch's single tile holds one
+// worker until the second caller's batch completes, so the held worker
+// never attaches to it: the other three run every index of the second
+// batch once and steal the held worker's whole share of it.
+TEST(ThreadPool, HeldWorkersShareIsStolen) {
+  ThreadPool pool(4);
+  std::promise<void> held;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread holder([&] {
+    pool.run(std::vector<Tile>(1), [&](const Tile&, std::size_t) {
+      held.set_value();
+      released.wait();
+    });
+  });
+  held.get_future().wait();
+  const std::uint64_t steals_before = pool.stats().steals;
+  const std::vector<int> hits = run_counting(pool, 64);
+  const std::uint64_t steals = pool.stats().steals - steals_before;
+  release.set_value();
+  holder.join();
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    EXPECT_EQ(hits[i], 1) << "index " << i;
+  EXPECT_GE(steals, 64u / 4u) << "the held worker's share was not stolen";
 }
 
 TEST(ThreadPool, RunExecutesEveryTileExactlyOnce) {
@@ -152,30 +162,6 @@ TEST(ThreadPool, RunExecutesEveryTileExactlyOnce) {
   EXPECT_EQ(stats.batches, 1u);
   EXPECT_EQ(stats.tiles, tiles.size());
   EXPECT_EQ(stats.threads, 3);
-}
-
-TEST(ThreadPool, MaxExecutorsBoundsObservedConcurrency) {
-  ThreadPool pool(4);
-  const std::vector<Tile> tiles = make_tiles(64, 64, TileShape{4, 4});
-  for (const int cap : {1, 2}) {
-    pool.reset_stats();
-    std::atomic<int> busy{0};
-    std::atomic<int> peak{0};
-    pool.run(
-        tiles,
-        [&](const Tile&, std::size_t) {
-          const int now = busy.fetch_add(1, std::memory_order_acq_rel) + 1;
-          int prev = peak.load(std::memory_order_relaxed);
-          while (now > prev &&
-                 !peak.compare_exchange_weak(prev, now,
-                                             std::memory_order_relaxed)) {
-          }
-          busy.fetch_sub(1, std::memory_order_acq_rel);
-        },
-        cap);
-    EXPECT_LE(peak.load(), cap) << "budget " << cap << " overshot";
-    EXPECT_LE(pool.stats().max_busy, cap);
-  }
 }
 
 TEST(ThreadPool, NestedRunExecutesInlineWithoutDeadlock) {
@@ -234,6 +220,35 @@ TEST(ThreadPool, ResizeChangesWidth) {
   });
   EXPECT_EQ(count.load(), static_cast<int>(tiles.size()));
   EXPECT_EQ(pool.stats().threads, 3);
+}
+
+// A resize starts fresh statistics, so a shrunk pool never reports a
+// high-water above its new width.
+TEST(ThreadPool, ResizeStartsFreshStatistics) {
+  ThreadPool pool(3);
+  // Tiles that wait (up to 5 s) for a second started tile push max_busy
+  // above the width the pool then shrinks to.
+  std::atomic<int> started{0};
+  pool.run(make_tiles(3, 1, TileShape{1, 1}), [&](const Tile&, std::size_t) {
+    started.fetch_add(1);
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (started.load() < 2 && std::chrono::steady_clock::now() < until)
+      std::this_thread::yield();
+  });
+  ASSERT_GE(pool.stats().max_busy, 2);
+  pool.resize(1);
+  const SchedStats fresh = pool.stats();
+  EXPECT_EQ(fresh.threads, 1);
+  EXPECT_EQ(fresh.batches, 0u);
+  EXPECT_EQ(fresh.tiles, 0u);
+  EXPECT_EQ(fresh.steals, 0u);
+  EXPECT_EQ(fresh.inline_batches, 0u);
+  EXPECT_EQ(fresh.max_busy, 0);
+  EXPECT_EQ(fresh.busy_seconds, 0.0);
+  run_counting(pool, 8);
+  EXPECT_EQ(pool.stats().max_busy, 1);
+  EXPECT_EQ(pool.stats().batches, 1u);
 }
 
 TEST(ThreadPool, ForEachRowVisitsEachRowOnceAndPoolsOnlyLargeFrames) {
@@ -301,18 +316,9 @@ core::SmaConfig tracker_config(core::MotionModel model) {
   return cfg;
 }
 
-class SchedDeterminism : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    // Give the shared pool real width even on a 1-core CI box so the
-    // multi-thread legs actually exercise concurrent stealing.
-    ThreadPool::shared().resize(4);
-  }
-};
-
 // The staged kernels on the pool: a pair without precompute planes
 // keeps the vector backend off its lane kernel.
-TEST_F(SchedDeterminism, StagedBitIdenticalAcrossThreadCounts) {
+TEST(SchedDeterminism, StagedBitIdenticalAcrossThreadCounts) {
   const core::TrackerInput in = tracker_input();
   for (const core::MotionModel model :
        {core::MotionModel::kContinuous, core::MotionModel::kSemiFluid}) {
@@ -323,17 +329,18 @@ TEST_F(SchedDeterminism, StagedBitIdenticalAcrossThreadCounts) {
     const core::TrackResult ref =
         planeless.match("sequential", cfg, options);
     ASSERT_GT(ref.flow.count_valid(), 0u);
+    // Pool widths set explicitly, so even a 1-core box exercises
+    // concurrent stealing.
     for (const int threads : {1, 2, 4}) {
-      core::SmaConfig tcfg = cfg;
-      tcfg.threads = threads;
-      const core::TrackResult r = planeless.match("vector", tcfg, options);
+      const testing::PoolWidth pool(threads);
+      const core::TrackResult r = planeless.match("vector", cfg, options);
       EXPECT_EQ(ref.flow, r.flow)
           << "staged path diverged at threads=" << threads;
     }
   }
 }
 
-TEST_F(SchedDeterminism, StagedBitIdenticalAcrossSkewedTileShapes) {
+TEST(SchedDeterminism, StagedBitIdenticalAcrossSkewedTileShapes) {
   const core::TrackerInput in = tracker_input();
   const core::SmaConfig cfg = tracker_config(core::MotionModel::kSemiFluid);
   const testing::PlanelessPair planeless(in, cfg);
@@ -341,29 +348,28 @@ TEST_F(SchedDeterminism, StagedBitIdenticalAcrossSkewedTileShapes) {
   // Skewed shapes create wildly unequal per-tile costs (single-row
   // strips hit window setup once per pixel; single-column strips defeat
   // horizontal locality) — maximal steal pressure.
+  const testing::PoolWidth pool(4);
   for (const auto& [tw, th] :
        {std::pair{4, 4}, {32, 1}, {1, 32}, {5, 3}, {32, 32}}) {
     core::SmaConfig tcfg = cfg;
     tcfg.tile_width = tw;
     tcfg.tile_height = th;
-    tcfg.threads = 4;
     const core::TrackResult r = planeless.match("vector", tcfg);
     EXPECT_EQ(ref.flow, r.flow)
         << "staged path diverged at tile " << tw << "x" << th;
   }
 }
 
-TEST_F(SchedDeterminism, VectorBackendBitIdenticalAcrossThreadCounts) {
+TEST(SchedDeterminism, VectorBackendBitIdenticalAcrossThreadCounts) {
   const core::TrackerInput in = tracker_input();
   // Lane batching (center pixels) and tiling (pixel tiles) compose:
   // the vector backend must stay bit-identical at any width too.
   const core::SmaConfig cfg = tracker_config(core::MotionModel::kContinuous);
   const core::TrackResult ref = core::SmaPipeline(cfg).track_pair(in);
   for (const int threads : {1, 2, 4}) {
-    core::SmaConfig tcfg = cfg;
-    tcfg.threads = threads;
+    const testing::PoolWidth pool(threads);
     const core::TrackResult r =
-        core::SmaPipeline(tcfg, {.backend = "vector"}).track_pair(in);
+        core::SmaPipeline(cfg, {.backend = "vector"}).track_pair(in);
     EXPECT_EQ(ref.flow, r.flow)
         << "vector backend diverged at threads=" << threads;
   }

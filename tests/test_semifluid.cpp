@@ -14,7 +14,6 @@
 #include <utility>
 
 #include "helpers.hpp"
-#include "sched/scheduler.hpp"
 
 namespace sma::core {
 namespace {
@@ -216,21 +215,6 @@ std::pair<imaging::ImageF, imaging::ImageF> case_discriminants(
   return {std::move(d0), std::move(d1)};
 }
 
-// Resizes the shared sched pool for one scope, then restores its width.
-class PoolWidth {
- public:
-  explicit PoolWidth(int threads)
-      : saved_(sched::ThreadPool::shared().threads()) {
-    sched::ThreadPool::shared().resize(threads);
-  }
-  ~PoolWidth() { sched::ThreadPool::shared().resize(saved_); }
-  PoolWidth(const PoolWidth&) = delete;
-  PoolWidth& operator=(const PoolWidth&) = delete;
-
- private:
-  int saved_;
-};
-
 // Code bytes that differ between two tables built over the same window.
 std::size_t differing_codes(const SemiFluidTable& a, const SemiFluidTable& b) {
   const std::uint8_t* const pa = a.codes(0, 0, a.hy_min());
@@ -281,22 +265,21 @@ TEST_P(TableEquivalence, EntriesMatchDirectMatch) {
 }
 
 // Strips built as pool tasks write disjoint code rows: every byte equals
-// the serial build's at every pool width and under an executor cap.
+// the serial build's at every pool width.
 TEST_P(TableEquivalence, ParallelBuildMatchesSerial) {
   const TableCase c = GetParam();
   const auto [d0, d1] = case_discriminants(c);
-  const auto build = [&](bool parallel, int max_executors) {
+  const auto build = [&](bool parallel) {
     return SemiFluidTable(d0, d1, c.hx_radius, c.hy_min, c.hy_max, c.nss,
-                          c.nst, parallel, max_executors);
+                          c.nst, parallel);
   };
-  const SemiFluidTable serial = build(false, 0);
-  for (const auto& [width, cap] :
-       {std::pair{1, 0}, std::pair{2, 0}, std::pair{4, 0}, std::pair{4, 2}}) {
-    const PoolWidth pool(width);
-    const SemiFluidTable parallel = build(true, cap);
+  const SemiFluidTable serial = build(false);
+  for (const int width : {1, 2, 4}) {
+    const testing::PoolWidth pool(width);
+    const SemiFluidTable parallel = build(true);
     ASSERT_EQ(parallel.bytes(), serial.bytes());
     EXPECT_EQ(differing_codes(parallel, serial), 0u)
-        << c.name << " at pool width " << width << ", cap " << cap;
+        << c.name << " at pool width " << width;
   }
 }
 
@@ -338,20 +321,15 @@ TEST(SemiFluidTable, BandBytesCountResidentStrips) {
   const int h = 4 * SemiFluidTable::kStripRows;
   const imaging::ImageF d0 = testing::textured_pattern(12, h);
   const imaging::ImageF d1 = testing::shift_image(d0, 1, -1);
-  const auto band_bytes = [&](bool parallel, int max_executors) {
-    return SemiFluidTable(d0, d1, 2, -2, 2, 1, 2, parallel, max_executors)
-        .band_bytes();
+  const auto band_bytes = [&](bool parallel) {
+    return SemiFluidTable(d0, d1, 2, -2, 2, 1, 2, parallel).band_bytes();
   };
-  const std::size_t serial = band_bytes(false, 0);
+  const std::size_t serial = band_bytes(false);
   ASSERT_GT(serial, 0u);
-  {
-    const PoolWidth pool(4);
-    EXPECT_EQ(band_bytes(true, 0), 4 * serial);
-    EXPECT_EQ(band_bytes(true, 2), 2 * serial);
-  }
-  {
-    const PoolWidth pool(1);
-    EXPECT_EQ(band_bytes(true, 0), serial);
+  for (const int width : {4, 2, 1}) {
+    const testing::PoolWidth pool(width);
+    EXPECT_EQ(band_bytes(true), static_cast<std::size_t>(width) * serial)
+        << "pool width " << width;
   }
 }
 

@@ -13,7 +13,7 @@
 // asserts that every execution path reproduces its flow bit for bit:
 // sequential without planes and through the pipeline (both reading the
 // correspondence table for F_semi), vector at every compiled SIMD level
-// (selected through SMA_SIMD_LEVEL) and the thread caps {1, 4}, and
+// (selected through SMA_SIMD_LEVEL) at shared-pool widths {1, 4}, and
 // maspar-sim.  Every vector run must also account for the whole
 // search: batched + tail hypotheses = pixels x search hypotheses.  The
 // generator also draws a shard grid (1..3 x 1..3): the shard runner over
@@ -23,7 +23,8 @@
 // and, for some cases, validity masks, so the first stream's cases keep
 // their configs.  A pruned case's oracle is the naive run in the same
 // mode — the naive oracle restricted to the same admission windows — and
-// every backend must report the same PruneReport counters; under pruning
+// every backend must report the same PruneReport counters (all zero
+// under full search); under pruning
 // the vector lanes fold exactly the admitted hypotheses
 // (fine_scheduled).  Masked cases take the vector backend's staged
 // fallback and skip the shard leg (a tile source has no mask channel).
@@ -190,7 +191,6 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
 
     const testing::PlanelessPair planeless(in, c.config);
     const MatchInput& mi = planeless.input();
-    PruneReport oracle_prune;
     const TrackResult oracle = run_matching_stage(
         mi, c.config, c.options, /*parallel=*/false,
         [&](const MatchSegment& seg) {
@@ -198,8 +198,8 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
           naive.table = nullptr;
           naive.pre = nullptr;
           scan_segment(mi, c.config, /*parallel=*/false, naive);
-        },
-        &oracle_prune);
+        });
+    const PruneReport& oracle_prune = oracle.extras->prune;
     EXPECT_EQ(oracle.subpixel_probes.reused, 0u);
     if (!c.options.subpixel) {
       EXPECT_EQ(oracle.subpixel_probes.evaluated, 0u);
@@ -216,20 +216,6 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
       shrunk_masked += c.masked() ? 1 : 0;
     }
 
-    // The report a backend attached, or null under full search.
-    const auto prune_report_of = [](const TrackResult& r) {
-      const PruneReport* p = nullptr;
-      if (const auto* px =
-              dynamic_cast<const PruneBackendExtras*>(r.extras.get()))
-        p = &px->report;
-      else if (const auto* vx =
-                   dynamic_cast<const VectorBackendExtras*>(r.extras.get()))
-        p = &vx->prune;
-      else if (const auto* mx = dynamic_cast<const maspar::MasParBackendExtras*>(
-                   r.extras.get()))
-        p = &mx->prune;
-      return p;
-    };
     const auto expect_same = [&](const std::string& what,
                                  const TrackResult& r) {
       EXPECT_TRUE(imaging::bit_equal(r.flow, oracle.flow)) << what;
@@ -238,14 +224,10 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
       EXPECT_EQ(r.subpixel_probes.evaluated + r.subpixel_probes.reused,
                 oracle.subpixel_probes.evaluated)
           << what;
-      if (pruned) {
-        const PruneReport* got = prune_report_of(r);
-        EXPECT_NE(got, nullptr) << what;
-        if (got != nullptr) {
-          EXPECT_EQ(std::memcmp(got, &oracle_prune, sizeof(PruneReport)), 0)
-              << what << " PruneReport differs";
-        }
-      }
+      EXPECT_EQ(std::memcmp(&r.extras->prune, &oracle_prune,
+                            sizeof(PruneReport)),
+                0)
+          << what << " PruneReport differs";
     };
     const auto track = [&](const std::string& backend, const SmaConfig& cfg) {
       return SmaPipeline(cfg, {.backend = backend, .track = c.options})
@@ -258,8 +240,8 @@ TEST(SemiFluidDifferential, GeneratedConfigsBitIdenticalToNaiveOracle) {
     expect_same("sequential", track("sequential", c.config));
     expect_same("maspar-sim", track("maspar-sim", c.config));
     for (const int threads : {1, 4}) {
-      SmaConfig cfg = c.config;
-      cfg.threads = threads;
+      const testing::PoolWidth pool(threads);
+      const SmaConfig& cfg = c.config;
       for (const simd::SimdLevel level : levels) {
         setenv("SMA_SIMD_LEVEL", simd::level_name(level), 1);
         const TrackResult r = track("vector", cfg);

@@ -737,13 +737,14 @@ TEST(VectorBackend, BitIdenticalToSequentialAtEveryDispatchLevel) {
 // run() submitted from inside a pool tile executes inline there, so
 // every solve of the pair lands in this thread's counters.
 linalg::SolveCounters solves_of(const SmaConfig& cfg,
-                                const std::string& backend) {
+                                const std::string& backend,
+                                const TrackerInput& in = vector_input()) {
   linalg::SolveCounters counted;
   sched::ThreadPool::shared().run(
       {sched::Tile{0, 0, 1, 1}}, [&](const sched::Tile&, std::size_t) {
         SmaPipeline pipeline(cfg, {.backend = backend});
         const linalg::SolveCounters before = linalg::solve_counters();
-        pipeline.track_pair(vector_input());
+        pipeline.track_pair(in);
         const linalg::SolveCounters& after = linalg::solve_counters();
         counted.solves6 = after.solves6 - before.solves6;
         counted.solves_dynamic = after.solves_dynamic - before.solves_dynamic;
@@ -756,29 +757,48 @@ linalg::SolveCounters solves_of(const SmaConfig& cfg,
 // lane kernel, the MP-2 simulation and the scalar oracle agree on
 // solves6 and singular, for F_cont, F_semi and pruned F_cont — where
 // every visit solves only the hypotheses a pixel's window admits, and
-// the lane kernel counts only its admitting lanes.
+// the lane kernel counts only its admitting lanes.  The pruned leg
+// injects its seeds, so it counts the fine visits alone: the seed pass
+// runs its coarse track on `vector` for `vector` and on `sequential`
+// for the inline backends, and only the lane kernel reads the coarse
+// sub-pixel probes from its sweep instead of solving them.
 TEST(VectorBackend, SolveCountersMatchEveryBackend) {
   maspar::register_maspar_backend();
   SmaConfig semi = vector_config();
   semi.model = core::MotionModel::kSemiFluid;
   SmaConfig pruned = vector_config();
   pruned.search_mode = core::SearchMode::kPruned;
-  for (const auto& [name, cfg] : {std::pair{"F_cont", vector_config()},
-                                  {"F_semi", semi},
-                                  {"pruned F_cont", pruned}}) {
-    SCOPED_TRACE(name);
-    const linalg::SolveCounters seq = solves_of(cfg, "sequential");
+  const core::PruneSeeds seeds = core::compute_prune_seeds(
+      frame0(), frame1(), pruned, /*parallel=*/false);
+  TrackerInput seeded = vector_input();
+  seeded.prune_seeds = &seeds;
+  struct Leg {
+    const char* name;
+    SmaConfig cfg;
+    TrackerInput in;
+  };
+  for (const Leg& leg : {Leg{"F_cont", vector_config(), vector_input()},
+                         Leg{"F_semi", semi, vector_input()},
+                         Leg{"pruned F_cont", pruned, seeded}}) {
+    SCOPED_TRACE(leg.name);
+    const SmaConfig& cfg = leg.cfg;
+    const linalg::SolveCounters seq = solves_of(cfg, "sequential", leg.in);
     const std::uint64_t side = 2ull * cfg.z_search_radius + 1ull;
     if (cfg.search_mode == core::SearchMode::kFull)
       EXPECT_GE(seq.solves6, kSide * kSide * side * side);
     else  // the windows engaged
       EXPECT_LT(seq.solves6, kSide * kSide * side * side);
     for (const char* backend : {"vector", "maspar-sim"}) {
-      const linalg::SolveCounters got = solves_of(cfg, backend);
+      const linalg::SolveCounters got = solves_of(cfg, backend, leg.in);
       EXPECT_EQ(got.solves6, seq.solves6) << backend;
       EXPECT_EQ(got.singular, seq.singular) << backend;
     }
   }
+  // With their own seed pass, the two inline backends still agree.
+  const linalg::SolveCounters seq = solves_of(pruned, "sequential");
+  const linalg::SolveCounters mp = solves_of(pruned, "maspar-sim");
+  EXPECT_EQ(mp.solves6, seq.solves6);
+  EXPECT_EQ(mp.singular, seq.singular);
 }
 
 // A pair without planes runs the staged path and names why: "masked"

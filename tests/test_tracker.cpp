@@ -390,34 +390,22 @@ TEST(Tracker, NonFiniteInputRejected) {
 // the per-pixel passes and pruned search keep choose_tile_shape's tiles.
 // ---------------------------------------------------------------------------
 
-// Puts the shared pool back to its width however a test ends: tiles_for
-// widens it.
 class PixelTiles : public ::testing::Test {
  protected:
-  void TearDown() override {
-    if (sched::ThreadPool::shared().threads() != width_)
-      sched::ThreadPool::shared().resize(width_);
-  }
-
-  // pixel_tiles for `executors` executors (SmaConfig::threads on a pool
-  // at least that wide) and a square template of radius `radius`.
+  // pixel_tiles for `executors` executors (a shared pool that wide) and
+  // a square template of radius `radius`.
   static std::vector<sched::Tile> tiles_for(
       int w, int h, int radius, int executors, int kernel_lanes,
       int tile_w = 0, int tile_h = 0,
       SearchMode mode = SearchMode::kFull) {
-    sched::ThreadPool& pool = sched::ThreadPool::shared();
-    if (pool.threads() < executors) pool.resize(executors);
+    const testing::PoolWidth pool(executors);
     SmaConfig cfg;
     cfg.z_template_radius = radius;
-    cfg.threads = executors;
     cfg.tile_width = tile_w;
     cfg.tile_height = tile_h;
     cfg.search_mode = mode;
     return pixel_tiles(w, h, cfg, /*parallel=*/true, kernel_lanes);
   }
-
- private:
-  const int width_ = sched::ThreadPool::shared().threads();
 };
 
 int tile_count(int side, int w, int h) {
